@@ -247,13 +247,23 @@ class QnrSample:
     mu: float
 
 
-def _random_unit_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    k = basis.shape[1]
-    while True:
-        z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        norm = np.linalg.norm(z)
-        if norm > 1e-12:
-            return basis @ (z / norm)
+# Samples are drawn and compressed this many at a time, so memory stays bounded for any n.
+QNR_CHUNK = 256
+
+
+def _unit_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
+    """Rows of ``z`` scaled to unit norm; a (practically impossible) null row is redrawn."""
+    norms = np.linalg.norm(z, axis=1)
+    for i in np.flatnonzero(norms <= 1e-12):
+        while norms[i] <= 1e-12:
+            z[i] = rng.standard_normal(z.shape[1]) + 1j * rng.standard_normal(z.shape[1])
+            norms[i] = np.linalg.norm(z[i])
+    return z / norms[:, None]
+
+
+def _forms(x: np.ndarray, block: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i^* block y_i for every row i, one stacked product per row, so no row depends on the others."""
+    return (x.conj()[:, None, :] @ block @ y[:, :, None])[:, 0, 0]
 
 
 def qnr_sample(
@@ -266,6 +276,12 @@ def qnr_sample(
     [[(f,Bf), (f,Bg)], [(g,Bf), (g,Bg)]] and records its eigenvalue pair.
     The union over all such pairs contains spec(B), and its extremes equal
     inf B and sup B.
+
+    The draws form a standard-normal (n, 2(k_p + k_q)) array, drawn in
+    blocks of ``QNR_CHUNK`` rows, whose row i holds sample i's coordinates
+    (Re f, Im f, Re g, Im g) in a basis of each range: the order in which
+    sample-by-sample drawing takes them, so sample i is the same whatever
+    ``n`` is.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -277,16 +293,23 @@ def qnr_sample(
         )
     basis_p = projection.range_basis()
     basis_q = projection.complement_basis()
+    kp, kq = basis_p.shape[1], basis_q.shape[1]
+    # with f = basis_p u and g = basis_q h, (f, B g) = u^* (basis_p^* B basis_q) h
+    b_pp = basis_p.conj().T @ b @ basis_p
+    b_qq = basis_q.conj().T @ b @ basis_q
+    b_pq = basis_p.conj().T @ b @ basis_q
     rng = np.random.default_rng(seed)
     samples = []
-    for _ in range(n):
-        f = _random_unit_vector(rng, basis_p)
-        g = _random_unit_vector(rng, basis_q)
-        a0 = float(np.real(f.conj() @ b @ f))
-        a1 = float(np.real(g.conj() @ b @ g))
-        v = complex(f.conj() @ b @ g)
-        lam, mu = two_by_two_extremes(a0, a1, v)
-        samples.append(QnrSample(a0=a0, a1=a1, v=v, lam=lam, mu=mu))
+    for first in range(0, n, QNR_CHUNK):
+        draws = rng.standard_normal((min(QNR_CHUNK, n - first), 2 * (kp + kq)))
+        u = _unit_rows(rng, draws[:, :kp] + 1j * draws[:, kp : 2 * kp])
+        h = _unit_rows(rng, draws[:, 2 * kp : 2 * kp + kq] + 1j * draws[:, 2 * kp + kq :])
+        a0 = _forms(u, b_pp, u).real
+        a1 = _forms(h, b_qq, h).real
+        v = _forms(u, b_pq, h)
+        for x0, x1, xv in zip(a0.tolist(), a1.tolist(), v.tolist()):
+            lam, mu = two_by_two_extremes(x0, x1, xv)
+            samples.append(QnrSample(a0=x0, a1=x1, v=xv, lam=lam, mu=mu))
     return samples
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,6 +47,30 @@ _RANDOM_FAMILIES = {
     "case2": Case.CASE_II,
     "subordinated": Case.SUBORDINATED,
 }
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _dims(text: str) -> tuple[int, int]:
+    try:
+        dims = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 2 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"expected two positive integers, got {text!r}")
+    return dims
 
 
 def exit_code_for(reports) -> int:
@@ -132,12 +157,9 @@ def cmd_qnr(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        dims = tuple(int(p) for p in args.dims.split(","))
-        if len(dims) != 2 or min(dims) < 1:
-            raise ValueError(f"--dims wants two positive integers, got {args.dims!r}")
         result = search_worst_case(
-            dim_sigma=dims[0],
-            dim_Sigma=dims[1],
+            dim_sigma=args.dims[0],
+            dim_Sigma=args.dims[1],
             c=args.c,
             trials=args.trials,
             seed=args.seed,
@@ -179,11 +201,10 @@ def cmd_verify(args) -> int:
             reports = [run_theorem(problem, t) for t in theorems or _default_battery(problem)]
         elif args.random:
             case = _RANDOM_FAMILIES[args.random]
-            dims = tuple(int(p) for p in args.dims.split(","))
             rng = np.random.default_rng(args.seed)
             specs = [
                 random_problem_spec(
-                    case, dims[0], dims[1], args.ratio, int(rng.integers(0, 2**63 - 1))
+                    case, *args.dims, args.ratio, int(rng.integers(0, 2**63 - 1))
                 )
                 for _ in range(args.trials)
             ]
@@ -216,12 +237,12 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.add_argument("--theorem", action="append", choices=THEOREM_IDS)
     p.add_argument("--out", help="write the machine-readable JSON report here")
-    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("examples", help="write a built-in sharpness example and its report")
     p.add_argument("which", choices=["case1", "case2", "CASE1", "CASE2"])
-    p.add_argument("--scale", type=float, default=1.0, help="multiply V by this factor")
+    p.add_argument("--scale", type=_finite_float, default=1.0, help="multiply V by this factor")
     p.add_argument("--out")
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_examples)
@@ -232,12 +253,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--svg", help="also write an SVG scatter here")
-    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_qnr)
 
     p = sub.add_parser("search", help="worst-case search for the projection difference")
-    p.add_argument("--c", type=float, required=True, help="norm-ratio cap ||V|| <= c d")
-    p.add_argument("--dims", default="2,2", help="dim_sigma,dim_Sigma")
+    p.add_argument("--c", type=_finite_float, required=True, help="norm-ratio cap ||V|| <= c d")
+    p.add_argument("--dims", type=_dims, default="2,2", help="dim_sigma,dim_Sigma")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--neighborhood", choices=["half", "full"], default="half")
@@ -249,10 +270,10 @@ def main(argv=None) -> int:
     p.add_argument("--random", choices=sorted(_RANDOM_FAMILIES))
     p.add_argument("--theorem", action="append", help="theorem id(s), comma separable")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ratio", type=float, default=0.45, help="target ||V||/d for --random")
-    p.add_argument("--dims", default="3,3", help="dim_sigma,dim_Sigma for --random")
+    p.add_argument("--ratio", type=_finite_float, default=0.45, help="target ||V||/d for --random")
+    p.add_argument("--dims", type=_dims, default="3,3", help="dim_sigma,dim_Sigma for --random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -27,8 +27,8 @@ from .analysis import (
     spectrum_enclosure,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, SpectralSet
-from .operators import select_eigenvalues, spectral_norm
+from .intervals import Case, SpectralSet, classify_case, locate_points, neighborhood_bounds
+from .operators import spectral_norm
 from .subspaces import (
     bound_case1,
     bound_case2,
@@ -91,8 +91,8 @@ class ProblemSpec:
         """Return the cross-component gap d; raise if the layout is invalid."""
         if not self.sigma_values or not self.Sigma_values:
             raise ValueError("both components need at least one value")
-        if self.target_norm_ratio < 0:
-            raise ValueError("target_norm_ratio must be nonnegative")
+        if not math.isfinite(self.target_norm_ratio) or self.target_norm_ratio < 0:
+            raise ValueError("target_norm_ratio must be finite and nonnegative")
         d = min(
             abs(s - t) for s in self.sigma_values for t in self.Sigma_values
         )
@@ -185,8 +185,6 @@ def random_problem_spec(
 
 
 def _classify_values(spec: ProblemSpec) -> Case:
-    from .intervals import classify_case
-
     sigma = SpectralSet.from_points(spec.sigma_values)
     Sigma = SpectralSet.from_points(spec.Sigma_values)
     return classify_case(sigma, Sigma).case
@@ -207,40 +205,42 @@ class SearchResult:
     evaluations: int
 
 
-def _search_objective(
-    sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, s: float, c: float, half: bool
-) -> float | None:
-    """||E_A(sigma) - E_B(open neighborhood)|| for the parameterized problem.
+# Trials are scored in chunks of at most this many, so memory stays bounded for any trial count.
+SEARCH_CHUNK = 256
 
-    Returns None when the layout degenerates (gap below the floor).  An
-    empty neighborhood gives the zero projection and the objective becomes
-    ||P|| = 1: that is the sharpness mechanism, scored rather than erred.
+
+def _score(
+    sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, s: np.ndarray, c: float, half: bool,
+    tol: Tolerances,
+) -> np.ndarray:
+    """||E_A(sigma) - E_B(open neighborhood)|| for a stack of parameterized problems.
+
+    Row t of ``sig`` (T, n0), ``Sig`` (T, n1), ``w`` (T, n0, n1) and ``s``
+    (T,) is one problem; all of them go through one stacked SVD for ||w||,
+    one stacked ``eigh``, one selection and one stacked SVD for the norm.
+    A row whose layout degenerates (gap below the floor) scores -inf.  An
+    empty neighborhood gives the zero projection and the value ||P|| = 1:
+    that is the sharpness mechanism, scored rather than erred.
     """
-    n0, n1 = len(sig), len(Sig)
-    d = min(abs(x - y) for x in sig for y in Sig)
-    if d < 1e-3:
-        return None
-    w_norm = spectral_norm(w)
-    if w_norm < 1e-14:
-        return 0.0
-    block = w * (s * c * d / w_norm)
+    n0, n1 = sig.shape[1], Sig.shape[1]
     dim = n0 + n1
-    b = np.zeros((dim, dim), dtype=complex)
-    b[np.arange(n0), np.arange(n0)] = sig
-    b[np.arange(n0, dim), np.arange(n0, dim)] = Sig
-    b[:n0, n0:] = block
-    b[n0:, :n0] = block.conj().T
+    d = np.abs(sig[:, :, None] - Sig[:, None, :]).min(axis=(1, 2))
+    w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
+    live = (d >= 1e-3) & (w_norm >= 1e-14)
+    factor = np.divide(s * c * d, w_norm, out=np.zeros_like(d), where=live)
+    block = w * factor[:, None, None]
+    b = np.zeros((len(d), dim, dim), dtype=complex)
+    b.reshape(len(d), -1)[:, :: dim + 1] = np.concatenate([sig, Sig], axis=1)
+    b[:, :n0, n0:] = block
+    b[:, n0:, :n0] = block.conj().swapaxes(1, 2)
     eigs, vecs = np.linalg.eigh(b)
-    sigma = SpectralSet.from_points(sig)
-    radius = d / 2.0 if half else d
-    hood = sigma.open_neighborhood(radius)
-    tol = DEFAULT_TOL.eig(dim, float(np.abs(eigs).max()))
-    mask, _, _ = select_eigenvalues(eigs, hood, tol)
-    cols = vecs[:, mask]
-    q = cols @ cols.conj().T
+    lo, hi = neighborhood_bounds(sig, d / 2.0 if half else d)
+    mask, _, _ = locate_points(eigs, lo, hi, True, tol.eig(dim, np.abs(eigs).max(axis=1)))
+    q = (vecs * mask[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     p = np.zeros((dim, dim), dtype=complex)
     p[np.arange(n0), np.arange(n0)] = 1.0
-    return spectral_norm(p - q)
+    value = np.linalg.svd(p - q, compute_uv=False)[:, 0]
+    return np.where(d < 1e-3, -math.inf, np.where(w_norm < 1e-14, 0.0, value))
 
 
 def _example_start(dim_sigma: int, dim_Sigma: int, c: float, half: bool):
@@ -260,6 +260,69 @@ def _example_start(dim_sigma: int, dim_Sigma: int, c: float, half: bool):
     return None
 
 
+def _starts(chunk: range, dim_sigma: int, dim_Sigma: int, c: float, half: bool, seed: int,
+            include_example_start: bool) -> list[np.ndarray]:
+    """Stacked start parameters [sig, Sig, w, s], one row per trial index in ``chunk``."""
+    sig = np.empty((len(chunk), dim_sigma))
+    Sig = np.empty((len(chunk), dim_Sigma))
+    w = np.empty((len(chunk), dim_sigma, dim_Sigma), dtype=complex)
+    s = np.ones(len(chunk))
+    for row, trial in enumerate(chunk):
+        start = _example_start(dim_sigma, dim_Sigma, c, half) if (
+            trial == 0 and include_example_start
+        ) else None
+        if start is None:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+            sig[row] = rng.uniform(-2.0, 2.0, dim_sigma)
+            Sig[row] = rng.uniform(-2.0, 2.0, dim_Sigma)
+            w[row] = rng.standard_normal((dim_sigma, dim_Sigma)) + 1j * rng.standard_normal(
+                (dim_sigma, dim_Sigma)
+            )
+        else:
+            sig[row], Sig[row], w[row], s[row] = start
+    return [sig, Sig, w, s]
+
+
+def _coordinates(dim_sigma: int, dim_Sigma: int) -> list[tuple[int, tuple, complex]]:
+    """Refinement coordinates in sweep order as (parameter, index, unit step)."""
+    return (
+        [(0, (i,), 1.0) for i in range(dim_sigma)]
+        + [(1, (i,), 1.0) for i in range(dim_Sigma)]
+        + [(2, (i, j), unit) for i in range(dim_sigma) for j in range(dim_Sigma)
+           for unit in (1.0, 1j)]
+        + [(3, (), 1.0)]
+    )
+
+
+def _refine(params: list[np.ndarray], coords, sweeps: int, c: float, half: bool,
+            tol: Tolerances) -> np.ndarray:
+    """Greedy coordinate refinement of every trial in ``params``, in lockstep; returns the values.
+
+    ``params`` is updated in place.  Each step moves one coordinate of every
+    trial by its own step and keeps the move where it improves that trial;
+    a trial's step halves after a sweep without improvement.
+    """
+    value = _score(*params, c, half, tol)
+    step = np.full(len(value), 0.25)
+    for _ in range(sweeps):
+        improved = np.zeros(len(value), dtype=bool)
+        for part, index, unit in coords:
+            for sign in (1.0, -1.0):
+                if part == 3:
+                    moved = np.clip(params[3] + sign * step, 0.01, 1.0)
+                else:
+                    moved = params[part].copy()
+                    moved[(slice(None), *index)] += unit * sign * step
+                cand = _score(*params[:part], moved, *params[part + 1 :], c, half, tol)
+                take = cand > value + 1e-15
+                keep = take.reshape((-1,) + (1,) * (moved.ndim - 1))
+                params[part] = np.where(keep, moved, params[part])
+                value = np.where(take, cand, value)
+                improved |= take
+        step = np.where(improved, step, step * 0.5)
+    return value
+
+
 def search_worst_case(
     dim_sigma: int = 2,
     dim_Sigma: int = 2,
@@ -275,8 +338,14 @@ def search_worst_case(
 
     Each trial draws a random layout and coupling block (seed derived from
     (seed, trial index), so runs are order-deterministic), then refines by
-    greedy coordinate perturbation with shrinking steps.  Trial 0 starts
+    greedy coordinate perturbation with shrinking steps: coordinates in
+    order, each improvement accepted as soon as it is seen.  Trial 0 starts
     from the matching built-in sharpness example when the dimensions allow.
+
+    Trials are independent and all make the same number of evaluations, so
+    they advance in lockstep, in chunks of ``SEARCH_CHUNK``: each step
+    scores one candidate per trial with stacked LAPACK calls.  Ties between
+    trials go to the lowest trial index.
     """
     if c <= 0:
         raise ValueError("norm-ratio cap c must be positive")
@@ -285,102 +354,49 @@ def search_worst_case(
     if neighborhood not in ("half_d", "full_d"):
         raise ValueError(f"neighborhood must be 'half_d' or 'full_d', got {neighborhood!r}")
     half = neighborhood == "half_d"
+    coords = _coordinates(dim_sigma, dim_Sigma)
 
     best_value = -math.inf
     best_params = None
-    evaluations = 0
-
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        start = _example_start(dim_sigma, dim_Sigma, c, half) if (
-            trial == 0 and include_example_start
-        ) else None
-        if start is None:
-            sig = rng.uniform(-2.0, 2.0, dim_sigma)
-            Sig = rng.uniform(-2.0, 2.0, dim_Sigma)
-            w = rng.standard_normal((dim_sigma, dim_Sigma)) + 1j * rng.standard_normal(
-                (dim_sigma, dim_Sigma)
-            )
-            s = 1.0
-        else:
-            sig, Sig, w, s = start
-
-        value = _search_objective(sig, Sig, w, s, c, half)
-        evaluations += 1
-        if value is None:
-            value = -math.inf
-
-        step = 0.25
-        for _ in range(refine_sweeps):
-            improved = False
-            coords = (
-                [("sig", i) for i in range(dim_sigma)]
-                + [("Sig", i) for i in range(dim_Sigma)]
-                + [("w", i, j, part) for i in range(dim_sigma) for j in range(dim_Sigma)
-                   for part in ("re", "im")]
-                + [("s",)]
-            )
-            for coord in coords:
-                for sign in (1.0, -1.0):
-                    c_sig, c_Sig, c_w, c_s = sig.copy(), Sig.copy(), w.copy(), s
-                    if coord[0] == "sig":
-                        c_sig[coord[1]] += sign * step
-                    elif coord[0] == "Sig":
-                        c_Sig[coord[1]] += sign * step
-                    elif coord[0] == "w":
-                        bump = sign * step if coord[3] == "re" else 1j * sign * step
-                        c_w[coord[1], coord[2]] += bump
-                    else:
-                        c_s = float(np.clip(c_s + sign * step, 0.01, 1.0))
-                    cand = _search_objective(c_sig, c_Sig, c_w, c_s, c, half)
-                    evaluations += 1
-                    if cand is not None and cand > value + 1e-15:
-                        sig, Sig, w, s, value = c_sig, c_Sig, c_w, c_s, cand
-                        improved = True
-            if not improved:
-                step *= 0.5
-
-        if value > best_value:
-            best_value = value
-            best_params = (sig, Sig, w, s)
+    for first in range(0, trials, SEARCH_CHUNK):
+        chunk = range(first, min(first + SEARCH_CHUNK, trials))
+        params = _starts(chunk, dim_sigma, dim_Sigma, c, half, seed, include_example_start)
+        value = _refine(params, coords, refine_sweeps, c, half, tol)
+        row = int(np.argmax(value))
+        if value[row] > best_value:
+            best_value = float(value[row])
+            best_params = [p[row] for p in params]
 
     best_problem = None
-    if best_params is not None and best_value > -math.inf:
-        sig, Sig, w, s = best_params
-        d = min(abs(x - y) for x in sig for y in Sig)
-        ratio = s * c if spectral_norm(w) > 1e-14 else 0.0
-        spec = ProblemSpec(
-            sigma_values=tuple(sorted(float(x) for x in sig)),
-            Sigma_values=tuple(sorted(float(x) for x in Sig)),
-            target_norm_ratio=ratio,
-            seed=0,
-        )
-        # rebuild with the searched coupling block, not a fresh random one
-        n0 = len(sig)
-        dim = n0 + len(Sig)
-        order = np.argsort(sig), np.argsort(Sig)
-        a = np.diag(np.array(list(spec.sigma_values) + list(spec.Sigma_values))).astype(complex)
-        v = np.zeros((dim, dim), dtype=complex)
-        if ratio > 0:
-            block = w[np.ix_(order[0], order[1])]
-            block = block * (ratio * d / spectral_norm(block))
-            v[:n0, n0:] = block
-            v[n0:, :n0] = block.conj().T
-        best_problem = PerturbationProblem.build(
-            a,
-            v,
-            SpectralSet.from_points(spec.sigma_values),
-            SpectralSet.from_points(spec.Sigma_values),
-            tol,
-        )
-
+    if best_params is not None:
+        best_problem = _rebuild(*best_params, c, tol)
     return SearchResult(
-        best_value=float(best_value),
+        best_value=best_value,
         best_problem=best_problem,
         trials=trials,
         c=c,
         neighborhood=neighborhood,
-        evaluations=evaluations,
+        evaluations=trials * (1 + 2 * refine_sweeps * len(coords)),
+    )
+
+
+def _rebuild(sig, Sig, w, s, c: float, tol: Tolerances) -> PerturbationProblem:
+    """The searched problem with each component sorted and the coupling block permuted to match."""
+    d = min(abs(x - y) for x in sig for y in Sig)
+    ratio = s * c if spectral_norm(w) > 1e-14 else 0.0
+    sigma_values = sorted(float(x) for x in sig)
+    Sigma_values = sorted(float(x) for x in Sig)
+    n0 = len(sig)
+    dim = n0 + len(Sig)
+    a = np.diag(np.array(sigma_values + Sigma_values)).astype(complex)
+    v = np.zeros((dim, dim), dtype=complex)
+    if ratio > 0:
+        block = w[np.ix_(np.argsort(sig), np.argsort(Sig))]
+        block = block * (ratio * d / spectral_norm(block))
+        v[:n0, n0:] = block
+        v[n0:, :n0] = block.conj().T
+    return PerturbationProblem.build(
+        a, v, SpectralSet.from_points(sigma_values), SpectralSet.from_points(Sigma_values), tol
     )
 
 

@@ -8,7 +8,9 @@ endpoint membership only; all set algebra is computed on the closures.
 Membership tests are tolerance-aware and tri-state: a point within ``tol``
 of an endpoint of an open set is AMBIGUOUS rather than silently decided,
 because the sharp examples in this problem family attain boundaries
-exactly.
+exactly.  The rule lives in one array-valued routine, ``locate_points``,
+which also takes stacked unions (one per leading index) so that batched
+callers classify many spectra against many sets in one call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class Location(enum.Enum):
@@ -101,6 +105,12 @@ class SpectralSet:
         self._require_nonempty()
         return max(hi for _, hi in self.intervals)
 
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interval endpoints as two float arrays ``(lo, hi)``."""
+        ends = np.array(self.intervals, dtype=float).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
+
     def _require_nonempty(self):
         if self.is_empty:
             raise ValueError("operation requires a nonempty set")
@@ -131,19 +141,11 @@ class SpectralSet:
         return best
 
     def locate(self, x: float, tol: float) -> Location:
-        """Tolerance-aware membership.
-
-        Closed sets never return AMBIGUOUS: a point within ``tol`` of the
-        set counts as inside.  Open sets return AMBIGUOUS within ``tol``
-        of an endpoint.
-        """
-        if self.is_empty:
-            return Location.OUTSIDE
-        if self.is_open:
-            if self.boundary_distance(x) <= tol:
-                return Location.AMBIGUOUS
-            return Location.INSIDE if self.contains(x) else Location.OUTSIDE
-        return Location.INSIDE if self.distance_to_point(x) <= tol else Location.OUTSIDE
+        """Tolerance-aware membership of one point; see ``locate_points``."""
+        inside, ambiguous, _ = locate_points([x], *self.bounds, self.is_open, tol)
+        if inside[0]:
+            return Location.INSIDE
+        return Location.AMBIGUOUS if ambiguous[0] else Location.OUTSIDE
 
     def near_boundary(self, x: float, tol: float) -> bool:
         return self.boundary_distance(x) <= tol
@@ -207,6 +209,62 @@ class SpectralSet:
         for lo, hi in self.intervals:
             parts.append(f"{{{lo:g}}}" if lo == hi else f"{left}{lo:g}, {hi:g}{right}")
         return " U ".join(parts)
+
+
+def locate_points(x, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tolerance-aware tri-state membership of many points in unions of intervals.
+
+    ``x`` has shape (..., n); ``lo`` and ``hi`` have shape (..., m) and hold
+    the endpoints of normalized (sorted, disjoint) intervals, one union per
+    leading index; ``tol`` is a scalar or has the leading shape.  Returns
+    boolean arrays ``(inside, ambiguous, near)`` shaped like ``x``: a point
+    in neither of the first two is outside, and ``near`` marks points within
+    ``tol`` of a finite endpoint.
+
+    Closed sets never return AMBIGUOUS: a point within ``tol`` of the set
+    counts as inside.  Open sets return AMBIGUOUS within ``tol`` of an
+    endpoint.
+    """
+    x = np.asarray(x, dtype=float)[..., :, None]
+    lo = np.asarray(lo, dtype=float)[..., None, :]
+    hi = np.asarray(hi, dtype=float)[..., None, :]
+    tol = np.asarray(tol, dtype=float)[..., None]
+    if lo.shape[-1] == 0:
+        outside = np.zeros(x.shape[:-1], dtype=bool)
+        return outside, outside.copy(), outside.copy()
+    # infinite endpoints are at infinite distance from every finite point
+    near = np.minimum(np.abs(x - lo), np.abs(x - hi)).min(axis=-1) <= tol
+    if is_open:
+        inside = ~near & ((lo < x) & (x < hi)).any(axis=-1)
+        return inside, near.copy(), near
+    inside = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=-1) <= tol
+    return inside, np.zeros_like(inside), near
+
+
+def neighborhood_bounds(points, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked endpoints of the ``radius``-neighborhoods of point sets.
+
+    ``points`` has shape (..., m) and ``radius`` a scalar or the leading
+    shape.  Returns ``(lo, hi)`` of shape (..., m), normalized as
+    ``SpectralSet`` normalizes: intervals sorted, and overlapping or
+    touching intervals merged.  Merged intervals keep the fixed shape by
+    repeating the component they form, which leaves membership and
+    boundary distances unchanged.
+    """
+    points = np.sort(np.asarray(points, dtype=float), axis=-1)
+    radius = np.asarray(radius, dtype=float)[..., None]
+    lo, hi = points - radius, points + radius
+    m = points.shape[-1]
+    # forward: each interval takes the lo and running hi of its component so far
+    for i in range(1, m):
+        joined = lo[..., i] <= hi[..., i - 1]
+        lo[..., i] = np.where(joined, lo[..., i - 1], lo[..., i])
+        hi[..., i] = np.where(joined, np.maximum(hi[..., i - 1], hi[..., i]), hi[..., i])
+    # backward: each interval takes the final hi of its component
+    for i in range(m - 2, -1, -1):
+        joined = lo[..., i + 1] == lo[..., i]
+        hi[..., i] = np.where(joined, hi[..., i + 1], hi[..., i])
+    return lo, hi
 
 
 def from_eigenvalues(values: Sequence[float], gap_threshold: float | None = None) -> SpectralSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Location, SpectralSet
+from .intervals import SpectralSet, locate_points
 
 
 class ValidationError(ValueError):
@@ -159,23 +159,23 @@ def select_eigenvalues(
     ``tol`` of an endpoint is excluded but marked ambiguous.  Flags record
     every such boundary event instead of silently deciding.
     """
-    n = len(eigenvalues)
-    mask = np.zeros(n, dtype=bool)
-    ambiguous = np.zeros(n, dtype=bool)
+    values = np.asarray(eigenvalues, dtype=float)
+    mask, ambiguous, near = locate_points(values, *region.bounds, region.is_open, tol)
     flags: list[str] = []
-    for i, x in enumerate(map(float, eigenvalues)):
-        loc = region.locate(x, tol)
-        if loc is Location.INSIDE:
-            mask[i] = True
-            if not region.is_open and region.near_boundary(x, tol):
+    # an inside value near the boundary occurs only for closed regions
+    flagged = np.flatnonzero(ambiguous | (mask & near))
+    if flagged.size:
+        where = repr(region)
+        for i in flagged:
+            x = float(values[i])
+            if ambiguous[i]:
                 flags.append(
-                    f"eigenvalue {x:.12g} attains the closed boundary of {region}; counted inside"
+                    f"eigenvalue {x:.12g} is AMBIGUOUS on the open boundary of {where}; excluded"
                 )
-        elif loc is Location.AMBIGUOUS:
-            ambiguous[i] = True
-            flags.append(
-                f"eigenvalue {x:.12g} is AMBIGUOUS on the open boundary of {region}; excluded"
-            )
+            else:
+                flags.append(
+                    f"eigenvalue {x:.12g} attains the closed boundary of {where}; counted inside"
+                )
     return mask, ambiguous, flags
 
 

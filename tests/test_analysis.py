@@ -166,6 +166,26 @@ class TestQnrSampling:
         assert long[:100] == short
         assert min(s.lam for s in long) <= min(s.lam for s in short)
 
+    def test_matches_per_sample_compression(self):
+        # rebuild f and g from the seeded stream one sample at a time
+        p = random_problem(random_problem_spec(Case.CASE_II, 3, 4, 0.8, seed=2))
+        basis_p = p.projection.range_basis()
+        basis_q = p.projection.complement_basis()
+        kp, kq = basis_p.shape[1], basis_q.shape[1]
+        rng = np.random.default_rng(4)
+        for s in qnr_sample(p.b, p.projection, 50, seed=4):
+            zf = rng.standard_normal(kp) + 1j * rng.standard_normal(kp)
+            zg = rng.standard_normal(kq) + 1j * rng.standard_normal(kq)
+            f = basis_p @ (zf / np.linalg.norm(zf))
+            g = basis_q @ (zg / np.linalg.norm(zg))
+            assert abs(s.a0 - (f.conj() @ p.b @ f).real) < 1e-12
+            assert abs(s.a1 - (g.conj() @ p.b @ g).real) < 1e-12
+            assert abs(s.v - f.conj() @ p.b @ g) < 1e-12
+
+    def test_single_sample_is_the_first_of_many(self):
+        p = builtin_example("CASE1", scale=0.6)
+        assert qnr_sample(p.b, p.projection, 1, seed=7) == qnr_sample(p.b, p.projection, 64, seed=7)[:1]
+
     def test_degenerate_projection_rejected(self):
         p = builtin_example("CASE1")
         with pytest.raises(ValueError, match="rank"):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from offdiag import harness
 from offdiag import (
     Case,
     ProblemSpec,
+    Tolerances,
     batch_verify,
     builtin_example,
     random_problem,
@@ -73,6 +75,11 @@ class TestRandomProblem:
         with pytest.raises(ValueError, match="separated"):
             random_problem(ProblemSpec((0.0,), (0.0,), 0.5, seed=0))
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -0.5])
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            random_problem(ProblemSpec((0.0,), (1.0,), ratio, seed=0))
+
     def test_layout_generator_produces_requested_case(self, rng):
         for case in (Case.CASE_I, Case.CASE_II, Case.SUBORDINATED):
             for k in range(20):
@@ -118,6 +125,64 @@ class TestSearch:
         r2 = search_worst_case(c=0.7, trials=8, seed=5, refine_sweeps=1)
         assert r1.best_value == r2.best_value
         assert r1.evaluations == r2.evaluations
+
+    @pytest.mark.parametrize(
+        "kwargs, best_value, evaluations",
+        [
+            (dict(c=0.7, trials=6, seed=2), 0.6615068115637764, 318),
+            (dict(c=0.4, trials=6, seed=3), 0.4296050129520145, 318),
+            (dict(dim_sigma=1, dim_Sigma=2, c=1.2, trials=5, seed=4, neighborhood="full_d"),
+             0.7628404144680961, 165),
+            (dict(dim_sigma=2, dim_Sigma=3, c=0.6, trials=4, seed=5), 0.5173347361605625, 292),
+            (dict(dim_sigma=3, dim_Sigma=3, c=0.6, trials=3, seed=6), 0.45392306085439815, 303),
+            # both runs score degenerate candidates (gap below the floor) on the way
+            (dict(c=2.0, trials=10, seed=2, refine_sweeps=1), 1.0, 270),
+            (dict(c=2.0, trials=10, seed=4, refine_sweeps=1), 1.0000000000000002, 270),
+        ],
+    )
+    def test_trajectory_pinned(self, kwargs, best_value, evaluations):
+        # values recorded from the one-candidate-at-a-time search; the lockstep
+        # search must follow the same greedy trajectory to the last bit
+        r = search_worst_case(**kwargs)
+        assert r.best_value == best_value
+        assert r.evaluations == evaluations
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(c=2.0, trials=8, seed=2, refine_sweeps=1),
+        dict(c=0.7, trials=7, seed=5),
+    ])
+    def test_chunk_size_does_not_matter(self, monkeypatch, kwargs):
+        whole = search_worst_case(**kwargs)
+        monkeypatch.setattr(harness, "SEARCH_CHUNK", 3)
+        chunked = search_worst_case(**kwargs)
+        assert chunked.best_value == whole.best_value
+        assert chunked.evaluations == whole.evaluations
+        assert np.array_equal(chunked.best_problem.a, whole.best_problem.a)
+        assert np.array_equal(chunked.best_problem.v, whole.best_problem.v)
+
+    def test_tolerance_is_used(self):
+        # eig_scale 0.06 puts every eigenvalue in the neighborhood within tol of
+        # its boundary: all are AMBIGUOUS and excluded, so the start scores 1
+        r = search_worst_case(c=0.4, trials=1, seed=0, tol=Tolerances(eig_scale=0.06))
+        assert r.best_value == 1.0
+        assert search_worst_case(c=0.4, trials=1, seed=0).best_value < 0.5
+
+    def test_score_rows_are_independent(self):
+        rng = np.random.default_rng(8)
+        sig = rng.uniform(-2, 2, (4, 2))
+        Sig = rng.uniform(-2, 2, (4, 2))
+        w = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        s = np.array([1.0, 0.5, 1.0, 1.0])
+        Sig[1, 0] = sig[1, 1] + 1e-4  # gap below the floor
+        w[2] = 0.0  # no coupling
+        values = harness._score(sig, Sig, w, s, 0.7, True, Tolerances())
+        assert values[1] == -math.inf
+        assert values[2] == 0.0
+        for t in (0, 3):
+            alone = harness._score(sig[t:t + 1], Sig[t:t + 1], w[t:t + 1], s[t:t + 1], 0.7, True,
+                                   Tolerances())
+            assert alone[0] == values[t]
+            assert 0.0 < values[t] <= 1.0 + 1e-12
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

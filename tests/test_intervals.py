@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from offdiag import Case, Location, SpectralSet, classify_case, from_eigenvalues
+from offdiag.intervals import locate_points, neighborhood_bounds
 
 
 def points(*vals):
@@ -120,6 +121,18 @@ class TestNeighborhoods:
         assert not s.contains(-2.0)
         assert s.contains(-1.5)
 
+    def test_neighborhood_bounds_normalize_like_spectral_sets(self, rng):
+        rows = [rng.uniform(-2, 2, 4) for _ in range(40)] + [
+            np.array([0.0, 1.0, 3.0, 2.0]),  # radius 0.5: touching neighborhoods merge
+            np.array([1.0, 1.0, -1.0, 0.0]),
+        ]
+        points_ = np.array(rows)
+        radius = np.concatenate([rng.uniform(0.05, 1.0, 40), [0.5, 0.25]])
+        lo, hi = neighborhood_bounds(points_, radius)
+        for row, r, l, h in zip(points_, radius, lo, hi):
+            want = SpectralSet.from_points(row).open_neighborhood(float(r)).intervals
+            assert tuple(dict.fromkeys(zip(l.tolist(), h.tolist()))) == want
+
     def test_open_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             points(0.0).open_neighborhood(0.0)
@@ -152,6 +165,44 @@ class TestLocate:
         s = SpectralSet([(0, 1)])
         assert s.near_boundary(1.0, 1e-10)
         assert not s.near_boundary(0.5, 1e-10)
+
+    def test_locate_points_matches_the_pointwise_rule(self, rng):
+        tol = 1e-3
+        for _ in range(60):
+            raw = [tuple(sorted(rng.uniform(-5, 5, 2))) for _ in range(3)]
+            if rng.uniform() < 0.3:
+                raw.append((float(rng.uniform(-5, 5)), math.inf))
+            for is_open in (False, True):
+                s = SpectralSet(raw, is_open=is_open)
+                ends = [e for iv in s.intervals for e in iv if math.isfinite(e)]
+                xs = np.concatenate([rng.uniform(-8, 8, 40), ends, np.add(ends, 0.5 * tol)])
+                inside, ambiguous, near = locate_points(xs, *s.bounds, is_open, tol)
+                for x, i, a, n in zip(xs, inside, ambiguous, near):
+                    assert n == (s.boundary_distance(x) <= tol)
+                    if is_open:
+                        assert a == n
+                        assert i == (not n and s.contains(x))
+                    else:
+                        assert not a
+                        assert i == (s.distance_to_point(x) <= tol)
+
+    def test_locate_points_stacked_rows_match_single_calls(self, rng):
+        lo = np.sort(rng.uniform(-3, 3, (5, 2)), axis=1)
+        hi = lo + 0.4
+        x = rng.uniform(-3, 3, (5, 6))
+        x[:, 0] = lo[:, 0]
+        tol = rng.uniform(0.0, 0.1, 5)
+        for is_open in (False, True):
+            stacked = locate_points(x, lo, hi, is_open, tol)
+            for t in range(5):
+                single = locate_points(x[t], lo[t], hi[t], is_open, tol[t])
+                for got, want in zip(stacked, single):
+                    assert np.array_equal(got[t], want)
+
+    def test_empty_set_is_outside(self):
+        inside, ambiguous, near = locate_points([0.0, 1.0], *SpectralSet.empty().bounds, True, 1.0)
+        assert not inside.any() and not ambiguous.any() and not near.any()
+        assert SpectralSet.empty().locate(0.0, 1.0) is Location.OUTSIDE
 
 
 class TestConvexHull:

@@ -238,6 +238,35 @@ class TestCli:
     def test_verify_without_input_exits_2(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--random", "case2", "--theorem", "CASE2", "--dims", "3"],
+            ["verify", "--random", "case2", "--theorem", "CASE2", "--dims", "3,x"],
+            ["verify", "--random", "case2", "--theorem", "CASE2", "--dims", "0,3"],
+            ["search", "--c", "0.5", "--dims", "2,2,2"],
+            ["search", "--c", "nan"],
+            ["search", "--c", "inf"],
+            ["verify", "--random", "case1", "--theorem", "MAIN", "--ratio", "nan"],
+            ["verify", "--random", "case1", "--theorem", "MAIN", "--ratio", "-inf"],
+            ["examples", "case1", "--scale", "inf"],
+            ["verify", "--random", "case1", "--theorem", "MAIN", "--tol-scale", "nan"],
+            ["verify", "--random", "case1", "--theorem", "MAIN", "--tol-scale", "0"],
+        ],
+    )
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_analyze_nonpositive_tol_scale_exits_2(self, case1_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(case1_file), "--tol-scale", "-1"])
+        assert exc.value.code == 2
+
+    def test_search_nonpositive_cap_exits_2(self, capsys):
+        assert main(["search", "--c", "-0.5", "--trials", "1"]) == 2
+
 
 class TestAnalysisPayload:
     def test_float_fidelity(self):

@@ -13,7 +13,7 @@ from offdiag import (
     spectral_projection,
     validate_projection,
 )
-from offdiag.operators import validate_hermitian
+from offdiag.operators import select_eigenvalues, validate_hermitian
 
 from conftest import random_hermitian
 
@@ -150,6 +150,34 @@ class TestSpectralProjection:
             )
             validate_projection(p1.matrix)
             validate_projection(p2.matrix)
+
+
+class TestSelectEigenvalues:
+    def test_closed_boundary_flags_in_eigenvalue_order(self):
+        region = SpectralSet([(-1.0, 0.0), (2.0, 3.0)])
+        values = np.array([-1.0, -0.5, 0.0, 1.0, 3.0 + 1e-12])
+        mask, ambiguous, flags = select_eigenvalues(values, region, 1e-10)
+        assert mask.tolist() == [True, True, True, False, True]
+        assert not ambiguous.any()
+        assert flags == [
+            f"eigenvalue {x:.12g} attains the closed boundary of [-1, 0] U [2, 3]; counted inside"
+            for x in (-1.0, 0.0, 3.0 + 1e-12)
+        ]
+
+    def test_open_boundary_flags_are_ambiguous_and_excluded(self):
+        region = SpectralSet.from_points([-1.5, 0.5]).open_neighborhood(0.5)
+        values = np.array([-2.0, -1.2, 0.0, 0.7, 1.5])
+        mask, ambiguous, flags = select_eigenvalues(values, region, 1e-10)
+        assert mask.tolist() == [False, True, False, True, False]
+        assert ambiguous.tolist() == [True, False, True, False, False]
+        assert flags == [
+            "eigenvalue -2 is AMBIGUOUS on the open boundary of (-2, -1) U (0, 1); excluded",
+            "eigenvalue 0 is AMBIGUOUS on the open boundary of (-2, -1) U (0, 1); excluded",
+        ]
+
+    def test_empty_region_selects_nothing(self):
+        mask, ambiguous, flags = select_eigenvalues(np.array([0.0, 1.0]), SpectralSet.empty(), 1.0)
+        assert not mask.any() and not ambiguous.any() and flags == []
 
 
 class TestValidateProjection:
