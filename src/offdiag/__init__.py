@@ -49,6 +49,7 @@ from .subspaces import (
     ProjectionDifference,
     bound_case1,
     bound_case2,
+    bound_pair_inequality,
     bound_subordinated,
     graph_operator,
     maximal_gap_interval,
@@ -96,6 +97,7 @@ __all__ = [
     "batch_verify",
     "bound_case1",
     "bound_case2",
+    "bound_pair_inequality",
     "bound_subordinated",
     "builtin_example",
     "classify_case",

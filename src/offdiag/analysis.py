@@ -29,6 +29,7 @@ from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
+    compressed_norm,
     hermitian_eigendecompose,
     projection_from_eigenvectors,
     select_eigenvalues,
@@ -160,11 +161,10 @@ class PerturbationProblem:
         norm_a = float(np.abs(a_eigen.eigenvalues).max())
         eig_tol = tol.eig(dim, norm_a)
         spec_a = sigma.union(Sigma)
-        for x in a_eigen.eigenvalues:
-            if spec_a.distance_to_point(float(x)) > eig_tol:
-                raise ValidationError(
-                    f"eigenvalue {float(x)!r} of A lies outside sigma union Sigma"
-                )
+        outside = np.flatnonzero(spec_a.distance_to_points(a_eigen.eigenvalues) > eig_tol)
+        if outside.size:
+            x = float(a_eigen.eigenvalues[outside[0]])
+            raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
         mask_sigma, _, _ = select_eigenvalues(a_eigen.eigenvalues, sigma, eig_tol)
         mask_Sigma, _, _ = select_eigenvalues(a_eigen.eigenvalues, Sigma, eig_tol)
         if np.any(mask_sigma & mask_Sigma):
@@ -173,16 +173,21 @@ class PerturbationProblem:
             raise ValidationError("both components must contain spectrum of A")
 
         projection = projection_from_eigenvectors(a_eigen, mask_sigma)
-        p = projection.matrix
-        p_perp = np.eye(dim) - p
+        # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
+        # on the blocks of the eigenvector bases
+        u, u_perp = projection.range_basis(), projection.complement_basis()
 
         norm_v = spectral_norm(v)
         off_bound = tol.offdiag * norm_v if norm_v > 0 else tol.proj(dim)
-        if spectral_norm(p @ v @ p) > off_bound or spectral_norm(p_perp @ v @ p_perp) > off_bound:
+        if (
+            compressed_norm(u, u, v) > off_bound
+            or compressed_norm(u_perp, u_perp, v) > off_bound
+        ):
             raise ValidationError(
                 "V is not off-diagonal with respect to the sigma/Sigma splitting"
             )
-        if spectral_norm(a @ p - p @ a) > tol.proj(dim) * max(norm_a, 1.0):
+        commutator = max(compressed_norm(u_perp, u, a), compressed_norm(u, u_perp, a))
+        if commutator > tol.proj(dim) * max(norm_a, 1.0):
             raise ValidationError("spectral projection does not commute with A")
 
         b_eigen = hermitian_eigendecompose(a + v, tol)
@@ -377,13 +382,14 @@ def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
     """
     delta = delta_v(problem.norm_v, problem.d)
     spec_a = problem.sigma.union(problem.Sigma)
-    excursions = [spec_a.distance_to_point(float(x)) for x in problem.b_eigen.eigenvalues]
-    measured = max(excursions)
+    eigs = problem.b_eigen.eigenvalues
+    excursions = spec_a.distance_to_points(eigs)
+    measured = float(excursions.max())
     tol = problem.eig_tol()
-    flags = []
-    for x, e in zip(problem.b_eigen.eigenvalues, excursions):
-        if abs(e - delta) <= tol and delta > tol:
-            flags.append(f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly")
+    attained = eigs[(np.abs(excursions - delta) <= tol) & (delta > tol)]
+    flags = [
+        f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly" for x in attained
+    ]
     return AnalysisReport(
         theorem="SHIFT_I",
         premise_satisfied=True,
@@ -459,10 +465,8 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
             f"rank E_A(sigma) = {rank_sigma}"
         )
 
-    inside_dist = [
-        problem.sigma.distance_to_point(float(x)) for x in eigs[mask_closed]
-    ]
-    measured = max(inside_dist) if inside_dist else 0.0
+    inside_dist = problem.sigma.distance_to_points(eigs[mask_closed])
+    measured = float(inside_dist.max()) if inside_dist.size else 0.0
     holds = True
     if premise:
         holds = equality_ok and nonempty and measured <= delta + tol

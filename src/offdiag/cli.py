@@ -87,11 +87,11 @@ def cmd_analyze(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     try:
         problem = load_problem(args.path, tol)
+        # a theorem requested for the wrong case raises CaseError, a ValueError
+        reports = [run_theorem(problem, t) for t in args.theorem or _default_battery(problem)]
     except (ProblemFileError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    theorems = args.theorem if args.theorem else _default_battery(problem)
-    reports = [run_theorem(problem, t) for t in theorems]
 
     print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
     print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")

@@ -32,10 +32,10 @@ from .operators import spectral_norm
 from .subspaces import (
     bound_case1,
     bound_case2,
+    bound_pair_inequality,
     bound_subordinated,
     maximal_gap_interval,
     tan_theta_bound,
-    verify_pair_inequality,
 )
 
 CASE1 = "CASE1"
@@ -424,9 +424,7 @@ def run_theorem(problem: PerturbationProblem, theorem: str) -> AnalysisReport:
     if theorem == "TAN_THETA":
         return tan_theta_bound(problem, maximal_gap_interval(problem))
     if theorem == "MCE":
-        return verify_pair_inequality(
-            problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol
-        )
+        return bound_pair_inequality(problem)
     raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
 
 

@@ -128,8 +128,14 @@ class SpectralSet:
 
     def distance_to_point(self, x: float) -> float:
         """Distance from ``x`` to the closure."""
+        return float(self.distance_to_points([x])[0])
+
+    def distance_to_points(self, x) -> np.ndarray:
+        """Distances from each of the points ``x`` to the closure, as a float array."""
         self._require_nonempty()
-        return min(max(lo - x, x - hi, 0.0) for lo, hi in self.intervals)
+        lo, hi = self.bounds
+        x = np.asarray(x, dtype=float)[:, None]
+        return np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1)
 
     def boundary_distance(self, x: float) -> float:
         """Distance from ``x`` to the nearest finite endpoint (inf if none)."""
@@ -156,11 +162,9 @@ class SpectralSet:
         """inf over pairs of pointwise distances between the closures."""
         self._require_nonempty()
         other._require_nonempty()
-        best = math.inf
-        for lo1, hi1 in self.intervals:
-            for lo2, hi2 in other.intervals:
-                best = min(best, max(lo2 - hi1, lo1 - hi2, 0.0))
-        return best
+        lo1, hi1 = (e[:, None] for e in self.bounds)
+        lo2, hi2 = other.bounds
+        return float(np.maximum(np.maximum(lo2 - hi1, lo1 - hi2), 0.0).min())
 
     def intersects(self, other: "SpectralSet") -> bool:
         """Whether the closures intersect."""

@@ -42,10 +42,34 @@ def _parse_entry(item, name: str, row: int, col: int) -> complex:
     )
 
 
+def _parse_numeric(obj, dim: int) -> np.ndarray | None:
+    """One-array conversion of a well-formed (dim, dim) or (dim, dim, 2) numeric nest, else None.
+
+    Only bool, int and float arrays qualify: they convert exactly as the
+    entry-by-entry rules do.  Anything else (mixed numbers and pairs,
+    ragged rows, strings, None, integers beyond int64) goes to the checked
+    loop, which names the first bad entry.
+    """
+    try:
+        arr = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype.kind not in "bif" or arr.shape[:2] != (dim, dim):
+        return None
+    if arr.ndim == 2:
+        return arr.astype(complex)
+    if arr.shape[2:] == (2,):
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    return None
+
+
 def parse_matrix(obj, name: str) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ProblemFileError(f"matrix {name} must be a nonempty list of rows")
     dim = len(obj)
+    fast = _parse_numeric(obj, dim)
+    if fast is not None:
+        return fast
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, (list, tuple)) or len(row) != dim:
@@ -59,7 +83,8 @@ def parse_matrix(obj, name: str) -> np.ndarray:
 
 
 def matrix_payload(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def parse_spectral_set(obj, name: str, is_open: bool = False) -> SpectralSet:

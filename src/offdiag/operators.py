@@ -94,42 +94,92 @@ def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDeco
     return EigenDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-@dataclass(frozen=True, eq=False)
 class OrthogonalProjection:
-    matrix: np.ndarray
-    rank: int
+    """Orthogonal projection of rank ``rank``, held as its matrix, its bases, or both.
+
+    The bases are orthonormal columns spanning the range and the range's
+    complement.  A projection built from an eigendecomposition keeps the
+    eigenvector columns it selects and forms its matrix only when asked; one
+    built from a bare matrix finds its bases with one ``eigh``, on first use.
+    """
+
+    __slots__ = ("rank", "_matrix", "_range", "_complement")
+
+    def __init__(self, matrix=None, rank: int | None = None, *, bases=None):
+        range_cols, complement_cols = bases if bases is not None else (None, None)
+        if matrix is None and range_cols is None:
+            raise ValueError("a projection needs its matrix or its range basis")
+        if rank is None:
+            rank = range_cols.shape[1]
+        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "_matrix", None if matrix is None else np.asarray(matrix))
+        object.__setattr__(self, "_range", range_cols)
+        object.__setattr__(self, "_complement", complement_cols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OrthogonalProjection is immutable")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            c = self._range
+            object.__setattr__(self, "_matrix", c @ c.conj().T)
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self._range if self._matrix is None else self._matrix).shape[0]
 
     @classmethod
     def from_columns(cls, columns: np.ndarray) -> "OrthogonalProjection":
         """Projection onto the span of orthonormal columns."""
-        c = np.asarray(columns, dtype=complex)
-        return cls(matrix=c @ c.conj().T, rank=c.shape[1])
+        return cls(bases=(np.asarray(columns, dtype=complex), None))
 
     @classmethod
     def zero(cls, dim: int) -> "OrthogonalProjection":
-        return cls(matrix=np.zeros((dim, dim), dtype=complex), rank=0)
+        eye = np.eye(dim, dtype=complex)
+        return cls(bases=(eye[:, :0], eye))
 
     @classmethod
     def identity(cls, dim: int) -> "OrthogonalProjection":
-        return cls(matrix=np.eye(dim, dtype=complex), rank=dim)
+        return cls.zero(dim).complement()
 
     def complement(self) -> "OrthogonalProjection":
-        return OrthogonalProjection(
-            matrix=np.eye(self.dim, dtype=complex) - self.matrix, rank=self.dim - self.rank
-        )
+        """I - P; its bases are this projection's, swapped."""
+        matrix = None if self._matrix is None else np.eye(self.dim, dtype=complex) - self._matrix
+        bases = self._bases() if matrix is None else (self._range, self._complement)
+        return OrthogonalProjection(matrix, self.dim - self.rank, bases=bases[::-1])
+
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._range is None or self._complement is None:
+            w, u = np.linalg.eigh(self.matrix)
+            inside = w > 0.5
+            if self._range is None:
+                object.__setattr__(self, "_range", u[:, inside])
+            if self._complement is None:
+                object.__setattr__(self, "_complement", u[:, ~inside])
+        return self._range, self._complement
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the range."""
-        w, u = np.linalg.eigh(self.matrix)
-        return u[:, w > 0.5]
+        return self._bases()[0]
 
     def complement_basis(self) -> np.ndarray:
-        w, u = np.linalg.eigh(self.matrix)
-        return u[:, w <= 0.5]
+        """Orthonormal columns spanning the orthogonal complement of the range."""
+        return self._bases()[1]
+
+
+def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float:
+    """``||left* M right||`` (``M`` = identity when ``middle`` is None) through the SVD.
+
+    With orthonormal columns this is the norm of ``M`` compressed between
+    two subspaces: ``||P M Q||`` for the projections P, Q onto their spans,
+    computed on a small block instead of n x n products.
+    """
+    lhs = left.conj().T
+    if middle is not None:
+        lhs = lhs @ middle
+    return spectral_norm(lhs @ right)
 
 
 def validate_projection(matrix, tol: Tolerances = DEFAULT_TOL) -> OrthogonalProjection:
@@ -182,10 +232,10 @@ def select_eigenvalues(
 def projection_from_eigenvectors(
     decomposition: EigenDecomposition, mask: np.ndarray
 ) -> OrthogonalProjection:
-    cols = decomposition.eigenvectors[:, np.asarray(mask, dtype=bool)]
-    if cols.shape[1] == 0:
-        return OrthogonalProjection.zero(decomposition.dim)
-    return OrthogonalProjection.from_columns(cols)
+    """Projection onto the selected eigenvectors; it keeps both column sets as its bases."""
+    mask = np.asarray(mask, dtype=bool)
+    u = decomposition.eigenvectors
+    return OrthogonalProjection(bases=(u[:, mask], u[:, ~mask]))
 
 
 def spectral_projection(

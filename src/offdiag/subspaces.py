@@ -26,7 +26,9 @@ from .analysis import (
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import Case, SpectralSet
 from .operators import (
+    EigenDecomposition,
     OrthogonalProjection,
+    compressed_norm,
     hermitian_eigendecompose,
     projection_from_eigenvectors,
     select_eigenvalues,
@@ -52,14 +54,18 @@ class ProjectionDifference(NamedTuple):
 def projection_difference_norm(
     p: OrthogonalProjection, q: OrthogonalProjection
 ) -> ProjectionDifference:
-    """||P - Q|| together with the two cross-product norms whose max it equals."""
+    """||P - Q|| together with the two cross-product norms whose max it equals.
+
+    The cross products are principal-angle blocks of the bases:
+    ||P Q_perp|| = ||U_P* U_Q_perp|| and ||P_perp Q|| = ||U_P_perp* U_Q||, of
+    sizes rank P x (n - rank Q) and (n - rank P) x rank Q.
+    """
     if p.dim != q.dim:
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
-    eye = np.eye(p.dim)
+    pq_perp = compressed_norm(p.range_basis(), q.complement_basis())
+    pperp_q = compressed_norm(p.complement_basis(), q.range_basis())
     return ProjectionDifference(
-        norm=spectral_norm(p.matrix - q.matrix),
-        norm_pq_perp=spectral_norm(p.matrix @ (eye - q.matrix)),
-        norm_pperp_q=spectral_norm((eye - p.matrix) @ q.matrix),
+        norm=max(pq_perp, pperp_q), norm_pq_perp=pq_perp, norm_pperp_q=pperp_q
     )
 
 
@@ -94,7 +100,7 @@ def graph_operator(
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
     if p.rank != q.rank:
         raise ValueError(f"rank mismatch: rank P = {p.rank}, rank Q = {q.rank}")
-    diff = spectral_norm(p.matrix - q.matrix)
+    diff = projection_difference_norm(p, q).norm
     if diff >= 1.0 - tol.proj(p.dim):
         raise GraphRepresentationError(
             f"||P - Q|| = {diff:.12g} is not below 1; Ran Q is not a graph over Ran P"
@@ -236,7 +242,7 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
         mask_b, _, fb = select_eigenvalues(problem.b_eigen.eigenvalues, region, problem.eig_tol())
         pk = projection_from_eigenvectors(problem.a_eigen, mask_a)
         qk = projection_from_eigenvectors(problem.b_eigen, mask_b)
-        corner = spectral_norm(pk.matrix - qk.matrix)
+        corner = projection_difference_norm(pk, qk).norm
         corners[f"corner_{name}"] = corner
         pperp_bound += corner**2
         if premise and corner >= SQRT2 / 2.0 - problem.tol.report:
@@ -427,13 +433,44 @@ def verify_pair_inequality(
     b = validate_hermitian(b, tol)
     if a.shape != b.shape:
         raise ValueError(f"A and B have different shapes: {a.shape} vs {b.shape}")
+    return _pair_inequality(
+        a,
+        b,
+        hermitian_eigendecompose(a, tol),
+        hermitian_eigendecompose(b, tol),
+        sigma,
+        delta_set,
+        tol,
+    )
+
+
+def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
+    """``verify_pair_inequality`` for (A, A + V, sigma, Sigma) on the problem's decompositions."""
+    return _pair_inequality(
+        problem.a,
+        problem.b,
+        problem.a_eigen,
+        problem.b_eigen,
+        problem.sigma,
+        problem.Sigma,
+        problem.tol,
+    )
+
+
+def _pair_inequality(
+    a: np.ndarray,
+    b: np.ndarray,
+    dec_a: EigenDecomposition,
+    dec_b: EigenDecomposition,
+    sigma: SpectralSet,
+    delta_set: SpectralSet,
+    tol: Tolerances,
+) -> AnalysisReport:
     dist = sigma.distance(delta_set)
     if dist <= 0:
         raise ValueError("sigma and Delta must be at positive distance")
 
     dim = a.shape[0]
-    dec_a = hermitian_eigendecompose(a, tol)
-    dec_b = hermitian_eigendecompose(b, tol)
     tol_a = tol.eig(dim, float(np.abs(dec_a.eigenvalues).max()))
     tol_b = tol.eig(dim, float(np.abs(dec_b.eigenvalues).max()))
     mask_a, _, _ = select_eigenvalues(dec_a.eigenvalues, sigma, tol_a)
@@ -441,7 +478,8 @@ def verify_pair_inequality(
     ea = projection_from_eigenvectors(dec_a, mask_a)
     eb = projection_from_eigenvectors(dec_b, mask_b)
 
-    lhs = dist * spectral_norm(ea.matrix @ eb.matrix)
+    # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
+    lhs = dist * compressed_norm(ea.range_basis(), eb.range_basis())
     diff_norm = spectral_norm(a - b)
     hull_separated = (
         not sigma.convex_hull().intersects(delta_set)

@@ -16,16 +16,19 @@ def random_projection(rng, dim, rank):
     return OrthogonalProjection.from_columns(dec.eigenvectors[:, cols])
 
 
-def random_close_projection(rng, p, spread=0.3):
-    """A projection of the same rank, rotated away from ``p`` a little."""
-    dim = p.dim
+def rotated(rng, m, spread=1.0):
+    """``U m U*`` for the random unitary U = exp(iH), H Hermitian with entries ~ ``spread``."""
+    dim = m.shape[0]
     g = spread * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     h = 0.5 * (g + g.conj().T)
     w, u = np.linalg.eigh(h)
     unitary = (u * np.exp(1j * w)) @ u.conj().T
-    return OrthogonalProjection(
-        matrix=unitary @ p.matrix @ unitary.conj().T, rank=p.rank
-    )
+    return unitary @ m @ unitary.conj().T
+
+
+def random_close_projection(rng, p, spread=0.3):
+    """A projection of the same rank, rotated away from ``p`` a little; built from its matrix."""
+    return OrthogonalProjection(matrix=rotated(rng, p.matrix, spread), rank=p.rank)
 
 
 @pytest.fixture

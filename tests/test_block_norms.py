@@ -1,0 +1,146 @@
+"""The principal-angle block formulas against dense SVDs of the n x n matrices.
+
+The library computes every subspace norm on blocks of eigenvector bases
+(``U_P* U_Q`` and friends), from ``eigh``.  These tests check each block
+formula against the SVD of the full matrix it stands for, so the
+eigensolver and the SVD stay independent witnesses of each other.
+"""
+
+import numpy as np
+import pytest
+
+from offdiag import (
+    OrthogonalProjection,
+    PerturbationProblem,
+    SpectralSet,
+    bound_pair_inequality,
+    hermitian_eigendecompose,
+    projection_difference_norm,
+    random_problem,
+    random_problem_spec,
+    verify_pair_inequality,
+)
+from offdiag.operators import compressed_norm, projection_from_eigenvectors
+
+from conftest import random_hermitian, rotated
+
+TOL = 1e-12
+
+
+def dense_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def eigen_projection(rng, dim, rank):
+    """Projection onto ``rank`` eigenvectors of a random Hermitian, keeping its bases."""
+    dec = hermitian_eigendecompose(random_hermitian(rng, dim))
+    mask = np.zeros(dim, dtype=bool)
+    mask[rng.permutation(dim)[:rank]] = True
+    return projection_from_eigenvectors(dec, mask)
+
+
+def matrix_projection(rng, dim, rank):
+    """The same kind of projection, rotated and built from its bare matrix."""
+    p = eigen_projection(rng, dim, rank)
+    return OrthogonalProjection(matrix=rotated(rng, p.matrix), rank=rank)
+
+
+def assert_difference_matches(p, q):
+    eye = np.eye(p.dim)
+    got = projection_difference_norm(p, q)
+    assert abs(got.norm - dense_norm(p.matrix - q.matrix)) <= TOL
+    assert abs(got.norm_pq_perp - dense_norm(p.matrix @ (eye - q.matrix))) <= TOL
+    assert abs(got.norm_pperp_q - dense_norm((eye - p.matrix) @ q.matrix)) <= TOL
+
+
+class TestProjectionDifference:
+    @pytest.mark.parametrize("dim", [2, 5, 12])
+    def test_random_pairs_with_unequal_ranks(self, rng, dim):
+        for _ in range(10):
+            rp, rq = rng.integers(0, dim + 1, size=2)
+            p, q = eigen_projection(rng, dim, rp), eigen_projection(rng, dim, rq)
+            assert_difference_matches(p, q)
+
+    @pytest.mark.parametrize("rank_p, rank_q", [(0, 0), (0, 3), (6, 6), (6, 0), (6, 2), (0, 6)])
+    def test_rank_zero_and_full_rank(self, rng, rank_p, rank_q):
+        p, q = eigen_projection(rng, 6, rank_p), eigen_projection(rng, 6, rank_q)
+        assert_difference_matches(p, q)
+        assert_difference_matches(p.complement(), q)
+
+    def test_complement(self, rng):
+        for _ in range(10):
+            p, q = eigen_projection(rng, 8, 3), eigen_projection(rng, 8, 5)
+            pc = p.complement()
+            np.testing.assert_allclose(pc.matrix, np.eye(8) - p.matrix, atol=TOL)
+            assert pc.complement_basis() is p.range_basis()
+            assert_difference_matches(pc, q)
+            assert_difference_matches(pc, q.complement())
+
+    def test_projections_built_from_matrices(self, rng):
+        for _ in range(10):
+            p, q = matrix_projection(rng, 7, 3), matrix_projection(rng, 7, 4)
+            assert_difference_matches(p, q)
+            assert_difference_matches(p.complement(), q)
+            assert_difference_matches(p, eigen_projection(rng, 7, 2))
+
+    def test_matrix_projection_bases_come_from_one_eigh(self, rng, monkeypatch):
+        p = matrix_projection(rng, 6, 2)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        basis, rest = p.range_basis(), p.complement_basis()
+        p.complement().range_basis()
+        assert len(calls) == 1
+        assert basis.shape == (6, 2) and rest.shape == (6, 4)
+        np.testing.assert_allclose(basis @ basis.conj().T, p.matrix, atol=TOL)
+
+
+class TestCompressedNorms:
+    def test_product_of_projections(self, rng):
+        for _ in range(10):
+            ea, eb = eigen_projection(rng, 9, 4), eigen_projection(rng, 9, rng.integers(0, 10))
+            got = compressed_norm(ea.range_basis(), eb.range_basis())
+            assert abs(got - dense_norm(ea.matrix @ eb.matrix)) <= TOL
+
+    def test_diagonal_blocks_of_a_perturbation(self, rng):
+        for _ in range(10):
+            p = eigen_projection(rng, 10, rng.integers(0, 11))
+            v = random_hermitian(rng, 10)
+            u, u_perp = p.range_basis(), p.complement_basis()
+            p_perp = np.eye(10) - p.matrix
+            assert abs(compressed_norm(u, u, v) - dense_norm(p.matrix @ v @ p.matrix)) <= TOL
+            assert abs(compressed_norm(u_perp, u_perp, v) - dense_norm(p_perp @ v @ p_perp)) <= TOL
+
+    def test_commutator(self, rng):
+        for _ in range(10):
+            p = eigen_projection(rng, 10, rng.integers(0, 11))
+            a = random_hermitian(rng, 10)
+            u, u_perp = p.range_basis(), p.complement_basis()
+            blocks = max(compressed_norm(u_perp, u, a), compressed_norm(u, u_perp, a))
+            assert abs(blocks - dense_norm(a @ p.matrix - p.matrix @ a)) <= TOL
+
+
+class TestPairInequalityEntryPoints:
+    def test_problem_level_check_equals_the_pair_check(self):
+        for seed in range(4):
+            problem = random_problem(random_problem_spec("CASE_II", 4, 5, 0.6, seed=seed))
+            # the same seed gives the same unitary, so A and V turn together
+            a = rotated(np.random.default_rng(seed), problem.a)
+            v = rotated(np.random.default_rng(seed), problem.v)
+            problem = PerturbationProblem.build(a, v, problem.sigma, problem.Sigma)
+            got = bound_pair_inequality(problem)
+            want = verify_pair_inequality(
+                problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol
+            )
+            assert got == want
+
+    def test_measured_value_against_dense_product(self, rng):
+        a = random_hermitian(rng, 8)
+        b = a + 0.3 * random_hermitian(rng, 8)
+        sigma = SpectralSet([(-100.0, 0.0)])
+        delta = SpectralSet([(0.5, 100.0)])
+        report = verify_pair_inequality(a, b, sigma, delta)
+        dec_a, dec_b = hermitian_eigendecompose(a), hermitian_eigendecompose(b)
+        ea = projection_from_eigenvectors(dec_a, dec_a.eigenvalues <= 0.0)
+        eb = projection_from_eigenvectors(dec_b, dec_b.eigenvalues >= 0.5)
+        assert abs(report.measured_value - 0.5 * dense_norm(ea.matrix @ eb.matrix)) <= TOL

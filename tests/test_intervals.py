@@ -75,6 +75,31 @@ class TestDistance:
             lhs = s.closed_neighborhood(delta).distance(t)
             assert lhs >= s.distance(t) - delta - 1e-12
 
+    def test_array_forms_equal_the_interval_loops(self, rng):
+        def random_set():
+            raw = [tuple(sorted(rng.uniform(-5, 5, 2))) for _ in range(rng.integers(1, 4))]
+            raw += [float(x) for x in rng.uniform(-5, 5, rng.integers(0, 3))]
+            if rng.uniform() < 0.3:
+                raw.append((-math.inf, float(rng.uniform(-8, -5))))
+            if rng.uniform() < 0.3:
+                raw.append((float(rng.uniform(5, 8)), math.inf))
+            return SpectralSet(raw)
+
+        for _ in range(100):
+            s, t = random_set(), random_set()
+            loop = min(
+                max(lo2 - hi1, lo1 - hi2, 0.0)
+                for lo1, hi1 in s.intervals
+                for lo2, hi2 in t.intervals
+            )
+            assert s.distance(t) == loop
+            ends = [e for iv in s.intervals for e in iv if math.isfinite(e)]
+            xs = np.concatenate([rng.uniform(-10, 10, 30), ends])
+            got = s.distance_to_points(xs)
+            for x, g in zip(xs, got):
+                assert g == min(max(lo - x, x - hi, 0.0) for lo, hi in s.intervals)
+                assert s.distance_to_point(x) == g
+
 
 class TestNeighborhoods:
     def test_closed_merges_to_single_interval(self):

@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from offdiag import builtin_example, qnr_sample
+from offdiag import (
+    Case,
+    PerturbationProblem,
+    builtin_example,
+    qnr_sample,
+    random_problem,
+    random_problem_spec,
+)
+from offdiag import io
 from offdiag.cli import exit_code_for, main
 from offdiag.io import (
     ProblemFileError,
     analysis_payload,
     load_problem,
+    matrix_payload,
     parse_matrix,
     parse_problem,
     qnr_svg,
@@ -107,6 +116,107 @@ class TestProblemFiles:
             parse_problem(payload)
 
 
+BIG = 2**63
+
+
+class TestParseMatrixFastPath:
+    """The one-array conversion against the entry-by-entry loop it short-cuts."""
+
+    @staticmethod
+    def loop(obj, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(io, "_parse_numeric", lambda obj, dim: None)
+            return parse_matrix(obj, "A")
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[0.5, -1.25], [3.0, 1e300]],
+            [[[0.5, 1.0], [-1.0, 2.5]], [[3.0, -0.0], [1e-300, -7.0]]],
+            [[1, -2], [3, 2**53 + 1]],
+            [[[1, 2], [3, 4]], [[5, 6], [7, 2**62 + 1]]],
+            [[True, False], [False, True]],
+            [[[True, False], [0.5, True]], [[1, 2.5], [False, -3]]],
+            [[2**53 + 1, 0.5], [BIG - 1, -(BIG)]],
+            [[float("nan"), -0.0], [0.0, float("inf")]],
+            [[5e-324, -2.5e-320], [[2.2e-308, -5e-324], 1.0]],
+            [[BIG, BIG + 1], [2**64 + 3, -(BIG) - 5]],
+            [[2**70, 1.5], [[0.0, 2**65], -1]],
+            [[BIG + 1024, -1], [BIG + 3072, 2**64 - 1]],
+            [[BIG + 1025, 0.5], [2**53 + 1, 2**62 + 513]],
+            [[[1.0, 2.0], 3.0], [4, [5, -0.0]]],
+        ],
+        ids=[
+            "real", "pairs", "ints", "int-pairs", "bools", "bool-pairs", "int-and-float",
+            "nan-inf-negzero", "subnormal-mixed", "beyond-int64", "beyond-uint64",
+            "uint64-ties-with-negative", "uint64-with-float", "mixed-rows",
+        ],
+    )
+    def test_bit_equal_to_loop(self, obj, monkeypatch):
+        got = parse_matrix(obj, "A")
+        want = self.loop(obj, monkeypatch)
+        assert got.dtype == want.dtype == complex
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[0.5, -1.25], [3.0, 1e300]],
+            [[[0.5, 1.0], [-1.0, 2.5]], [[3.0, -0.0], [1e-300, -7.0]]],
+            [[1, -2], [3, 2**53 + 1]],
+            [[True, False], [False, True]],
+            [[BIG + 1024, -1], [BIG + 3072, 2**64 - 1]],
+        ],
+    )
+    def test_well_formed_input_takes_one_array(self, obj):
+        assert io._parse_numeric(obj, len(obj)) is not None
+
+    @pytest.mark.parametrize(
+        "obj, where",
+        [
+            ([[0.0, 1.0], [0.0]], "row 1"),
+            ([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]], "row 0"),
+            ([[0.0, 1.0], ["x", 0.0]], r"\(1,0\)"),
+            ([[0.0, "1.5"], [0.0, 0.0]], r"\(0,1\)"),
+            ([[0.0, 1.0], [0.0, None]], r"\(1,1\)"),
+            ([[[1, 2, 3], [0, 0]], [[0, 0], [0, 0]]], r"\(0,0\)"),
+            ([[[0, 0], [0, 0]], [[0, 0], [1, 2, 3]]], r"\(1,1\)"),
+            ([[[0, "1"], [0, 0]], [[0, 0], [0, 0]]], r"\(0,0\)"),
+            ([[0.0, [1.0]], [0.0, 0.0]], r"\(0,1\)"),
+            ([[0.0, {"re": 1}], [0.0, 0.0]], r"\(0,1\)"),
+        ],
+    )
+    def test_bad_input_gives_the_loops_located_error(self, obj, where, monkeypatch):
+        with pytest.raises(ProblemFileError, match=where) as fast:
+            parse_matrix(obj, "A")
+        with pytest.raises(ProblemFileError) as slow:
+            self.loop(obj, monkeypatch)
+        assert str(fast.value) == str(slow.value)
+
+
+class TestMatrixPayload:
+    def test_byte_identical_to_entrywise_floats(self, tmp_path):
+        p = random_problem(random_problem_spec(Case.CASE_II, 32, 32, 0.45, seed=5))
+        # negation turns the exact zeros of V into -0.0, conjugation those of A's imaginary part
+        q = PerturbationProblem.build(p.a.conj(), -p.v, p.sigma, p.Sigma)
+        assert np.signbit(q.v.real).any() and np.signbit(q.a.imag).any()
+        for m in (q.a, q.v):
+            entrywise = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+            assert json.dumps(matrix_payload(m)) == json.dumps(entrywise)
+        path = tmp_path / "p.json"
+        save_problem(q, path)
+        want = {
+            "A": [[[float(z.real), float(z.imag)] for z in row] for row in q.a],
+            "V": [[[float(z.real), float(z.imag)] for z in row] for row in q.v],
+            "sigma": [[lo, hi] for lo, hi in q.sigma.intervals],
+            "Sigma": [[lo, hi] for lo, hi in q.Sigma.intervals],
+        }
+        assert path.read_text() == json.dumps(want, indent=2) + "\n"
+        back = load_problem(path)
+        assert np.array_equal(back.v.view(np.uint64), q.v.view(np.uint64))
+
+
 class TestQnrOutput:
     def test_csv_rows_and_header(self, tmp_path):
         p = builtin_example("CASE1")
@@ -174,6 +284,12 @@ class TestCli:
         code = main(["analyze", str(path)])
         assert code == 2
         assert "(0,1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem", ["SUBORDINATED", "CASE2", "TAN_THETA"])
+    def test_analyze_wrong_case_theorem_exits_2(self, case1_file, theorem, capsys):
+        assert main(["analyze", str(case1_file), "--theorem", theorem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "required" in err
 
     def test_analyze_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/problem.json"]) == 2
