@@ -12,28 +12,22 @@ from .config import DEFAULT_TOL, Tolerances
 from .intervals import (
     Case,
     Classification,
-    Location,
     SpectralSet,
     classify_case,
-    from_eigenvalues,
 )
 from .operators import (
-    BoundaryAmbiguityError,
     ConvergenceError,
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
     hermitian_eigendecompose,
     spectral_norm,
-    spectral_projection,
-    validate_projection,
 )
 from .analysis import (
     AnalysisReport,
     CaseError,
     PerturbationProblem,
     QnrSample,
-    THEOREM_IDS,
     delta_v,
     delta_v_directional,
     gap_persistence,
@@ -61,6 +55,7 @@ from .harness import (
     BatchSummary,
     ProblemSpec,
     SearchResult,
+    THEOREM_IDS,
     batch_verify,
     builtin_example,
     random_problem,
@@ -73,7 +68,6 @@ from .harness import (
 __all__ = [
     "AnalysisReport",
     "BatchSummary",
-    "BoundaryAmbiguityError",
     "C_PI",
     "Case",
     "CaseError",
@@ -83,7 +77,6 @@ __all__ = [
     "EigenDecomposition",
     "GraphOperator",
     "GraphRepresentationError",
-    "Location",
     "OrthogonalProjection",
     "PerturbationProblem",
     "ProblemSpec",
@@ -103,7 +96,6 @@ __all__ = [
     "classify_case",
     "delta_v",
     "delta_v_directional",
-    "from_eigenvalues",
     "gap_persistence",
     "graph_operator",
     "hermitian_eigendecompose",
@@ -116,12 +108,10 @@ __all__ = [
     "search_worst_case",
     "shift_bounds",
     "spectral_norm",
-    "spectral_projection",
     "spectrum_enclosure",
     "summarize",
     "tan_theta_bound",
     "two_by_two_extremes",
-    "validate_projection",
     "verify_pair_inequality",
 ]
 

@@ -40,19 +40,6 @@ from .operators import (
 SQRT3_2 = math.sqrt(3.0) / 2.0
 SQRT2 = math.sqrt(2.0)
 
-THEOREM_IDS = (
-    "SHIFT_BOUNDS",
-    "SHIFT_I",
-    "SHIFT_II",
-    "SHIFT_III",
-    "MAIN",
-    "CASE2",
-    "SUBORDINATED",
-    "TAN_THETA",
-    "MCE",
-)
-
-
 class CaseError(ValueError):
     """A theorem check was requested for a problem of the wrong case."""
 
@@ -117,6 +104,7 @@ class PerturbationProblem:
     Sigma: SpectralSet
     d: float
     projection: OrthogonalProjection  # spectral projection of A onto sigma
+    sigma_mask: np.ndarray  # which of A's eigenvalues (ascending) lie in sigma
     classification: Classification
     tol: Tolerances
     a_eigen: EigenDecomposition
@@ -198,6 +186,7 @@ class PerturbationProblem:
             Sigma=Sigma,
             d=d,
             projection=projection,
+            sigma_mask=mask_sigma,
             classification=classification,
             tol=tol,
             a_eigen=a_eigen,
@@ -326,10 +315,8 @@ def qnr_sample(
 def _restriction_extremes(problem: PerturbationProblem) -> tuple[float, float, float, float]:
     """(inf A0, sup A0, inf A1, sup A1) for the parts of A on Ran P / Ran P-perp."""
     eigs = problem.a_eigen.eigenvalues
-    tol = problem.eig_tol(problem.a_eigen)
-    mask, _, _ = select_eigenvalues(eigs, problem.sigma, tol)
-    a0 = eigs[mask]
-    a1 = eigs[~mask]
+    a0 = eigs[problem.sigma_mask]
+    a1 = eigs[~problem.sigma_mask]
     return float(a0.min()), float(a0.max()), float(a1.min()), float(a1.max())
 
 

@@ -8,17 +8,18 @@ Exit codes: 0 = ran (including checks whose premise was not met),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from .analysis import THEOREM_IDS, PerturbationProblem, qnr_sample
+from .analysis import qnr_sample
 from .config import DEFAULT_TOL
 from .harness import (
+    THEOREM_IDS,
     batch_verify,
     builtin_example,
+    default_battery,
     random_problem_spec,
     run_theorem,
     search_worst_case,
@@ -26,21 +27,14 @@ from .harness import (
 )
 from .intervals import Case
 from .io import (
-    ProblemFileError,
     analysis_payload,
     format_report_table,
     load_problem,
     problem_payload,
     qnr_svg,
+    write_json,
     write_qnr_csv,
 )
-from .operators import ValidationError
-
-_CASE_BOUND = {
-    Case.CASE_I: "MAIN",
-    Case.CASE_II: "CASE2",
-    Case.SUBORDINATED: "SUBORDINATED",
-}
 
 _RANDOM_FAMILIES = {
     "case1": Case.CASE_I,
@@ -78,20 +72,10 @@ def exit_code_for(reports) -> int:
     return 1 if any(r.premise_satisfied and not r.holds for r in reports) else 0
 
 
-def _default_battery(problem: PerturbationProblem) -> list[str]:
-    gap = "SHIFT_III" if problem.case in (Case.CASE_II, Case.SUBORDINATED) else "SHIFT_II"
-    return ["SHIFT_BOUNDS", "SHIFT_I", gap, _CASE_BOUND[problem.case]]
-
-
 def cmd_analyze(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
-    try:
-        problem = load_problem(args.path, tol)
-        # a theorem requested for the wrong case raises CaseError, a ValueError
-        reports = [run_theorem(problem, t) for t in args.theorem or _default_battery(problem)]
-    except (ProblemFileError, ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.path, tol)
+    reports = [run_theorem(problem, t) for t in args.theorem or default_battery(problem.case)]
 
     print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
     print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")
@@ -101,40 +85,26 @@ def cmd_analyze(args) -> int:
         for flag in r.flags:
             print(f"  {r.theorem}: {flag}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(analysis_payload(problem, reports), fh, indent=2)
-            fh.write("\n")
+        write_json(analysis_payload(problem, reports), args.out)
         print(f"\nreport written to {args.out}")
     return exit_code_for(reports)
 
 
 def cmd_examples(args) -> int:
-    try:
-        problem = builtin_example(args.which, scale=args.scale)
-    except (ValueError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem = builtin_example(args.which, scale=args.scale)
     out = args.out or f"{args.which.lower()}.json"
     report_out = args.report_out or f"{args.which.lower()}.report.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(problem_payload(problem), fh, indent=2)
-        fh.write("\n")
-    reports = [run_theorem(problem, t) for t in _default_battery(problem)]
-    with open(report_out, "w", encoding="utf-8") as fh:
-        json.dump(analysis_payload(problem, reports), fh, indent=2)
-        fh.write("\n")
+    write_json(problem_payload(problem), out)
+    reports = [run_theorem(problem, t) for t in default_battery(problem.case)]
+    write_json(analysis_payload(problem, reports), report_out)
     print(f"problem written to {out}, expected report to {report_out}")
     return 0
 
 
 def cmd_qnr(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
-    try:
-        problem = load_problem(args.path, tol)
-        samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
-    except (ProblemFileError, ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.path, tol)
+    samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_qnr_csv(samples, fh)
@@ -156,18 +126,14 @@ def cmd_qnr(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        result = search_worst_case(
-            dim_sigma=args.dims[0],
-            dim_Sigma=args.dims[1],
-            c=args.c,
-            trials=args.trials,
-            seed=args.seed,
-            neighborhood="half_d" if args.neighborhood == "half" else "full_d",
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = search_worst_case(
+        dim_sigma=args.dims[0],
+        dim_Sigma=args.dims[1],
+        c=args.c,
+        trials=args.trials,
+        seed=args.seed,
+        neighborhood="half_d" if args.neighborhood == "half" else "full_d",
+    )
     payload = {
         "best_value": result.best_value,
         "trials": result.trials,
@@ -177,9 +143,7 @@ def cmd_search(args) -> int:
         "best_problem": problem_payload(result.best_problem) if result.best_problem else None,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(payload, args.out)
     print(
         f"best value {result.best_value:.12g} over {result.trials} trials "
         f"({result.evaluations} evaluations), cap c = {result.c:.6g}"
@@ -192,30 +156,26 @@ def cmd_verify(args) -> int:
     theorems = []
     for item in args.theorem or []:
         theorems.extend(t.strip().upper() for t in item.split(",") if t.strip())
-    try:
-        for t in theorems:
-            if t not in THEOREM_IDS:
-                raise ValueError(f"unknown theorem id {t!r}; expected one of {THEOREM_IDS}")
-        if args.path:
-            problem = load_problem(args.path, tol)
-            reports = [run_theorem(problem, t) for t in theorems or _default_battery(problem)]
-        elif args.random:
-            case = _RANDOM_FAMILIES[args.random]
-            rng = np.random.default_rng(args.seed)
-            specs = [
-                random_problem_spec(
-                    case, *args.dims, args.ratio, int(rng.integers(0, 2**63 - 1))
-                )
-                for _ in range(args.trials)
-            ]
-            if not theorems:
-                raise ValueError("--random needs at least one --theorem")
-            reports = batch_verify(specs, theorems, tol)
-        else:
-            raise ValueError("provide a problem file or --random FAMILY")
-    except (ProblemFileError, ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for t in theorems:
+        if t not in THEOREM_IDS:
+            raise ValueError(f"unknown theorem id {t!r}; expected one of {THEOREM_IDS}")
+    if args.path:
+        problem = load_problem(args.path, tol)
+        reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
+    elif args.random:
+        case = _RANDOM_FAMILIES[args.random]
+        rng = np.random.default_rng(args.seed)
+        specs = [
+            random_problem_spec(
+                case, *args.dims, args.ratio, int(rng.integers(0, 2**63 - 1))
+            )
+            for _ in range(args.trials)
+        ]
+        if not theorems:
+            raise ValueError("--random needs at least one --theorem")
+        reports = batch_verify(specs, theorems, tol)
+    else:
+        raise ValueError("provide a problem file or --random FAMILY")
     print(format_report_table(reports))
     s = summarize(reports)
     print(
@@ -277,7 +237,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # ValueError covers ProblemFileError, ValidationError and a wrong-case CaseError;
+    # OSError, a file that cannot be read or written
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

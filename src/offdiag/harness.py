@@ -1,4 +1,4 @@
-"""Built-in sharpness examples, seeded problem generation, search, batch runs.
+"""Built-in sharpness examples, seeded problem generation, search, theorem table, batch runs.
 
 The two built-in problems are the classic sharpness configurations: a 4x4
 Jacobi-type matrix whose perturbation at exactly sqrt(3)/2 times the gap
@@ -21,7 +21,6 @@ from .analysis import (
     PerturbationProblem,
     SQRT2,
     SQRT3_2,
-    THEOREM_IDS,
     gap_persistence,
     shift_bounds,
     spectrum_enclosure,
@@ -401,31 +400,41 @@ def _rebuild(sig, Sig, w, s, c: float, tol: Tolerances) -> PerturbationProblem:
 
 
 # ---------------------------------------------------------------------------
-# batch verification
+# theorem table and batch verification
 # ---------------------------------------------------------------------------
 
 
+# The theorem table: id -> (check, cases whose default battery runs it), in id order.
+# Each check looks its function up in this module when it runs, not when the table is
+# built, because the benchmark's tracer (perfbench/spans.py) times the checks by
+# rebinding module attributes; a stored function object would escape it.
+_EVERY_CASE = frozenset(Case)
+_HULL_SEPARATED = frozenset({Case.CASE_II, Case.SUBORDINATED})
+THEOREMS = {
+    "SHIFT_BOUNDS": (lambda p: shift_bounds(p), _EVERY_CASE),
+    "SHIFT_I": (lambda p: spectrum_enclosure(p), _EVERY_CASE),
+    "SHIFT_II": (lambda p: gap_persistence(p, variant="half"), frozenset({Case.CASE_I})),
+    "SHIFT_III": (lambda p: gap_persistence(p, variant="full"), _HULL_SEPARATED),
+    "MAIN": (lambda p: bound_case1(p), frozenset({Case.CASE_I})),
+    "CASE2": (lambda p: bound_case2(p), frozenset({Case.CASE_II})),
+    "SUBORDINATED": (lambda p: bound_subordinated(p), frozenset({Case.SUBORDINATED})),
+    "TAN_THETA": (lambda p: tan_theta_bound(p, maximal_gap_interval(p)), frozenset()),
+    "MCE": (lambda p: bound_pair_inequality(p), frozenset()),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def default_battery(case: Case) -> list[str]:
+    """The theorem ids run on a problem of ``case`` when none are requested, in id order."""
+    return [t for t, (_, cases) in THEOREMS.items() if case in cases]
+
+
 def run_theorem(problem: PerturbationProblem, theorem: str) -> AnalysisReport:
-    """Dispatch a theorem id to its check."""
-    if theorem == "SHIFT_BOUNDS":
-        return shift_bounds(problem)
-    if theorem == "SHIFT_I":
-        return spectrum_enclosure(problem)
-    if theorem == "SHIFT_II":
-        return gap_persistence(problem, variant="half")
-    if theorem == "SHIFT_III":
-        return gap_persistence(problem, variant="full")
-    if theorem == "MAIN":
-        return bound_case1(problem)
-    if theorem == "CASE2":
-        return bound_case2(problem)
-    if theorem == "SUBORDINATED":
-        return bound_subordinated(problem)
-    if theorem == "TAN_THETA":
-        return tan_theta_bound(problem, maximal_gap_interval(problem))
-    if theorem == "MCE":
-        return bound_pair_inequality(problem)
-    raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+    """Run the check of a theorem id on ``problem``."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+    check, _ = THEOREMS[theorem]
+    return check(problem)
 
 
 def batch_verify(

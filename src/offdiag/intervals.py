@@ -23,12 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-class Location(enum.Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    AMBIGUOUS = "ambiguous"
-
-
 class Case(enum.Enum):
     """Mutual disposition of two separated spectral components."""
 
@@ -146,16 +140,6 @@ class SpectralSet:
                     best = min(best, abs(x - e))
         return best
 
-    def locate(self, x: float, tol: float) -> Location:
-        """Tolerance-aware membership of one point; see ``locate_points``."""
-        inside, ambiguous, _ = locate_points([x], *self.bounds, self.is_open, tol)
-        if inside[0]:
-            return Location.INSIDE
-        return Location.AMBIGUOUS if ambiguous[0] else Location.OUTSIDE
-
-    def near_boundary(self, x: float, tol: float) -> bool:
-        return self.boundary_distance(x) <= tol
-
     # -- set arithmetic --------------------------------------------------
 
     def distance(self, other: "SpectralSet") -> float:
@@ -269,31 +253,6 @@ def neighborhood_bounds(points, radius) -> tuple[np.ndarray, np.ndarray]:
         joined = lo[..., i + 1] == lo[..., i]
         hi[..., i] = np.where(joined, hi[..., i + 1], hi[..., i])
     return lo, hi
-
-
-def from_eigenvalues(values: Sequence[float], gap_threshold: float | None = None) -> SpectralSet:
-    """Cluster sorted eigenvalues into a SpectralSet.
-
-    Consecutive values closer than ``gap_threshold`` merge into one
-    interval.  The default threshold is 1e-6 times the spectral diameter,
-    far above eigensolver noise and far below any gap of interest here.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        return SpectralSet.empty()
-    if sorted(vals) != vals:
-        raise ValueError("eigenvalues must be sorted ascending")
-    if gap_threshold is None:
-        gap_threshold = 1e-6 * (vals[-1] - vals[0])
-    elif gap_threshold <= 0:
-        raise ValueError("gap_threshold must be positive")
-    clusters: list[tuple[float, float]] = []
-    for v in vals:
-        if clusters and v - clusters[-1][1] < gap_threshold:
-            clusters[-1] = (clusters[-1][0], v)
-        else:
-            clusters.append((v, v))
-    return SpectralSet(clusters)
 
 
 def classify_case(sigma: SpectralSet, Sigma: SpectralSet) -> Classification:

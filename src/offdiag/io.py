@@ -151,10 +151,15 @@ def problem_payload(problem: PerturbationProblem) -> dict:
     }
 
 
-def save_problem(problem: PerturbationProblem, path) -> None:
+def write_json(payload, path) -> None:
+    """``payload`` as JSON with indent 2 and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_payload(problem), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def save_problem(problem: PerturbationProblem, path) -> None:
+    write_json(problem_payload(problem), path)
 
 
 def analysis_payload(problem: PerturbationProblem, reports: Sequence[AnalysisReport]) -> dict:

@@ -24,18 +24,6 @@ class ConvergenceError(RuntimeError):
     """The eigensolver did not converge."""
 
 
-class BoundaryAmbiguityError(ValueError):
-    """An eigenvalue sits too close to the boundary of the selection set."""
-
-    def __init__(self, eigenvalue: float, distance: float):
-        self.eigenvalue = eigenvalue
-        self.distance = distance
-        super().__init__(
-            f"eigenvalue {eigenvalue!r} is within {distance:.3e} of the set boundary; "
-            "membership is ambiguous"
-        )
-
-
 def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return ``matrix`` as a square complex array, or raise ValidationError.
 
@@ -79,10 +67,6 @@ class EigenDecomposition:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
 
 
 def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
@@ -135,15 +119,6 @@ class OrthogonalProjection:
         """Projection onto the span of orthonormal columns."""
         return cls(bases=(np.asarray(columns, dtype=complex), None))
 
-    @classmethod
-    def zero(cls, dim: int) -> "OrthogonalProjection":
-        eye = np.eye(dim, dtype=complex)
-        return cls(bases=(eye[:, :0], eye))
-
-    @classmethod
-    def identity(cls, dim: int) -> "OrthogonalProjection":
-        return cls.zero(dim).complement()
-
     def complement(self) -> "OrthogonalProjection":
         """I - P; its bases are this projection's, swapped."""
         matrix = None if self._matrix is None else np.eye(self.dim, dtype=complex) - self._matrix
@@ -180,22 +155,6 @@ def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float:
     if middle is not None:
         lhs = lhs @ middle
     return spectral_norm(lhs @ right)
-
-
-def validate_projection(matrix, tol: Tolerances = DEFAULT_TOL) -> OrthogonalProjection:
-    """Check idempotency, self-adjointness and integer trace; return the projection."""
-    m = np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
-    bound = tol.proj(dim)
-    if spectral_norm(m - m.conj().T) > bound:
-        raise ValidationError("projection is not self-adjoint")
-    if spectral_norm(m @ m - m) > bound:
-        raise ValidationError("projection is not idempotent")
-    trace = m.trace().real
-    rank = int(round(trace))
-    if abs(trace - rank) > bound * dim:
-        raise ValidationError(f"projection trace {trace} is not close to an integer")
-    return OrthogonalProjection(matrix=m, rank=rank)
 
 
 def select_eigenvalues(
@@ -236,22 +195,3 @@ def projection_from_eigenvectors(
     mask = np.asarray(mask, dtype=bool)
     u = decomposition.eigenvectors
     return OrthogonalProjection(bases=(u[:, mask], u[:, ~mask]))
-
-
-def spectral_projection(
-    matrix, region: SpectralSet, tol: Tolerances = DEFAULT_TOL
-) -> OrthogonalProjection:
-    """Projection onto the eigenvectors of ``matrix`` with eigenvalues in ``region``.
-
-    Strict: raises BoundaryAmbiguityError if any eigenvalue is too close to
-    an open-set endpoint to classify.
-    """
-    decomp = hermitian_eigendecompose(matrix, tol)
-    norm = float(np.abs(decomp.eigenvalues).max()) if decomp.dim else 0.0
-    eig_tol = tol.eig(decomp.dim, norm)
-    mask, ambiguous, _ = select_eigenvalues(decomp.eigenvalues, region, eig_tol)
-    if ambiguous.any():
-        i = int(np.argmax(ambiguous))
-        x = float(decomp.eigenvalues[i])
-        raise BoundaryAmbiguityError(x, region.boundary_distance(x))
-    return projection_from_eigenvectors(decomp, mask)

@@ -5,7 +5,6 @@ import pytest
 
 from offdiag import (
     Case,
-    OrthogonalProjection,
     PerturbationProblem,
     SpectralSet,
     ValidationError,
@@ -20,6 +19,7 @@ from offdiag import (
     spectrum_enclosure,
     two_by_two_extremes,
 )
+from offdiag.operators import projection_from_eigenvectors, select_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -136,6 +136,14 @@ class TestProblemValidation:
         p = builtin_example("CASE1")
         assert p.d == p.sigma.distance(p.Sigma) == 1.0
 
+    @pytest.mark.parametrize("case", list(Case))
+    def test_sigma_mask_is_the_selection_of_a_eigenvalues(self, case):
+        p = random_problem(random_problem_spec(case, 3, 4, 0.5, seed=11))
+        tol = p.eig_tol(p.a_eigen)
+        mask, _, _ = select_eigenvalues(p.a_eigen.eigenvalues, p.sigma, tol)
+        assert np.array_equal(p.sigma_mask, mask)
+        assert p.sigma_mask.sum() == p.projection.rank == 3
+
 
 class TestQnrSampling:
     def test_containment_in_spectral_interval(self, rng):
@@ -188,10 +196,10 @@ class TestQnrSampling:
 
     def test_degenerate_projection_rejected(self):
         p = builtin_example("CASE1")
-        with pytest.raises(ValueError, match="rank"):
-            qnr_sample(p.b, OrthogonalProjection.zero(4), 10, seed=0)
-        with pytest.raises(ValueError, match="rank"):
-            qnr_sample(p.b, OrthogonalProjection.identity(4), 10, seed=0)
+        for mask in (np.zeros(4, dtype=bool), np.ones(4, dtype=bool)):
+            projection = projection_from_eigenvectors(p.a_eigen, mask)
+            with pytest.raises(ValueError, match="rank"):
+                qnr_sample(p.b, projection, 10, seed=0)
 
 
 class TestShiftBounds:

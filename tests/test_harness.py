@@ -5,7 +5,9 @@ import pytest
 
 from offdiag import harness
 from offdiag import (
+    THEOREM_IDS,
     Case,
+    CaseError,
     ProblemSpec,
     Tolerances,
     batch_verify,
@@ -232,3 +234,43 @@ class TestBatchVerify:
         assert s.total == 40
         assert s.violations == 0
         assert s.worst_margin >= 0.0
+
+
+class TestTheoremTable:
+    # the theorems whose checks refuse a problem of the wrong case
+    WRONG_CASES = {
+        "CASE2": {Case.CASE_I},
+        "SUBORDINATED": {Case.CASE_I, Case.CASE_II},
+        "TAN_THETA": {Case.CASE_I},
+    }
+
+    @pytest.mark.parametrize("case", list(Case))
+    def test_every_id_runs_its_own_check(self, case):
+        problem = random_problem(random_problem_spec(case, 3, 3, 0.4, seed=5))
+        for t in harness.THEOREM_IDS:
+            if case in self.WRONG_CASES.get(t, ()):
+                with pytest.raises(CaseError):
+                    harness.run_theorem(problem, t)
+            else:
+                assert harness.run_theorem(problem, t).theorem == t
+
+    def test_ids_keep_their_order(self):
+        assert THEOREM_IDS == (
+            "SHIFT_BOUNDS", "SHIFT_I", "SHIFT_II", "SHIFT_III", "MAIN",
+            "CASE2", "SUBORDINATED", "TAN_THETA", "MCE",
+        )
+
+    def test_default_batteries(self):
+        assert harness.default_battery(Case.CASE_I) == [
+            "SHIFT_BOUNDS", "SHIFT_I", "SHIFT_II", "MAIN",
+        ]
+        assert harness.default_battery(Case.CASE_II) == [
+            "SHIFT_BOUNDS", "SHIFT_I", "SHIFT_III", "CASE2",
+        ]
+        assert harness.default_battery(Case.SUBORDINATED) == [
+            "SHIFT_BOUNDS", "SHIFT_I", "SHIFT_III", "SUBORDINATED",
+        ]
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown theorem id 'NOPE'"):
+            harness.run_theorem(builtin_example("CASE1"), "NOPE")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from offdiag import Case, Location, SpectralSet, classify_case, from_eigenvalues
+from offdiag import Case, SpectralSet, classify_case
 from offdiag.intervals import locate_points, neighborhood_bounds
 
 
@@ -176,20 +176,20 @@ class TestNeighborhoods:
 class TestLocate:
     def test_closed_boundary_counts_inside(self):
         s = SpectralSet([(-2, 2)])
-        assert s.locate(-2.0, 1e-10) is Location.INSIDE
-        assert s.locate(-2.0 - 5e-11, 1e-10) is Location.INSIDE
-        assert s.locate(-2.1, 1e-10) is Location.OUTSIDE
+        inside, ambiguous, _ = locate_points([-2.0, -2.0 - 5e-11, -2.1], *s.bounds, False, 1e-10)
+        assert inside.tolist() == [True, True, False]
+        assert not ambiguous.any()
 
     def test_open_boundary_is_ambiguous(self):
         s = SpectralSet([(-2, -1), (0, 1)], is_open=True)
-        assert s.locate(-2.0, 1e-10) is Location.AMBIGUOUS
-        assert s.locate(0.5, 1e-10) is Location.INSIDE
-        assert s.locate(-0.5, 1e-10) is Location.OUTSIDE
+        inside, ambiguous, _ = locate_points([-2.0, 0.5, -0.5], *s.bounds, True, 1e-10)
+        assert inside.tolist() == [False, True, False]
+        assert ambiguous.tolist() == [True, False, False]
 
     def test_near_boundary(self):
         s = SpectralSet([(0, 1)])
-        assert s.near_boundary(1.0, 1e-10)
-        assert not s.near_boundary(0.5, 1e-10)
+        _, _, near = locate_points([1.0, 0.5], *s.bounds, False, 1e-10)
+        assert near.tolist() == [True, False]
 
     def test_locate_points_matches_the_pointwise_rule(self, rng):
         tol = 1e-3
@@ -227,7 +227,6 @@ class TestLocate:
     def test_empty_set_is_outside(self):
         inside, ambiguous, near = locate_points([0.0, 1.0], *SpectralSet.empty().bounds, True, 1.0)
         assert not inside.any() and not ambiguous.any() and not near.any()
-        assert SpectralSet.empty().locate(0.0, 1.0) is Location.OUTSIDE
 
 
 class TestConvexHull:
@@ -282,24 +281,3 @@ class TestClassify:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             classify_case(points(0.0), points(0.0))
-
-
-class TestFromEigenvalues:
-    def test_exact_ties_merge(self):
-        s = from_eigenvalues([-2.0, 0.0, 0.0, 2.0], gap_threshold=1e-8)
-        assert s == SpectralSet([(-2, -2), (0, 0), (2, 2)])
-
-    def test_below_threshold_merges(self):
-        s = from_eigenvalues([1.0, 1.5], gap_threshold=1.0)
-        assert s.intervals == ((1.0, 1.5),)
-
-    def test_empty_input(self):
-        assert from_eigenvalues([]).is_empty
-
-    def test_default_threshold_scales_with_diameter(self):
-        s = from_eigenvalues([0.0, 1e-7, 1.0])
-        assert s.intervals == ((0.0, 1e-7), (1.0, 1.0))
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            from_eigenvalues([1.0, 0.0])

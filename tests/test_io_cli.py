@@ -383,6 +383,22 @@ class TestCli:
     def test_search_nonpositive_cap_exits_2(self, capsys):
         assert main(["search", "--c", "-0.5", "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{problem}", "--out", "{missing}/report.json"],
+            ["examples", "case1", "--out", "{missing}/case1.json"],
+            ["search", "--c", "0.5", "--trials", "1", "--out", "{missing}/search.json"],
+            ["qnr", "{problem}", "--samples", "5", "--out", "{missing}/qnr.csv"],
+            ["qnr", "{problem}", "--samples", "5", "--out", "{csv}", "--svg", "{missing}/qnr.svg"],
+        ],
+    )
+    def test_unwritable_output_path_exits_2(self, argv, case1_file, tmp_path, capsys):
+        paths = {"problem": case1_file, "missing": tmp_path / "missing", "csv": tmp_path / "q.csv"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+
 
 class TestAnalysisPayload:
     def test_float_fidelity(self):

@@ -4,21 +4,32 @@ import numpy as np
 import pytest
 
 from offdiag import (
-    BoundaryAmbiguityError,
+    DEFAULT_TOL,
+    OrthogonalProjection,
     SpectralSet,
     ValidationError,
     builtin_example,
     hermitian_eigendecompose,
     spectral_norm,
-    spectral_projection,
-    validate_projection,
 )
-from offdiag.operators import select_eigenvalues, validate_hermitian
+from offdiag.operators import (
+    projection_from_eigenvectors,
+    select_eigenvalues,
+    validate_hermitian,
+)
 
 from conftest import random_hermitian
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+
+
+def projection_onto(matrix, region):
+    """E_M(region) through the library's one path: decompose, select, project."""
+    dec = hermitian_eigendecompose(matrix)
+    tol = DEFAULT_TOL.eig(dec.dim, float(np.abs(dec.eigenvalues).max()))
+    mask = select_eigenvalues(dec.eigenvalues, region, tol)[0]
+    return projection_from_eigenvectors(dec, mask)
 
 
 class TestValidateHermitian:
@@ -70,7 +81,9 @@ class TestEigendecompose:
             m = random_hermitian(rng, dim, scale=float(rng.uniform(0.1, 10)))
             dec = hermitian_eigendecompose(m)
             norm = spectral_norm(m)
-            assert spectral_norm(dec.reconstruct() - m) <= 1e-10 * dim * (1 + norm)
+            u = dec.eigenvectors
+            residual = (u * dec.eigenvalues) @ u.conj().T - m
+            assert spectral_norm(residual) <= 1e-10 * dim * (1 + norm)
             gram = dec.eigenvectors.conj().T @ dec.eigenvectors
             assert spectral_norm(gram - np.eye(dim)) <= 1e-10 * dim
             assert np.all(np.diff(dec.eigenvalues) >= 0)
@@ -98,14 +111,14 @@ class TestSpectralNorm:
 class TestSpectralProjection:
     def test_diagonal_by_inspection(self):
         a = np.diag([-1.5, -0.5, 0.5, 1.5])
-        p = spectral_projection(a, SpectralSet.from_points([-1.5, 0.5]))
+        p = projection_onto(a, SpectralSet.from_points([-1.5, 0.5]))
         np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
         assert p.rank == 2
 
     def test_case2_rank_one_projection(self):
         # hand-derived: eigenvector of eigenvalue -2 is (-sqrt2, 1, 0)/sqrt3
         b = builtin_example("CASE2").b
-        p = spectral_projection(b, SpectralSet.from_points([-2.0]))
+        p = projection_onto(b, SpectralSet.from_points([-2.0]))
         expected = np.array(
             [
                 [2 / 3, -SQRT2 / 3, 0.0],
@@ -120,15 +133,9 @@ class TestSpectralProjection:
         m = random_hermitian(rng, 5)
         dec = hermitian_eigendecompose(m)
         full = SpectralSet([(dec.eigenvalues.min(), dec.eigenvalues.max())])
-        p = spectral_projection(m, full)
+        p = projection_onto(m, full)
         np.testing.assert_allclose(p.matrix, np.eye(5), atol=1e-12)
         assert p.rank == 5
-
-    def test_ambiguous_open_boundary_raises(self):
-        a = np.diag([0.0, 1.0])
-        region = SpectralSet([(0.0, 2.0)], is_open=True)
-        with pytest.raises(BoundaryAmbiguityError):
-            spectral_projection(a, region)
 
     def test_partition_of_unity_and_commutation(self, rng):
         for _ in range(50):
@@ -140,16 +147,16 @@ class TestSpectralProjection:
             high = SpectralSet([(cut, np.inf)])
             if min(abs(dec.eigenvalues - cut)) < 1e-6:
                 continue
-            p1 = spectral_projection(m, low)
-            p2 = spectral_projection(m, high)
+            p1 = projection_onto(m, low)
+            p2 = projection_onto(m, high)
             assert spectral_norm(p1.matrix + p2.matrix - np.eye(dim)) <= 1e-10 * dim
             norm = spectral_norm(m)
             assert (
                 spectral_norm(p1.matrix @ m - m @ p1.matrix)
                 <= 1e-10 * dim * max(norm, 1.0)
             )
-            validate_projection(p1.matrix)
-            validate_projection(p2.matrix)
+            for p in (p1, p2):
+                assert spectral_norm(p.matrix @ p.matrix - p.matrix) <= 1e-10 * dim
 
 
 class TestSelectEigenvalues:
@@ -182,14 +189,13 @@ class TestSelectEigenvalues:
 
 class TestValidateProjection:
     def test_accepts_projection(self):
-        p = validate_projection(np.diag([1.0, 0.0, 1.0]))
+        p = OrthogonalProjection(np.diag([1.0, 0.0, 1.0]), rank=2)
         assert p.rank == 2
-
-    def test_rejects_nonidempotent(self):
-        with pytest.raises(ValidationError, match="idempotent"):
-            validate_projection(np.diag([0.5, 0.0]))
+        basis = p.range_basis()
+        assert basis.shape == (3, 2) and p.complement_basis().shape == (3, 1)
+        np.testing.assert_allclose(basis @ basis.conj().T, p.matrix, atol=1e-12)
 
     def test_complement(self):
-        p = validate_projection(np.diag([1.0, 0.0]))
+        p = OrthogonalProjection(np.diag([1.0, 0.0]), rank=1)
         np.testing.assert_allclose(p.complement().matrix, np.diag([0.0, 1.0]))
         assert p.complement().rank == 1
