@@ -29,6 +29,7 @@ from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
+    _eigh,
     compressed_norm,
     hermitian_eigendecompose,
     projection_from_eigenvectors,
@@ -125,8 +126,7 @@ class PerturbationProblem:
 
     def eig_tol(self, decomposition: EigenDecomposition | None = None) -> float:
         dec = self.b_eigen if decomposition is None else decomposition
-        norm = float(np.abs(dec.eigenvalues).max())
-        return self.tol.eig(self.dim, norm)
+        return self.tol.eig(dec.eigenvalues)
 
     @classmethod
     def build(
@@ -145,9 +145,9 @@ class PerturbationProblem:
             raise ValidationError("sigma and Sigma must be separated (distance > 0)")
         classification = classify_case(sigma, Sigma)
 
-        a_eigen = hermitian_eigendecompose(a, tol)
+        a_eigen = _eigh(a)
         norm_a = float(np.abs(a_eigen.eigenvalues).max())
-        eig_tol = tol.eig(dim, norm_a)
+        eig_tol = tol.eig(a_eigen.eigenvalues)
         spec_a = sigma.union(Sigma)
         outside = np.flatnonzero(spec_a.distance_to_points(a_eigen.eigenvalues) > eig_tol)
         if outside.size:
@@ -163,7 +163,7 @@ class PerturbationProblem:
         projection = projection_from_eigenvectors(a_eigen, mask_sigma)
         # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
         # on the blocks of the eigenvector bases
-        u, u_perp = projection.range_basis(), projection.complement_basis()
+        u, u_perp = projection.range_basis, projection.complement_basis
 
         norm_v = spectral_norm(v)
         off_bound = tol.offdiag * norm_v if norm_v > 0 else tol.proj(dim)
@@ -285,8 +285,8 @@ def qnr_sample(
         raise ValueError(
             f"projection rank must be strictly between 0 and {dim}, got {projection.rank}"
         )
-    basis_p = projection.range_basis()
-    basis_q = projection.complement_basis()
+    basis_p = projection.range_basis
+    basis_q = projection.complement_basis
     kp, kq = basis_p.shape[1], basis_q.shape[1]
     # with f = basis_p u and g = basis_q h, (f, B g) = u^* (basis_p^* B basis_q) h
     b_pp = basis_p.conj().T @ b @ basis_p

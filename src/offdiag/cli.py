@@ -237,11 +237,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    # ValueError covers ProblemFileError, ValidationError and a wrong-case CaseError;
-    # OSError, a file that cannot be read or written
+    # exit 1 means a violated bound, so every failure of a command exits 2: a ValueError
+    # (ProblemFileError, ValidationError, a wrong-case CaseError), an OSError on a file,
+    # or a RecursionError from JSON nested too deeply
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

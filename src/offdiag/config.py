@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Tolerances:
     herm_scale: float = 1e-10   # hermiticity check: herm_scale * dim
-    proj_scale: float = 1e-10   # idempotency / self-adjointness: proj_scale * dim
-    eig_scale: float = 1e-10    # eigenvalue placement: eig_scale * dim * (1 + norm)
+    proj_scale: float = 1e-10   # proj_scale * dim: off-diagonality when V = 0, the commutator
+                                # [A, P] and graph_operator's premise ||P - Q|| < 1
+    eig_scale: float = 1e-10    # eigenvalue placement: eig_scale * dim * (1 + max |eigenvalue|)
     offdiag: float = 1e-10      # off-diagonality, relative to the perturbation norm
     report: float = 1e-9        # additive slack when comparing measured vs claimed bounds
 
@@ -26,8 +29,11 @@ class Tolerances:
     def proj(self, dim: int) -> float:
         return self.proj_scale * dim
 
-    def eig(self, dim: int, norm: float) -> float:
-        return self.eig_scale * dim * (1.0 + norm)
+    def eig(self, eigenvalues) -> float | np.ndarray:
+        """Placement tolerance for a spectrum; a stack of spectra gets one per row (last axis)."""
+        values = np.asarray(eigenvalues)
+        tol = self.eig_scale * values.shape[-1] * (1.0 + np.abs(values).max(axis=-1))
+        return float(tol) if values.ndim == 1 else tol
 
     def scaled(self, factor: float) -> "Tolerances":
         """All tolerances multiplied by ``factor`` (CLI ``--tol-scale``)."""

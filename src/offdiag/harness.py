@@ -234,7 +234,7 @@ def _score(
     b[:, n0:, :n0] = block.conj().swapaxes(1, 2)
     eigs, vecs = np.linalg.eigh(b)
     lo, hi = neighborhood_bounds(sig, d / 2.0 if half else d)
-    mask, _, _ = locate_points(eigs, lo, hi, True, tol.eig(dim, np.abs(eigs).max(axis=1)))
+    mask, _, _ = locate_points(eigs, lo, hi, True, tol.eig(eigs))
     q = (vecs * mask[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     p = np.zeros((dim, dim), dtype=complex)
     p[np.arange(n0), np.arange(n0)] = 1.0

@@ -64,13 +64,13 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
 
 def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
-    m = validate_hermitian(matrix, tol)
+    return _eigh(validate_hermitian(matrix, tol))
+
+
+def _eigh(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of an already validated Hermitian matrix."""
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -78,70 +78,43 @@ def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDeco
     return EigenDecomposition(eigenvalues=w, eigenvectors=u)
 
 
+@dataclass(frozen=True, eq=False)
 class OrthogonalProjection:
-    """Orthogonal projection of rank ``rank``, held as its matrix, its bases, or both.
+    """Orthogonal projection held as orthonormal bases of its range and of the range's complement.
 
-    The bases are orthonormal columns spanning the range and the range's
-    complement.  A projection built from an eigendecomposition keeps the
-    eigenvector columns it selects and forms its matrix only when asked; one
-    built from a bare matrix finds its bases with one ``eigh``, on first use.
+    Both bases have orthonormal columns; the constructor checks only that
+    their shapes split one space.  ``projection_from_eigenvectors`` builds
+    one from the eigenvector columns it selects and those it leaves.
     """
 
-    __slots__ = ("rank", "_matrix", "_range", "_complement")
+    range_basis: np.ndarray
+    complement_basis: np.ndarray
 
-    def __init__(self, matrix=None, rank: int | None = None, *, bases=None):
-        range_cols, complement_cols = bases if bases is not None else (None, None)
-        if matrix is None and range_cols is None:
-            raise ValueError("a projection needs its matrix or its range basis")
-        if rank is None:
-            rank = range_cols.shape[1]
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "_matrix", None if matrix is None else np.asarray(matrix))
-        object.__setattr__(self, "_range", range_cols)
-        object.__setattr__(self, "_complement", complement_cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrthogonalProjection is immutable")
+    def __post_init__(self):
+        rows, cols = self.range_basis.shape
+        if self.complement_basis.shape != (rows, rows - cols):
+            raise ValueError(
+                f"bases of shapes {self.range_basis.shape} and {self.complement_basis.shape} "
+                "do not split one space"
+            )
 
     @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            c = self._range
-            object.__setattr__(self, "_matrix", c @ c.conj().T)
-        return self._matrix
+    def rank(self) -> int:
+        return self.range_basis.shape[1]
 
     @property
     def dim(self) -> int:
-        return (self._range if self._matrix is None else self._matrix).shape[0]
+        return self.range_basis.shape[0]
 
-    @classmethod
-    def from_columns(cls, columns: np.ndarray) -> "OrthogonalProjection":
-        """Projection onto the span of orthonormal columns."""
-        return cls(bases=(np.asarray(columns, dtype=complex), None))
+    @property
+    def matrix(self) -> np.ndarray:
+        """``U U*`` for the range basis U."""
+        u = self.range_basis
+        return u @ u.conj().T
 
     def complement(self) -> "OrthogonalProjection":
         """I - P; its bases are this projection's, swapped."""
-        matrix = None if self._matrix is None else np.eye(self.dim, dtype=complex) - self._matrix
-        bases = self._bases() if matrix is None else (self._range, self._complement)
-        return OrthogonalProjection(matrix, self.dim - self.rank, bases=bases[::-1])
-
-    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._range is None or self._complement is None:
-            w, u = np.linalg.eigh(self.matrix)
-            inside = w > 0.5
-            if self._range is None:
-                object.__setattr__(self, "_range", u[:, inside])
-            if self._complement is None:
-                object.__setattr__(self, "_complement", u[:, ~inside])
-        return self._range, self._complement
-
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the range."""
-        return self._bases()[0]
-
-    def complement_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the orthogonal complement of the range."""
-        return self._bases()[1]
+        return OrthogonalProjection(self.complement_basis, self.range_basis)
 
 
 def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float:
@@ -194,4 +167,4 @@ def projection_from_eigenvectors(
     """Projection onto the selected eigenvectors; it keeps both column sets as its bases."""
     mask = np.asarray(mask, dtype=bool)
     u = decomposition.eigenvectors
-    return OrthogonalProjection(bases=(u[:, mask], u[:, ~mask]))
+    return OrthogonalProjection(u[:, mask], u[:, ~mask])

@@ -62,8 +62,8 @@ def projection_difference_norm(
     """
     if p.dim != q.dim:
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
-    pq_perp = compressed_norm(p.range_basis(), q.complement_basis())
-    pperp_q = compressed_norm(p.complement_basis(), q.range_basis())
+    pq_perp = compressed_norm(p.range_basis, q.complement_basis)
+    pperp_q = compressed_norm(p.complement_basis, q.range_basis)
     return ProjectionDifference(
         norm=max(pq_perp, pperp_q), norm_pq_perp=pq_perp, norm_pperp_q=pperp_q
     )
@@ -83,8 +83,9 @@ class GraphOperator(NamedTuple):
     def rebuild_projection(self) -> OrthogonalProjection:
         """Projection onto the graph subspace {u + X u}."""
         graph_cols = self.basis_range + self.basis_complement @ self.x
-        z, _ = np.linalg.qr(graph_cols)
-        return OrthogonalProjection.from_columns(z)
+        z, _ = np.linalg.qr(graph_cols, mode="complete")
+        rank = graph_cols.shape[1]
+        return OrthogonalProjection(z[:, :rank], z[:, rank:])
 
 
 def graph_operator(
@@ -105,9 +106,9 @@ def graph_operator(
         raise GraphRepresentationError(
             f"||P - Q|| = {diff:.12g} is not below 1; Ran Q is not a graph over Ran P"
         )
-    basis_p = p.range_basis()
-    basis_perp = p.complement_basis()
-    basis_q = q.range_basis()
+    basis_p = p.range_basis
+    basis_perp = p.complement_basis
+    basis_q = q.range_basis
     u = basis_p.conj().T @ basis_q
     w = basis_perp.conj().T @ basis_q
     x = np.linalg.solve(u.T, w.T).T
@@ -470,16 +471,15 @@ def _pair_inequality(
     if dist <= 0:
         raise ValueError("sigma and Delta must be at positive distance")
 
-    dim = a.shape[0]
-    tol_a = tol.eig(dim, float(np.abs(dec_a.eigenvalues).max()))
-    tol_b = tol.eig(dim, float(np.abs(dec_b.eigenvalues).max()))
+    tol_a = tol.eig(dec_a.eigenvalues)
+    tol_b = tol.eig(dec_b.eigenvalues)
     mask_a, _, _ = select_eigenvalues(dec_a.eigenvalues, sigma, tol_a)
     mask_b, _, _ = select_eigenvalues(dec_b.eigenvalues, delta_set, tol_b)
     ea = projection_from_eigenvectors(dec_a, mask_a)
     eb = projection_from_eigenvectors(dec_b, mask_b)
 
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    lhs = dist * compressed_norm(ea.range_basis(), eb.range_basis())
+    lhs = dist * compressed_norm(ea.range_basis, eb.range_basis)
     diff_norm = spectral_norm(a - b)
     hull_separated = (
         not sigma.convex_hull().intersects(delta_set)

@@ -5,6 +5,7 @@ import pytest
 
 from offdiag import (
     Case,
+    OrthogonalProjection,
     PerturbationProblem,
     SpectralSet,
     ValidationError,
@@ -19,6 +20,7 @@ from offdiag import (
     spectrum_enclosure,
     two_by_two_extremes,
 )
+from offdiag import analysis, operators
 from offdiag.operators import projection_from_eigenvectors, select_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
@@ -131,6 +133,19 @@ class TestProblemValidation:
                 SpectralSet([(0.5, 1.0)]),
             )
 
+    def test_build_validates_a_v_and_b_once_each(self, monkeypatch):
+        calls = []
+        validate = operators.validate_hermitian
+
+        def counted(matrix, tol):
+            calls.append(1)
+            return validate(matrix, tol)
+
+        monkeypatch.setattr(operators, "validate_hermitian", counted)
+        monkeypatch.setattr(analysis, "validate_hermitian", counted)
+        builtin_example("CASE1")
+        assert len(calls) == 3
+
     def test_distance_is_recomputed(self):
         # d comes from the sets, not from any caller-supplied value
         p = builtin_example("CASE1")
@@ -177,8 +192,8 @@ class TestQnrSampling:
     def test_matches_per_sample_compression(self):
         # rebuild f and g from the seeded stream one sample at a time
         p = random_problem(random_problem_spec(Case.CASE_II, 3, 4, 0.8, seed=2))
-        basis_p = p.projection.range_basis()
-        basis_q = p.projection.complement_basis()
+        basis_p = p.projection.range_basis
+        basis_q = p.projection.complement_basis
         kp, kq = basis_p.shape[1], basis_q.shape[1]
         rng = np.random.default_rng(4)
         for s in qnr_sample(p.b, p.projection, 50, seed=4):
@@ -200,6 +215,13 @@ class TestQnrSampling:
             projection = projection_from_eigenvectors(p.a_eigen, mask)
             with pytest.raises(ValueError, match="rank"):
                 qnr_sample(p.b, projection, 10, seed=0)
+
+    def test_full_rank_projection_raises_at_once(self):
+        # a complement of width 0 leaves no unit vector g to draw
+        p = OrthogonalProjection(np.eye(3, dtype=complex), np.zeros((3, 0), dtype=complex))
+        assert p.rank == 3
+        with pytest.raises(ValueError, match="rank"):
+            qnr_sample(np.eye(3), p, 3)
 
 
 class TestShiftBounds:

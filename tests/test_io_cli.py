@@ -294,6 +294,13 @@ class TestCli:
     def test_analyze_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/problem.json"]) == 2
 
+    def test_analyze_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        # json.load raises RecursionError, which must not exit 1 like a violated bound
+        path = tmp_path / "deep.json"
+        path.write_text('{"A": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: maximum recursion depth")
+
     def test_examples_command(self, tmp_path, capsys):
         out = tmp_path / "case2.json"
         report = tmp_path / "case2.report.json"

@@ -27,7 +27,7 @@ SQRT3 = math.sqrt(3.0)
 def projection_onto(matrix, region):
     """E_M(region) through the library's one path: decompose, select, project."""
     dec = hermitian_eigendecompose(matrix)
-    tol = DEFAULT_TOL.eig(dec.dim, float(np.abs(dec.eigenvalues).max()))
+    tol = DEFAULT_TOL.eig(dec.eigenvalues)
     mask = select_eigenvalues(dec.eigenvalues, region, tol)[0]
     return projection_from_eigenvectors(dec, mask)
 
@@ -189,13 +189,22 @@ class TestSelectEigenvalues:
 
 class TestValidateProjection:
     def test_accepts_projection(self):
-        p = OrthogonalProjection(np.diag([1.0, 0.0, 1.0]), rank=2)
-        assert p.rank == 2
-        basis = p.range_basis()
-        assert basis.shape == (3, 2) and p.complement_basis().shape == (3, 1)
-        np.testing.assert_allclose(basis @ basis.conj().T, p.matrix, atol=1e-12)
+        e = np.eye(3, dtype=complex)
+        p = OrthogonalProjection(e[:, [0, 2]], e[:, [1]])
+        assert (p.rank, p.dim) == (2, 3)
+        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "range_shape, complement_shape", [((3, 3), (3, 1)), ((3, 1), (3, 1)), ((3, 1), (2, 2))]
+    )
+    def test_rejects_bases_that_do_not_split_one_space(self, range_shape, complement_shape):
+        with pytest.raises(ValueError, match="do not split one space"):
+            OrthogonalProjection(np.zeros(range_shape), np.zeros(complement_shape))
 
     def test_complement(self):
-        p = OrthogonalProjection(np.diag([1.0, 0.0]), rank=1)
+        e = np.eye(2, dtype=complex)
+        p = OrthogonalProjection(e[:, :1], e[:, 1:])
         np.testing.assert_allclose(p.complement().matrix, np.diag([0.0, 1.0]))
         assert p.complement().rank == 1
+        assert p.complement().complement_basis is p.range_basis
+        assert p.complement().range_basis is p.complement_basis

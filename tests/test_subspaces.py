@@ -32,8 +32,8 @@ SQRT2 = math.sqrt(2.0)
 
 def rotated_projection(theta):
     c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, -s], [s, c]])
-    return OrthogonalProjection(matrix=(r @ np.diag([1.0, 0.0]) @ r.T).astype(complex), rank=1)
+    r = np.array([[c, -s], [s, c]], dtype=complex)
+    return OrthogonalProjection(r[:, :1], r[:, 1:])
 
 
 class TestProjectionDifferenceNorm:
@@ -92,14 +92,25 @@ class TestGraphOperator:
             assert abs(norm - g.norm / math.sqrt(1.0 + g.norm**2)) < 1e-8
             done += 1
 
+    def test_rebuilt_bases_are_orthonormal_and_complementary(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(2, 17))
+            p = random_projection(rng, dim, int(rng.integers(1, dim)))
+            q = random_close_projection(rng, p, spread=0.1)
+            rebuilt = graph_operator(p, q).rebuild_projection()
+            z = np.hstack([rebuilt.range_basis, rebuilt.complement_basis])
+            assert rebuilt.rank == q.rank and rebuilt.dim == dim
+            assert spectral_norm(z.conj().T @ z - np.eye(dim)) <= 1e-12
+
     def test_complement_pair_rejected(self):
         p = rotated_projection(0.0)
         with pytest.raises(GraphRepresentationError):
             graph_operator(p, p.complement())
 
     def test_rank_mismatch_rejected(self):
-        p = OrthogonalProjection(matrix=np.diag([1.0, 0.0, 0.0]).astype(complex), rank=1)
-        q = OrthogonalProjection(matrix=np.diag([1.0, 1.0, 0.0]).astype(complex), rank=2)
+        e = np.eye(3, dtype=complex)
+        p = OrthogonalProjection(e[:, :1], e[:, 1:])
+        q = OrthogonalProjection(e[:, :2], e[:, 2:])
         with pytest.raises(ValueError, match="rank"):
             graph_operator(p, q)
 
