@@ -30,7 +30,7 @@ from .operators import (
     OrthogonalProjection,
     ValidationError,
     _eigh,
-    compressed_norm,
+    compressed_norm_exceeds,
     hermitian_eigendecompose,
     projection_from_eigenvectors,
     select_eigenvalues,
@@ -167,15 +167,16 @@ class PerturbationProblem:
 
         norm_v = spectral_norm(v)
         off_bound = tol.offdiag * norm_v if norm_v > 0 else tol.proj(dim)
-        if (
-            compressed_norm(u, u, v) > off_bound
-            or compressed_norm(u_perp, u_perp, v) > off_bound
+        if compressed_norm_exceeds(u, u, v, off_bound) or compressed_norm_exceeds(
+            u_perp, u_perp, v, off_bound
         ):
             raise ValidationError(
                 "V is not off-diagonal with respect to the sigma/Sigma splitting"
             )
-        commutator = max(compressed_norm(u_perp, u, a), compressed_norm(u, u_perp, a))
-        if commutator > tol.proj(dim) * max(norm_a, 1.0):
+        commutator_bound = tol.proj(dim) * max(norm_a, 1.0)
+        if compressed_norm_exceeds(u_perp, u, a, commutator_bound) or compressed_norm_exceeds(
+            u, u_perp, a, commutator_bound
+        ):
             raise ValidationError("spectral projection does not commute with A")
 
         b_eigen = hermitian_eigendecompose(a + v, tol)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ from .io import (
     load_problem,
     problem_payload,
     qnr_svg,
+    save_problem,
     write_json,
     write_qnr_csv,
 )
@@ -67,6 +69,28 @@ def _dims(text: str) -> tuple[int, int]:
     return dims
 
 
+def _claim_outputs(*paths) -> None:
+    """Open each given output path for appending and close it again, before anything is written.
+
+    Appending creates a missing file and leaves an existing one as it is.
+    When a path cannot be opened, the files this call created are removed
+    and the error propagates, so a command that exits 2 on an unwritable
+    path has written none of its outputs.
+    """
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def exit_code_for(reports) -> int:
     """1 when any premise-satisfied check fails, else 0."""
     return 1 if any(r.premise_satisfied and not r.holds for r in reports) else 0
@@ -76,6 +100,7 @@ def cmd_analyze(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
     reports = [run_theorem(problem, t) for t in args.theorem or default_battery(problem.case)]
+    _claim_outputs(args.out)
 
     print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
     print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")
@@ -94,8 +119,9 @@ def cmd_examples(args) -> int:
     problem = builtin_example(args.which, scale=args.scale)
     out = args.out or f"{args.which.lower()}.json"
     report_out = args.report_out or f"{args.which.lower()}.report.json"
-    write_json(problem_payload(problem), out)
     reports = [run_theorem(problem, t) for t in default_battery(problem.case)]
+    _claim_outputs(out, report_out)
+    save_problem(problem, out)
     write_json(analysis_payload(problem, reports), report_out)
     print(f"problem written to {out}, expected report to {report_out}")
     return 0
@@ -105,6 +131,7 @@ def cmd_qnr(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
     samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
+    _claim_outputs(args.out, args.svg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_qnr_csv(samples, fh)
@@ -171,9 +198,7 @@ def cmd_verify(args) -> int:
             )
             for _ in range(args.trials)
         ]
-        if not theorems:
-            raise ValueError("--random needs at least one --theorem")
-        reports = batch_verify(specs, theorems, tol)
+        reports = batch_verify(specs, theorems or default_battery(case), tol)
     else:
         raise ValueError("provide a problem file or --random FAMILY")
     print(format_report_table(reports))

@@ -120,25 +120,12 @@ class SpectralSet:
                     return True
         return False
 
-    def distance_to_point(self, x: float) -> float:
-        """Distance from ``x`` to the closure."""
-        return float(self.distance_to_points([x])[0])
-
     def distance_to_points(self, x) -> np.ndarray:
         """Distances from each of the points ``x`` to the closure, as a float array."""
         self._require_nonempty()
         lo, hi = self.bounds
         x = np.asarray(x, dtype=float)[:, None]
         return np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1)
-
-    def boundary_distance(self, x: float) -> float:
-        """Distance from ``x`` to the nearest finite endpoint (inf if none)."""
-        best = math.inf
-        for lo, hi in self.intervals:
-            for e in (lo, hi):
-                if math.isfinite(e):
-                    best = min(best, abs(x - e))
-        return best
 
     # -- set arithmetic --------------------------------------------------
 

@@ -124,10 +124,29 @@ def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float:
     two subspaces: ``||P M Q||`` for the projections P, Q onto their spans,
     computed on a small block instead of n x n products.
     """
+    return spectral_norm(_compress(left, right, middle))
+
+
+def compressed_norm_exceeds(left: np.ndarray, right: np.ndarray, middle, bound: float) -> bool:
+    """``compressed_norm(left, right, middle) > bound``, with the SVD only when it can matter.
+
+    ``||X|| <= ||X||_F``, so a block whose Frobenius norm is below ``bound``
+    cannot exceed it.  The screen keeps a margin of ``size * eps`` relative,
+    which covers the round-off of both computed norms, so every decision is
+    the one the SVD comparison would make; blocks nearer the bound, or above
+    it, get that comparison.
+    """
+    block = _compress(left, right, middle)
+    if np.linalg.norm(block) <= bound * (1.0 - block.size * np.finfo(float).eps):
+        return False
+    return spectral_norm(block) > bound
+
+
+def _compress(left: np.ndarray, right: np.ndarray, middle) -> np.ndarray:
     lhs = left.conj().T
     if middle is not None:
         lhs = lhs @ middle
-    return spectral_norm(lhs @ right)
+    return lhs @ right
 
 
 def select_eigenvalues(

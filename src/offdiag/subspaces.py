@@ -89,19 +89,26 @@ class GraphOperator(NamedTuple):
 
 
 def graph_operator(
-    p: OrthogonalProjection, q: OrthogonalProjection, tol: Tolerances = DEFAULT_TOL
+    p: OrthogonalProjection,
+    q: OrthogonalProjection,
+    tol: Tolerances = DEFAULT_TOL,
+    *,
+    diff: float | None = None,
 ) -> GraphOperator:
     """Represent Ran Q as a graph over Ran P.
 
     Writes an orthonormal column basis of Ran Q in the block coordinates of
     P; with top block U (onto Ran P) and bottom block W the graph operator
-    is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1.
+    is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1.  A caller
+    that has already computed ``||P - Q||`` passes it as ``diff``, and the
+    premise check uses it instead of computing it again.
     """
     if p.dim != q.dim:
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
     if p.rank != q.rank:
         raise ValueError(f"rank mismatch: rank P = {p.rank}, rank Q = {q.rank}")
-    diff = projection_difference_norm(p, q).norm
+    if diff is None:
+        diff = projection_difference_norm(p, q).norm
     if diff >= 1.0 - tol.proj(p.dim):
         raise GraphRepresentationError(
             f"||P - Q|| = {diff:.12g} is not below 1; Ran Q is not a graph over Ran P"
@@ -395,7 +402,7 @@ def tan_theta_bound(
     sigma_tilde = SpectralSet.from_points(problem.b_eigen.eigenvalues[mask])
     dist_ts = sigma_tilde.distance(Sigma)
     claimed = math.sin(math.atan(problem.norm_v / dist_ts)) if dist_ts > 0 else 1.0
-    graph = graph_operator(p, q, problem.tol)
+    graph = graph_operator(p, q, problem.tol, diff=diff.norm)
     tan_claim = problem.norm_v / dist_ts if dist_ts > 0 else math.inf
     x_norm = graph.norm
     holds = (

@@ -252,7 +252,7 @@ def test_09_pair_inequality_suite():
         eb = np.linalg.eigvalsh(b)
         cut = int(rng.integers(1, dim))
         sigma = SpectralSet.from_points(ea[:cut])
-        rest = [x for x in eb if sigma.distance_to_point(float(x)) > 0.05]
+        rest = list(eb[sigma.distance_to_points(eb) > 0.05])
         if not rest:
             continue
         delta = SpectralSet.from_points(rest)

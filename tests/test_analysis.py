@@ -21,7 +21,10 @@ from offdiag import (
     two_by_two_extremes,
 )
 from offdiag import analysis, operators
+from offdiag.config import DEFAULT_TOL
 from offdiag.operators import projection_from_eigenvectors, select_eigenvalues
+
+from conftest import random_hermitian, random_unitary
 
 SQRT2 = math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -145,6 +148,43 @@ class TestProblemValidation:
         monkeypatch.setattr(analysis, "validate_hermitian", counted)
         builtin_example("CASE1")
         assert len(calls) == 3
+
+    @staticmethod
+    def rotated_problem_arrays(rng, diagonal_part=0.0):
+        """A, V of a 3+3 problem in a random basis; V has a sigma-block part of norm
+        ``diagonal_part * ||V||``."""
+        a = np.diag([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0]).astype(complex)
+        v = np.zeros((6, 6), dtype=complex)
+        w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        v[:3, 3:] = w
+        v[3:, :3] = w.conj().T
+        e = random_hermitian(rng, 3)
+        v[:3, :3] = diagonal_part * np.linalg.norm(w, 2) * e / np.linalg.norm(e, 2)
+        u = random_unitary(rng, 6)
+        return u @ a @ u.conj().T, u @ v @ u.conj().T
+
+    def test_valid_build_takes_one_svd(self, rng, monkeypatch):
+        a, v = self.rotated_problem_arrays(rng)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *x, **k: calls.append(1) or svd(*x, **k))
+        p = PerturbationProblem.build(
+            a, v, SpectralSet([(-2.0, -1.0)]), SpectralSet([(1.0, 2.0)])
+        )
+        assert len(calls) == 1  # ||V|| alone
+        assert abs(p.norm_v - svd(v, compute_uv=False)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [0.5, 1 - 1e-3, 1 + 1e-3, 2.0])
+    def test_off_diagonality_decided_at_the_bound(self, rng, factor):
+        # ||P V P|| = factor * offdiag * ||V||, up to round-off of about eps * ||V||, which is
+        # 1e-6 of the bound
+        a, v = self.rotated_problem_arrays(rng, factor * DEFAULT_TOL.offdiag)
+        sets = SpectralSet([(-2.0, -1.0)]), SpectralSet([(1.0, 2.0)])
+        if factor > 1:
+            with pytest.raises(ValidationError, match="off-diagonal"):
+                PerturbationProblem.build(a, v, *sets)
+        else:
+            PerturbationProblem.build(a, v, *sets)
 
     def test_distance_is_recomputed(self):
         # d comes from the sets, not from any caller-supplied value

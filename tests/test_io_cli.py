@@ -12,8 +12,9 @@ from offdiag import (
     random_problem,
     random_problem_spec,
 )
-from offdiag import io
+from offdiag import cli, io
 from offdiag.cli import exit_code_for, main
+from offdiag.harness import default_battery
 from offdiag.io import (
     ProblemFileError,
     analysis_payload,
@@ -212,9 +213,48 @@ class TestMatrixPayload:
             "sigma": [[lo, hi] for lo, hi in q.sigma.intervals],
             "Sigma": [[lo, hi] for lo, hi in q.Sigma.intervals],
         }
-        assert path.read_text() == json.dumps(want, indent=2) + "\n"
+        assert path.read_text() == json.dumps(want) + "\n"
         back = load_problem(path)
         assert np.array_equal(back.v.view(np.uint64), q.v.view(np.uint64))
+
+
+    def test_plain_numbers_only_when_every_imaginary_part_is_positive_zero(self):
+        real = np.array([[1.5, -0.0], [-0.0, 2.0]])
+        assert matrix_payload(real) == [[1.5, -0.0], [-0.0, 2.0]]
+        assert matrix_payload(real.astype(complex)) == [[1.5, -0.0], [-0.0, 2.0]]
+        # an imaginary -0.0 keeps the pairs, so its sign survives
+        for m in (real.astype(complex).conj(), real + np.array([[0, 1e-300j], [-1e-300j, 0]])):
+            payload = matrix_payload(m)
+            assert all(isinstance(e, list) and len(e) == 2 for row in payload for e in row)
+        m = np.array([[1.0, complex(0.0, -0.0)], [0.0, 2.0]])
+        assert matrix_payload(m) == [[[1.0, 0.0], [0.0, -0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+
+    def test_plain_and_pair_layouts_load_bit_for_bit(self):
+        for m in (np.array([[1.5, -0.0], [-0.0, 2.0]], dtype=complex),
+                  np.array([[1.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 2.0]])):
+            back = parse_matrix(json.loads(json.dumps(matrix_payload(m))), "A")
+            assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+    def test_pre_compact_indented_pairs_file_still_loads(self, tmp_path):
+        p = random_problem(random_problem_spec(Case.CASE_II, 4, 5, 0.45, seed=5))
+        # -0.0 in both parts: negated V has -0.0 real parts, its real copy +0.0 imaginary ones
+        q = PerturbationProblem.build(p.a.real.astype(complex), -p.v, p.sigma, p.Sigma)
+        assert np.signbit(q.v.real).any() and not q.a.imag.any()
+        old = {  # the layout save_problem wrote before: [re, im] pairs, indent 2
+            "A": [[[float(z.real), float(z.imag)] for z in row] for row in q.a],
+            "V": [[[float(z.real), float(z.imag)] for z in row] for row in q.v],
+            "sigma": [[lo, hi] for lo, hi in q.sigma.intervals],
+            "Sigma": [[lo, hi] for lo, hi in q.Sigma.intervals],
+        }
+        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+        old_path.write_text(json.dumps(old, indent=2) + "\n")
+        save_problem(q, new_path)
+        assert new_path.stat().st_size < old_path.stat().st_size / 2
+        from_old, from_new = load_problem(old_path), load_problem(new_path)
+        for m in ("a", "v"):
+            want = getattr(q, m).view(np.uint64)
+            assert np.array_equal(getattr(from_old, m).view(np.uint64), want)
+            assert np.array_equal(getattr(from_new, m).view(np.uint64), want)
 
 
 class TestQnrOutput:
@@ -352,6 +392,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "violations" in out
 
+    @pytest.mark.parametrize("family", ["case1", "case2", "subordinated"])
+    def test_verify_random_without_theorem_runs_the_default_battery(self, family, capsys):
+        code = main(["verify", "--random", family, "--trials", "2", "--dims", "2,3"])
+        assert code == 0
+        out = capsys.readouterr().out
+        battery = default_battery(cli._RANDOM_FAMILIES[family])
+        assert f"\n{2 * len(battery)} checks," in out
+        rows = [line.split()[0] for line in out.splitlines()[2 : 2 + 2 * len(battery)]]
+        assert rows == battery * 2
+
+    def test_verify_rejects_a_theorem_before_drawing_layouts(self, monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
+        assert main(["verify", "--random", "case1", "--theorem", "MAIN,NOPE", "--trials", "3"]) == 2
+        assert draws == []
+
     def test_verify_file(self, case1_file, capsys):
         assert main(["verify", str(case1_file)]) == 0
 
@@ -405,6 +461,32 @@ class TestCli:
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
+
+
+    def test_examples_writes_nothing_when_the_report_path_fails(self, tmp_path, capsys):
+        out = tmp_path / "case1.json"
+        argv = ["examples", "case1", "--out", str(out),
+                "--report-out", str(tmp_path / "missing" / "x.json")]
+        assert main(argv) == 2
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert main(argv) == 2
+        assert out.read_text() == "kept\n"
+        assert capsys.readouterr().out == ""
+
+    def test_qnr_writes_no_csv_when_the_svg_path_fails(self, case1_file, tmp_path, capsys):
+        csv_path = tmp_path / "q.csv"
+        argv = ["qnr", str(case1_file), "--samples", "5", "--out", str(csv_path),
+                "--svg", str(tmp_path / "missing" / "q.svg")]
+        assert main(argv) == 2
+        assert not csv_path.exists()
+
+    def test_analyze_prints_no_table_when_the_report_path_fails(self, case1_file, tmp_path, capsys):
+        argv = ["analyze", str(case1_file), "--out", str(tmp_path / "missing" / "r.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestAnalysisPayload:

@@ -13,6 +13,8 @@ from offdiag import (
     spectral_norm,
 )
 from offdiag.operators import (
+    compressed_norm,
+    compressed_norm_exceeds,
     projection_from_eigenvectors,
     select_eigenvalues,
     validate_hermitian,
@@ -208,3 +210,40 @@ class TestValidateProjection:
         assert p.complement().rank == 1
         assert p.complement().complement_basis is p.range_basis
         assert p.complement().range_basis is p.complement_basis
+
+
+class TestCompressedNormExceeds:
+    """The Frobenius screen against the SVD comparison it stands in for."""
+
+    @staticmethod
+    def blocks_at(rng, target, dim=6):
+        """Bases and middles whose compressed block has spectral norm ``target``: rank 1 and full."""
+        left = np.linalg.qr(random_hermitian(rng, dim))[0][:, : dim // 2]
+        right = np.linalg.qr(random_hermitian(rng, dim))[0][:, dim // 2 :]
+        x = rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2)
+        y = rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2)
+        rank_one = np.outer(x, y.conj())
+        full = random_hermitian(rng, dim // 2) + np.eye(dim // 2)
+        for block in (rank_one, full):
+            block = block * (target / spectral_norm(block))
+            # left* (left block right*) right == block
+            yield left, right, left @ block @ right.conj().T
+
+    # build's bounds: off-diagonality at ||V|| = 1.2 and at V = 0, the commutator at ||A|| = 3.5
+    @pytest.mark.parametrize(
+        "bound", [DEFAULT_TOL.offdiag * 1.2, DEFAULT_TOL.proj(6), DEFAULT_TOL.proj(6) * 3.5, 1.0]
+    )
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 1e3])
+    def test_same_decision_as_the_svd_just_above_and_below_the_bound(self, rng, bound, factor):
+        for left, right, middle in self.blocks_at(rng, factor * bound):
+            want = compressed_norm(left, right, middle) > bound
+            assert compressed_norm_exceeds(left, right, middle, bound) == want
+            assert want == (factor > 1)
+
+    def test_svd_runs_only_when_the_frobenius_norm_reaches_the_bound(self, rng, monkeypatch):
+        (left, right, middle), _ = list(self.blocks_at(rng, 1.0))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert not compressed_norm_exceeds(left, right, middle, 2.0) and not calls
+        assert compressed_norm_exceeds(left, right, middle, 0.5) and len(calls) == 1

@@ -23,7 +23,7 @@ from offdiag import (
     tan_theta_bound,
     verify_pair_inequality,
 )
-from offdiag import Case, PerturbationProblem
+from offdiag import Case, PerturbationProblem, subspaces
 
 from conftest import random_close_projection, random_hermitian, random_projection
 
@@ -101,6 +101,14 @@ class TestGraphOperator:
             z = np.hstack([rebuilt.range_basis, rebuilt.complement_basis])
             assert rebuilt.rank == q.rank and rebuilt.dim == dim
             assert spectral_norm(z.conj().T @ z - np.eye(dim)) <= 1e-12
+
+    def test_given_difference_norm_gives_the_same_operator(self, rng):
+        p = random_projection(rng, 6, 2)
+        q = random_close_projection(rng, p, spread=0.2)
+        diff = projection_difference_norm(p, q).norm
+        assert np.array_equal(graph_operator(p, q, diff=diff).x, graph_operator(p, q).x)
+        with pytest.raises(GraphRepresentationError):
+            graph_operator(p, q, diff=1.0)
 
     def test_complement_pair_rejected(self):
         p = rotated_projection(0.0)
@@ -279,6 +287,16 @@ class TestTanTheta:
         t = r.witnesses["x_norm"]
         assert abs(r.measured_value - t / math.sqrt(1 + t * t)) < 1e-8
 
+    def test_projection_difference_computed_once(self, monkeypatch):
+        calls = []
+        counted = subspaces.projection_difference_norm
+        monkeypatch.setattr(
+            subspaces, "projection_difference_norm", lambda *a: calls.append(1) or counted(*a)
+        )
+        p = builtin_example("CASE2", scale=0.9)
+        r = tan_theta_bound(p, (-1.0, 1.0))
+        assert r.premise_satisfied and len(calls) == 1
+
     def test_maximal_interval_helper(self):
         p = builtin_example("CASE2", scale=0.9)
         assert maximal_gap_interval(p) == (-1.0, 1.0)
@@ -337,7 +355,7 @@ class TestPairInequality:
             eb = np.linalg.eigvalsh(b)
             cut_a = int(rng.integers(1, dim))
             sigma = SpectralSet.from_points(ea[:cut_a])
-            rest = [x for x in eb if SpectralSet.from_points(ea[:cut_a]).distance_to_point(x) > 0.05]
+            rest = list(eb[sigma.distance_to_points(eb) > 0.05])
             if not rest:
                 continue
             delta = SpectralSet.from_points(rest)
