@@ -190,6 +190,8 @@ def cmd_verify(args) -> int:
         problem = load_problem(args.path, tol)
         reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
     elif args.random:
+        if args.trials < 1:
+            raise ValueError("need at least one trial")
         case = _RANDOM_FAMILIES[args.random]
         rng = np.random.default_rng(args.seed)
         specs = [

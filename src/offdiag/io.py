@@ -1,7 +1,8 @@
 """Problem-file and report serialization for the command line front end.
 
-A problem file is JSON with keys ``A``, ``V`` (nested arrays; complex
-entries encoded as ``[re, im]``, plain numbers for reals), ``sigma`` and
+A problem file is JSON with keys ``A``, ``V`` (a nest of plain numbers
+for a real matrix; a complex one as ``{"re": nest, "im": nest}`` or as a
+nest of ``[re, im]`` pairs), ``sigma`` and
 ``Sigma`` (lists of numbers or ``[lo, hi]`` pairs) and an optional
 ``tolerances`` object.  Parse failures carry the row/column of the first
 violation.  Machine-readable output keeps full float precision; human
@@ -29,26 +30,27 @@ class ProblemFileError(ValueError):
 _TOL_FIELDS = ("herm_scale", "proj_scale", "eig_scale", "offdiag", "report")
 
 
-def _parse_entry(item, name: str, row: int, col: int) -> complex:
+def _parse_entry(item, name: str, row: int, col: int, pairs: bool) -> complex:
     if isinstance(item, (int, float)):
         return complex(float(item), 0.0)
-    if isinstance(item, (list, tuple)) and len(item) == 2 and all(
+    if pairs and isinstance(item, (list, tuple)) and len(item) == 2 and all(
         isinstance(p, (int, float)) for p in item
     ):
         return complex(float(item[0]), float(item[1]))
     raise ProblemFileError(
         f"matrix {name}: invalid entry at ({row},{col}): {item!r} "
-        "(expected a number or [re, im])"
+        f"(expected {'a number or [re, im]' if pairs else 'a number'})"
     )
 
 
 def _parse_numeric(obj, dim: int) -> np.ndarray | None:
-    """One-array conversion of a well-formed (dim, dim) or (dim, dim, 2) numeric nest, else None.
+    """One-array conversion of a well-formed numeric nest, else None.
 
-    Only bool, int and float arrays qualify: they convert exactly as the
-    entry-by-entry rules do.  Anything else (mixed numbers and pairs,
-    ragged rows, strings, None, integers beyond int64) goes to the checked
-    loop, which names the first bad entry.
+    A (dim, dim) nest gives a float array, a (dim, dim, 2) nest of
+    ``[re, im]`` pairs a complex one.  Only bool, int and float arrays
+    qualify: they convert exactly as the entry-by-entry rules do.  Anything
+    else (mixed numbers and pairs, ragged rows, strings, None, integers
+    beyond int64) goes to the checked loop, which names the first bad entry.
     """
     try:
         arr = np.array(obj)
@@ -57,19 +59,20 @@ def _parse_numeric(obj, dim: int) -> np.ndarray | None:
     if arr.dtype.kind not in "bif" or arr.shape[:2] != (dim, dim):
         return None
     if arr.ndim == 2:
-        return arr.astype(complex)
+        return arr.astype(float)
     if arr.shape[2:] == (2,):
         return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
     return None
 
 
-def parse_matrix(obj, name: str) -> np.ndarray:
+def _parse_nest(obj, name: str, pairs: bool) -> np.ndarray:
+    """A complex (dim, dim) array from a nest of numbers, or of ``[re, im]`` pairs if ``pairs``."""
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ProblemFileError(f"matrix {name} must be a nonempty list of rows")
     dim = len(obj)
     fast = _parse_numeric(obj, dim)
-    if fast is not None:
-        return fast
+    if fast is not None and (pairs or fast.dtype == float):
+        return fast.astype(complex, copy=False)
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, (list, tuple)) or len(row) != dim:
@@ -78,19 +81,42 @@ def parse_matrix(obj, name: str) -> np.ndarray:
                 f" entries, expected {dim}"
             )
         for j, item in enumerate(row):
-            out[i, j] = _parse_entry(item, name, i, j)
+            out[i, j] = _parse_entry(item, name, i, j, pairs)
     return out
 
 
-def matrix_payload(m: np.ndarray) -> list:
-    """``m`` as nested lists: plain numbers when every imaginary part is +0.0, else ``[re, im]``.
+def parse_matrix(obj, name: str) -> np.ndarray:
+    """A matrix from a nest of numbers, of ``[re, im]`` pairs, or ``{"re": nest, "im": nest}``."""
+    if not isinstance(obj, dict):
+        return _parse_nest(obj, name, pairs=True)
+    if set(obj) != {"re", "im"}:
+        raise ProblemFileError(
+            f"matrix {name}: expected exactly the parts {name}.re and {name}.im, "
+            f"got keys {sorted(obj)}"
+        )
+    out = _parse_nest(obj["re"], f"{name}.re", pairs=False)
+    im = _parse_nest(obj["im"], f"{name}.im", pairs=False)
+    if im.shape != out.shape:
+        raise ProblemFileError(
+            f"matrix {name}: {name}.re is {out.shape[0]}x{out.shape[1]} "
+            f"but {name}.im is {im.shape[0]}x{im.shape[1]}"
+        )
+    out.imag = im.real
+    return out
 
-    ``parse_matrix`` reads either layout back bit for bit, -0.0 included.
+
+def matrix_payload(m: np.ndarray) -> list | dict:
+    """``m`` as a nest of plain numbers when every imaginary part is +0.0.
+
+    Any other matrix becomes ``{"re": nest, "im": nest}``, two real nests
+    that ``json`` writes and reads faster than a nest of ``[re, im]``
+    pairs.  ``parse_matrix`` reads either layout back bit for bit, -0.0
+    included.
     """
     m = np.asarray(m, dtype=complex)
     if not (m.imag.any() or np.signbit(m.imag).any()):
         return m.real.tolist()
-    return np.stack([m.real, m.imag], -1).tolist()
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def parse_spectral_set(obj, name: str, is_open: bool = False) -> SpectralSet:

@@ -1,9 +1,9 @@
 """Dense Hermitian primitives: validation, eigendecomposition, norms, projections.
 
 Everything downstream consumes these.  The eigensolver is LAPACK's
-Hermitian driver via ``numpy.linalg.eigh``; the spectral norm goes through
-the SVD, a different routine, so norm-vs-eigenvalue cross checks exercise
-two independent code paths.
+Hermitian driver via ``numpy.linalg.eigh`` (a diagonal matrix needs no
+solver); the spectral norm goes through the SVD, a different routine, so
+norm-vs-eigenvalue cross checks exercise two independent code paths.
 """
 
 from __future__ import annotations
@@ -70,7 +70,19 @@ def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDeco
 
 
 def _eigh(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of an already validated Hermitian matrix."""
+    """Eigendecomposition of an already validated Hermitian matrix.
+
+    A diagonal matrix needs no LAPACK call: its eigenvalues are the real
+    parts of the diagonal, sorted stably, with the matching identity
+    columns.  That is what ``eigh`` returns bit for bit, except that it may
+    order tied eigenvalues differently.
+    """
+    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        diagonal = np.diagonal(m).real
+        order = np.argsort(diagonal, kind="stable")
+        u = np.zeros(m.shape, dtype=m.dtype)
+        u[order, np.arange(len(order))] = 1.0
+        return EigenDecomposition(eigenvalues=diagonal[order], eigenvectors=u)
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

@@ -196,6 +196,14 @@ class TestParseMatrixFastPath:
         assert str(fast.value) == str(slow.value)
 
 
+def entrywise_parts(m):
+    """The two-nest layout, built entry by entry."""
+    return {
+        "re": [[float(z.real) for z in row] for row in m],
+        "im": [[float(z.imag) for z in row] for row in m],
+    }
+
+
 class TestMatrixPayload:
     def test_byte_identical_to_entrywise_floats(self, tmp_path):
         p = random_problem(random_problem_spec(Case.CASE_II, 32, 32, 0.45, seed=5))
@@ -203,13 +211,12 @@ class TestMatrixPayload:
         q = PerturbationProblem.build(p.a.conj(), -p.v, p.sigma, p.Sigma)
         assert np.signbit(q.v.real).any() and np.signbit(q.a.imag).any()
         for m in (q.a, q.v):
-            entrywise = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-            assert json.dumps(matrix_payload(m)) == json.dumps(entrywise)
+            assert json.dumps(matrix_payload(m)) == json.dumps(entrywise_parts(m))
         path = tmp_path / "p.json"
         save_problem(q, path)
         want = {
-            "A": [[[float(z.real), float(z.imag)] for z in row] for row in q.a],
-            "V": [[[float(z.real), float(z.imag)] for z in row] for row in q.v],
+            "A": entrywise_parts(q.a),
+            "V": entrywise_parts(q.v),
             "sigma": [[lo, hi] for lo, hi in q.sigma.intervals],
             "Sigma": [[lo, hi] for lo, hi in q.Sigma.intervals],
         }
@@ -222,12 +229,15 @@ class TestMatrixPayload:
         real = np.array([[1.5, -0.0], [-0.0, 2.0]])
         assert matrix_payload(real) == [[1.5, -0.0], [-0.0, 2.0]]
         assert matrix_payload(real.astype(complex)) == [[1.5, -0.0], [-0.0, 2.0]]
-        # an imaginary -0.0 keeps the pairs, so its sign survives
+        # an imaginary -0.0 gives the two real nests, so its sign survives
         for m in (real.astype(complex).conj(), real + np.array([[0, 1e-300j], [-1e-300j, 0]])):
             payload = matrix_payload(m)
-            assert all(isinstance(e, list) and len(e) == 2 for row in payload for e in row)
+            assert list(payload) == ["re", "im"]
+            assert all(isinstance(e, float) for nest in payload.values() for e in sum(nest, []))
         m = np.array([[1.0, complex(0.0, -0.0)], [0.0, 2.0]])
-        assert matrix_payload(m) == [[[1.0, 0.0], [0.0, -0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+        assert json.dumps(matrix_payload(m)) == json.dumps(
+            {"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, -0.0], [0.0, 0.0]]}
+        )
 
     def test_plain_and_pair_layouts_load_bit_for_bit(self):
         for m in (np.array([[1.5, -0.0], [-0.0, 2.0]], dtype=complex),
@@ -255,6 +265,108 @@ class TestMatrixPayload:
             want = getattr(q, m).view(np.uint64)
             assert np.array_equal(getattr(from_old, m).view(np.uint64), want)
             assert np.array_equal(getattr(from_new, m).view(np.uint64), want)
+
+
+ZEROS = [[0.0, 0.0], [0.0, 0.0]]
+
+
+class TestTwoNestLayout:
+    """Complex matrices as ``{"re": nest, "im": nest}``, and the layouts read before it."""
+
+    @staticmethod
+    def signed_problem(dim_sigma, dim_Sigma):
+        """A random CASE_II problem with -0.0 in V's real parts and in A's imaginary parts."""
+        p = random_problem(random_problem_spec(Case.CASE_II, dim_sigma, dim_Sigma, 0.45, seed=5))
+        q = PerturbationProblem.build(p.a.conj(), -p.v, p.sigma, p.Sigma)
+        assert np.signbit(q.v.real).any() and np.signbit(q.a.imag).any()
+        return q
+
+    def test_signed_zeros_and_subnormals_round_trip_bit_for_bit(self):
+        m = np.array(
+            [[complex(-0.0, 1.0), complex(2.0, -0.0), complex(5e-324, -2.5e-320)],
+             [complex(-0.0, -0.0), complex(-5e-324, 5e-324), complex(2.2e-308, -0.0)],
+             [complex(1e-310, -1e-310), complex(0.0, 0.0), complex(-1.5, 1e300)]]
+        )
+        text = json.dumps(matrix_payload(m))
+        assert text.startswith('{"re": ')
+        back = parse_matrix(json.loads(text), "V")
+        assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+    def test_large_problem_round_trips_bit_for_bit(self, tmp_path):
+        q = self.signed_problem(128, 128)
+        path = tmp_path / "p.json"
+        save_problem(q, path)
+        payload = json.loads(path.read_text())
+        assert set(payload["A"]) == set(payload["V"]) == {"re", "im"}
+        back = load_problem(path)
+        for m in ("a", "v"):
+            want = getattr(q, m).view(np.uint64)
+            assert np.array_equal(getattr(back, m).view(np.uint64), want)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"re": ZEROS, "im": [[0.0] * 3] * 3}, r"V\.re is 2x2 but V\.im is 3x3"),
+            ({"re": ZEROS}, r"parts V\.re and V\.im, got keys \['re'\]"),
+            ({"im": ZEROS}, r"parts V\.re and V\.im, got keys \['im'\]"),
+            ({"re": ZEROS, "im": ZEROS, "scale": 1.0},
+             r"parts V\.re and V\.im, got keys \['im', 're', 'scale'\]"),
+            ({"re": [[0.0, [1.0, 2.0]], [1.0, 0.0]], "im": ZEROS},
+             r"matrix V\.re: invalid entry at \(0,1\): \[1\.0, 2\.0\] \(expected a number\)"),
+            ({"re": ZEROS, "im": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+             r"matrix V\.im: invalid entry at \(0,0\): \[0\.0, 0\.0\]"),
+            ({"re": ZEROS, "im": [[0.0, "1"], [0.0, 0.0]]},
+             r"matrix V\.im: invalid entry at \(0,1\): '1'"),
+            ({"re": [[0.0, None], [0.0, 0.0]], "im": ZEROS},
+             r"matrix V\.re: invalid entry at \(0,1\): None"),
+            ({"re": ZEROS, "im": [[0.0, 0.0], [0.0]]}, r"matrix V\.im: row 1 has 1 entries"),
+            ({"re": "x", "im": ZEROS}, r"matrix V\.re must be a nonempty list of rows"),
+        ],
+        ids=[
+            "shape-mismatch", "missing-im", "missing-re", "extra-key", "pair-in-re",
+            "pairs-in-im", "string-in-im", "none-in-re", "ragged-im", "not-a-nest",
+        ],
+    )
+    def test_malformed_parts_name_the_part_and_entry(self, obj, message):
+        with pytest.raises(ProblemFileError, match=message):
+            parse_matrix(obj, "V")
+
+    def test_compact_pair_layout_file_still_loads_to_the_same_bits(self, tmp_path):
+        # the indented pair layout is test_pre_compact_indented_pairs_file_still_loads
+        q = self.signed_problem(4, 5)
+        pairs = {
+            "A": [[[float(z.real), float(z.imag)] for z in row] for row in q.a],
+            "V": [[[float(z.real), float(z.imag)] for z in row] for row in q.v],
+            "sigma": [[lo, hi] for lo, hi in q.sigma.intervals],
+            "Sigma": [[lo, hi] for lo, hi in q.Sigma.intervals],
+        }
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(pairs) + "\n")
+        back = load_problem(path)
+        for m in ("a", "v"):
+            want = getattr(q, m).view(np.uint64)
+            assert np.array_equal(getattr(back, m).view(np.uint64), want)
+
+    def test_saved_matrices_never_take_the_entry_loop(self, tmp_path, monkeypatch):
+        problems = [
+            builtin_example("CASE1"),
+            builtin_example("CASE2", scale=0.5),
+            random_problem(random_problem_spec(Case.CASE_I, 3, 3, 0.45, seed=2)),
+            self.signed_problem(4, 5),
+        ]
+
+        def no_loop(*args):
+            raise AssertionError(f"entry loop reached at {args[1:]}")
+
+        monkeypatch.setattr(io, "_parse_entry", no_loop)
+        for k, p in enumerate(problems):
+            path = tmp_path / f"p{k}.json"
+            save_problem(p, path)
+            back = load_problem(path)
+            for m in ("a", "v"):
+                want = getattr(p, m).view(np.uint64)
+                assert np.array_equal(getattr(back, m).view(np.uint64), want)
+        assert not problems[0].v.imag.any() and problems[3].v.imag.any()
 
 
 class TestQnrOutput:
@@ -407,6 +519,14 @@ class TestCli:
         monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
         assert main(["verify", "--random", "case1", "--theorem", "MAIN,NOPE", "--trials", "3"]) == 2
         assert draws == []
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_verify_random_needs_a_trial(self, trials, monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
+        assert main(["verify", "--random", "case1", "--trials", trials]) == 2
+        assert draws == []
+        assert "need at least one trial" in capsys.readouterr().err
 
     def test_verify_file(self, case1_file, capsys):
         assert main(["verify", str(case1_file)]) == 0

@@ -5,11 +5,14 @@ import pytest
 
 from offdiag import (
     DEFAULT_TOL,
+    Case,
     OrthogonalProjection,
     SpectralSet,
     ValidationError,
     builtin_example,
     hermitian_eigendecompose,
+    random_problem,
+    random_problem_spec,
     spectral_norm,
 )
 from offdiag.operators import (
@@ -89,6 +92,81 @@ class TestEigendecompose:
             gram = dec.eigenvectors.conj().T @ dec.eigenvectors
             assert spectral_norm(gram - np.eye(dim)) <= 1e-10 * dim
             assert np.all(np.diff(dec.eigenvalues) >= 0)
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.uint8), np.ascontiguousarray(y).view(np.uint8)
+    )
+
+
+def lapack_calls(monkeypatch):
+    """A list that gains one entry per ``np.linalg.eigh`` call from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    return calls
+
+
+class TestDiagonalShortcut:
+    """A diagonal matrix is decomposed without LAPACK, into what ``eigh`` returns."""
+
+    PROBLEMS = {
+        "CASE1": lambda: builtin_example("CASE1"),
+        "CASE2": lambda: builtin_example("CASE2"),
+        **{
+            f"{case.name}-8+8": (
+                lambda case=case: random_problem(random_problem_spec(case, 8, 8, 0.45, seed=11))
+            )
+            for case in Case
+        },
+        "analyze-128+128": lambda: random_problem(
+            random_problem_spec(Case.CASE_II, 128, 128, 1.2, seed=0)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_bit_equal_to_eigh_on_generated_problems(self, name, monkeypatch):
+        p = self.PROBLEMS[name]()
+        w, u = np.linalg.eigh(p.a)
+        wb, ub = np.linalg.eigh(p.a + p.v)
+        calls = lapack_calls(monkeypatch)
+        dec = hermitian_eigendecompose(p.a)
+        assert not calls
+        assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
+        built = type(p).build(p.a, p.v, p.sigma, p.Sigma)
+        assert len(calls) == 1  # B only
+        assert same_bits(built.a_eigen.eigenvalues, w) and same_bits(built.a_eigen.eigenvectors, u)
+        assert same_bits(built.b_eigen.eigenvalues, wb)
+        assert same_bits(built.b_eigen.eigenvectors, ub)
+
+    @pytest.mark.parametrize("entry", [1e-300, 1e-300j], ids=["real", "imaginary"])
+    def test_one_tiny_off_diagonal_entry_goes_to_lapack(self, entry, monkeypatch):
+        m = np.diag([3.0, 1.0, 2.0]).astype(complex)
+        m[0, 2], m[2, 0] = entry, np.conj(entry)
+        calls = lapack_calls(monkeypatch)
+        hermitian_eigendecompose(m)
+        assert len(calls) == 1
+
+    def test_ties_give_an_exact_orthonormal_decomposition(self, monkeypatch):
+        d = np.array([2.0, 1.0, 2.0, 1.0, 0.5, 2.0])
+        m = np.diag(d).astype(complex)
+        calls = lapack_calls(monkeypatch)
+        dec = hermitian_eigendecompose(m)
+        assert not calls
+        u = dec.eigenvectors
+        assert np.array_equal(dec.eigenvalues, np.sort(d))
+        assert np.array_equal(u.conj().T @ u, np.eye(6))
+        assert np.array_equal(m @ u, u * dec.eigenvalues)
+
+    def test_tiny_imaginary_diagonal_parts_are_dropped_as_lapack_does(self, monkeypatch):
+        m = np.diag([1e-6 + 1e-11j, -2.0 - 3e-18j, 0.5 + 0j])
+        w, u = np.linalg.eigh(m)
+        calls = lapack_calls(monkeypatch)
+        dec = hermitian_eigendecompose(m)  # the Hermitian tolerance admits these parts
+        assert not calls
+        assert np.array_equal(dec.eigenvalues, [-2.0, 1e-6, 0.5])
+        assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
 
 
 class TestSpectralNorm:
