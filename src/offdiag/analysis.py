@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -111,6 +112,7 @@ class PerturbationProblem:
     a_eigen: EigenDecomposition
     b_eigen: EigenDecomposition
     norm_v: float
+    scale: float  # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
 
     @property
     def b(self) -> np.ndarray:
@@ -165,15 +167,16 @@ class PerturbationProblem:
         # on the blocks of the eigenvector bases
         u, u_perp = projection.range_basis, projection.complement_basis
 
+        # with V = 0 the blocks are exactly zero and never exceed a zero bound
         norm_v = spectral_norm(v)
-        off_bound = tol.offdiag * norm_v if norm_v > 0 else tol.proj(dim)
+        off_bound = tol.offdiag * norm_v
         if compressed_norm_exceeds(u, u, v, off_bound) or compressed_norm_exceeds(
             u_perp, u_perp, v, off_bound
         ):
             raise ValidationError(
                 "V is not off-diagonal with respect to the sigma/Sigma splitting"
             )
-        commutator_bound = tol.proj(dim) * max(norm_a, 1.0)
+        commutator_bound = tol.proj(dim) * norm_a
         if compressed_norm_exceeds(u_perp, u, a, commutator_bound) or compressed_norm_exceeds(
             u, u_perp, a, commutator_bound
         ):
@@ -193,6 +196,7 @@ class PerturbationProblem:
             a_eigen=a_eigen,
             b_eigen=b_eigen,
             norm_v=norm_v,
+            scale=max(norm_a, norm_v, d),
         )
 
 
@@ -224,6 +228,56 @@ class AnalysisReport:
             "witnesses": dict(self.witnesses),
             "flags": list(self.flags),
         }
+
+
+def _verdict(
+    theorem: str, scale: float, tol: Tolerances, *, measured: float, claimed: float,
+    witnesses: dict[str, float], dimensional: bool = False, margin: float = math.inf,
+    margin_dimensional: bool = True, premise: str = "", unmet: Sequence[str] = (),
+    exact: bool = True, bounds: Sequence[tuple[float, float]] = (),
+    flags: Sequence[str] = (), findings: Sequence[str] = (), premise_first: bool = False,
+) -> AnalysisReport:
+    """The one verdict rule: a check's raw numbers in, its report out.
+
+    The theorems are homogeneous, so no verdict may change when a problem is
+    scaled, shifted or rotated.  Dimensional numbers (measured and claimed
+    when ``dimensional``, the margin when ``margin_dimensional``) are first
+    divided by the problem's ``scale``.  Then, with ``slack = tol.report``,
+    the premise holds when nothing is ``unmet`` and, if the theorem has a
+    norm premise (a ``premise`` flag text), ``margin > slack``; a bound
+    ``x <= c`` holds when ``x <= c + slack * max(1, |c|)``.  The theorem
+    holds when its premise fails, or when measured <= claimed, every
+    scale-free pair of ``bounds`` and the side conditions ``exact`` hold.
+
+    Unmet premises are flagged after the check's ``flags`` (before them with
+    ``premise_first``); ``findings`` are flagged only under the premise.
+    """
+    slack = tol.report
+    unit = scale if dimensional else 1.0
+
+    def fits(x: float, c: float) -> bool:
+        return x <= c + slack * max(1.0, abs(c))
+
+    failed = list(unmet)
+    if premise and not margin / (scale if margin_dimensional else 1.0) > slack:
+        failed.append(premise)
+    satisfied = not failed
+    holds = not satisfied or bool(
+        exact and fits(measured / unit, claimed / unit) and all(fits(x, c) for x, c in bounds)
+    )
+    flags = [*failed, *flags] if premise_first else [*flags, *failed]
+    if satisfied:
+        flags.extend(findings)
+    return AnalysisReport(
+        theorem=theorem,
+        premise_satisfied=satisfied,
+        premise_margin=margin,
+        claimed_bound=claimed,
+        measured_value=measured,
+        holds=holds,
+        witnesses=witnesses,
+        flags=tuple(flags),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +396,9 @@ def shift_bounds(problem: PerturbationProblem) -> AnalysisReport:
         sup_a - sup_b,
         sup_b - (sup_a + dr),
     )
-    tol = problem.eig_tol()
-    return AnalysisReport(
-        theorem="SHIFT_BOUNDS",
-        premise_satisfied=True,
-        premise_margin=math.inf,
-        claimed_bound=0.0,
-        measured_value=violation,
-        holds=violation <= tol,
+    return _verdict(
+        "SHIFT_BOUNDS", problem.scale, problem.tol, measured=violation, claimed=0.0,
+        dimensional=True,
         witnesses={
             "inf_a": inf_a,
             "sup_a": sup_a,
@@ -378,15 +427,10 @@ def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
     flags = [
         f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly" for x in attained
     ]
-    return AnalysisReport(
-        theorem="SHIFT_I",
-        premise_satisfied=True,
-        premise_margin=math.inf,
-        claimed_bound=delta,
-        measured_value=measured,
-        holds=measured <= delta + tol,
+    return _verdict(
+        "SHIFT_I", problem.scale, problem.tol, measured=measured, claimed=delta, dimensional=True,
         witnesses={"norm_v": problem.norm_v, "d": problem.d, "delta_v": delta},
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -419,17 +463,9 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
         radius = problem.d / 2.0
         cap = SQRT3_2 * problem.d
 
-    margin = cap - problem.norm_v
-    premise = margin > problem.tol.report
-    flags: list[str] = []
+    unmet = []
     if variant == "full" and not hull_separated:
-        premise = False
-        flags.append("premise not satisfied: hull of sigma is not separated from Sigma")
-    if margin <= problem.tol.report:
-        flags.append(
-            f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
-            f"{cap:.12g}"
-        )
+        unmet.append("premise not satisfied: hull of sigma is not separated from Sigma")
 
     delta = delta_v(problem.norm_v, problem.d)
     open_hood = problem.sigma.open_neighborhood(radius)
@@ -438,8 +474,6 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
     tol = problem.eig_tol()
     mask_open, ambiguous, flags_open = select_eigenvalues(eigs, open_hood, tol)
     mask_closed, _, flags_closed = select_eigenvalues(eigs, closed_hood, tol)
-    flags.extend(flags_open)
-    flags.extend(flags_closed)
 
     # the intersection equality is only decidable away from ambiguous points
     decided = ~ambiguous
@@ -447,25 +481,20 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
     count_inside = int(mask_closed.sum())
     nonempty = count_inside >= 1
     rank_sigma = problem.projection.rank
-    if premise and count_inside != rank_sigma:
-        flags.append(
+    findings = []
+    if count_inside != rank_sigma:
+        findings.append(
             f"finding: {count_inside} eigenvalues of B persist near sigma but "
             f"rank E_A(sigma) = {rank_sigma}"
         )
 
     inside_dist = problem.sigma.distance_to_points(eigs[mask_closed])
     measured = float(inside_dist.max()) if inside_dist.size else 0.0
-    holds = True
-    if premise:
-        holds = equality_ok and nonempty and measured <= delta + tol
-
-    return AnalysisReport(
-        theorem=theorem,
-        premise_satisfied=premise,
-        premise_margin=margin,
-        claimed_bound=delta,
-        measured_value=measured,
-        holds=holds,
+    return _verdict(
+        theorem, problem.scale, problem.tol, measured=measured, claimed=delta, dimensional=True,
+        margin=cap - problem.norm_v,
+        premise=f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below {cap:.12g}",
+        unmet=unmet, exact=equality_ok and nonempty, premise_first=True,
         witnesses={
             "norm_v": problem.norm_v,
             "d": problem.d,
@@ -476,5 +505,6 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
             "rank_sigma": float(rank_sigma),
             "intersection_equality": float(equality_ok),
         },
-        flags=tuple(flags),
+        flags=flags_open + flags_closed,
+        findings=findings,
     )

@@ -21,6 +21,7 @@ from .analysis import (
     PerturbationProblem,
     SQRT2,
     SQRT3_2,
+    _verdict,
     gap_persistence,
     shift_bounds,
     spectrum_enclosure,
@@ -453,18 +454,10 @@ def batch_verify(
             try:
                 reports.append(run_theorem(problem, theorem))
             except CaseError as exc:
-                reports.append(
-                    AnalysisReport(
-                        theorem=theorem,
-                        premise_satisfied=False,
-                        premise_margin=-math.inf,
-                        claimed_bound=math.inf,
-                        measured_value=math.nan,
-                        holds=True,
-                        witnesses={},
-                        flags=(f"wrong case: {exc}",),
-                    )
-                )
+                reports.append(_verdict(
+                    theorem, problem.scale, tol, measured=math.nan, claimed=math.inf,
+                    margin=-math.inf, unmet=[f"wrong case: {exc}"], witnesses={},
+                ))
     return reports
 
 

@@ -27,7 +27,9 @@ class ConvergenceError(RuntimeError):
 def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return ``matrix`` as a square complex array, or raise ValidationError.
 
-    The error message names the first offending entry pair (i, j) vs (j, i).
+    The largest deviation ``|m - m*|`` may be ``herm_scale * dim`` times the
+    largest entry, so the check does not depend on the matrix's scale.  The
+    error message names the first offending entry pair (i, j) vs (j, i).
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -38,7 +40,8 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValidationError("matrix entries must be finite")
     dev = np.abs(m - m.conj().T)
     worst = float(dev.max())
-    if worst > tol.herm(m.shape[0]):
+    # an exactly Hermitian matrix, as generated problems are, needs no scale
+    if worst > 0 and worst > tol.herm(m.shape[0]) * float(np.abs(m).max()):
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValidationError(
             f"matrix is not Hermitian: entry ({i},{j})={m[i, j]} vs "

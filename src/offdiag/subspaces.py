@@ -21,6 +21,7 @@ from .analysis import (
     CaseError,
     PerturbationProblem,
     SQRT2,
+    _verdict,
     delta_v,
 )
 from .config import DEFAULT_TOL, Tolerances
@@ -137,15 +138,18 @@ def _b_projection(
 
 
 def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet, OrthogonalProjection, bool]:
-    """(sigma, Sigma, P) with roles swapped if only Sigma's hull is separated."""
+    """(sigma, Sigma, P) with roles swapped if only Sigma's hull is separated.
+
+    CASE_I is the case in which neither hull is separated from the other set.
+    """
+    if problem.case is Case.CASE_I:
+        raise CaseError(
+            "hull separation required: neither component's convex hull is "
+            f"disjoint from the other ({problem.classification.detail})"
+        )
     if not problem.sigma.convex_hull().intersects(problem.Sigma):
         return problem.sigma, problem.Sigma, problem.projection, False
-    if not problem.Sigma.convex_hull().intersects(problem.sigma):
-        return problem.Sigma, problem.sigma, problem.projection.complement(), True
-    raise CaseError(
-        "hull separation required: neither component's convex hull is "
-        f"disjoint from the other ({problem.classification.detail})"
-    )
+    return problem.Sigma, problem.sigma, problem.projection.complement(), True
 
 
 def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
@@ -177,29 +181,17 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
     is at most (pi/2) ||V|| / (d - delta_V), which is then below 1.
     """
     d = problem.d
-    margin = C_PI * d - problem.norm_v
-    premise = margin > problem.tol.report
     delta = delta_v(problem.norm_v, d)
     claimed = (math.pi / 2.0) * problem.norm_v / (d - delta) if delta < d else math.inf
 
     q, flags = _b_projection(problem, problem.sigma.open_neighborhood(d / 2.0))
     diff = projection_difference_norm(problem.projection, q)
-    flags = list(flags)
-    if not premise:
-        flags.append(
-            f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
-            f"c_pi * d = {C_PI * d:.12g}"
-        )
-    holds = True
-    if premise:
-        holds = diff.norm <= claimed + problem.tol.report and claimed < 1.0
-    return AnalysisReport(
-        theorem="MAIN",
-        premise_satisfied=premise,
-        premise_margin=margin,
-        claimed_bound=claimed,
-        measured_value=diff.norm,
-        holds=holds,
+    return _verdict(
+        "MAIN", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
+        margin=C_PI * d - problem.norm_v,
+        premise=f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
+        f"c_pi * d = {C_PI * d:.12g}",
+        exact=claimed < 1.0,
         witnesses={
             "norm_v": problem.norm_v,
             "d": d,
@@ -210,7 +202,7 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
             "rank_p": float(problem.projection.rank),
             "rank_q": float(q.rank),
         },
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -223,17 +215,12 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     spectral half-lines, each strictly below sqrt(2)/2, and the aggregation
     ||P_perp Q|| <= sqrt(sum of squared corner norms).
     """
-    if problem.case not in (Case.CASE_II, Case.SUBORDINATED):
-        raise CaseError(f"hull separation required, problem is {problem.case.value}")
     sigma, Sigma, p, swapped = _sigma_side(problem)
     d = problem.d
-    margin = SQRT2 * d - problem.norm_v
-    premise = margin > problem.tol.report
     delta = delta_v(problem.norm_v, d)
     claimed = math.sin(math.atan(problem.norm_v / (d - delta))) if delta < d else math.inf
 
     q, flags = _b_projection(problem, sigma.open_neighborhood(d))
-    flags = list(flags)
     if swapped:
         flags.append("roles swapped: the separated hull is Sigma's")
     diff = projection_difference_norm(p, q)
@@ -243,7 +230,6 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     right = SpectralSet([(sigma.sup + d, math.inf)])
     eig_tol_a = problem.eig_tol(problem.a_eigen)
     corners = {}
-    corner_ok = True
     pperp_bound = 0.0
     for name, region in (("left", left), ("right", right)):
         mask_a, _, fa = select_eigenvalues(problem.a_eigen.eigenvalues, region, eig_tol_a)
@@ -253,33 +239,17 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
         corner = projection_difference_norm(pk, qk).norm
         corners[f"corner_{name}"] = corner
         pperp_bound += corner**2
-        if premise and corner >= SQRT2 / 2.0 - problem.tol.report:
-            corner_ok = False
         flags.extend(fa)
         flags.extend(fb)
     pperp_bound = math.sqrt(pperp_bound)
-    aggregation_ok = diff.norm_pperp_q <= pperp_bound + problem.tol.report
-
-    if not premise:
-        flags.append(
-            f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
-            f"sqrt(2) * d = {SQRT2 * d:.12g}"
-        )
-    holds = True
-    if premise:
-        holds = (
-            diff.norm <= claimed + problem.tol.report
-            and claimed < 1.0
-            and corner_ok
-            and aggregation_ok
-        )
-    return AnalysisReport(
-        theorem="CASE2",
-        premise_satisfied=premise,
-        premise_margin=margin,
-        claimed_bound=claimed,
-        measured_value=diff.norm,
-        holds=holds,
+    return _verdict(
+        "CASE2", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
+        margin=SQRT2 * d - problem.norm_v,
+        premise=f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
+        f"sqrt(2) * d = {SQRT2 * d:.12g}",
+        exact=claimed < 1.0,
+        bounds=[(c, SQRT2 / 2.0) for c in corners.values()]
+        + [(diff.norm_pperp_q, pperp_bound)],
         witnesses={
             "norm_v": problem.norm_v,
             "d": d,
@@ -289,7 +259,7 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
             "corner_aggregate": pperp_bound,
             **corners,
         },
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -311,7 +281,6 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
         gap = (Sigma.sup, sigma.inf)
 
     q, flags = _b_projection(problem, half_line)
-    flags = list(flags)
     diff = projection_difference_norm(problem.projection, q)
     claimed = math.sin(0.5 * math.atan(2.0 * problem.norm_v / problem.d))
 
@@ -319,20 +288,10 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
     mask_gap, _, gap_flags = select_eigenvalues(
         problem.b_eigen.eigenvalues, gap_set, problem.eig_tol()
     )
-    flags.extend(gap_flags)
     intruders = int(mask_gap.sum())
-    holds = (
-        intruders == 0
-        and diff.norm <= claimed + problem.tol.report
-        and claimed < SQRT2 / 2.0
-    )
-    return AnalysisReport(
-        theorem="SUBORDINATED",
-        premise_satisfied=True,
-        premise_margin=math.inf,
-        claimed_bound=claimed,
-        measured_value=diff.norm,
-        holds=holds,
+    return _verdict(
+        "SUBORDINATED", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
+        exact=intruders == 0 and claimed < SQRT2 / 2.0,
         witnesses={
             "norm_v": problem.norm_v,
             "d": problem.d,
@@ -341,7 +300,7 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
             "eigenvalues_in_gap": float(intruders),
             "rank_q": float(q.rank),
         },
-        flags=tuple(flags),
+        flags=flags + gap_flags,
     )
 
 
@@ -356,8 +315,6 @@ def tan_theta_bound(
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
     operator X of the pair.
     """
-    if problem.case not in (Case.CASE_II, Case.SUBORDINATED):
-        raise CaseError(f"hull separation required, problem is {problem.case.value}")
     sigma, Sigma, p, swapped = _sigma_side(problem)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -371,7 +328,6 @@ def tan_theta_bound(
     region = SpectralSet([(lo, hi)], is_open=True)
     tol = problem.eig_tol()
     mask, _, flags = select_eigenvalues(problem.b_eigen.eigenvalues, region, tol)
-    flags = list(flags)
     if swapped:
         flags.append("roles swapped: the separated hull is Sigma's")
     q = projection_from_eigenvectors(problem.b_eigen, mask)
@@ -383,21 +339,20 @@ def tan_theta_bound(
         "rank_p": float(p.rank),
         "rank_q": float(q.rank),
     }
-    premise = bool(mask.any()) and diff.norm < 1.0 - problem.tol.report
-    if not premise:
-        flags.append(
-            "a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1"
+
+    def report(claimed: float, bounds=()) -> AnalysisReport:
+        # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
+        return _verdict(
+            "TAN_THETA", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
+            margin=1.0 - diff.norm, margin_dimensional=False, bounds=bounds,
+            premise="a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1",
+            witnesses=witnesses, flags=flags,
         )
-        return AnalysisReport(
-            theorem="TAN_THETA",
-            premise_satisfied=False,
-            premise_margin=1.0 - diff.norm,
-            claimed_bound=math.inf,
-            measured_value=diff.norm,
-            holds=True,
-            witnesses=witnesses,
-            flags=tuple(flags),
-        )
+
+    # the graph operator, and so the claims, exist only under the a-priori premise
+    apriori = report(math.inf)
+    if not apriori.premise_satisfied:
+        return apriori
 
     sigma_tilde = SpectralSet.from_points(problem.b_eigen.eigenvalues[mask])
     dist_ts = sigma_tilde.distance(Sigma)
@@ -405,27 +360,8 @@ def tan_theta_bound(
     graph = graph_operator(p, q, problem.tol, diff=diff.norm)
     tan_claim = problem.norm_v / dist_ts if dist_ts > 0 else math.inf
     x_norm = graph.norm
-    holds = (
-        diff.norm <= claimed + problem.tol.report
-        and x_norm <= tan_claim + problem.tol.report * (1.0 + tan_claim)
-    )
-    witnesses.update(
-        {
-            "dist_sigma_tilde": dist_ts,
-            "x_norm": x_norm,
-            "tan_theta_bound": tan_claim,
-        }
-    )
-    return AnalysisReport(
-        theorem="TAN_THETA",
-        premise_satisfied=True,
-        premise_margin=1.0 - diff.norm,
-        claimed_bound=claimed,
-        measured_value=diff.norm,
-        holds=holds,
-        witnesses=witnesses,
-        flags=tuple(flags),
-    )
+    witnesses.update(dist_sigma_tilde=dist_ts, x_norm=x_norm, tan_theta_bound=tan_claim)
+    return report(claimed, bounds=[(x_norm, tan_claim)])
 
 
 def verify_pair_inequality(
@@ -493,15 +429,9 @@ def _pair_inequality(
         or not delta_set.convex_hull().intersects(sigma)
     )
     claimed = diff_norm if hull_separated else (math.pi / 2.0) * diff_norm
-    slack = tol.report * (1.0 + diff_norm)
-    holds = lhs <= claimed + slack
-    return AnalysisReport(
-        theorem="MCE",
-        premise_satisfied=True,
-        premise_margin=dist,
-        claimed_bound=claimed,
-        measured_value=lhs,
-        holds=holds,
+    scale = max(float(np.abs(dec_a.eigenvalues).max()), diff_norm, dist)
+    return _verdict(
+        "MCE", scale, tol, measured=lhs, claimed=claimed, dimensional=True, margin=dist,
         witnesses={
             "dist": dist,
             "norm_a_minus_b": diff_norm,
@@ -510,5 +440,5 @@ def _pair_inequality(
             "rank_ea": float(ea.rank),
             "rank_eb": float(eb.rank),
         },
-        flags=("convex hulls separated: constant-1 bound applies",) if hull_separated else (),
+        flags=["convex hulls separated: constant-1 bound applies"] if hull_separated else [],
     )

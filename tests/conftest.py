@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offdiag import OrthogonalProjection, hermitian_eigendecompose
+from offdiag import OrthogonalProjection, PerturbationProblem, SpectralSet, hermitian_eigendecompose
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -29,6 +29,18 @@ def rotated(rng, m, spread=1.0):
     """``U m U*`` for the random unitary U of ``random_unitary``."""
     unitary = random_unitary(rng, m.shape[0], spread)
     return unitary @ m @ unitary.conj().T
+
+
+def mapped_problem(problem, s, t=0.0, unitary=None):
+    """``s U (A, V) U* + (t I, 0)`` with sigma and Sigma mapped by ``x -> s x + t``."""
+    u = np.eye(problem.dim) if unitary is None else unitary
+    a = s * (u @ problem.a @ u.conj().T) + t * np.eye(problem.dim)
+    v = s * (u @ problem.v @ u.conj().T)
+    sigma, Sigma = (
+        SpectralSet([(s * lo + t, s * hi + t) for lo, hi in x.intervals], x.is_open)
+        for x in (problem.sigma, problem.Sigma)
+    )
+    return PerturbationProblem.build(a, v, sigma, Sigma)
 
 
 def random_close_projection(rng, p, spread=0.3):

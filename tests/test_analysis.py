@@ -24,7 +24,7 @@ from offdiag import analysis, operators
 from offdiag.config import DEFAULT_TOL
 from offdiag.operators import projection_from_eigenvectors, select_eigenvalues
 
-from conftest import random_hermitian, random_unitary
+from conftest import mapped_problem, random_hermitian, random_unitary
 
 SQRT2 = math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -347,3 +347,35 @@ class TestGapPersistence:
         r = gap_persistence(builtin_example("CASE1", scale=0.5), variant="full")
         assert not r.premise_satisfied
         assert any("hull" in f for f in r.flags)
+
+
+def scaled_case1(factor, unitary=None):
+    """CASE1 with V at 0.99 of critical, the whole problem multiplied by ``factor``."""
+    return mapped_problem(builtin_example("CASE1", scale=0.99), factor, unitary=unitary)
+
+
+class TestScaleRelativeTolerances:
+    def test_wholly_non_hermitian_tiny_perturbation_rejected(self):
+        p = builtin_example("CASE1")
+        v = np.zeros((4, 4))
+        v[0, 1] = 1e-11
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            PerturbationProblem.build(p.a, v, p.sigma, p.Sigma)
+
+    def test_rotated_problem_at_large_scale_accepted(self):
+        u = random_unitary(np.random.default_rng(1), 4)
+        p = scaled_case1(1e12, u)
+        assert p.scale == pytest.approx(1.5e12)
+        assert gap_persistence(p).premise_satisfied
+
+    def test_problem_at_tiny_scale_builds(self):
+        p = scaled_case1(1e-12)
+        assert p.projection.rank == 2
+        assert p.sigma_mask.tolist() == builtin_example("CASE1", scale=0.99).sigma_mask.tolist()
+
+    @pytest.mark.parametrize("factor", [1e-8, 1e-12, 1e8])
+    def test_gap_persistence_verdict_does_not_depend_on_scale(self, factor):
+        want = gap_persistence(builtin_example("CASE1", scale=0.99))
+        got = gap_persistence(scaled_case1(factor))
+        assert (got.premise_satisfied, got.holds, len(got.flags)) == (True, True, len(want.flags))
+        assert got.measured_value / factor == pytest.approx(want.measured_value, abs=1e-9)
