@@ -113,6 +113,10 @@ class PerturbationProblem:
     b_eigen: EigenDecomposition
     norm_v: float
     scale: float  # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
+    # ||U_A[:, mask_a]* U_B[:, mask_b]|| for the eigenvector bases of A and B, keyed by
+    # (mask_a.tobytes(), mask_b.tobytes()); the subspace checks fill it, so every check
+    # on this problem computes each principal-angle block once
+    _block_norms: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def b(self) -> np.ndarray:

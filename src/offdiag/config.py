@@ -7,11 +7,13 @@ comfortably above double-precision round-off at desk dimensions: structural
 and eigenvalue checks grow linearly with dimension and with the matrix
 norm.  ``report`` is the slack of every theorem verdict; it is applied to
 numbers already divided by the problem's scale (see ``analysis._verdict``).
+Every field must be finite and nonnegative; zero asks for exact comparisons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,6 +26,15 @@ class Tolerances:
     eig_scale: float = 1e-10    # eigenvalue placement: eig_scale * dim * max |eigenvalue|
     offdiag: float = 1e-10      # off-diagonality, relative to the perturbation norm
     report: float = 1e-9        # verdict slack, relative to the problem's scale
+
+    def __post_init__(self):
+        # a NaN or negative slack would turn every comparison into a false finding
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerance {f.name} must be finite and nonnegative, got {value!r}"
+                )
 
     def herm(self, dim: int) -> float:
         return self.herm_scale * dim
@@ -39,8 +50,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """All tolerances multiplied by ``factor`` (CLI ``--tol-scale``)."""
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"tolerance scale factor must be finite and positive, got {factor!r}")
         return replace(
             self,
             herm_scale=self.herm_scale * factor,

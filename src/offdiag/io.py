@@ -140,11 +140,14 @@ def parse_tolerances(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
     if not isinstance(obj, dict):
         raise ProblemFileError("tolerances must be an object")
     tol = base
-    if "scale" in obj:
-        tol = tol.scaled(float(obj["scale"]))
-    overrides = {k: float(v) for k, v in obj.items() if k in _TOL_FIELDS}
-    if overrides:
-        tol = Tolerances(**{**dataclasses.asdict(tol), **overrides})
+    try:
+        if "scale" in obj:
+            tol = tol.scaled(float(obj["scale"]))
+        overrides = {k: float(v) for k, v in obj.items() if k in _TOL_FIELDS}
+        if overrides:
+            tol = Tolerances(**{**dataclasses.asdict(tol), **overrides})
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"tolerances: {exc}") from exc
     unknown = set(obj) - set(_TOL_FIELDS) - {"scale"}
     if unknown:
         raise ProblemFileError(f"unknown tolerance fields: {sorted(unknown)}")

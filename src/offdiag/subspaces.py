@@ -12,6 +12,7 @@ identities with the spectral-shift results to bound
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -128,19 +129,50 @@ def graph_operator(
 # ---------------------------------------------------------------------------
 
 
-def _b_projection(
-    problem: PerturbationProblem, region: SpectralSet
-) -> tuple[OrthogonalProjection, list[str]]:
-    """E_B(region) with tolerance-aware selection; boundary events are flagged."""
-    tol = problem.eig_tol()
-    mask, _, flags = select_eigenvalues(problem.b_eigen.eigenvalues, region, tol)
-    return projection_from_eigenvectors(problem.b_eigen, mask), flags
+def _b_selection(problem: PerturbationProblem, region: SpectralSet) -> tuple[np.ndarray, list[str]]:
+    """Mask of B's eigenvalues in ``region``, tolerance-aware; boundary events are flagged."""
+    mask, _, flags = select_eigenvalues(problem.b_eigen.eigenvalues, region, problem.eig_tol())
+    return mask, flags
 
 
-def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet, OrthogonalProjection, bool]:
-    """(sigma, Sigma, P) with roles swapped if only Sigma's hull is separated.
+def _block_norm(problem: PerturbationProblem, mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` on the problem's eigenvectors, once per problem."""
+    memo = problem._block_norms
+    key = (mask_a.tobytes(), mask_b.tobytes())
+    if key not in memo:
+        memo[key] = compressed_norm(
+            problem.a_eigen.eigenvectors[:, mask_a], problem.b_eigen.eigenvectors[:, mask_b]
+        )
+    return memo[key]
 
-    CASE_I is the case in which neither hull is separated from the other set.
+
+def _difference(
+    problem: PerturbationProblem, p: OrthogonalProjection, mask_p: np.ndarray, mask_q: np.ndarray
+) -> ProjectionDifference:
+    """``projection_difference_norm(p, E_B(mask_q))`` for ``p`` = E_A(mask_p), once per problem.
+
+    Its two blocks are the problem's memo entries (mask_p, ~mask_q) and
+    (~mask_p, mask_q).  When either is missing, ``projection_difference_norm``
+    computes both on the same eigenvector columns, so the values do not
+    depend on the order in which checks run.
+    """
+    memo = problem._block_norms
+    keys = ((mask_p.tobytes(), (~mask_q).tobytes()), ((~mask_p).tobytes(), mask_q.tobytes()))
+    if keys[0] in memo and keys[1] in memo:
+        pq_perp, pperp_q = memo[keys[0]], memo[keys[1]]
+        return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
+    diff = projection_difference_norm(p, projection_from_eigenvectors(problem.b_eigen, mask_q))
+    memo[keys[0]], memo[keys[1]] = diff.norm_pq_perp, diff.norm_pperp_q
+    return diff
+
+
+def _sigma_side(
+    problem: PerturbationProblem,
+) -> tuple[SpectralSet, SpectralSet, OrthogonalProjection, np.ndarray, bool]:
+    """(sigma, Sigma, P, P's mask on A's eigenvalues, swapped).
+
+    The roles swap when only Sigma's hull is separated.  CASE_I is the case
+    in which neither hull is separated from the other set.
     """
     if problem.case is Case.CASE_I:
         raise CaseError(
@@ -148,8 +180,8 @@ def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet,
             f"disjoint from the other ({problem.classification.detail})"
         )
     if not problem.sigma.convex_hull().intersects(problem.Sigma):
-        return problem.sigma, problem.Sigma, problem.projection, False
-    return problem.Sigma, problem.sigma, problem.projection.complement(), True
+        return problem.sigma, problem.Sigma, problem.projection, problem.sigma_mask, False
+    return problem.Sigma, problem.sigma, problem.projection.complement(), ~problem.sigma_mask, True
 
 
 def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
@@ -158,7 +190,7 @@ def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
     Defined for hull-separated problems (the roles swap automatically when
     Sigma's hull is the separated one).
     """
-    sigma, Sigma, _, _ = _sigma_side(problem)
+    sigma, Sigma, *_ = _sigma_side(problem)
     lo = -math.inf
     hi = math.inf
     for s_lo, s_hi in Sigma.intervals:
@@ -184,8 +216,8 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
     delta = delta_v(problem.norm_v, d)
     claimed = (math.pi / 2.0) * problem.norm_v / (d - delta) if delta < d else math.inf
 
-    q, flags = _b_projection(problem, problem.sigma.open_neighborhood(d / 2.0))
-    diff = projection_difference_norm(problem.projection, q)
+    mask_q, flags = _b_selection(problem, problem.sigma.open_neighborhood(d / 2.0))
+    diff = _difference(problem, problem.projection, problem.sigma_mask, mask_q)
     return _verdict(
         "MAIN", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
         margin=C_PI * d - problem.norm_v,
@@ -200,7 +232,7 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
             "norm_pq_perp": diff.norm_pq_perp,
             "norm_pperp_q": diff.norm_pperp_q,
             "rank_p": float(problem.projection.rank),
-            "rank_q": float(q.rank),
+            "rank_q": float(np.count_nonzero(mask_q)),
         },
         flags=flags,
     )
@@ -215,15 +247,15 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     spectral half-lines, each strictly below sqrt(2)/2, and the aggregation
     ||P_perp Q|| <= sqrt(sum of squared corner norms).
     """
-    sigma, Sigma, p, swapped = _sigma_side(problem)
+    sigma, Sigma, p, mask_p, swapped = _sigma_side(problem)
     d = problem.d
     delta = delta_v(problem.norm_v, d)
     claimed = math.sin(math.atan(problem.norm_v / (d - delta))) if delta < d else math.inf
 
-    q, flags = _b_projection(problem, sigma.open_neighborhood(d))
+    mask_q, flags = _b_selection(problem, sigma.open_neighborhood(d))
     if swapped:
         flags.append("roles swapped: the separated hull is Sigma's")
-    diff = projection_difference_norm(p, q)
+    diff = _difference(problem, p, mask_p, mask_q)
 
     # corner projections for the spectrum beyond the flanks of sigma
     left = SpectralSet([(-math.inf, sigma.inf - d)])
@@ -233,10 +265,9 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     pperp_bound = 0.0
     for name, region in (("left", left), ("right", right)):
         mask_a, _, fa = select_eigenvalues(problem.a_eigen.eigenvalues, region, eig_tol_a)
-        mask_b, _, fb = select_eigenvalues(problem.b_eigen.eigenvalues, region, problem.eig_tol())
+        mask_b, fb = _b_selection(problem, region)
         pk = projection_from_eigenvectors(problem.a_eigen, mask_a)
-        qk = projection_from_eigenvectors(problem.b_eigen, mask_b)
-        corner = projection_difference_norm(pk, qk).norm
+        corner = _difference(problem, pk, mask_a, mask_b).norm
         corners[f"corner_{name}"] = corner
         pperp_bound += corner**2
         flags.extend(fa)
@@ -280,8 +311,8 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
         half_line = SpectralSet([(sigma.inf, math.inf)])
         gap = (Sigma.sup, sigma.inf)
 
-    q, flags = _b_projection(problem, half_line)
-    diff = projection_difference_norm(problem.projection, q)
+    mask_q, flags = _b_selection(problem, half_line)
+    diff = _difference(problem, problem.projection, problem.sigma_mask, mask_q)
     claimed = math.sin(0.5 * math.atan(2.0 * problem.norm_v / problem.d))
 
     gap_set = SpectralSet([gap], is_open=True)
@@ -298,7 +329,7 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
             "gap_lo": gap[0],
             "gap_hi": gap[1],
             "eigenvalues_in_gap": float(intruders),
-            "rank_q": float(q.rank),
+            "rank_q": float(np.count_nonzero(mask_q)),
         },
         flags=flags + gap_flags,
     )
@@ -315,7 +346,7 @@ def tan_theta_bound(
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
     operator X of the pair.
     """
-    sigma, Sigma, p, swapped = _sigma_side(problem)
+    sigma, Sigma, p, mask_p, swapped = _sigma_side(problem)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
@@ -325,19 +356,16 @@ def tan_theta_bound(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
 
-    region = SpectralSet([(lo, hi)], is_open=True)
-    tol = problem.eig_tol()
-    mask, _, flags = select_eigenvalues(problem.b_eigen.eigenvalues, region, tol)
+    mask, flags = _b_selection(problem, SpectralSet([(lo, hi)], is_open=True))
     if swapped:
         flags.append("roles swapped: the separated hull is Sigma's")
-    q = projection_from_eigenvectors(problem.b_eigen, mask)
-    diff = projection_difference_norm(p, q)
+    diff = _difference(problem, p, mask_p, mask)
 
     witnesses = {
         "norm_v": problem.norm_v,
         "d": problem.d,
         "rank_p": float(p.rank),
-        "rank_q": float(q.rank),
+        "rank_q": float(np.count_nonzero(mask)),
     }
 
     def report(claimed: float, bounds=()) -> AnalysisReport:
@@ -357,6 +385,7 @@ def tan_theta_bound(
     sigma_tilde = SpectralSet.from_points(problem.b_eigen.eigenvalues[mask])
     dist_ts = sigma_tilde.distance(Sigma)
     claimed = math.sin(math.atan(problem.norm_v / dist_ts)) if dist_ts > 0 else 1.0
+    q = projection_from_eigenvectors(problem.b_eigen, mask)
     graph = graph_operator(p, q, problem.tol, diff=diff.norm)
     tan_claim = problem.norm_v / dist_ts if dist_ts > 0 else math.inf
     x_norm = graph.norm
@@ -377,19 +406,29 @@ def verify_pair_inequality(
     b = validate_hermitian(b, tol)
     if a.shape != b.shape:
         raise ValueError(f"A and B have different shapes: {a.shape} vs {b.shape}")
+    dec_a = hermitian_eigendecompose(a, tol)
+    dec_b = hermitian_eigendecompose(b, tol)
     return _pair_inequality(
         a,
         b,
-        hermitian_eigendecompose(a, tol),
-        hermitian_eigendecompose(b, tol),
+        dec_a,
+        dec_b,
         sigma,
         delta_set,
         tol,
+        lambda mask_a, mask_b: compressed_norm(
+            dec_a.eigenvectors[:, mask_a], dec_b.eigenvectors[:, mask_b]
+        ),
     )
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
-    """``verify_pair_inequality`` for (A, A + V, sigma, Sigma) on the problem's decompositions."""
+    """``verify_pair_inequality`` for (A, A + V, sigma, Sigma) on the problem's decompositions.
+
+    ``||E_A E_B||`` is a block of the problem's memo.  ``||A - B||`` is the
+    SVD of the computed A - B, not the problem's ``||V||``: the two differ
+    in the last bits on some problems.
+    """
     return _pair_inequality(
         problem.a,
         problem.b,
@@ -398,6 +437,7 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
         problem.sigma,
         problem.Sigma,
         problem.tol,
+        partial(_block_norm, problem),
     )
 
 
@@ -409,7 +449,9 @@ def _pair_inequality(
     sigma: SpectralSet,
     delta_set: SpectralSet,
     tol: Tolerances,
+    product_norm,
 ) -> AnalysisReport:
+    """MCE's verdict; ``product_norm(mask_a, mask_b)`` is ``||U_A[:, mask_a]* U_B[:, mask_b]||``."""
     dist = sigma.distance(delta_set)
     if dist <= 0:
         raise ValueError("sigma and Delta must be at positive distance")
@@ -418,11 +460,9 @@ def _pair_inequality(
     tol_b = tol.eig(dec_b.eigenvalues)
     mask_a, _, _ = select_eigenvalues(dec_a.eigenvalues, sigma, tol_a)
     mask_b, _, _ = select_eigenvalues(dec_b.eigenvalues, delta_set, tol_b)
-    ea = projection_from_eigenvectors(dec_a, mask_a)
-    eb = projection_from_eigenvectors(dec_b, mask_b)
 
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    lhs = dist * compressed_norm(ea.range_basis, eb.range_basis)
+    lhs = dist * product_norm(mask_a, mask_b)
     diff_norm = spectral_norm(a - b)
     hull_separated = (
         not sigma.convex_hull().intersects(delta_set)
@@ -437,8 +477,8 @@ def _pair_inequality(
             "norm_a_minus_b": diff_norm,
             "pi_half_bound": (math.pi / 2.0) * diff_norm,
             "hull_separated": float(hull_separated),
-            "rank_ea": float(ea.rank),
-            "rank_eb": float(eb.rank),
+            "rank_ea": float(np.count_nonzero(mask_a)),
+            "rank_eb": float(np.count_nonzero(mask_b)),
         },
         flags=["convex hulls separated: constant-1 bound applies"] if hull_separated else [],
     )

@@ -3,22 +3,34 @@
 The library computes every subspace norm on blocks of eigenvector bases
 (``U_P* U_Q`` and friends), from ``eigh``.  These tests check each block
 formula against the SVD of the full matrix it stands for, so the
-eigensolver and the SVD stay independent witnesses of each other.
+eigensolver and the SVD stay independent witnesses of each other.  The
+checks on one problem share its blocks through the problem's memo; the
+last tests pin that sharing and that it changes no report.
 """
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
 
 from offdiag import (
+    THEOREM_IDS,
+    CaseError,
     PerturbationProblem,
     SpectralSet,
     bound_pair_inequality,
+    builtin_example,
     hermitian_eigendecompose,
     projection_difference_norm,
     random_problem,
     random_problem_spec,
+    run_theorem,
+    subspaces,
     verify_pair_inequality,
 )
+from offdiag.cli import main
+from offdiag.io import save_problem
 from offdiag.operators import compressed_norm, projection_from_eigenvectors
 
 from conftest import random_close_projection, random_hermitian, rotated
@@ -131,3 +143,89 @@ class TestPairInequalityEntryPoints:
         ea = projection_from_eigenvectors(dec_a, dec_a.eigenvalues <= 0.0)
         eb = projection_from_eigenvectors(dec_b, dec_b.eigenvalues >= 0.5)
         assert abs(report.measured_value - 0.5 * dense_norm(ea.matrix @ eb.matrix)) <= TOL
+
+
+def example(name, scale):
+    return lambda: builtin_example(name, scale=scale)
+
+
+def generated(family, seed, ratio):
+    return lambda: random_problem(random_problem_spec(family, 5, 6, ratio, seed=seed))
+
+
+def swapped(name, scale):
+    """The example with sigma and Sigma exchanged, so the hull-separated checks swap roles."""
+
+    def make():
+        p = builtin_example(name, scale=scale)
+        return PerturbationProblem.build(p.a, p.v, p.Sigma, p.sigma, p.tol)
+
+    return make
+
+
+# factories, so every use gets a fresh problem with an empty memo
+PROBLEMS = {
+    **{
+        f"{name} x {scale}": example(name, scale)
+        for name in ("CASE1", "CASE2")
+        for scale in (1.0, 0.99)
+    },
+    "CASE2 x 0.9 swapped": swapped("CASE2", 0.9),
+    **{
+        f"{family} seed {seed}": generated(family, seed, ratio)
+        for family, ratio in (("CASE_I", 0.45), ("CASE_II", 1.2), ("SUBORDINATED", 4.0))
+        for seed in range(3)
+    },
+}
+
+
+class TestSharedWork:
+    def test_analyze_computes_each_block_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "case2.json"
+        save_problem(random_problem(random_problem_spec("CASE_II", 16, 16, 1.2, seed=5)), path)
+        shapes, blocks = [], []
+        svd, norm = np.linalg.svd, subspaces.compressed_norm
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k)
+        )
+        monkeypatch.setattr(
+            subspaces,
+            "compressed_norm",
+            lambda left, right, *a: blocks.append(
+                (left.shape, right.shape, hash(left.tobytes()), hash(right.tobytes()))
+            )
+            or norm(left, right, *a),
+        )
+        argv = ["analyze", str(path)]
+        argv += ["--theorem", "CASE2", "--theorem", "TAN_THETA", "--theorem", "MCE"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert shapes.count((32, 32)) == 2  # ||V|| in build and MCE's ||A - B||
+        assert len(set(blocks)) == len(blocks) > 0
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_reports_do_not_depend_on_check_order(self, name):
+        make = PROBLEMS[name]
+
+        def applicable(problem, theorem):
+            try:
+                run_theorem(problem, theorem)
+            except CaseError:
+                return False
+            return True
+
+        theorems = [t for t in THEOREM_IDS if applicable(make(), t)]
+        forward = make()
+        reports = [run_theorem(forward, t) for t in theorems]
+        backward = make()
+        assert reports == [run_theorem(backward, t) for t in reversed(theorems)][::-1]
+        assert reports == [run_theorem(make(), t) for t in theorems]
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_problem_level_check_equals_the_pair_check_unrotated(self, name):
+        problem = PROBLEMS[name]()
+        got = bound_pair_inequality(problem)
+        want = verify_pair_inequality(
+            problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol
+        )
+        assert got == want

@@ -6,10 +6,14 @@ violated, 2 = input or usage error, which argparse signals by raising
 exception escaping ``main`` fails the test.  Flags and values are drawn
 from valid and invalid choices, with sizes kept small (``--trials`` <= 4,
 ``--samples`` <= 50, dims <= 3) and problem files of dimension 4 at most.
+Invalid problem files include well-formed problems with bad ``tolerances``,
+and any argv naming one of those must exit 2.
 """
 
 import contextlib
 import io
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,8 @@ SEED = choice(["0", "7", "123"], ["-1", "x"])
 TRIALS = choice(["1", "2", "4"], ["0", "-2", "x"])
 DIMS = choice(["2,2", "2,3", "3,3", "1,1", "1,3", "3,1"], ["0,2", "2", "x"])
 THEOREM = choice(list(THEOREM_IDS), ["mce", "NOPE"])
+# CASE2 x 0.5 violates no bound, so only the tolerance value can make these fail
+BAD_TOLERANCES = {"tol_nan.json": math.nan, "tol_negative.json": -1.0}
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +47,20 @@ def paths(tmp_path_factory):
     save_problem(builtin_example("CASE2", scale=0.5), root / "case2.json")
     (root / "ragged.json").write_text('{"A": [[1, 2], [3]], "V": [[0]], "sigma": [0], "Sigma": [1]}')
     (root / "truncated.json").write_text('{"A": [[1')
-    problem = choice(["case1.json", "case2.json"], ["ragged.json", "truncated.json", "absent.json", "."])
+    for name, report in BAD_TOLERANCES.items():
+        payload = json.loads((root / "case2.json").read_text())
+        payload["tolerances"] = {"report": report}
+        (root / name).write_text(json.dumps(payload))
+    problem = choice(
+        ["case1.json", "case2.json"],
+        ["ragged.json", "truncated.json", "absent.json", ".", *BAD_TOLERANCES],
+    )
     output = choice(["out.a", "out.b"], ["missing/out", "."])
     return {
         "problem": problem.map(lambda name: str(root / name)),
+        "bad_tolerances": st.sampled_from(sorted(BAD_TOLERANCES)).map(
+            lambda name: str(root / name)
+        ),
         "output": output.map(lambda name: str(root / name)),
     }
 
@@ -135,3 +151,19 @@ def test_every_argv_exits_0_1_or_2(paths, data):
     assert code in (0, 1, 2), sink.getvalue()
     # only a theorem check can find a violated bound
     assert code != 1 or argv[0] in ("analyze", "verify"), sink.getvalue()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_every_argv_naming_a_bad_tolerances_file_exits_2(paths, data):
+    argv = data.draw(argvs({**paths, "problem": paths["bad_tolerances"]}), label="argv")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    if any(arg.endswith(tuple(BAD_TOLERANCES)) for arg in argv):
+        assert code == 2, (argv, sink.getvalue())
+    else:
+        assert code in (0, 1, 2), sink.getvalue()

@@ -13,6 +13,7 @@ from offdiag import (
     random_problem_spec,
 )
 from offdiag import cli, io
+from offdiag.config import DEFAULT_TOL, Tolerances
 from offdiag.cli import exit_code_for, main
 from offdiag.harness import default_battery
 from offdiag.io import (
@@ -115,6 +116,53 @@ class TestProblemFiles:
         }
         with pytest.raises(ProblemFileError, match="bogus"):
             parse_problem(payload)
+
+
+class TestToleranceValues:
+    """A tolerance is finite and nonnegative; anything else is an input error (exit 2)."""
+
+    @pytest.fixture
+    def case2_payload(self, tmp_path):
+        # CASE2 x 0.5 violates no bound, so a finding could only come from the tolerances
+        path = tmp_path / "case2.json"
+        save_problem(builtin_example("CASE2", scale=0.5), path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "tolerances, named",
+        [
+            ({"report": math.nan}, "report"),
+            ({"report": -1.0}, "report"),
+            ({"scale": math.nan}, "scale factor"),
+            ({"herm_scale": -1.0}, "herm_scale"),
+            ({"eig_scale": math.inf, "offdiag": -math.inf}, "eig_scale"),
+        ],
+    )
+    def test_analyze_exits_2_and_names_the_value(
+        self, case2_payload, tmp_path, capsys, tolerances, named
+    ):
+        path = tmp_path / "bad_tolerances.json"
+        path.write_text(json.dumps({**case2_payload, "tolerances": tolerances}))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and "VIOLATED" not in captured.out
+
+    def test_zero_is_allowed(self, case2_payload):
+        p = parse_problem({**case2_payload, "tolerances": {"report": 0.0, "herm_scale": 0}})
+        assert p.tol.report == 0.0 and p.tol.herm_scale == 0.0
+
+    @pytest.mark.parametrize(
+        "field", ["herm_scale", "proj_scale", "eig_scale", "offdiag", "report"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_tolerances_rejects_a_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -2.0])
+    def test_scaled_rejects_a_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="scale factor"):
+            DEFAULT_TOL.scaled(factor)
 
 
 BIG = 2**63
