@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, Classification, SpectralSet, classify_case
+from .intervals import Case, Classification, SpectralSet, classify_case, locate_points
 from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
@@ -105,7 +105,6 @@ class PerturbationProblem:
     sigma: SpectralSet
     Sigma: SpectralSet
     d: float
-    projection: OrthogonalProjection  # spectral projection of A onto sigma
     sigma_mask: np.ndarray  # which of A's eigenvalues (ascending) lie in sigma
     classification: Classification
     tol: Tolerances
@@ -121,6 +120,11 @@ class PerturbationProblem:
     @property
     def b(self) -> np.ndarray:
         return self.a + self.v
+
+    @property
+    def projection(self) -> OrthogonalProjection:
+        """E_A(sigma): A's eigenvector columns that ``sigma_mask`` picks, and the rest."""
+        return projection_from_eigenvectors(self.a_eigen, self.sigma_mask)
 
     @property
     def dim(self) -> int:
@@ -159,17 +163,17 @@ class PerturbationProblem:
         if outside.size:
             x = float(a_eigen.eigenvalues[outside[0]])
             raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
-        mask_sigma, _, _ = select_eigenvalues(a_eigen.eigenvalues, sigma, eig_tol)
-        mask_Sigma, _, _ = select_eigenvalues(a_eigen.eigenvalues, Sigma, eig_tol)
+        # A's eigenvalues sit on sigma and Sigma; no report keeps these boundary events
+        mask_sigma = locate_points(a_eigen.eigenvalues, *sigma.bounds, sigma.is_open, eig_tol)[0]
+        mask_Sigma = locate_points(a_eigen.eigenvalues, *Sigma.bounds, Sigma.is_open, eig_tol)[0]
         if np.any(mask_sigma & mask_Sigma):
             raise ValidationError("an eigenvalue of A is claimed by both components")
         if not mask_sigma.any() or not mask_Sigma.any():
             raise ValidationError("both components must contain spectrum of A")
 
-        projection = projection_from_eigenvectors(a_eigen, mask_sigma)
         # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
         # on the blocks of the eigenvector bases
-        u, u_perp = projection.range_basis, projection.complement_basis
+        u, u_perp = a_eigen.eigenvectors[:, mask_sigma], a_eigen.eigenvectors[:, ~mask_sigma]
 
         # with V = 0 the blocks are exactly zero and never exceed a zero bound
         norm_v = spectral_norm(v)
@@ -193,7 +197,6 @@ class PerturbationProblem:
             sigma=sigma,
             Sigma=Sigma,
             d=d,
-            projection=projection,
             sigma_mask=mask_sigma,
             classification=classification,
             tol=tol,
@@ -484,7 +487,7 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
     equality_ok = bool(np.array_equal(mask_open[decided], mask_closed[decided]))
     count_inside = int(mask_closed.sum())
     nonempty = count_inside >= 1
-    rank_sigma = problem.projection.rank
+    rank_sigma = int(np.count_nonzero(problem.sigma_mask))
     findings = []
     if count_inside != rank_sigma:
         findings.append(

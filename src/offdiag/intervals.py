@@ -97,7 +97,8 @@ class SpectralSet:
     @property
     def sup(self) -> float:
         self._require_nonempty()
-        return max(hi for _, hi in self.intervals)
+        # merged intervals are sorted and disjoint, so the last one ends highest
+        return self.intervals[-1][1]
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

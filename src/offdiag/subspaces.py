@@ -12,7 +12,6 @@ identities with the spectral-shift results to bound
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +25,7 @@ from .analysis import (
     delta_v,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, SpectralSet
+from .intervals import Case, SpectralSet, locate_points
 from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
@@ -135,41 +134,35 @@ def _b_selection(problem: PerturbationProblem, region: SpectralSet) -> tuple[np.
     return mask, flags
 
 
-def _block_norm(problem: PerturbationProblem, mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` on the problem's eigenvectors, once per problem."""
-    memo = problem._block_norms
+def _block_norm(
+    memo: dict, dec_a: EigenDecomposition, dec_b: EigenDecomposition, mask_a: np.ndarray,
+    mask_b: np.ndarray,
+) -> float:
+    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` on the two eigenvector bases, once per ``memo``."""
     key = (mask_a.tobytes(), mask_b.tobytes())
     if key not in memo:
-        memo[key] = compressed_norm(
-            problem.a_eigen.eigenvectors[:, mask_a], problem.b_eigen.eigenvectors[:, mask_b]
-        )
+        memo[key] = compressed_norm(dec_a.eigenvectors[:, mask_a], dec_b.eigenvectors[:, mask_b])
     return memo[key]
 
 
 def _difference(
-    problem: PerturbationProblem, p: OrthogonalProjection, mask_p: np.ndarray, mask_q: np.ndarray
+    problem: PerturbationProblem, mask_p: np.ndarray, mask_q: np.ndarray
 ) -> ProjectionDifference:
-    """``projection_difference_norm(p, E_B(mask_q))`` for ``p`` = E_A(mask_p), once per problem.
+    """``||E_A(mask_p) - E_B(mask_q)||``: the larger of two principal-angle blocks.
 
-    Its two blocks are the problem's memo entries (mask_p, ~mask_q) and
-    (~mask_p, mask_q).  When either is missing, ``projection_difference_norm``
-    computes both on the same eigenvector columns, so the values do not
-    depend on the order in which checks run.
+    The blocks are (mask_p, ~mask_q), for ``||P Q_perp||``, and (~mask_p,
+    mask_q), for ``||P_perp Q||``.  Both are entries of the problem's memo,
+    so every check on the problem computes each block once, on the same
+    columns whichever check asks first.
     """
-    memo = problem._block_norms
-    keys = ((mask_p.tobytes(), (~mask_q).tobytes()), ((~mask_p).tobytes(), mask_q.tobytes()))
-    if keys[0] in memo and keys[1] in memo:
-        pq_perp, pperp_q = memo[keys[0]], memo[keys[1]]
-        return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
-    diff = projection_difference_norm(p, projection_from_eigenvectors(problem.b_eigen, mask_q))
-    memo[keys[0]], memo[keys[1]] = diff.norm_pq_perp, diff.norm_pperp_q
-    return diff
+    memo, dec_a, dec_b = problem._block_norms, problem.a_eigen, problem.b_eigen
+    pq_perp = _block_norm(memo, dec_a, dec_b, mask_p, ~mask_q)
+    pperp_q = _block_norm(memo, dec_a, dec_b, ~mask_p, mask_q)
+    return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
 
 
-def _sigma_side(
-    problem: PerturbationProblem,
-) -> tuple[SpectralSet, SpectralSet, OrthogonalProjection, np.ndarray, bool]:
-    """(sigma, Sigma, P, P's mask on A's eigenvalues, swapped).
+def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet, np.ndarray, bool]:
+    """(sigma, Sigma, P's mask on A's eigenvalues, swapped).
 
     The roles swap when only Sigma's hull is separated.  CASE_I is the case
     in which neither hull is separated from the other set.
@@ -180,8 +173,8 @@ def _sigma_side(
             f"disjoint from the other ({problem.classification.detail})"
         )
     if not problem.sigma.convex_hull().intersects(problem.Sigma):
-        return problem.sigma, problem.Sigma, problem.projection, problem.sigma_mask, False
-    return problem.Sigma, problem.sigma, problem.projection.complement(), ~problem.sigma_mask, True
+        return problem.sigma, problem.Sigma, problem.sigma_mask, False
+    return problem.Sigma, problem.sigma, ~problem.sigma_mask, True
 
 
 def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
@@ -191,12 +184,13 @@ def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
     Sigma's hull is the separated one).
     """
     sigma, Sigma, *_ = _sigma_side(problem)
+    inf, sup = sigma.inf, sigma.sup
     lo = -math.inf
     hi = math.inf
     for s_lo, s_hi in Sigma.intervals:
-        if s_hi < sigma.inf:
+        if s_hi < inf:
             lo = max(lo, s_hi)
-        if s_lo > sigma.sup:
+        if s_lo > sup:
             hi = min(hi, s_lo)
     return lo, hi
 
@@ -217,7 +211,7 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
     claimed = (math.pi / 2.0) * problem.norm_v / (d - delta) if delta < d else math.inf
 
     mask_q, flags = _b_selection(problem, problem.sigma.open_neighborhood(d / 2.0))
-    diff = _difference(problem, problem.projection, problem.sigma_mask, mask_q)
+    diff = _difference(problem, problem.sigma_mask, mask_q)
     return _verdict(
         "MAIN", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
         margin=C_PI * d - problem.norm_v,
@@ -231,7 +225,7 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
             "c_pi": C_PI,
             "norm_pq_perp": diff.norm_pq_perp,
             "norm_pperp_q": diff.norm_pperp_q,
-            "rank_p": float(problem.projection.rank),
+            "rank_p": float(np.count_nonzero(problem.sigma_mask)),
             "rank_q": float(np.count_nonzero(mask_q)),
         },
         flags=flags,
@@ -247,7 +241,7 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     spectral half-lines, each strictly below sqrt(2)/2, and the aggregation
     ||P_perp Q|| <= sqrt(sum of squared corner norms).
     """
-    sigma, Sigma, p, mask_p, swapped = _sigma_side(problem)
+    sigma, Sigma, mask_p, swapped = _sigma_side(problem)
     d = problem.d
     delta = delta_v(problem.norm_v, d)
     claimed = math.sin(math.atan(problem.norm_v / (d - delta))) if delta < d else math.inf
@@ -255,7 +249,7 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     mask_q, flags = _b_selection(problem, sigma.open_neighborhood(d))
     if swapped:
         flags.append("roles swapped: the separated hull is Sigma's")
-    diff = _difference(problem, p, mask_p, mask_q)
+    diff = _difference(problem, mask_p, mask_q)
 
     # corner projections for the spectrum beyond the flanks of sigma
     left = SpectralSet([(-math.inf, sigma.inf - d)])
@@ -266,8 +260,7 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     for name, region in (("left", left), ("right", right)):
         mask_a, _, fa = select_eigenvalues(problem.a_eigen.eigenvalues, region, eig_tol_a)
         mask_b, fb = _b_selection(problem, region)
-        pk = projection_from_eigenvectors(problem.a_eigen, mask_a)
-        corner = _difference(problem, pk, mask_a, mask_b).norm
+        corner = _difference(problem, mask_a, mask_b).norm
         corners[f"corner_{name}"] = corner
         pperp_bound += corner**2
         flags.extend(fa)
@@ -312,13 +305,10 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
         gap = (Sigma.sup, sigma.inf)
 
     mask_q, flags = _b_selection(problem, half_line)
-    diff = _difference(problem, problem.projection, problem.sigma_mask, mask_q)
+    diff = _difference(problem, problem.sigma_mask, mask_q)
     claimed = math.sin(0.5 * math.atan(2.0 * problem.norm_v / problem.d))
 
-    gap_set = SpectralSet([gap], is_open=True)
-    mask_gap, _, gap_flags = select_eigenvalues(
-        problem.b_eigen.eigenvalues, gap_set, problem.eig_tol()
-    )
+    mask_gap, gap_flags = _b_selection(problem, SpectralSet([gap], is_open=True))
     intruders = int(mask_gap.sum())
     return _verdict(
         "SUBORDINATED", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
@@ -346,7 +336,7 @@ def tan_theta_bound(
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
     operator X of the pair.
     """
-    sigma, Sigma, p, mask_p, swapped = _sigma_side(problem)
+    sigma, Sigma, mask_p, swapped = _sigma_side(problem)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
@@ -359,12 +349,12 @@ def tan_theta_bound(
     mask, flags = _b_selection(problem, SpectralSet([(lo, hi)], is_open=True))
     if swapped:
         flags.append("roles swapped: the separated hull is Sigma's")
-    diff = _difference(problem, p, mask_p, mask)
+    diff = _difference(problem, mask_p, mask)
 
     witnesses = {
         "norm_v": problem.norm_v,
         "d": problem.d,
-        "rank_p": float(p.rank),
+        "rank_p": float(np.count_nonzero(mask_p)),
         "rank_q": float(np.count_nonzero(mask)),
     }
 
@@ -385,6 +375,7 @@ def tan_theta_bound(
     sigma_tilde = SpectralSet.from_points(problem.b_eigen.eigenvalues[mask])
     dist_ts = sigma_tilde.distance(Sigma)
     claimed = math.sin(math.atan(problem.norm_v / dist_ts)) if dist_ts > 0 else 1.0
+    p = projection_from_eigenvectors(problem.a_eigen, mask_p)
     q = projection_from_eigenvectors(problem.b_eigen, mask)
     graph = graph_operator(p, q, problem.tol, diff=diff.norm)
     tan_claim = problem.norm_v / dist_ts if dist_ts > 0 else math.inf
@@ -408,18 +399,7 @@ def verify_pair_inequality(
         raise ValueError(f"A and B have different shapes: {a.shape} vs {b.shape}")
     dec_a = hermitian_eigendecompose(a, tol)
     dec_b = hermitian_eigendecompose(b, tol)
-    return _pair_inequality(
-        a,
-        b,
-        dec_a,
-        dec_b,
-        sigma,
-        delta_set,
-        tol,
-        lambda mask_a, mask_b: compressed_norm(
-            dec_a.eigenvectors[:, mask_a], dec_b.eigenvectors[:, mask_b]
-        ),
-    )
+    return _pair_inequality(a, b, dec_a, dec_b, sigma, delta_set, tol, {})
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
@@ -427,7 +407,10 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
 
     ``||E_A E_B||`` is a block of the problem's memo.  ``||A - B||`` is the
     SVD of the computed A - B, not the problem's ``||V||``: the two differ
-    in the last bits on some problems.
+    in the last bits on some problems.  Delta = Sigma is a finite set of A's
+    eigenvalues, which B's eigenvalues miss on a generically perturbed
+    problem; E_B(Sigma) is then empty (``rank_eb`` is 0) and the check
+    holds vacuously.
     """
     return _pair_inequality(
         problem.a,
@@ -437,7 +420,7 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
         problem.sigma,
         problem.Sigma,
         problem.tol,
-        partial(_block_norm, problem),
+        problem._block_norms,
     )
 
 
@@ -449,20 +432,21 @@ def _pair_inequality(
     sigma: SpectralSet,
     delta_set: SpectralSet,
     tol: Tolerances,
-    product_norm,
+    memo: dict,
 ) -> AnalysisReport:
-    """MCE's verdict; ``product_norm(mask_a, mask_b)`` is ``||U_A[:, mask_a]* U_B[:, mask_b]||``."""
+    """MCE's verdict; ``||E_A E_B||`` is a block of the two bases, read from or put in ``memo``."""
     dist = sigma.distance(delta_set)
     if dist <= 0:
         raise ValueError("sigma and Delta must be at positive distance")
 
     tol_a = tol.eig(dec_a.eigenvalues)
     tol_b = tol.eig(dec_b.eigenvalues)
-    mask_a, _, _ = select_eigenvalues(dec_a.eigenvalues, sigma, tol_a)
-    mask_b, _, _ = select_eigenvalues(dec_b.eigenvalues, delta_set, tol_b)
+    # the selections' boundary events reach no report, so they are not formatted as flags
+    mask_a = locate_points(dec_a.eigenvalues, *sigma.bounds, sigma.is_open, tol_a)[0]
+    mask_b = locate_points(dec_b.eigenvalues, *delta_set.bounds, delta_set.is_open, tol_b)[0]
 
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    lhs = dist * product_norm(mask_a, mask_b)
+    lhs = dist * _block_norm(memo, dec_a, dec_b, mask_a, mask_b)
     diff_norm = spectral_norm(a - b)
     hull_separated = (
         not sigma.convex_hull().intersects(delta_set)

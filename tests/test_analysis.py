@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from offdiag import (
+    THEOREM_IDS,
     Case,
+    CaseError,
     OrthogonalProjection,
     PerturbationProblem,
     SpectralSet,
@@ -16,11 +18,12 @@ from offdiag import (
     qnr_sample,
     random_problem,
     random_problem_spec,
+    run_theorem,
     shift_bounds,
     spectrum_enclosure,
     two_by_two_extremes,
 )
-from offdiag import analysis, operators
+from offdiag import analysis, operators, subspaces
 from offdiag.config import DEFAULT_TOL
 from offdiag.operators import projection_from_eigenvectors, select_eigenvalues
 
@@ -379,3 +382,43 @@ class TestScaleRelativeTolerances:
         got = gap_persistence(scaled_case1(factor))
         assert (got.premise_satisfied, got.holds, len(got.flags)) == (True, True, len(want.flags))
         assert got.measured_value / factor == pytest.approx(want.measured_value, abs=1e-9)
+
+
+# factories, so each problem is built while the selections are recorded
+FLAG_PROBLEMS = {
+    **{
+        f"{name} x {scale}": lambda name=name, scale=scale: builtin_example(name, scale=scale)
+        for name in ("CASE1", "CASE2")
+        for scale in (1.0, 0.99)
+    },
+    **{
+        f"{family} seed {seed}": lambda family=family, ratio=ratio, seed=seed: random_problem(
+            random_problem_spec(family, 4, 5, ratio, seed=seed)
+        )
+        for family, ratio in (("CASE_I", 0.45), ("CASE_II", 1.2), ("SUBORDINATED", 4.0))
+        for seed in range(3)
+    },
+}
+
+
+class TestFormattedFlags:
+    @pytest.mark.parametrize("name", sorted(FLAG_PROBLEMS))
+    def test_every_formatted_flag_reaches_a_report(self, name, monkeypatch):
+        """A selection formats its boundary events only when a report keeps them."""
+        formatted = []
+
+        def recorded(*args):
+            result = select_eigenvalues(*args)
+            formatted.extend(result[2])
+            return result
+
+        for module in (operators, analysis, subspaces):
+            monkeypatch.setattr(module, "select_eigenvalues", recorded)
+        problem = FLAG_PROBLEMS[name]()
+        reported = set()
+        for theorem in THEOREM_IDS:
+            try:
+                reported.update(run_theorem(problem, theorem).flags)
+            except CaseError:
+                pass
+        assert set(formatted) <= reported

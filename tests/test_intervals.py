@@ -43,6 +43,26 @@ class TestNormalization:
         with pytest.raises(ValueError):
             _ = s.inf
 
+    def test_inf_and_sup_are_the_extreme_raw_ends(self, rng):
+        # integer ends make touching intervals common; wide ones nest others
+        for _ in range(200):
+            raw = []
+            for _ in range(int(rng.integers(1, 7))):
+                lo, hi = sorted(float(e) for e in rng.integers(-6, 7, 2))
+                kind = rng.integers(6)
+                if kind == 0:
+                    lo = -math.inf
+                elif kind == 1:
+                    hi = math.inf
+                elif kind == 2 and raw:
+                    lo, hi = raw[-1][0] - 1.0, raw[-1][1] + 1.0  # nests the previous one
+                elif kind == 3 and raw:
+                    lo, hi = raw[-1][1], raw[-1][1] + 2.0  # touches the previous one
+                raw.append((lo, hi))
+            s = SpectralSet(raw)
+            assert s.inf == min(lo for lo, _ in raw)
+            assert s.sup == max(hi for _, hi in raw)
+
 
 class TestDistance:
     def test_example_interleaved_points(self):

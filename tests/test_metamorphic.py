@@ -5,7 +5,9 @@ The statements are homogeneous: a unitary conjugation of (A, V), and the map
 carry a problem to one with the same premises and conclusions.  So every
 theorem that applies must keep its premise verdict, its verdict and its
 number of flags, and its measured value must move by round-off only, after
-dividing by s when the value carries the problem's unit.
+dividing by s when the value carries the problem's unit.  Some theorems are
+also symmetric in the two components, so they must not notice sigma and
+Sigma trading places.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from offdiag import (
     THEOREM_IDS,
     Case,
     CaseError,
+    PerturbationProblem,
     builtin_example,
     random_problem,
     random_problem_spec,
@@ -53,9 +56,9 @@ def problems(draw):
     return random_problem(spec)
 
 
-def applicable_reports(problem):
+def applicable_reports(problem, theorems=THEOREM_IDS):
     reports = {}
-    for theorem in THEOREM_IDS:
+    for theorem in theorems:
         try:
             reports[theorem] = run_theorem(problem, theorem)
         except CaseError:
@@ -63,9 +66,7 @@ def applicable_reports(problem):
     return reports
 
 
-def assert_same_verdicts(problem, s, t, unitary):
-    want = applicable_reports(problem)
-    got = applicable_reports(mapped_problem(problem, s, t, unitary))
+def assert_same_reports(got, want, s=1.0):
     assert got.keys() == want.keys()
     for theorem, w in want.items():
         g = got[theorem]
@@ -76,6 +77,11 @@ def assert_same_verdicts(problem, s, t, unitary):
         ), (theorem, g.flags, w.flags)
         unit = s if theorem in DIMENSIONAL else 1.0
         assert g.measured_value / unit == pytest.approx(w.measured_value, abs=CLOSE), theorem
+
+
+def assert_same_verdicts(problem, s, t, unitary):
+    want = applicable_reports(problem)
+    assert_same_reports(applicable_reports(mapped_problem(problem, s, t, unitary)), want, s)
 
 
 # CASE1 with V at 0.99 of critical: at 1e-8 SHIFT_II's premise margin fell below an
@@ -100,3 +106,22 @@ def test_verdicts_survive_scaling_shift_and_rotation(problem, exponent, shift, r
     if rotation is not None:
         u = random_unitary(np.random.default_rng(rotation), problem.dim)
     assert_same_verdicts(problem, s, shift * s, u)
+
+
+SWAP_SYMMETRIC = ("SHIFT_BOUNDS", "SHIFT_I", "SUBORDINATED")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(problem=problems())
+def test_symmetric_verdicts_survive_swapping_sigma_and_Sigma(problem):
+    """SHIFT_BOUNDS, SHIFT_I and SUBORDINATED read sigma and Sigma symmetrically.
+
+    The other six are left out.  CASE2 and TAN_THETA add a "roles swapped"
+    flag on one of the two problems, so their flag counts differ by one.
+    SHIFT_II, SHIFT_III and MAIN look at B's spectrum in neighbourhoods of
+    sigma, which the swap moves to Sigma.
+    """
+    swapped = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma)
+    assert_same_reports(
+        applicable_reports(swapped, SWAP_SYMMETRIC), applicable_reports(problem, SWAP_SYMMETRIC)
+    )

@@ -287,15 +287,26 @@ class TestTanTheta:
         t = r.witnesses["x_norm"]
         assert abs(r.measured_value - t / math.sqrt(1 + t * t)) < 1e-8
 
-    def test_projection_difference_computed_once(self, monkeypatch):
-        calls = []
-        counted = subspaces.projection_difference_norm
+    def test_difference_blocks_computed_once(self, monkeypatch):
+        blocks = []
+        counted = subspaces.compressed_norm
         monkeypatch.setattr(
-            subspaces, "projection_difference_norm", lambda *a: calls.append(1) or counted(*a)
+            subspaces,
+            "compressed_norm",
+            lambda left, right, *a: blocks.append((left.tobytes(), right.tobytes()))
+            or counted(left, right, *a),
         )
         p = builtin_example("CASE2", scale=0.9)
-        r = tan_theta_bound(p, (-1.0, 1.0))
-        assert r.premise_satisfied and len(calls) == 1
+        reports = [tan_theta_bound(p, (-1.0, 1.0)) for _ in range(2)]
+        assert reports[0] == reports[1] and reports[0].premise_satisfied
+        # ||P Q_perp|| and ||P_perp Q||, each once; graph_operator is handed ||P - Q||
+        mask_p = subspaces._sigma_side(p)[2]
+        mask_q, _ = subspaces._b_selection(p, SpectralSet([(-1.0, 1.0)], is_open=True))
+        u_a, u_b = p.a_eigen.eigenvectors, p.b_eigen.eigenvectors
+        assert blocks == [
+            (u_a[:, mask_p].tobytes(), u_b[:, ~mask_q].tobytes()),
+            (u_a[:, ~mask_p].tobytes(), u_b[:, mask_q].tobytes()),
+        ]
 
     def test_maximal_interval_helper(self):
         p = builtin_example("CASE2", scale=0.9)
