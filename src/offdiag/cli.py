@@ -179,6 +179,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if bool(args.path) == bool(args.random):
+        raise ValueError("provide either a problem file or --random FAMILY")
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     theorems = []
     for item in args.theorem or []:
@@ -189,7 +191,7 @@ def cmd_verify(args) -> int:
     if args.path:
         problem = load_problem(args.path, tol)
         reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
-    elif args.random:
+    else:
         if args.trials < 1:
             raise ValueError("need at least one trial")
         case = _RANDOM_FAMILIES[args.random]
@@ -201,8 +203,6 @@ def cmd_verify(args) -> int:
             for _ in range(args.trials)
         ]
         reports = batch_verify(specs, theorems or default_battery(case), tol)
-    else:
-        raise ValueError("provide a problem file or --random FAMILY")
     print(format_report_table(reports))
     s = summarize(reports)
     print(

@@ -52,14 +52,7 @@ class Tolerances:
         """All tolerances multiplied by ``factor`` (CLI ``--tol-scale``)."""
         if not (math.isfinite(factor) and factor > 0):
             raise ValueError(f"tolerance scale factor must be finite and positive, got {factor!r}")
-        return replace(
-            self,
-            herm_scale=self.herm_scale * factor,
-            proj_scale=self.proj_scale * factor,
-            eig_scale=self.eig_scale * factor,
-            offdiag=self.offdiag * factor,
-            report=self.report * factor,
-        )
+        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 
 DEFAULT_TOL = Tolerances()

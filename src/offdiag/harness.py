@@ -70,6 +70,38 @@ def builtin_example(which: str, scale: float = 1.0, tol: Tolerances = DEFAULT_TO
     return PerturbationProblem.build(a, scale * v, sigma, Sigma, tol)
 
 
+_LAYOUT_MIN_GAP = 0.2  # least distance between neighbouring sites of a random_problem_spec layout
+_MIN_COUPLING = 1e-14  # a coupling block W with ||W|| below this is no coupling: V = 0
+
+
+def _gap(sig: np.ndarray, Sig: np.ndarray) -> np.ndarray:
+    """d = min |s - t| over s in ``sig`` (..., n0) and t in ``Sig`` (..., n1), one per row."""
+    return np.abs(sig[..., :, None] - Sig[..., None, :]).min(axis=(-2, -1))
+
+
+def _coupling(w: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """V = [[0, f W], [f W*, 0]] for each block W of ``w`` (T, n0, n1) and f of ``factor`` (T,)."""
+    rows, n0, n1 = w.shape
+    v = np.zeros((rows, n0 + n1, n0 + n1), dtype=complex)
+    block = w * factor[:, None, None]
+    v[:, :n0, n0:] = block
+    v[:, n0:, :n0] = block.conj().swapaxes(1, 2)
+    return v
+
+
+def _diagonal_problem(sig, Sig, w, ratio: float, tol: Tolerances) -> PerturbationProblem:
+    """A = diag(sig, Sig) and V = _coupling of ``w`` scaled to ||V|| = ratio * d."""
+    d = _gap(sig, Sig)
+    w_norm = spectral_norm(w)
+    factor = ratio * d / w_norm if w_norm >= _MIN_COUPLING else 0.0
+    a = np.diag(np.concatenate([sig, Sig])).astype(complex)
+    # no coupling is V = 0 in +0.0 zeros, without the -0.0 imaginary parts that conjugating
+    # a zero block leaves, so such a problem saves with a real V
+    v = _coupling(w[None], np.array([factor]))[0] if factor else np.zeros_like(a)
+    sets = SpectralSet.from_points(sig), SpectralSet.from_points(Sig)
+    return PerturbationProblem.build(a, v, *sets, tol)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Diagonal layout plus target perturbation strength for one random problem."""
@@ -93,9 +125,7 @@ class ProblemSpec:
             raise ValueError("both components need at least one value")
         if not math.isfinite(self.target_norm_ratio) or self.target_norm_ratio < 0:
             raise ValueError("target_norm_ratio must be finite and nonnegative")
-        d = min(
-            abs(s - t) for s in self.sigma_values for t in self.Sigma_values
-        )
+        d = float(_gap(np.array(self.sigma_values), np.array(self.Sigma_values)))
         if d <= 0:
             raise ValueError("sigma and Sigma values must be separated")
         return d
@@ -108,21 +138,12 @@ def random_problem(spec: ProblemSpec, tol: Tolerances = DEFAULT_TOL) -> Perturba
     block (diagonal blocks exactly zero) and is rescaled so that
     ||V|| = target_norm_ratio * d to machine precision.
     """
-    d = spec.validate()
-    n0, n1 = spec.dim_sigma, spec.dim_Sigma
-    dim = n0 + n1
-    a = np.diag(np.array(spec.sigma_values + spec.Sigma_values, dtype=float)).astype(complex)
-    v = np.zeros((dim, dim), dtype=complex)
-    if spec.target_norm_ratio > 0:
-        rng = np.random.default_rng(spec.seed)
-        w = rng.standard_normal((n0, n1)) + 1j * rng.standard_normal((n0, n1))
-        target = spec.target_norm_ratio * d
-        w *= target / spectral_norm(w)
-        v[:n0, n0:] = w
-        v[n0:, :n0] = w.conj().T
-    sigma = SpectralSet.from_points(spec.sigma_values)
-    Sigma = SpectralSet.from_points(spec.Sigma_values)
-    return PerturbationProblem.build(a, v, sigma, Sigma, tol)
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    shape = (spec.dim_sigma, spec.dim_Sigma)
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sig, Sig = np.array(spec.sigma_values), np.array(spec.Sigma_values)
+    return _diagonal_problem(sig, Sig, w, spec.target_norm_ratio, tol)
 
 
 def random_problem_spec(
@@ -131,12 +152,11 @@ def random_problem_spec(
     dim_Sigma: int,
     ratio: float,
     seed: int,
-    min_gap: float = 0.2,
 ) -> ProblemSpec:
     """Seeded eigenvalue layout of the requested case.
 
     Values sit on a grid of sites separated by random gaps of at least
-    ``min_gap``, so the cross-component distance never degenerates.
+    ``_LAYOUT_MIN_GAP``, so the cross-component distance never degenerates.
     CASE_I alternates the components along the grid (needs two values on
     each side), CASE_II nests the sigma block between two Sigma flanks,
     SUBORDINATED puts the sigma block wholly below Sigma.
@@ -144,7 +164,7 @@ def random_problem_spec(
     case = Case(case) if not isinstance(case, Case) else case
     rng = np.random.default_rng(seed)
     total = dim_sigma + dim_Sigma
-    gaps = rng.uniform(min_gap, 1.0, total - 1)
+    gaps = rng.uniform(_LAYOUT_MIN_GAP, 1.0, total - 1)
     sites = np.concatenate([[0.0], np.cumsum(gaps)]) + rng.uniform(-2.0, -1.0)
 
     labels = np.zeros(total, dtype=bool)  # True marks sigma
@@ -178,16 +198,11 @@ def random_problem_spec(
         seed=int(rng.integers(0, 2**63 - 1)),
     )
     spec.validate()
-    got = _classify_values(spec)
+    sets = SpectralSet.from_points(spec.sigma_values), SpectralSet.from_points(spec.Sigma_values)
+    got = classify_case(*sets).case
     if got is not case:
         raise RuntimeError(f"layout construction produced {got.value}, wanted {case.value}")
     return spec
-
-
-def _classify_values(spec: ProblemSpec) -> Case:
-    sigma = SpectralSet.from_points(spec.sigma_values)
-    Sigma = SpectralSet.from_points(spec.Sigma_values)
-    return classify_case(sigma, Sigma).case
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +239,12 @@ def _score(
     """
     n0, n1 = sig.shape[1], Sig.shape[1]
     dim = n0 + n1
-    d = np.abs(sig[:, :, None] - Sig[:, None, :]).min(axis=(1, 2))
+    d = _gap(sig, Sig)
     w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
-    live = (d >= 1e-3) & (w_norm >= 1e-14)
-    factor = np.divide(s * c * d, w_norm, out=np.zeros_like(d), where=live)
-    block = w * factor[:, None, None]
-    b = np.zeros((len(d), dim, dim), dtype=complex)
+    coupled = w_norm >= _MIN_COUPLING
+    factor = np.divide(s * c * d, w_norm, out=np.zeros_like(d), where=coupled & (d >= 1e-3))
+    b = _coupling(w, factor)
     b.reshape(len(d), -1)[:, :: dim + 1] = np.concatenate([sig, Sig], axis=1)
-    b[:, :n0, n0:] = block
-    b[:, n0:, :n0] = block.conj().swapaxes(1, 2)
     eigs, vecs = np.linalg.eigh(b)
     lo, hi = neighborhood_bounds(sig, d / 2.0 if half else d)
     mask, _, _ = locate_points(eigs, lo, hi, True, tol.eig(eigs))
@@ -240,7 +252,7 @@ def _score(
     p = np.zeros((dim, dim), dtype=complex)
     p[np.arange(n0), np.arange(n0)] = 1.0
     value = np.linalg.svd(p - q, compute_uv=False)[:, 0]
-    return np.where(d < 1e-3, -math.inf, np.where(w_norm < 1e-14, 0.0, value))
+    return np.where(d < 1e-3, -math.inf, np.where(coupled, value, 0.0))
 
 
 def _example_start(dim_sigma: int, dim_Sigma: int, c: float, half: bool):
@@ -382,22 +394,8 @@ def search_worst_case(
 
 def _rebuild(sig, Sig, w, s, c: float, tol: Tolerances) -> PerturbationProblem:
     """The searched problem with each component sorted and the coupling block permuted to match."""
-    d = min(abs(x - y) for x in sig for y in Sig)
-    ratio = s * c if spectral_norm(w) > 1e-14 else 0.0
-    sigma_values = sorted(float(x) for x in sig)
-    Sigma_values = sorted(float(x) for x in Sig)
-    n0 = len(sig)
-    dim = n0 + len(Sig)
-    a = np.diag(np.array(sigma_values + Sigma_values)).astype(complex)
-    v = np.zeros((dim, dim), dtype=complex)
-    if ratio > 0:
-        block = w[np.ix_(np.argsort(sig), np.argsort(Sig))]
-        block = block * (ratio * d / spectral_norm(block))
-        v[:n0, n0:] = block
-        v[n0:, :n0] = block.conj().T
-    return PerturbationProblem.build(
-        a, v, SpectralSet.from_points(sigma_values), SpectralSet.from_points(Sigma_values), tol
-    )
+    rows, cols = np.argsort(sig), np.argsort(Sig)
+    return _diagonal_problem(sig[rows], Sig[cols], w[np.ix_(rows, cols)], s * c, tol)
 
 
 # ---------------------------------------------------------------------------

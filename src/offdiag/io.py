@@ -2,9 +2,9 @@
 
 A problem file is JSON with keys ``A``, ``V`` (a nest of plain numbers
 for a real matrix; a complex one as ``{"re": nest, "im": nest}`` or as a
-nest of ``[re, im]`` pairs), ``sigma`` and
-``Sigma`` (lists of numbers or ``[lo, hi]`` pairs) and an optional
-``tolerances`` object.  Parse failures carry the row/column of the first
+nest of ``[re, im]`` pairs), ``sigma`` and ``Sigma`` (lists of numbers or
+``[lo, hi]`` pairs; an open set as ``{"intervals": pairs, "open": true}``)
+and an optional ``tolerances`` object.  Parse failures carry the row/column of the first
 violation.  Machine-readable output keeps full float precision; human
 tables round to 6 significant digits.
 """
@@ -25,9 +25,6 @@ from .intervals import SpectralSet
 
 class ProblemFileError(ValueError):
     """A problem file failed to parse or validate; message carries the location."""
-
-
-_TOL_FIELDS = ("herm_scale", "proj_scale", "eig_scale", "offdiag", "report")
 
 
 def _parse_entry(item, name: str, row: int, col: int, pairs: bool) -> complex:
@@ -119,9 +116,17 @@ def matrix_payload(m: np.ndarray) -> list | dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def parse_spectral_set(obj, name: str, is_open: bool = False) -> SpectralSet:
+def parse_spectral_set(obj, name: str) -> SpectralSet:
+    """A set from numbers or ``[lo, hi]`` pairs, or from ``{"intervals": pairs, "open": bool}``."""
+    is_open = False
     if isinstance(obj, dict):
-        return parse_spectral_set(obj.get("intervals", []), name, bool(obj.get("open", False)))
+        is_open = obj.get("open", False)
+        if set(obj) - {"open"} != {"intervals"} or not isinstance(is_open, bool):
+            raise ProblemFileError(
+                f"set {name}: expected the key 'intervals' and an optional boolean 'open', "
+                f"got keys {sorted(obj)} with open = {is_open!r}"
+            )
+        obj = obj["intervals"]
     if not isinstance(obj, (list, tuple)):
         raise ProblemFileError(f"set {name} must be a list of numbers or [lo, hi] pairs")
     try:
@@ -139,19 +144,14 @@ def parse_tolerances(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
         return base
     if not isinstance(obj, dict):
         raise ProblemFileError("tolerances must be an object")
-    tol = base
-    try:
-        if "scale" in obj:
-            tol = tol.scaled(float(obj["scale"]))
-        overrides = {k: float(v) for k, v in obj.items() if k in _TOL_FIELDS}
-        if overrides:
-            tol = Tolerances(**{**dataclasses.asdict(tol), **overrides})
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"tolerances: {exc}") from exc
-    unknown = set(obj) - set(_TOL_FIELDS) - {"scale"}
+    unknown = set(obj) - {f.name for f in dataclasses.fields(Tolerances)} - {"scale"}
     if unknown:
         raise ProblemFileError(f"unknown tolerance fields: {sorted(unknown)}")
-    return tol
+    try:
+        tol = base.scaled(float(obj["scale"])) if "scale" in obj else base
+        return dataclasses.replace(tol, **{k: float(v) for k, v in obj.items() if k != "scale"})
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"tolerances: {exc}") from exc
 
 
 def parse_problem(payload: dict, base_tol: Tolerances = DEFAULT_TOL) -> PerturbationProblem:
@@ -177,12 +177,18 @@ def load_problem(path, base_tol: Tolerances = DEFAULT_TOL) -> PerturbationProble
     return parse_problem(payload, base_tol)
 
 
+def _problem_set_payload(s: SpectralSet) -> list | dict:
+    """A closed set as its ``[lo, hi]`` pairs, an open one as ``spectral_set_payload`` writes it."""
+    payload = spectral_set_payload(s)
+    return payload if s.is_open else payload["intervals"]
+
+
 def problem_payload(problem: PerturbationProblem) -> dict:
     return {
         "A": matrix_payload(problem.a),
         "V": matrix_payload(problem.v),
-        "sigma": [[lo, hi] for lo, hi in problem.sigma.intervals],
-        "Sigma": [[lo, hi] for lo, hi in problem.Sigma.intervals],
+        "sigma": _problem_set_payload(problem.sigma),
+        "Sigma": _problem_set_payload(problem.Sigma),
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -81,6 +82,34 @@ class TestRandomProblem:
     def test_bad_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             random_problem(ProblemSpec((0.0,), (1.0,), ratio, seed=0))
+
+    # SHA-256 of the bits of A and V, recorded from the generator before the coupling
+    # layout was shared with the search; the benchmark's input files and reference
+    # verdicts are made from these problems
+    @pytest.mark.parametrize("make, a_sha, v_sha", [
+        (lambda: random_problem(random_problem_spec(Case.CASE_I, 3, 4, 0.45, seed=1)),
+         "29bef2ab81041ef78387f2989bf8d573e7b7e577998a0470c91c0ec4ad50a8c1",
+         "fca963c7c2b0ec0ba7391f3a1c497ae44ac6c55bf05463faee96773cabfc4d57"),
+        (lambda: random_problem(random_problem_spec(Case.CASE_II, 3, 4, 0.8, seed=2)),
+         "6125feceea405f786bcf25a731ba7ab791d17e316f9ace5d4f4606489ab371bc",
+         "a1693967e1220b921b93611cc60de4c88dad2cc492227774621fda511c77a40e"),
+        (lambda: random_problem(random_problem_spec(Case.SUBORDINATED, 2, 3, 4.0, seed=3)),
+         "db7b7a6a39f1f445631d30fb3e8552bbaabaa7c2f68e79b1cf20e5a9285257a1",
+         "f55685a7fbfbb07bc646fea65fa865a8e5c9f808383fd6e44f85688a4adc6e8c"),
+        (lambda: random_problem(random_problem_spec(Case.CASE_II, 4, 5, 0.0, seed=4)),
+         "d989a4135b0482d4f701ff28c92a00ab7d3128bcc9644d2570bf5d5e349e6497",
+         "94637c6efefbdcc3d3bb74d61732b22250552654c8c11f0fa9c3b3ed11d38373"),
+        (lambda: random_problem(random_problem_spec(Case.CASE_II, 128, 128, 1.2, seed=0)),
+         "147d4113212f57a8cf7d03a37e9021ef39fd6212444f04f987b959143b3e2f45",
+         "add968a6a86f5ced9f451979cd6edbfa382c1c83f77c21f75d90290d8f76831a"),
+        (lambda: search_worst_case(2, 2, c=0.75, trials=8, seed=0).best_problem,
+         "80461f7fc8c2184e4ac71ce269e076cc02705b0cd1e79be045f6b32e41695998",
+         "7c5f6cc6d80c36fb13ef60b8276bad9958a817d94bb7a5c04a868765e224dc10"),
+    ], ids=["case_i", "case_ii", "subordinated", "ratio_0", "analyze_large", "search_best"])
+    def test_generated_bits_pinned(self, make, a_sha, v_sha):
+        p = make()
+        assert hashlib.sha256(p.a.tobytes()).hexdigest() == a_sha
+        assert hashlib.sha256(p.v.tobytes()).hexdigest() == v_sha
 
     def test_layout_generator_produces_requested_case(self, rng):
         for case in (Case.CASE_I, Case.CASE_II, Case.SUBORDINATED):

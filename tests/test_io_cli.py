@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from offdiag import (
     Case,
     PerturbationProblem,
+    SpectralSet,
     builtin_example,
     qnr_sample,
     random_problem,
@@ -23,6 +25,8 @@ from offdiag.io import (
     matrix_payload,
     parse_matrix,
     parse_problem,
+    parse_spectral_set,
+    parse_tolerances,
     qnr_svg,
     save_problem,
     write_qnr_csv,
@@ -59,6 +63,36 @@ class TestProblemFiles:
         save_problem(p, path)
         q = load_problem(path)
         assert np.array_equal(p.v, q.v)
+
+    def test_open_sets_survive_save_problem(self, tmp_path):
+        sigma, Sigma = SpectralSet([(-1.0, 1.0)], is_open=True), SpectralSet([(4.0, 6.0)], True)
+        p = PerturbationProblem.build(np.diag([0.0, 5.0]), [[0, 0.3], [0.3, 0]], sigma, Sigma)
+        path = tmp_path / "open.json"
+        save_problem(p, path)
+        assert json.loads(path.read_text())["sigma"] == {"intervals": [[-1.0, 1.0]], "open": True}
+        q = load_problem(path)
+        assert q.sigma == sigma and q.Sigma == Sigma
+        assert q.sigma.is_open and q.Sigma.is_open
+
+    @pytest.mark.parametrize("obj, named", [
+        ({"intervals": [[-1.0, 1.0]], "open": "false"}, "with open = 'false'"),
+        ({"interval": [[-1.0, 1.0]]}, "got keys ['interval']"),
+        ({"intervals": [[-1.0, 1.0]], "open": False, "closed": True}, "'closed', 'intervals'"),
+    ], ids=["open-not-a-boolean", "no-intervals-key", "other-key"])
+    def test_set_object_checked(self, obj, named):
+        with pytest.raises(ProblemFileError) as excinfo:
+            parse_spectral_set(obj, "sigma")
+        message = str(excinfo.value)
+        assert message.startswith("set sigma: expected the key 'intervals'") and named in message
+
+    def test_set_object_error_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "A": [[0.0, 0.0], [0.0, 5.0]], "V": [[0, 0.3], [0.3, 0]],
+            "sigma": {"intervals": [[-1.0, 1.0]], "open": "false"}, "Sigma": [[5.0, 5.0]],
+        }))
+        assert main(["analyze", str(path)]) == 2
+        assert "error: set sigma: expected the key 'intervals'" in capsys.readouterr().err
 
     def test_plain_real_entries_accepted(self):
         payload = {
@@ -158,6 +192,11 @@ class TestToleranceValues:
     def test_tolerances_rejects_a_bad_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+    def test_every_field_is_scaled_and_read(self, field):
+        assert getattr(DEFAULT_TOL.scaled(4.0), field) == 4.0 * getattr(DEFAULT_TOL, field)
+        assert getattr(parse_tolerances({field: 0.25}), field) == 0.25
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -2.0])
     def test_scaled_rejects_a_bad_factor(self, factor):
@@ -575,6 +614,13 @@ class TestCli:
         assert main(["verify", "--random", "case1", "--trials", trials]) == 2
         assert draws == []
         assert "need at least one trial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--trials", "0"]])
+    def test_verify_file_and_random_together_exit_2(self, case1_file, extra, capsys):
+        assert main(["verify", str(case1_file), "--random", "case2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: provide either a problem file or --random FAMILY" in captured.err
 
     def test_verify_file(self, case1_file, capsys):
         assert main(["verify", str(case1_file)]) == 0
