@@ -43,6 +43,8 @@ _RANDOM_FAMILIES = {
     "case2": Case.CASE_II,
     "subordinated": Case.SUBORDINATED,
 }
+# verify's options for --random and their defaults; a run on a file takes none of them
+_RANDOM_OPTIONS = {"trials": 100, "ratio": 0.45, "dims": (3, 3), "seed": 0}
 
 
 def _finite_float(text: str) -> float:
@@ -163,6 +165,8 @@ def cmd_search(args) -> int:
     )
     payload = {
         "best_value": result.best_value,
+        "dims": list(args.dims),
+        "seed": args.seed,
         "trials": result.trials,
         "c": result.c,
         "neighborhood": result.neighborhood,
@@ -181,6 +185,9 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     if bool(args.path) == bool(args.random):
         raise ValueError("provide either a problem file or --random FAMILY")
+    given = {name: value for name in _RANDOM_OPTIONS if (value := getattr(args, name)) is not None}
+    if args.path and given:
+        raise ValueError(f"only --random takes {', '.join('--' + name for name in given)}")
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     theorems = []
     for item in args.theorem or []:
@@ -192,15 +199,16 @@ def cmd_verify(args) -> int:
         problem = load_problem(args.path, tol)
         reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
     else:
-        if args.trials < 1:
+        opts = {**_RANDOM_OPTIONS, **given}
+        if opts["trials"] < 1:
             raise ValueError("need at least one trial")
         case = _RANDOM_FAMILIES[args.random]
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(opts["seed"])
         specs = [
             random_problem_spec(
-                case, *args.dims, args.ratio, int(rng.integers(0, 2**63 - 1))
+                case, *opts["dims"], opts["ratio"], int(rng.integers(0, 2**63 - 1))
             )
-            for _ in range(args.trials)
+            for _ in range(opts["trials"])
         ]
         reports = batch_verify(specs, theorems or default_battery(case), tol)
     print(format_report_table(reports))
@@ -256,10 +264,10 @@ def main(argv=None) -> int:
     p.add_argument("path", nargs="?")
     p.add_argument("--random", choices=sorted(_RANDOM_FAMILIES))
     p.add_argument("--theorem", action="append", help="theorem id(s), comma separable")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ratio", type=_finite_float, default=0.45, help="target ||V||/d for --random")
-    p.add_argument("--dims", type=_dims, default="3,3", help="dim_sigma,dim_Sigma for --random")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="problems to draw for --random (default 100)")
+    p.add_argument("--ratio", type=_finite_float, help="target ||V||/d for --random (default 0.45)")
+    p.add_argument("--dims", type=_dims, help="dim_sigma,dim_Sigma for --random (default 3,3)")
+    p.add_argument("--seed", type=int, help="layout seed for --random (default 0)")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_verify)
 

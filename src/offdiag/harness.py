@@ -224,20 +224,37 @@ class SearchResult:
 SEARCH_CHUNK = 256
 
 
-def _score(
-    sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, s: np.ndarray, c: float, half: bool,
-    tol: Tolerances,
-) -> np.ndarray:
-    """||E_A(sigma) - E_B(open neighborhood)|| for a stack of parameterized problems.
+def _pack(sig, Sig, w, s) -> np.ndarray:
+    """One real parameter vector per trial: [sig (n0), Sig (n1), W as (re, im) pairs, s].
 
-    Row t of ``sig`` (T, n0), ``Sig`` (T, n1), ``w`` (T, n0, n1) and ``s``
-    (T,) is one problem; all of them go through one stacked SVD for ||w||,
+    ``sig``, ``Sig``, ``w`` and ``s`` share any leading shape; W is laid out
+    row-major, so a trial has P = n0 + n1 + 2 n0 n1 + 1 entries.  This and
+    ``_unpack`` are the only code that knows the layout.
+    """
+    re_im = w.reshape(*w.shape[:-2], -1).view(float)
+    return np.concatenate([sig, Sig, re_im, np.asarray(s, dtype=float)[..., None]], axis=-1)
+
+
+def _unpack(x: np.ndarray, dims: tuple[int, int]):
+    """(sig, Sig, w, s) of the trials in ``x`` (..., P), as views: the inverse of ``_pack``."""
+    n0, n1 = dims
+    end = n0 + n1 + 2 * n0 * n1
+    w = x[..., n0 + n1 : end].view(complex).reshape(*x.shape[:-1], n0, n1)
+    return x[..., :n0], x[..., n0 : n0 + n1], w, x[..., end]
+
+
+def _score(x: np.ndarray, dims: tuple[int, int], c: float, half: bool,
+           tol: Tolerances) -> np.ndarray:
+    """||E_A(sigma) - E_B(open neighborhood)|| for a stack ``x`` (T, P) of packed trials.
+
+    Each row is one problem; all of them go through one stacked SVD for ||w||,
     one stacked ``eigh``, one selection and one stacked SVD for the norm.
     A row whose layout degenerates (gap below the floor) scores -inf.  An
     empty neighborhood gives the zero projection and the value ||P|| = 1:
     that is the sharpness mechanism, scored rather than erred.
     """
-    n0, n1 = sig.shape[1], Sig.shape[1]
+    sig, Sig, w, s = _unpack(x, dims)
+    n0, n1 = dims
     dim = n0 + n1
     d = _gap(sig, Sig)
     w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
@@ -255,80 +272,58 @@ def _score(
     return np.where(d < 1e-3, -math.inf, np.where(coupled, value, 0.0))
 
 
-def _example_start(dim_sigma: int, dim_Sigma: int, c: float, half: bool):
+def _example_start(dims: tuple[int, int], c: float, half: bool) -> np.ndarray | None:
     """Sharpness-example-shaped start when the dimensions accommodate it."""
-    if half and (dim_sigma, dim_Sigma) == (2, 2):
-        sig = np.array([-1.5, 0.5])
-        Sig = np.array([-0.5, 1.5])
+    if half and dims == (2, 2):
         w = np.diag([SQRT3_2, SQRT3_2]).astype(complex)
-        s = min(1.0, SQRT3_2 / c)
-        return sig, Sig, w, s
-    if not half and (dim_sigma, dim_Sigma) == (1, 2):
-        sig = np.array([0.0])
-        Sig = np.array([-1.0, 1.0])
+        return _pack(np.array([-1.5, 0.5]), np.array([-0.5, 1.5]), w, min(1.0, SQRT3_2 / c))
+    if not half and dims == (1, 2):
         w = np.array([[SQRT2, 0.0]], dtype=complex)
-        s = min(1.0, SQRT2 / c)
-        return sig, Sig, w, s
+        return _pack(np.array([0.0]), np.array([-1.0, 1.0]), w, min(1.0, SQRT2 / c))
     return None
 
 
-def _starts(chunk: range, dim_sigma: int, dim_Sigma: int, c: float, half: bool, seed: int,
-            include_example_start: bool) -> list[np.ndarray]:
-    """Stacked start parameters [sig, Sig, w, s], one row per trial index in ``chunk``."""
-    sig = np.empty((len(chunk), dim_sigma))
-    Sig = np.empty((len(chunk), dim_Sigma))
-    w = np.empty((len(chunk), dim_sigma, dim_Sigma), dtype=complex)
-    s = np.ones(len(chunk))
-    for row, trial in enumerate(chunk):
-        start = _example_start(dim_sigma, dim_Sigma, c, half) if (
-            trial == 0 and include_example_start
-        ) else None
+def _starts(chunk: range, dims: tuple[int, int], c: float, half: bool, seed: int) -> np.ndarray:
+    """Packed start trials, one row per trial index in ``chunk``.
+
+    Trial 0 starts from ``_example_start`` when the dimensions allow it.
+    """
+    rows = []
+    for trial in chunk:
+        start = _example_start(dims, c, half) if trial == 0 else None
         if start is None:
             rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-            sig[row] = rng.uniform(-2.0, 2.0, dim_sigma)
-            Sig[row] = rng.uniform(-2.0, 2.0, dim_Sigma)
-            w[row] = rng.standard_normal((dim_sigma, dim_Sigma)) + 1j * rng.standard_normal(
-                (dim_sigma, dim_Sigma)
-            )
-        else:
-            sig[row], Sig[row], w[row], s[row] = start
-    return [sig, Sig, w, s]
+            sig = rng.uniform(-2.0, 2.0, dims[0])
+            Sig = rng.uniform(-2.0, 2.0, dims[1])
+            w = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+            start = _pack(sig, Sig, w, 1.0)
+        rows.append(start)
+    return np.stack(rows)
 
 
-def _coordinates(dim_sigma: int, dim_Sigma: int) -> list[tuple[int, tuple, complex]]:
-    """Refinement coordinates in sweep order as (parameter, index, unit step)."""
-    return (
-        [(0, (i,), 1.0) for i in range(dim_sigma)]
-        + [(1, (i,), 1.0) for i in range(dim_Sigma)]
-        + [(2, (i, j), unit) for i in range(dim_sigma) for j in range(dim_Sigma)
-           for unit in (1.0, 1j)]
-        + [(3, (), 1.0)]
-    )
-
-
-def _refine(params: list[np.ndarray], coords, sweeps: int, c: float, half: bool,
+def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: bool,
             tol: Tolerances) -> np.ndarray:
-    """Greedy coordinate refinement of every trial in ``params``, in lockstep; returns the values.
+    """Greedy coordinate refinement of every trial in ``x`` (T, P), in lockstep; returns the values.
 
-    ``params`` is updated in place.  Each step moves one coordinate of every
+    ``x`` is updated in place.  Each step moves one coordinate of every
     trial by its own step and keeps the move where it improves that trial;
-    a trial's step halves after a sweep without improvement.
+    a trial's step halves after a sweep without improvement.  The last
+    coordinate, s, stays in [0.01, 1].
     """
-    value = _score(*params, c, half, tol)
+    value = _score(x, dims, c, half, tol)
     step = np.full(len(value), 0.25)
+    last = x.shape[1] - 1
     for _ in range(sweeps):
         improved = np.zeros(len(value), dtype=bool)
-        for part, index, unit in coords:
+        for k in range(x.shape[1]):
             for sign in (1.0, -1.0):
-                if part == 3:
-                    moved = np.clip(params[3] + sign * step, 0.01, 1.0)
-                else:
-                    moved = params[part].copy()
-                    moved[(slice(None), *index)] += unit * sign * step
-                cand = _score(*params[:part], moved, *params[part + 1 :], c, half, tol)
+                moved = x.copy()
+                moved[:, k] += sign * step
+                if k == last:
+                    moved[:, k] = np.clip(moved[:, k], 0.01, 1.0)
+                cand = _score(moved, dims, c, half, tol)
                 take = cand > value + 1e-15
-                keep = take.reshape((-1,) + (1,) * (moved.ndim - 1))
-                params[part] = np.where(keep, moved, params[part])
+                np.copyto(x, moved, where=take[:, None])
                 value = np.where(take, cand, value)
                 improved |= take
         step = np.where(improved, step, step * 0.5)
@@ -343,7 +338,6 @@ def search_worst_case(
     seed: int = 0,
     neighborhood: str = "half_d",
     refine_sweeps: int = 2,
-    include_example_start: bool = True,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SearchResult:
     """Multi-start search maximizing the projection difference under ||V|| <= c d.
@@ -359,6 +353,9 @@ def search_worst_case(
     scores one candidate per trial with stacked LAPACK calls.  Ties between
     trials go to the lowest trial index.
     """
+    for name, dim in (("dim_sigma", dim_sigma), ("dim_Sigma", dim_Sigma)):
+        if dim < 1:
+            raise ValueError(f"{name} must be at least 1, got {dim}")
     if c <= 0:
         raise ValueError("norm-ratio cap c must be positive")
     if trials < 1:
@@ -366,34 +363,32 @@ def search_worst_case(
     if neighborhood not in ("half_d", "full_d"):
         raise ValueError(f"neighborhood must be 'half_d' or 'full_d', got {neighborhood!r}")
     half = neighborhood == "half_d"
-    coords = _coordinates(dim_sigma, dim_Sigma)
+    dims = (dim_sigma, dim_Sigma)
 
     best_value = -math.inf
-    best_params = None
+    best_x = None
     for first in range(0, trials, SEARCH_CHUNK):
-        chunk = range(first, min(first + SEARCH_CHUNK, trials))
-        params = _starts(chunk, dim_sigma, dim_Sigma, c, half, seed, include_example_start)
-        value = _refine(params, coords, refine_sweeps, c, half, tol)
+        x = _starts(range(first, min(first + SEARCH_CHUNK, trials)), dims, c, half, seed)
+        value = _refine(x, dims, refine_sweeps, c, half, tol)
         row = int(np.argmax(value))
         if value[row] > best_value:
             best_value = float(value[row])
-            best_params = [p[row] for p in params]
+            best_x = x[row]
 
-    best_problem = None
-    if best_params is not None:
-        best_problem = _rebuild(*best_params, c, tol)
     return SearchResult(
         best_value=best_value,
-        best_problem=best_problem,
+        best_problem=None if best_x is None else _rebuild(best_x, dims, c, tol),
         trials=trials,
         c=c,
         neighborhood=neighborhood,
-        evaluations=trials * (1 + 2 * refine_sweeps * len(coords)),
+        evaluations=trials * (1 + 2 * refine_sweeps * x.shape[1]),
     )
 
 
-def _rebuild(sig, Sig, w, s, c: float, tol: Tolerances) -> PerturbationProblem:
+def _rebuild(x: np.ndarray, dims: tuple[int, int], c: float,
+             tol: Tolerances) -> PerturbationProblem:
     """The searched problem with each component sorted and the coupling block permuted to match."""
+    sig, Sig, w, s = _unpack(x, dims)
     rows, cols = np.argsort(sig), np.argsort(Sig)
     return _diagonal_problem(sig[rows], Sig[cols], w[np.ix_(rows, cols)], s * c, tol)
 

@@ -581,6 +581,17 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert abs(payload["best_value"] - 1.0) < 1e-10
+        # the JSON alone is enough to run the search again
+        again = tmp_path / "again.json"
+        dims = ",".join(str(n) for n in payload["dims"])
+        neighborhood = {"half_d": "half", "full_d": "full"}[payload["neighborhood"]]
+        code = main(
+            ["search", "--c", repr(payload["c"]), "--dims", dims, "--trials",
+             str(payload["trials"]), "--seed", str(payload["seed"]),
+             "--neighborhood", neighborhood, "--out", str(again)]
+        )
+        assert code == 0
+        assert json.loads(again.read_text())["best_value"] == payload["best_value"]
 
     def test_verify_random(self, capsys):
         code = main(
@@ -624,6 +635,15 @@ class TestCli:
 
     def test_verify_file(self, case1_file, capsys):
         assert main(["verify", str(case1_file)]) == 0
+
+    @pytest.mark.parametrize(
+        "option, value", [("--trials", "0"), ("--ratio", "3"), ("--dims", "9,9"), ("--seed", "1")]
+    )
+    def test_verify_file_rejects_random_only_options(self, case1_file, option, value, capsys):
+        assert main(["verify", str(case1_file), option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and option in captured.err
 
     def test_verify_unknown_theorem_exits_2(self, capsys):
         assert main(["verify", "--random", "case1", "--theorem", "NOPE"]) == 2
