@@ -19,22 +19,34 @@ spectral gap inside the d/2- (or d-) neighborhood of sigma.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, Classification, SpectralSet, classify_case, locate_points
+from .intervals import (
+    Case,
+    Classification,
+    SpectralSet,
+    _distances,
+    classify_case,
+    locate_points,
+    neighborhood_bounds,
+    points_distance,
+    stacked_bounds,
+)
 from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
+    _column_blocks,
     _eigh,
+    _select,
     compressed_norm_exceeds,
     hermitian_eigendecompose,
     projection_from_eigenvectors,
-    select_eigenvalues,
     spectral_norm,
     validate_hermitian,
 )
@@ -96,9 +108,54 @@ def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class _Stack:
+    """Problems of one shape and case built together: their arrays with a leading row axis.
+
+    The stack refers to its problems weakly, so they and it are freed as soon as the
+    problems are dropped, not at the next cyclic garbage collection; a check on one
+    problem needs the stack's other problems alive.
+    """
+
+    a: np.ndarray  # (T, n, n)
+    v: np.ndarray
+    a_eigen: EigenDecomposition  # eigenvalues (T, n), eigenvectors (T, n, n)
+    b_eigen: EigenDecomposition
+    sigma_mask: np.ndarray  # (T, n)
+    refs: list = field(default_factory=list)  # weak references to the problems, in row order
+    memo: dict = field(default_factory=dict)  # what the checks computed for the stack, by key
+
+    @property
+    def rows(self) -> list:
+        return [ref() for ref in self.refs]
+
+
+def _memo(problem: "PerturbationProblem", key, compute):
+    """``problem``'s entry of ``compute(stack)``, computed for its whole stack once per ``key``."""
+    memo = problem._stack.memo
+    if key not in memo:
+        memo[key] = compute(problem._stack)
+    return memo[key][problem._row]
+
+
+def _bounds(stack: _Stack, name: str) -> tuple:
+    """The stacked endpoints ``(lo, hi, is_open)`` of the rows' sets ``name``, once per stack."""
+    if name not in stack.memo:
+        stack.memo[name] = stacked_bounds([getattr(p, name) for p in stack.rows])
+    return stack.memo[name]
+
+
+def _near(sets: list, bounds, radius: np.ndarray, is_open: bool, values: np.ndarray, tol) -> tuple:
+    """``_select`` of each row of ``values`` in the open or closed neighborhood of its set."""
+    lo, hi, _ = bounds
+    hood = SpectralSet.open_neighborhood if is_open else SpectralSet.closed_neighborhood
+    ends = neighborhood_bounds(lo, radius, hi)
+    return _select(values, *ends, is_open, tol, lambda i: hood(sets[i], radius[i]))
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbationProblem:
-    """Validated bundle (A, V, sigma, Sigma) with cached decompositions."""
+    """Validated bundle (A, V, sigma, Sigma) with cached decompositions: one row of a stack."""
 
     a: np.ndarray
     v: np.ndarray
@@ -112,6 +169,8 @@ class PerturbationProblem:
     b_eigen: EigenDecomposition
     norm_v: float
     scale: float  # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
+    _stack: _Stack = field(repr=False)  # the problems built with this one, of its case ...
+    _row: int = field(repr=False)  # ... of which this is row _row
     # ||U_A[:, mask_a]* U_B[:, mask_b]|| for the eigenvector bases of A and B, keyed by
     # (mask_a.tobytes(), mask_b.tobytes()); the subspace checks fill it, so every check
     # on this problem computes each principal-angle block once
@@ -142,69 +201,89 @@ class PerturbationProblem:
     def build(
         cls, a, v, sigma: SpectralSet, Sigma: SpectralSet, tol: Tolerances = DEFAULT_TOL
     ) -> "PerturbationProblem":
+        return cls._build(np.asarray(a)[None], np.asarray(v)[None], [(sigma, Sigma)], tol)[0]
+
+    @classmethod
+    def _build(cls, a, v, sets, tol: Tolerances) -> list["PerturbationProblem"]:
+        """The problems of stacks A, V (T, n, n) and of one ``(sigma, Sigma)`` per row, in order.
+
+        Every step runs once on the whole stack; the rows then form one ``_Stack`` per case.
+        """
         a = validate_hermitian(a, tol)
         v = validate_hermitian(v, tol)
         if a.shape != v.shape:
-            raise ValidationError(f"A and V have different shapes: {a.shape} vs {v.shape}")
-        dim = a.shape[0]
+            raise ValidationError(f"A and V have different shapes: {a.shape[1:]} vs {v.shape[1:]}")
+        dim = a.shape[-1]
         if dim < 2:
             raise ValidationError("a perturbation problem needs dimension at least 2")
 
-        d = sigma.distance(Sigma)
-        if d <= 0:
+        bounds = [stacked_bounds(part) for part in zip(*sets)]
+        d = _distances(*bounds[0][:2], *bounds[1][:2]).tolist()
+        if min(d) <= 0:
             raise ValidationError("sigma and Sigma must be separated (distance > 0)")
-        classification = classify_case(sigma, Sigma)
+        classifications = [classify_case(sigma, Sigma) for sigma, Sigma in sets]
 
         a_eigen = _eigh(a)
-        norm_a = float(np.abs(a_eigen.eigenvalues).max())
-        eig_tol = tol.eig(a_eigen.eigenvalues)
-        spec_a = sigma.union(Sigma)
-        outside = np.flatnonzero(spec_a.distance_to_points(a_eigen.eigenvalues) > eig_tol)
-        if outside.size:
-            x = float(a_eigen.eigenvalues[outside[0]])
+        values = a_eigen.eigenvalues
+        norm_a = np.abs(values).max(axis=-1)
+        eig_tol = tol.eig(values)
+        if any(sigma.is_open != Sigma.is_open for sigma, Sigma in sets):
+            raise ValueError("cannot union sets with different open/closed flags")
+        closed = [locate_points(values, lo, hi, False, eig_tol)[0] for lo, hi, _ in bounds]
+        outside = ~(closed[0] | closed[1])
+        if outside.any():
+            x = float(values[outside][0])
             raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
         # A's eigenvalues sit on sigma and Sigma; no report keeps these boundary events
-        mask_sigma = locate_points(a_eigen.eigenvalues, *sigma.bounds, sigma.is_open, eig_tol)[0]
-        mask_Sigma = locate_points(a_eigen.eigenvalues, *Sigma.bounds, Sigma.is_open, eig_tol)[0]
+        mask_sigma, mask_Sigma = (
+            locate_points(values, lo, hi, True, eig_tol)[0] if is_open else inside
+            for (lo, hi, is_open), inside in zip(bounds, closed)
+        )
         if np.any(mask_sigma & mask_Sigma):
             raise ValidationError("an eigenvalue of A is claimed by both components")
-        if not mask_sigma.any() or not mask_Sigma.any():
+        if not (mask_sigma.any(axis=-1) & mask_Sigma.any(axis=-1)).all():
             raise ValidationError("both components must contain spectrum of A")
 
         # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
-        # on the blocks of the eigenvector bases
-        u, u_perp = a_eigen.eigenvectors[:, mask_sigma], a_eigen.eigenvectors[:, ~mask_sigma]
-
-        # with V = 0 the blocks are exactly zero and never exceed a zero bound
+        # on the blocks of the eigenvector bases; with V = 0 the blocks are exactly zero and
+        # never exceed a zero bound
         norm_v = spectral_norm(v)
         off_bound = tol.offdiag * norm_v
-        if compressed_norm_exceeds(u, u, v, off_bound) or compressed_norm_exceeds(
-            u_perp, u_perp, v, off_bound
-        ):
-            raise ValidationError(
-                "V is not off-diagonal with respect to the sigma/Sigma splitting"
-            )
         commutator_bound = tol.proj(dim) * norm_a
-        if compressed_norm_exceeds(u_perp, u, a, commutator_bound) or compressed_norm_exceeds(
-            u, u_perp, a, commutator_bound
-        ):
-            raise ValidationError("spectral projection does not commute with A")
+        u = a_eigen.eigenvectors
+        for rows, u_in, u_out in _column_blocks(u, mask_sigma, u, ~mask_sigma):
+            # a group of every row takes A and V themselves, so a large problem is not copied
+            v_rows, a_rows = (v, a) if len(rows) == len(a) else (v[rows], a[rows])
+            off = off_bound[rows]
+            if any(compressed_norm_exceeds(x, x, v_rows, off).any() for x in (u_in, u_out)):
+                raise ValidationError(
+                    "V is not off-diagonal with respect to the sigma/Sigma splitting"
+                )
+            if any(compressed_norm_exceeds(x, y, a_rows, commutator_bound[rows]).any()
+                   for x, y in ((u_out, u_in), (u_in, u_out))):
+                raise ValidationError("spectral projection does not commute with A")
 
         b_eigen = hermitian_eigendecompose(a + v, tol)
-        return cls(
-            a=a,
-            v=v,
-            sigma=sigma,
-            Sigma=Sigma,
-            d=d,
-            sigma_mask=mask_sigma,
-            classification=classification,
-            tol=tol,
-            a_eigen=a_eigen,
-            b_eigen=b_eigen,
-            norm_v=norm_v,
-            scale=max(norm_a, norm_v, d),
-        )
+        problems = [None] * len(sets)
+        cases = [c.case for c in classifications]
+        for case in dict.fromkeys(cases):
+            rows = [i for i, c in enumerate(cases) if c is case]
+            # one case takes views of the whole stack, so a large problem is not copied
+            pick = slice(None) if len(rows) == len(cases) else rows
+            decs = [EigenDecomposition(e.eigenvalues[pick], e.eigenvectors[pick])
+                    for e in (a_eigen, b_eigen)]
+            stack = _Stack(a[pick], v[pick], *decs, mask_sigma[pick])
+            for row, i in enumerate(rows):
+                a_row, b_row = (EigenDecomposition(e.eigenvalues[row], e.eigenvectors[row])
+                                for e in decs)
+                problems[i] = cls(
+                    a=stack.a[row], v=stack.v[row], sigma=sets[i][0], Sigma=sets[i][1], d=d[i],
+                    sigma_mask=stack.sigma_mask[row], classification=classifications[i], tol=tol,
+                    a_eigen=a_row, b_eigen=b_row, norm_v=float(norm_v[i]),
+                    scale=max(float(norm_a[i]), float(norm_v[i]), d[i]), _stack=stack, _row=row,
+                )
+                stack.refs.append(weakref.ref(problems[i]))
+        return problems
 
 
 @dataclass(frozen=True)
@@ -374,14 +453,6 @@ def qnr_sample(
 # ---------------------------------------------------------------------------
 
 
-def _restriction_extremes(problem: PerturbationProblem) -> tuple[float, float, float, float]:
-    """(inf A0, sup A0, inf A1, sup A1) for the parts of A on Ran P / Ran P-perp."""
-    eigs = problem.a_eigen.eigenvalues
-    a0 = eigs[problem.sigma_mask]
-    a1 = eigs[~problem.sigma_mask]
-    return float(a0.min()), float(a0.max()), float(a1.min()), float(a1.max())
-
-
 def shift_bounds(problem: PerturbationProblem) -> AnalysisReport:
     """Two-sided bounds on inf B and sup B via the directional shifts.
 
@@ -390,32 +461,40 @@ def shift_bounds(problem: PerturbationProblem) -> AnalysisReport:
     raised; measured_value is the worst signed violation (<= 0 means all
     four inequalities hold).
     """
-    a0_inf, a0_sup, a1_inf, a1_sup = _restriction_extremes(problem)
-    dl, dr = delta_v_directional(a0_inf, a0_sup, a1_inf, a1_sup, problem.norm_v)
-    inf_a = float(problem.a_eigen.eigenvalues.min())
-    sup_a = float(problem.a_eigen.eigenvalues.max())
-    inf_b = float(problem.b_eigen.eigenvalues.min())
-    sup_b = float(problem.b_eigen.eigenvalues.max())
+    return _memo(problem, "SHIFT_BOUNDS", _shift_bounds)
 
-    violation = max(
-        (inf_a - dl) - inf_b,
-        inf_b - inf_a,
-        sup_a - sup_b,
-        sup_b - (sup_a + dr),
-    )
-    return _verdict(
-        "SHIFT_BOUNDS", problem.scale, problem.tol, measured=violation, claimed=0.0,
-        dimensional=True,
-        witnesses={
-            "inf_a": inf_a,
-            "sup_a": sup_a,
-            "inf_b": inf_b,
-            "sup_b": sup_b,
-            "delta_left": dl,
-            "delta_right": dr,
-            "norm_v": problem.norm_v,
-        },
-    )
+
+def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
+    wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
+    # inf and sup of A on Ran P and on Ran P-perp, then of A and of B
+    ends = []
+    for part in (stack.sigma_mask, ~stack.sigma_mask):
+        ends += [np.where(part, wa, np.inf).min(axis=-1), np.where(part, wa, -np.inf).max(axis=-1)]
+    ends += [wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)]
+    reports = []
+    for p, (a0_inf, a0_sup, a1_inf, a1_sup, inf_a, sup_a, inf_b, sup_b) in zip(
+        stack.rows, np.stack(ends, axis=-1).tolist()
+    ):
+        dl, dr = delta_v_directional(a0_inf, a0_sup, a1_inf, a1_sup, p.norm_v)
+        violation = max(
+            (inf_a - dl) - inf_b,
+            inf_b - inf_a,
+            sup_a - sup_b,
+            sup_b - (sup_a + dr),
+        )
+        reports.append(_verdict(
+            "SHIFT_BOUNDS", p.scale, p.tol, measured=violation, claimed=0.0, dimensional=True,
+            witnesses={
+                "inf_a": inf_a,
+                "sup_a": sup_a,
+                "inf_b": inf_b,
+                "sup_b": sup_b,
+                "delta_left": dl,
+                "delta_right": dr,
+                "norm_v": p.norm_v,
+            },
+        ))
+    return reports
 
 
 def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
@@ -424,21 +503,29 @@ def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
     Unconditional.  measured_value is the largest excursion of a
     B-eigenvalue from sigma union Sigma; the claimed bound is delta_V.
     """
-    delta = delta_v(problem.norm_v, problem.d)
-    spec_a = problem.sigma.union(problem.Sigma)
-    eigs = problem.b_eigen.eigenvalues
-    excursions = spec_a.distance_to_points(eigs)
-    measured = float(excursions.max())
-    tol = problem.eig_tol()
-    attained = eigs[(np.abs(excursions - delta) <= tol) & (delta > tol)]
-    flags = [
-        f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly" for x in attained
+    return _memo(problem, "SHIFT_I", _enclosure)
+
+
+def _enclosure(stack: _Stack) -> list[AnalysisReport]:
+    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
+    excursions = np.minimum(*(
+        points_distance(eigs, *_bounds(stack, name)[:2]) for name in ("sigma", "Sigma")
+    ))
+    delta = np.array([delta_v(p.norm_v, p.d) for p in rows])
+    tol = rows[0].tol.eig(eigs)[:, None]
+    attained = (np.abs(excursions - delta[:, None]) <= tol) & (delta[:, None] > tol)
+    return [
+        _verdict(
+            "SHIFT_I", p.scale, p.tol, measured=measured, claimed=p_delta, dimensional=True,
+            witnesses={"norm_v": p.norm_v, "d": p.d, "delta_v": p_delta},
+            flags=[
+                f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly" for x in e[hit]
+            ],
+        )
+        for p, measured, p_delta, e, hit in zip(
+            rows, excursions.max(axis=-1).tolist(), delta.tolist(), eigs, attained
+        )
     ]
-    return _verdict(
-        "SHIFT_I", problem.scale, problem.tol, measured=measured, claimed=delta, dimensional=True,
-        witnesses={"norm_v": problem.norm_v, "d": problem.d, "delta_v": delta},
-        flags=flags,
-    )
 
 
 def gap_persistence(problem: PerturbationProblem, variant: str | None = None) -> AnalysisReport:
@@ -454,64 +541,57 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
     count inside (vs rank of the sigma-projection of A) is recorded as a
     witness; a mismatch is flagged as a finding, not a failure.
     """
-    case = problem.case
-    hull_separated = case in (Case.CASE_II, Case.SUBORDINATED)
     if variant is None:
-        variant = "full" if hull_separated else "half"
+        variant = "full" if problem.case in (Case.CASE_II, Case.SUBORDINATED) else "half"
     if variant not in ("half", "full"):
         raise ValueError(f"variant must be 'half' or 'full', got {variant!r}")
+    return _memo(problem, variant, lambda stack: _persistence(stack, variant == "full"))
 
-    if variant == "full":
-        theorem = "SHIFT_III"
-        radius = problem.d
-        cap = SQRT2 * problem.d
-    else:
-        theorem = "SHIFT_II"
-        radius = problem.d / 2.0
-        cap = SQRT3_2 * problem.d
 
-    unmet = []
-    if variant == "full" and not hull_separated:
-        unmet.append("premise not satisfied: hull of sigma is not separated from Sigma")
-
-    delta = delta_v(problem.norm_v, problem.d)
-    open_hood = problem.sigma.open_neighborhood(radius)
-    closed_hood = problem.sigma.closed_neighborhood(delta)
-    eigs = problem.b_eigen.eigenvalues
-    tol = problem.eig_tol()
-    mask_open, ambiguous, flags_open = select_eigenvalues(eigs, open_hood, tol)
-    mask_closed, _, flags_closed = select_eigenvalues(eigs, closed_hood, tol)
-
+def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
+    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
+    tol = rows[0].tol.eig(eigs)
+    d = np.array([p.d for p in rows])
+    radius = d if full else d / 2.0
+    delta = np.array([delta_v(p.norm_v, p.d) for p in rows])
+    sigmas, bounds = [p.sigma for p in rows], _bounds(stack, "sigma")
+    mask_open, ambiguous, flags_open = _near(sigmas, bounds, radius, True, eigs, tol)
+    mask_closed, _, flags_closed = _near(sigmas, bounds, delta, False, eigs, tol)
     # the intersection equality is only decidable away from ambiguous points
-    decided = ~ambiguous
-    equality_ok = bool(np.array_equal(mask_open[decided], mask_closed[decided]))
-    count_inside = int(mask_closed.sum())
-    nonempty = count_inside >= 1
-    rank_sigma = int(np.count_nonzero(problem.sigma_mask))
-    findings = []
-    if count_inside != rank_sigma:
-        findings.append(
-            f"finding: {count_inside} eigenvalues of B persist near sigma but "
-            f"rank E_A(sigma) = {rank_sigma}"
-        )
-
-    inside_dist = problem.sigma.distance_to_points(eigs[mask_closed])
-    measured = float(inside_dist.max()) if inside_dist.size else 0.0
-    return _verdict(
-        theorem, problem.scale, problem.tol, measured=measured, claimed=delta, dimensional=True,
-        margin=cap - problem.norm_v,
-        premise=f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below {cap:.12g}",
-        unmet=unmet, exact=equality_ok and nonempty, premise_first=True,
-        witnesses={
-            "norm_v": problem.norm_v,
-            "d": problem.d,
-            "delta_v": delta,
-            "radius": radius,
-            "inside_open_count": float(int(mask_open.sum())),
-            "inside_closed_count": float(count_inside),
-            "rank_sigma": float(rank_sigma),
-            "intersection_equality": float(equality_ok),
-        },
-        flags=flags_open + flags_closed,
-        findings=findings,
-    )
+    equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1).tolist()
+    inside = np.where(mask_closed, points_distance(eigs, *bounds[:2]), -np.inf)
+    measured = np.where(mask_closed.any(axis=-1), inside.max(axis=-1), 0.0).tolist()
+    reports = []
+    for i, p in enumerate(rows):
+        theorem, cap = ("SHIFT_III", SQRT2 * p.d) if full else ("SHIFT_II", SQRT3_2 * p.d)
+        unmet = []
+        if full and p.case not in (Case.CASE_II, Case.SUBORDINATED):
+            unmet.append("premise not satisfied: hull of sigma is not separated from Sigma")
+        count_inside = int(mask_closed[i].sum())
+        rank_sigma = int(np.count_nonzero(p.sigma_mask))
+        findings = []
+        if count_inside != rank_sigma:
+            findings.append(
+                f"finding: {count_inside} eigenvalues of B persist near sigma but "
+                f"rank E_A(sigma) = {rank_sigma}"
+            )
+        reports.append(_verdict(
+            theorem, p.scale, p.tol, measured=measured[i], claimed=float(delta[i]),
+            dimensional=True,
+            margin=cap - p.norm_v,
+            premise=f"premise not satisfied: ||V|| = {p.norm_v:.12g} is not below {cap:.12g}",
+            unmet=unmet, exact=equality[i] and count_inside >= 1, premise_first=True,
+            witnesses={
+                "norm_v": p.norm_v,
+                "d": p.d,
+                "delta_v": float(delta[i]),
+                "radius": float(radius[i]),
+                "inside_open_count": float(int(mask_open[i].sum())),
+                "inside_closed_count": float(count_inside),
+                "rank_sigma": float(rank_sigma),
+                "intersection_equality": float(equality[i]),
+            },
+            flags=flags_open[i] + flags_closed[i],
+            findings=findings,
+        ))
+    return reports

@@ -8,6 +8,7 @@ Exit codes: 0 = ran (including checks whose premise was not met),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -169,7 +170,7 @@ def cmd_search(args) -> int:
         "seed": args.seed,
         "trials": result.trials,
         "c": result.c,
-        "neighborhood": result.neighborhood,
+        "neighborhood": args.neighborhood,  # as --neighborhood takes it
         "evaluations": result.evaluations,
         "best_problem": problem_payload(result.best_problem) if result.best_problem else None,
     }
@@ -220,7 +221,9 @@ def cmd_verify(args) -> int:
     return exit_code_for(reports)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` dispatches on ``command``."""
     parser = argparse.ArgumentParser(
         prog="offdiag",
         description="Verify spectral-shift and spectral-subspace bounds for "
@@ -233,14 +236,12 @@ def main(argv=None) -> int:
     p.add_argument("--theorem", action="append", choices=THEOREM_IDS)
     p.add_argument("--out", help="write the machine-readable JSON report here")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("examples", help="write a built-in sharpness example and its report")
     p.add_argument("which", choices=["case1", "case2", "CASE1", "CASE2"])
     p.add_argument("--scale", type=_finite_float, default=1.0, help="multiply V by this factor")
     p.add_argument("--out")
     p.add_argument("--report-out")
-    p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("qnr", help="sample the quadratic numerical range to CSV/SVG")
     p.add_argument("path")
@@ -249,7 +250,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--svg", help="also write an SVG scatter here")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
-    p.set_defaults(func=cmd_qnr)
 
     p = sub.add_parser("search", help="worst-case search for the projection difference")
     p.add_argument("--c", type=_finite_float, required=True, help="norm-ratio cap ||V|| <= c d")
@@ -258,7 +258,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--neighborhood", choices=["half", "full"], default="half")
     p.add_argument("--out", help="write the JSON result here")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="batch-verify theorems on a file or random problems")
     p.add_argument("path", nargs="?")
@@ -269,14 +268,18 @@ def main(argv=None) -> int:
     p.add_argument("--dims", type=_dims, help="dim_sigma,dim_Sigma for --random (default 3,3)")
     p.add_argument("--seed", type=int, help="layout seed for --random (default 0)")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
-    p.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up per call, so that rebinding a ``cmd_*`` function takes effect
+    command = globals()[f"cmd_{args.command}"]
     # exit 1 means a violated bound, so every failure of a command exits 2: a ValueError
     # (ProblemFileError, ValidationError, a wrong-case CaseError), an OSError on a file,
     # or a RecursionError from JSON nested too deeply
     try:
-        return args.func(args)
+        return command(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

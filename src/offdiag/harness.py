@@ -89,17 +89,26 @@ def _coupling(w: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return v
 
 
-def _diagonal_problem(sig, Sig, w, ratio: float, tol: Tolerances) -> PerturbationProblem:
-    """A = diag(sig, Sig) and V = _coupling of ``w`` scaled to ||V|| = ratio * d."""
+def _diagonal_problems(sig, Sig, w, ratio, tol: Tolerances) -> list[PerturbationProblem]:
+    """A = diag(sig, Sig) and V = _coupling of ``w`` scaled to ||V|| = ratio * d, as one stack.
+
+    ``sig`` (T, n0), ``Sig`` (T, n1), ``w`` (T, n0, n1) and ``ratio`` (T,)
+    hold one problem per row.
+    """
     d = _gap(sig, Sig)
     w_norm = spectral_norm(w)
-    factor = ratio * d / w_norm if w_norm >= _MIN_COUPLING else 0.0
-    a = np.diag(np.concatenate([sig, Sig])).astype(complex)
+    factor = np.divide(ratio * d, w_norm, out=np.zeros_like(d), where=w_norm >= _MIN_COUPLING)
+    values = np.concatenate([sig, Sig], axis=-1)
+    dim = values.shape[-1]
+    a = np.zeros((len(values), dim, dim), dtype=complex)
+    a.reshape(len(values), -1)[:, :: dim + 1] = values
     # no coupling is V = 0 in +0.0 zeros, without the -0.0 imaginary parts that conjugating
     # a zero block leaves, so such a problem saves with a real V
-    v = _coupling(w[None], np.array([factor]))[0] if factor else np.zeros_like(a)
-    sets = SpectralSet.from_points(sig), SpectralSet.from_points(Sig)
-    return PerturbationProblem.build(a, v, *sets, tol)
+    v = _coupling(w, factor)
+    v[factor == 0] = 0.0
+    sets = [(SpectralSet.from_points(x), SpectralSet.from_points(y))
+            for x, y in zip(sig.tolist(), Sig.tolist())]
+    return PerturbationProblem._build(a, v, sets, tol)
 
 
 @dataclass(frozen=True)
@@ -139,11 +148,19 @@ def random_problem(spec: ProblemSpec, tol: Tolerances = DEFAULT_TOL) -> Perturba
     ||V|| = target_norm_ratio * d to machine precision.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    shape = (spec.dim_sigma, spec.dim_Sigma)
-    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sig, Sig = np.array(spec.sigma_values), np.array(spec.Sigma_values)
-    return _diagonal_problem(sig, Sig, w, spec.target_norm_ratio, tol)
+    return _random_problems([spec], tol)[0]
+
+
+def _random_problems(specs: list[ProblemSpec], tol: Tolerances) -> list[PerturbationProblem]:
+    """``random_problem`` of each of the validated ``specs``, all of one shape, as one stack."""
+    w = []
+    for spec in specs:
+        rng = np.random.default_rng(spec.seed)
+        shape = (spec.dim_sigma, spec.dim_Sigma)
+        w.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    sig, Sig = np.array([s.sigma_values for s in specs]), np.array([s.Sigma_values for s in specs])
+    ratio = np.array([s.target_norm_ratio for s in specs])
+    return _diagonal_problems(sig, Sig, np.stack(w), ratio, tol)
 
 
 def random_problem_spec(
@@ -390,7 +407,8 @@ def _rebuild(x: np.ndarray, dims: tuple[int, int], c: float,
     """The searched problem with each component sorted and the coupling block permuted to match."""
     sig, Sig, w, s = _unpack(x, dims)
     rows, cols = np.argsort(sig), np.argsort(Sig)
-    return _diagonal_problem(sig[rows], Sig[cols], w[np.ix_(rows, cols)], s * c, tol)
+    sorted_w = w[np.ix_(rows, cols)]
+    return _diagonal_problems(sig[rows][None], Sig[cols][None], sorted_w[None], s * c, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +456,22 @@ def batch_verify(
 
     A wrong-case request (e.g. the subordinated bound on an interleaved
     problem) becomes a premise-unsatisfied report rather than an error, so
-    one stray problem does not abort a batch.
+    one stray problem does not abort a batch.  The specs are validated in
+    order, so the first invalid one raises.  The problems of one shape are
+    generated, built and checked as one stack; each report is the one the
+    problem would get alone.
     """
-    reports = []
     for spec in specs:
-        problem = random_problem(spec, tol)
+        spec.validate()
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, spec in enumerate(specs):
+        shapes.setdefault((spec.dim_sigma, spec.dim_Sigma), []).append(i)
+    problems = [None] * len(specs)
+    for rows in shapes.values():
+        for i, problem in zip(rows, _random_problems([specs[i] for i in rows], tol)):
+            problems[i] = problem
+    reports = []
+    for problem in problems:
         for theorem in theorems:
             try:
                 reports.append(run_theorem(problem, theorem))

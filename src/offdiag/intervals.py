@@ -124,9 +124,7 @@ class SpectralSet:
     def distance_to_points(self, x) -> np.ndarray:
         """Distances from each of the points ``x`` to the closure, as a float array."""
         self._require_nonempty()
-        lo, hi = self.bounds
-        x = np.asarray(x, dtype=float)[:, None]
-        return np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1)
+        return points_distance(x, *self.bounds)
 
     # -- set arithmetic --------------------------------------------------
 
@@ -134,15 +132,13 @@ class SpectralSet:
         """inf over pairs of pointwise distances between the closures."""
         self._require_nonempty()
         other._require_nonempty()
-        lo1, hi1 = (e[:, None] for e in self.bounds)
-        lo2, hi2 = other.bounds
-        return float(np.maximum(np.maximum(lo2 - hi1, lo1 - hi2), 0.0).min())
+        return float(_distances(*self.bounds, *other.bounds))
 
     def intersects(self, other: "SpectralSet") -> bool:
-        """Whether the closures intersect."""
-        if self.is_empty or other.is_empty:
-            return False
-        return self.distance(other) == 0.0
+        """Whether the closures intersect: ``distance == 0``, read off the endpoints."""
+        return any(
+            lo1 <= hi2 and lo2 <= hi1 for lo1, hi1 in self.intervals for lo2, hi2 in other.intervals
+        )
 
     def closed_neighborhood(self, delta: float) -> "SpectralSet":
         if delta < 0:
@@ -208,20 +204,50 @@ def locate_points(x, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray
     if lo.shape[-1] == 0:
         outside = np.zeros(x.shape[:-1], dtype=bool)
         return outside, outside.copy(), outside.copy()
+    below, above = lo - x, x - hi
     # infinite endpoints are at infinite distance from every finite point
-    near = np.minimum(np.abs(x - lo), np.abs(x - hi)).min(axis=-1) <= tol
+    near = np.minimum(np.abs(below), np.abs(above)).min(axis=-1) <= tol
     if is_open:
-        inside = ~near & ((lo < x) & (x < hi)).any(axis=-1)
+        inside = ~near & ((below < 0) & (above < 0)).any(axis=-1)
         return inside, near.copy(), near
-    inside = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=-1) <= tol
+    inside = np.maximum(np.maximum(below, above), 0.0).min(axis=-1) <= tol
     return inside, np.zeros_like(inside), near
 
 
-def neighborhood_bounds(points, radius) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked endpoints of the ``radius``-neighborhoods of point sets.
+def points_distance(x, lo, hi) -> np.ndarray:
+    """Distances from the points ``x`` (..., n) to the closures of the unions ``lo``, ``hi``."""
+    x = np.asarray(x, dtype=float)[..., :, None]
+    return np.maximum(np.maximum(lo[..., None, :] - x, x - hi[..., None, :]), 0.0).min(axis=-1)
+
+
+def _distances(lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Distances between the closures of unions, one per leading index: endpoints (..., m)."""
+    gaps = np.maximum(lo2[..., None, :] - hi1[..., :, None], lo1[..., :, None] - hi2[..., None, :])
+    return np.maximum(gaps, 0.0).min(axis=(-2, -1))
+
+
+def stacked_bounds(sets: Sequence[SpectralSet]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(lo, hi, is_open)`` of nonempty sets of one open flag, one row of endpoints per set.
+
+    A set of fewer intervals than the others repeats its last one, which
+    leaves membership and boundary distances unchanged.
+    """
+    for s in sets:
+        s._require_nonempty()
+    flags = {s.is_open for s in sets}
+    if len(flags) != 1:
+        raise ValueError("cannot stack sets with different open/closed flags")
+    width = max(len(s.intervals) for s in sets)
+    ends = np.array([s.intervals + s.intervals[-1:] * (width - len(s.intervals)) for s in sets])
+    return ends[..., 0], ends[..., 1], flags.pop()
+
+
+def neighborhood_bounds(points, radius, hi=None) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked endpoints of the ``radius``-neighborhoods of point sets, or of interval unions.
 
     ``points`` has shape (..., m) and ``radius`` a scalar or the leading
-    shape.  Returns ``(lo, hi)`` of shape (..., m), normalized as
+    shape; with ``hi`` the sets are the disjoint intervals ``[points, hi]``.
+    Returns ``(lo, hi)`` of shape (..., m), normalized as
     ``SpectralSet`` normalizes: intervals sorted, and overlapping or
     touching intervals merged.  Merged intervals keep the fixed shape by
     repeating the component they form, which leaves membership and
@@ -229,17 +255,16 @@ def neighborhood_bounds(points, radius) -> tuple[np.ndarray, np.ndarray]:
     """
     points = np.sort(np.asarray(points, dtype=float), axis=-1)
     radius = np.asarray(radius, dtype=float)[..., None]
-    lo, hi = points - radius, points + radius
-    m = points.shape[-1]
-    # forward: each interval takes the lo and running hi of its component so far
-    for i in range(1, m):
-        joined = lo[..., i] <= hi[..., i - 1]
-        lo[..., i] = np.where(joined, lo[..., i - 1], lo[..., i])
-        hi[..., i] = np.where(joined, np.maximum(hi[..., i - 1], hi[..., i]), hi[..., i])
-    # backward: each interval takes the final hi of its component
-    for i in range(m - 2, -1, -1):
-        joined = lo[..., i + 1] == lo[..., i]
-        hi[..., i] = np.where(joined, hi[..., i + 1], hi[..., i])
+    lo, hi = points - radius, (points if hi is None else np.sort(hi, axis=-1)) + radius
+    # an interval starts a component when it begins beyond every hi before it; each interval
+    # then takes the lo of its component's first interval and the running hi at its last
+    run = np.maximum.accumulate(hi, axis=-1)
+    start = np.ones(lo.shape, dtype=bool)
+    start[..., 1:] = lo[..., 1:] > run[..., :-1]
+    end = np.ones(lo.shape, dtype=bool)
+    end[..., :-1] = start[..., 1:]
+    lo = np.maximum.accumulate(np.where(start, lo, -np.inf), axis=-1)
+    hi = np.minimum.accumulate(np.where(end, run, np.inf)[..., ::-1], axis=-1)[..., ::-1]
     return lo, hi
 
 

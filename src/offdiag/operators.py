@@ -29,35 +29,39 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The largest deviation ``|m - m*|`` may be ``herm_scale * dim`` times the
     largest entry, so the check does not depend on the matrix's scale.  The
-    error message names the first offending entry pair (i, j) vs (j, i).
+    error message names the first offending entry pair (i, j) vs (j, i) of
+    the first offending matrix of a stack (T, n, n).
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
-    dev = np.abs(m - m.conj().T)
-    worst = float(dev.max())
+    stack = m.reshape(-1, *m.shape[-2:])
+    dev = np.abs(stack - stack.conj().swapaxes(1, 2))
+    worst = dev.max(axis=(1, 2))
     # an exactly Hermitian matrix, as generated problems are, needs no scale
-    if worst > 0 and worst > tol.herm(m.shape[0]) * float(np.abs(m).max()):
-        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise ValidationError(
-            f"matrix is not Hermitian: entry ({i},{j})={m[i, j]} vs "
-            f"conjugate of ({j},{i})={m[j, i]} (deviation {worst:.3e})"
-        )
+    if worst.any():
+        bad = np.flatnonzero(worst > tol.herm(m.shape[-1]) * np.abs(stack).max(axis=(1, 2)))
+        if bad.size:
+            k = bad[0]
+            i, j = np.unravel_index(int(dev[k].argmax()), dev.shape[1:])
+            raise ValidationError(
+                f"matrix is not Hermitian: entry ({i},{j})={stack[k, i, j]} vs "
+                f"conjugate of ({j},{i})={stack[k, j, i]} (deviation {worst[k]:.3e})"
+            )
     return m
 
 
-def spectral_norm(matrix) -> float:
-    """Largest singular value; for Hermitian input this is max |eigenvalue|."""
+def spectral_norm(matrix) -> float | np.ndarray:
+    """Largest singular value, one per matrix of a stack; for Hermitian input max |eigenvalue|."""
     m = np.asarray(matrix, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
+    return float(norms) if m.ndim == 2 else norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,24 +77,31 @@ def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDeco
 
 
 def _eigh(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of an already validated Hermitian matrix.
+    """Eigendecomposition of a validated Hermitian matrix, or of each of a stack (T, n, n).
 
     A diagonal matrix needs no LAPACK call: its eigenvalues are the real
     parts of the diagonal, sorted stably, with the matching identity
     columns.  That is what ``eigh`` returns bit for bit, except that it may
-    order tied eigenvalues differently.
+    order tied eigenvalues differently.  The others go through one stacked ``eigh``.
     """
-    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
-        diagonal = np.diagonal(m).real
-        order = np.argsort(diagonal, kind="stable")
-        u = np.zeros(m.shape, dtype=m.dtype)
-        u[order, np.arange(len(order))] = 1.0
-        return EigenDecomposition(eigenvalues=diagonal[order], eigenvectors=u)
+    stack = m.reshape(-1, *m.shape[-2:])
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    plain = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(diagonal, axis=1)
     try:
-        w, u = np.linalg.eigh(m)
+        # a stack with no diagonal matrix is LAPACK's output itself, without copies
+        lapack = None if plain.all() else np.linalg.eigh(stack[~plain] if plain.any() else stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, eigenvectors=u)
+    if plain.any():
+        w, u = np.empty(diagonal.shape), np.zeros(stack.shape, dtype=m.dtype)
+        order = np.argsort(diagonal[plain].real, axis=1, kind="stable")
+        w[plain] = np.take_along_axis(diagonal[plain].real, order, axis=1)
+        u[np.flatnonzero(plain)[:, None], order, np.arange(order.shape[1])] = 1.0
+        if lapack is not None:
+            w[~plain], u[~plain] = lapack
+    else:
+        w, u = lapack
+    return EigenDecomposition(eigenvalues=w.reshape(m.shape[:-1]), eigenvectors=u.reshape(m.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,18 +143,18 @@ class OrthogonalProjection:
         return OrthogonalProjection(self.complement_basis, self.range_basis)
 
 
-def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float:
+def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float | np.ndarray:
     """``||left* M right||`` (``M`` = identity when ``middle`` is None) through the SVD.
 
     With orthonormal columns this is the norm of ``M`` compressed between
     two subspaces: ``||P M Q||`` for the projections P, Q onto their spans,
-    computed on a small block instead of n x n products.
+    computed on a small block instead of n x n products.  Stacks give one norm per block.
     """
     return spectral_norm(_compress(left, right, middle))
 
 
-def compressed_norm_exceeds(left: np.ndarray, right: np.ndarray, middle, bound: float) -> bool:
-    """``compressed_norm(left, right, middle) > bound``, with the SVD only when it can matter.
+def compressed_norm_exceeds(left: np.ndarray, right: np.ndarray, middle, bound) -> np.ndarray:
+    """``compressed_norm(left, right, middle) > bound`` per block, with the SVD only if it matters.
 
     ``||X|| <= ||X||_F``, so a block whose Frobenius norm is below ``bound``
     cannot exceed it.  The screen keeps a margin of ``size * eps`` relative,
@@ -152,16 +163,39 @@ def compressed_norm_exceeds(left: np.ndarray, right: np.ndarray, middle, bound: 
     it, get that comparison.
     """
     block = _compress(left, right, middle)
-    if np.linalg.norm(block) <= bound * (1.0 - block.size * np.finfo(float).eps):
-        return False
-    return spectral_norm(block) > bound
+    size = block.shape[-2] * block.shape[-1]
+    bound = np.broadcast_to(bound, block.shape[:-2])
+    screen = bound * (1.0 - size * np.finfo(float).eps)
+    exceeds = np.asarray(np.linalg.norm(block, axis=(-2, -1)) > screen)
+    if exceeds.any():
+        exceeds[exceeds] = spectral_norm(block[exceeds]) > bound[exceeds]
+    return exceeds
 
 
 def _compress(left: np.ndarray, right: np.ndarray, middle) -> np.ndarray:
-    lhs = left.conj().T
+    lhs = left.conj().swapaxes(-1, -2)
     if middle is not None:
         lhs = lhs @ middle
     return lhs @ right
+
+
+def _column_blocks(left, left_mask, right, right_mask, rows=None):
+    """``(group, left[i][:, left_mask[v]], right[i][:, right_mask[v]])`` stacked over mask rows v.
+
+    Stacks (T, n, n), masks (V, n): mask row v picks from matrix i = v mod T.
+    Each group of the given ``rows`` (default all) has picks of equal widths;
+    picks are never zero-padded, as an SVD of a padded block can move its last bits.
+    """
+    n = left.shape[-1]
+    rows = np.arange(len(left_mask)) if rows is None else rows
+    widths = left_mask[rows].sum(axis=-1) * (n + 1) + right_mask[rows].sum(axis=-1)
+    for width in sorted(set(widths.tolist())):
+        group = rows[widths == width]
+        yield group, *(
+            u[(group % len(u))[:, None, None], np.arange(n)[:, None],
+              np.nonzero(mask[group])[1].reshape(len(group), 1, count)]
+            for u, mask, count in zip((left, right), (left_mask, right_mask), divmod(width, n + 1))
+        )
 
 
 def select_eigenvalues(
@@ -175,23 +209,28 @@ def select_eigenvalues(
     ``tol`` of an endpoint is excluded but marked ambiguous.  Flags record
     every such boundary event instead of silently deciding.
     """
-    values = np.asarray(eigenvalues, dtype=float)
-    mask, ambiguous, near = locate_points(values, *region.bounds, region.is_open, tol)
-    flags: list[str] = []
+    lo, hi = region.bounds
+    values = np.asarray(eigenvalues, dtype=float)[None]
+    mask, ambiguous, flags = _select(values, lo[None], hi[None], region.is_open, tol,
+                                     lambda row: region)
+    return mask[0], ambiguous[0], flags[0]
+
+
+def _select(values, lo, hi, is_open: bool, tol, region) -> tuple[np.ndarray, np.ndarray, list]:
+    """``select_eigenvalues`` on each row of values (T, n), endpoints (T, m) and tol (T,).
+
+    The flags come as one list per row; ``region(row)`` makes the row's set only to name it.
+    """
+    mask, ambiguous, near = locate_points(values, lo, hi, is_open, tol)
+    flags = [[] for _ in values]
     # an inside value near the boundary occurs only for closed regions
-    flagged = np.flatnonzero(ambiguous | (mask & near))
-    if flagged.size:
-        where = repr(region)
-        for i in flagged:
-            x = float(values[i])
-            if ambiguous[i]:
-                flags.append(
-                    f"eigenvalue {x:.12g} is AMBIGUOUS on the open boundary of {where}; excluded"
-                )
-            else:
-                flags.append(
-                    f"eigenvalue {x:.12g} attains the closed boundary of {where}; counted inside"
-                )
+    for row, i in zip(*np.nonzero(ambiguous | (mask & near))):
+        x, where = float(values[row, i]), repr(region(row))
+        flags[row].append(
+            f"eigenvalue {x:.12g} is AMBIGUOUS on the open boundary of {where}; excluded"
+            if ambiguous[row, i]
+            else f"eigenvalue {x:.12g} attains the closed boundary of {where}; counted inside"
+        )
     return mask, ambiguous, flags
 
 

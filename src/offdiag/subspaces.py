@@ -21,18 +21,22 @@ from .analysis import (
     CaseError,
     PerturbationProblem,
     SQRT2,
+    _bounds,
+    _memo,
+    _near,
+    _Stack,
     _verdict,
     delta_v,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, SpectralSet, locate_points
+from .intervals import Case, SpectralSet, locate_points, points_distance, stacked_bounds
 from .operators import (
-    EigenDecomposition,
     OrthogonalProjection,
+    _column_blocks,
+    _eigh,
+    _select,
     compressed_norm,
-    hermitian_eigendecompose,
     projection_from_eigenvectors,
-    select_eigenvalues,
     spectral_norm,
     validate_hermitian,
 )
@@ -128,37 +132,30 @@ def graph_operator(
 # ---------------------------------------------------------------------------
 
 
-def _b_selection(problem: PerturbationProblem, region: SpectralSet) -> tuple[np.ndarray, list[str]]:
-    """Mask of B's eigenvalues in ``region``, tolerance-aware; boundary events are flagged."""
-    mask, _, flags = select_eigenvalues(problem.b_eigen.eigenvalues, region, problem.eig_tol())
-    return mask, flags
+def _block_norms(memos: list, ua, ub, mask_a: np.ndarray, mask_b: np.ndarray) -> list[float]:
+    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of bases v mod T, once per memo."""
+    keys = [(x.tobytes(), y.tobytes()) for x, y in zip(mask_a, mask_b)]
+    todo = np.array([i for i, (memo, key) in enumerate(zip(memos, keys)) if key not in memo], int)
+    for rows, left, right in _column_blocks(ua, mask_a, ub, mask_b, todo) if todo.size else ():
+        for i, norm in zip(rows.tolist(), compressed_norm(left, right).tolist()):
+            memos[i][keys[i]] = norm
+    return [memo[key] for memo, key in zip(memos, keys)]
 
 
-def _block_norm(
-    memo: dict, dec_a: EigenDecomposition, dec_b: EigenDecomposition, mask_a: np.ndarray,
-    mask_b: np.ndarray,
-) -> float:
-    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` on the two eigenvector bases, once per ``memo``."""
-    key = (mask_a.tobytes(), mask_b.tobytes())
-    if key not in memo:
-        memo[key] = compressed_norm(dec_a.eigenvectors[:, mask_a], dec_b.eigenvectors[:, mask_b])
-    return memo[key]
+def _difference(stack: _Stack, mask_p, mask_q) -> list[ProjectionDifference]:
+    """``||E_A(mask_p) - E_B(mask_q)||`` per mask row: the larger of two principal-angle blocks.
 
-
-def _difference(
-    problem: PerturbationProblem, mask_p: np.ndarray, mask_q: np.ndarray
-) -> ProjectionDifference:
-    """``||E_A(mask_p) - E_B(mask_q)||``: the larger of two principal-angle blocks.
-
-    The blocks are (mask_p, ~mask_q), for ``||P Q_perp||``, and (~mask_p,
-    mask_q), for ``||P_perp Q||``.  Both are entries of the problem's memo,
-    so every check on the problem computes each block once, on the same
-    columns whichever check asks first.
+    Mask row v belongs to problem v mod T.  The blocks are (mask_p, ~mask_q),
+    for ``||P Q_perp||``, and (~mask_p, mask_q), for ``||P_perp Q||``.  Both
+    are entries of each problem's memo, so every check on a problem computes
+    each block once, whichever check asks first; blocks of one shape share an SVD.
     """
-    memo, dec_a, dec_b = problem._block_norms, problem.a_eigen, problem.b_eigen
-    pq_perp = _block_norm(memo, dec_a, dec_b, mask_p, ~mask_q)
-    pperp_q = _block_norm(memo, dec_a, dec_b, ~mask_p, mask_q)
-    return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
+    count = len(mask_p)
+    memos = [p._block_norms for p in stack.rows] * (2 * count // len(stack.rows))
+    ua, ub = stack.a_eigen.eigenvectors, stack.b_eigen.eigenvectors
+    left, right = np.concatenate([mask_p, ~mask_p]), np.concatenate([~mask_q, mask_q])
+    norms = _block_norms(memos, ua, ub, left, right)
+    return [ProjectionDifference(max(x, y), x, y) for x, y in zip(norms[:count], norms[count:])]
 
 
 def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet, np.ndarray, bool]:
@@ -172,9 +169,16 @@ def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet,
             "hull separation required: neither component's convex hull is "
             f"disjoint from the other ({problem.classification.detail})"
         )
-    if not problem.sigma.convex_hull().intersects(problem.Sigma):
-        return problem.sigma, problem.Sigma, problem.sigma_mask, False
-    return problem.Sigma, problem.sigma, ~problem.sigma_mask, True
+
+    def sides(stack: _Stack) -> list:
+        return [
+            (p.sigma, p.Sigma, p.sigma_mask, False)
+            if not p.sigma.convex_hull().intersects(p.Sigma)
+            else (p.Sigma, p.sigma, ~p.sigma_mask, True)
+            for p in stack.rows
+        ]
+
+    return _memo(problem, "sides", sides)
 
 
 def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
@@ -206,30 +210,40 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
     Under ||V|| < c_pi d the difference ||E_A(sigma) - E_B(O_{d/2}(sigma))||
     is at most (pi/2) ||V|| / (d - delta_V), which is then below 1.
     """
-    d = problem.d
-    delta = delta_v(problem.norm_v, d)
-    claimed = (math.pi / 2.0) * problem.norm_v / (d - delta) if delta < d else math.inf
+    return _memo(problem, "MAIN", _case1)
 
-    mask_q, flags = _b_selection(problem, problem.sigma.open_neighborhood(d / 2.0))
-    diff = _difference(problem, problem.sigma_mask, mask_q)
-    return _verdict(
-        "MAIN", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
-        margin=C_PI * d - problem.norm_v,
-        premise=f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
-        f"c_pi * d = {C_PI * d:.12g}",
-        exact=claimed < 1.0,
-        witnesses={
-            "norm_v": problem.norm_v,
-            "d": d,
-            "delta_v": delta,
-            "c_pi": C_PI,
-            "norm_pq_perp": diff.norm_pq_perp,
-            "norm_pperp_q": diff.norm_pperp_q,
-            "rank_p": float(np.count_nonzero(problem.sigma_mask)),
-            "rank_q": float(np.count_nonzero(mask_q)),
-        },
-        flags=flags,
-    )
+
+def _case1(stack: _Stack) -> list[AnalysisReport]:
+    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
+    radius = np.array([p.d for p in rows]) / 2.0
+    sigmas, tol = [p.sigma for p in rows], rows[0].tol.eig(eigs)
+    mask_q, _, flags = _near(sigmas, _bounds(stack, "sigma"), radius, True, eigs, tol)
+    reports = []
+    for p, diff, rank_q, row_flags in zip(
+        rows, _difference(stack, stack.sigma_mask, mask_q), mask_q.sum(axis=-1).tolist(), flags
+    ):
+        d = p.d
+        delta = delta_v(p.norm_v, d)
+        claimed = (math.pi / 2.0) * p.norm_v / (d - delta) if delta < d else math.inf
+        reports.append(_verdict(
+            "MAIN", p.scale, p.tol, measured=diff.norm, claimed=claimed,
+            margin=C_PI * d - p.norm_v,
+            premise=f"premise not satisfied: ||V|| = {p.norm_v:.12g} is not below "
+            f"c_pi * d = {C_PI * d:.12g}",
+            exact=claimed < 1.0,
+            witnesses={
+                "norm_v": p.norm_v,
+                "d": d,
+                "delta_v": delta,
+                "c_pi": C_PI,
+                "norm_pq_perp": diff.norm_pq_perp,
+                "norm_pperp_q": diff.norm_pperp_q,
+                "rank_p": float(np.count_nonzero(p.sigma_mask)),
+                "rank_q": float(rank_q),
+            },
+            flags=row_flags,
+        ))
+    return reports
 
 
 def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
@@ -241,50 +255,66 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     spectral half-lines, each strictly below sqrt(2)/2, and the aggregation
     ||P_perp Q|| <= sqrt(sum of squared corner norms).
     """
-    sigma, Sigma, mask_p, swapped = _sigma_side(problem)
-    d = problem.d
-    delta = delta_v(problem.norm_v, d)
-    claimed = math.sin(math.atan(problem.norm_v / (d - delta))) if delta < d else math.inf
+    _sigma_side(problem)
+    return _memo(problem, "CASE2", _case2)
 
-    mask_q, flags = _b_selection(problem, sigma.open_neighborhood(d))
-    if swapped:
-        flags.append("roles swapped: the separated hull is Sigma's")
-    diff = _difference(problem, mask_p, mask_q)
+
+def _case2(stack: _Stack) -> list[AnalysisReport]:
+    # sigma is the separated side: Sigma when the roles swap
+    rows = stack.rows
+    sides = [_sigma_side(p) for p in rows]
+    d = np.array([p.d for p in rows])
+    wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
+    tol_a, tol_b = rows[0].tol.eig(wa), rows[0].tol.eig(wb)
+    near = [side[0] for side in sides]
+    bounds = stacked_bounds(near)
+    lo, hi, _ = bounds
+    mask_q, _, flags = _near(near, bounds, d, True, wb, tol_b)
+    for row_flags, side in zip(flags, sides):
+        if side[3]:
+            row_flags.append("roles swapped: the separated hull is Sigma's")
+    masks_p, masks_q = [np.stack([side[2] for side in sides])], [mask_q]
 
     # corner projections for the spectrum beyond the flanks of sigma
-    left = SpectralSet([(-math.inf, sigma.inf - d)])
-    right = SpectralSet([(sigma.sup + d, math.inf)])
-    eig_tol_a = problem.eig_tol(problem.a_eigen)
-    corners = {}
-    pperp_bound = 0.0
-    for name, region in (("left", left), ("right", right)):
-        mask_a, _, fa = select_eigenvalues(problem.a_eigen.eigenvalues, region, eig_tol_a)
-        mask_b, fb = _b_selection(problem, region)
-        corner = _difference(problem, mask_a, mask_b).norm
-        corners[f"corner_{name}"] = corner
-        pperp_bound += corner**2
-        flags.extend(fa)
-        flags.extend(fb)
-    pperp_bound = math.sqrt(pperp_bound)
-    return _verdict(
-        "CASE2", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
-        margin=SQRT2 * d - problem.norm_v,
-        premise=f"premise not satisfied: ||V|| = {problem.norm_v:.12g} is not below "
-        f"sqrt(2) * d = {SQRT2 * d:.12g}",
-        exact=claimed < 1.0,
-        bounds=[(c, SQRT2 / 2.0) for c in corners.values()]
-        + [(diff.norm_pperp_q, pperp_bound)],
-        witnesses={
-            "norm_v": problem.norm_v,
-            "d": d,
-            "delta_v": delta,
-            "norm_pq_perp": diff.norm_pq_perp,
-            "norm_pperp_q": diff.norm_pperp_q,
-            "corner_aggregate": pperp_bound,
-            **corners,
-        },
-        flags=flags,
-    )
+    far = np.full_like(d, math.inf)
+    for c_lo, c_hi in ((-far, lo[:, 0] - d), (hi[:, -1] + d, far)):
+        def region(i):
+            return SpectralSet([(c_lo[i], c_hi[i])])
+
+        mask_a, _, flags_a = _select(wa, c_lo[:, None], c_hi[:, None], False, tol_a, region)
+        mask_b, _, flags_b = _select(wb, c_lo[:, None], c_hi[:, None], False, tol_b, region)
+        masks_p.append(mask_a)
+        masks_q.append(mask_b)
+        for row_flags, fa, fb in zip(flags, flags_a, flags_b):
+            row_flags.extend(fa + fb)
+    diffs = _difference(stack, np.concatenate(masks_p), np.concatenate(masks_q))
+    reports = []
+    for i, p in enumerate(rows):
+        left, right = diffs[len(rows) + i], diffs[2 * len(rows) + i]
+        diff, corners = diffs[i], {"corner_left": left.norm, "corner_right": right.norm}
+        pperp_bound = math.sqrt(left.norm**2 + right.norm**2)
+        delta = delta_v(p.norm_v, p.d)
+        claimed = math.sin(math.atan(p.norm_v / (p.d - delta))) if delta < p.d else math.inf
+        reports.append(_verdict(
+            "CASE2", p.scale, p.tol, measured=diff.norm, claimed=claimed,
+            margin=SQRT2 * p.d - p.norm_v,
+            premise=f"premise not satisfied: ||V|| = {p.norm_v:.12g} is not below "
+            f"sqrt(2) * d = {SQRT2 * p.d:.12g}",
+            exact=claimed < 1.0,
+            bounds=[(c, SQRT2 / 2.0) for c in corners.values()]
+            + [(diff.norm_pperp_q, pperp_bound)],
+            witnesses={
+                "norm_v": p.norm_v,
+                "d": p.d,
+                "delta_v": delta,
+                "norm_pq_perp": diff.norm_pq_perp,
+                "norm_pperp_q": diff.norm_pperp_q,
+                "corner_aggregate": pperp_bound,
+                **corners,
+            },
+            flags=flags[i],
+        ))
+    return reports
 
 
 def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
@@ -296,33 +326,40 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
     """
     if problem.case is not Case.SUBORDINATED:
         raise CaseError(f"subordinated components required, problem is {problem.case.value}")
-    sigma, Sigma = problem.sigma, problem.Sigma
-    if sigma.sup < Sigma.inf:
-        half_line = SpectralSet([(-math.inf, sigma.sup)])
-        gap = (sigma.sup, Sigma.inf)
-    else:
-        half_line = SpectralSet([(sigma.inf, math.inf)])
-        gap = (Sigma.sup, sigma.inf)
+    return _memo(problem, "SUBORDINATED", _subordinated)
 
-    mask_q, flags = _b_selection(problem, half_line)
-    diff = _difference(problem, problem.sigma_mask, mask_q)
-    claimed = math.sin(0.5 * math.atan(2.0 * problem.norm_v / problem.d))
 
-    mask_gap, gap_flags = _b_selection(problem, SpectralSet([gap], is_open=True))
-    intruders = int(mask_gap.sum())
-    return _verdict(
-        "SUBORDINATED", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
-        exact=intruders == 0 and claimed < SQRT2 / 2.0,
-        witnesses={
-            "norm_v": problem.norm_v,
-            "d": problem.d,
-            "gap_lo": gap[0],
-            "gap_hi": gap[1],
-            "eigenvalues_in_gap": float(intruders),
-            "rank_q": float(np.count_nonzero(mask_q)),
-        },
-        flags=flags + gap_flags,
+def _subordinated(stack: _Stack) -> list[AnalysisReport]:
+    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
+    tol = rows[0].tol.eig(eigs)
+    below = [p.sigma.sup < p.Sigma.inf for p in rows]
+    half_lines = [(-math.inf, p.sigma.sup) if b else (p.sigma.inf, math.inf)
+                  for p, b in zip(rows, below)]
+    gaps = [(p.sigma.sup, p.Sigma.inf) if b else (p.Sigma.sup, p.sigma.inf)
+            for p, b in zip(rows, below)]
+    (mask_q, _, flags), (mask_gap, _, gap_flags) = (
+        _select(eigs, *np.array(ends).T[:, :, None], is_open, tol,
+                lambda i: SpectralSet([ends[i]], is_open=is_open))
+        for ends, is_open in ((half_lines, False), (gaps, True))
     )
+    reports = []
+    for i, (p, diff) in enumerate(zip(rows, _difference(stack, stack.sigma_mask, mask_q))):
+        claimed = math.sin(0.5 * math.atan(2.0 * p.norm_v / p.d))
+        intruders = int(mask_gap[i].sum())
+        reports.append(_verdict(
+            "SUBORDINATED", p.scale, p.tol, measured=diff.norm, claimed=claimed,
+            exact=intruders == 0 and claimed < SQRT2 / 2.0,
+            witnesses={
+                "norm_v": p.norm_v,
+                "d": p.d,
+                "gap_lo": gaps[i][0],
+                "gap_hi": gaps[i][1],
+                "eigenvalues_in_gap": float(intruders),
+                "rank_q": float(np.count_nonzero(mask_q[i])),
+            },
+            flags=flags[i] + gap_flags[i],
+        ))
+    return reports
 
 
 def tan_theta_bound(
@@ -334,9 +371,12 @@ def tan_theta_bound(
     ||E_A(sigma) - E_B(interval)|| < 1 (the a-priori premise), the
     difference is at most sin(arctan(||V|| / dist(sigma-tilde, Sigma))),
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
-    operator X of the pair.
+    operator X of the pair.  The selection and its norms are computed for
+    the problem's whole stack, each other row on its ``maximal_gap_interval``
+    (the interval the theorem table asks for), and kept when this row's
+    interval is its own maximal one too.
     """
-    sigma, Sigma, mask_p, swapped = _sigma_side(problem)
+    _, Sigma, mask_p, _ = _sigma_side(problem)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
@@ -346,10 +386,14 @@ def tan_theta_bound(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
 
-    mask, flags = _b_selection(problem, SpectralSet([(lo, hi)], is_open=True))
-    if swapped:
-        flags.append("roles swapped: the separated hull is Sigma's")
-    diff = _difference(problem, mask_p, mask)
+    def numbers(stack: _Stack) -> list:
+        intervals = [(lo, hi) if p is problem else maximal_gap_interval(p) for p in stack.rows]
+        return _tan_theta(stack, intervals)
+
+    if (lo, hi) == maximal_gap_interval(problem):
+        mask, flags, diff, dist_ts = _memo(problem, "TAN_THETA", numbers)
+    else:
+        mask, flags, diff, dist_ts = numbers(problem._stack)[problem._row]
 
     witnesses = {
         "norm_v": problem.norm_v,
@@ -372,8 +416,6 @@ def tan_theta_bound(
     if not apriori.premise_satisfied:
         return apriori
 
-    sigma_tilde = SpectralSet.from_points(problem.b_eigen.eigenvalues[mask])
-    dist_ts = sigma_tilde.distance(Sigma)
     claimed = math.sin(math.atan(problem.norm_v / dist_ts)) if dist_ts > 0 else 1.0
     p = projection_from_eigenvectors(problem.a_eigen, mask_p)
     q = projection_from_eigenvectors(problem.b_eigen, mask)
@@ -382,6 +424,23 @@ def tan_theta_bound(
     x_norm = graph.norm
     witnesses.update(dist_sigma_tilde=dist_ts, x_norm=x_norm, tan_theta_bound=tan_claim)
     return report(claimed, bounds=[(x_norm, tan_claim)])
+
+
+def _tan_theta(stack: _Stack, intervals: list[tuple[float, float]]) -> list:
+    """Per row and interval: sigma-tilde's mask, flags, the difference, dist(sigma-tilde, Sigma)."""
+    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
+    sides = [_sigma_side(p) for p in rows]
+    mask, _, flags = _select(
+        eigs, *np.array(intervals).T[:, :, None], True, rows[0].tol.eig(eigs),
+        lambda i: SpectralSet([intervals[i]], is_open=True),
+    )
+    for row_flags, side in zip(flags, sides):
+        if side[3]:
+            row_flags.append("roles swapped: the separated hull is Sigma's")
+    diffs = _difference(stack, np.stack([side[2] for side in sides]), mask)
+    far = points_distance(eigs, *stacked_bounds([side[1] for side in sides])[:2])
+    dist_ts = np.where(mask, far, np.inf).min(axis=-1)
+    return list(zip(mask, flags, diffs, dist_ts.tolist()))
 
 
 def verify_pair_inequality(
@@ -397,9 +456,18 @@ def verify_pair_inequality(
     b = validate_hermitian(b, tol)
     if a.shape != b.shape:
         raise ValueError(f"A and B have different shapes: {a.shape} vs {b.shape}")
-    dec_a = hermitian_eigendecompose(a, tol)
-    dec_b = hermitian_eigendecompose(b, tol)
-    return _pair_inequality(a, b, dec_a, dec_b, sigma, delta_set, tol, {})
+    dist = sigma.distance(delta_set)
+    if dist <= 0:
+        raise ValueError("sigma and Delta must be at positive distance")
+    hull_separated = (
+        not sigma.convex_hull().intersects(delta_set)
+        or not delta_set.convex_hull().intersects(sigma)
+    )
+    dec_a = _eigh(a[None])
+    values = dec_a.eigenvalues
+    mask_a = locate_points(values, *stacked_bounds([sigma]), tol.eig(values))[0]
+    return _pair_inequality(a[None], b[None], dec_a, _eigh(b[None]), mask_a,
+                            stacked_bounds([delta_set]), [(dist, hull_separated, {})], tol)[0]
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
@@ -410,59 +478,45 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
     in the last bits on some problems.  Delta = Sigma is a finite set of A's
     eigenvalues, which B's eigenvalues miss on a generically perturbed
     problem; E_B(Sigma) is then empty (``rank_eb`` is 0) and the check
-    holds vacuously.
+    holds vacuously.  dist(sigma, Sigma) is the problem's d, a convex hull is
+    separated exactly when the problem is not CASE_I, and E_A(sigma) is the
+    problem's ``sigma_mask``.
     """
-    return _pair_inequality(
-        problem.a,
-        problem.b,
-        problem.a_eigen,
-        problem.b_eigen,
-        problem.sigma,
-        problem.Sigma,
-        problem.tol,
-        problem._block_norms,
-    )
+
+    def reports(stack: _Stack) -> list[AnalysisReport]:
+        pairs = [(p.d, p.case is not Case.CASE_I, p._block_norms) for p in stack.rows]
+        return _pair_inequality(stack.a, stack.a + stack.v, stack.a_eigen, stack.b_eigen,
+                                stack.sigma_mask, _bounds(stack, "Sigma"), pairs, problem.tol)
+
+    return _memo(problem, "MCE", reports)
 
 
-def _pair_inequality(
-    a: np.ndarray,
-    b: np.ndarray,
-    dec_a: EigenDecomposition,
-    dec_b: EigenDecomposition,
-    sigma: SpectralSet,
-    delta_set: SpectralSet,
-    tol: Tolerances,
-    memo: dict,
-) -> AnalysisReport:
-    """MCE's verdict; ``||E_A E_B||`` is a block of the two bases, read from or put in ``memo``."""
-    dist = sigma.distance(delta_set)
-    if dist <= 0:
-        raise ValueError("sigma and Delta must be at positive distance")
-
-    tol_a = tol.eig(dec_a.eigenvalues)
-    tol_b = tol.eig(dec_b.eigenvalues)
-    # the selections' boundary events reach no report, so they are not formatted as flags
-    mask_a = locate_points(dec_a.eigenvalues, *sigma.bounds, sigma.is_open, tol_a)[0]
-    mask_b = locate_points(dec_b.eigenvalues, *delta_set.bounds, delta_set.is_open, tol_b)[0]
-
+def _pair_inequality(a, b, dec_a, dec_b, mask_a, deltas, pairs: list, tol) -> list[AnalysisReport]:
+    """MCE's reports on stacks A, B (T, n, n), their decompositions, E_A(sigma)'s mask and
+    Delta's stacked bounds, with (dist(sigma, Delta), hull separated, block-norm memo) per row."""
+    dists, hulls, memos = zip(*pairs)
+    values = dec_b.eigenvalues
+    # the selection's boundary events reach no report, so they are not formatted as flags
+    mask_b = locate_points(values, *deltas, tol.eig(values))[0]
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    lhs = dist * _block_norm(memo, dec_a, dec_b, mask_a, mask_b)
-    diff_norm = spectral_norm(a - b)
-    hull_separated = (
-        not sigma.convex_hull().intersects(delta_set)
-        or not delta_set.convex_hull().intersects(sigma)
-    )
-    claimed = diff_norm if hull_separated else (math.pi / 2.0) * diff_norm
-    scale = max(float(np.abs(dec_a.eigenvalues).max()), diff_norm, dist)
-    return _verdict(
-        "MCE", scale, tol, measured=lhs, claimed=claimed, dimensional=True, margin=dist,
-        witnesses={
-            "dist": dist,
-            "norm_a_minus_b": diff_norm,
-            "pi_half_bound": (math.pi / 2.0) * diff_norm,
-            "hull_separated": float(hull_separated),
-            "rank_ea": float(np.count_nonzero(mask_a)),
-            "rank_eb": float(np.count_nonzero(mask_b)),
-        },
-        flags=["convex hulls separated: constant-1 bound applies"] if hull_separated else [],
-    )
+    norms = _block_norms(list(memos), dec_a.eigenvectors, dec_b.eigenvectors, mask_a, mask_b)
+    diff_norms = spectral_norm(a - b).tolist()
+    norm_a = np.abs(dec_a.eigenvalues).max(axis=-1).tolist()
+    reports = []
+    for i, (dist, hull_separated, diff_norm) in enumerate(zip(dists, hulls, diff_norms)):
+        claimed = diff_norm if hull_separated else (math.pi / 2.0) * diff_norm
+        scale = max(norm_a[i], diff_norm, dist)
+        reports.append(_verdict(
+            "MCE", scale, tol, measured=dist * norms[i], claimed=claimed, dimensional=True,
+            margin=dist,
+            witnesses={
+                "dist": dist,
+                "norm_a_minus_b": diff_norm,
+                "pi_half_bound": (math.pi / 2.0) * diff_norm,
+                "hull_separated": float(hull_separated),
+                "rank_ea": float(np.count_nonzero(mask_a[i])),
+                "rank_eb": float(np.count_nonzero(mask_b[i])),
+            },
+            flags=["convex hulls separated: constant-1 bound applies"] if hull_separated else [],
+        ))
+    return reports

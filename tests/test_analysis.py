@@ -25,7 +25,7 @@ from offdiag import (
 )
 from offdiag import analysis, operators, subspaces
 from offdiag.config import DEFAULT_TOL
-from offdiag.operators import projection_from_eigenvectors, select_eigenvalues
+from offdiag.operators import _select, projection_from_eigenvectors, select_eigenvalues
 
 from conftest import mapped_problem, random_hermitian, random_unitary
 
@@ -408,12 +408,14 @@ class TestFormattedFlags:
         formatted = []
 
         def recorded(*args):
-            result = select_eigenvalues(*args)
-            formatted.extend(result[2])
+            result = _select(*args)
+            for row_flags in result[2]:
+                formatted.extend(row_flags)
             return result
 
+        # every selection, select_eigenvalues included, is a stacked _select
         for module in (operators, analysis, subspaces):
-            monkeypatch.setattr(module, "select_eigenvalues", recorded)
+            monkeypatch.setattr(module, "_select", recorded)
         problem = FLAG_PROBLEMS[name]()
         reported = set()
         for theorem in THEOREM_IDS:

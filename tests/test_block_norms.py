@@ -200,7 +200,8 @@ class TestSharedWork:
         argv += ["--theorem", "CASE2", "--theorem", "TAN_THETA", "--theorem", "MCE"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        assert shapes.count((32, 32)) == 2  # ||V|| in build and MCE's ||A - B||
+        # ||V|| in build and MCE's ||A - B||, each on a stack of one problem
+        assert shapes.count((1, 32, 32)) == 2
         assert len(set(blocks)) == len(blocks) > 0
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))

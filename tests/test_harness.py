@@ -282,6 +282,21 @@ class TestBatchVerify:
         reports = batch_verify(specs, ["SHIFT_I"])
         assert all(r.premise_satisfied and r.holds for r in reports)
 
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_first_invalid_spec_raises_as_one_problem_at_a_time_would(self, order):
+        good = random_problem_spec(Case.CASE_I, 2, 2, 0.45, seed=1)
+        bad = {
+            1: ProblemSpec(good.sigma_values, good.Sigma_values, -1.0, seed=2),  # negative ratio
+            2: ProblemSpec((0.0, 1.0), (1.0, 2.0), 0.5, seed=3),  # overlapping values
+        }
+        specs = [good, *(bad[k] for k in order)]
+        with pytest.raises(ValueError) as one_at_a_time:
+            for spec in specs:
+                random_problem(spec)
+        with pytest.raises(type(one_at_a_time.value)) as stacked:
+            batch_verify(specs, ["SHIFT_I"])
+        assert str(stacked.value) == str(one_at_a_time.value)
+
     def test_wrong_case_becomes_premise_failure(self):
         specs = [random_problem_spec(Case.CASE_I, 2, 2, 0.3, seed=11)]
         reports = batch_verify(specs, ["SUBORDINATED"])

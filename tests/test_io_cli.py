@@ -584,11 +584,10 @@ class TestCli:
         # the JSON alone is enough to run the search again
         again = tmp_path / "again.json"
         dims = ",".join(str(n) for n in payload["dims"])
-        neighborhood = {"half_d": "half", "full_d": "full"}[payload["neighborhood"]]
         code = main(
             ["search", "--c", repr(payload["c"]), "--dims", dims, "--trials",
              str(payload["trials"]), "--seed", str(payload["seed"]),
-             "--neighborhood", neighborhood, "--out", str(again)]
+             "--neighborhood", payload["neighborhood"], "--out", str(again)]
         )
         assert code == 0
         assert json.loads(again.read_text())["best_value"] == payload["best_value"]
@@ -617,6 +616,37 @@ class TestCli:
         monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
         assert main(["verify", "--random", "case1", "--theorem", "MAIN,NOPE", "--trials", "3"]) == 2
         assert draws == []
+
+    def test_verify_random_exits_2_on_the_first_invalid_spec(self, monkeypatch, capsys):
+        good = random_problem_spec(Case.CASE_I, 2, 2, 0.45, seed=1)
+        specs = iter([good, dataclasses.replace(good, target_norm_ratio=-1.0),
+                      dataclasses.replace(good, Sigma_values=good.sigma_values)])
+        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: next(specs))
+        assert main(["verify", "--random", "case1", "--trials", "3"]) == 2
+        assert "error: target_norm_ratio must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_verify_random_takes_one_eigh(self, monkeypatch, capsys):
+        # B's stack is one LAPACK call, and a diagonal A needs none
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        assert main(["verify", "--random", "case2", "--trials", "4", "--dims", "8,8"]) == 0
+        assert len(calls) == 1
+
+    def test_successive_calls_share_no_state(self, case1_file, monkeypatch, capsys):
+        defaults = dict(cli._RANDOM_OPTIONS)
+        argv = ["verify", "--random", "case1", "--theorem", "MAIN", "--trials", "2", "--dims", "2,2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # neither the first call's --theorem nor its --random options carry over
+        assert main(["verify", str(case1_file), "--theorem", "SHIFT_I"]) == 0
+        out = capsys.readouterr().out
+        assert "\n1 checks," in out and "MAIN" not in out
+        assert cli._RANDOM_OPTIONS == defaults
+        ran = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.path) or 0)
+        assert main(["verify", str(case1_file)]) == 0
+        assert ran == [str(case1_file)]
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_verify_random_needs_a_trial(self, trials, monkeypatch, capsys):

@@ -24,6 +24,7 @@ from offdiag import (
     verify_pair_inequality,
 )
 from offdiag import Case, PerturbationProblem, subspaces
+from offdiag.operators import select_eigenvalues
 
 from conftest import random_close_projection, random_hermitian, random_projection
 
@@ -301,7 +302,8 @@ class TestTanTheta:
         assert reports[0] == reports[1] and reports[0].premise_satisfied
         # ||P Q_perp|| and ||P_perp Q||, each once; graph_operator is handed ||P - Q||
         mask_p = subspaces._sigma_side(p)[2]
-        mask_q, _ = subspaces._b_selection(p, SpectralSet([(-1.0, 1.0)], is_open=True))
+        region = SpectralSet([(-1.0, 1.0)], is_open=True)
+        mask_q = select_eigenvalues(p.b_eigen.eigenvalues, region, p.eig_tol())[0]
         u_a, u_b = p.a_eigen.eigenvectors, p.b_eigen.eigenvectors
         assert blocks == [
             (u_a[:, mask_p].tobytes(), u_b[:, ~mask_q].tobytes()),
