@@ -75,14 +75,20 @@ def _dims(text: str) -> tuple[int, int]:
 def _claim_outputs(*paths) -> None:
     """Open each given output path for appending and close it again, before anything is written.
 
+    Two paths that name one file, symbolic links resolved, raise ``ValueError`` first.
     Appending creates a missing file and leaves an existing one as it is.
     When a path cannot be opened, the files this call created are removed
     and the error propagates, so a command that exits 2 on an unwritable
     path has written none of its outputs.
     """
+    paths = [p for p in paths if p]
+    real = [os.path.realpath(p) for p in paths]
+    for k, path in enumerate(real):
+        if path in real[:k]:
+            raise ValueError(f"outputs {paths[real.index(path)]} and {paths[k]} name the same file")
     created = []
     try:
-        for path in filter(None, paths):
+        for path in paths:
             existed = os.path.exists(path)
             with open(path, "a", encoding="utf-8"):
                 pass
@@ -164,18 +170,17 @@ def cmd_search(args) -> int:
         seed=args.seed,
         neighborhood="half_d" if args.neighborhood == "half" else "full_d",
     )
-    payload = {
-        "best_value": result.best_value,
-        "dims": list(args.dims),
-        "seed": args.seed,
-        "trials": result.trials,
-        "c": result.c,
-        "neighborhood": args.neighborhood,  # as --neighborhood takes it
-        "evaluations": result.evaluations,
-        "best_problem": problem_payload(result.best_problem) if result.best_problem else None,
-    }
     if args.out:
-        write_json(payload, args.out)
+        write_json({
+            "best_value": result.best_value,
+            "dims": list(args.dims),
+            "seed": args.seed,
+            "trials": result.trials,
+            "c": result.c,
+            "neighborhood": args.neighborhood,  # as --neighborhood takes it
+            "evaluations": result.evaluations,
+            "best_problem": problem_payload(result.best_problem) if result.best_problem else None,
+        }, args.out)
     print(
         f"best value {result.best_value:.12g} over {result.trials} trials "
         f"({result.evaluations} evaluations), cap c = {result.c:.6g}"

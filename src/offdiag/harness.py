@@ -103,7 +103,7 @@ def _diagonal_problems(sig, Sig, w, ratio, tol: Tolerances) -> list[Perturbation
     a = np.zeros((len(values), dim, dim), dtype=complex)
     a.reshape(len(values), -1)[:, :: dim + 1] = values
     # no coupling is V = 0 in +0.0 zeros, without the -0.0 imaginary parts that conjugating
-    # a zero block leaves, so such a problem saves with a real V
+    # a zero block leaves, so such a problem saves V as its diagonal alone
     v = _coupling(w, factor)
     v[factor == 0] = 0.0
     sets = [(SpectralSet.from_points(x), SpectralSet.from_points(y))

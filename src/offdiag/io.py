@@ -1,8 +1,9 @@
 """Problem-file and report serialization for the command line front end.
 
-A problem file is JSON with keys ``A``, ``V`` (a nest of plain numbers
-for a real matrix; a complex one as ``{"re": nest, "im": nest}`` or as a
-nest of ``[re, im]`` pairs), ``sigma`` and ``Sigma`` (lists of numbers or
+A problem file is JSON with keys ``A``, ``V`` (a Hermitian matrix as
+``{"diag": list, "upper": U}``, see ``matrix_payload``; any matrix as a
+nest of plain numbers, as ``{"re": nest, "im": nest}`` or as a nest of
+``[re, im]`` pairs), ``sigma`` and ``Sigma`` (lists of numbers or
 ``[lo, hi]`` pairs; an open set as ``{"intervals": pairs, "open": true}``)
 and an optional ``tolerances`` object.  Parse failures carry the row/column of the first
 violation.  Machine-readable output keeps full float precision; human
@@ -40,20 +41,24 @@ def _parse_entry(item, name: str, row: int, col: int, pairs: bool) -> complex:
     )
 
 
-def _parse_numeric(obj, dim: int) -> np.ndarray | None:
-    """One-array conversion of a well-formed numeric nest, else None.
-
-    A (dim, dim) nest gives a float array, a (dim, dim, 2) nest of
-    ``[re, im]`` pairs a complex one.  Only bool, int and float arrays
-    qualify: they convert exactly as the entry-by-entry rules do.  Anything
-    else (mixed numbers and pairs, ragged rows, strings, None, integers
-    beyond int64) goes to the checked loop, which names the first bad entry.
-    """
+def _numeric(obj) -> np.ndarray | None:
+    """``numpy.array(obj)`` if a bool, int or float array, which converts to float as ``_parse_entry``
+    does; anything else (strings, None, ragged rows, integers beyond int64) is None."""
     try:
         arr = np.array(obj)
     except (ValueError, TypeError, OverflowError):
         return None
-    if arr.dtype.kind not in "bif" or arr.shape[:2] != (dim, dim):
+    return arr if arr.dtype.kind in "bif" else None
+
+
+def _parse_numeric(obj, dim: int) -> np.ndarray | None:
+    """One-array conversion of a well-formed numeric nest, else None.
+
+    A (dim, dim) nest gives a float array, a (dim, dim, 2) nest of
+    ``[re, im]`` pairs a complex one.
+    """
+    arr = _numeric(obj)
+    if arr is None or arr.shape[:2] != (dim, dim):
         return None
     if arr.ndim == 2:
         return arr.astype(float)
@@ -82,14 +87,51 @@ def _parse_nest(obj, name: str, pairs: bool) -> np.ndarray:
     return out
 
 
+def _parse_flat(obj, name: str, n: int | None = None) -> np.ndarray:
+    """Floats from a diagonal's nonempty list, or the n(n-1)/2 of a strict upper triangle, by one
+    ``numpy.array`` call; only other input is checked, naming the length or first bad entry."""
+    size = None if n is None else n * (n - 1) // 2
+    arr = _numeric(obj)
+    if arr is not None and arr.ndim == 1 and (len(arr) == size if n is not None else len(arr)):
+        return arr.astype(float)
+    if not isinstance(obj, (list, tuple)) or (n is None and not obj):
+        raise ProblemFileError(f"matrix {name} must be a {'nonempty ' * (n is None)}list of numbers")
+    if n is not None and len(obj) != size:
+        raise ProblemFileError(f"matrix {name} has {len(obj)} entries, expected {size}")
+    cells = zip(*np.triu_indices(n, 1)) if n is not None else ((k, k) for k in range(len(obj)))
+    return np.array([_parse_entry(x, name, i, j, pairs=False).real for x, (i, j) in zip(obj, cells)])
+
+
+def _hermitian(diag: np.ndarray, upper: np.ndarray | None) -> np.ndarray:
+    """The matrix with real diagonal ``diag``, strict upper triangle ``upper`` (row-major; zero
+    if None) and strict lower triangle ``conj(upper) + 0.0``, so that every zero is +0.0."""
+    n = len(diag)
+    out = np.zeros((n, n), dtype=complex)
+    out.reshape(-1)[:: n + 1] = diag
+    if upper is not None:
+        rows, cols = np.triu_indices(n, 1)
+        out[rows, cols] = upper
+        out[cols, rows] = np.conj(upper) + 0.0
+    return out
+
+
 def parse_matrix(obj, name: str) -> np.ndarray:
-    """A matrix from a nest of numbers, of ``[re, im]`` pairs, or ``{"re": nest, "im": nest}``."""
+    """A matrix from a nest of numbers or of ``[re, im]`` pairs, from ``{"re": nest, "im": nest}``,
+    or from the Hermitian layout ``{"diag": list, "upper": U}`` of ``matrix_payload``."""
     if not isinstance(obj, dict):
         return _parse_nest(obj, name, pairs=True)
+    if set(obj) in ({"diag"}, {"diag", "upper"}):
+        diag, u = _parse_flat(obj["diag"], f"{name}.diag"), obj.get("upper")
+        if isinstance(u, dict) and set(u) == {"re", "im"}:
+            upper = _parse_flat(u["re"], f"{name}.upper.re", len(diag)).astype(complex)
+            upper.imag = _parse_flat(u["im"], f"{name}.upper.im", len(diag))
+        else:
+            upper = _parse_flat(u, f"{name}.upper", len(diag)) if "upper" in obj else None
+        return _hermitian(diag, upper)
     if set(obj) != {"re", "im"}:
         raise ProblemFileError(
-            f"matrix {name}: expected exactly the parts {name}.re and {name}.im, "
-            f"got keys {sorted(obj)}"
+            f"matrix {name}: expected {name}.diag and an optional {name}.upper, or exactly the "
+            f"parts {name}.re and {name}.im, got keys {sorted(obj)}"
         )
     out = _parse_nest(obj["re"], f"{name}.re", pairs=False)
     im = _parse_nest(obj["im"], f"{name}.im", pairs=False)
@@ -102,18 +144,27 @@ def parse_matrix(obj, name: str) -> np.ndarray:
     return out
 
 
-def matrix_payload(m: np.ndarray) -> list | dict:
-    """``m`` as a nest of plain numbers when every imaginary part is +0.0.
-
-    Any other matrix becomes ``{"re": nest, "im": nest}``, two real nests
-    that ``json`` writes and reads faster than a nest of ``[re, im]``
-    pairs.  ``parse_matrix`` reads either layout back bit for bit, -0.0
-    included.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not (m.imag.any() or np.signbit(m.imag).any()):
+def _real_or_parts(m: np.ndarray) -> list | dict:
+    """Plain numbers when every imaginary part of ``m`` is +0.0, else ``{"re": ..., "im": ...}``."""
+    if not m.imag.view(np.uint64).any():
         return m.real.tolist()
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def matrix_payload(m: np.ndarray) -> list | dict:
+    """``m`` as ``{"diag": list, "upper": U}`` exactly when ``_hermitian`` rebuilds it bit for bit.
+
+    ``diag`` is the real diagonal and U the strict upper triangle in row-major order, left out
+    when all +0.0.  Any other matrix (Hermitian only within tolerance, -0.0 in a zero block) is a
+    nest.  U and the nest are ``_real_or_parts``; ``parse_matrix`` reads all back bit for bit.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    diag, upper = m.real.diagonal(), m[np.triu_indices(len(m), 1)]
+    if not np.array_equal(_hermitian(diag, upper).view(np.uint64), m.view(np.uint64)):
+        return _real_or_parts(m)
+    if not upper.view(np.uint64).any():
+        return {"diag": diag.tolist()}
+    return {"diag": diag.tolist(), "upper": _real_or_parts(upper)}
 
 
 def parse_spectral_set(obj, name: str) -> SpectralSet:
@@ -200,11 +251,11 @@ def write_json(payload, path) -> None:
 
 
 def save_problem(problem: PerturbationProblem, path) -> None:
-    """``problem`` as one line of JSON and a newline.
+    """``problem`` as one line of JSON and a newline, each matrix as ``matrix_payload`` lays it out.
 
-    Without an indent ``json.dumps`` runs the C encoder, and the file has
-    no per-entry whitespace: a 128+128 problem file is a third of the size
-    and is written about three times faster than with ``write_json``.
+    A generated problem's A is its diagonal and its V the diagonal and
+    upper triangle.  Without an indent ``json.dumps`` runs the C encoder,
+    and the file has no per-entry whitespace.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(problem_payload(problem)) + "\n")

@@ -6,8 +6,9 @@ violated, 2 = input or usage error, which argparse signals by raising
 exception escaping ``main`` fails the test.  Flags and values are drawn
 from valid and invalid choices, with sizes kept small (``--trials`` <= 4,
 ``--samples`` <= 50, dims <= 3) and problem files of dimension 4 at most.
-Invalid problem files include well-formed problems with bad ``tolerances``,
-and any argv naming one of those must exit 2.
+Invalid problem files include malformed matrices in the nest and the
+diagonal-and-upper-triangle layouts, and well-formed problems with bad
+``tolerances``; any argv naming one of the latter must exit 2.
 """
 
 import contextlib
@@ -38,6 +39,13 @@ DIMS = choice(["2,2", "2,3", "3,3", "1,1", "1,3", "3,1"], ["0,2", "2", "x"])
 THEOREM = choice(list(THEOREM_IDS), ["mce", "NOPE"])
 # CASE2 x 0.5 violates no bound, so only the tolerance value can make these fail
 BAD_TOLERANCES = {"tol_nan.json": math.nan, "tol_negative.json": -1.0}
+# the diagonal-and-upper-triangle layout, one upper entry short and with a null on the diagonal
+BAD_COMPACT = {
+    "upper_short.json": '{"A": {"diag": [-1, 0, 1]}, "V": {"diag": [0, 0, 0], "upper": [1, 0]}, '
+    '"sigma": [0], "Sigma": [-1, 1]}',
+    "diag_null.json": '{"A": {"diag": [-1, null, 1]}, "V": {"diag": [0, 0, 0]}, '
+    '"sigma": [0], "Sigma": [-1, 1]}',
+}
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +55,15 @@ def paths(tmp_path_factory):
     save_problem(builtin_example("CASE2", scale=0.5), root / "case2.json")
     (root / "ragged.json").write_text('{"A": [[1, 2], [3]], "V": [[0]], "sigma": [0], "Sigma": [1]}')
     (root / "truncated.json").write_text('{"A": [[1')
+    for name, text in BAD_COMPACT.items():
+        (root / name).write_text(text)
     for name, report in BAD_TOLERANCES.items():
         payload = json.loads((root / "case2.json").read_text())
         payload["tolerances"] = {"report": report}
         (root / name).write_text(json.dumps(payload))
     problem = choice(
         ["case1.json", "case2.json"],
-        ["ragged.json", "truncated.json", "absent.json", ".", *BAD_TOLERANCES],
+        ["ragged.json", "truncated.json", *BAD_COMPACT, "absent.json", ".", *BAD_TOLERANCES],
     )
     output = choice(["out.a", "out.b"], ["missing/out", "."])
     return {
@@ -61,6 +71,7 @@ def paths(tmp_path_factory):
         "bad_tolerances": st.sampled_from(sorted(BAD_TOLERANCES)).map(
             lambda name: str(root / name)
         ),
+        "bad_compact": st.sampled_from(sorted(BAD_COMPACT)).map(lambda name: str(root / name)),
         "output": output.map(lambda name: str(root / name)),
     }
 
@@ -164,6 +175,22 @@ def test_every_argv_naming_a_bad_tolerances_file_exits_2(paths, data):
         except SystemExit as exc:  # argparse's usage error
             code = exc.code
     if any(arg.endswith(tuple(BAD_TOLERANCES)) for arg in argv):
+        assert code == 2, (argv, sink.getvalue())
+    else:
+        assert code in (0, 1, 2), sink.getvalue()
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_every_argv_naming_a_malformed_compact_file_exits_2(paths, data):
+    argv = data.draw(argvs({**paths, "problem": paths["bad_compact"]}), label="argv")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    if any(arg.endswith(tuple(BAD_COMPACT)) for arg in argv):
         assert code == 2, (argv, sink.getvalue())
     else:
         assert code in (0, 1, 2), sink.getvalue()

@@ -321,9 +321,15 @@ class TestMatrixPayload:
             payload = matrix_payload(m)
             assert list(payload) == ["re", "im"]
             assert all(isinstance(e, float) for nest in payload.values() for e in sum(nest, []))
+        # exactly Hermitian: the diagonal and upper triangle, which keep the -0.0
         m = np.array([[1.0, complex(0.0, -0.0)], [0.0, 2.0]])
         assert json.dumps(matrix_payload(m)) == json.dumps(
-            {"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, -0.0], [0.0, 0.0]]}
+            {"diag": [1.0, 2.0], "upper": {"re": [0.0], "im": [-0.0]}}
+        )
+        # not Hermitian: the two real nests
+        m = np.array([[1.0, complex(0.0, -0.0)], [0.5, 2.0]])
+        assert json.dumps(matrix_payload(m)) == json.dumps(
+            {"re": [[1.0, 0.0], [0.5, 2.0]], "im": [[0.0, -0.0], [0.0, 0.0]]}
         )
 
     def test_plain_and_pair_layouts_load_bit_for_bit(self):
@@ -751,6 +757,45 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("second", ["{out}", "{dir}/./x.json", "{link}"])
+    def test_examples_rejects_one_file_for_both_outputs(self, second, tmp_path, capsys):
+        out, link = tmp_path / "x.json", tmp_path / "link.json"
+        link.symlink_to(out)
+        second = second.format(out=out, dir=tmp_path, link=link)
+        assert main(["examples", "case1", "--out", str(out), "--report-out", second]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "name the same file" in captured.err
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert main(["examples", "case1", "--out", str(out), "--report-out", second]) == 2
+        assert out.read_text() == "kept\n"
+
+    def test_qnr_rejects_one_file_for_both_outputs(self, case1_file, tmp_path, capsys):
+        out = tmp_path / "y"
+        argv = ["qnr", str(case1_file), "--samples", "5", "--out", str(out), "--svg", str(out)]
+        assert main(argv) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_search_builds_the_problem_payload_only_for_out(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return matrix_payload(m)
+
+        monkeypatch.setattr(io, "matrix_payload", counted)
+        argv = ["search", "--c", "0.75", "--trials", "2", "--seed", "1"]
+        assert main(argv) == 0
+        assert calls == []
+        out = tmp_path / "s.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert calls == [(4, 4), (4, 4)]
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["best_value", "dims", "seed", "trials", "c", "neighborhood",
+                                 "evaluations", "best_problem"]
+        assert list(payload["best_problem"]) == ["A", "V", "sigma", "Sigma"]
 
 
 class TestAnalysisPayload:
