@@ -19,7 +19,6 @@ spectral gap inside the d/2- (or d-) neighborhood of sigma.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -110,11 +109,11 @@ def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]
 
 @dataclass(eq=False)
 class _Stack:
-    """Problems of one shape and case built together: their arrays with a leading row axis.
+    """Problems of one shape and case built together: their arrays and numbers by row.
 
-    The stack refers to its problems weakly, so they and it are freed as soon as the
-    problems are dropped, not at the next cyclic garbage collection; a check on one
-    problem needs the stack's other problems alive.
+    ``_build`` derives every field once and the checks read them.  The stack
+    refers to none of its problems, so they and it are freed by reference
+    counting as soon as the problems are dropped.
     """
 
     a: np.ndarray  # (T, n, n)
@@ -122,12 +121,25 @@ class _Stack:
     a_eigen: EigenDecomposition  # eigenvalues (T, n), eigenvectors (T, n, n)
     b_eigen: EigenDecomposition
     sigma_mask: np.ndarray  # (T, n)
-    refs: list = field(default_factory=list)  # weak references to the problems, in row order
+    sets: list  # (sigma, Sigma) per row
+    case: Case
+    sigma_ends: tuple  # stacked (lo, hi) of sigma and of Sigma, (T, m) each: d's endpoints
+    Sigma_ends: tuple
+    is_open: bool
+    d: np.ndarray  # (T,)
+    norm_v: np.ndarray
+    delta: np.ndarray  # delta_v(norm_v, d)
+    scale: np.ndarray  # the unit of each row's verdict slack
+    tol: Tolerances
+    eig_tol: np.ndarray  # placement tolerance of B's eigenvalues
+    # ||U_A[:, mask_a]* U_B[:, mask_b]|| per row, keyed by (mask_a.tobytes(), mask_b.tobytes());
+    # the subspace checks fill it, so every check on a row computes each block once
+    block_norms: list
     memo: dict = field(default_factory=dict)  # what the checks computed for the stack, by key
 
-    @property
-    def rows(self) -> list:
-        return [ref() for ref in self.refs]
+    def numbers(self) -> list[tuple[float, float, float, float]]:
+        """``(d, ||V||, delta_V, scale)`` of each row, as floats."""
+        return list(zip(*(x.tolist() for x in (self.d, self.norm_v, self.delta, self.scale))))
 
 
 def _memo(problem: "PerturbationProblem", key, compute):
@@ -138,19 +150,9 @@ def _memo(problem: "PerturbationProblem", key, compute):
     return memo[key][problem._row]
 
 
-def _bounds(stack: _Stack, name: str) -> tuple:
-    """The stacked endpoints ``(lo, hi, is_open)`` of the rows' sets ``name``, once per stack."""
-    if name not in stack.memo:
-        stack.memo[name] = stacked_bounds([getattr(p, name) for p in stack.rows])
-    return stack.memo[name]
-
-
-def _near(sets: list, bounds, radius: np.ndarray, is_open: bool, values: np.ndarray, tol) -> tuple:
-    """``_select`` of each row of ``values`` in the open or closed neighborhood of its set."""
-    lo, hi, _ = bounds
-    hood = SpectralSet.open_neighborhood if is_open else SpectralSet.closed_neighborhood
-    ends = neighborhood_bounds(lo, radius, hi)
-    return _select(values, *ends, is_open, tol, lambda i: hood(sets[i], radius[i]))
+def _near(ends: tuple, radius: np.ndarray, is_open: bool, values: np.ndarray, tol) -> tuple:
+    """``_select`` of each row of ``values`` in the open or closed neighborhood of its ``ends``."""
+    return _select(values, *neighborhood_bounds(ends[0], radius, ends[1]), is_open, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +173,6 @@ class PerturbationProblem:
     scale: float  # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
     _stack: _Stack = field(repr=False)  # the problems built with this one, of its case ...
     _row: int = field(repr=False)  # ... of which this is row _row
-    # ||U_A[:, mask_a]* U_B[:, mask_b]|| for the eigenvector bases of A and B, keyed by
-    # (mask_a.tobytes(), mask_b.tobytes()); the subspace checks fill it, so every check
-    # on this problem computes each principal-angle block once
-    _block_norms: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def b(self) -> np.ndarray:
@@ -217,9 +215,13 @@ class PerturbationProblem:
         if dim < 2:
             raise ValidationError("a perturbation problem needs dimension at least 2")
 
-        bounds = [stacked_bounds(part) for part in zip(*sets)]
-        d = _distances(*bounds[0][:2], *bounds[1][:2]).tolist()
-        if min(d) <= 0:
+        if any(sigma.is_open != Sigma.is_open for sigma, Sigma in sets):
+            raise ValidationError("sigma and Sigma must be both open or both closed")
+        # the endpoints of every sigma and Sigma, of one width: sigma's, then Sigma's
+        lo, hi, is_open = stacked_bounds([s for pair in sets for s in pair])
+        ends = [(lo[k::2], hi[k::2]) for k in (0, 1)]
+        d = _distances(*ends[0], *ends[1])
+        if d.min() <= 0:
             raise ValidationError("sigma and Sigma must be separated (distance > 0)")
         classifications = [classify_case(sigma, Sigma) for sigma, Sigma in sets]
 
@@ -227,17 +229,15 @@ class PerturbationProblem:
         values = a_eigen.eigenvalues
         norm_a = np.abs(values).max(axis=-1)
         eig_tol = tol.eig(values)
-        if any(sigma.is_open != Sigma.is_open for sigma, Sigma in sets):
-            raise ValueError("cannot union sets with different open/closed flags")
-        closed = [locate_points(values, lo, hi, False, eig_tol)[0] for lo, hi, _ in bounds]
+        closed = [locate_points(values, *part, False, eig_tol)[0] for part in ends]
         outside = ~(closed[0] | closed[1])
         if outside.any():
             x = float(values[outside][0])
             raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
         # A's eigenvalues sit on sigma and Sigma; no report keeps these boundary events
         mask_sigma, mask_Sigma = (
-            locate_points(values, lo, hi, True, eig_tol)[0] if is_open else inside
-            for (lo, hi, is_open), inside in zip(bounds, closed)
+            locate_points(values, *part, True, eig_tol)[0] if is_open else inside
+            for part, inside in zip(ends, closed)
         )
         if np.any(mask_sigma & mask_Sigma):
             raise ValidationError("an eigenvalue of A is claimed by both components")
@@ -264,25 +264,34 @@ class PerturbationProblem:
                 raise ValidationError("spectral projection does not commute with A")
 
         b_eigen = hermitian_eigendecompose(a + v, tol)
+        scale = np.maximum(np.maximum(norm_a, norm_v), d)
+        delta = np.array([delta_v(x, y) for x, y in zip(norm_v.tolist(), d.tolist())])
+        by_row = dict(a=a, v=v, sigma_mask=mask_sigma, d=d, norm_v=norm_v, delta=delta,
+                      scale=scale, eig_tol=tol.eig(b_eigen.eigenvalues))
         problems = [None] * len(sets)
         cases = [c.case for c in classifications]
         for case in dict.fromkeys(cases):
             rows = [i for i, c in enumerate(cases) if c is case]
             # one case takes views of the whole stack, so a large problem is not copied
             pick = slice(None) if len(rows) == len(cases) else rows
-            decs = [EigenDecomposition(e.eigenvalues[pick], e.eigenvectors[pick])
-                    for e in (a_eigen, b_eigen)]
-            stack = _Stack(a[pick], v[pick], *decs, mask_sigma[pick])
+            stack = _Stack(
+                **{name: x[pick] for name, x in by_row.items()},
+                a_eigen=EigenDecomposition(a_eigen.eigenvalues[pick], a_eigen.eigenvectors[pick]),
+                b_eigen=EigenDecomposition(b_eigen.eigenvalues[pick], b_eigen.eigenvectors[pick]),
+                sets=[sets[i] for i in rows], case=case,
+                sigma_ends=tuple(x[pick] for x in ends[0]),
+                Sigma_ends=tuple(x[pick] for x in ends[1]),
+                is_open=is_open, tol=tol, block_norms=[{} for _ in rows],
+            )
             for row, i in enumerate(rows):
                 a_row, b_row = (EigenDecomposition(e.eigenvalues[row], e.eigenvectors[row])
-                                for e in decs)
+                                for e in (stack.a_eigen, stack.b_eigen))
                 problems[i] = cls(
-                    a=stack.a[row], v=stack.v[row], sigma=sets[i][0], Sigma=sets[i][1], d=d[i],
-                    sigma_mask=stack.sigma_mask[row], classification=classifications[i], tol=tol,
-                    a_eigen=a_row, b_eigen=b_row, norm_v=float(norm_v[i]),
-                    scale=max(float(norm_a[i]), float(norm_v[i]), d[i]), _stack=stack, _row=row,
+                    a=stack.a[row], v=stack.v[row], sigma=sets[i][0], Sigma=sets[i][1],
+                    d=float(d[i]), sigma_mask=stack.sigma_mask[row],
+                    classification=classifications[i], tol=tol, a_eigen=a_row, b_eigen=b_row,
+                    norm_v=float(norm_v[i]), scale=float(scale[i]), _stack=stack, _row=row,
                 )
-                stack.refs.append(weakref.ref(problems[i]))
         return problems
 
 
@@ -472,10 +481,10 @@ def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
         ends += [np.where(part, wa, np.inf).min(axis=-1), np.where(part, wa, -np.inf).max(axis=-1)]
     ends += [wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)]
     reports = []
-    for p, (a0_inf, a0_sup, a1_inf, a1_sup, inf_a, sup_a, inf_b, sup_b) in zip(
-        stack.rows, np.stack(ends, axis=-1).tolist()
+    for (_, norm_v, _, scale), (a0_inf, a0_sup, a1_inf, a1_sup, inf_a, sup_a, inf_b, sup_b) in zip(
+        stack.numbers(), np.stack(ends, axis=-1).tolist()
     ):
-        dl, dr = delta_v_directional(a0_inf, a0_sup, a1_inf, a1_sup, p.norm_v)
+        dl, dr = delta_v_directional(a0_inf, a0_sup, a1_inf, a1_sup, norm_v)
         violation = max(
             (inf_a - dl) - inf_b,
             inf_b - inf_a,
@@ -483,7 +492,7 @@ def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
             sup_b - (sup_a + dr),
         )
         reports.append(_verdict(
-            "SHIFT_BOUNDS", p.scale, p.tol, measured=violation, claimed=0.0, dimensional=True,
+            "SHIFT_BOUNDS", scale, stack.tol, measured=violation, claimed=0.0, dimensional=True,
             witnesses={
                 "inf_a": inf_a,
                 "sup_a": sup_a,
@@ -491,7 +500,7 @@ def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
                 "sup_b": sup_b,
                 "delta_left": dl,
                 "delta_right": dr,
-                "norm_v": p.norm_v,
+                "norm_v": norm_v,
             },
         ))
     return reports
@@ -507,23 +516,22 @@ def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
 
 
 def _enclosure(stack: _Stack) -> list[AnalysisReport]:
-    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
+    eigs = stack.b_eigen.eigenvalues
     excursions = np.minimum(*(
-        points_distance(eigs, *_bounds(stack, name)[:2]) for name in ("sigma", "Sigma")
+        points_distance(eigs, *ends) for ends in (stack.sigma_ends, stack.Sigma_ends)
     ))
-    delta = np.array([delta_v(p.norm_v, p.d) for p in rows])
-    tol = rows[0].tol.eig(eigs)[:, None]
-    attained = (np.abs(excursions - delta[:, None]) <= tol) & (delta[:, None] > tol)
+    shift, tol = stack.delta[:, None], stack.eig_tol[:, None]
+    attained = (np.abs(excursions - shift) <= tol) & (shift > tol)
     return [
         _verdict(
-            "SHIFT_I", p.scale, p.tol, measured=measured, claimed=p_delta, dimensional=True,
-            witnesses={"norm_v": p.norm_v, "d": p.d, "delta_v": p_delta},
+            "SHIFT_I", scale, stack.tol, measured=measured, claimed=delta, dimensional=True,
+            witnesses={"norm_v": norm_v, "d": d, "delta_v": delta},
             flags=[
                 f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly" for x in e[hit]
             ],
         )
-        for p, measured, p_delta, e, hit in zip(
-            rows, excursions.max(axis=-1).tolist(), delta.tolist(), eigs, attained
+        for (d, norm_v, delta, scale), measured, e, hit in zip(
+            stack.numbers(), excursions.max(axis=-1).tolist(), eigs, attained
         )
     ]
 
@@ -549,26 +557,22 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
 
 
 def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
-    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
-    tol = rows[0].tol.eig(eigs)
-    d = np.array([p.d for p in rows])
-    radius = d if full else d / 2.0
-    delta = np.array([delta_v(p.norm_v, p.d) for p in rows])
-    sigmas, bounds = [p.sigma for p in rows], _bounds(stack, "sigma")
-    mask_open, ambiguous, flags_open = _near(sigmas, bounds, radius, True, eigs, tol)
-    mask_closed, _, flags_closed = _near(sigmas, bounds, delta, False, eigs, tol)
+    eigs, tol = stack.b_eigen.eigenvalues, stack.eig_tol
+    radius = stack.d if full else stack.d / 2.0
+    mask_open, ambiguous, flags_open = _near(stack.sigma_ends, radius, True, eigs, tol)
+    mask_closed, _, flags_closed = _near(stack.sigma_ends, stack.delta, False, eigs, tol)
     # the intersection equality is only decidable away from ambiguous points
     equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1).tolist()
-    inside = np.where(mask_closed, points_distance(eigs, *bounds[:2]), -np.inf)
+    inside = np.where(mask_closed, points_distance(eigs, *stack.sigma_ends), -np.inf)
     measured = np.where(mask_closed.any(axis=-1), inside.max(axis=-1), 0.0).tolist()
+    unmet = []
+    if full and stack.case not in (Case.CASE_II, Case.SUBORDINATED):
+        unmet.append("premise not satisfied: hull of sigma is not separated from Sigma")
     reports = []
-    for i, p in enumerate(rows):
-        theorem, cap = ("SHIFT_III", SQRT2 * p.d) if full else ("SHIFT_II", SQRT3_2 * p.d)
-        unmet = []
-        if full and p.case not in (Case.CASE_II, Case.SUBORDINATED):
-            unmet.append("premise not satisfied: hull of sigma is not separated from Sigma")
+    for i, (d, norm_v, delta, scale) in enumerate(stack.numbers()):
+        theorem, cap = ("SHIFT_III", SQRT2 * d) if full else ("SHIFT_II", SQRT3_2 * d)
         count_inside = int(mask_closed[i].sum())
-        rank_sigma = int(np.count_nonzero(p.sigma_mask))
+        rank_sigma = int(np.count_nonzero(stack.sigma_mask[i]))
         findings = []
         if count_inside != rank_sigma:
             findings.append(
@@ -576,15 +580,14 @@ def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
                 f"rank E_A(sigma) = {rank_sigma}"
             )
         reports.append(_verdict(
-            theorem, p.scale, p.tol, measured=measured[i], claimed=float(delta[i]),
-            dimensional=True,
-            margin=cap - p.norm_v,
-            premise=f"premise not satisfied: ||V|| = {p.norm_v:.12g} is not below {cap:.12g}",
+            theorem, scale, stack.tol, measured=measured[i], claimed=delta, dimensional=True,
+            margin=cap - norm_v,
+            premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below {cap:.12g}",
             unmet=unmet, exact=equality[i] and count_inside >= 1, premise_first=True,
             witnesses={
-                "norm_v": p.norm_v,
-                "d": p.d,
-                "delta_v": float(delta[i]),
+                "norm_v": norm_v,
+                "d": d,
+                "delta_v": delta,
                 "radius": float(radius[i]),
                 "inside_open_count": float(int(mask_open[i].sum())),
                 "inside_closed_count": float(count_inside),

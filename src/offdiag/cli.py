@@ -72,11 +72,12 @@ def _dims(text: str) -> tuple[int, int]:
     return dims
 
 
-def _claim_outputs(*paths) -> None:
+def _claim_outputs(source, *paths) -> None:
     """Open each given output path for appending and close it again, before anything is written.
 
-    Two paths that name one file, symbolic links resolved, raise ``ValueError`` first.
-    Appending creates a missing file and leaves an existing one as it is.
+    An output that names the input ``source`` (None when the command reads no
+    file), or two outputs that name one file, symbolic links resolved, raise
+    ``ValueError`` first.  Appending creates a missing file and leaves an existing one as it is.
     When a path cannot be opened, the files this call created are removed
     and the error propagates, so a command that exits 2 on an unwritable
     path has written none of its outputs.
@@ -84,6 +85,8 @@ def _claim_outputs(*paths) -> None:
     paths = [p for p in paths if p]
     real = [os.path.realpath(p) for p in paths]
     for k, path in enumerate(real):
+        if source and path == os.path.realpath(source):
+            raise ValueError(f"output {paths[k]} names the input {source}")
         if path in real[:k]:
             raise ValueError(f"outputs {paths[real.index(path)]} and {paths[k]} name the same file")
     created = []
@@ -109,7 +112,7 @@ def cmd_analyze(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
     reports = [run_theorem(problem, t) for t in args.theorem or default_battery(problem.case)]
-    _claim_outputs(args.out)
+    _claim_outputs(args.path, args.out)
 
     print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
     print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")
@@ -129,7 +132,7 @@ def cmd_examples(args) -> int:
     out = args.out or f"{args.which.lower()}.json"
     report_out = args.report_out or f"{args.which.lower()}.report.json"
     reports = [run_theorem(problem, t) for t in default_battery(problem.case)]
-    _claim_outputs(out, report_out)
+    _claim_outputs(None, out, report_out)
     save_problem(problem, out)
     write_json(analysis_payload(problem, reports), report_out)
     print(f"problem written to {out}, expected report to {report_out}")
@@ -140,7 +143,7 @@ def cmd_qnr(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
     samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
-    _claim_outputs(args.out, args.svg)
+    _claim_outputs(args.path, args.out, args.svg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_qnr_csv(samples, fh)

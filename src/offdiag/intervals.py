@@ -158,11 +158,6 @@ class SpectralSet:
         self._require_nonempty()
         return SpectralSet([(self.inf, self.sup)], is_open=self.is_open)
 
-    def union(self, other: "SpectralSet") -> "SpectralSet":
-        if self.is_open != other.is_open:
-            raise ValueError("cannot union sets with different open/closed flags")
-        return SpectralSet(list(self.intervals) + list(other.intervals), is_open=self.is_open)
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

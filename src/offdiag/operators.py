@@ -211,21 +211,21 @@ def select_eigenvalues(
     """
     lo, hi = region.bounds
     values = np.asarray(eigenvalues, dtype=float)[None]
-    mask, ambiguous, flags = _select(values, lo[None], hi[None], region.is_open, tol,
-                                     lambda row: region)
+    mask, ambiguous, flags = _select(values, lo[None], hi[None], region.is_open, tol)
     return mask[0], ambiguous[0], flags[0]
 
 
-def _select(values, lo, hi, is_open: bool, tol, region) -> tuple[np.ndarray, np.ndarray, list]:
+def _select(values, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray, list]:
     """``select_eigenvalues`` on each row of values (T, n), endpoints (T, m) and tol (T,).
 
-    The flags come as one list per row; ``region(row)`` makes the row's set only to name it.
+    The flags come as one list per row; each names the set of its row's endpoints.
     """
     mask, ambiguous, near = locate_points(values, lo, hi, is_open, tol)
     flags = [[] for _ in values]
     # an inside value near the boundary occurs only for closed regions
     for row, i in zip(*np.nonzero(ambiguous | (mask & near))):
-        x, where = float(values[row, i]), repr(region(row))
+        x = float(values[row, i])
+        where = repr(SpectralSet(zip(lo[row].tolist(), hi[row].tolist()), is_open=is_open))
         flags[row].append(
             f"eigenvalue {x:.12g} is AMBIGUOUS on the open boundary of {where}; excluded"
             if ambiguous[row, i]

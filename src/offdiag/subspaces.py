@@ -21,12 +21,10 @@ from .analysis import (
     CaseError,
     PerturbationProblem,
     SQRT2,
-    _bounds,
     _memo,
     _near,
     _Stack,
     _verdict,
-    delta_v,
 )
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import Case, SpectralSet, locate_points, points_distance, stacked_bounds
@@ -145,21 +143,30 @@ def _block_norms(memos: list, ua, ub, mask_a: np.ndarray, mask_b: np.ndarray) ->
 def _difference(stack: _Stack, mask_p, mask_q) -> list[ProjectionDifference]:
     """``||E_A(mask_p) - E_B(mask_q)||`` per mask row: the larger of two principal-angle blocks.
 
-    Mask row v belongs to problem v mod T.  The blocks are (mask_p, ~mask_q),
+    Mask row v belongs to stack row v mod T.  The blocks are (mask_p, ~mask_q),
     for ``||P Q_perp||``, and (~mask_p, mask_q), for ``||P_perp Q||``.  Both
-    are entries of each problem's memo, so every check on a problem computes
-    each block once, whichever check asks first; blocks of one shape share an SVD.
+    are entries of each row's memo, so every check on a row computes each
+    block once, whichever check asks first; blocks of one shape share an SVD.
     """
-    count = len(mask_p)
-    memos = [p._block_norms for p in stack.rows] * (2 * count // len(stack.rows))
+    count, memos = len(mask_p), stack.block_norms
     ua, ub = stack.a_eigen.eigenvectors, stack.b_eigen.eigenvectors
     left, right = np.concatenate([mask_p, ~mask_p]), np.concatenate([~mask_q, mask_q])
-    norms = _block_norms(memos, ua, ub, left, right)
+    norms = _block_norms(memos * (2 * count // len(memos)), ua, ub, left, right)
     return [ProjectionDifference(max(x, y), x, y) for x, y in zip(norms[:count], norms[count:])]
 
 
-def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet, np.ndarray, bool]:
-    """(sigma, Sigma, P's mask on A's eigenvalues, swapped).
+class _Sides(NamedTuple):
+    """A stack's rows with sigma renamed to the set whose convex hull is separated."""
+
+    near: tuple  # stacked (lo, hi) of that set ...
+    far: tuple  # ... and of the other set
+    mask: np.ndarray  # P's mask on A's eigenvalues
+    flags: list  # per row: the flag of a swap, if the roles swap
+    gap: tuple  # (lo, hi) of the largest open interval about near's hull that avoids far
+
+
+def _sides(problem: PerturbationProblem) -> _Sides:
+    """The ``_Sides`` of ``problem``'s stack, once per stack.
 
     The roles swap when only Sigma's hull is separated.  CASE_I is the case
     in which neither hull is separated from the other set.
@@ -169,16 +176,18 @@ def _sigma_side(problem: PerturbationProblem) -> tuple[SpectralSet, SpectralSet,
             "hull separation required: neither component's convex hull is "
             f"disjoint from the other ({problem.classification.detail})"
         )
-
-    def sides(stack: _Stack) -> list:
-        return [
-            (p.sigma, p.Sigma, p.sigma_mask, False)
-            if not p.sigma.convex_hull().intersects(p.Sigma)
-            else (p.Sigma, p.sigma, ~p.sigma_mask, True)
-            for p in stack.rows
-        ]
-
-    return _memo(problem, "sides", sides)
+    stack = problem._stack
+    if "sides" not in stack.memo:
+        swapped = [sigma.convex_hull().intersects(Sigma) for sigma, Sigma in stack.sets]
+        pick = np.array(swapped)[:, None]
+        (sig_lo, sig_hi), (Sig_lo, Sig_hi) = stack.sigma_ends, stack.Sigma_ends
+        near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
+        far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
+        flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in swapped]
+        gap = (np.where(far[1] < near[0][:, :1], far[1], -np.inf).max(axis=-1),
+               np.where(far[0] > near[1][:, -1:], far[0], np.inf).min(axis=-1))
+        stack.memo["sides"] = _Sides(near, far, stack.sigma_mask ^ pick, flags, gap)
+    return stack.memo["sides"]
 
 
 def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
@@ -187,16 +196,8 @@ def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
     Defined for hull-separated problems (the roles swap automatically when
     Sigma's hull is the separated one).
     """
-    sigma, Sigma, *_ = _sigma_side(problem)
-    inf, sup = sigma.inf, sigma.sup
-    lo = -math.inf
-    hi = math.inf
-    for s_lo, s_hi in Sigma.intervals:
-        if s_hi < inf:
-            lo = max(lo, s_hi)
-        if s_lo > sup:
-            hi = min(hi, s_lo)
-    return lo, hi
+    lo, hi = _sides(problem).gap
+    return float(lo[problem._row]), float(hi[problem._row])
 
 
 # ---------------------------------------------------------------------------
@@ -214,31 +215,29 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
 
 
 def _case1(stack: _Stack) -> list[AnalysisReport]:
-    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
-    radius = np.array([p.d for p in rows]) / 2.0
-    sigmas, tol = [p.sigma for p in rows], rows[0].tol.eig(eigs)
-    mask_q, _, flags = _near(sigmas, _bounds(stack, "sigma"), radius, True, eigs, tol)
+    mask_q, _, flags = _near(
+        stack.sigma_ends, stack.d / 2.0, True, stack.b_eigen.eigenvalues, stack.eig_tol
+    )
     reports = []
-    for p, diff, rank_q, row_flags in zip(
-        rows, _difference(stack, stack.sigma_mask, mask_q), mask_q.sum(axis=-1).tolist(), flags
+    for (d, norm_v, delta, scale), diff, mask_p, rank_q, row_flags in zip(
+        stack.numbers(), _difference(stack, stack.sigma_mask, mask_q), stack.sigma_mask,
+        mask_q.sum(axis=-1).tolist(), flags,
     ):
-        d = p.d
-        delta = delta_v(p.norm_v, d)
-        claimed = (math.pi / 2.0) * p.norm_v / (d - delta) if delta < d else math.inf
+        claimed = (math.pi / 2.0) * norm_v / (d - delta) if delta < d else math.inf
         reports.append(_verdict(
-            "MAIN", p.scale, p.tol, measured=diff.norm, claimed=claimed,
-            margin=C_PI * d - p.norm_v,
-            premise=f"premise not satisfied: ||V|| = {p.norm_v:.12g} is not below "
+            "MAIN", scale, stack.tol, measured=diff.norm, claimed=claimed,
+            margin=C_PI * d - norm_v,
+            premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below "
             f"c_pi * d = {C_PI * d:.12g}",
             exact=claimed < 1.0,
             witnesses={
-                "norm_v": p.norm_v,
+                "norm_v": norm_v,
                 "d": d,
                 "delta_v": delta,
                 "c_pi": C_PI,
                 "norm_pq_perp": diff.norm_pq_perp,
                 "norm_pperp_q": diff.norm_pperp_q,
-                "rank_p": float(np.count_nonzero(p.sigma_mask)),
+                "rank_p": float(np.count_nonzero(mask_p)),
                 "rank_q": float(rank_q),
             },
             flags=row_flags,
@@ -255,57 +254,47 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     spectral half-lines, each strictly below sqrt(2)/2, and the aggregation
     ||P_perp Q|| <= sqrt(sum of squared corner norms).
     """
-    _sigma_side(problem)
-    return _memo(problem, "CASE2", _case2)
+    sides = _sides(problem)
+    return _memo(problem, "CASE2", lambda stack: _case2(stack, sides))
 
 
-def _case2(stack: _Stack) -> list[AnalysisReport]:
+def _case2(stack: _Stack, sides: _Sides) -> list[AnalysisReport]:
     # sigma is the separated side: Sigma when the roles swap
-    rows = stack.rows
-    sides = [_sigma_side(p) for p in rows]
-    d = np.array([p.d for p in rows])
+    radius, (lo, hi) = stack.d, sides.near
     wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
-    tol_a, tol_b = rows[0].tol.eig(wa), rows[0].tol.eig(wb)
-    near = [side[0] for side in sides]
-    bounds = stacked_bounds(near)
-    lo, hi, _ = bounds
-    mask_q, _, flags = _near(near, bounds, d, True, wb, tol_b)
-    for row_flags, side in zip(flags, sides):
-        if side[3]:
-            row_flags.append("roles swapped: the separated hull is Sigma's")
-    masks_p, masks_q = [np.stack([side[2] for side in sides])], [mask_q]
+    mask_q, _, flags = _near(sides.near, radius, True, wb, stack.eig_tol)
+    flags = [near_flags + swap for near_flags, swap in zip(flags, sides.flags)]
+    masks_p, masks_q = [sides.mask], [mask_q]
 
     # corner projections for the spectrum beyond the flanks of sigma
-    far = np.full_like(d, math.inf)
-    for c_lo, c_hi in ((-far, lo[:, 0] - d), (hi[:, -1] + d, far)):
-        def region(i):
-            return SpectralSet([(c_lo[i], c_hi[i])])
-
-        mask_a, _, flags_a = _select(wa, c_lo[:, None], c_hi[:, None], False, tol_a, region)
-        mask_b, _, flags_b = _select(wb, c_lo[:, None], c_hi[:, None], False, tol_b, region)
+    inf = np.full_like(radius, math.inf)
+    for c_lo, c_hi in ((-inf, lo[:, 0] - radius), (hi[:, -1] + radius, inf)):
+        corner = c_lo[:, None], c_hi[:, None]
+        mask_a, _, flags_a = _select(wa, *corner, False, stack.tol.eig(wa))
+        mask_b, _, flags_b = _select(wb, *corner, False, stack.eig_tol)
         masks_p.append(mask_a)
         masks_q.append(mask_b)
         for row_flags, fa, fb in zip(flags, flags_a, flags_b):
             row_flags.extend(fa + fb)
     diffs = _difference(stack, np.concatenate(masks_p), np.concatenate(masks_q))
+    count = len(radius)
     reports = []
-    for i, p in enumerate(rows):
-        left, right = diffs[len(rows) + i], diffs[2 * len(rows) + i]
+    for i, (d, norm_v, delta, scale) in enumerate(stack.numbers()):
+        left, right = diffs[count + i], diffs[2 * count + i]
         diff, corners = diffs[i], {"corner_left": left.norm, "corner_right": right.norm}
         pperp_bound = math.sqrt(left.norm**2 + right.norm**2)
-        delta = delta_v(p.norm_v, p.d)
-        claimed = math.sin(math.atan(p.norm_v / (p.d - delta))) if delta < p.d else math.inf
+        claimed = math.sin(math.atan(norm_v / (d - delta))) if delta < d else math.inf
         reports.append(_verdict(
-            "CASE2", p.scale, p.tol, measured=diff.norm, claimed=claimed,
-            margin=SQRT2 * p.d - p.norm_v,
-            premise=f"premise not satisfied: ||V|| = {p.norm_v:.12g} is not below "
-            f"sqrt(2) * d = {SQRT2 * p.d:.12g}",
+            "CASE2", scale, stack.tol, measured=diff.norm, claimed=claimed,
+            margin=SQRT2 * d - norm_v,
+            premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below "
+            f"sqrt(2) * d = {SQRT2 * d:.12g}",
             exact=claimed < 1.0,
             bounds=[(c, SQRT2 / 2.0) for c in corners.values()]
             + [(diff.norm_pperp_q, pperp_bound)],
             witnesses={
-                "norm_v": p.norm_v,
-                "d": p.d,
+                "norm_v": norm_v,
+                "d": d,
                 "delta_v": delta,
                 "norm_pq_perp": diff.norm_pq_perp,
                 "norm_pperp_q": diff.norm_pperp_q,
@@ -330,30 +319,29 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
 
 
 def _subordinated(stack: _Stack) -> list[AnalysisReport]:
-    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
-    tol = rows[0].tol.eig(eigs)
-    below = [p.sigma.sup < p.Sigma.inf for p in rows]
-    half_lines = [(-math.inf, p.sigma.sup) if b else (p.sigma.inf, math.inf)
-                  for p, b in zip(rows, below)]
-    gaps = [(p.sigma.sup, p.Sigma.inf) if b else (p.Sigma.sup, p.sigma.inf)
-            for p, b in zip(rows, below)]
+    (sig_lo, sig_hi), (Sig_lo, Sig_hi) = stack.sigma_ends, stack.Sigma_ends
+    inf_sig, sup_sig, inf_Sig, sup_Sig = sig_lo[:, 0], sig_hi[:, -1], Sig_lo[:, 0], Sig_hi[:, -1]
+    below = sup_sig < inf_Sig
+    half_line = np.where(below, -np.inf, inf_sig), np.where(below, sup_sig, np.inf)
+    gap = np.where(below, sup_sig, sup_Sig), np.where(below, inf_Sig, inf_sig)
     (mask_q, _, flags), (mask_gap, _, gap_flags) = (
-        _select(eigs, *np.array(ends).T[:, :, None], is_open, tol,
-                lambda i: SpectralSet([ends[i]], is_open=is_open))
-        for ends, is_open in ((half_lines, False), (gaps, True))
+        _select(stack.b_eigen.eigenvalues, lo[:, None], hi[:, None], is_open, stack.eig_tol)
+        for (lo, hi), is_open in ((half_line, False), (gap, True))
     )
     reports = []
-    for i, (p, diff) in enumerate(zip(rows, _difference(stack, stack.sigma_mask, mask_q))):
-        claimed = math.sin(0.5 * math.atan(2.0 * p.norm_v / p.d))
+    for i, ((d, norm_v, _, scale), diff, gap_lo, gap_hi) in enumerate(zip(
+        stack.numbers(), _difference(stack, stack.sigma_mask, mask_q), *(x.tolist() for x in gap)
+    )):
+        claimed = math.sin(0.5 * math.atan(2.0 * norm_v / d))
         intruders = int(mask_gap[i].sum())
         reports.append(_verdict(
-            "SUBORDINATED", p.scale, p.tol, measured=diff.norm, claimed=claimed,
+            "SUBORDINATED", scale, stack.tol, measured=diff.norm, claimed=claimed,
             exact=intruders == 0 and claimed < SQRT2 / 2.0,
             witnesses={
-                "norm_v": p.norm_v,
-                "d": p.d,
-                "gap_lo": gaps[i][0],
-                "gap_hi": gaps[i][1],
+                "norm_v": norm_v,
+                "d": d,
+                "gap_lo": gap_lo,
+                "gap_hi": gap_hi,
                 "eigenvalues_in_gap": float(intruders),
                 "rank_q": float(np.count_nonzero(mask_q[i])),
             },
@@ -376,29 +364,28 @@ def tan_theta_bound(
     (the interval the theorem table asks for), and kept when this row's
     interval is its own maximal one too.
     """
-    _, Sigma, mask_p, _ = _sigma_side(problem)
+    sides, row = _sides(problem), problem._row
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
-    for s_lo, s_hi in Sigma.intervals:
+    for s_lo, s_hi in zip(sides.far[0][row].tolist(), sides.far[1][row].tolist()):
         if s_lo < hi and s_hi > lo:
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
 
-    def numbers(stack: _Stack) -> list:
-        intervals = [(lo, hi) if p is problem else maximal_gap_interval(p) for p in stack.rows]
-        return _tan_theta(stack, intervals)
-
     if (lo, hi) == maximal_gap_interval(problem):
-        mask, flags, diff, dist_ts = _memo(problem, "TAN_THETA", numbers)
+        numbers = _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
     else:
-        mask, flags, diff, dist_ts = numbers(problem._stack)[problem._row]
+        ends = [x.copy() for x in sides.gap]
+        ends[0][row], ends[1][row] = lo, hi
+        numbers = _tan_theta(problem._stack, sides, *ends)[row]
+    mask, flags, diff, dist_ts = numbers
 
     witnesses = {
         "norm_v": problem.norm_v,
         "d": problem.d,
-        "rank_p": float(np.count_nonzero(mask_p)),
+        "rank_p": float(np.count_nonzero(sides.mask[row])),
         "rank_q": float(np.count_nonzero(mask)),
     }
 
@@ -417,7 +404,7 @@ def tan_theta_bound(
         return apriori
 
     claimed = math.sin(math.atan(problem.norm_v / dist_ts)) if dist_ts > 0 else 1.0
-    p = projection_from_eigenvectors(problem.a_eigen, mask_p)
+    p = projection_from_eigenvectors(problem.a_eigen, sides.mask[row])
     q = projection_from_eigenvectors(problem.b_eigen, mask)
     graph = graph_operator(p, q, problem.tol, diff=diff.norm)
     tan_claim = problem.norm_v / dist_ts if dist_ts > 0 else math.inf
@@ -426,19 +413,14 @@ def tan_theta_bound(
     return report(claimed, bounds=[(x_norm, tan_claim)])
 
 
-def _tan_theta(stack: _Stack, intervals: list[tuple[float, float]]) -> list:
-    """Per row and interval: sigma-tilde's mask, flags, the difference, dist(sigma-tilde, Sigma)."""
-    rows, eigs = stack.rows, stack.b_eigen.eigenvalues
-    sides = [_sigma_side(p) for p in rows]
-    mask, _, flags = _select(
-        eigs, *np.array(intervals).T[:, :, None], True, rows[0].tol.eig(eigs),
-        lambda i: SpectralSet([intervals[i]], is_open=True),
-    )
-    for row_flags, side in zip(flags, sides):
-        if side[3]:
-            row_flags.append("roles swapped: the separated hull is Sigma's")
-    diffs = _difference(stack, np.stack([side[2] for side in sides]), mask)
-    far = points_distance(eigs, *stacked_bounds([side[1] for side in sides])[:2])
+def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Per row and open interval (lo, hi): sigma-tilde's mask, flags, the difference, and
+    dist(sigma-tilde, Sigma)."""
+    mask, _, flags = _select(stack.b_eigen.eigenvalues, lo[:, None], hi[:, None], True,
+                             stack.eig_tol)
+    flags = [interval_flags + swap for interval_flags, swap in zip(flags, sides.flags)]
+    diffs = _difference(stack, sides.mask, mask)
+    far = points_distance(stack.b_eigen.eigenvalues, *sides.far)
     dist_ts = np.where(mask, far, np.inf).min(axis=-1)
     return list(zip(mask, flags, diffs, dist_ts.tolist()))
 
@@ -484,9 +466,11 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
     """
 
     def reports(stack: _Stack) -> list[AnalysisReport]:
-        pairs = [(p.d, p.case is not Case.CASE_I, p._block_norms) for p in stack.rows]
+        hull_separated = stack.case is not Case.CASE_I
+        pairs = [(d, hull_separated, memo) for d, memo in zip(stack.d.tolist(), stack.block_norms)]
         return _pair_inequality(stack.a, stack.a + stack.v, stack.a_eigen, stack.b_eigen,
-                                stack.sigma_mask, _bounds(stack, "Sigma"), pairs, problem.tol)
+                                stack.sigma_mask, (*stack.Sigma_ends, stack.is_open), pairs,
+                                stack.tol)
 
     return _memo(problem, "MCE", reports)
 

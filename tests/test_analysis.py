@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from offdiag import (
     spectrum_enclosure,
     two_by_two_extremes,
 )
-from offdiag import analysis, operators, subspaces
+from offdiag import analysis, harness, operators, subspaces
 from offdiag.config import DEFAULT_TOL
 from offdiag.operators import _select, projection_from_eigenvectors, select_eigenvalues
 
@@ -424,3 +426,26 @@ class TestFormattedFlags:
             except CaseError:
                 pass
         assert set(formatted) <= reported
+
+
+class TestStackLifetime:
+    @pytest.mark.parametrize("family", ["CASE_I", "CASE_II", "SUBORDINATED"])
+    def test_problems_and_stack_freed_without_the_cyclic_collector(self, family):
+        """Dropping a stack's problems frees them and their stack by reference counting alone."""
+        specs = [random_problem_spec(family, 3, 4, 0.8, seed=seed) for seed in range(4)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            problems = harness._random_problems(specs, DEFAULT_TOL)
+            for problem in problems:
+                for theorem in THEOREM_IDS:
+                    try:
+                        run_theorem(problem, theorem)
+                    except CaseError:
+                        pass
+            refs = [weakref.ref(p) for p in problems] + [weakref.ref(problems[0]._stack)]
+            del problem, problems
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from offdiag import Case, SpectralSet, classify_case
-from offdiag.intervals import locate_points, neighborhood_bounds
+from offdiag.intervals import locate_points, neighborhood_bounds, stacked_bounds
 
 
 def points(*vals):
@@ -178,10 +178,21 @@ class TestNeighborhoods:
         ]
         points_ = np.array(rows)
         radius = np.concatenate([rng.uniform(0.05, 1.0, 40), [0.5, 0.25]])
-        lo, hi = neighborhood_bounds(points_, radius)
-        for row, r, l, h in zip(points_, radius, lo, hi):
-            want = SpectralSet.from_points(row).open_neighborhood(float(r)).intervals
-            assert tuple(dict.fromkeys(zip(l.tolist(), h.tolist()))) == want
+        groups = [([SpectralSet.from_points(row) for row in points_], radius,
+                   neighborhood_bounds(points_, radius))]
+        # sets of 1 to 4 intervals stacked in one call, so the shorter rows are padded
+        sets = [SpectralSet(np.sort(rng.uniform(-3, 3, 2 * k)).reshape(k, 2))
+                for k in rng.integers(1, 5, 30)]
+        sets += [SpectralSet([(0.0, 1.0), (1.5, 2.0)]), SpectralSet([(3.0, 3.0)])]
+        radius = np.concatenate([rng.uniform(0.05, 1.0, 30), [0.25, 0.5]])
+        lo, hi, _ = stacked_bounds(sets)
+        groups.append((sets, radius, neighborhood_bounds(lo, radius, hi)))
+        for sets, radius, (lo, hi) in groups:
+            for s, r, l, h in zip(sets, radius, lo, hi):
+                want = s.open_neighborhood(float(r))
+                assert tuple(dict.fromkeys(zip(l.tolist(), h.tolist()))) == want.intervals
+                # a selection's flag names the set that its endpoints make
+                assert repr(SpectralSet(zip(l, h), is_open=True)) == repr(want)
 
     def test_open_radius_must_be_positive(self):
         with pytest.raises(ValueError):

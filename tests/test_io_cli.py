@@ -94,6 +94,20 @@ class TestProblemFiles:
         assert main(["analyze", str(path)]) == 2
         assert "error: set sigma: expected the key 'intervals'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("open_sigma", [True, False])
+    def test_mixed_open_and_closed_sets_exit_2(self, open_sigma, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        sigma = {"intervals": [[-1.0, 1.0]], "open": open_sigma}
+        Sigma = {"intervals": [[4.0, 6.0]], "open": not open_sigma}
+        path.write_text(json.dumps({
+            "A": [[0.0, 0.0], [0.0, 5.0]], "V": [[0, 0.3], [0.3, 0]],
+            "sigma": sigma, "Sigma": Sigma,
+        }))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: sigma and Sigma must be both open or both closed\n"
+        )
+
     def test_plain_real_entries_accepted(self):
         payload = {
             "A": [[0.0, 0.0], [0.0, 2.0]],
@@ -777,6 +791,27 @@ class TestCli:
         assert main(argv) == 2
         assert "name the same file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{input}", "--out", "{output}"],
+        ["qnr", "{input}", "--samples", "5", "--out", "{output}"],
+        ["qnr", "{input}", "--samples", "5", "--svg", "{output}"],
+    ], ids=["analyze-out", "qnr-out", "qnr-svg"])
+    @pytest.mark.parametrize("through_link", [False, True])
+    def test_an_output_may_not_name_the_input(self, argv, through_link, case1_file, tmp_path,
+                                              capsys):
+        before = case1_file.read_bytes()
+        output = case1_file
+        if through_link:
+            output = tmp_path / "link.json"
+            output.symlink_to(case1_file)
+        argv = [x.format(input=case1_file, output=output) for x in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: output {output} names the input {case1_file}" in captured.err
+        assert case1_file.read_bytes() == before
+        assert main(["analyze", str(case1_file)]) == 0
 
     def test_search_builds_the_problem_payload_only_for_out(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -301,7 +301,7 @@ class TestTanTheta:
         reports = [tan_theta_bound(p, (-1.0, 1.0)) for _ in range(2)]
         assert reports[0] == reports[1] and reports[0].premise_satisfied
         # ||P Q_perp|| and ||P_perp Q||, each once; graph_operator is handed ||P - Q||
-        mask_p = subspaces._sigma_side(p)[2]
+        mask_p = subspaces._sides(p).mask[p._row]
         region = SpectralSet([(-1.0, 1.0)], is_open=True)
         mask_q = select_eigenvalues(p.b_eigen.eigenvalues, region, p.eig_tol())[0]
         u_a, u_b = p.a_eigen.eigenvectors, p.b_eigen.eigenvectors

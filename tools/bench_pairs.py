@@ -110,8 +110,17 @@ def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
 
 
 def parse_run(text: str) -> tuple[str, int]:
+    """``WORKLOAD:PAIRS`` (``WORKLOAD`` alone is one pair) as ``(workload, pairs)``."""
     workload, _, pairs = text.partition(":")
-    return workload, int(pairs or 1)
+    try:
+        count = int(pairs or 1)
+    except ValueError:
+        count = 0
+    if not workload or count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected WORKLOAD:PAIRS with a workload name and at least one pair, got {text!r}"
+        )
+    return workload, count
 
 
 def main(argv=None) -> int:
