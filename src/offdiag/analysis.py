@@ -26,15 +26,14 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import (
+    _CLASSES,
     Case,
-    Classification,
     SpectralSet,
+    _classify,
     _distances,
-    classify_case,
     locate_points,
     neighborhood_bounds,
     points_distance,
-    stacked_bounds,
 )
 from .operators import (
     EigenDecomposition,
@@ -111,9 +110,9 @@ def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]
 class _Stack:
     """Problems of one shape and case built together: their arrays and numbers by row.
 
-    ``_build`` derives every field once and the checks read them.  The stack
-    refers to none of its problems, so they and it are freed by reference
-    counting as soon as the problems are dropped.
+    ``_build`` derives every field once, the checks read them, and a problem
+    is a view of one row.  The stack refers to none of its problems, so they
+    and it are freed by reference counting as soon as the problems are dropped.
     """
 
     a: np.ndarray  # (T, n, n)
@@ -121,9 +120,9 @@ class _Stack:
     a_eigen: EigenDecomposition  # eigenvalues (T, n), eigenvectors (T, n, n)
     b_eigen: EigenDecomposition
     sigma_mask: np.ndarray  # (T, n)
-    sets: list  # (sigma, Sigma) per row
     case: Case
-    sigma_ends: tuple  # stacked (lo, hi) of sigma and of Sigma, (T, m) each: d's endpoints
+    kind: np.ndarray  # (T,): each row's index into intervals._CLASSES
+    sigma_ends: tuple  # stacked (lo, hi) of sigma (T, m0) and of Sigma (T, m1): d's endpoints
     Sigma_ends: tuple
     is_open: bool
     d: np.ndarray  # (T,)
@@ -155,41 +154,45 @@ def _near(ends: tuple, radius: np.ndarray, is_open: bool, values: np.ndarray, to
     return _select(values, *neighborhood_bounds(ends[0], radius, ends[1]), is_open, tol)
 
 
+def _row_of(read) -> property:
+    """The property that reads a problem's row of its stack: ``read(stack, row)``."""
+    return property(lambda self: read(self._stack, self._row))
+
+
+def _row_eigen(stacked: EigenDecomposition, row) -> EigenDecomposition:
+    """The decomposition of ``stacked``'s row, or of its rows that the index ``row`` picks."""
+    return EigenDecomposition(stacked.eigenvalues[row], stacked.eigenvectors[row])
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbationProblem:
-    """Validated bundle (A, V, sigma, Sigma) with cached decompositions: one row of a stack."""
+    """Validated bundle (A, V, sigma, Sigma) with cached decompositions: a view of a stack's row."""
 
-    a: np.ndarray
-    v: np.ndarray
-    sigma: SpectralSet
-    Sigma: SpectralSet
-    d: float
-    sigma_mask: np.ndarray  # which of A's eigenvalues (ascending) lie in sigma
-    classification: Classification
-    tol: Tolerances
-    a_eigen: EigenDecomposition
-    b_eigen: EigenDecomposition
-    norm_v: float
-    scale: float  # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
     _stack: _Stack = field(repr=False)  # the problems built with this one, of its case ...
-    _row: int = field(repr=False)  # ... of which this is row _row
+    _row: int  # ... of which this is row _row
 
-    @property
-    def b(self) -> np.ndarray:
-        return self.a + self.v
+    a = _row_of(lambda s, i: s.a[i])
+    v = _row_of(lambda s, i: s.v[i])
+    sigma = _row_of(lambda s, i: SpectralSet(zip(*(x[i] for x in s.sigma_ends)), s.is_open))
+    Sigma = _row_of(lambda s, i: SpectralSet(zip(*(x[i] for x in s.Sigma_ends)), s.is_open))
+    d = _row_of(lambda s, i: float(s.d[i]))
+    sigma_mask = _row_of(lambda s, i: s.sigma_mask[i])  # A's eigenvalues (ascending) in sigma
+    classification = _row_of(lambda s, i: _CLASSES[s.kind[i]])
+    tol = _row_of(lambda s, i: s.tol)
+    a_eigen = _row_of(lambda s, i: _row_eigen(s.a_eigen, i))
+    b_eigen = _row_of(lambda s, i: _row_eigen(s.b_eigen, i))
+    norm_v = _row_of(lambda s, i: float(s.norm_v[i]))
+    # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
+    scale = _row_of(lambda s, i: float(s.scale[i]))
+
+    b = _row_of(lambda s, i: s.a[i] + s.v[i])
+    dim = _row_of(lambda s, i: s.a.shape[-1])
+    case = _row_of(lambda s, i: s.case)
 
     @property
     def projection(self) -> OrthogonalProjection:
         """E_A(sigma): A's eigenvector columns that ``sigma_mask`` picks, and the rest."""
         return projection_from_eigenvectors(self.a_eigen, self.sigma_mask)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def case(self) -> Case:
-        return self.classification.case
 
     def eig_tol(self, decomposition: EigenDecomposition | None = None) -> float:
         dec = self.b_eigen if decomposition is None else decomposition
@@ -199,13 +202,21 @@ class PerturbationProblem:
     def build(
         cls, a, v, sigma: SpectralSet, Sigma: SpectralSet, tol: Tolerances = DEFAULT_TOL
     ) -> "PerturbationProblem":
-        return cls._build(np.asarray(a)[None], np.asarray(v)[None], [(sigma, Sigma)], tol)[0]
+        if sigma.is_open != Sigma.is_open:
+            raise ValidationError("sigma and Sigma must be both open or both closed")
+        for s in (sigma, Sigma):
+            s._require_nonempty()
+        ends = [(s.lo[None], s.hi[None]) for s in (sigma, Sigma)]
+        return cls._build(np.asarray(a)[None], np.asarray(v)[None], *ends, sigma.is_open, tol)[0]
 
     @classmethod
-    def _build(cls, a, v, sets, tol: Tolerances) -> list["PerturbationProblem"]:
-        """The problems of stacks A, V (T, n, n) and of one ``(sigma, Sigma)`` per row, in order.
+    def _build(cls, a, v, sigma_ends, Sigma_ends, is_open: bool, tol: Tolerances
+               ) -> list["PerturbationProblem"]:
+        """The problems of stacks A, V (T, n, n) and of sigma and Sigma, in order.
 
-        Every step runs once on the whole stack; the rows then form one ``_Stack`` per case.
+        Each set is its stacked normalized endpoints ``(lo, hi)`` (T, m), in which
+        a row may repeat its last interval.  Every step runs once on the whole
+        stack; the rows then form one ``_Stack`` per case.
         """
         a = validate_hermitian(a, tol)
         v = validate_hermitian(v, tol)
@@ -215,15 +226,11 @@ class PerturbationProblem:
         if dim < 2:
             raise ValidationError("a perturbation problem needs dimension at least 2")
 
-        if any(sigma.is_open != Sigma.is_open for sigma, Sigma in sets):
-            raise ValidationError("sigma and Sigma must be both open or both closed")
-        # the endpoints of every sigma and Sigma, of one width: sigma's, then Sigma's
-        lo, hi, is_open = stacked_bounds([s for pair in sets for s in pair])
-        ends = [(lo[k::2], hi[k::2]) for k in (0, 1)]
-        d = _distances(*ends[0], *ends[1])
+        ends = (sigma_ends, Sigma_ends)
+        d = _distances(*sigma_ends, *Sigma_ends)
         if d.min() <= 0:
             raise ValidationError("sigma and Sigma must be separated (distance > 0)")
-        classifications = [classify_case(sigma, Sigma) for sigma, Sigma in sets]
+        kind = _classify(sigma_ends, Sigma_ends)
 
         a_eigen = _eigh(a)
         values = a_eigen.eigenvalues
@@ -266,32 +273,23 @@ class PerturbationProblem:
         b_eigen = hermitian_eigendecompose(a + v, tol)
         scale = np.maximum(np.maximum(norm_a, norm_v), d)
         delta = np.array([delta_v(x, y) for x, y in zip(norm_v.tolist(), d.tolist())])
-        by_row = dict(a=a, v=v, sigma_mask=mask_sigma, d=d, norm_v=norm_v, delta=delta,
-                      scale=scale, eig_tol=tol.eig(b_eigen.eigenvalues))
-        problems = [None] * len(sets)
-        cases = [c.case for c in classifications]
-        for case in dict.fromkeys(cases):
-            rows = [i for i, c in enumerate(cases) if c is case]
+        by_row = dict(a=a, v=v, sigma_mask=mask_sigma, kind=kind, d=d, norm_v=norm_v,
+                      delta=delta, scale=scale, eig_tol=tol.eig(b_eigen.eigenvalues))
+        cases = np.array([c.case for c in _CLASSES])[kind]
+        problems = [None] * len(a)
+        for case in dict.fromkeys(cases.tolist()):
+            rows = np.flatnonzero(cases == case)
             # one case takes views of the whole stack, so a large problem is not copied
-            pick = slice(None) if len(rows) == len(cases) else rows
+            pick = slice(None) if len(rows) == len(a) else rows
             stack = _Stack(
                 **{name: x[pick] for name, x in by_row.items()},
-                a_eigen=EigenDecomposition(a_eigen.eigenvalues[pick], a_eigen.eigenvectors[pick]),
-                b_eigen=EigenDecomposition(b_eigen.eigenvalues[pick], b_eigen.eigenvectors[pick]),
-                sets=[sets[i] for i in rows], case=case,
-                sigma_ends=tuple(x[pick] for x in ends[0]),
-                Sigma_ends=tuple(x[pick] for x in ends[1]),
-                is_open=is_open, tol=tol, block_norms=[{} for _ in rows],
+                a_eigen=_row_eigen(a_eigen, pick), b_eigen=_row_eigen(b_eigen, pick),
+                case=case, sigma_ends=tuple(x[pick] for x in sigma_ends),
+                Sigma_ends=tuple(x[pick] for x in Sigma_ends), is_open=is_open, tol=tol,
+                block_norms=[{} for _ in rows],
             )
-            for row, i in enumerate(rows):
-                a_row, b_row = (EigenDecomposition(e.eigenvalues[row], e.eigenvectors[row])
-                                for e in (stack.a_eigen, stack.b_eigen))
-                problems[i] = cls(
-                    a=stack.a[row], v=stack.v[row], sigma=sets[i][0], Sigma=sets[i][1],
-                    d=float(d[i]), sigma_mask=stack.sigma_mask[row],
-                    classification=classifications[i], tol=tol, a_eigen=a_row, b_eigen=b_row,
-                    norm_v=float(norm_v[i]), scale=float(scale[i]), _stack=stack, _row=row,
-                )
+            for row, i in enumerate(rows.tolist()):
+                problems[i] = cls(stack, row)
         return problems
 
 

@@ -1,9 +1,10 @@
 """Finite unions of real intervals and the two-set case classification.
 
-Sets are stored as closures: a sorted tuple of pairwise-disjoint closed
-intervals ``[lo, hi]`` (points are degenerate intervals, semi-infinite
-intervals use ``math.inf`` endpoints).  An ``is_open`` flag changes
-endpoint membership only; all set algebra is computed on the closures.
+A set is stored as its closure: float arrays ``lo`` and ``hi`` of sorted,
+pairwise-disjoint closed intervals (points are degenerate intervals,
+semi-infinite intervals use ``inf`` endpoints), made by one array routine,
+``_normalize``.  An ``is_open`` flag changes endpoint membership only; all
+set algebra is computed on the closures.
 
 Membership tests are tolerance-aware and tri-state: a point within ``tol``
 of an endpoint of an open set is AMBIGUOUS rather than silently decided,
@@ -16,7 +17,6 @@ callers classify many spectra against many sets in one call.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,47 +37,98 @@ class Classification:
     detail: str
 
 
-def _as_interval(item) -> tuple[float, float]:
-    if isinstance(item, (int, float)):
-        x = float(item)
-        lo, hi = x, x
-    else:
-        if len(item) != 2:
-            raise ValueError(f"interval must be a number or a [lo, hi] pair, got {item!r}")
-        lo, hi = float(item[0]), float(item[1])
-    if math.isnan(lo) or math.isnan(hi):
+def _numeric(obj) -> np.ndarray | None:
+    """``numpy.array(obj)`` if a bool, int or float array, which converts to float as a problem
+    file's numbers do; anything else (strings, None, ragged rows, integers beyond int64) is None."""
+    try:
+        arr = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return arr if arr.dtype.kind in "bif" else None
+
+
+def _endpoints(intervals) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of a set's entries as float arrays: numbers (points) or ``[lo, hi]`` pairs.
+
+    An entry is a number as a problem file's matrix entry is (``_numeric``),
+    so a string is rejected rather than read as its characters.  Only a list
+    that mixes numbers with pairs is read entry by entry.
+    """
+    items = list(intervals)
+    ends = _numeric(items)
+    if ends is None:  # numbers mixed with pairs: a number is its degenerate pair
+        ends = _numeric([(x, x) if np.ndim(x) == 0 else x for x in items])
+    if ends is None or ends.shape[1:] not in ((), (2,)):
+        raise ValueError("each entry must be a number or a [lo, hi] pair of numbers")
+    lo, hi = ends.T.astype(float) if ends.ndim == 2 else (ends.astype(float),) * 2
+    if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("interval endpoints must not be NaN")
-    if lo > hi:
-        raise ValueError(f"interval has lo > hi: [{lo}, {hi}]")
+    if (lo > hi).any():
+        k = int(np.argmax(lo > hi))
+        raise ValueError(f"interval has lo > hi: [{lo[k]}, {hi[k]}]")
     return lo, hi
+
+
+def _merge(lo: np.ndarray, run: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Components of sorted intervals from their starts ``lo`` (..., m) and running top ``run``.
+
+    An interval starts a component when it begins beyond the top of every interval before
+    it; each interval then takes the lo of its component's first interval and the top at its
+    last.  Returns those per-interval ``(lo, hi)`` and where components end.
+    """
+    start = np.ones(lo.shape, dtype=bool)
+    start[..., 1:] = lo[..., 1:] > run[..., :-1]
+    end = np.ones(lo.shape, dtype=bool)
+    end[..., :-1] = start[..., 1:]
+    lo = np.maximum.accumulate(np.where(start, lo, -np.inf), axis=-1)
+    hi = np.minimum.accumulate(np.where(end, run, np.inf)[..., ::-1], axis=-1)[..., ::-1]
+    return lo, hi, end
+
+
+def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted, disjoint components of the intervals ``[lo, hi]`` (1-D arrays).
+
+    The intervals are sorted stably by ``(lo, hi)`` and overlapping or touching ones merged,
+    bit for bit as a loop with Python's ``max`` merges the sorted pairs: a component ends at
+    the hi of the first interval to reach its top, where ``np.maximum`` may take a later -0.0.
+    """
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    rises = np.ones(len(hi), dtype=bool)
+    rises[1:] = hi[1:] > np.maximum.accumulate(hi)[:-1]
+    lo, hi, end = _merge(lo, np.maximum.accumulate(np.where(rises, hi, -np.inf)))
+    return lo[end], hi[end]
+
+
+def _format(lo, hi, is_open: bool) -> str:
+    """The text of the set of the normalized intervals ``[lo, hi]``: a point as ``{x}``."""
+    left, right = ("(", ")") if is_open else ("[", "]")
+    parts = [f"{{{a:g}}}" if a == b else f"{left}{a:g}, {b:g}{right}"
+             for a, b in zip(lo.tolist(), hi.tolist())]
+    return " U ".join(parts) or "SpectralSet(empty)"
 
 
 class SpectralSet:
     """Union of closed real intervals, optionally flagged open.
 
-    Construction normalizes: intervals are sorted and overlapping or
-    touching intervals are merged.
+    The set is its normalized endpoints: float arrays ``lo`` and ``hi`` of
+    the sorted, disjoint components (``_normalize``), read-only.
     """
 
-    __slots__ = ("intervals", "is_open")
+    __slots__ = ("lo", "hi", "is_open")
 
     def __init__(self, intervals: Iterable, is_open: bool = False):
-        items = sorted(_as_interval(it) for it in intervals)
-        merged: list[tuple[float, float]] = []
-        for lo, hi in items:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(merged))
-        object.__setattr__(self, "is_open", bool(is_open))
+        lo, hi = _normalize(*_endpoints(intervals))
+        lo.flags.writeable = hi.flags.writeable = False
+        for name, value in (("lo", lo), ("hi", hi), ("is_open", bool(is_open))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralSet is immutable")
 
     @classmethod
     def from_points(cls, values: Sequence[float], is_open: bool = False) -> "SpectralSet":
-        return cls([(float(v), float(v)) for v in values], is_open=is_open)
+        return cls(list(values), is_open=is_open)
 
     @classmethod
     def empty(cls) -> "SpectralSet":
@@ -86,45 +137,32 @@ class SpectralSet:
     # -- basic queries ---------------------------------------------------
 
     @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+    @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not len(self.lo)
 
     @property
     def inf(self) -> float:
         self._require_nonempty()
-        return self.intervals[0][0]
+        return float(self.lo[0])
 
     @property
     def sup(self) -> float:
         self._require_nonempty()
         # merged intervals are sorted and disjoint, so the last one ends highest
-        return self.intervals[-1][1]
+        return float(self.hi[-1])
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The interval endpoints as two float arrays ``(lo, hi)``."""
-        ends = np.array(self.intervals, dtype=float).reshape(-1, 2)
-        return ends[:, 0], ends[:, 1]
+        return self.lo, self.hi
 
     def _require_nonempty(self):
         if self.is_empty:
             raise ValueError("operation requires a nonempty set")
-
-    def contains(self, x: float) -> bool:
-        """Exact membership, honoring the open flag."""
-        for lo, hi in self.intervals:
-            if self.is_open:
-                if lo < x < hi:
-                    return True
-            else:
-                if lo <= x <= hi:
-                    return True
-        return False
-
-    def distance_to_points(self, x) -> np.ndarray:
-        """Distances from each of the points ``x`` to the closure, as a float array."""
-        self._require_nonempty()
-        return points_distance(x, *self.bounds)
 
     # -- set arithmetic --------------------------------------------------
 
@@ -136,26 +174,9 @@ class SpectralSet:
 
     def intersects(self, other: "SpectralSet") -> bool:
         """Whether the closures intersect: ``distance == 0``, read off the endpoints."""
-        return any(
-            lo1 <= hi2 and lo2 <= hi1 for lo1, hi1 in self.intervals for lo2, hi2 in other.intervals
-        )
-
-    def closed_neighborhood(self, delta: float) -> "SpectralSet":
-        if delta < 0:
-            raise ValueError("neighborhood radius must be nonnegative")
-        self._require_nonempty()
-        return SpectralSet([(lo - delta, hi + delta) for lo, hi in self.intervals])
-
-    def open_neighborhood(self, delta: float) -> "SpectralSet":
-        if delta <= 0:
-            raise ValueError("open neighborhood radius must be positive")
-        self._require_nonempty()
-        return SpectralSet(
-            [(lo - delta, hi + delta) for lo, hi in self.intervals], is_open=True
-        )
+        return bool(((self.lo[:, None] <= other.hi) & (other.lo <= self.hi[:, None])).any())
 
     def convex_hull(self) -> "SpectralSet":
-        self._require_nonempty()
         return SpectralSet([(self.inf, self.sup)], is_open=self.is_open)
 
     # -- dunder ----------------------------------------------------------
@@ -169,13 +190,7 @@ class SpectralSet:
         return hash((self.intervals, self.is_open))
 
     def __repr__(self) -> str:
-        left, right = ("(", ")") if self.is_open else ("[", "]")
-        if self.is_empty:
-            return "SpectralSet(empty)"
-        parts = []
-        for lo, hi in self.intervals:
-            parts.append(f"{{{lo:g}}}" if lo == hi else f"{left}{lo:g}, {hi:g}{right}")
-        return " U ".join(parts)
+        return _format(self.lo, self.hi, self.is_open)
 
 
 def locate_points(x, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,46 +236,50 @@ def _distances(lo1, hi1, lo2, hi2) -> np.ndarray:
     return np.maximum(gaps, 0.0).min(axis=(-2, -1))
 
 
-def stacked_bounds(sets: Sequence[SpectralSet]) -> tuple[np.ndarray, np.ndarray, bool]:
-    """``(lo, hi, is_open)`` of nonempty sets of one open flag, one row of endpoints per set.
-
-    A set of fewer intervals than the others repeats its last one, which
-    leaves membership and boundary distances unchanged.
-    """
-    for s in sets:
-        s._require_nonempty()
-    flags = {s.is_open for s in sets}
-    if len(flags) != 1:
-        raise ValueError("cannot stack sets with different open/closed flags")
-    width = max(len(s.intervals) for s in sets)
-    ends = np.array([s.intervals + s.intervals[-1:] * (width - len(s.intervals)) for s in sets])
-    return ends[..., 0], ends[..., 1], flags.pop()
-
-
 def neighborhood_bounds(points, radius, hi=None) -> tuple[np.ndarray, np.ndarray]:
     """Stacked endpoints of the ``radius``-neighborhoods of point sets, or of interval unions.
 
     ``points`` has shape (..., m) and ``radius`` a scalar or the leading
     shape; with ``hi`` the sets are the disjoint intervals ``[points, hi]``.
-    Returns ``(lo, hi)`` of shape (..., m), normalized as
-    ``SpectralSet`` normalizes: intervals sorted, and overlapping or
-    touching intervals merged.  Merged intervals keep the fixed shape by
-    repeating the component they form, which leaves membership and
-    boundary distances unchanged.
+    Returns ``(lo, hi)`` of shape (..., m): the intervals sorted, and
+    overlapping or touching ones merged by ``_merge``, as ``SpectralSet``
+    merges them.  Merged intervals keep the fixed shape by repeating the
+    component they form, which leaves membership and boundary distances
+    unchanged.
     """
     points = np.sort(np.asarray(points, dtype=float), axis=-1)
     radius = np.asarray(radius, dtype=float)[..., None]
     lo, hi = points - radius, (points if hi is None else np.sort(hi, axis=-1)) + radius
-    # an interval starts a component when it begins beyond every hi before it; each interval
-    # then takes the lo of its component's first interval and the running hi at its last
-    run = np.maximum.accumulate(hi, axis=-1)
-    start = np.ones(lo.shape, dtype=bool)
-    start[..., 1:] = lo[..., 1:] > run[..., :-1]
-    end = np.ones(lo.shape, dtype=bool)
-    end[..., :-1] = start[..., 1:]
-    lo = np.maximum.accumulate(np.where(start, lo, -np.inf), axis=-1)
-    hi = np.minimum.accumulate(np.where(end, run, np.inf)[..., ::-1], axis=-1)[..., ::-1]
+    lo, hi, _ = _merge(lo, np.maximum.accumulate(hi, axis=-1))
     return lo, hi
+
+
+# the rules of the case classification in priority order, as _classify numbers them
+_CLASSES = (
+    Classification(Case.SUBORDINATED, "sup(sigma) < inf(Sigma)"),
+    Classification(Case.SUBORDINATED, "sup(Sigma) < inf(sigma)"),
+    Classification(Case.CASE_II, "hull(sigma) disjoint from Sigma"),
+    Classification(Case.CASE_II, "hull(Sigma) disjoint from sigma"),
+    Classification(Case.CASE_I, "hulls interleave"),
+)
+
+
+def _classify(sigma_ends: tuple, Sigma_ends: tuple) -> np.ndarray:
+    """The index into ``_CLASSES`` of the first rule that each pair of separated unions meets.
+
+    ``sigma_ends`` and ``Sigma_ends`` are the ``(lo, hi)`` of normalized
+    unions (..., m), one pair per leading index; the two widths may differ.
+    """
+    (lo1, hi1), (lo2, hi2) = sigma_ends, Sigma_ends
+    inf1, sup1, inf2, sup2 = lo1[..., :1], hi1[..., -1:], lo2[..., :1], hi2[..., -1:]
+    rules = [
+        sup1 < inf2,
+        sup2 < inf1,
+        ~((lo2 <= sup1) & (inf1 <= hi2)).any(axis=-1, keepdims=True),  # hull(sigma) misses Sigma
+        ~((lo1 <= sup2) & (inf2 <= hi1)).any(axis=-1, keepdims=True),
+        np.ones_like(inf1, dtype=bool),
+    ]
+    return np.argmax(np.concatenate(rules, axis=-1), axis=-1)
 
 
 def classify_case(sigma: SpectralSet, Sigma: SpectralSet) -> Classification:
@@ -270,15 +289,6 @@ def classify_case(sigma: SpectralSet, Sigma: SpectralSet) -> Classification:
     the strongest conclusions, and it implies the hull-separation
     predicate of CASE_II.
     """
-    d = sigma.distance(Sigma)
-    if d <= 0.0:
+    if sigma.distance(Sigma) <= 0.0:
         raise ValueError("components must be separated: distance(sigma, Sigma) = 0")
-    if sigma.sup < Sigma.inf:
-        return Classification(Case.SUBORDINATED, "sup(sigma) < inf(Sigma)")
-    if Sigma.sup < sigma.inf:
-        return Classification(Case.SUBORDINATED, "sup(Sigma) < inf(sigma)")
-    if not sigma.convex_hull().intersects(Sigma):
-        return Classification(Case.CASE_II, "hull(sigma) disjoint from Sigma")
-    if not Sigma.convex_hull().intersects(sigma):
-        return Classification(Case.CASE_II, "hull(Sigma) disjoint from sigma")
-    return Classification(Case.CASE_I, "hulls interleave")
+    return _CLASSES[_classify(sigma.bounds, Sigma.bounds)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import AnalysisReport, PerturbationProblem, QnrSample, delta_v
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import SpectralSet
+from .intervals import SpectralSet, _numeric
 
 
 class ProblemFileError(ValueError):
@@ -39,16 +39,6 @@ def _parse_entry(item, name: str, row: int, col: int, pairs: bool) -> complex:
         f"matrix {name}: invalid entry at ({row},{col}): {item!r} "
         f"(expected {'a number or [re, im]' if pairs else 'a number'})"
     )
-
-
-def _numeric(obj) -> np.ndarray | None:
-    """``numpy.array(obj)`` if a bool, int or float array, which converts to float as ``_parse_entry``
-    does; anything else (strings, None, ragged rows, integers beyond int64) is None."""
-    try:
-        arr = np.array(obj)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    return arr if arr.dtype.kind in "bif" else None
 
 
 def _parse_numeric(obj, dim: int) -> np.ndarray | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import SpectralSet, locate_points
+from .intervals import SpectralSet, _format, _normalize, locate_points
 
 
 class ValidationError(ValueError):
@@ -225,7 +225,7 @@ def _select(values, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray,
     # an inside value near the boundary occurs only for closed regions
     for row, i in zip(*np.nonzero(ambiguous | (mask & near))):
         x = float(values[row, i])
-        where = repr(SpectralSet(zip(lo[row].tolist(), hi[row].tolist()), is_open=is_open))
+        where = _format(*_normalize(lo[row], hi[row]), is_open)
         flags[row].append(
             f"eigenvalue {x:.12g} is AMBIGUOUS on the open boundary of {where}; excluded"
             if ambiguous[row, i]

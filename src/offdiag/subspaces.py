@@ -27,7 +27,7 @@ from .analysis import (
     _verdict,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, SpectralSet, locate_points, points_distance, stacked_bounds
+from .intervals import _CLASSES, Case, SpectralSet, _classify, locate_points, points_distance
 from .operators import (
     OrthogonalProjection,
     _column_blocks,
@@ -140,16 +140,17 @@ def _block_norms(memos: list, ua, ub, mask_a: np.ndarray, mask_b: np.ndarray) ->
     return [memo[key] for memo, key in zip(memos, keys)]
 
 
-def _difference(stack: _Stack, mask_p, mask_q) -> list[ProjectionDifference]:
+def _difference(stack: _Stack, mask_p, mask_q, rows=slice(None)) -> list[ProjectionDifference]:
     """``||E_A(mask_p) - E_B(mask_q)||`` per mask row: the larger of two principal-angle blocks.
 
-    Mask row v belongs to stack row v mod T.  The blocks are (mask_p, ~mask_q),
-    for ``||P Q_perp||``, and (~mask_p, mask_q), for ``||P_perp Q||``.  Both
+    Mask row v belongs to row v mod R of the R stack rows in the slice ``rows``
+    (default all).  The blocks are (mask_p, ~mask_q), for ``||P Q_perp||``,
+    and (~mask_p, mask_q), for ``||P_perp Q||``.  Both
     are entries of each row's memo, so every check on a row computes each
     block once, whichever check asks first; blocks of one shape share an SVD.
     """
-    count, memos = len(mask_p), stack.block_norms
-    ua, ub = stack.a_eigen.eigenvectors, stack.b_eigen.eigenvectors
+    count, memos = len(mask_p), stack.block_norms[rows]
+    ua, ub = stack.a_eigen.eigenvectors[rows], stack.b_eigen.eigenvectors[rows]
     left, right = np.concatenate([mask_p, ~mask_p]), np.concatenate([~mask_q, mask_q])
     norms = _block_norms(memos * (2 * count // len(memos)), ua, ub, left, right)
     return [ProjectionDifference(max(x, y), x, y) for x, y in zip(norms[:count], norms[count:])]
@@ -178,12 +179,17 @@ def _sides(problem: PerturbationProblem) -> _Sides:
         )
     stack = problem._stack
     if "sides" not in stack.memo:
-        swapped = [sigma.convex_hull().intersects(Sigma) for sigma, Sigma in stack.sets]
-        pick = np.array(swapped)[:, None]
-        (sig_lo, sig_hi), (Sig_lo, Sig_hi) = stack.sigma_ends, stack.Sigma_ends
+        # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
+        pick = (stack.kind == 3)[:, None]
+        width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
+        # both sets at one width, each repeating its last interval, so that rows can swap them
+        sig_lo, sig_hi, Sig_lo, Sig_hi = (
+            np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge")
+            for x in (*stack.sigma_ends, *stack.Sigma_ends)
+        )
         near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
         far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
-        flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in swapped]
+        flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in pick[:, 0]]
         gap = (np.where(far[1] < near[0][:, :1], far[1], -np.inf).max(axis=-1),
                np.where(far[0] > near[1][:, -1:], far[0], np.inf).min(axis=-1))
         stack.memo["sides"] = _Sides(near, far, stack.sigma_mask ^ pick, flags, gap)
@@ -359,10 +365,10 @@ def tan_theta_bound(
     ||E_A(sigma) - E_B(interval)|| < 1 (the a-priori premise), the
     difference is at most sin(arctan(||V|| / dist(sigma-tilde, Sigma))),
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
-    operator X of the pair.  The selection and its norms are computed for
-    the problem's whole stack, each other row on its ``maximal_gap_interval``
-    (the interval the theorem table asks for), and kept when this row's
-    interval is its own maximal one too.
+    operator X of the pair.  On the ``maximal_gap_interval`` (the interval
+    the theorem table asks for) the selection and its norms are computed
+    for the problem's whole stack at once; any other interval is computed
+    for this row alone.
     """
     sides, row = _sides(problem), problem._row
     lo, hi = float(interval[0]), float(interval[1])
@@ -377,9 +383,8 @@ def tan_theta_bound(
     if (lo, hi) == maximal_gap_interval(problem):
         numbers = _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
     else:
-        ends = [x.copy() for x in sides.gap]
-        ends[0][row], ends[1][row] = lo, hi
-        numbers = _tan_theta(problem._stack, sides, *ends)[row]
+        one = slice(row, row + 1)
+        numbers = _tan_theta(problem._stack, sides, np.array([lo]), np.array([hi]), one)[0]
     mask, flags, diff, dist_ts = numbers
 
     witnesses = {
@@ -413,14 +418,15 @@ def tan_theta_bound(
     return report(claimed, bounds=[(x_norm, tan_claim)])
 
 
-def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray, hi: np.ndarray) -> list:
-    """Per row and open interval (lo, hi): sigma-tilde's mask, flags, the difference, and
-    dist(sigma-tilde, Sigma)."""
-    mask, _, flags = _select(stack.b_eigen.eigenvalues, lo[:, None], hi[:, None], True,
-                             stack.eig_tol)
-    flags = [interval_flags + swap for interval_flags, swap in zip(flags, sides.flags)]
-    diffs = _difference(stack, sides.mask, mask)
-    far = points_distance(stack.b_eigen.eigenvalues, *sides.far)
+def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray, hi: np.ndarray,
+               rows=slice(None)) -> list:
+    """Per row of the slice ``rows`` (default all) and its open interval (lo, hi): sigma-tilde's
+    mask, flags, the difference, and dist(sigma-tilde, Sigma)."""
+    values = stack.b_eigen.eigenvalues[rows]
+    mask, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol[rows])
+    flags = [interval_flags + swap for interval_flags, swap in zip(flags, sides.flags[rows])]
+    diffs = _difference(stack, sides.mask[rows], mask, rows)
+    far = points_distance(values, sides.far[0][rows], sides.far[1][rows])
     dist_ts = np.where(mask, far, np.inf).min(axis=-1)
     return list(zip(mask, flags, diffs, dist_ts.tolist()))
 
@@ -441,15 +447,13 @@ def verify_pair_inequality(
     dist = sigma.distance(delta_set)
     if dist <= 0:
         raise ValueError("sigma and Delta must be at positive distance")
-    hull_separated = (
-        not sigma.convex_hull().intersects(delta_set)
-        or not delta_set.convex_hull().intersects(sigma)
-    )
+    hull_separated = _CLASSES[_classify(sigma.bounds, delta_set.bounds)].case is not Case.CASE_I
     dec_a = _eigh(a[None])
     values = dec_a.eigenvalues
-    mask_a = locate_points(values, *stacked_bounds([sigma]), tol.eig(values))[0]
+    mask_a = locate_points(values, *sigma.bounds, sigma.is_open, tol.eig(values))[0]
     return _pair_inequality(a[None], b[None], dec_a, _eigh(b[None]), mask_a,
-                            stacked_bounds([delta_set]), [(dist, hull_separated, {})], tol)[0]
+                            (*delta_set.bounds, delta_set.is_open), [(dist, hull_separated, {})],
+                            tol)[0]
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:

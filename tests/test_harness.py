@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import offdiag
-from offdiag import harness
+from offdiag import analysis, harness
 from offdiag import (
     THEOREM_IDS,
     Case,
@@ -143,12 +143,34 @@ class TestRandomProblem:
         assert a_got == a_sha
         assert v_got == v_sha
 
-    def test_layout_generator_produces_requested_case(self, rng):
-        for case in (Case.CASE_I, Case.CASE_II, Case.SUBORDINATED):
-            for k in range(20):
-                spec = random_problem_spec(case, 2, 3, 0.5, seed=1000 + k)
-                p = random_problem(spec)
-                assert p.case is case, (case, spec)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 8), (8, 8)])
+    @pytest.mark.parametrize("case", [Case.CASE_I, Case.CASE_II, Case.SUBORDINATED])
+    def test_layout_generator_produces_requested_case(self, case, dims):
+        """Each layout is of its case by construction, so generation does not check it."""
+        specs = [random_problem_spec(case, *dims, 0.5, seed=1000 + k) for k in range(200)]
+        for spec, p in zip(specs, harness._random_problems(specs, offdiag.DEFAULT_TOL)):
+            assert p.case is case, (case, spec)
+
+    def test_batch_verify_builds_no_set_and_classifies_once_per_build(self, monkeypatch):
+        specs = [random_problem_spec(case, 3, 4, 0.8, seed=k)
+                 for case in (Case.CASE_I, Case.CASE_II, Case.SUBORDINATED) for k in range(4)]
+        counts = {"sets": 0, "classify": 0, "build": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        init, build = offdiag.SpectralSet.__init__, offdiag.PerturbationProblem._build.__func__
+        monkeypatch.setattr(offdiag.SpectralSet, "__init__", counted("sets", init))
+        monkeypatch.setattr(analysis, "_classify", counted("classify", analysis._classify))
+        monkeypatch.setattr(offdiag.PerturbationProblem, "_build",
+                            classmethod(counted("build", build)))
+        batch_verify(specs, list(THEOREM_IDS))
+        # 24 generated sets, each read from the stack's endpoints and not built as an object
+        assert counts["sets"] <= 2 * len(specs)
+        assert counts["build"] >= 1 and counts["classify"] == counts["build"]
 
 
 class TestSearch:

@@ -2,13 +2,144 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offdiag import Case, SpectralSet, classify_case
-from offdiag.intervals import locate_points, neighborhood_bounds, stacked_bounds
+from offdiag.intervals import (
+    _CLASSES,
+    _classify,
+    locate_points,
+    neighborhood_bounds,
+    points_distance,
+)
 
 
 def points(*vals):
     return SpectralSet.from_points(vals)
+
+
+# -- oracles: the loops that SpectralSet once ran, and the methods only tests use ----------------
+
+
+def oracle_intervals(raw) -> tuple:
+    """Sort the entries of ``raw`` (numbers or (lo, hi) pairs), then merge them in a loop."""
+    items = sorted((float(x), float(x)) if isinstance(x, (int, float)) else (float(x[0]), float(x[1]))
+                   for x in raw)
+    merged = []
+    for lo, hi in items:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def oracle_repr(intervals: tuple, is_open: bool) -> str:
+    left, right = ("(", ")") if is_open else ("[", "]")
+    if not intervals:
+        return "SpectralSet(empty)"
+    parts = []
+    for lo, hi in intervals:
+        parts.append(f"{{{lo:g}}}" if lo == hi else f"{left}{lo:g}, {hi:g}{right}")
+    return " U ".join(parts)
+
+
+def oracle_classify(s: tuple, t: tuple) -> tuple[Case, str]:
+    """The scalar case rules on the normalized intervals of two separated sets."""
+
+    def hull_meets(hull, other):
+        return any(hull[0][0] <= hi and lo <= hull[-1][1] for lo, hi in other)
+
+    if s[-1][1] < t[0][0]:
+        return Case.SUBORDINATED, "sup(sigma) < inf(Sigma)"
+    if t[-1][1] < s[0][0]:
+        return Case.SUBORDINATED, "sup(Sigma) < inf(sigma)"
+    if not hull_meets(s, t):
+        return Case.CASE_II, "hull(sigma) disjoint from Sigma"
+    if not hull_meets(t, s):
+        return Case.CASE_II, "hull(Sigma) disjoint from sigma"
+    return Case.CASE_I, "hulls interleave"
+
+
+def contains(s: SpectralSet, x: float) -> bool:
+    """Exact membership, honoring the open flag."""
+    if s.is_open:
+        return any(lo < x < hi for lo, hi in s.intervals)
+    return any(lo <= x <= hi for lo, hi in s.intervals)
+
+
+def distance_to_points(s: SpectralSet, x) -> np.ndarray:
+    """Distances from each of the points ``x`` to the closure of ``s``, as a float array."""
+    s._require_nonempty()
+    return points_distance(x, *s.bounds)
+
+
+def closed_neighborhood(s: SpectralSet, delta: float) -> SpectralSet:
+    if delta < 0:
+        raise ValueError("neighborhood radius must be nonnegative")
+    s._require_nonempty()
+    return SpectralSet([(lo - delta, hi + delta) for lo, hi in s.intervals])
+
+
+def open_neighborhood(s: SpectralSet, delta: float) -> SpectralSet:
+    if delta <= 0:
+        raise ValueError("open neighborhood radius must be positive")
+    s._require_nonempty()
+    return SpectralSet([(lo - delta, hi + delta) for lo, hi in s.intervals], is_open=True)
+
+
+# endpoints that make duplicate, nested, touching and overlapping intervals, infinite ends and
+# zeros of both signs common
+ENDPOINT = st.sampled_from(
+    [-math.inf, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf]
+) | st.floats(-3.0, 3.0)
+ENTRY = ENDPOINT | st.tuples(ENDPOINT, ENDPOINT).map(lambda pair: tuple(sorted(pair)))
+RAW_SETS = st.lists(ENTRY, max_size=8)
+
+
+class TestNormalizationOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(raw=RAW_SETS, is_open=st.booleans())
+    def test_intervals_and_repr_equal_the_merge_loop(self, raw, is_open):
+        s = SpectralSet(raw, is_open=is_open)
+        want = oracle_intervals(raw)
+        # repr of a float tuple keeps every bit of a non-NaN float, the sign of a zero included
+        assert repr(s.intervals) == repr(want)
+        assert repr(s) == oracle_repr(want, is_open)
+        assert s.lo.tolist() == [lo for lo, _ in want] and s.hi.tolist() == [hi for _, hi in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(RAW_SETS, RAW_SETS), min_size=1, max_size=6))
+    def test_array_classification_equals_the_scalar_rules(self, pairs):
+        sets = [(SpectralSet(r), SpectralSet(q)) for r, q in pairs]
+        with np.errstate(invalid="ignore"):  # a point at inf is at distance nan from inf
+            sets = [(s, t) for s, t in sets if not (s.is_empty or t.is_empty) and s.distance(t) > 0]
+        for s, t in sets:
+            c = classify_case(s, t)
+            assert (c.case, c.detail) == oracle_classify(s.intervals, t.intervals)
+            hull_meets = any(s.inf <= hi and lo <= s.sup for lo, hi in t.intervals)
+            assert s.convex_hull().intersects(t) == hull_meets
+        if not sets:
+            return
+        # one stacked call, each side at one width by repeating its last interval
+        stacked = []
+        for side in (0, 1):
+            width = max(len(pair[side].lo) for pair in sets)
+            stacked.append(tuple(
+                np.array([np.pad(x, (0, width - len(x)), mode="edge") for x in ends])
+                for ends in zip(*(pair[side].bounds for pair in sets))
+            ))
+        got = [_CLASSES[k] for k in _classify(*stacked).tolist()]
+        assert [(c.case, c.detail) for c in got] == [
+            oracle_classify(s.intervals, t.intervals) for s, t in sets
+        ]
+
+    def test_signed_zeros_keep_the_first_of_equal_ends(self):
+        # np.maximum(-0.0, 0.0) is 0.0, where the merge loop's max keeps -0.0
+        assert repr(SpectralSet([-0.0, 0.0]).intervals) == "((-0.0, -0.0),)"
+        assert repr(SpectralSet([0.0, -0.0]).intervals) == "((0.0, 0.0),)"
+        assert repr(SpectralSet([(-1.0, -0.0), (-0.5, 0.0)]).intervals) == "((-1.0, -0.0),)"
 
 
 def boundary_distance(s, x):
@@ -36,6 +167,17 @@ class TestNormalization:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             SpectralSet([(2, 1)])
+
+    @pytest.mark.parametrize("raw", [["12"], [[0, "1"]], [(0.0, 1.0), "12"], [None], [[0, 1, 2]]],
+                             ids=["string", "string-end", "mixed-string", "none", "triple"])
+    def test_an_entry_is_a_number_or_a_pair_of_numbers(self, raw):
+        # a string is not read as its characters: "12" is not the interval [1, 2]
+        with pytest.raises(ValueError, match="must be a number or a \\[lo, hi\\] pair of numbers"):
+            SpectralSet(raw)
+
+    def test_numbers_mixed_with_pairs(self):
+        s = SpectralSet([0.5, (2.0, 3.0), 1, [2.5, 4.0]])
+        assert s.intervals == ((0.5, 0.5), (1.0, 1.0), (2.0, 4.0))
 
     def test_empty(self):
         s = SpectralSet.empty()
@@ -98,7 +240,7 @@ class TestDistance:
             s = points(*rng.uniform(-5, 5, 3))
             t = points(*rng.uniform(-5, 5, 3))
             delta = float(rng.uniform(0, 2))
-            lhs = s.closed_neighborhood(delta).distance(t)
+            lhs = closed_neighborhood(s, delta).distance(t)
             assert lhs >= s.distance(t) - delta - 1e-12
 
     def test_array_forms_equal_the_interval_loops(self, rng):
@@ -121,14 +263,14 @@ class TestDistance:
             assert s.distance(t) == loop
             ends = [e for iv in s.intervals for e in iv if math.isfinite(e)]
             xs = np.concatenate([rng.uniform(-10, 10, 30), ends])
-            got = s.distance_to_points(xs)
+            got = distance_to_points(s, xs)
             for x, g in zip(xs, got):
                 assert g == min(max(lo - x, x - hi, 0.0) for lo, hi in s.intervals)
 
 
 class TestNeighborhoods:
     def test_closed_merges_to_single_interval(self):
-        s = points(-1.5, -0.5, 0.5, 1.5).closed_neighborhood(0.5)
+        s = closed_neighborhood(points(-1.5, -0.5, 0.5, 1.5), 0.5)
         assert s.intervals == ((-2.0, 2.0),)
 
     def test_closed_merge_against_membership_oracle(self, rng):
@@ -137,39 +279,39 @@ class TestNeighborhoods:
         for _ in range(50):
             raw = [tuple(sorted(rng.uniform(-5, 5, 2))) for _ in range(4)]
             delta = float(rng.uniform(0, 1.5))
-            s = SpectralSet(raw).closed_neighborhood(delta)
+            s = closed_neighborhood(SpectralSet(raw), delta)
             expanded = [(lo - delta, hi + delta) for lo, hi in raw]
             probes = list(rng.uniform(-8, 8, 200)) + [e for iv in expanded for e in iv]
             for x in probes:
                 oracle = any(lo <= x <= hi for lo, hi in expanded)
-                assert s.contains(x) == oracle
+                assert contains(s, x) == oracle
 
     def test_zero_radius_identity(self):
         s = SpectralSet([(0, 1), (3, 3)])
-        assert s.closed_neighborhood(0.0) == s
+        assert closed_neighborhood(s, 0.0) == s
 
     def test_single_point(self):
-        assert points(0.0).closed_neighborhood(1.0).intervals == ((-1.0, 1.0),)
+        assert closed_neighborhood(points(0.0), 1.0).intervals == ((-1.0, 1.0),)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            points(0.0).closed_neighborhood(-0.1)
+            closed_neighborhood(points(0.0), -0.1)
 
     def test_open_neighborhood_example_case1(self):
         # O_{1/2}({-3/2, 1/2}) = (-2,-1) u (0,1)
-        s = points(-1.5, 0.5).open_neighborhood(0.5)
+        s = open_neighborhood(points(-1.5, 0.5), 0.5)
         assert s.intervals == ((-2.0, -1.0), (0.0, 1.0))
         assert s.is_open
 
     def test_open_neighborhood_example_case2(self):
-        s = points(0.0).open_neighborhood(1.0)
+        s = open_neighborhood(points(0.0), 1.0)
         assert s.intervals == ((-1.0, 1.0),)
         assert s.is_open
 
     def test_open_endpoint_excluded(self):
-        s = points(-1.5, 0.5).open_neighborhood(0.5)
-        assert not s.contains(-2.0)
-        assert s.contains(-1.5)
+        s = open_neighborhood(points(-1.5, 0.5), 0.5)
+        assert not contains(s, -2.0)
+        assert contains(s, -1.5)
 
     def test_neighborhood_bounds_normalize_like_spectral_sets(self, rng):
         rows = [rng.uniform(-2, 2, 4) for _ in range(40)] + [
@@ -180,33 +322,34 @@ class TestNeighborhoods:
         radius = np.concatenate([rng.uniform(0.05, 1.0, 40), [0.5, 0.25]])
         groups = [([SpectralSet.from_points(row) for row in points_], radius,
                    neighborhood_bounds(points_, radius))]
-        # sets of 1 to 4 intervals stacked in one call, so the shorter rows are padded
+        # sets of 1 to 4 intervals stacked in one call, the shorter rows repeating their last one
         sets = [SpectralSet(np.sort(rng.uniform(-3, 3, 2 * k)).reshape(k, 2))
                 for k in rng.integers(1, 5, 30)]
         sets += [SpectralSet([(0.0, 1.0), (1.5, 2.0)]), SpectralSet([(3.0, 3.0)])]
         radius = np.concatenate([rng.uniform(0.05, 1.0, 30), [0.25, 0.5]])
-        lo, hi, _ = stacked_bounds(sets)
+        lo, hi = (np.array([np.pad(x, (0, 4 - len(x)), mode="edge") for x in ends])
+                  for ends in zip(*(s.bounds for s in sets)))
         groups.append((sets, radius, neighborhood_bounds(lo, radius, hi)))
         for sets, radius, (lo, hi) in groups:
             for s, r, l, h in zip(sets, radius, lo, hi):
-                want = s.open_neighborhood(float(r))
+                want = open_neighborhood(s, float(r))
                 assert tuple(dict.fromkeys(zip(l.tolist(), h.tolist()))) == want.intervals
                 # a selection's flag names the set that its endpoints make
                 assert repr(SpectralSet(zip(l, h), is_open=True)) == repr(want)
 
     def test_open_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            points(0.0).open_neighborhood(0.0)
+            open_neighborhood(points(0.0), 0.0)
 
     def test_neighborhoods_compose(self, rng):
         # equality up to round-off in the endpoint arithmetic
         for _ in range(100):
             s = points(*rng.uniform(-5, 5, 4))
             d1, d2 = rng.uniform(0, 1, 2)
-            once = s.closed_neighborhood(d1 + d2)
-            twice = s.closed_neighborhood(d1).closed_neighborhood(d2)
+            once = closed_neighborhood(s, d1 + d2)
+            twice = closed_neighborhood(closed_neighborhood(s, d1), d2)
             xs = rng.uniform(-8, 8, 50)
-            assert np.abs(once.distance_to_points(xs) - twice.distance_to_points(xs)).max() < 1e-12
+            assert np.abs(distance_to_points(once, xs) - distance_to_points(twice, xs)).max() < 1e-12
 
 
 class TestLocate:
@@ -242,10 +385,10 @@ class TestLocate:
                     assert n == (boundary_distance(s, x) <= tol)
                     if is_open:
                         assert a == n
-                        assert i == (not n and s.contains(x))
+                        assert i == (not n and contains(s, x))
                     else:
                         assert not a
-                        assert i == (s.distance_to_points([x])[0] <= tol)
+                        assert i == (distance_to_points(s, [x])[0] <= tol)
 
     def test_locate_points_stacked_rows_match_single_calls(self, rng):
         lo = np.sort(rng.uniform(-3, 3, (5, 2)), axis=1)

@@ -108,6 +108,18 @@ class TestProblemFiles:
             "error: sigma and Sigma must be both open or both closed\n"
         )
 
+    @pytest.mark.parametrize("sigma", [["12"], [[0, "1"]]], ids=["string", "string-end"])
+    def test_string_set_entries_exit_2(self, sigma, tmp_path, capsys):
+        # a string is not a sequence of numbers: ["12"] is not the interval [1, 2]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "A": [[1.0, 0.0], [0.0, 5.0]], "V": [[0, 0.3], [0.3, 0]], "sigma": sigma, "Sigma": [5.0],
+        }))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: set sigma: each entry must be a number or a [lo, hi] pair of numbers\n"
+        )
+
     def test_plain_real_entries_accepted(self):
         payload = {
             "A": [[0.0, 0.0], [0.0, 2.0]],

@@ -24,6 +24,7 @@ from offdiag.operators import (
 )
 
 from conftest import random_hermitian
+from test_intervals import open_neighborhood
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -252,7 +253,7 @@ class TestSelectEigenvalues:
         ]
 
     def test_open_boundary_flags_are_ambiguous_and_excluded(self):
-        region = SpectralSet.from_points([-1.5, 0.5]).open_neighborhood(0.5)
+        region = open_neighborhood(SpectralSet.from_points([-1.5, 0.5]), 0.5)
         values = np.array([-2.0, -1.2, 0.0, 0.7, 1.5])
         mask, ambiguous, flags = select_eigenvalues(values, region, 1e-10)
         assert mask.tolist() == [False, True, False, True, False]

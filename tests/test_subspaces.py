@@ -23,10 +23,12 @@ from offdiag import (
     tan_theta_bound,
     verify_pair_inequality,
 )
-from offdiag import Case, PerturbationProblem, subspaces
+from offdiag import Case, PerturbationProblem, harness, subspaces
+from offdiag.config import DEFAULT_TOL
 from offdiag.operators import select_eigenvalues
 
 from conftest import random_close_projection, random_hermitian, random_projection
+from test_intervals import distance_to_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -339,6 +341,28 @@ class TestTanTheta:
                 checked += 1
         assert checked > 150
 
+    def test_other_interval_computes_only_its_row(self, monkeypatch):
+        specs = [random_problem_spec(Case.CASE_II, 3, 4, 0.6, seed=seed) for seed in range(6)]
+        problems = harness._random_problems(specs, DEFAULT_TOL)
+        p = problems[3]
+        (g_lo, g_hi), sigma = maximal_gap_interval(p), p.sigma
+        interval = (0.5 * (g_lo + sigma.inf), 0.5 * (g_hi + sigma.sup))
+        handed = []
+        blocks = subspaces._column_blocks
+
+        def counted(left, left_mask, right, right_mask, rows=None):
+            handed.append((len(left), len(left_mask if rows is None else rows)))
+            return blocks(left, left_mask, right, right_mask, rows)
+
+        monkeypatch.setattr(subspaces, "_column_blocks", counted)
+        report = tan_theta_bound(p, interval)
+        # one row's bases, and its two principal-angle blocks at most
+        assert handed and all(bases == 1 for bases, _ in handed)
+        assert sum(rows for _, rows in handed) <= 2
+        alone = PerturbationProblem.build(p.a, p.v, sigma, p.Sigma)
+        assert report == tan_theta_bound(alone, interval)
+        assert report.premise_satisfied
+
 
 class TestPairInequality:
     def test_equal_operators_give_zero(self):
@@ -368,7 +392,7 @@ class TestPairInequality:
             eb = np.linalg.eigvalsh(b)
             cut_a = int(rng.integers(1, dim))
             sigma = SpectralSet.from_points(ea[:cut_a])
-            rest = list(eb[sigma.distance_to_points(eb) > 0.05])
+            rest = list(eb[distance_to_points(sigma, eb) > 0.05])
             if not rest:
                 continue
             delta = SpectralSet.from_points(rest)
