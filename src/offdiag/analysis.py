@@ -39,11 +39,12 @@ from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
-    _column_blocks,
+    _blocks,
     _eigh,
+    _mask_groups,
     _select,
-    compressed_norm_exceeds,
     hermitian_eigendecompose,
+    norm_exceeds,
     projection_from_eigenvectors,
     spectral_norm,
     validate_hermitian,
@@ -159,11 +160,6 @@ def _row_of(read) -> property:
     return property(lambda self: read(self._stack, self._row))
 
 
-def _row_eigen(stacked: EigenDecomposition, row) -> EigenDecomposition:
-    """The decomposition of ``stacked``'s row, or of its rows that the index ``row`` picks."""
-    return EigenDecomposition(stacked.eigenvalues[row], stacked.eigenvectors[row])
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbationProblem:
     """Validated bundle (A, V, sigma, Sigma) with cached decompositions: a view of a stack's row."""
@@ -179,8 +175,8 @@ class PerturbationProblem:
     sigma_mask = _row_of(lambda s, i: s.sigma_mask[i])  # A's eigenvalues (ascending) in sigma
     classification = _row_of(lambda s, i: _CLASSES[s.kind[i]])
     tol = _row_of(lambda s, i: s.tol)
-    a_eigen = _row_of(lambda s, i: _row_eigen(s.a_eigen, i))
-    b_eigen = _row_of(lambda s, i: _row_eigen(s.b_eigen, i))
+    a_eigen = _row_of(lambda s, i: s.a_eigen[i])
+    b_eigen = _row_of(lambda s, i: s.b_eigen[i])
     norm_v = _row_of(lambda s, i: float(s.norm_v[i]))
     # max(max |eigenvalue of A|, ||V||, d): the unit of every verdict's slack
     scale = _row_of(lambda s, i: float(s.scale[i]))
@@ -228,7 +224,7 @@ class PerturbationProblem:
 
         ends = (sigma_ends, Sigma_ends)
         d = _distances(*sigma_ends, *Sigma_ends)
-        if d.min() <= 0:
+        if not d.min() > 0:  # a NaN distance, of two sets at one infinite end, is none
             raise ValidationError("sigma and Sigma must be separated (distance > 0)")
         kind = _classify(sigma_ends, Sigma_ends)
 
@@ -252,22 +248,19 @@ class PerturbationProblem:
             raise ValidationError("both components must contain spectrum of A")
 
         # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
-        # on the blocks of the eigenvector bases; with V = 0 the blocks are exactly zero and
-        # never exceed a zero bound
+        # on the blocks of the eigenvector bases, which a diagonal A's permutation bases gather;
+        # with V = 0 the blocks are exactly zero and never exceed a zero bound
         norm_v = spectral_norm(v)
         off_bound = tol.offdiag * norm_v
         commutator_bound = tol.proj(dim) * norm_a
-        u = a_eigen.eigenvectors
-        for rows, u_in, u_out in _column_blocks(u, mask_sigma, u, ~mask_sigma):
-            # a group of every row takes A and V themselves, so a large problem is not copied
-            v_rows, a_rows = (v, a) if len(rows) == len(a) else (v[rows], a[rows])
+        for rows, i_in, i_out in _mask_groups(mask_sigma, ~mask_sigma):
             off = off_bound[rows]
-            if any(compressed_norm_exceeds(x, x, v_rows, off).any() for x in (u_in, u_out)):
+            if any(norm_exceeds(_blocks(a_eigen, rows, x, x, v), off).any() for x in (i_in, i_out)):
                 raise ValidationError(
                     "V is not off-diagonal with respect to the sigma/Sigma splitting"
                 )
-            if any(compressed_norm_exceeds(x, y, a_rows, commutator_bound[rows]).any()
-                   for x, y in ((u_out, u_in), (u_in, u_out))):
+            if any(norm_exceeds(_blocks(a_eigen, rows, x, y, a), commutator_bound[rows]).any()
+                   for x, y in ((i_out, i_in), (i_in, i_out))):
                 raise ValidationError("spectral projection does not commute with A")
 
         b_eigen = hermitian_eigendecompose(a + v, tol)
@@ -283,7 +276,7 @@ class PerturbationProblem:
             pick = slice(None) if len(rows) == len(a) else rows
             stack = _Stack(
                 **{name: x[pick] for name, x in by_row.items()},
-                a_eigen=_row_eigen(a_eigen, pick), b_eigen=_row_eigen(b_eigen, pick),
+                a_eigen=a_eigen[pick], b_eigen=b_eigen[pick],
                 case=case, sigma_ends=tuple(x[pick] for x in sigma_ends),
                 Sigma_ends=tuple(x[pick] for x in Sigma_ends), is_open=is_open, tol=tol,
                 block_norms=[{} for _ in rows],

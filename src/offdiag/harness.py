@@ -134,8 +134,9 @@ class ProblemSpec:
             raise ValueError("both components need at least one value")
         if not math.isfinite(self.target_norm_ratio) or self.target_norm_ratio < 0:
             raise ValueError("target_norm_ratio must be finite and nonnegative")
-        d = float(_gap(np.array(self.sigma_values), np.array(self.Sigma_values)))
-        if d <= 0:
+        with np.errstate(invalid="ignore"):  # values at one infinite end are at distance NaN
+            d = float(_gap(np.array(self.sigma_values), np.array(self.Sigma_values)))
+        if not d > 0:
             raise ValueError("sigma and Sigma values must be separated")
         return d
 

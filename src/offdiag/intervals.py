@@ -232,7 +232,9 @@ def points_distance(x, lo, hi) -> np.ndarray:
 
 def _distances(lo1, hi1, lo2, hi2) -> np.ndarray:
     """Distances between the closures of unions, one per leading index: endpoints (..., m)."""
-    gaps = np.maximum(lo2[..., None, :] - hi1[..., :, None], lo1[..., :, None] - hi2[..., None, :])
+    with np.errstate(invalid="ignore"):  # unions that reach one infinite end are NaN apart
+        gaps = np.maximum(lo2[..., None, :] - hi1[..., :, None],
+                          lo1[..., :, None] - hi2[..., None, :])
     return np.maximum(gaps, 0.0).min(axis=(-2, -1))
 
 
@@ -289,6 +291,6 @@ def classify_case(sigma: SpectralSet, Sigma: SpectralSet) -> Classification:
     the strongest conclusions, and it implies the hull-separation
     predicate of CASE_II.
     """
-    if sigma.distance(Sigma) <= 0.0:
+    if not sigma.distance(Sigma) > 0.0:
         raise ValueError("components must be separated: distance(sigma, Sigma) = 0")
     return _CLASSES[_classify(sigma.bounds, Sigma.bounds)]

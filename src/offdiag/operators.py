@@ -28,9 +28,10 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return ``matrix`` as a square complex array, or raise ValidationError.
 
     The largest deviation ``|m - m*|`` may be ``herm_scale * dim`` times the
-    largest entry, so the check does not depend on the matrix's scale.  The
-    error message names the first offending entry pair (i, j) vs (j, i) of
-    the first offending matrix of a stack (T, n, n).
+    largest entry, so the check does not depend on the matrix's scale.  A
+    stack equal to its conjugate transpose entry for entry returns before
+    that deviation is formed.  The error message names the first offending
+    entry pair (i, j) vs (j, i) of the first offending matrix of a stack (T, n, n).
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
@@ -40,18 +41,20 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     stack = m.reshape(-1, *m.shape[-2:])
-    dev = np.abs(stack - stack.conj().swapaxes(1, 2))
+    adjoint = stack.conj().swapaxes(1, 2)
+    # an exactly Hermitian stack, as generated problems are, needs no deviation pass
+    if (stack == adjoint).all():
+        return m
+    dev = np.abs(stack - adjoint)
     worst = dev.max(axis=(1, 2))
-    # an exactly Hermitian matrix, as generated problems are, needs no scale
-    if worst.any():
-        bad = np.flatnonzero(worst > tol.herm(m.shape[-1]) * np.abs(stack).max(axis=(1, 2)))
-        if bad.size:
-            k = bad[0]
-            i, j = np.unravel_index(int(dev[k].argmax()), dev.shape[1:])
-            raise ValidationError(
-                f"matrix is not Hermitian: entry ({i},{j})={stack[k, i, j]} vs "
-                f"conjugate of ({j},{i})={stack[k, j, i]} (deviation {worst[k]:.3e})"
-            )
+    bad = np.flatnonzero(worst > tol.herm(m.shape[-1]) * np.abs(stack).max(axis=(1, 2)))
+    if bad.size:
+        k = bad[0]
+        i, j = np.unravel_index(int(dev[k].argmax()), dev.shape[1:])
+        raise ValidationError(
+            f"matrix is not Hermitian: entry ({i},{j})={stack[k, i, j]} vs "
+            f"conjugate of ({j},{i})={stack[k, j, i]} (deviation {worst[k]:.3e})"
+        )
     return m
 
 
@@ -66,10 +69,19 @@ def spectral_norm(matrix) -> float | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues ascending, eigenvector columns orthonormal."""
+    """Eigenvalues ascending, eigenvector columns orthonormal.
+
+    If every matrix was diagonal, column j is the identity column ``order[..., j]``; else no order.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    order: np.ndarray | None = None
+
+    def __getitem__(self, row) -> "EigenDecomposition":
+        """The decomposition of a stack's row, or of the rows that the index ``row`` picks."""
+        order = None if self.order is None else self.order[row]
+        return EigenDecomposition(self.eigenvalues[row], self.eigenvectors[row], order)
 
 
 def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
@@ -82,7 +94,8 @@ def _eigh(m: np.ndarray) -> EigenDecomposition:
     A diagonal matrix needs no LAPACK call: its eigenvalues are the real
     parts of the diagonal, sorted stably, with the matching identity
     columns.  That is what ``eigh`` returns bit for bit, except that it may
-    order tied eigenvalues differently.  The others go through one stacked ``eigh``.
+    order tied eigenvalues differently.  The others go through one stacked
+    ``eigh``.  A stack of diagonal matrices keeps the sort as its ``order``.
     """
     stack = m.reshape(-1, *m.shape[-2:])
     diagonal = np.diagonal(stack, axis1=1, axis2=2)
@@ -101,7 +114,8 @@ def _eigh(m: np.ndarray) -> EigenDecomposition:
             w[~plain], u[~plain] = lapack
     else:
         w, u = lapack
-    return EigenDecomposition(eigenvalues=w.reshape(m.shape[:-1]), eigenvectors=u.reshape(m.shape))
+    return EigenDecomposition(eigenvalues=w.reshape(m.shape[:-1]), eigenvectors=u.reshape(m.shape),
+                              order=None if lapack is not None else order.reshape(m.shape[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +167,8 @@ def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float |
     return spectral_norm(_compress(left, right, middle))
 
 
-def compressed_norm_exceeds(left: np.ndarray, right: np.ndarray, middle, bound) -> np.ndarray:
-    """``compressed_norm(left, right, middle) > bound`` per block, with the SVD only if it matters.
+def norm_exceeds(block: np.ndarray, bound) -> np.ndarray:
+    """``spectral_norm(block) > bound`` per block of a stack, with the SVD only if it matters.
 
     ``||X|| <= ||X||_F``, so a block whose Frobenius norm is below ``bound``
     cannot exceed it.  The screen keeps a margin of ``size * eps`` relative,
@@ -162,7 +176,6 @@ def compressed_norm_exceeds(left: np.ndarray, right: np.ndarray, middle, bound) 
     the one the SVD comparison would make; blocks nearer the bound, or above
     it, get that comparison.
     """
-    block = _compress(left, right, middle)
     size = block.shape[-2] * block.shape[-1]
     bound = np.broadcast_to(bound, block.shape[:-2])
     screen = bound * (1.0 - size * np.finfo(float).eps)
@@ -179,23 +192,40 @@ def _compress(left: np.ndarray, right: np.ndarray, middle) -> np.ndarray:
     return lhs @ right
 
 
-def _column_blocks(left, left_mask, right, right_mask, rows=None):
-    """``(group, left[i][:, left_mask[v]], right[i][:, right_mask[v]])`` stacked over mask rows v.
+def _mask_groups(left_mask, right_mask, rows=None):
+    """``(group, left, right)`` over the mask rows (V, n) of ``rows`` (default all), by widths.
 
-    Stacks (T, n, n), masks (V, n): mask row v picks from matrix i = v mod T.
-    Each group of the given ``rows`` (default all) has picks of equal widths;
-    picks are never zero-padded, as an SVD of a padded block can move its last bits.
+    Every mask row of a group picks as many indices as the others on each
+    side; ``left`` and ``right`` (G, k) hold them.  Picks are never
+    zero-padded, as an SVD of a padded block can move its last bits.
     """
-    n = left.shape[-1]
+    n = left_mask.shape[-1]
     rows = np.arange(len(left_mask)) if rows is None else rows
     widths = left_mask[rows].sum(axis=-1) * (n + 1) + right_mask[rows].sum(axis=-1)
     for width in sorted(set(widths.tolist())):
         group = rows[widths == width]
-        yield group, *(
-            u[(group % len(u))[:, None, None], np.arange(n)[:, None],
-              np.nonzero(mask[group])[1].reshape(len(group), 1, count)]
-            for u, mask, count in zip((left, right), (left_mask, right_mask), divmod(width, n + 1))
-        )
+        yield group, *(np.nonzero(mask[group])[1].reshape(len(group), count)
+                       for mask, count in zip((left_mask, right_mask), divmod(width, n + 1)))
+
+
+def _blocks(eigen: EigenDecomposition, group, left, right, middle=None, other=None) -> np.ndarray:
+    """``U[:, left[g]]* M W[:, right[g]]`` stacked over the mask rows v = group[g] of a group.
+
+    Row v takes matrix i = v mod T of U, ``eigen``'s eigenvectors (T, n, n), of M,
+    ``middle`` or the identity, and of W, ``other``'s eigenvectors or U.  With
+    ``eigen.order`` the block is rows ``order[i][left[g]]`` of M W, gathered without
+    a product; it may differ from the product's only in the sign of exact zeros.
+    """
+    u, i = eigen.eigenvectors, (group % len(eigen.eigenvectors))[:, None]
+    w = u if other is None else other.eigenvectors
+    if eigen.order is not None:
+        source, cols = (middle, eigen.order[i, right]) if other is None else (w, right)
+        return source[i[:, :, None], eigen.order[i, left][:, :, None], cols[:, None, :]]
+    # a group of every matrix takes M itself, so a large problem is not copied
+    middle = middle if middle is None or len(group) == len(middle) else middle[i[:, 0]]
+    every = np.arange(u.shape[-1])[:, None]
+    return _compress(u[i[:, :, None], every, left[:, None, :]],
+                     w[i[:, :, None], every, right[:, None, :]], middle)
 
 
 def select_eigenvalues(

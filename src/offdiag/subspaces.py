@@ -29,9 +29,11 @@ from .analysis import (
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import _CLASSES, Case, SpectralSet, _classify, locate_points, points_distance
 from .operators import (
+    EigenDecomposition,
     OrthogonalProjection,
-    _column_blocks,
+    _blocks,
     _eigh,
+    _mask_groups,
     _select,
     compressed_norm,
     projection_from_eigenvectors,
@@ -130,12 +132,17 @@ def graph_operator(
 # ---------------------------------------------------------------------------
 
 
-def _block_norms(memos: list, ua, ub, mask_a: np.ndarray, mask_b: np.ndarray) -> list[float]:
-    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of bases v mod T, once per memo."""
+def _block_norms(memos: list, a: EigenDecomposition, b: EigenDecomposition,
+                 mask_a: np.ndarray, mask_b: np.ndarray) -> list[float]:
+    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of bases v mod T, once per memo.
+
+    With ``a.order`` (A diagonal) a block is ``U_B[order[mask_a]][:, mask_b]``, not a product.
+    """
     keys = [(x.tobytes(), y.tobytes()) for x, y in zip(mask_a, mask_b)]
     todo = np.array([i for i, (memo, key) in enumerate(zip(memos, keys)) if key not in memo], int)
-    for rows, left, right in _column_blocks(ua, mask_a, ub, mask_b, todo) if todo.size else ():
-        for i, norm in zip(rows.tolist(), compressed_norm(left, right).tolist()):
+    for rows, left, right in _mask_groups(mask_a, mask_b, todo) if todo.size else ():
+        norms = spectral_norm(_blocks(a, rows, left, right, other=b))
+        for i, norm in zip(rows.tolist(), norms.tolist()):
             memos[i][keys[i]] = norm
     return [memo[key] for memo, key in zip(memos, keys)]
 
@@ -150,9 +157,9 @@ def _difference(stack: _Stack, mask_p, mask_q, rows=slice(None)) -> list[Project
     block once, whichever check asks first; blocks of one shape share an SVD.
     """
     count, memos = len(mask_p), stack.block_norms[rows]
-    ua, ub = stack.a_eigen.eigenvectors[rows], stack.b_eigen.eigenvectors[rows]
+    a, b = stack.a_eigen[rows], stack.b_eigen[rows]
     left, right = np.concatenate([mask_p, ~mask_p]), np.concatenate([~mask_q, mask_q])
-    norms = _block_norms(memos * (2 * count // len(memos)), ua, ub, left, right)
+    norms = _block_norms(memos * (2 * count // len(memos)), a, b, left, right)
     return [ProjectionDifference(max(x, y), x, y) for x, y in zip(norms[:count], norms[count:])]
 
 
@@ -182,10 +189,11 @@ def _sides(problem: PerturbationProblem) -> _Sides:
         # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
         pick = (stack.kind == 3)[:, None]
         width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
-        # both sets at one width, each repeating its last interval, so that rows can swap them
-        sig_lo, sig_hi, Sig_lo, Sig_hi = (
-            np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge")
-            for x in (*stack.sigma_ends, *stack.Sigma_ends)
+        # both sets at one width, the narrower repeating its last interval, so that rows can swap
+        (sig_lo, sig_hi), (Sig_lo, Sig_hi) = (
+            ends if ends[0].shape[-1] == width
+            else [np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge") for x in ends]
+            for ends in (stack.sigma_ends, stack.Sigma_ends)
         )
         near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
         far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
@@ -445,7 +453,7 @@ def verify_pair_inequality(
     if a.shape != b.shape:
         raise ValueError(f"A and B have different shapes: {a.shape} vs {b.shape}")
     dist = sigma.distance(delta_set)
-    if dist <= 0:
+    if not dist > 0:
         raise ValueError("sigma and Delta must be at positive distance")
     hull_separated = _CLASSES[_classify(sigma.bounds, delta_set.bounds)].case is not Case.CASE_I
     dec_a = _eigh(a[None])
@@ -487,7 +495,7 @@ def _pair_inequality(a, b, dec_a, dec_b, mask_a, deltas, pairs: list, tol) -> li
     # the selection's boundary events reach no report, so they are not formatted as flags
     mask_b = locate_points(values, *deltas, tol.eig(values))[0]
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    norms = _block_norms(list(memos), dec_a.eigenvectors, dec_b.eigenvectors, mask_a, mask_b)
+    norms = _block_norms(list(memos), dec_a, dec_b, mask_a, mask_b)
     diff_norms = spectral_norm(a - b).tolist()
     norm_a = np.abs(dec_a.eigenvalues).max(axis=-1).tolist()
     reports = []

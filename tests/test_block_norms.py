@@ -5,11 +5,15 @@ The library computes every subspace norm on blocks of eigenvector bases
 formula against the SVD of the full matrix it stands for, so the
 eigensolver and the SVD stay independent witnesses of each other.  The
 checks on one problem share its blocks through the problem's memo; the
-last tests pin that sharing and that it changes no report.
+last tests pin that sharing and that it changes no report.  When A is
+diagonal, its eigenvectors are identity columns and each block is gathered
+from rows of the other basis instead; the gathered norms must keep every bit
+of the products'.
 """
 
 import contextlib
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from offdiag import (
     SpectralSet,
     bound_pair_inequality,
     builtin_example,
+    harness,
     hermitian_eigendecompose,
+    operators,
     projection_difference_norm,
     random_problem,
     random_problem_spec,
@@ -30,10 +36,17 @@ from offdiag import (
     verify_pair_inequality,
 )
 from offdiag.cli import main
+from offdiag.config import DEFAULT_TOL
 from offdiag.io import save_problem
-from offdiag.operators import compressed_norm, projection_from_eigenvectors
+from offdiag.operators import (
+    EigenDecomposition,
+    _blocks,
+    _mask_groups,
+    compressed_norm,
+    projection_from_eigenvectors,
+)
 
-from conftest import random_close_projection, random_hermitian, rotated
+from conftest import random_close_projection, random_hermitian, random_unitary, rotated
 
 TOL = 1e-12
 
@@ -179,23 +192,35 @@ PROBLEMS = {
 }
 
 
+def analyze_problem(rotate: bool) -> PerturbationProblem:
+    """A 16+16 CASE_II problem with diagonal A, or the same problem turned by a random unitary."""
+    problem = random_problem(random_problem_spec("CASE_II", 16, 16, 1.2, seed=5))
+    if not rotate:
+        return problem
+    u = random_unitary(np.random.default_rng(5), problem.dim)
+    a, v = (u @ m @ u.conj().T for m in (problem.a, problem.v))
+    return PerturbationProblem.build(a, v, problem.sigma, problem.Sigma)
+
+
 class TestSharedWork:
-    def test_analyze_computes_each_block_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "multiplied"])
+    def test_analyze_computes_each_block_once(self, rotate, tmp_path, monkeypatch):
         path = tmp_path / "case2.json"
-        save_problem(random_problem(random_problem_spec("CASE_II", 16, 16, 1.2, seed=5)), path)
+        save_problem(analyze_problem(rotate), path)
         shapes, blocks = [], []
-        svd, norm = np.linalg.svd, subspaces.compressed_norm
+        svd, form = np.linalg.svd, subspaces._blocks
         monkeypatch.setattr(
             np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k)
         )
-        monkeypatch.setattr(
-            subspaces,
-            "compressed_norm",
-            lambda left, right, *a: blocks.append(
-                (left.shape, right.shape, hash(left.tobytes()), hash(right.tobytes()))
-            )
-            or norm(left, right, *a),
-        )
+
+        def counted(eigen, group, left, right, **kwargs):
+            # a block is its bases' row and the indices it picks, formed on the problem's path
+            rows = group % len(eigen.eigenvectors)
+            blocks.extend((eigen.order is None, i, x.tobytes(), y.tobytes())
+                          for i, x, y in zip(rows.tolist(), left, right))
+            return form(eigen, group, left, right, **kwargs)
+
+        monkeypatch.setattr(subspaces, "_blocks", counted)
         argv = ["analyze", str(path)]
         argv += ["--theorem", "CASE2", "--theorem", "TAN_THETA", "--theorem", "MCE"]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -203,6 +228,7 @@ class TestSharedWork:
         # ||V|| in build and MCE's ||A - B||, each on a stack of one problem
         assert shapes.count((1, 32, 32)) == 2
         assert len(set(blocks)) == len(blocks) > 0
+        assert {multiplied for multiplied, *_ in blocks} == {rotate}
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_reports_do_not_depend_on_check_order(self, name):
@@ -230,3 +256,70 @@ class TestSharedWork:
             problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol
         )
         assert got == want
+
+
+def withheld(dec: EigenDecomposition) -> EigenDecomposition:
+    """``dec`` without its order, so that its blocks are formed as products."""
+    return EigenDecomposition(dec.eigenvalues, dec.eigenvectors)
+
+
+def generated_stack(family, dims, ratio):
+    specs = [random_problem_spec(family, *dims, ratio, seed=seed) for seed in range(3)]
+    return lambda: harness._random_problems(specs, DEFAULT_TOL)[0]._stack
+
+
+# stacks whose A is diagonal: three problems of each family, and the built-in examples
+DIAGONAL_STACKS = {
+    **{
+        f"{family} {dims} x {ratio}": generated_stack(family, dims, ratio)
+        for family in ("CASE_I", "CASE_II", "SUBORDINATED")
+        for dims in ((2, 2), (3, 4), (8, 8))
+        for ratio in (0.0, 0.45, 1.2, 4.0)
+    },
+    **{
+        f"{name} x {scale}": lambda name=name, scale=scale: builtin_example(name, scale)._stack
+        for name in ("CASE1", "CASE2")
+        for scale in (0.0, 0.5, 1.0)
+    },
+}
+
+
+class TestGatheredBlocks:
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_STACKS))
+    def test_block_norms_keep_the_bits_of_the_products(self, name):
+        stack = DIAGONAL_STACKS[name]()
+        a, b = stack.a_eigen, stack.b_eigen
+        assert a.order is not None
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        count, dim = 16 * len(stack.d), a.eigenvalues.shape[-1]
+        # each mask row at its own density, empty and full picks among them
+        mask_a, mask_b = rng.random((2, count, dim)) < rng.random((2, count, 1))
+        mask_a[0], mask_b[1] = False, True
+        gathered = subspaces._block_norms([{} for _ in range(count)], a, b, mask_a, mask_b)
+        multiplied = subspaces._block_norms(
+            [{} for _ in range(count)], withheld(a), b, mask_a, mask_b
+        )
+        assert np.array(gathered).tobytes() == np.array(multiplied).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_STACKS))
+    def test_structural_blocks_equal_the_products(self, name):
+        stack = DIAGONAL_STACKS[name]()
+        a = stack.a_eigen
+        for rows, inside, outside in _mask_groups(stack.sigma_mask, ~stack.sigma_mask):
+            for x, y, m in ((inside, inside, stack.v), (outside, outside, stack.v),
+                            (outside, inside, stack.a), (inside, outside, stack.a)):
+                got = _blocks(a, rows, x, y, m)
+                # equal as numbers: the products' exact zeros may carry the other sign
+                assert np.array_equal(got, _blocks(withheld(a), rows, x, y, m))
+
+    def test_only_a_non_diagonal_problem_forms_products(self, tmp_path, monkeypatch):
+        products = []
+        compress = operators._compress
+        monkeypatch.setattr(operators, "_compress", lambda *a: products.append(a) or compress(*a))
+        for rotate in (False, True):
+            path = tmp_path / f"{rotate}.json"
+            save_problem(analyze_problem(rotate), path)
+            products.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", str(path)]) == 0
+            assert bool(products) is rotate

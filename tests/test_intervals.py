@@ -1,11 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offdiag import Case, SpectralSet, classify_case
+from offdiag import (
+    Case,
+    PerturbationProblem,
+    ProblemSpec,
+    SpectralSet,
+    ValidationError,
+    classify_case,
+    verify_pair_inequality,
+)
 from offdiag.intervals import (
     _CLASSES,
     _classify,
@@ -460,3 +469,29 @@ class TestClassify:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             classify_case(points(0.0), points(0.0))
+
+    # sigma and Sigma that reach one infinite end, each with one eigenvalue of A = diag(0, x)
+    AT_INFINITY = {
+        "+inf": ([(0.0, math.inf)], [-5.0, math.inf], -5.0),
+        "-inf": ([(-math.inf, 0.0)], [-math.inf, 5.0], 5.0),
+    }
+
+    @pytest.mark.parametrize("end", sorted(AT_INFINITY))
+    def test_sets_meeting_at_an_infinite_end_are_not_separated(self, end):
+        # inf - inf makes their distance NaN, and a NaN distance is no separation
+        raw_sigma, raw_Sigma, x = self.AT_INFINITY[end]
+        sigma, Sigma = SpectralSet(raw_sigma), SpectralSet(raw_Sigma)
+        a = np.diag([0.0, x])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="must be separated"):
+                classify_case(sigma, Sigma)
+            with pytest.raises(ValidationError, match="must be separated"):
+                PerturbationProblem.build(a, np.zeros((2, 2)), sigma, Sigma)
+            with pytest.raises(ValueError, match="positive distance"):
+                verify_pair_inequality(a, a, sigma, Sigma)
+            spec = ProblemSpec((0.0, raw_Sigma[-1 if end == "+inf" else 0]), tuple(raw_Sigma),
+                               0.5, seed=0)
+            with pytest.raises(ValueError, match="must be separated"):
+                spec.validate()
+        assert not caught

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ class TestProblemFiles:
         assert capsys.readouterr().err == (
             "error: sigma and Sigma must be both open or both closed\n"
         )
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("A, sigma, Sigma", [
+        ([[0, 0], [0, -5]], [[0, math.inf]], [-5.0, math.inf]),
+        ([[0, 0], [0, 5]], [[-math.inf, 0]], [-math.inf, 5.0]),
+    ], ids=["+inf", "-inf"])
+    def test_sets_meeting_at_an_infinite_end_exit_2(self, command, A, sigma, Sigma, tmp_path,
+                                                    capsys):
+        # their distance is inf - inf = NaN, which is no separation, not a "violated" bound
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"A": A, "V": [[0, 0], [0, 0]], "sigma": sigma, "Sigma": Sigma}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path)]) == 2
+        assert not caught
+        assert capsys.readouterr() == ("", "error: sigma and Sigma must be separated (distance > 0)\n")
 
     @pytest.mark.parametrize("sigma", [["12"], [[0, "1"]]], ids=["string", "string-end"])
     def test_string_set_entries_exit_2(self, sigma, tmp_path, capsys):

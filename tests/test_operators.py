@@ -17,7 +17,7 @@ from offdiag import (
 )
 from offdiag.operators import (
     compressed_norm,
-    compressed_norm_exceeds,
+    norm_exceeds,
     projection_from_eigenvectors,
     select_eigenvalues,
     validate_hermitian,
@@ -51,9 +51,35 @@ class TestValidateHermitian:
         with pytest.raises(ValidationError, match="square"):
             validate_hermitian(np.zeros((2, 3)))
 
-    def test_rejects_nonfinite(self):
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0.0, np.nan)])
+    def test_rejects_nonfinite(self, entry):
         with pytest.raises(ValidationError, match="finite"):
-            validate_hermitian([[np.inf, 0.0], [0.0, 1.0]])
+            validate_hermitian([[entry, 0.0], [0.0, 1.0]])
+
+    def test_signed_zero_asymmetry_is_exact(self):
+        m = np.array([[1.0, -0.0, 0.0], [0.0, 2.0, complex(0.0, -0.0)], [-0.0, 0.0, 3.0]])
+        assert not same_bits(m, m.conj().T) and np.array_equal(m, m.conj().T)
+        assert same_bits(validate_hermitian(m), m.astype(complex))
+
+    def test_one_ulp_asymmetry_passes_the_deviation_check(self):
+        m = np.array([[[1.0, 0.3], [0.3, 2.0]], [[1.0, 0.3], [np.nextafter(0.3, 1.0), 2.0]]])
+        assert not np.array_equal(m, m.conj().swapaxes(1, 2))
+        assert same_bits(validate_hermitian(m), m.astype(complex))
+
+    def test_a_symmetric_matrix_with_imaginary_parts_is_not_hermitian(self):
+        with pytest.raises(ValidationError, match=r"entry \(0,1\)=1j vs conjugate of \(1,0\)=1j"):
+            validate_hermitian([[1.0, 1j], [1j, 2.0]])
+
+    def test_larger_asymmetry_names_the_first_offending_pair(self):
+        m = np.zeros((3, 3, 3), dtype=complex) + np.eye(3)
+        m[1, 1, 2], m[1, 2, 1] = 0.5, 0.25
+        m[2, 0, 1], m[2, 1, 0] = 1.0, 0.0
+        with pytest.raises(ValidationError) as err:
+            validate_hermitian(m)
+        assert str(err.value) == (
+            "matrix is not Hermitian: entry (1,2)=(0.5+0j) vs conjugate of (2,1)=(0.25+0j) "
+            "(deviation 2.500e-01)"
+        )
 
 
 class TestEigendecompose:
@@ -291,7 +317,7 @@ class TestValidateProjection:
         assert p.complement().range_basis is p.complement_basis
 
 
-class TestCompressedNormExceeds:
+class TestNormExceeds:
     """The Frobenius screen against the SVD comparison it stands in for."""
 
     @staticmethod
@@ -316,7 +342,7 @@ class TestCompressedNormExceeds:
     def test_same_decision_as_the_svd_just_above_and_below_the_bound(self, rng, bound, factor):
         for left, right, middle in self.blocks_at(rng, factor * bound):
             want = compressed_norm(left, right, middle) > bound
-            assert compressed_norm_exceeds(left, right, middle, bound) == want
+            assert norm_exceeds(left.conj().T @ middle @ right, bound) == want
             assert want == (factor > 1)
 
     def test_svd_runs_only_when_the_frobenius_norm_reaches_the_bound(self, rng, monkeypatch):
@@ -324,5 +350,6 @@ class TestCompressedNormExceeds:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        assert not compressed_norm_exceeds(left, right, middle, 2.0) and not calls
-        assert compressed_norm_exceeds(left, right, middle, 0.5) and len(calls) == 1
+        block = left.conj().T @ middle @ right
+        assert not norm_exceeds(block, 2.0) and not calls
+        assert norm_exceeds(block, 0.5) and len(calls) == 1

@@ -292,13 +292,14 @@ class TestTanTheta:
 
     def test_difference_blocks_computed_once(self, monkeypatch):
         blocks = []
-        counted = subspaces.compressed_norm
-        monkeypatch.setattr(
-            subspaces,
-            "compressed_norm",
-            lambda left, right, *a: blocks.append((left.tobytes(), right.tobytes()))
-            or counted(left, right, *a),
-        )
+        form = subspaces._blocks
+
+        def counted(*args, **kwargs):
+            stack = form(*args, **kwargs)
+            blocks.extend(block.tobytes() for block in stack)
+            return stack
+
+        monkeypatch.setattr(subspaces, "_blocks", counted)
         p = builtin_example("CASE2", scale=0.9)
         reports = [tan_theta_bound(p, (-1.0, 1.0)) for _ in range(2)]
         assert reports[0] == reports[1] and reports[0].premise_satisfied
@@ -306,10 +307,11 @@ class TestTanTheta:
         mask_p = subspaces._sides(p).mask[p._row]
         region = SpectralSet([(-1.0, 1.0)], is_open=True)
         mask_q = select_eigenvalues(p.b_eigen.eigenvalues, region, p.eig_tol())[0]
-        u_a, u_b = p.a_eigen.eigenvectors, p.b_eigen.eigenvectors
+        # A is diagonal, so each block is the rows of U_B that A's eigenvectors pick
+        u_b, rows = p.b_eigen.eigenvectors, p.a_eigen.order
         assert blocks == [
-            (u_a[:, mask_p].tobytes(), u_b[:, ~mask_q].tobytes()),
-            (u_a[:, ~mask_p].tobytes(), u_b[:, mask_q].tobytes()),
+            u_b[rows[mask_p]][:, ~mask_q].tobytes(),
+            u_b[rows[~mask_p]][:, mask_q].tobytes(),
         ]
 
     def test_maximal_interval_helper(self):
@@ -348,13 +350,13 @@ class TestTanTheta:
         (g_lo, g_hi), sigma = maximal_gap_interval(p), p.sigma
         interval = (0.5 * (g_lo + sigma.inf), 0.5 * (g_hi + sigma.sup))
         handed = []
-        blocks = subspaces._column_blocks
+        form = subspaces._blocks
 
-        def counted(left, left_mask, right, right_mask, rows=None):
-            handed.append((len(left), len(left_mask if rows is None else rows)))
-            return blocks(left, left_mask, right, right_mask, rows)
+        def counted(eigen, group, *args, **kwargs):
+            handed.append((len(eigen.eigenvectors), len(group)))
+            return form(eigen, group, *args, **kwargs)
 
-        monkeypatch.setattr(subspaces, "_column_blocks", counted)
+        monkeypatch.setattr(subspaces, "_blocks", counted)
         report = tan_theta_bound(p, interval)
         # one row's bases, and its two principal-angle blocks at most
         assert handed and all(bases == 1 for bases, _ in handed)
