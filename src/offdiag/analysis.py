@@ -27,7 +27,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import (
     _CLASSES,
-    Case,
+    _HULL_SEPARATED,
     SpectralSet,
     _classify,
     _distances,
@@ -67,9 +67,9 @@ def delta_v(norm_v: float, d: float) -> float:
 
     Strictly increasing in ``norm_v`` and always strictly below it.
     """
-    if d <= 0:
-        raise ValueError(f"gap d must be positive, got {d}")
-    if norm_v < 0:
+    if not 0 < d < math.inf:
+        raise ValueError(f"gap d must be positive and finite, got {d}")
+    if not norm_v >= 0:
         raise ValueError(f"perturbation norm must be nonnegative, got {norm_v}")
     return _half_angle_shift(norm_v, d)
 
@@ -84,7 +84,7 @@ def delta_v_directional(
     convention and give exactly ``norm_v``; the closed form realizes that
     branch without a cutoff.
     """
-    if norm_v < 0:
+    if not norm_v >= 0:
         raise ValueError(f"perturbation norm must be nonnegative, got {norm_v}")
     dl = _half_angle_shift(norm_v, abs(a1_inf - a0_inf))
     dr = _half_angle_shift(norm_v, abs(a1_sup - a0_sup))
@@ -109,10 +109,11 @@ def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]
 
 @dataclass(eq=False)
 class _Stack:
-    """Problems of one shape and case built together: their arrays and numbers by row.
+    """The problems of one ``_build`` call: their arrays and numbers by row.
 
     ``_build`` derives every field once, the checks read them, and a problem
-    is a view of one row.  The stack refers to none of its problems, so they
+    is a view of one row, whatever its case: each row reads its case from its
+    classification ``kind``.  The stack refers to none of its problems, so they
     and it are freed by reference counting as soon as the problems are dropped.
     """
 
@@ -121,7 +122,6 @@ class _Stack:
     a_eigen: EigenDecomposition  # eigenvalues (T, n), eigenvectors (T, n, n)
     b_eigen: EigenDecomposition
     sigma_mask: np.ndarray  # (T, n)
-    case: Case
     kind: np.ndarray  # (T,): each row's index into intervals._CLASSES
     sigma_ends: tuple  # stacked (lo, hi) of sigma (T, m0) and of Sigma (T, m1): d's endpoints
     Sigma_ends: tuple
@@ -164,7 +164,7 @@ def _row_of(read) -> property:
 class PerturbationProblem:
     """Validated bundle (A, V, sigma, Sigma) with cached decompositions: a view of a stack's row."""
 
-    _stack: _Stack = field(repr=False)  # the problems built with this one, of its case ...
+    _stack: _Stack = field(repr=False)  # the problems built with this one ...
     _row: int  # ... of which this is row _row
 
     a = _row_of(lambda s, i: s.a[i])
@@ -183,7 +183,7 @@ class PerturbationProblem:
 
     b = _row_of(lambda s, i: s.a[i] + s.v[i])
     dim = _row_of(lambda s, i: s.a.shape[-1])
-    case = _row_of(lambda s, i: s.case)
+    case = _row_of(lambda s, i: _CLASSES[s.kind[i]].case)
 
     @property
     def projection(self) -> OrthogonalProjection:
@@ -212,7 +212,7 @@ class PerturbationProblem:
 
         Each set is its stacked normalized endpoints ``(lo, hi)`` (T, m), in which
         a row may repeat its last interval.  Every step runs once on the whole
-        stack; the rows then form one ``_Stack`` per case.
+        stack, and the rows, of any cases, form one ``_Stack``.
         """
         a = validate_hermitian(a, tol)
         v = validate_hermitian(v, tol)
@@ -266,24 +266,13 @@ class PerturbationProblem:
         b_eigen = hermitian_eigendecompose(a + v, tol)
         scale = np.maximum(np.maximum(norm_a, norm_v), d)
         delta = np.array([delta_v(x, y) for x, y in zip(norm_v.tolist(), d.tolist())])
-        by_row = dict(a=a, v=v, sigma_mask=mask_sigma, kind=kind, d=d, norm_v=norm_v,
-                      delta=delta, scale=scale, eig_tol=tol.eig(b_eigen.eigenvalues))
-        cases = np.array([c.case for c in _CLASSES])[kind]
-        problems = [None] * len(a)
-        for case in dict.fromkeys(cases.tolist()):
-            rows = np.flatnonzero(cases == case)
-            # one case takes views of the whole stack, so a large problem is not copied
-            pick = slice(None) if len(rows) == len(a) else rows
-            stack = _Stack(
-                **{name: x[pick] for name, x in by_row.items()},
-                a_eigen=a_eigen[pick], b_eigen=b_eigen[pick],
-                case=case, sigma_ends=tuple(x[pick] for x in sigma_ends),
-                Sigma_ends=tuple(x[pick] for x in Sigma_ends), is_open=is_open, tol=tol,
-                block_norms=[{} for _ in rows],
-            )
-            for row, i in enumerate(rows.tolist()):
-                problems[i] = cls(stack, row)
-        return problems
+        stack = _Stack(
+            a=a, v=v, a_eigen=a_eigen, b_eigen=b_eigen, sigma_mask=mask_sigma, kind=kind,
+            sigma_ends=sigma_ends, Sigma_ends=Sigma_ends, is_open=is_open, d=d, norm_v=norm_v,
+            delta=delta, scale=scale, tol=tol, eig_tol=tol.eig(b_eigen.eigenvalues),
+            block_norms=[{} for _ in a],
+        )
+        return [cls(stack, row) for row in range(len(a))]
 
 
 @dataclass(frozen=True)
@@ -541,7 +530,7 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
     witness; a mismatch is flagged as a finding, not a failure.
     """
     if variant is None:
-        variant = "full" if problem.case in (Case.CASE_II, Case.SUBORDINATED) else "half"
+        variant = "full" if problem.case in _HULL_SEPARATED else "half"
     if variant not in ("half", "full"):
         raise ValueError(f"variant must be 'half' or 'full', got {variant!r}")
     return _memo(problem, variant, lambda stack: _persistence(stack, variant == "full"))
@@ -556,9 +545,7 @@ def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
     equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1).tolist()
     inside = np.where(mask_closed, points_distance(eigs, *stack.sigma_ends), -np.inf)
     measured = np.where(mask_closed.any(axis=-1), inside.max(axis=-1), 0.0).tolist()
-    unmet = []
-    if full and stack.case not in (Case.CASE_II, Case.SUBORDINATED):
-        unmet.append("premise not satisfied: hull of sigma is not separated from Sigma")
+    separated = [not full or _CLASSES[k].case in _HULL_SEPARATED for k in stack.kind.tolist()]
     reports = []
     for i, (d, norm_v, delta, scale) in enumerate(stack.numbers()):
         theorem, cap = ("SHIFT_III", SQRT2 * d) if full else ("SHIFT_II", SQRT3_2 * d)
@@ -574,7 +561,9 @@ def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
             theorem, scale, stack.tol, measured=measured[i], claimed=delta, dimensional=True,
             margin=cap - norm_v,
             premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below {cap:.12g}",
-            unmet=unmet, exact=equality[i] and count_inside >= 1, premise_first=True,
+            unmet=[] if separated[i] else [
+                "premise not satisfied: hull of sigma is not separated from Sigma"],
+            exact=equality[i] and count_inside >= 1, premise_first=True,
             witnesses={
                 "norm_v": norm_v,
                 "d": d,

@@ -27,8 +27,7 @@ from .analysis import (
     spectrum_enclosure,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import Case, SpectralSet, locate_points, neighborhood_bounds
-from .operators import spectral_norm
+from .intervals import _HULL_SEPARATED, Case, SpectralSet, locate_points, neighborhood_bounds
 from .subspaces import (
     bound_case1,
     bound_case2,
@@ -79,33 +78,34 @@ def _gap(sig: np.ndarray, Sig: np.ndarray) -> np.ndarray:
     return np.abs(sig[..., :, None] - Sig[..., None, :]).min(axis=(-2, -1))
 
 
-def _coupling(w: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """V = [[0, f W], [f W*, 0]] for each block W of ``w`` (T, n0, n1) and f of ``factor`` (T,)."""
+def _scaled_coupling(sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, ratio) -> tuple:
+    """(d, ||W||, V) of each row: V = [[0, f W], [f W*, 0]] with f making ||V|| = ratio * d.
+
+    ``sig`` (T, n0), ``Sig`` (T, n1), ``w`` (T, n0, n1) and ``ratio`` (T,)
+    hold one layout per row.  A row with ||W|| below ``_MIN_COUPLING`` is
+    uncoupled: f = 0.  A row with f = 0 gets V = 0 in +0.0 zeros, without the
+    -0.0 imaginary parts that conjugating a zero block leaves, so such a
+    problem saves V as its diagonal alone.
+    """
+    d = _gap(sig, Sig)
     rows, n0, n1 = w.shape
+    w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
+    factor = np.divide(ratio * d, w_norm, out=np.zeros_like(d), where=w_norm >= _MIN_COUPLING)
     v = np.zeros((rows, n0 + n1, n0 + n1), dtype=complex)
     block = w * factor[:, None, None]
     v[:, :n0, n0:] = block
     v[:, n0:, :n0] = block.conj().swapaxes(1, 2)
-    return v
+    v[factor == 0] = 0.0
+    return d, w_norm, v
 
 
 def _diagonal_problems(sig, Sig, w, ratio, tol: Tolerances) -> list[PerturbationProblem]:
-    """A = diag(sig, Sig) and V = _coupling of ``w`` scaled to ||V|| = ratio * d, as one stack.
-
-    ``sig`` (T, n0), ``Sig`` (T, n1), ``w`` (T, n0, n1) and ``ratio`` (T,)
-    hold one problem per row.
-    """
-    d = _gap(sig, Sig)
-    w_norm = spectral_norm(w)
-    factor = np.divide(ratio * d, w_norm, out=np.zeros_like(d), where=w_norm >= _MIN_COUPLING)
+    """A = diag(sig, Sig) and V of ``_scaled_coupling`` for each row, as one stack."""
+    _, _, v = _scaled_coupling(sig, Sig, w, ratio)
     values = np.concatenate([sig, Sig], axis=-1)
     dim = values.shape[-1]
     a = np.zeros((len(values), dim, dim), dtype=complex)
     a.reshape(len(values), -1)[:, :: dim + 1] = values
-    # no coupling is V = 0 in +0.0 zeros, without the -0.0 imaginary parts that conjugating
-    # a zero block leaves, so such a problem saves V as its diagonal alone
-    v = _coupling(w, factor)
-    v[factor == 0] = 0.0
     # each point set is its sorted points, as degenerate intervals [x, x]
     sig, Sig = np.sort(sig, axis=-1, kind="stable"), np.sort(Sig, axis=-1, kind="stable")
     return PerturbationProblem._build(a, v, (sig, sig), (Sig, Sig), False, tol)
@@ -199,15 +199,10 @@ def random_problem_spec(
     else:
         if dim_sigma < 2 or dim_Sigma < 2:
             raise ValueError("a CASE_I layout needs at least two values per component")
-        remaining = {True: dim_sigma, False: dim_Sigma}
-        turn = bool(rng.integers(0, 2))
-        for i in range(total):
-            if remaining[turn] == 0:
-                turn = not turn
-            labels[i] = turn
-            remaining[turn] -= 1
-            if remaining[not turn] > 0:
-                turn = not turn
+        # alternate from the drawn side while both sides have values, then fill the larger
+        first, paired = bool(rng.integers(0, 2)), 2 * min(dim_sigma, dim_Sigma)
+        labels[:paired:2], labels[1:paired:2] = first, not first
+        labels[paired:] = dim_sigma > dim_Sigma
 
     spec = ProblemSpec(
         sigma_values=tuple(float(x) for x in sites[labels]),
@@ -270,11 +265,7 @@ def _score(x: np.ndarray, dims: tuple[int, int], c: float, half: bool,
     sig, Sig, w, s = _unpack(x, dims)
     n0, n1 = dims
     dim = n0 + n1
-    d = _gap(sig, Sig)
-    w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
-    coupled = w_norm >= _MIN_COUPLING
-    factor = np.divide(s * c * d, w_norm, out=np.zeros_like(d), where=coupled & (d >= 1e-3))
-    b = _coupling(w, factor)
+    d, w_norm, b = _scaled_coupling(sig, Sig, w, s * c)
     b.reshape(len(d), -1)[:, :: dim + 1] = np.concatenate([sig, Sig], axis=1)
     eigs, vecs = np.linalg.eigh(b)
     lo, hi = neighborhood_bounds(sig, d / 2.0 if half else d)
@@ -283,7 +274,7 @@ def _score(x: np.ndarray, dims: tuple[int, int], c: float, half: bool,
     p = np.zeros((dim, dim), dtype=complex)
     p[np.arange(n0), np.arange(n0)] = 1.0
     value = np.linalg.svd(p - q, compute_uv=False)[:, 0]
-    return np.where(d < 1e-3, -math.inf, np.where(coupled, value, 0.0))
+    return np.where(d < 1e-3, -math.inf, np.where(w_norm >= _MIN_COUPLING, value, 0.0))
 
 
 def _example_start(dims: tuple[int, int], c: float, half: bool) -> np.ndarray | None:
@@ -370,8 +361,8 @@ def search_worst_case(
     for name, dim in (("dim_sigma", dim_sigma), ("dim_Sigma", dim_Sigma)):
         if dim < 1:
             raise ValueError(f"{name} must be at least 1, got {dim}")
-    if c <= 0:
-        raise ValueError("norm-ratio cap c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"norm-ratio cap c must be positive and finite, got {c}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if neighborhood not in ("half_d", "full_d"):
@@ -418,7 +409,6 @@ def _rebuild(x: np.ndarray, dims: tuple[int, int], c: float,
 # built, because the benchmark's tracer (perfbench/spans.py) times the checks by
 # rebinding module attributes; a stored function object would escape it.
 _EVERY_CASE = frozenset(Case)
-_HULL_SEPARATED = frozenset({Case.CASE_II, Case.SUBORDINATED})
 THEOREMS = {
     "SHIFT_BOUNDS": (lambda p: shift_bounds(p), _EVERY_CASE),
     "SHIFT_I": (lambda p: spectrum_enclosure(p), _EVERY_CASE),

@@ -264,6 +264,9 @@ _CLASSES = (
     Classification(Case.CASE_II, "hull(Sigma) disjoint from sigma"),
     Classification(Case.CASE_I, "hulls interleave"),
 )
+# the cases in which one set's convex hull misses the other set: the premise of the
+# sin-arctan, tan Theta, full-gap and constant-1 results, which a problem's case decides
+_HULL_SEPARATED = frozenset({Case.SUBORDINATED, Case.CASE_II})
 
 
 def _classify(sigma_ends: tuple, Sigma_ends: tuple) -> np.ndarray:

@@ -27,7 +27,8 @@ from .analysis import (
     _verdict,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import _CLASSES, Case, SpectralSet, _classify, locate_points, points_distance
+from .intervals import (_CLASSES, _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points,
+                        points_distance)
 from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
@@ -174,12 +175,12 @@ class _Sides(NamedTuple):
 
 
 def _sides(problem: PerturbationProblem) -> _Sides:
-    """The ``_Sides`` of ``problem``'s stack, once per stack.
+    """The ``_Sides`` of ``problem``'s stack, once per stack, for a hull-separated problem.
 
-    The roles swap when only Sigma's hull is separated.  CASE_I is the case
-    in which neither hull is separated from the other set.
+    The roles swap when only Sigma's hull is separated.  The stack's other
+    rows are computed too, but only a hull-separated row reaches a report.
     """
-    if problem.case is Case.CASE_I:
+    if problem.case not in _HULL_SEPARATED:
         raise CaseError(
             "hull separation required: neither component's convex hull is "
             f"disjoint from the other ({problem.classification.detail})"
@@ -455,13 +456,12 @@ def verify_pair_inequality(
     dist = sigma.distance(delta_set)
     if not dist > 0:
         raise ValueError("sigma and Delta must be at positive distance")
-    hull_separated = _CLASSES[_classify(sigma.bounds, delta_set.bounds)].case is not Case.CASE_I
     dec_a = _eigh(a[None])
     values = dec_a.eigenvalues
     mask_a = locate_points(values, *sigma.bounds, sigma.is_open, tol.eig(values))[0]
+    kind = int(_classify(sigma.bounds, delta_set.bounds))
     return _pair_inequality(a[None], b[None], dec_a, _eigh(b[None]), mask_a,
-                            (*delta_set.bounds, delta_set.is_open), [(dist, hull_separated, {})],
-                            tol)[0]
+                            (*delta_set.bounds, delta_set.is_open), [(dist, kind, {})], tol)[0]
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
@@ -472,14 +472,13 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
     in the last bits on some problems.  Delta = Sigma is a finite set of A's
     eigenvalues, which B's eigenvalues miss on a generically perturbed
     problem; E_B(Sigma) is then empty (``rank_eb`` is 0) and the check
-    holds vacuously.  dist(sigma, Sigma) is the problem's d, a convex hull is
-    separated exactly when the problem is not CASE_I, and E_A(sigma) is the
-    problem's ``sigma_mask``.
+    holds vacuously.  dist(sigma, Sigma) is the problem's d, the problem's
+    classification decides whether a convex hull is separated, and E_A(sigma)
+    is the problem's ``sigma_mask``.
     """
 
     def reports(stack: _Stack) -> list[AnalysisReport]:
-        hull_separated = stack.case is not Case.CASE_I
-        pairs = [(d, hull_separated, memo) for d, memo in zip(stack.d.tolist(), stack.block_norms)]
+        pairs = list(zip(stack.d.tolist(), stack.kind.tolist(), stack.block_norms))
         return _pair_inequality(stack.a, stack.a + stack.v, stack.a_eigen, stack.b_eigen,
                                 stack.sigma_mask, (*stack.Sigma_ends, stack.is_open), pairs,
                                 stack.tol)
@@ -489,8 +488,9 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
 
 def _pair_inequality(a, b, dec_a, dec_b, mask_a, deltas, pairs: list, tol) -> list[AnalysisReport]:
     """MCE's reports on stacks A, B (T, n, n), their decompositions, E_A(sigma)'s mask and
-    Delta's stacked bounds, with (dist(sigma, Delta), hull separated, block-norm memo) per row."""
-    dists, hulls, memos = zip(*pairs)
+    Delta's stacked bounds, with (dist(sigma, Delta), the ``_classify`` index of (sigma, Delta),
+    block-norm memo) per row."""
+    dists, kinds, memos = zip(*pairs)
     values = dec_b.eigenvalues
     # the selection's boundary events reach no report, so they are not formatted as flags
     mask_b = locate_points(values, *deltas, tol.eig(values))[0]
@@ -499,7 +499,8 @@ def _pair_inequality(a, b, dec_a, dec_b, mask_a, deltas, pairs: list, tol) -> li
     diff_norms = spectral_norm(a - b).tolist()
     norm_a = np.abs(dec_a.eigenvalues).max(axis=-1).tolist()
     reports = []
-    for i, (dist, hull_separated, diff_norm) in enumerate(zip(dists, hulls, diff_norms)):
+    for i, (dist, kind, diff_norm) in enumerate(zip(dists, kinds, diff_norms)):
+        hull_separated = _CLASSES[kind].case in _HULL_SEPARATED
         claimed = diff_norm if hull_separated else (math.pi / 2.0) * diff_norm
         scale = max(norm_a[i], diff_norm, dist)
         reports.append(_verdict(

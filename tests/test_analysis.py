@@ -76,6 +76,16 @@ class TestDeltaV:
         with pytest.raises(ValueError):
             delta_v(1.0, -1.0)
 
+    @pytest.mark.parametrize("norm_v, d, message", [
+        (math.nan, 1.0, "perturbation norm must be nonnegative, got nan"),
+        (1.0, math.nan, "gap d must be positive and finite, got nan"),
+        (1.0, math.inf, "gap d must be positive and finite, got inf"),
+    ])
+    def test_nan_and_infinite_arguments_rejected(self, norm_v, d, message):
+        with pytest.raises(ValueError) as excinfo:
+            delta_v(norm_v, d)
+        assert str(excinfo.value) == message
+
 
 class TestDeltaVDirectional:
     def test_coincident_infima_convention(self):
@@ -85,6 +95,10 @@ class TestDeltaVDirectional:
 
     def test_zero_perturbation(self):
         assert delta_v_directional(0.0, 1.0, 0.5, 2.0, 0.0) == (0.0, 0.0)
+
+    def test_nan_norm_rejected(self):
+        with pytest.raises(ValueError, match="perturbation norm must be nonnegative, got nan"):
+            delta_v_directional(0.0, 1.0, 2.0, 3.0, math.nan)
 
     def test_unit_gap_matches_delta_v(self):
         dl, _ = delta_v_directional(0.0, 0.0, 1.0, 1.0, SQRT3_2)
@@ -352,6 +366,10 @@ class TestGapPersistence:
         r = gap_persistence(builtin_example("CASE1", scale=0.5), variant="full")
         assert not r.premise_satisfied
         assert any("hull" in f for f in r.flags)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="variant must be 'half' or 'full', got 'x'"):
+            gap_persistence(builtin_example("CASE1", scale=0.5), variant="x")
 
 
 def scaled_case1(factor, unitary=None):

@@ -107,6 +107,10 @@ class TestRandomProblem:
         with pytest.raises(ValueError, match="separated"):
             random_problem(ProblemSpec((0.0,), (0.0,), 0.5, seed=0))
 
+    def test_empty_component_rejected(self):
+        with pytest.raises(ValueError, match="^both components need at least one value$"):
+            random_problem(ProblemSpec((), (1.0,), 0.5, seed=0))
+
     @pytest.mark.parametrize("ratio", [math.nan, math.inf, -0.5])
     def test_bad_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -281,6 +285,12 @@ class TestSearch:
         with pytest.raises(ValueError, match="dim_Sigma must be at least 1"):
             search_worst_case(dim_Sigma=-1, c=0.5, trials=1)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_rejects_a_nan_or_infinite_cap(self, c):
+        with pytest.raises(ValueError) as excinfo:
+            search_worst_case(c=c, trials=1)
+        assert str(excinfo.value) == f"norm-ratio cap c must be positive and finite, got {c}"
+
 
 class TestBatchVerify:
     def test_empty(self):
@@ -336,6 +346,33 @@ class TestBatchVerify:
         assert s.total == 40
         assert s.violations == 0
         assert s.worst_margin >= 0.0
+
+
+class TestOneStack:
+    @pytest.mark.filterwarnings("error")
+    def test_rows_of_every_case_share_one_stack_and_report_as_alone(self):
+        specs = [random_problem_spec(case, 2, 2, ratio, seed=k)
+                 for k in range(2)
+                 for case, ratio in ((Case.CASE_I, 0.45), (Case.CASE_II, 1.2),
+                                     (Case.SUBORDINATED, 4.0))]
+        # a CASE_II row in which only Sigma's hull is separated, so sigma and Sigma swap roles
+        specs.append(ProblemSpec((-2.0, 2.0), (0.0, 0.5), 0.6, seed=1))
+        problems = harness._random_problems(specs, offdiag.DEFAULT_TOL)
+        assert {p.case for p in problems} == set(Case)
+        assert problems[-1].classification.detail == "hull(Sigma) disjoint from sigma"
+        assert all(p._stack is problems[0]._stack for p in problems)
+
+        def outcome(problem, theorem):
+            try:
+                return repr(harness.run_theorem(problem, theorem))
+            except CaseError as exc:
+                return f"CaseError: {exc}"
+
+        for theorem in THEOREM_IDS:
+            alone = [outcome(random_problem(spec), theorem) for spec in specs]
+            assert [outcome(p, theorem) for p in problems] == alone, theorem
+        assert "roles swapped" in outcome(problems[-1], "CASE2")
+        assert outcome(problems[0], "CASE2").startswith("CaseError: hull separation required")
 
 
 class TestTheoremTable:

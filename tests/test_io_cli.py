@@ -195,6 +195,52 @@ class TestProblemFiles:
             parse_problem(payload)
 
 
+def _rotated_diagonal(values, angle=0.3):
+    """diag(values) of a 2x2 turned by ``angle``: a Hermitian A that is not diagonal."""
+    c, s = math.cos(angle), math.sin(angle)
+    r = np.array([[c, -s], [s, c]])
+    return (r @ np.diag(values) @ r.T).tolist()
+
+
+class TestInputErrors:
+    """Each input error a problem file or an option reaches exits 2 with its one ``error:`` line."""
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"A": [[0, 0], [0, 1]], "V": [[0] * 3] * 3, "sigma": [0], "Sigma": [1]},
+         "A and V have different shapes: (2, 2) vs (3, 3)"),
+        ({"A": [[0]], "V": [[0]], "sigma": [0], "Sigma": [1]},
+         "a perturbation problem needs dimension at least 2"),
+        ({"A": {"diag": [0, 1]}, "V": [[0, 0], [0, 0]], "sigma": [[5, 6]], "Sigma": [[0, 1]]},
+         "both components must contain spectrum of A"),
+        ({"A": {"diag": [0, 1e-6]}, "V": [[0, 0], [0, 0]], "sigma": [0], "Sigma": [1e-6],
+          "tolerances": {"eig_scale": 1}},
+         "an eigenvalue of A is claimed by both components"),
+        ({"A": _rotated_diagonal([0.0, 1.0]), "V": [[0, 0], [0, 0]], "sigma": [0], "Sigma": [1],
+          "tolerances": {"proj_scale": 0}},
+         "spectral projection does not commute with A"),
+        ({"A": [[0, 0], [0, 1]], "V": [[0, 0], [0, 0]], "sigma": [math.nan], "Sigma": [1]},
+         "set sigma: interval endpoints must not be NaN"),
+    ], ids=["shapes", "dimension-1", "empty-component", "claimed-by-both", "not-commuting",
+            "nan-endpoint"])
+    def test_analyze_problem_file(self, payload, message, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_qnr_needs_a_sample(self, case1_file, capsys):
+        assert main(["qnr", str(case1_file), "--samples", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: need at least one sample\n")
+
+    @pytest.mark.parametrize("family, dims, message", [
+        ("case2", "3,1", "a CASE_II layout needs at least two Sigma values"),
+        ("case1", "1,3", "a CASE_I layout needs at least two values per component"),
+    ])
+    def test_verify_random_layout_too_small(self, family, dims, message, capsys):
+        assert main(["verify", "--random", family, "--dims", dims]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestToleranceValues:
     """A tolerance is finite and nonnegative; anything else is an input error (exit 2)."""
 

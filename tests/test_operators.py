@@ -51,6 +51,10 @@ class TestValidateHermitian:
         with pytest.raises(ValidationError, match="square"):
             validate_hermitian(np.zeros((2, 3)))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValidationError, match="^matrix dimension must be at least 1$"):
+            validate_hermitian(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0.0, np.nan)])
     def test_rejects_nonfinite(self, entry):
         with pytest.raises(ValidationError, match="finite"):
@@ -199,6 +203,10 @@ class TestDiagonalShortcut:
 class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+            spectral_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_case1_perturbation(self):
         assert abs(spectral_norm(builtin_example("CASE1").v) - SQRT3 / 2) < 1e-12

@@ -125,6 +125,13 @@ class TestGraphOperator:
         with pytest.raises(ValueError, match="rank"):
             graph_operator(p, q)
 
+    def test_dimension_mismatch_rejected(self):
+        p, q = (OrthogonalProjection(e[:, :1], e[:, 1:]) for e in (np.eye(2), np.eye(3)))
+        for function in (projection_difference_norm, graph_operator):
+            with pytest.raises(ValueError) as excinfo:
+                function(p, q)
+            assert str(excinfo.value) == "projections live in different dimensions: 2 vs 3"
+
 
 class TestCPi:
     def test_six_decimals(self):
@@ -323,6 +330,11 @@ class TestTanTheta:
         with pytest.raises(ValueError, match="intersects"):
             tan_theta_bound(p, (-1.5, 1.5))
 
+    def test_empty_interval_rejected(self):
+        p = builtin_example("CASE2", scale=0.9)
+        with pytest.raises(ValueError, match=r"^empty interval \(1.0, 1.0\)$"):
+            tan_theta_bound(p, (1.0, 1.0))
+
     def test_overcritical_apriori_fails(self):
         p = builtin_example("CASE2")  # neighborhood empty, ||P - Q|| = 1
         r = tan_theta_bound(p, (-1.0, 1.0))
@@ -401,6 +413,12 @@ class TestPairInequality:
             r = verify_pair_inequality(a, b, sigma, delta)
             assert r.holds, r
             assert r.measured_value <= r.witnesses["pi_half_bound"] + 1e-9
+
+    def test_shape_mismatch_rejected(self):
+        sigma, delta = SpectralSet.from_points([1.0]), SpectralSet.from_points([3.0])
+        with pytest.raises(ValueError) as excinfo:
+            verify_pair_inequality(np.eye(2), np.eye(3), sigma, delta)
+        assert str(excinfo.value) == "A and B have different shapes: (2, 2) vs (3, 3)"
 
     def test_zero_distance_rejected(self):
         a = np.diag([0.0, 1.0])
