@@ -19,7 +19,7 @@ spectral gap inside the d/2- (or d-) neighborhood of sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,13 +41,14 @@ from .operators import (
     ValidationError,
     _blocks,
     _eigh,
+    _finite,
     _mask_groups,
     _select,
+    _validated,
     hermitian_eigendecompose,
     norm_exceeds,
     projection_from_eigenvectors,
     spectral_norm,
-    validate_hermitian,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -86,9 +87,10 @@ def delta_v_directional(
     """
     if not norm_v >= 0:
         raise ValueError(f"perturbation norm must be nonnegative, got {norm_v}")
-    dl = _half_angle_shift(norm_v, abs(a1_inf - a0_inf))
-    dr = _half_angle_shift(norm_v, abs(a1_sup - a0_sup))
-    return dl, dr
+    gap_inf, gap_sup = abs(a1_inf - a0_inf), abs(a1_sup - a0_sup)
+    if not (gap_inf < math.inf and gap_sup < math.inf):  # a NaN fails this too
+        _require_finite(a0_inf=a0_inf, a0_sup=a0_sup, a1_inf=a1_inf, a1_sup=a1_sup)
+    return _half_angle_shift(norm_v, gap_inf), _half_angle_shift(norm_v, gap_sup)
 
 
 def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]:
@@ -99,7 +101,15 @@ def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]
     the exact eigenvalue pair.
     """
     s = _half_angle_shift(abs(v), abs(a1 - a0))
+    if not s < math.inf:  # a NaN fails it too; one comparison, as qnr_sample calls this per sample
+        _require_finite(a0=a0, a1=a1, v=abs(v))
     return min(a0, a1) - s, max(a0, a1) + s
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite, or else the overflow."""
+    bad = [f"{k} must be finite, got {x}" for k, x in values.items() if not math.isfinite(x)]
+    raise ValueError(bad[0] if bad else f"the shift overflows: {values}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +224,7 @@ class PerturbationProblem:
         a row may repeat its last interval.  Every step runs once on the whole
         stack, and the rows, of any cases, form one ``_Stack``.
         """
-        a = validate_hermitian(a, tol)
-        v = validate_hermitian(v, tol)
+        (a, exact_a), (v, exact_v) = _validated(a, tol), _validated(v, tol)
         if a.shape != v.shape:
             raise ValidationError(f"A and V have different shapes: {a.shape[1:]} vs {v.shape[1:]}")
         dim = a.shape[-1]
@@ -263,7 +272,9 @@ class PerturbationProblem:
                    for x, y in ((i_out, i_in), (i_in, i_out))):
                 raise ValidationError("spectral projection does not commute with A")
 
-        b_eigen = hermitian_eigendecompose(a + v, tol)
+        # A + V of exactly Hermitian A and V is exactly Hermitian; only an overflow can spoil it
+        b = a + v
+        b_eigen = _eigh(_finite(b)) if exact_a and exact_v else hermitian_eigendecompose(b, tol)
         scale = np.maximum(np.maximum(norm_a, norm_v), d)
         delta = np.array([delta_v(x, y) for x, y in zip(norm_v.tolist(), d.tolist())])
         stack = _Stack(
@@ -293,16 +304,7 @@ class AnalysisReport:
     flags: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "premise_satisfied": self.premise_satisfied,
-            "premise_margin": self.premise_margin,
-            "claimed_bound": self.claimed_bound,
-            "measured_value": self.measured_value,
-            "holds": self.holds,
-            "witnesses": dict(self.witnesses),
-            "flags": list(self.flags),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def _verdict(

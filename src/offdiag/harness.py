@@ -53,15 +53,13 @@ def builtin_example(which: str, scale: float = 1.0, tol: Tolerances = DEFAULT_TO
     if key == CASE1:
         a = np.diag([-1.5, -0.5, 0.5, 1.5]).astype(complex)
         v = np.zeros((4, 4), dtype=complex)
-        c = math.sqrt(3.0) / 2.0
-        v[0, 1] = v[1, 0] = c
-        v[2, 3] = v[3, 2] = c
+        v[0, 1] = v[1, 0] = v[2, 3] = v[3, 2] = SQRT3_2
         sigma = SpectralSet.from_points([-1.5, 0.5])
         Sigma = SpectralSet.from_points([-0.5, 1.5])
     elif key == CASE2:
         a = np.diag([-1.0, 0.0, 1.0]).astype(complex)
         v = np.zeros((3, 3), dtype=complex)
-        v[0, 1] = v[1, 0] = math.sqrt(2.0)
+        v[0, 1] = v[1, 0] = SQRT2
         sigma = SpectralSet.from_points([0.0])
         Sigma = SpectralSet.from_points([-1.0, 1.0])
     else:
@@ -480,14 +478,8 @@ class BatchSummary:
 
 def summarize(reports: list[AnalysisReport]) -> BatchSummary:
     sat = [r for r in reports if r.premise_satisfied]
-    violations = sum(1 for r in sat if not r.holds)
-    worst = math.inf
-    for r in sat:
-        if math.isfinite(r.claimed_bound) and math.isfinite(r.measured_value):
-            worst = min(worst, r.claimed_bound - r.measured_value)
-    return BatchSummary(
-        total=len(reports),
-        premise_satisfied=len(sat),
-        violations=violations,
-        worst_margin=worst,
-    )
+    margins = [r.claimed_bound - r.measured_value for r in sat
+               if math.isfinite(r.claimed_bound) and math.isfinite(r.measured_value)]
+    return BatchSummary(total=len(reports), premise_satisfied=len(sat),
+                        violations=sum(not r.holds for r in sat),
+                        worst_margin=min(margins, default=math.inf))

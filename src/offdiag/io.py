@@ -329,12 +329,8 @@ def qnr_svg(samples: Sequence[QnrSample], spectrum: Sequence[float]) -> str:
             f"{float(e):.4g}</text>"
         )
     for i, s in enumerate(samples):
-        parts.append(
-            f'<circle cx="{sx(i):.2f}" cy="{sy(s.lam):.2f}" r="2.2" fill="#1f77b4"/>'
-        )
-        parts.append(
-            f'<circle cx="{sx(i):.2f}" cy="{sy(s.mu):.2f}" r="2.2" fill="#d62728"/>'
-        )
+        for value, color in ((s.lam, "#1f77b4"), (s.mu, "#d62728")):
+            parts.append(f'<circle cx="{sx(i):.2f}" cy="{sy(value):.2f}" r="2.2" fill="{color}"/>')
     parts.append(
         f'<text x="{pad}" y="{pad - 12}" font-size="12" fill="#000">'
         "quadratic numerical range samples: lambda (blue), mu (red), spec(B) dashed</text>"

@@ -38,9 +38,7 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix entries must be finite")
-    stack = m.reshape(-1, *m.shape[-2:])
+    stack = _finite(m).reshape(-1, *m.shape[-2:])
     adjoint = stack.conj().swapaxes(1, 2)
     # an exactly Hermitian stack, as generated problems are, needs no deviation pass
     if (stack == adjoint).all():
@@ -58,11 +56,26 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-def spectral_norm(matrix) -> float | np.ndarray:
-    """Largest singular value, one per matrix of a stack; for Hermitian input max |eigenvalue|."""
-    m = np.asarray(matrix, dtype=complex)
+_EXACT = Tolerances(herm_scale=0.0)  # ``validate_hermitian`` reads only ``herm`` of a tolerance
+
+
+def _validated(matrix, tol: Tolerances) -> tuple[np.ndarray, bool]:
+    """``validate_hermitian(matrix, tol)``, and whether the exact check, made first, passed."""
+    try:
+        return validate_hermitian(matrix, _EXACT), True
+    except ValidationError:
+        return validate_hermitian(matrix, tol), False
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
+    return m
+
+
+def spectral_norm(matrix) -> float | np.ndarray:
+    """Largest singular value, one per matrix of a stack; for Hermitian input max |eigenvalue|."""
+    m = _finite(np.asarray(matrix, dtype=complex))
     norms = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
     return float(norms) if m.ndim == 2 else norms
 

@@ -104,6 +104,17 @@ class TestDeltaVDirectional:
         dl, _ = delta_v_directional(0.0, 0.0, 1.0, 1.0, SQRT3_2)
         assert abs(dl - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 1, 2, 3, 1.0), "a0_inf must be finite, got nan"),
+        ((0, 1, 2, math.inf, 1.0), "a1_sup must be finite, got inf"),
+        ((0.0, -math.inf, 2.0, 3.0, 1.0), "a0_sup must be finite, got -inf"),
+        ((0.0, 1.0, math.nan, 3.0, 1.0), "a1_inf must be finite, got nan"),
+    ])
+    def test_nonfinite_endpoint_rejected(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            delta_v_directional(*args)
+        assert str(excinfo.value) == message
+
 
 class TestTwoByTwoExtremes:
     def test_pauli_type(self):
@@ -116,6 +127,18 @@ class TestTwoByTwoExtremes:
 
     def test_diagonal(self):
         assert two_by_two_extremes(5.0, 7.0, 0.0) == (5.0, 7.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 1.0, 0.5), "a0 must be finite, got nan"),
+        ((0.0, -math.inf, 0.5), "a1 must be finite, got -inf"),
+        ((math.inf, math.inf, 0.5), "a0 must be finite, got inf"),
+        ((0.0, 1.0, complex(math.nan, 0.0)), "v must be finite, got nan"),
+        ((1e308, -1e308, 0.5), "the shift overflows: {'a0': 1e+308, 'a1': -1e+308, 'v': 0.5}"),
+    ])
+    def test_nonfinite_argument_rejected(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            two_by_two_extremes(*args)
+        assert str(excinfo.value) == message
 
     def test_against_eigensolver(self, rng):
         for _ in range(10_000):
@@ -155,18 +178,46 @@ class TestProblemValidation:
                 SpectralSet([(0.5, 1.0)]),
             )
 
-    def test_build_validates_a_v_and_b_once_each(self, monkeypatch):
+    @staticmethod
+    def validated(monkeypatch) -> list:
+        """The (matrix, tol) of every ``validate_hermitian`` call from now on."""
         calls = []
         validate = operators.validate_hermitian
 
         def counted(matrix, tol):
-            calls.append(1)
+            calls.append((np.array(matrix, dtype=complex), tol))
             return validate(matrix, tol)
 
         monkeypatch.setattr(operators, "validate_hermitian", counted)
-        monkeypatch.setattr(analysis, "validate_hermitian", counted)
-        builtin_example("CASE1")
-        assert len(calls) == 3
+        return calls
+
+    def test_build_validates_exact_a_and_v_once_each(self, monkeypatch):
+        calls = self.validated(monkeypatch)
+        problem = builtin_example("CASE1")
+        # B = A + V of exactly Hermitian A and V is exactly Hermitian, so only its finiteness is checked
+        assert [matrix.tobytes() for matrix, _ in calls] == [problem.a.tobytes(), problem.v.tobytes()]
+
+    def test_build_validates_b_after_a_tolerated_input(self, monkeypatch):
+        calls = self.validated(monkeypatch)
+        a = np.array([[-1.0, 1e-12j], [1e-12j, 1.0]])  # Hermitian within tolerance only
+        v = np.array([[0.0, 0.3], [0.3, 0.0]])
+        PerturbationProblem.build(a, v, SpectralSet.from_points([-1.0]),
+                                  SpectralSet.from_points([1.0]))
+        checked = [matrix.tobytes() for matrix, tol in calls if tol is DEFAULT_TOL]
+        assert (a + v).astype(complex).tobytes() in checked
+
+    def test_overflowing_sum_of_exact_inputs_is_rejected(self):
+        # A's eigenvalues 1.0e308 and 1.2e308, V off-diagonal to them, both turned by 22.5 degrees
+        c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        r = np.array([[c, -s], [s, c]])
+        a, v = np.diag([1.2e308, 1.0e308]), np.array([[0.0, 1.1e308], [1.1e308, 0.0]])
+        # turned, then made exactly symmetric
+        a, v = (np.triu(r @ m @ r.T) + np.triu(r @ m @ r.T, 1).T for m in (a, v))
+        with np.errstate(over="ignore"):
+            assert np.isinf(a + v).any()
+            with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+                PerturbationProblem.build(a, v, SpectralSet([(1.15e308, 1.25e308)]),
+                                          SpectralSet([(0.95e308, 1.05e308)]))
 
     @staticmethod
     def rotated_problem_arrays(rng, diagonal_part=0.0):

@@ -12,7 +12,9 @@ of the products'.
 """
 
 import contextlib
+import dataclasses
 import io
+import math
 import zlib
 
 import numpy as np
@@ -132,6 +134,29 @@ class TestCompressedNorms:
             assert abs(blocks - dense_norm(a @ p.matrix - p.matrix @ a)) <= TOL
 
 
+# MCE's numbers that read ||A - B||: the problem's ||V||, or the pair check's SVD of A - B
+NORM_READERS = ("norm_a_minus_b", "pi_half_bound")
+
+
+def assert_matches_the_pair_check(problem):
+    """MCE on ``problem`` is the pair check on (A, B), except that it reads ||V|| as ||A - B||.
+
+    The SVD of the computed A - B may differ from ||V|| in the last bits, so the
+    numbers that read it agree within 8 eps of the problem's scale; every other
+    field is equal.
+    """
+    got = bound_pair_inequality(problem)
+    want = verify_pair_inequality(problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol)
+    assert got.witnesses["norm_a_minus_b"] == problem.norm_v
+    slack = 8 * np.finfo(float).eps * problem.scale
+    for name in NORM_READERS:
+        assert abs(got.witnesses[name] - want.witnesses[name]) <= slack
+    assert abs(got.claimed_bound - want.claimed_bound) <= slack
+    same = {k: v for k, v in want.witnesses.items() if k not in NORM_READERS}
+    assert got == dataclasses.replace(want, claimed_bound=got.claimed_bound,
+                                      witnesses={**got.witnesses, **same})
+
+
 class TestPairInequalityEntryPoints:
     def test_problem_level_check_equals_the_pair_check(self):
         for seed in range(4):
@@ -140,11 +165,18 @@ class TestPairInequalityEntryPoints:
             a = rotated(np.random.default_rng(seed), problem.a)
             v = rotated(np.random.default_rng(seed), problem.v)
             problem = PerturbationProblem.build(a, v, problem.sigma, problem.Sigma)
-            got = bound_pair_inequality(problem)
-            want = verify_pair_inequality(
-                problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol
-            )
-            assert got == want
+            assert_matches_the_pair_check(problem)
+
+    def test_arbitrary_pair_reads_the_svd_of_a_minus_b(self, rng):
+        # B - A is a full Hermitian matrix, not an off-diagonal perturbation of A
+        a = random_hermitian(rng, 8)
+        b = a + 0.3 * random_hermitian(rng, 8)
+        report = verify_pair_inequality(
+            a, b, SpectralSet([(-100.0, 0.0)]), SpectralSet([(0.5, 100.0)])
+        )
+        diff_norm = float(np.linalg.svd(a - b, compute_uv=False)[0])
+        assert report.witnesses["norm_a_minus_b"] == diff_norm
+        assert report.witnesses["pi_half_bound"] == (math.pi / 2.0) * diff_norm
 
     def test_measured_value_against_dense_product(self, rng):
         a = random_hermitian(rng, 8)
@@ -225,8 +257,8 @@ class TestSharedWork:
         argv += ["--theorem", "CASE2", "--theorem", "TAN_THETA", "--theorem", "MCE"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        # ||V|| in build and MCE's ||A - B||, each on a stack of one problem
-        assert shapes.count((1, 32, 32)) == 2
+        # ||V|| in build, on a stack of one problem; MCE reads it as ||A - B||
+        assert shapes.count((1, 32, 32)) == 1
         assert len(set(blocks)) == len(blocks) > 0
         assert {multiplied for multiplied, *_ in blocks} == {rotate}
 
@@ -250,12 +282,7 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_problem_level_check_equals_the_pair_check_unrotated(self, name):
-        problem = PROBLEMS[name]()
-        got = bound_pair_inequality(problem)
-        want = verify_pair_inequality(
-            problem.a, problem.b, problem.sigma, problem.Sigma, problem.tol
-        )
-        assert got == want
+        assert_matches_the_pair_check(PROBLEMS[name]())
 
 
 def withheld(dec: EigenDecomposition) -> EigenDecomposition:
