@@ -70,8 +70,8 @@ def delta_v(norm_v: float, d: float) -> float:
     """
     if not 0 < d < math.inf:
         raise ValueError(f"gap d must be positive and finite, got {d}")
-    if not norm_v >= 0:
-        raise ValueError(f"perturbation norm must be nonnegative, got {norm_v}")
+    if not 0 <= norm_v < math.inf:
+        raise ValueError(f"perturbation norm must be finite and nonnegative, got {norm_v}")
     return _half_angle_shift(norm_v, d)
 
 
@@ -85,8 +85,8 @@ def delta_v_directional(
     convention and give exactly ``norm_v``; the closed form realizes that
     branch without a cutoff.
     """
-    if not norm_v >= 0:
-        raise ValueError(f"perturbation norm must be nonnegative, got {norm_v}")
+    if not 0 <= norm_v < math.inf:
+        raise ValueError(f"perturbation norm must be finite and nonnegative, got {norm_v}")
     gap_inf, gap_sup = abs(a1_inf - a0_inf), abs(a1_sup - a0_sup)
     if not (gap_inf < math.inf and gap_sup < math.inf):  # a NaN fails this too
         _require_finite(a0_inf=a0_inf, a0_sup=a0_sup, a1_inf=a1_inf, a1_sup=a1_sup)

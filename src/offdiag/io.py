@@ -1,9 +1,10 @@
 """Problem-file and report serialization for the command line front end.
 
 A problem file is JSON with keys ``A``, ``V`` (a Hermitian matrix as
-``{"diag": list, "upper": U}``, see ``matrix_payload``; any matrix as a
-nest of plain numbers, as ``{"re": nest, "im": nest}`` or as a nest of
-``[re, im]`` pairs), ``sigma`` and ``Sigma`` (lists of numbers or
+``{"diag": list, "upper": U}`` with U base64 doubles or a list, see
+``matrix_payload``; any matrix as a nest of plain numbers, as
+``{"re": nest, "im": nest}`` or as a nest of ``[re, im]`` pairs),
+``sigma`` and ``Sigma`` (lists of numbers or
 ``[lo, hi]`` pairs; an open set as ``{"intervals": pairs, "open": true}``)
 and an optional ``tolerances`` object.  Parse failures carry the row/column of the first
 violation.  Machine-readable output keeps full float precision; human
@@ -12,6 +13,7 @@ tables round to 6 significant digits.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -77,15 +79,40 @@ def _parse_nest(obj, name: str, pairs: bool) -> np.ndarray:
     return out
 
 
+def _unpack(text: str, name: str, size: int) -> np.ndarray:
+    """The ``size`` little-endian doubles that ``text`` holds in strict base64.
+
+    ``validate=True`` rejects characters outside the alphabet and bad padding but accepts
+    excess ``=`` after the last group, which the length check rejects.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ProblemFileError(
+            f"matrix {name}: invalid base64 ({exc}), expected {size} doubles"
+        ) from exc
+    if len(raw) != 8 * size or len(text) != 4 * -(-len(raw) // 3):
+        raise ProblemFileError(
+            f"matrix {name} has {len(raw)} bytes in {len(text)} characters, expected {size} doubles"
+        )
+    return np.frombuffer(raw, "<f8")
+
+
 def _parse_flat(obj, name: str, n: int | None = None) -> np.ndarray:
-    """Floats from a diagonal's nonempty list, or the n(n-1)/2 of a strict upper triangle, by one
-    ``numpy.array`` call; only other input is checked, naming the length or first bad entry."""
+    """Floats from a diagonal's nonempty list, or the n(n-1)/2 of a strict upper triangle as a
+    list or a base64 string (``_unpack``), a list by one ``numpy.array`` call; only other input is
+    checked, naming the length or first bad entry."""
     size = None if n is None else n * (n - 1) // 2
+    if n is not None and isinstance(obj, str):
+        return _unpack(obj, name, size)
     arr = _numeric(obj)
     if arr is not None and arr.ndim == 1 and (len(arr) == size if n is not None else len(arr)):
         return arr.astype(float)
     if not isinstance(obj, (list, tuple)) or (n is None and not obj):
-        raise ProblemFileError(f"matrix {name} must be a {'nonempty ' * (n is None)}list of numbers")
+        raise ProblemFileError(
+            f"matrix {name} must be a {'nonempty ' * (n is None)}list of numbers"
+            + " or a base64 string" * (n is not None)
+        )
     if n is not None and len(obj) != size:
         raise ProblemFileError(f"matrix {name} has {len(obj)} entries, expected {size}")
     cells = zip(*np.triu_indices(n, 1)) if n is not None else ((k, k) for k in range(len(obj)))
@@ -107,7 +134,8 @@ def _hermitian(diag: np.ndarray, upper: np.ndarray | None) -> np.ndarray:
 
 def parse_matrix(obj, name: str) -> np.ndarray:
     """A matrix from a nest of numbers or of ``[re, im]`` pairs, from ``{"re": nest, "im": nest}``,
-    or from the Hermitian layout ``{"diag": list, "upper": U}`` of ``matrix_payload``."""
+    or from the Hermitian layout ``{"diag": list, "upper": U}`` of ``matrix_payload``, whose U
+    parts may also be the lists of numbers that earlier versions wrote."""
     if not isinstance(obj, dict):
         return _parse_nest(obj, name, pairs=True)
     if set(obj) in ({"diag"}, {"diag", "upper"}):
@@ -134,19 +162,27 @@ def parse_matrix(obj, name: str) -> np.ndarray:
     return out
 
 
-def _real_or_parts(m: np.ndarray) -> list | dict:
-    """Plain numbers when every imaginary part of ``m`` is +0.0, else ``{"re": ..., "im": ...}``."""
+def _real_or_parts(m: np.ndarray, encode=np.ndarray.tolist) -> list | str | dict:
+    """``encode(m.real)`` when every imaginary part of ``m`` is +0.0, else the two encoded parts
+    ``{"re": ..., "im": ...}``."""
     if not m.imag.view(np.uint64).any():
-        return m.real.tolist()
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+        return encode(m.real)
+    return {"re": encode(m.real), "im": encode(m.imag)}
+
+
+def _b64(x: np.ndarray) -> str:
+    """``x`` as base64 of its little-endian IEEE-754 doubles, which ``_unpack`` reads back."""
+    return base64.b64encode(x.astype("<f8").tobytes()).decode("ascii")
 
 
 def matrix_payload(m: np.ndarray) -> list | dict:
     """``m`` as ``{"diag": list, "upper": U}`` exactly when ``_hermitian`` rebuilds it bit for bit.
 
-    ``diag`` is the real diagonal and U the strict upper triangle in row-major order, left out
-    when all +0.0.  Any other matrix (Hermitian only within tolerance, -0.0 in a zero block) is a
-    nest.  U and the nest are ``_real_or_parts``; ``parse_matrix`` reads all back bit for bit.
+    ``diag`` is the real diagonal, a list of numbers, and U the strict upper triangle in
+    row-major order as base64 doubles (``_b64``): one string when real, else ``{"re": str,
+    "im": str}``; U is left out when all +0.0.  Any other matrix (Hermitian only within
+    tolerance, -0.0 in a zero block) is a nest of numbers, ``_real_or_parts``.
+    ``parse_matrix`` reads every layout back bit for bit.
     """
     m = np.ascontiguousarray(m, dtype=complex)
     diag, upper = m.real.diagonal(), m[np.triu_indices(len(m), 1)]
@@ -154,7 +190,7 @@ def matrix_payload(m: np.ndarray) -> list | dict:
         return _real_or_parts(m)
     if not upper.view(np.uint64).any():
         return {"diag": diag.tolist()}
-    return {"diag": diag.tolist(), "upper": _real_or_parts(upper)}
+    return {"diag": diag.tolist(), "upper": _real_or_parts(upper, _b64)}
 
 
 def parse_spectral_set(obj, name: str) -> SpectralSet:

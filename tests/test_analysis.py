@@ -77,7 +77,8 @@ class TestDeltaV:
             delta_v(1.0, -1.0)
 
     @pytest.mark.parametrize("norm_v, d, message", [
-        (math.nan, 1.0, "perturbation norm must be nonnegative, got nan"),
+        (math.nan, 1.0, "perturbation norm must be finite and nonnegative, got nan"),
+        (math.inf, 1.0, "perturbation norm must be finite and nonnegative, got inf"),
         (1.0, math.nan, "gap d must be positive and finite, got nan"),
         (1.0, math.inf, "gap d must be positive and finite, got inf"),
     ])
@@ -97,8 +98,14 @@ class TestDeltaVDirectional:
         assert delta_v_directional(0.0, 1.0, 0.5, 2.0, 0.0) == (0.0, 0.0)
 
     def test_nan_norm_rejected(self):
-        with pytest.raises(ValueError, match="perturbation norm must be nonnegative, got nan"):
+        message = "perturbation norm must be finite and nonnegative, got nan"
+        with pytest.raises(ValueError, match=message):
             delta_v_directional(0.0, 1.0, 2.0, 3.0, math.nan)
+
+    def test_infinite_norm_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            delta_v_directional(0, 1, 2, 3, math.inf)
+        assert str(excinfo.value) == "perturbation norm must be finite and nonnegative, got inf"
 
     def test_unit_gap_matches_delta_v(self):
         dl, _ = delta_v_directional(0.0, 0.0, 1.0, 1.0, SQRT3_2)

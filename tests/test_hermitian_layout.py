@@ -2,12 +2,14 @@
 
 ``matrix_payload`` writes it exactly when the diagonal and strict upper
 triangle rebuild the matrix bit for bit (lower triangle ``conj(U) + 0.0``,
-imaginary diagonal +0.0); every other matrix keeps a nest layout.  These
-tests check that rule against an entry-by-entry oracle, that every file
-reads back to the same bits, that generated problems take the compact
-layout, and that malformed compact input exits 2 with a location.
+imaginary diagonal +0.0), with U as base64 little-endian doubles; every
+other matrix keeps a nest layout.  These tests check that rule against an
+entry-by-entry oracle, that every file reads back to the same bits, that
+generated problems take the compact layout, that the text lists of earlier
+files still load, and that malformed compact input exits 2 with a location.
 """
 
+import base64
 import json
 import struct
 
@@ -18,7 +20,14 @@ from hypothesis import given, settings, strategies as st
 from offdiag import Case, builtin_example, random_problem, random_problem_spec
 from offdiag.cli import main
 from offdiag.harness import search_worst_case
-from offdiag.io import ProblemFileError, matrix_payload, parse_matrix, problem_payload, save_problem
+from offdiag.io import (
+    ProblemFileError,
+    load_problem,
+    matrix_payload,
+    parse_matrix,
+    problem_payload,
+    save_problem,
+)
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308,
            -1e300, 1.0, -2.5]
@@ -31,6 +40,11 @@ FLOATS = st.one_of(
 
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def doubles(text: str) -> np.ndarray:
+    """The little-endian doubles of a base64 triangle, as a reader of the file decodes them."""
+    return np.frombuffer(base64.b64decode(text), "<f8")
 
 
 def rebuilds_exactly(m: np.ndarray) -> bool:
@@ -103,19 +117,24 @@ class TestWriterRule:
         if not upper.view(np.uint64).any():
             assert "upper" not in payload
         elif not upper.imag.view(np.uint64).any():
-            assert len(payload["upper"]) == n * (n - 1) // 2
+            assert isinstance(payload["upper"], str)
+            assert np.array_equal(doubles(payload["upper"]).view(np.uint64),
+                                  upper.real.view(np.uint64))
         else:
             assert set(payload["upper"]) == {"re", "im"}
-            assert len(payload["upper"]["re"]) == len(payload["upper"]["im"]) == n * (n - 1) // 2
+            re, im = (doubles(payload["upper"][part]) for part in ("re", "im"))
+            assert len(re) == len(im) == n * (n - 1) // 2
+            assert np.array_equal(re.view(np.uint64), upper.real.view(np.uint64))
+            assert np.array_equal(im.view(np.uint64), upper.imag.view(np.uint64))
 
     @pytest.mark.parametrize(
         "m, layout",
         [
             (np.diag([1.0, -0.0, 3.0]), {"diag": [1.0, -0.0, 3.0]}),
             (np.array([[2.0, 1 + 1j], [1 - 1j, -2.0]]),
-             {"diag": [2.0, -2.0], "upper": {"re": [1.0], "im": [1.0]}}),
-            (np.array([[2.0, 1.5], [1.5, -2.0]]), {"diag": [2.0, -2.0], "upper": [1.5]}),
-            (np.array([[2.0, -0.0], [0.0, -2.0]]), {"diag": [2.0, -2.0], "upper": [-0.0]}),
+             {"diag": [2.0, -2.0], "upper": {"re": "AAAAAAAA8D8=", "im": "AAAAAAAA8D8="}}),
+            (np.array([[2.0, 1.5], [1.5, -2.0]]), {"diag": [2.0, -2.0], "upper": "AAAAAAAA+D8="}),
+            (np.array([[2.0, -0.0], [0.0, -2.0]]), {"diag": [2.0, -2.0], "upper": "AAAAAAAAAIA="}),
             (np.array([[2.0, 0.0], [-0.0, -2.0]]), [[2.0, 0.0], [-0.0, -2.0]]),
             (np.array([[1j, 0.0], [0.0, 1.0]]), {"re": [[0.0, 0.0], [0.0, 1.0]],
                                                  "im": [[1.0, 0.0], [0.0, 0.0]]}),
@@ -215,3 +234,102 @@ class TestMalformed:
         ))
         assert main(["analyze", str(path)]) == 2
         assert "matrix V.upper: invalid entry at (0,2): None" in capsys.readouterr().err
+
+
+def b64(values) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def analyze_exit(tmp_path, capsys, v) -> tuple[int, str]:
+    """Exit code and stderr of ``analyze`` on a 1+2 problem file whose V is ``v``."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"A": {"diag": [-1.0, 0.0, 1.0]}, "V": v, "sigma": [0.0],
+                                "Sigma": [-1.0, 1.0]}))
+    code = main(["analyze", str(path)])
+    return code, capsys.readouterr().err
+
+
+THREE = b64([1.0, 2.0, 3.0])  # the 3 doubles of a 3x3 triangle
+BAD_BASE64 = {
+    # a lenient decoder would drop the "*" or the newline and read the 3 doubles
+    "non-alphabet": THREE[:4] + "*" + THREE[4:],
+    "newline": THREE[:16] + "\n" + THREE[16:],
+    "bad-padding": THREE[:-2] + "=",
+    "excess-padding": THREE + "=",  # b64decode(validate=True) reads the 3 doubles
+    "not-whole-doubles": base64.b64encode(bytes(20)).decode("ascii"),
+    "two-doubles": b64([1.0, 2.0]),
+    "four-doubles": b64([1.0, 2.0, 3.0, 4.0]),
+}
+
+
+class TestBase64Triangle:
+    @pytest.mark.parametrize("part", ["upper", "upper.re", "upper.im"])
+    @pytest.mark.parametrize("kind", list(BAD_BASE64))
+    def test_malformed_string_exits_2_naming_the_part_and_count(self, part, kind, tmp_path,
+                                                                capsys):
+        upper = {"upper": BAD_BASE64[kind], "upper.re": {"re": BAD_BASE64[kind], "im": THREE},
+                 "upper.im": {"re": THREE, "im": BAD_BASE64[kind]}}[part]
+        code, err = analyze_exit(tmp_path, capsys, {"diag": ZERO3, "upper": upper})
+        assert code == 2 and err.startswith("error: matrix ")
+        assert err.split()[2].rstrip(":") == f"V.{part}" and "expected 3 doubles" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", ["upper", "upper.im"])
+    def test_nonfinite_double_exits_2(self, part, value, tmp_path, capsys):
+        bad = b64([0.0, value, 0.0])
+        upper = bad if part == "upper" else {"re": THREE, "im": bad}
+        code, err = analyze_exit(tmp_path, capsys, {"diag": ZERO3, "upper": upper})
+        assert (code, err) == (2, "error: matrix entries must be finite\n")
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ({"diag": b64(ZERO3)}, "matrix V.diag must be a nonempty list of numbers"),
+            ({"diag": ZERO3, "upper": [THREE, 0.0, 0.0]},
+             f"matrix V.upper: invalid entry at (0,1): {THREE!r} (expected a number)"),
+            ([[0.0, THREE, 0.0], ZERO3, ZERO3],
+             f"matrix V: invalid entry at (0,1): {THREE!r} (expected a number or [re, im])"),
+            (THREE, "matrix V must be a nonempty list of rows"),
+            ({"re": THREE, "im": [ZERO3] * 3}, "matrix V.re must be a nonempty list of rows"),
+        ],
+        ids=["diag", "in-upper-list", "in-nest", "as-nest", "as-re-nest"],
+    )
+    def test_string_outside_the_triangle_rejected_as_before(self, v, message, tmp_path, capsys):
+        assert analyze_exit(tmp_path, capsys, v) == (2, f"error: {message}\n")
+
+    def test_every_bit_pattern_round_trips(self):
+        rng = np.random.default_rng(11)
+        n = 9
+        pattern = rng.integers(0, 2**64, size=(2, n * (n - 1) // 2), dtype=np.uint64)
+        pattern[:, :len(SPECIAL)] = np.array(SPECIAL).view(np.uint64)
+        payload = {"diag": [0.0] * n, "upper": {"re": b64(pattern[0].view(float)),
+                                                "im": b64(pattern[1].view(float))}}
+        back = parse_matrix(json.loads(json.dumps(payload)), "V")
+        rows, cols = np.triu_indices(n, 1)
+        got = np.stack([back[rows, cols].real, back[rows, cols].imag])
+        assert np.array_equal(got.view(np.uint64), pattern)  # NaN payloads too: no decimal step
+        assert json.dumps(matrix_payload(back)) == json.dumps(payload)
+
+    @pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
+    def test_text_list_file_of_earlier_versions_loads_bit_for_bit(self, complex_v, tmp_path):
+        p = random_problem(random_problem_spec(Case.CASE_II, 4, 5, 1.2, seed=2))
+        v = p.v.copy() if complex_v else p.v.real.astype(complex)
+        rows, cols = np.triu_indices(len(v), 1)
+        assert not v[rows[:2], cols[:2]].any()  # V is zero at (0,1) and (0,2)
+        if complex_v:  # an imaginary -0.0 and a subnormal, kept only by a bit-exact reader
+            v[rows[:2], cols[:2]] = [complex(0.0, -0.0), 5e-324j]
+            v[cols, rows] = np.conj(v[rows, cols]) + 0.0
+        upper = v[rows, cols]
+        old_upper = ({"re": upper.real.tolist(), "im": upper.imag.tolist()} if complex_v
+                     else upper.real.tolist())
+        old = {"A": {"diag": p.a.real.diagonal().tolist()},
+               "V": {"diag": v.real.diagonal().tolist(), "upper": old_upper},
+               "sigma": [[lo, hi] for lo, hi in p.sigma.intervals],
+               "Sigma": [[lo, hi] for lo, hi in p.Sigma.intervals]}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old) + "\n")
+        back = load_problem(path)
+        assert np.array_equal(back.v.view(np.uint64), v.view(np.uint64))
+        assert np.array_equal(back.a.view(np.uint64), p.a.view(np.uint64))
+        new = problem_payload(back)["V"]["upper"]
+        assert isinstance(new, dict) == complex_v

@@ -1,6 +1,8 @@
+import base64
 import dataclasses
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -410,11 +412,12 @@ class TestMatrixPayload:
             payload = matrix_payload(m)
             assert list(payload) == ["re", "im"]
             assert all(isinstance(e, float) for nest in payload.values() for e in sum(nest, []))
-        # exactly Hermitian: the diagonal and upper triangle, which keep the -0.0
+        # exactly Hermitian: the diagonal and upper triangle, whose base64 doubles keep the -0.0
         m = np.array([[1.0, complex(0.0, -0.0)], [0.0, 2.0]])
         assert json.dumps(matrix_payload(m)) == json.dumps(
-            {"diag": [1.0, 2.0], "upper": {"re": [0.0], "im": [-0.0]}}
+            {"diag": [1.0, 2.0], "upper": {"re": "AAAAAAAAAAA=", "im": "AAAAAAAAAIA="}}
         )
+        assert base64.b64decode("AAAAAAAAAIA=") == struct.pack("<d", -0.0)
         # not Hermitian: the two real nests
         m = np.array([[1.0, complex(0.0, -0.0)], [0.5, 2.0]])
         assert json.dumps(matrix_payload(m)) == json.dumps(
