@@ -21,8 +21,7 @@ import numpy as np
 @dataclass(frozen=True)
 class Tolerances:
     herm_scale: float = 1e-10   # hermiticity check: herm_scale * dim (times max |entry|)
-    proj_scale: float = 1e-10   # proj_scale * dim: the commutator [A, P] (times ||A||) and
-                                # graph_operator's premise ||P - Q|| < 1
+    proj_scale: float = 1e-10   # proj_scale * dim: the commutator [A, P] (times ||A||)
     eig_scale: float = 1e-10    # eigenvalue placement: eig_scale * dim * max |eigenvalue|
     offdiag: float = 1e-10      # off-diagonality, relative to the perturbation norm
     report: float = 1e-9        # verdict slack, relative to the problem's scale

@@ -80,10 +80,11 @@ def _parse_nest(obj, name: str, pairs: bool) -> np.ndarray:
 
 
 def _unpack(text: str, name: str, size: int) -> np.ndarray:
-    """The ``size`` little-endian doubles that ``text`` holds in strict base64.
+    """The ``size`` little-endian doubles that ``text`` holds in canonical base64.
 
     ``validate=True`` rejects characters outside the alphabet and bad padding but accepts
-    excess ``=`` after the last group, which the length check rejects.
+    excess ``=``, which the length check rejects, and set unused bits before ``=``, which
+    re-encoding the bytes of the padded last group rejects: other groups have no unused bits.
     """
     try:
         raw = base64.b64decode(text, validate=True)
@@ -91,10 +92,10 @@ def _unpack(text: str, name: str, size: int) -> np.ndarray:
         raise ProblemFileError(
             f"matrix {name}: invalid base64 ({exc}), expected {size} doubles"
         ) from exc
-    if len(raw) != 8 * size or len(text) != 4 * -(-len(raw) // 3):
-        raise ProblemFileError(
-            f"matrix {name} has {len(raw)} bytes in {len(text)} characters, expected {size} doubles"
-        )
+    tail = base64.b64encode(raw[len(raw) - len(raw) % 3:]).decode("ascii")
+    if len(raw) != 8 * size or len(text) != 4 * -(-len(raw) // 3) or not text.endswith(tail):
+        raise ProblemFileError(f"matrix {name} has {len(raw)} bytes in {len(text)} characters, "
+                               f"expected {size} doubles in canonical base64")
     return np.frombuffer(raw, "<f8")
 
 
@@ -125,10 +126,10 @@ def _hermitian(diag: np.ndarray, upper: np.ndarray | None) -> np.ndarray:
     n = len(diag)
     out = np.zeros((n, n), dtype=complex)
     out.reshape(-1)[:: n + 1] = diag
-    if upper is not None:
-        rows, cols = np.triu_indices(n, 1)
-        out[rows, cols] = upper
-        out[cols, rows] = np.conj(upper) + 0.0
+    if upper is not None:  # a boolean mask takes its True entries in row-major order
+        mask = np.triu(np.ones((n, n), dtype=bool), 1)
+        out[mask] = upper
+        out.T[mask] = np.conj(upper) + 0.0
     return out
 
 

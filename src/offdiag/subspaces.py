@@ -105,9 +105,11 @@ def graph_operator(
 
     Writes an orthonormal column basis of Ran Q in the block coordinates of
     P; with top block U (onto Ran P) and bottom block W the graph operator
-    is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1.  A caller
-    that has already computed ``||P - Q||`` passes it as ``diff``, and the
-    premise check uses it instead of computing it again.
+    is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1, and X is
+    formed when ``1 - ||P - Q|| > tol.report``, TAN_THETA's premise by the
+    verdict rule (``analysis._verdict``); otherwise this raises
+    ``GraphRepresentationError``.  A caller that has already computed
+    ``||P - Q||`` passes it as ``diff``, and it is not computed again.
     """
     if p.dim != q.dim:
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
@@ -115,10 +117,9 @@ def graph_operator(
         raise ValueError(f"rank mismatch: rank P = {p.rank}, rank Q = {q.rank}")
     if diff is None:
         diff = projection_difference_norm(p, q).norm
-    if diff >= 1.0 - tol.proj(p.dim):
-        raise GraphRepresentationError(
-            f"||P - Q|| = {diff:.12g} is not below 1; Ran Q is not a graph over Ran P"
-        )
+    if not 1.0 - diff > tol.report:
+        raise GraphRepresentationError(f"||P - Q|| = {diff:.12g} is not below 1 by more than "
+                                       f"{tol.report:g}; Ran Q is not a graph over Ran P")
     basis_p = p.range_basis
     basis_perp = p.complement_basis
     basis_q = q.range_basis
@@ -388,56 +389,50 @@ def tan_theta_bound(
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
-
     if (lo, hi) == maximal_gap_interval(problem):
-        numbers = _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
-    else:
-        one = slice(row, row + 1)
-        numbers = _tan_theta(problem._stack, sides, np.array([lo]), np.array([hi]), one)[0]
-    mask, flags, diff, dist_ts = numbers
-
-    witnesses = {
-        "norm_v": problem.norm_v,
-        "d": problem.d,
-        "rank_p": float(np.count_nonzero(sides.mask[row])),
-        "rank_q": float(np.count_nonzero(mask)),
-    }
-
-    def report(claimed: float, bounds=()) -> AnalysisReport:
-        # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
-        return _verdict(
-            "TAN_THETA", problem.scale, problem.tol, measured=diff.norm, claimed=claimed,
-            margin=1.0 - diff.norm, margin_dimensional=False, bounds=bounds,
-            premise="a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1",
-            witnesses=witnesses, flags=flags,
-        )
-
-    # the graph operator, and so the claims, exist only under the a-priori premise
-    apriori = report(math.inf)
-    if not apriori.premise_satisfied:
-        return apriori
-
-    claimed = math.sin(math.atan(problem.norm_v / dist_ts)) if dist_ts > 0 else 1.0
-    p = projection_from_eigenvectors(problem.a_eigen, sides.mask[row])
-    q = projection_from_eigenvectors(problem.b_eigen, mask)
-    graph = graph_operator(p, q, problem.tol, diff=diff.norm)
-    tan_claim = problem.norm_v / dist_ts if dist_ts > 0 else math.inf
-    x_norm = graph.norm
-    witnesses.update(dist_sigma_tilde=dist_ts, x_norm=x_norm, tan_theta_bound=tan_claim)
-    return report(claimed, bounds=[(x_norm, tan_claim)])
+        return _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
+    one = slice(row, row + 1)
+    return _tan_theta(problem._stack, sides, np.array([lo]), np.array([hi]), one)[0]
 
 
 def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray, hi: np.ndarray,
-               rows=slice(None)) -> list:
-    """Per row of the slice ``rows`` (default all) and its open interval (lo, hi): sigma-tilde's
-    mask, flags, the difference, and dist(sigma-tilde, Sigma)."""
+               rows=slice(None)) -> list[AnalysisReport]:
+    """TAN_THETA's reports of the stack rows in the slice ``rows`` (default all), row v on the
+    open interval (lo[v], hi[v]); a row's graph operator is formed only under its premise."""
     values = stack.b_eigen.eigenvalues[rows]
-    mask, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol[rows])
-    flags = [interval_flags + swap for interval_flags, swap in zip(flags, sides.flags[rows])]
-    diffs = _difference(stack, sides.mask[rows], mask, rows)
+    mask_q, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol[rows])
     far = points_distance(values, sides.far[0][rows], sides.far[1][rows])
-    dist_ts = np.where(mask, far, np.inf).min(axis=-1)
-    return list(zip(mask, flags, diffs, dist_ts.tolist()))
+    dists = np.where(mask_q, far, np.inf).min(axis=-1).tolist()
+    reports = []
+    for i, (d, norm_v, _, scale), diff, mask, row_flags, swap, dist in zip(
+        range(len(stack.d))[rows], stack.numbers()[rows],
+        _difference(stack, sides.mask[rows], mask_q, rows), mask_q, flags, sides.flags[rows], dists,
+    ):
+        witnesses = {
+            "norm_v": norm_v,
+            "d": d,
+            "rank_p": float(np.count_nonzero(sides.mask[i])),
+            "rank_q": float(np.count_nonzero(mask)),
+        }
+        # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
+        verdict = dict(
+            measured=diff.norm, margin=1.0 - diff.norm, margin_dimensional=False,
+            premise="a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1",
+            witnesses=witnesses, flags=row_flags + swap,
+        )
+        report = _verdict("TAN_THETA", scale, stack.tol, claimed=math.inf, **verdict)
+        # the graph operator, and so the claims, exist only under the a-priori premise
+        if report.premise_satisfied:
+            p = projection_from_eigenvectors(stack.a_eigen[i], sides.mask[i])
+            q = projection_from_eigenvectors(stack.b_eigen[i], mask)
+            x_norm = graph_operator(p, q, stack.tol, diff=diff.norm).norm
+            tan_claim = norm_v / dist if dist > 0 else math.inf
+            witnesses.update(dist_sigma_tilde=dist, x_norm=x_norm, tan_theta_bound=tan_claim)
+            claimed = math.sin(math.atan(tan_claim)) if dist > 0 else 1.0
+            report = _verdict("TAN_THETA", scale, stack.tol, claimed=claimed,
+                              bounds=[(x_norm, tan_claim)], **verdict)
+        reports.append(report)
+    return reports
 
 
 def verify_pair_inequality(

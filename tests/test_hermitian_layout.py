@@ -273,6 +273,24 @@ class TestBase64Triangle:
         assert code == 2 and err.startswith("error: matrix ")
         assert err.split()[2].rstrip(":") == f"V.{part}" and "expected 3 doubles" in err
 
+    @pytest.mark.parametrize("part", ["upper", "upper.re", "upper.im"])
+    def test_non_canonical_final_character_exits_2(self, part, tmp_path, capsys):
+        # one double takes 11 characters and "=": the 11th carries 2 unused low bits, which
+        # b64decode(validate=True) ignores, so "...4D9=" decodes to the 0.5 of canonical "...4D8="
+        canonical, loose = b64([0.5]), "AAAAAAAA4D9="
+        assert canonical == "AAAAAAAA4D8="
+        assert base64.b64decode(loose, validate=True) == base64.b64decode(canonical)
+        assert parse_matrix({"diag": [0.0, 0.0], "upper": canonical}, "V")[0, 1] == 0.5
+        zero = b64([0.0])
+        upper = {"upper": loose, "upper.re": {"re": loose, "im": zero},
+                 "upper.im": {"re": zero, "im": loose}}[part]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"A": {"diag": [0.0, 1.0]}, "V": {"diag": [0.0, 0.0],
+                                    "upper": upper}, "sigma": [0.0], "Sigma": [1.0]}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (f"error: matrix V.{part} has 8 bytes in 12 characters, "
+                                           "expected 1 doubles in canonical base64\n")
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", ["upper", "upper.im"])
     def test_nonfinite_double_exits_2(self, part, value, tmp_path, capsys):

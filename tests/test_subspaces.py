@@ -24,10 +24,13 @@ from offdiag import (
     verify_pair_inequality,
 )
 from offdiag import Case, PerturbationProblem, harness, subspaces
+from offdiag.cli import main
 from offdiag.config import DEFAULT_TOL
+from offdiag.io import save_problem
 from offdiag.operators import select_eigenvalues
 
-from conftest import random_close_projection, random_hermitian, random_projection
+from conftest import (mapped_problem, random_close_projection, random_hermitian,
+                      random_projection, random_unitary)
 from test_intervals import distance_to_points
 
 SQRT2 = math.sqrt(2.0)
@@ -117,6 +120,27 @@ class TestGraphOperator:
         p = rotated_projection(0.0)
         with pytest.raises(GraphRepresentationError):
             graph_operator(p, p.complement())
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    @pytest.mark.parametrize("gap, built", [(2e-9, True), (5e-10, False)])
+    def test_premise_is_the_verdict_rule(self, dim, gap, built):
+        # Ran Q turns Ran P = span(e0) towards e1 until ||P - Q|| = 1 - gap; the graph exists
+        # exactly when 1 - ||P - Q|| exceeds tol.report = 1e-9, whatever the dimension
+        s = 1.0 - gap
+        e = np.eye(dim, dtype=complex)
+        turned = math.sqrt(1.0 - s * s) * e[:, :1] + s * e[:, 1:2]
+        back = -s * e[:, :1] + math.sqrt(1.0 - s * s) * e[:, 1:2]
+        p = OrthogonalProjection(e[:, :1], e[:, 1:])
+        q = OrthogonalProjection(turned, np.hstack([back, e[:, 2:]]))
+        diff = projection_difference_norm(p, q).norm
+        assert abs(diff - s) <= 4 * np.finfo(float).eps
+        for given in (None, diff):
+            if built:
+                g = graph_operator(p, q, diff=given)
+                assert g.norm == pytest.approx(s / math.sqrt(1.0 - s * s), rel=1e-6)
+            else:
+                with pytest.raises(GraphRepresentationError, match="not below 1"):
+                    graph_operator(p, q, diff=given)
 
     def test_rank_mismatch_rejected(self):
         e = np.eye(3, dtype=complex)
@@ -376,6 +400,93 @@ class TestTanTheta:
         alone = PerturbationProblem.build(p.a, p.v, sigma, p.Sigma)
         assert report == tan_theta_bound(alone, interval)
         assert report.premise_satisfied
+
+
+def sharp_tan_theta_problem(w: float) -> PerturbationProblem:
+    """A = diag(0, -1, 1), sigma = {0}, Sigma = {-1, 1}, V = w (e0 e1* + e0 e2* + h.c.).
+
+    B keeps the eigenvalue 0 with eigenvector (1, w, -w) / sqrt(1 + 2 w^2), so
+    tan theta = sqrt(2) w = ||V|| and dist(sigma-tilde, Sigma) = 1: the tan-Theta
+    bound is attained for every w.
+    """
+    v = np.zeros((3, 3))
+    v[0, 1:] = v[1:, 0] = w
+    return PerturbationProblem.build(np.diag([0.0, -1.0, 1.0]), v, SpectralSet.from_points([0.0]),
+                                     SpectralSet.from_points([-1.0, 1.0]))
+
+
+def near_critical_tan_theta_problem(dim: int = 20) -> PerturbationProblem:
+    """A = diag(0, -1, 1, 3, 4, ..., dim - 1) with sigma = {0}, V coupling index 0 to 1 and 2.
+
+    The weight puts 1 - ||E_A(sigma) - E_B(-1, 1)|| at about 1.5e-9: inside
+    TAN_THETA's premise, whose slack is tol.report = 1e-9, but below a
+    dimension-scaled slack such as 1e-10 n, which would reject it at n = 20.
+    """
+    points = [0.0, -1.0, 1.0] + [float(k) for k in range(3, dim)]
+    v = np.zeros((dim, dim))
+    v[0, 1:3] = v[1:3, 0] = math.sqrt(1.0 / (4 * 1.5e-9))
+    return PerturbationProblem.build(np.diag(points), v, SpectralSet.from_points([0.0]),
+                                     SpectralSet.from_points(points[1:]))
+
+
+class TestTanThetaPremise:
+    def test_near_critical_premise_holds_and_graph_operator_agrees(self):
+        p = near_critical_tan_theta_problem()
+        r = tan_theta_bound(p, maximal_gap_interval(p))
+        assert 1e-9 < r.premise_margin < 2e-9
+        assert r.premise_satisfied and r.holds
+        assert r.witnesses["x_norm"] > 1e4
+
+    @pytest.mark.parametrize("argv", [["analyze", "--theorem", "TAN_THETA"],
+                                      ["verify", "--theorem", "TAN_THETA,CASE2"]])
+    def test_near_critical_file_exits_0(self, argv, tmp_path, capsys):
+        path = tmp_path / "near.json"
+        save_problem(near_critical_tan_theta_problem(), path)
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert [line.split()[:2] for line in out.out.splitlines() if line.startswith("TAN_THETA")] \
+            == [["TAN_THETA", "yes"]]
+
+
+EPS = np.finfo(float).eps
+SHARP_WEIGHTS = [0.1, 0.7, 3.0, 100.0]
+
+
+class TestTanThetaSharp:
+    """The sharp family attains both forms of the bound.
+
+    Tolerances fixed before the first run: both numbers are functions of one
+    angle theta.  On the problem itself each pair agrees within 8 eps
+    max(1, claim).  Under a map the computed angle may move by a few eps, so
+    the sine pair keeps 8 eps max(1, claim) and the tan pair, whose
+    derivative in theta is 1 + tan^2, gets 8 eps (1 + claim^2).
+    """
+
+    @staticmethod
+    def assert_attained(report, tan_slack):
+        w = report.witnesses
+        assert report.premise_satisfied and report.holds
+        assert w["dist_sigma_tilde"] == pytest.approx(w["d"], rel=8 * EPS)
+        claimed, tan_claim = report.claimed_bound, w["tan_theta_bound"]
+        assert abs(report.measured_value - claimed) <= 8 * EPS * max(1.0, claimed)
+        assert abs(w["x_norm"] - tan_claim) <= tan_slack(tan_claim)
+
+    @pytest.mark.parametrize("w", SHARP_WEIGHTS)
+    def test_bound_attained(self, w):
+        p = sharp_tan_theta_problem(w)
+        r = tan_theta_bound(p, maximal_gap_interval(p))
+        assert r.witnesses["tan_theta_bound"] == pytest.approx(math.sqrt(2.0) * w, rel=8 * EPS)
+        self.assert_attained(r, lambda t: 8 * EPS * max(1.0, t))
+
+    @pytest.mark.parametrize("w", SHARP_WEIGHTS)
+    @pytest.mark.parametrize("s, t, rotation", [(1e3, 0.0, None), (1e-3, 0.0, None),
+                                                (1.0, 1.5, None), (1.0, 0.0, 0), (7.0, -10.5, 1)])
+    def test_bound_attained_under_scaling_shift_and_rotation(self, w, s, t, rotation):
+        unitary = None if rotation is None else random_unitary(np.random.default_rng(rotation), 3)
+        p = mapped_problem(sharp_tan_theta_problem(w), s, t, unitary)
+        r = tan_theta_bound(p, maximal_gap_interval(p))
+        self.assert_attained(r, lambda tan: 8 * EPS * (1.0 + tan * tan))
 
 
 class TestPairInequality:
