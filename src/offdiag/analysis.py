@@ -258,13 +258,21 @@ class PerturbationProblem:
 
         # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
         # on the blocks of the eigenvector bases, which a diagonal A's permutation bases gather;
-        # with V = 0 the blocks are exactly zero and never exceed a zero bound
-        norm_v = spectral_norm(v)
-        off_bound = tol.offdiag * norm_v
+        # with V = 0 the blocks are exactly zero and never exceed a zero bound.  A row whose two
+        # diagonal blocks of V are exactly zero has V = [[0, W], [W*, 0]] in that basis, so
+        # ||V|| = ||W||, a k x (n - k) SVD; every other row takes the n x n SVD of V
+        norm_v = np.empty(len(a))
         commutator_bound = tol.proj(dim) * norm_a
         for rows, i_in, i_out in _mask_groups(mask_sigma, ~mask_sigma):
-            off = off_bound[rows]
-            if any(norm_exceeds(_blocks(a_eigen, rows, x, x, v), off).any() for x in (i_in, i_out)):
+            diagonal = [_blocks(a_eigen, rows, x, x, v) for x in (i_in, i_out)]
+            coupling_only = ~(diagonal[0].any(axis=(1, 2)) | diagonal[1].any(axis=(1, 2)))
+            if coupling_only.any():
+                picks = rows[coupling_only], i_in[coupling_only], i_out[coupling_only]
+                norm_v[picks[0]] = spectral_norm(_blocks(a_eigen, *picks, v))
+            if not coupling_only.all():
+                norm_v[rows[~coupling_only]] = spectral_norm(v[rows[~coupling_only]])
+            off = tol.offdiag * norm_v[rows]
+            if any(norm_exceeds(block, off).any() for block in diagonal):
                 raise ValidationError(
                     "V is not off-diagonal with respect to the sigma/Sigma splitting"
                 )

@@ -62,6 +62,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _dims(text: str) -> tuple[int, int]:
     try:
         dims = tuple(int(p) for p in text.split(","))
@@ -254,7 +264,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qnr", help="sample the quadratic numerical range to CSV/SVG")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--svg", help="also write an SVG scatter here")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
@@ -263,7 +273,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_finite_float, required=True, help="norm-ratio cap ||V|| <= c d")
     p.add_argument("--dims", type=_dims, default="2,2", help="dim_sigma,dim_Sigma")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--neighborhood", choices=["half", "full"], default="half")
     p.add_argument("--out", help="write the JSON result here")
 
@@ -274,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="problems to draw for --random (default 100)")
     p.add_argument("--ratio", type=_finite_float, help="target ||V||/d for --random (default 0.45)")
     p.add_argument("--dims", type=_dims, help="dim_sigma,dim_Sigma for --random (default 3,3)")
-    p.add_argument("--seed", type=int, help="layout seed for --random (default 0)")
+    p.add_argument("--seed", type=_seed, help="layout seed for --random (default 0)")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     return parser
 

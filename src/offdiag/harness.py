@@ -304,14 +304,26 @@ def _starts(chunk: range, dims: tuple[int, int], c: float, half: bool, seed: int
     return np.stack(rows)
 
 
+def _moved(x: np.ndarray, k: int, delta: np.ndarray, last: int) -> np.ndarray:
+    """Copy of trials ``x`` with coordinate ``k`` moved by ``delta``; s (``last``) in [0.01, 1]."""
+    moved = x.copy()
+    moved[:, k] += delta
+    if k == last:
+        moved[:, k] = np.clip(moved[:, k], 0.01, 1.0)
+    return moved
+
+
 def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: bool,
             tol: Tolerances) -> np.ndarray:
     """Greedy coordinate refinement of every trial in ``x`` (T, P), in lockstep; returns the values.
 
     ``x`` is updated in place.  Each step moves one coordinate of every
-    trial by its own step and keeps the move where it improves that trial;
-    a trial's step halves after a sweep without improvement.  The last
-    coordinate, s, stays in [0.01, 1].
+    trial by + and then - its own step and keeps a move where it improves
+    that trial; a trial's step halves after a sweep without improvement.
+    The last coordinate, s, stays in [0.01, 1].  Both moves are scored from
+    the same x in one stacked call; where the + move was kept, the - move is
+    redone from the new x and scored again, unless it lands back on the old
+    x, whose value the + move beat.
     """
     value = _score(x, dims, c, half, tol)
     step = np.full(len(value), 0.25)
@@ -319,16 +331,23 @@ def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: b
     for _ in range(sweeps):
         improved = np.zeros(len(value), dtype=bool)
         for k in range(x.shape[1]):
-            for sign in (1.0, -1.0):
-                moved = x.copy()
-                moved[:, k] += sign * step
-                if k == last:
-                    moved[:, k] = np.clip(moved[:, k], 0.01, 1.0)
-                cand = _score(moved, dims, c, half, tol)
-                take = cand > value + 1e-15
-                np.copyto(x, moved, where=take[:, None])
-                value = np.where(take, cand, value)
-                improved |= take
+            origin = x[:, k].copy()
+            plus, minus = _moved(x, k, step, last), _moved(x, k, -step, last)
+            up, down = np.split(_score(np.concatenate([plus, minus]), dims, c, half, tol), 2)
+            take = up > value + 1e-15
+            np.copyto(x, plus, where=take[:, None])
+            down[take] = value[take]
+            value = np.where(take, up, value)
+            improved |= take
+            if take.any():
+                minus[take] = _moved(x[take], k, -step[take], last)
+                again = take & (minus[:, k].view(np.uint64) != origin.view(np.uint64))
+                if again.any():
+                    down[again] = _score(minus[again], dims, c, half, tol)
+            take = down > value + 1e-15
+            np.copyto(x, minus, where=take[:, None])
+            value = np.where(take, down, value)
+            improved |= take
         step = np.where(improved, step, step * 0.5)
     return value
 
@@ -363,6 +382,8 @@ def search_worst_case(
         raise ValueError(f"norm-ratio cap c must be positive and finite, got {c}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if neighborhood not in ("half_d", "full_d"):
         raise ValueError(f"neighborhood must be 'half_d' or 'full_d', got {neighborhood!r}")
     half = neighborhood == "half_d"

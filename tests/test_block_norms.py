@@ -46,9 +46,16 @@ from offdiag.operators import (
     _mask_groups,
     compressed_norm,
     projection_from_eigenvectors,
+    spectral_norm,
 )
 
-from conftest import random_close_projection, random_hermitian, random_unitary, rotated
+from conftest import (
+    mapped_problem,
+    random_close_projection,
+    random_hermitian,
+    random_unitary,
+    rotated,
+)
 
 TOL = 1e-12
 
@@ -257,8 +264,9 @@ class TestSharedWork:
         argv += ["--theorem", "CASE2", "--theorem", "TAN_THETA", "--theorem", "MCE"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        # ||V|| in build, on a stack of one problem; MCE reads it as ||A - B||
-        assert shapes.count((1, 32, 32)) == 1
+        # ||V|| in build, on a stack of one problem; MCE reads it as ||A - B||.  The gathered
+        # diagonal blocks of V are exactly zero, so ||V|| is its coupling block's: no n x n SVD
+        assert shapes.count((1, 32, 32)) == (1 if rotate else 0)
         assert len(set(blocks)) == len(blocks) > 0
         assert {multiplied for multiplied, *_ in blocks} == {rotate}
 
@@ -350,3 +358,53 @@ class TestGatheredBlocks:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["analyze", str(path)]) == 0
             assert bool(products) is rotate
+
+
+EPS = np.finfo(float).eps
+FAMILY_RATIOS = {"CASE_I": 0.45, "CASE_II": 1.2, "SUBORDINATED": 4.0}
+SETS_2_2 = (SpectralSet.from_points([0.0, 0.5]), SpectralSet.from_points([2.0, 3.0]))
+
+
+def coupled_2_2(residue: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal A of ``SETS_2_2`` and a V coupling them, with ``residue`` at (0, 1) and (1, 0)."""
+    a = np.diag([0.0, 0.5, 2.0, 3.0]).astype(complex)
+    v = np.zeros((4, 4), dtype=complex)
+    v[:2, 2:] = [[0.3, 0.1j], [-0.2, 0.4 - 0.1j]]
+    v[2:, :2] = v[:2, 2:].conj().T
+    v[0, 1] = v[1, 0] = residue
+    return a, v
+
+
+class TestCouplingNorm:
+    """``||V||`` is its coupling block's norm when V's diagonal blocks are exactly zero."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_RATIOS))
+    @pytest.mark.parametrize("dims, seeds", [((2, 2), range(8)), ((8, 8), range(8)),
+                                             ((32, 32), range(4)), ((128, 128), range(2))])
+    def test_norm_v_is_the_svd_of_v_to_round_off(self, family, dims, seeds):
+        specs = [random_problem_spec(family, *dims, FAMILY_RATIOS[family], seed) for seed in seeds]
+        for problem in harness._random_problems(specs, DEFAULT_TOL):
+            assert abs(problem.norm_v - spectral_norm(problem.v)) <= 16 * EPS * problem.norm_v
+
+    def test_a_diagonal_residue_keeps_the_svd_of_v(self):
+        (a, exact), (_, residue) = coupled_2_2(0.0), coupled_2_2(1e-13)
+        assert PerturbationProblem.build(a, residue, *SETS_2_2).norm_v == spectral_norm(residue)
+        # both kinds of row in one stack, each with the norm it gets alone
+        ends = [(np.stack([s.lo] * 2), np.stack([s.hi] * 2)) for s in SETS_2_2]
+        rows = PerturbationProblem._build(
+            np.stack([a, a]), np.stack([exact, residue]), *ends, False, DEFAULT_TOL
+        )
+        assert [p.norm_v for p in rows] == [spectral_norm(exact[:2, 2:]), spectral_norm(residue)]
+
+    def test_a_rotated_a_keeps_the_svd_of_v(self):
+        problem = analyze_problem(True)
+        assert problem.norm_v == spectral_norm(problem.v)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "multiplied"])
+    def test_v_zero_has_norm_zero(self, rotate):
+        problem = builtin_example("CASE1", 0.0)
+        if rotate:
+            unitary = random_unitary(np.random.default_rng(3), problem.dim)
+            problem = mapped_problem(problem, 1.0, unitary=unitary)
+        assert (problem.a_eigen.order is None) is rotate
+        assert problem.norm_v == 0.0

@@ -285,6 +285,12 @@ class TestSearch:
         with pytest.raises(ValueError, match="dim_Sigma must be at least 1"):
             search_worst_case(dim_Sigma=-1, c=0.5, trials=1)
 
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_rejects_a_negative_seed_whatever_the_trials(self, trials):
+        # trial 0 starts from the built-in example and draws nothing, so one trial once passed
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            search_worst_case(c=0.5, trials=trials, seed=-1)
+
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_rejects_a_nan_or_infinite_cap(self, c):
         with pytest.raises(ValueError) as excinfo:

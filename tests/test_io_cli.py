@@ -576,6 +576,15 @@ class TestQnrOutput:
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
+# whether numpy saw a negative seed once depended on --trials: one search trial draws nothing
+NEGATIVE_SEEDS = [
+    ["search", "--c", "0.5", "--seed", "-1", "--trials", "1"],
+    ["search", "--c", "0.5", "--seed", "-1", "--trials", "2"],
+    ["verify", "--random", "case1", "--seed", "-1"],
+    ["qnr", "F", "--seed", "-1"],
+]
+
+
 class TestExitCodes:
     def test_exit_code_for_reports(self):
         from offdiag import AnalysisReport
@@ -793,12 +802,19 @@ class TestCli:
             ["examples", "case1", "--scale", "inf"],
             ["verify", "--random", "case1", "--theorem", "MAIN", "--tol-scale", "nan"],
             ["verify", "--random", "case1", "--theorem", "MAIN", "--tol-scale", "0"],
+            *NEGATIVE_SEEDS,
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEEDS)
+    def test_negative_seed_names_the_option(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "argument --seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
 
     def test_analyze_nonpositive_tol_scale_exits_2(self, case1_file, capsys):
         with pytest.raises(SystemExit) as exc:
