@@ -372,7 +372,7 @@ def search_worst_case(
 
     Trials are independent and all make the same number of evaluations, so
     they advance in lockstep, in chunks of ``SEARCH_CHUNK``: each step
-    scores one candidate per trial with stacked LAPACK calls.  Ties between
+    scores both moves of every trial with stacked LAPACK calls.  Ties between
     trials go to the lowest trial index.
     """
     for name, dim in (("dim_sigma", dim_sigma), ("dim_Sigma", dim_Sigma)):

@@ -177,6 +177,28 @@ class TestRandomProblem:
         assert counts["build"] >= 1 and counts["classify"] == counts["build"]
 
 
+def stepwise_refine(x, sweeps, score):
+    """``harness._refine`` scoring one move of every trial at a time: the reference it must match."""
+    value = score(x)
+    step = np.full(len(value), 0.25)
+    last = x.shape[1] - 1
+    for _ in range(sweeps):
+        improved = np.zeros(len(value), dtype=bool)
+        for k in range(x.shape[1]):
+            for sign in (1.0, -1.0):
+                moved = x.copy()
+                moved[:, k] += sign * step
+                if k == last:
+                    moved[:, k] = np.clip(moved[:, k], 0.01, 1.0)
+                cand = score(moved)
+                take = cand > value + 1e-15
+                np.copyto(x, moved, where=take[:, None])
+                value = np.where(take, cand, value)
+                improved |= take
+        step = np.where(improved, step, step * 0.5)
+    return value
+
+
 class TestSearch:
     def test_bookkeeping_single_trial(self):
         r = search_worst_case(c=0.3, trials=1, seed=0, refine_sweeps=1)
@@ -272,6 +294,22 @@ class TestSearch:
             alone = harness._score(x[t:t + 1], (2, 2), 0.7, True, Tolerances())
             assert alone[0] == values[t]
             assert 0.0 < values[t] <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("objective", [
+        lambda x: np.sin(3.0 * x).sum(axis=1) - (x * x).sum(axis=1),
+        # s = 0.9 steps + to the clip at 1.0, and only the - step redone from there finds 0.75
+        lambda x: np.select([x[:, -1] == 0.75, x[:, -1] == 1.0], [2.0, 1.0], 0.0),
+    ], ids=["smooth", "clipped"])
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_paired_steps_match_one_step_at_a_time(self, monkeypatch, objective, sweeps):
+        start = np.array([[0.1, -0.3, 0.9], [1.7, 0.35, 0.9], [-0.6, 2.2, 0.05]])
+        want_x = start.copy()
+        want = stepwise_refine(want_x, sweeps, objective)
+        monkeypatch.setattr(harness, "_score", lambda x, *args: objective(x))
+        got_x = start.copy()
+        got = harness._refine(got_x, (1, 1), sweeps, 0.5, True, Tolerances())
+        assert got.tobytes() == want.tobytes()
+        assert got_x.tobytes() == want_x.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -576,15 +576,6 @@ class TestQnrOutput:
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
-# whether numpy saw a negative seed once depended on --trials: one search trial draws nothing
-NEGATIVE_SEEDS = [
-    ["search", "--c", "0.5", "--seed", "-1", "--trials", "1"],
-    ["search", "--c", "0.5", "--seed", "-1", "--trials", "2"],
-    ["verify", "--random", "case1", "--seed", "-1"],
-    ["qnr", "F", "--seed", "-1"],
-]
-
-
 class TestExitCodes:
     def test_exit_code_for_reports(self):
         from offdiag import AnalysisReport
@@ -594,6 +585,15 @@ class TestExitCodes:
         bad = AnalysisReport("MAIN", True, 0.1, 1.0, 2.0, False)
         assert exit_code_for([ok, vacuous]) == 0
         assert exit_code_for([ok, bad]) == 1
+
+
+# whether numpy saw a negative seed once depended on --trials: one search trial draws nothing
+NEGATIVE_SEEDS = [
+    ["search", "--c", "0.5", "--seed", "-1", "--trials", "1"],
+    ["search", "--c", "0.5", "--seed", "-1", "--trials", "2"],
+    ["verify", "--random", "case1", "--seed", "-1"],
+    ["qnr", "F", "--seed", "-1"],
+]
 
 
 class TestCli:
