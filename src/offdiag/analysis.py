@@ -200,10 +200,6 @@ class PerturbationProblem:
         """E_A(sigma): A's eigenvector columns that ``sigma_mask`` picks, and the rest."""
         return projection_from_eigenvectors(self.a_eigen, self.sigma_mask)
 
-    def eig_tol(self, decomposition: EigenDecomposition | None = None) -> float:
-        dec = self.b_eigen if decomposition is None else decomposition
-        return self.tol.eig(dec.eigenvalues)
-
     @classmethod
     def build(
         cls, a, v, sigma: SpectralSet, Sigma: SpectralSet, tol: Tolerances = DEFAULT_TOL
@@ -241,16 +237,22 @@ class PerturbationProblem:
         values = a_eigen.eigenvalues
         norm_a = np.abs(values).max(axis=-1)
         eig_tol = tol.eig(values)
-        closed = [locate_points(values, *part, False, eig_tol)[0] for part in ends]
-        outside = ~(closed[0] | closed[1])
+        (mask_sigma, _, near_sigma), (mask_Sigma, _, near_Sigma) = (
+            locate_points(values, *part, False, eig_tol) for part in ends
+        )
+        outside = ~(mask_sigma | mask_Sigma)
         if outside.any():
             x = float(values[outside][0])
             raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
-        # A's eigenvalues sit on sigma and Sigma; no report keeps these boundary events
-        mask_sigma, mask_Sigma = (
-            locate_points(values, *part, True, eig_tol)[0] if is_open else inside
-            for part, inside in zip(ends, closed)
-        )
+        # an open set holds what its closure holds, except within eig_tol of an endpoint,
+        # where an eigenvalue of A would be silently dropped from both sets
+        on_end = near_sigma | near_Sigma
+        if is_open and on_end.any():
+            x = float(values[on_end][0])
+            raise ValidationError(
+                f"eigenvalue {x!r} of A is AMBIGUOUS: within the placement tolerance of an "
+                "open endpoint of sigma or Sigma"
+            )
         if np.any(mask_sigma & mask_Sigma):
             raise ValidationError("an eigenvalue of A is claimed by both components")
         if not (mask_sigma.any(axis=-1) & mask_Sigma.any(axis=-1)).all():

@@ -82,6 +82,23 @@ def _dims(text: str) -> tuple[int, int]:
     return dims
 
 
+def _theorems(values) -> list[str]:
+    """The theorem ids of the ``--theorem`` values, in order: comma separable, in any case.
+
+    A value that names no id, or an id not in ``THEOREM_IDS``, raises ``ValueError``.
+    """
+    theorems = []
+    for value in values or []:
+        ids = [t.strip().upper() for t in value.split(",") if t.strip()]
+        if not ids:
+            raise ValueError(f"--theorem {value!r} names no theorem id")
+        theorems.extend(ids)
+    for t in theorems:
+        if t not in THEOREM_IDS:
+            raise ValueError(f"unknown theorem id {t!r}; expected one of {THEOREM_IDS}")
+    return theorems
+
+
 def _claim_outputs(source, *paths) -> None:
     """Open each given output path for appending and close it again, before anything is written.
 
@@ -119,9 +136,10 @@ def exit_code_for(reports) -> int:
 
 
 def cmd_analyze(args) -> int:
+    theorems = _theorems(args.theorem)
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
-    reports = [run_theorem(problem, t) for t in args.theorem or default_battery(problem.case)]
+    reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
     _claim_outputs(args.path, args.out)
 
     print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
@@ -208,12 +226,7 @@ def cmd_verify(args) -> int:
     if args.path and given:
         raise ValueError(f"only --random takes {', '.join('--' + name for name in given)}")
     tol = DEFAULT_TOL.scaled(args.tol_scale)
-    theorems = []
-    for item in args.theorem or []:
-        theorems.extend(t.strip().upper() for t in item.split(",") if t.strip())
-    for t in theorems:
-        if t not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {t!r}; expected one of {THEOREM_IDS}")
+    theorems = _theorems(args.theorem)
     if args.path:
         problem = load_problem(args.path, tol)
         reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
@@ -251,7 +264,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the theorem battery on a problem file")
     p.add_argument("path")
-    p.add_argument("--theorem", action="append", choices=THEOREM_IDS)
+    p.add_argument("--theorem", action="append", help="theorem id(s), comma separable")
     p.add_argument("--out", help="write the machine-readable JSON report here")
     p.add_argument("--tol-scale", type=_positive_float, default=1.0)
 

@@ -130,10 +130,6 @@ class SpectralSet:
     def from_points(cls, values: Sequence[float], is_open: bool = False) -> "SpectralSet":
         return cls(list(values), is_open=is_open)
 
-    @classmethod
-    def empty(cls) -> "SpectralSet":
-        return cls([])
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -171,13 +167,6 @@ class SpectralSet:
         self._require_nonempty()
         other._require_nonempty()
         return float(_distances(*self.bounds, *other.bounds))
-
-    def intersects(self, other: "SpectralSet") -> bool:
-        """Whether the closures intersect: ``distance == 0``, read off the endpoints."""
-        return bool(((self.lo[:, None] <= other.hi) & (other.lo <= self.hi[:, None])).any())
-
-    def convex_hull(self) -> "SpectralSet":
-        return SpectralSet([(self.inf, self.sup)], is_open=self.is_open)
 
     # -- dunder ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import SpectralSet, _format, _normalize, locate_points
+from .intervals import _format, _normalize, locate_points
 
 
 class ValidationError(ValueError):
@@ -165,10 +165,6 @@ class OrthogonalProjection:
         u = self.range_basis
         return u @ u.conj().T
 
-    def complement(self) -> "OrthogonalProjection":
-        """I - P; its bases are this projection's, swapped."""
-        return OrthogonalProjection(self.complement_basis, self.range_basis)
-
 
 def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float | np.ndarray:
     """``||left* M right||`` (``M`` = identity when ``middle`` is None) through the SVD.
@@ -241,27 +237,13 @@ def _blocks(eigen: EigenDecomposition, group, left, right, middle=None, other=No
                      w[i[:, :, None], every, right[:, None, :]], middle)
 
 
-def select_eigenvalues(
-    eigenvalues: np.ndarray, region: SpectralSet, tol: float
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Tolerance-aware selection of eigenvalues lying in ``region``.
-
-    Returns ``(mask, ambiguous, flags)``.  For closed regions a value
-    within ``tol`` of the region counts as inside (boundary attainment is
-    how the sharp examples behave); for open regions a value within
-    ``tol`` of an endpoint is excluded but marked ambiguous.  Flags record
-    every such boundary event instead of silently deciding.
-    """
-    lo, hi = region.bounds
-    values = np.asarray(eigenvalues, dtype=float)[None]
-    mask, ambiguous, flags = _select(values, lo[None], hi[None], region.is_open, tol)
-    return mask[0], ambiguous[0], flags[0]
-
-
 def _select(values, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray, list]:
-    """``select_eigenvalues`` on each row of values (T, n), endpoints (T, m) and tol (T,).
+    """Tolerance-aware selection of each row of values (T, n) in its endpoints (T, m), tol (T,).
 
-    The flags come as one list per row; each names the set of its row's endpoints.
+    Returns ``(mask, ambiguous, flags)``.  A value within ``tol`` of a closed region counts
+    as inside (the sharp examples attain boundaries); one within ``tol`` of an open region's
+    endpoint is excluded but marked ambiguous.  Flags record every such boundary event
+    instead of silently deciding, one list per row, each naming its row's set.
     """
     mask, ambiguous, near = locate_points(values, lo, hi, is_open, tol)
     flags = [[] for _ in values]

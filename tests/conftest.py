@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from offdiag import OrthogonalProjection, PerturbationProblem, SpectralSet, hermitian_eigendecompose
+from offdiag.operators import _select
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -15,6 +16,19 @@ def random_projection(rng, dim, rank):
     order = rng.permutation(dim)
     u = dec.eigenvectors
     return OrthogonalProjection(u[:, order[:rank]], u[:, order[rank:]])
+
+
+def select(values, region, tol):
+    """``(mask, ambiguous, flags)`` of ``values`` in ``region``: one row of ``operators._select``."""
+    lo, hi = region.bounds
+    rows = np.asarray(values, dtype=float)[None], lo[None], hi[None]
+    mask, ambiguous, flags = _select(*rows, region.is_open, tol)
+    return mask[0], ambiguous[0], flags[0]
+
+
+def complement(p):
+    """I - P: the projection ``p`` with its two bases swapped."""
+    return OrthogonalProjection(p.complement_basis, p.range_basis)
 
 
 def random_unitary(rng, dim, spread=1.0):

@@ -31,9 +31,8 @@ from offdiag import (
     two_by_two_extremes,
     verify_pair_inequality,
 )
-from offdiag.operators import select_eigenvalues
 
-from conftest import random_close_projection, random_hermitian, random_projection
+from conftest import random_close_projection, random_hermitian, random_projection, select
 from test_intervals import distance_to_points, open_neighborhood
 
 SQRT2 = math.sqrt(2.0)
@@ -50,7 +49,7 @@ def test_01_example_case1_reproduction():
     eigs = p.b_eigen.eigenvalues
     spectrum_ok = np.allclose(eigs, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
     hood = open_neighborhood(p.sigma, 0.5)
-    mask, ambiguous, flags = select_eigenvalues(eigs, hood, p.eig_tol())
+    mask, ambiguous, flags = select(eigs, hood, p.tol.eig(eigs))
     empty_ok = int(mask.sum()) == 0
     ambiguity_exercised = bool(ambiguous.any()) and any("AMBIGUOUS" in f for f in flags)
     norms_ok = abs(p.norm_v - SQRT3_2) < 1e-12 and abs(p.d - 1.0) < 1e-12
@@ -67,7 +66,7 @@ def test_02_example_case2_reproduction():
     eigs = p.b_eigen.eigenvalues
     spectrum_ok = np.allclose(eigs, [-2.0, 1.0, 1.0], atol=1e-10)
     hood = open_neighborhood(p.sigma, 1.0)
-    mask, _, _ = select_eigenvalues(eigs, hood, p.eig_tol())
+    mask, _, _ = select(eigs, hood, p.tol.eig(eigs))
     empty_ok = int(mask.sum()) == 0
     norm_ok = abs(p.norm_v - SQRT2) < 1e-12
     note(

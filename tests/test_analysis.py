@@ -27,9 +27,9 @@ from offdiag import (
 )
 from offdiag import analysis, harness, operators, subspaces
 from offdiag.config import DEFAULT_TOL
-from offdiag.operators import _select, projection_from_eigenvectors, select_eigenvalues
+from offdiag.operators import _select, projection_from_eigenvectors
 
-from conftest import mapped_problem, random_hermitian, random_unitary
+from conftest import mapped_problem, random_hermitian, random_unitary, select
 
 SQRT2 = math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -271,8 +271,8 @@ class TestProblemValidation:
     @pytest.mark.parametrize("case", list(Case))
     def test_sigma_mask_is_the_selection_of_a_eigenvalues(self, case):
         p = random_problem(random_problem_spec(case, 3, 4, 0.5, seed=11))
-        tol = p.eig_tol(p.a_eigen)
-        mask, _, _ = select_eigenvalues(p.a_eigen.eigenvalues, p.sigma, tol)
+        tol = p.tol.eig(p.a_eigen.eigenvalues)
+        mask, _, _ = select(p.a_eigen.eigenvalues, p.sigma, tol)
         assert np.array_equal(p.sigma_mask, mask)
         assert p.sigma_mask.sum() == p.projection.rank == 3
 
@@ -491,7 +491,7 @@ class TestFormattedFlags:
                 formatted.extend(row_flags)
             return result
 
-        # every selection, select_eigenvalues included, is a stacked _select
+        # every selection is a stacked _select
         for module in (operators, analysis, subspaces):
             monkeypatch.setattr(module, "_select", recorded)
         problem = FLAG_PROBLEMS[name]()

@@ -127,8 +127,6 @@ class TestNormalizationOracle:
         for s, t in sets:
             c = classify_case(s, t)
             assert (c.case, c.detail) == oracle_classify(s.intervals, t.intervals)
-            hull_meets = any(s.inf <= hi and lo <= s.sup for lo, hi in t.intervals)
-            assert s.convex_hull().intersects(t) == hull_meets
         if not sets:
             return
         # one stacked call, each side at one width by repeating its last interval
@@ -189,7 +187,7 @@ class TestNormalization:
         assert s.intervals == ((0.5, 0.5), (1.0, 1.0), (2.0, 4.0))
 
     def test_empty(self):
-        s = SpectralSet.empty()
+        s = SpectralSet([])
         assert s.is_empty
         with pytest.raises(ValueError):
             _ = s.inf
@@ -229,7 +227,7 @@ class TestDistance:
 
     def test_empty_operand_rejected(self):
         with pytest.raises(ValueError):
-            SpectralSet.empty().distance(points(0.0))
+            SpectralSet([]).distance(points(0.0))
 
     def test_semi_infinite(self):
         left = SpectralSet([(-math.inf, -1.0)])
@@ -413,24 +411,8 @@ class TestLocate:
                     assert np.array_equal(got[t], want)
 
     def test_empty_set_is_outside(self):
-        inside, ambiguous, near = locate_points([0.0, 1.0], *SpectralSet.empty().bounds, True, 1.0)
+        inside, ambiguous, near = locate_points([0.0, 1.0], *SpectralSet([]).bounds, True, 1.0)
         assert not inside.any() and not ambiguous.any() and not near.any()
-
-
-class TestConvexHull:
-    def test_two_points(self):
-        assert points(-1.5, 0.5).convex_hull().intervals == ((-1.5, 0.5),)
-
-    def test_singleton(self):
-        assert points(0.0).convex_hull().intervals == ((0.0, 0.0),)
-
-    def test_span(self):
-        s = SpectralSet([(0, 1), (5, 6)])
-        assert s.convex_hull().intervals == ((0.0, 6.0),)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SpectralSet.empty().convex_hull()
 
 
 class TestClassify:
@@ -455,7 +437,7 @@ class TestClassify:
     def test_subordination_beats_case_ii(self):
         # hull separation also holds here; SUBORDINATED must win
         sigma, Sigma = points(0.0, 1.0), points(3.0)
-        assert not sigma.convex_hull().intersects(Sigma)
+        assert not any(sigma.inf <= hi and lo <= sigma.sup for lo, hi in Sigma.intervals)
         assert classify_case(sigma, Sigma).case is Case.SUBORDINATED
 
     def test_symmetric_up_to_side(self, rng):

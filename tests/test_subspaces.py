@@ -27,10 +27,9 @@ from offdiag import Case, PerturbationProblem, harness, subspaces
 from offdiag.cli import main
 from offdiag.config import DEFAULT_TOL
 from offdiag.io import save_problem
-from offdiag.operators import select_eigenvalues
 
-from conftest import (mapped_problem, random_close_projection, random_hermitian,
-                      random_projection, random_unitary)
+from conftest import (complement, mapped_problem, random_close_projection, random_hermitian,
+                      random_projection, random_unitary, select)
 from test_intervals import distance_to_points
 
 SQRT2 = math.sqrt(2.0)
@@ -56,7 +55,7 @@ class TestProjectionDifferenceNorm:
 
     def test_complement_pair(self):
         p = rotated_projection(0.2)
-        d = projection_difference_norm(p, p.complement())
+        d = projection_difference_norm(p, complement(p))
         assert abs(d.norm - 1.0) < 1e-12
 
     def test_max_identity_on_corpus(self, rng):
@@ -119,7 +118,7 @@ class TestGraphOperator:
     def test_complement_pair_rejected(self):
         p = rotated_projection(0.0)
         with pytest.raises(GraphRepresentationError):
-            graph_operator(p, p.complement())
+            graph_operator(p, complement(p))
 
     @pytest.mark.parametrize("dim", [3, 40])
     @pytest.mark.parametrize("gap, built", [(2e-9, True), (5e-10, False)])
@@ -337,7 +336,7 @@ class TestTanTheta:
         # ||P Q_perp|| and ||P_perp Q||, each once; graph_operator is handed ||P - Q||
         mask_p = subspaces._sides(p).mask[p._row]
         region = SpectralSet([(-1.0, 1.0)], is_open=True)
-        mask_q = select_eigenvalues(p.b_eigen.eigenvalues, region, p.eig_tol())[0]
+        mask_q = select(p.b_eigen.eigenvalues, region, p.tol.eig(p.b_eigen.eigenvalues))[0]
         # A is diagonal, so each block is the rows of U_B that A's eigenvectors pick
         u_b, rows = p.b_eigen.eigenvectors, p.a_eigen.order
         assert blocks == [
