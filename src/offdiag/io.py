@@ -273,8 +273,7 @@ def problem_payload(problem: PerturbationProblem) -> dict:
 def write_json(payload, path) -> None:
     """``payload`` as JSON with indent 2 and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def save_problem(problem: PerturbationProblem, path) -> None:

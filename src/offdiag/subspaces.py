@@ -70,9 +70,7 @@ def projection_difference_norm(
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
     pq_perp = compressed_norm(p.range_basis, q.complement_basis)
     pperp_q = compressed_norm(p.complement_basis, q.range_basis)
-    return ProjectionDifference(
-        norm=max(pq_perp, pperp_q), norm_pq_perp=pq_perp, norm_pperp_q=pperp_q
-    )
+    return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
 
 
 class GraphOperator(NamedTuple):
@@ -141,7 +139,8 @@ def _block_norms(memos: list, a: EigenDecomposition, b: EigenDecomposition,
     With ``a.order`` (A diagonal) a block is ``U_B[order[mask_a]][:, mask_b]``, not a product.
     """
     keys = [(x.tobytes(), y.tobytes()) for x, y in zip(mask_a, mask_b)]
-    todo = np.array([i for i, (memo, key) in enumerate(zip(memos, keys)) if key not in memo], int)
+    todo = np.array(list({(id(memo), key): i for i, (memo, key) in enumerate(zip(memos, keys))
+                          if key not in memo}.values()), int)
     for rows, left, right in _mask_groups(mask_a, mask_b, todo) if todo.size else ():
         norms = spectral_norm(_blocks(a, rows, left, right, other=b))
         for i, norm in zip(rows.tolist(), norms.tolist()):
@@ -153,14 +152,16 @@ def _difference(stack: _Stack, mask_p, mask_q, rows=slice(None)) -> list[Project
     """``||E_A(mask_p) - E_B(mask_q)||`` per mask row: the larger of two principal-angle blocks.
 
     Mask row v belongs to row v mod R of the R stack rows in the slice ``rows``
-    (default all).  The blocks are (mask_p, ~mask_q), for ``||P Q_perp||``,
-    and (~mask_p, mask_q), for ``||P_perp Q||``.  Both
-    are entries of each row's memo, so every check on a row computes each
-    block once, whichever check asks first; blocks of one shape share an SVD.
+    (default all).  The blocks are (mask_p, ~mask_q), for ``||P Q_perp||``, and
+    (~mask_p, mask_q), for ``||P_perp Q||``; where the masks have equal rank both
+    norms are the sine of the largest principal angle, and the first block stands
+    for both.  Blocks are entries of their row's memo, so every check on a row
+    computes each block once, whichever asks first; blocks of one shape share an SVD.
     """
     count, memos = len(mask_p), stack.block_norms[rows]
     a, b = stack.a_eigen[rows], stack.b_eigen[rows]
-    left, right = np.concatenate([mask_p, ~mask_p]), np.concatenate([~mask_q, mask_q])
+    equal = (mask_p.sum(axis=-1) == mask_q.sum(axis=-1))[:, None]
+    left, right = (np.concatenate([m, np.where(equal, m, ~m)]) for m in (mask_p, ~mask_q))
     norms = _block_norms(memos * (2 * count // len(memos)), a, b, left, right)
     return [ProjectionDifference(max(x, y), x, y) for x, y in zip(norms[:count], norms[count:])]
 

@@ -62,3 +62,21 @@ def test_summarize_skips_a_metric_missing_from_a_run():
     runs = pairs([1.0, 2.0], [1.0, 2.0])
     del runs[1]["change"]["metrics"]["m"]
     assert bench_pairs.summarize(runs, {"m": "lower"}) == {}
+
+
+def test_setup_probes_alternate_sides_and_summarize_each(monkeypatch):
+    calls = []
+
+    def probe(root, workload, seed):
+        calls.append(root)
+        return None if len(calls) == 3 else {"b": 0.2, "c": 0.1}[root]
+
+    monkeypatch.setattr(bench_pairs, "probe_setup", probe)
+    out = bench_pairs.setup_probes({"base": "b", "change": "c"}, "qnr", 1)
+    count = bench_pairs.SETUP_PROBES
+    assert calls == ["b", "c", "c", "b"] * (count // 2) + ["b", "c"] * (count % 2)
+    assert out["probes"] == count
+    assert out["base"] == {"median": 0.2, "q1": 0.2, "q3": 0.2, "failed": 0,
+                           "times": [0.2] * count}
+    assert out["change"]["median"] == 0.1 and out["change"]["failed"] == 1
+    assert out["change"]["times"][1] is None

@@ -408,3 +408,70 @@ class TestCouplingNorm:
             problem = mapped_problem(problem, 1.0, unitary=unitary)
         assert (problem.a_eigen.order is None) is rotate
         assert problem.norm_v == 0.0
+
+
+def rank_masks(rng, count, dim, equal):
+    """Mask pairs (count, dim) at random positions, whose ranks are equal where ``equal``."""
+    ranks_p = rng.integers(0, dim + 1, count)
+    ranks_q = np.where(equal, ranks_p, (ranks_p + rng.integers(1, dim + 1, count)) % (dim + 1))
+    masks = np.zeros((2, count, dim), dtype=bool)
+    for side, ranks in enumerate((ranks_p, ranks_q)):
+        for row, rank in enumerate(ranks.tolist()):
+            masks[side, row, rng.permutation(dim)[:rank]] = True
+    return masks
+
+
+class TestEqualRankRule:
+    """Where P and Q have equal rank, ``||P Q_perp|| = ||P_perp Q||``: one block is formed.
+
+    Both are the sine of the largest principal angle, so ``_difference`` takes
+    the (mask_p, ~mask_q) block alone and both witnesses read it; a row of
+    unequal ranks forms both blocks.
+    """
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "multiplied"])
+    @pytest.mark.parametrize("dims", [(4, 4), (20, 20), (128, 128)], ids=["n8", "n40", "n256"])
+    def test_equal_rank_rows_form_one_block(self, dims, rotate, monkeypatch):
+        stack = generated_stack("CASE_II", dims, 1.2)()
+        if rotate:
+            stack.a_eigen = withheld(stack.a_eigen)
+        a, b, memos = stack.a_eigen, stack.b_eigen, stack.block_norms
+        count, dim = 4 * len(memos), a.eigenvalues.shape[-1]
+        equal = np.arange(count) % 2 == 0
+        mask_p, mask_q = rank_masks(np.random.default_rng(dim + rotate), count, dim, equal)
+        formed, form = [], subspaces._blocks
+
+        def counted(eigen, group, left, right, **kwargs):
+            rows = group % len(eigen.eigenvectors)
+            formed.extend((i, x.tobytes(), y.tobytes())
+                          for i, x, y in zip(rows.tolist(), left, right))
+            return form(eigen, group, left, right, **kwargs)
+
+        monkeypatch.setattr(subspaces, "_blocks", counted)
+        got = subspaces._difference(stack, mask_p, mask_q)
+
+        def picks(v, x, y):
+            return v % len(memos), np.nonzero(x)[0].tobytes(), np.nonzero(y)[0].tobytes()
+
+        want = {picks(v, p, ~q) for v, (p, q) in enumerate(zip(mask_p, mask_q))}
+        want |= {picks(v, ~mask_p[v], mask_q[v]) for v in np.nonzero(~equal)[0]}
+        assert len(formed) == len(set(formed)) and set(formed) == want
+        # the memo holds the formed blocks alone: a skipped block is never entered
+        assert sum(len(memo) for memo in memos) == len(want)
+
+        def fresh(x, y):
+            return subspaces._block_norms([{} for _ in x], a, b, x, y)
+
+        pq_perp, pperp_q = fresh(mask_p, ~mask_q), fresh(~mask_p, mask_q)
+        for v, diff in enumerate(got):
+            i = v % len(memos)
+            p, q = (projection_from_eigenvectors(EigenDecomposition(e.eigenvalues[i],
+                                                                    e.eigenvectors[i]), m[v])
+                    for e, m in ((a, mask_p), (b, mask_q)))
+            reference = projection_difference_norm(p, q)
+            if equal[v]:
+                assert diff == (pq_perp[v],) * 3
+            else:
+                assert diff == (max(pq_perp[v], pperp_q[v]), pq_perp[v], pperp_q[v])
+            for x, y in zip(diff, reference):
+                assert abs(x - y) <= 8 * EPS

@@ -32,6 +32,7 @@ from offdiag.io import (
     parse_tolerances,
     qnr_svg,
     save_problem,
+    write_json,
     write_qnr_csv,
 )
 
@@ -1008,3 +1009,16 @@ class TestAnalysisPayload:
         text = json.dumps(payload)
         recovered = json.loads(text)
         assert recovered["norm_v"] == p.norm_v  # repr round-trip is lossless
+
+    def test_write_json_is_json_dump_with_indent_2_and_a_newline(self, tmp_path):
+        p = builtin_example("CASE2", scale=0.9)
+        from offdiag import run_theorem
+
+        payload = analysis_payload(p, [run_theorem(p, t) for t in ("SHIFT_I", "CASE2", "MCE")])
+        payload["extra"] = [math.nan, math.inf, -math.inf, -0.0, 1e-300, "\u00e9", {}, []]
+        write_json(payload, tmp_path / "report.json")
+        want = tmp_path / "dumped.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        assert (tmp_path / "report.json").read_bytes() == want.read_bytes()

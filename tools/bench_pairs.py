@@ -15,6 +15,14 @@ first.  Runs are sequential, so the two sides never compete for the machine.
 The output file holds every run's end-to-end metrics, and per metric the
 medians and quartiles of both sides and the number of pairs the working
 tree won; both revisions and a line describing the machine go with them.
+
+A run's ``setup_s`` is the median of only a few fresh-interpreter set-ups,
+so it spreads widely between runs of the same code.  After each workload's
+pairs the script therefore times ``SETUP_PROBES`` set-ups per side,
+
+    python3 perfbench/run.py --workload WORKLOAD --seed S --setup-only
+
+alternating the sides, and writes their times, medians and quartiles.
 """
 
 from __future__ import annotations
@@ -30,9 +38,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
+SETUP_PROBES = 10  # set-up probes per side and workload
 
 
 def git(*args: str) -> str:
@@ -80,6 +90,34 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def probe_setup(root: str, workload: str, seed: int) -> float | None:
+    """Wall seconds of one fresh-interpreter set-up in checkout ``root``; None if it failed."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--setup-only"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None
+    return elapsed
+
+
+def setup_probes(roots: dict, workload: str, seed: int) -> dict:
+    """``SETUP_PROBES`` set-up times per side, the sides alternating, with their quartiles."""
+    times = {side: [] for side in SIDES}
+    for k in range(SETUP_PROBES):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            times[side].append(probe_setup(roots[side], workload, seed))
+    out = {"probes": SETUP_PROBES}
+    for side in SIDES:
+        done = [t for t in times[side] if t is not None]
+        out[side] = {**(quartiles(done) if done else {}), "failed": len(times[side]) - len(done),
+                     "times": times[side]}
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -159,14 +197,18 @@ def main(argv=None) -> int:
                     p50 = pair[side]["metrics"].get("cost_eq_p50")
                     print(f"{workload} seed {seed} {side}: cost_eq_p50 {p50}", flush=True)
                 pairs.append(pair)
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, metrics)}
+            probes = setup_probes(roots, workload, args.seed)
+            print(f"{workload} set-up probes, median s: base {probes['base'].get('median')}, "
+                  f"change {probes['change'].get('median')}", flush=True)
+            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, metrics),
+                                             "setup_probes": probes}
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(f"written to {path}")
-    ok = all(p[side]["correct"] for w in report["workloads"].values() for p in w["pairs"]
-             for side in SIDES)
+    ok = all(p[side]["correct"] and not w["setup_probes"][side]["failed"]
+             for w in report["workloads"].values() for p in w["pairs"] for side in SIDES)
     return 0 if ok else 1
 
 
