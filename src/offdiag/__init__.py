@@ -25,7 +25,6 @@ from .operators import (
 )
 from .analysis import (
     AnalysisReport,
-    CaseError,
     PerturbationProblem,
     QnrSample,
     delta_v,
@@ -70,7 +69,6 @@ __all__ = [
     "BatchSummary",
     "C_PI",
     "Case",
-    "CaseError",
     "Classification",
     "ConvergenceError",
     "DEFAULT_TOL",

@@ -54,9 +54,6 @@ from .operators import (
 SQRT3_2 = math.sqrt(3.0) / 2.0
 SQRT2 = math.sqrt(2.0)
 
-class CaseError(ValueError):
-    """A theorem check was requested for a problem of the wrong case."""
-
 
 def _half_angle_shift(norm_v: float, gap: float) -> float:
     # (sqrt(gap^2 + 4 v^2) - gap) / 2; hypot keeps it accurate for all ratios

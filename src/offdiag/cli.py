@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .analysis import qnr_sample
 from .config import DEFAULT_TOL
 from .harness import (
@@ -22,7 +20,7 @@ from .harness import (
     batch_verify,
     builtin_example,
     default_battery,
-    random_problem_spec,
+    random_problem_specs,
     run_theorem,
     search_worst_case,
     summarize,
@@ -232,16 +230,9 @@ def cmd_verify(args) -> int:
         reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
     else:
         opts = {**_RANDOM_OPTIONS, **given}
-        if opts["trials"] < 1:
-            raise ValueError("need at least one trial")
         case = _RANDOM_FAMILIES[args.random]
-        rng = np.random.default_rng(opts["seed"])
-        specs = [
-            random_problem_spec(
-                case, *opts["dims"], opts["ratio"], int(rng.integers(0, 2**63 - 1))
-            )
-            for _ in range(opts["trials"])
-        ]
+        specs = random_problem_specs(case, *opts["dims"], opts["ratio"], opts["trials"],
+                                     opts["seed"])
         reports = batch_verify(specs, theorems or default_battery(case), tol)
     print(format_report_table(reports))
     s = summarize(reports)
@@ -307,8 +298,8 @@ def main(argv=None) -> int:
     # looked up per call, so that rebinding a ``cmd_*`` function takes effect
     command = globals()[f"cmd_{args.command}"]
     # exit 1 means a violated bound, so every failure of a command exits 2: a ValueError
-    # (ProblemFileError, ValidationError, a wrong-case CaseError), an OSError on a file,
-    # or a RecursionError from JSON nested too deeply
+    # (ProblemFileError, ValidationError), an OSError on a file, or a RecursionError from
+    # JSON nested too deeply
     try:
         return command(args)
     except Exception as exc:

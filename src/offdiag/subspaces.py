@@ -18,7 +18,6 @@ import numpy as np
 
 from .analysis import (
     AnalysisReport,
-    CaseError,
     PerturbationProblem,
     SQRT2,
     _memo,
@@ -176,17 +175,26 @@ class _Sides(NamedTuple):
     gap: tuple  # (lo, hi) of the largest open interval about near's hull that avoids far
 
 
-def _sides(problem: PerturbationProblem) -> _Sides:
-    """The ``_Sides`` of ``problem``'s stack, once per stack, for a hull-separated problem.
+def _wrong_case(problem: PerturbationProblem, theorem: str, why: str) -> AnalysisReport:
+    """``theorem``'s report on a problem outside its case, a premise unmet for ``why``."""
+    return _verdict(theorem, problem.scale, problem.tol, measured=math.nan, claimed=math.inf,
+                    margin=-math.inf, unmet=[f"wrong case: {why}"], witnesses={})
 
-    The roles swap when only Sigma's hull is separated.  The stack's other
-    rows are computed too, but only a hull-separated row reaches a report.
+
+def _no_hull(problem: PerturbationProblem) -> str:
+    """Why ``problem`` is outside the hull-separated case; empty when it is inside."""
+    if problem.case in _HULL_SEPARATED:
+        return ""
+    return ("hull separation required: neither component's convex hull is "
+            f"disjoint from the other ({problem.classification.detail})")
+
+
+def _sides(problem: PerturbationProblem) -> _Sides:
+    """The ``_Sides`` of ``problem``'s stack, once per stack.
+
+    The roles swap when only Sigma's hull is separated.  Every row is
+    computed, but only a hull-separated row reaches a report.
     """
-    if problem.case not in _HULL_SEPARATED:
-        raise CaseError(
-            "hull separation required: neither component's convex hull is "
-            f"disjoint from the other ({problem.classification.detail})"
-        )
     stack = problem._stack
     if "sides" not in stack.memo:
         # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
@@ -211,8 +219,10 @@ def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
     """Largest open interval containing the hull of sigma and avoiding Sigma.
 
     Defined for hull-separated problems (the roles swap automatically when
-    Sigma's hull is the separated one).
+    Sigma's hull is the separated one); any other problem raises ``ValueError``.
     """
+    if why := _no_hull(problem):
+        raise ValueError(why)
     lo, hi = _sides(problem).gap
     return float(lo[problem._row]), float(hi[problem._row])
 
@@ -271,6 +281,8 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     spectral half-lines, each strictly below sqrt(2)/2, and the aggregation
     ||P_perp Q|| <= sqrt(sum of squared corner norms).
     """
+    if why := _no_hull(problem):
+        return _wrong_case(problem, "CASE2", why)
     sides = _sides(problem)
     return _memo(problem, "CASE2", lambda stack: _case2(stack, sides))
 
@@ -331,7 +343,8 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
     sin(arctan(2||V||/d)/2), always strictly below sqrt(2)/2.
     """
     if problem.case is not Case.SUBORDINATED:
-        raise CaseError(f"subordinated components required, problem is {problem.case.value}")
+        return _wrong_case(problem, "SUBORDINATED",
+                           f"subordinated components required, problem is {problem.case.value}")
     return _memo(problem, "SUBORDINATED", _subordinated)
 
 
@@ -368,7 +381,7 @@ def _subordinated(stack: _Stack) -> list[AnalysisReport]:
 
 
 def tan_theta_bound(
-    problem: PerturbationProblem, interval: tuple[float, float]
+    problem: PerturbationProblem, interval: tuple[float, float] | None = None
 ) -> AnalysisReport:
     """A-posteriori tan-Theta bound on an open interval avoiding Sigma.
 
@@ -376,12 +389,16 @@ def tan_theta_bound(
     ||E_A(sigma) - E_B(interval)|| < 1 (the a-priori premise), the
     difference is at most sin(arctan(||V|| / dist(sigma-tilde, Sigma))),
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
-    operator X of the pair.  On the ``maximal_gap_interval`` (the interval
-    the theorem table asks for) the selection and its norms are computed
-    for the problem's whole stack at once; any other interval is computed
-    for this row alone.
+    operator X of the pair.  Without ``interval`` (as the theorem table
+    asks) the interval is the ``maximal_gap_interval``, and the selection
+    and its norms are computed for the problem's whole stack at once; a
+    given interval is checked against Sigma and computed for this row alone.
     """
+    if why := _no_hull(problem):
+        return _wrong_case(problem, "TAN_THETA", why)
     sides, row = _sides(problem), problem._row
+    if interval is None:
+        return _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
@@ -390,8 +407,6 @@ def tan_theta_bound(
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
-    if (lo, hi) == maximal_gap_interval(problem):
-        return _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
     one = slice(row, row + 1)
     return _tan_theta(problem._stack, sides, np.array([lo]), np.array([hi]), one)[0]
 

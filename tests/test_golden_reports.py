@@ -61,9 +61,19 @@ def test_report_matches_golden(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_other_theorems_exit_2(name, tmp_path, capsys):
-    path = tmp_path / "problem.json"
+def test_other_theorems_report_their_case_unmet(name, tmp_path, capsys):
+    # a theorem asked outside its case is a check whose case premise is unmet: exit 0
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
     save_problem(PROBLEMS[name](), path)
-    for t in THEOREM_IDS:
-        if t not in GOLDEN[name]["theorems"]:
-            assert main(["analyze", str(path), "--theorem", t]) == 2
+    others = [t for t in THEOREM_IDS if t not in GOLDEN[name]["theorems"]]
+    argv = ["analyze", str(path), "--out", str(out)]
+    for t in others:
+        argv += ["--theorem", t]
+    assert main(argv) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["theorem"] for r in reports] == others
+    for r in reports:
+        assert (r["premise_satisfied"], r["holds"], r["witnesses"]) == (False, True, {})
+        assert math.isnan(r["measured_value"]) and r["claimed_bound"] == math.inf
+        assert r["premise_margin"] == -math.inf
+        assert len(r["flags"]) == 1 and r["flags"][0].startswith("wrong case: ")

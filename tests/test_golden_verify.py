@@ -12,10 +12,10 @@ Re-record the file only for a deliberate change of the reports:
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from offdiag import THEOREM_IDS, Case, ProblemSpec, batch_verify, random_problem_spec
+from offdiag import THEOREM_IDS, Case, ProblemSpec, batch_verify
+from offdiag.harness import random_problem_specs
 
 DATA = Path(__file__).parent / "data" / "golden_verify.json"
 
@@ -46,11 +46,7 @@ TRIALS = 4
 
 def specs(case, dims, ratio, seed):
     """The specs that ``offdiag verify --random`` draws for these options."""
-    rng = np.random.default_rng(seed)
-    return [
-        random_problem_spec(case, *dims, ratio, int(rng.integers(0, 2**63 - 1)))
-        for _ in range(TRIALS)
-    ]
+    return random_problem_specs(case, *dims, ratio, TRIALS, seed)
 
 
 def reports(name):

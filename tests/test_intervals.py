@@ -472,8 +472,7 @@ class TestClassify:
                 PerturbationProblem.build(a, np.zeros((2, 2)), sigma, Sigma)
             with pytest.raises(ValueError, match="positive distance"):
                 verify_pair_inequality(a, a, sigma, Sigma)
-            spec = ProblemSpec((0.0, raw_Sigma[-1 if end == "+inf" else 0]), tuple(raw_Sigma),
-                               0.5, seed=0)
-            with pytest.raises(ValueError, match="must be separated"):
-                spec.validate()
+            with pytest.raises(ValueError, match="must be separated"):  # raised as it is made
+                ProblemSpec((0.0, raw_Sigma[-1 if end == "+inf" else 0]), tuple(raw_Sigma),
+                            0.5, seed=0)
         assert not caught

@@ -17,7 +17,8 @@ from offdiag import (
     random_problem,
     random_problem_spec,
 )
-from offdiag import cli, io
+from offdiag import THEOREM_IDS, bound_case2, bound_subordinated, cli, harness, io, run_theorem
+from offdiag import tan_theta_bound
 from offdiag.config import DEFAULT_TOL, Tolerances
 from offdiag.cli import exit_code_for, main
 from offdiag.harness import default_battery
@@ -686,10 +687,12 @@ class TestCli:
         assert "(0,1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("theorem", ["SUBORDINATED", "CASE2", "TAN_THETA"])
-    def test_analyze_wrong_case_theorem_exits_2(self, case1_file, theorem, capsys):
-        assert main(["analyze", str(case1_file), "--theorem", theorem]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "required" in err
+    def test_analyze_wrong_case_theorem_prints_its_unmet_case(self, case1_file, theorem, capsys):
+        assert main(["analyze", str(case1_file), "--theorem", theorem]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"\n{theorem:<13} no " in captured.out
+        assert f"\n  {theorem}: wrong case: " in captured.out and "required" in captured.out
 
     def test_analyze_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/problem.json"]) == 2
@@ -774,15 +777,16 @@ class TestCli:
 
     def test_verify_rejects_a_theorem_before_drawing_layouts(self, monkeypatch, capsys):
         draws = []
-        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
+        monkeypatch.setattr(harness, "random_problem_spec", lambda *a, **k: draws.append(a))
         assert main(["verify", "--random", "case1", "--theorem", "MAIN,NOPE", "--trials", "3"]) == 2
         assert draws == []
 
     def test_verify_random_exits_2_on_the_first_invalid_spec(self, monkeypatch, capsys):
+        # a spec is validated when it is made, so the first invalid draw ends the run
         good = random_problem_spec(Case.CASE_I, 2, 2, 0.45, seed=1)
-        specs = iter([good, dataclasses.replace(good, target_norm_ratio=-1.0),
-                      dataclasses.replace(good, Sigma_values=good.sigma_values)])
-        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: next(specs))
+        makes = iter([lambda: good, lambda: dataclasses.replace(good, target_norm_ratio=-1.0),
+                      lambda: dataclasses.replace(good, Sigma_values=good.sigma_values)])
+        monkeypatch.setattr(harness, "random_problem_spec", lambda *a, **k: next(makes)())
         assert main(["verify", "--random", "case1", "--trials", "3"]) == 2
         assert "error: target_norm_ratio must be finite and nonnegative" in capsys.readouterr().err
 
@@ -812,7 +816,7 @@ class TestCli:
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_verify_random_needs_a_trial(self, trials, monkeypatch, capsys):
         draws = []
-        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
+        monkeypatch.setattr(harness, "random_problem_spec", lambda *a, **k: draws.append(a))
         assert main(["verify", "--random", "case1", "--trials", trials]) == 2
         assert draws == []
         assert "need at least one trial" in capsys.readouterr().err
@@ -851,7 +855,7 @@ class TestCli:
     def test_bad_theorem_exits_2_before_any_input_is_read(self, argv, message, tmp_path,
                                                           monkeypatch, capsys):
         draws = []
-        monkeypatch.setattr(cli, "random_problem_spec", lambda *a, **k: draws.append(a))
+        monkeypatch.setattr(harness, "random_problem_spec", lambda *a, **k: draws.append(a))
         argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -998,6 +1002,71 @@ class TestCli:
         assert list(payload) == ["best_value", "dims", "seed", "trials", "c", "neighborhood",
                                  "evaluations", "best_problem"]
         assert list(payload["best_problem"]) == ["A", "V", "sigma", "Sigma"]
+
+
+class TestWrongCase:
+    """A theorem asked outside its case is a check whose case premise is unmet, on every path."""
+
+    @staticmethod
+    def rows(out: str) -> list[tuple[str, str]]:
+        """(theorem id, premise column) of each row of the report table, in order."""
+        return [tuple(line.split()[:2]) for line in out.splitlines()
+                if line.split()[:1] and line.split()[0] in THEOREM_IDS]
+
+    @pytest.mark.parametrize("command", ["analyze", "analyze --out", "verify"])
+    @pytest.mark.parametrize("theorems", [["SHIFT_III,SUBORDINATED"], list(THEOREM_IDS)])
+    def test_battery_with_a_wrong_case_id_prints_every_row_and_exits_0(
+        self, case1_file, command, theorems, tmp_path, capsys
+    ):
+        out = tmp_path / "report.json"
+        argv = [command.split()[0], str(case1_file)]
+        if "--out" in command:
+            argv += ["--out", str(out)]
+        for value in theorems:
+            argv += ["--theorem", value]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        want = cli._theorems(theorems)
+        wrong = [t for t in want if t in ("CASE2", "SUBORDINATED", "TAN_THETA")]
+        rows = self.rows(captured.out)
+        assert [t for t, _ in rows] == want
+        assert [t for t, premise in rows if t in wrong and premise == "no"] == wrong
+        if command.startswith("analyze"):
+            assert [line.split(":")[0].strip() for line in captured.out.splitlines()
+                    if ": wrong case: " in line] == wrong
+        if "--out" in command:
+            assert [r["theorem"] for r in json.loads(out.read_text())["reports"]] == want
+
+    @pytest.mark.parametrize("case, theorem", [
+        (Case.CASE_I, "CASE2"), (Case.CASE_I, "TAN_THETA"), (Case.CASE_I, "SUBORDINATED"),
+        (Case.CASE_II, "SUBORDINATED"),
+    ])
+    def test_wrong_case_report_is_one_on_every_path(self, case, theorem, tmp_path, monkeypatch,
+                                                   capsys):
+        family = {Case.CASE_I: "case1", Case.CASE_II: "case2"}[case]
+        (spec,) = harness.random_problem_specs(case, 3, 4, 0.45, 1, 5)
+        check = {"CASE2": bound_case2, "TAN_THETA": tan_theta_bound,
+                 "SUBORDINATED": bound_subordinated}[theorem]
+        texts = [json.dumps(r.as_dict(), sort_keys=True) for r in (
+            run_theorem(random_problem(spec), theorem), check(random_problem(spec)))]
+
+        path, out = tmp_path / "problem.json", tmp_path / "report.json"
+        save_problem(random_problem(spec), path)
+        assert main(["analyze", str(path), "--theorem", theorem, "--out", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["reports"]
+        texts.append(json.dumps(report, sort_keys=True))
+
+        batches, verify = [], cli.batch_verify
+        monkeypatch.setattr(cli, "batch_verify",
+                            lambda *args: batches.append(verify(*args)) or batches[0])
+        assert main(["verify", "--random", family, "--theorem", theorem, "--trials", "1",
+                     "--dims", "3,4", "--ratio", "0.45", "--seed", "5"]) == 0
+        ((report,),) = batches
+        texts.append(json.dumps(report.as_dict(), sort_keys=True))
+
+        assert len(set(texts)) == 1
+        assert json.loads(texts[0])["flags"][0].startswith("wrong case: ")
 
 
 class TestAnalysisPayload:

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 from offdiag import (
     THEOREM_IDS,
     Case,
-    CaseError,
     PerturbationProblem,
     builtin_example,
     random_problem,
@@ -57,13 +56,9 @@ def problems(draw):
 
 
 def applicable_reports(problem, theorems=THEOREM_IDS):
-    reports = {}
-    for theorem in theorems:
-        try:
-            reports[theorem] = run_theorem(problem, theorem)
-        except CaseError:
-            pass
-    return reports
+    reports = {theorem: run_theorem(problem, theorem) for theorem in theorems}
+    return {theorem: r for theorem, r in reports.items()
+            if not any(f.startswith("wrong case:") for f in r.flags)}
 
 
 def assert_same_reports(got, want, s=1.0):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from offdiag import (
     C_PI,
-    CaseError,
     GraphRepresentationError,
     OrthogonalProjection,
     SpectralSet,
@@ -227,9 +227,13 @@ class TestBoundCase2:
         assert r.claimed_bound < 1.0
         assert r.holds
 
-    def test_wrong_case_rejected(self):
-        with pytest.raises(CaseError):
-            bound_case2(builtin_example("CASE1", scale=0.5))
+    def test_wrong_case_is_an_unmet_premise(self):
+        r = bound_case2(builtin_example("CASE1", scale=0.5))
+        assert (r.premise_satisfied, r.holds, r.witnesses) == (False, True, {})
+        assert math.isnan(r.measured_value) and r.claimed_bound == math.inf
+        assert r.premise_margin == -math.inf
+        assert r.flags == ("wrong case: hull separation required: neither component's convex "
+                           "hull is disjoint from the other (hulls interleave)",)
 
     def test_subordinated_problem_degenerates_one_corner(self):
         # Sigma entirely above sigma: the left corner is a pair of zero
@@ -299,9 +303,11 @@ class TestBoundSubordinated:
         r = bound_subordinated(p)
         assert r.holds
 
-    def test_wrong_case_rejected(self):
-        with pytest.raises(CaseError):
-            bound_subordinated(builtin_example("CASE2"))
+    def test_wrong_case_is_an_unmet_premise(self):
+        r = bound_subordinated(builtin_example("CASE2"))
+        assert (r.premise_satisfied, r.holds, r.witnesses) == (False, True, {})
+        assert math.isnan(r.measured_value) and r.claimed_bound == math.inf
+        assert r.flags == ("wrong case: subordinated components required, problem is CASE_II",)
 
 
 class TestTanTheta:
@@ -346,6 +352,38 @@ class TestTanTheta:
     def test_maximal_interval_helper(self):
         p = builtin_example("CASE2", scale=0.9)
         assert maximal_gap_interval(p) == (-1.0, 1.0)
+
+    def test_wrong_case_is_an_unmet_premise_and_has_no_gap_interval(self):
+        p = builtin_example("CASE1", scale=0.5)
+        why = ("hull separation required: neither component's convex hull is disjoint from "
+               "the other (hulls interleave)")
+        for r in (tan_theta_bound(p), tan_theta_bound(p, (-1.0, 1.0))):
+            assert (r.theorem, r.premise_satisfied, r.holds) == ("TAN_THETA", False, True)
+            assert r.flags == (f"wrong case: {why}",)
+        with pytest.raises(ValueError) as raised:
+            maximal_gap_interval(p)
+        assert str(raised.value) == why
+
+    def test_stack_interval_equals_the_given_maximal_interval_bit_for_bit(self):
+        # a stack of every case, with a row whose roles swap; each side runs on a fresh stack,
+        # so neither reads the block norms the other computed
+        specs = [random_problem_spec(case, 3, 4, ratio, seed=seed) for seed in range(3)
+                 for case, ratio in ((Case.CASE_I, 0.45), (Case.CASE_II, 1.2),
+                                     (Case.SUBORDINATED, 4.0))]
+        specs.append(harness.ProblemSpec((-2.0, 2.0, 3.0), (0.0, 0.5, 0.7, 1.0), 0.6, seed=1))
+        stacked = harness._random_problems(specs, DEFAULT_TOL)
+        given = harness._random_problems(specs, DEFAULT_TOL)
+        assert {p.case for p in stacked} == set(Case)
+        separated = 0
+        for p, q in zip(stacked, given):
+            r = tan_theta_bound(p)
+            if p.case is Case.CASE_I:
+                assert r.flags[0].startswith("wrong case: ")
+                continue
+            separated += 1
+            mine = tan_theta_bound(q, maximal_gap_interval(q))
+            assert json.dumps(r.as_dict()) == json.dumps(mine.as_dict())
+        assert separated == 7
 
     def test_interval_hitting_sigma_rejected(self):
         p = builtin_example("CASE2", scale=0.9)

@@ -1,0 +1,202 @@
+"""Byte identity of the command line between a base revision and the working tree.
+
+Run from the root of a checkout:
+
+    python3 tools/byte_identity.py --base REV
+
+The base revision is exported as ``tools/bench_pairs.py`` exports it.  Each
+tree then runs one fixed sweep through ``offdiag.cli.main``, in an
+interpreter of its own whose path starts with that tree's ``src``, in an
+empty temporary directory: it first writes the input problems with its own
+library, then runs the argv in order.  ``sweep`` gives the argv:
+
+- ``examples case1|case2`` at scales 0, 0.99 and 1;
+- ``analyze --out`` on those six problems with the default battery, with
+  each theorem id alone and with all ids together, and ``verify FILE``;
+- the 16 ``analyze-large`` pool problems with that workload's argv;
+- ``verify --random`` for each ``verify-small`` family at its ratio and
+  trial count, with its battery and with every theorem id, at dims 3,4 and
+  8,8, seeds 0-2;
+- the ``search`` workload's argv with ``--out``, seeds 0-2;
+- ``qnr --out --svg`` on the ``qnr`` workload's seed-0 problem, seeds 0-2.
+
+For each argv a tree records the exit code, stdout, stderr and the sha256
+of every file that the argv names after ``--out``, ``--report-out`` or
+``--svg``.  The input problems are recorded the same way, under the argv
+``inputs``.  The script prints every argv whose record differs and what
+differs, then a count, and exits 1 when any argv differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TOOLS)
+OUTPUT_FLAGS = ("--out", "--report-out", "--svg")
+SIDES = ("base", "change")
+
+
+def written(argv: list[str]) -> list[str]:
+    """The files ``argv`` writes: the values of its output flags, in order."""
+    return [value for flag, value in zip(argv, argv[1:]) if flag in OUTPUT_FLAGS]
+
+
+def sweep() -> tuple[list[list], list[list[str]]]:
+    """``(inputs, argvs)``: the problems each tree writes first, then the argv it runs.
+
+    An input is ``[path, case, dim_sigma, dim_Sigma, ratio, seed]``, the
+    problem of ``random_problem_spec`` with those arguments.
+    """
+    sys.path[:0] = [p for p in (ROOT, os.path.join(ROOT, "src")) if p not in sys.path]
+    from offdiag import THEOREM_IDS
+    from perfbench import workloads
+
+    with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
+        pool = sorted(json.load(fh)["analyze"], key=int)
+    inputs = [[f"pool_{seed}.json", "CASE_II", *workloads.ANALYZE_DIMS, workloads.ANALYZE_RATIO,
+               int(seed)] for seed in pool]
+    inputs.append(["qnr_problem.json", "CASE_I", 32, 32, 0.45, 0])
+
+    argvs, examples = [], []
+    for which in ("case1", "case2"):
+        for scale in ("0", "0.99", "1"):
+            name = f"{which}_{scale}"
+            examples.append(name)
+            argvs.append(["examples", which, "--scale", scale, "--out", f"{name}.json",
+                          "--report-out", f"{name}.report.json"])
+    for name in examples:
+        batteries = [[], *([t] for t in THEOREM_IDS), list(THEOREM_IDS)]
+        for k, battery in enumerate(batteries):
+            argv = ["analyze", f"{name}.json", "--out", f"{name}.analyze_{k}.json"]
+            for t in battery:
+                argv += ["--theorem", t]
+            argvs.append(argv)
+        argvs.append(["verify", f"{name}.json"])
+    for path, *_ in inputs[:-1]:
+        argvs.append(workloads.analyze_argv(path, path.replace(".json", ".report.json")))
+    for family, ratio, battery in workloads.VERIFY_FAMILIES:
+        for theorems in (battery, THEOREM_IDS):
+            for dims in ("3,4", "8,8"):
+                for seed in range(3):
+                    argvs.append(["verify", "--random", family, "--theorem", ",".join(theorems),
+                                  "--trials", str(workloads.VerifySmall.trials), "--ratio",
+                                  str(ratio), "--dims", dims, "--seed", str(seed)])
+    for seed in range(3):
+        argvs.append([*workloads.search_argv(seed), "--out", f"search_{seed}.json"])
+    for seed in range(3):
+        argvs.append(["qnr", "qnr_problem.json", "--samples", str(workloads.Qnr.samples),
+                      "--seed", str(seed), "--out", f"qnr_{seed}.csv", "--svg", f"qnr_{seed}.svg"])
+    return inputs, argvs
+
+
+def sha256(path: str) -> str | None:
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
+
+
+def child() -> None:
+    """Run the job on stdin in this interpreter and directory; write ``records.json`` here.
+
+    The job is ``{"src": ..., "inputs": ..., "argvs": ...}``; ``offdiag`` must
+    come from ``src``.
+    """
+    job = json.load(sys.stdin)
+    import offdiag
+    from offdiag import Case, random_problem, random_problem_spec
+    from offdiag.cli import main
+    from offdiag.io import save_problem
+
+    if os.path.dirname(os.path.dirname(os.path.realpath(offdiag.__file__))) != job["src"]:
+        raise SystemExit(f"offdiag imported from {offdiag.__file__}, not from {job['src']}")
+    paths = []
+    for path, case, n0, n1, ratio, seed in job["inputs"]:
+        save_problem(random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed)), path)
+        paths.append(path)
+    records = [{"argv": ["inputs"], "exit": 0, "stdout": "", "stderr": "",
+                "files": {p: sha256(p) for p in paths}}]
+    for argv in job["argvs"]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        records.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue(), "files": {p: sha256(p) for p in written(argv)}})
+    with open("records.json", "w", encoding="utf-8") as fh:
+        json.dump(records, fh)
+
+
+def run_tree(root: str, inputs: list, argvs: list) -> list[dict]:
+    """The records of the sweep in checkout ``root``, from a fresh interpreter."""
+    src = os.path.join(root, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, TOOLS])}
+    job = json.dumps({"src": os.path.realpath(src), "inputs": inputs, "argvs": argvs})
+    with tempfile.TemporaryDirectory(prefix="byte-identity-") as work:
+        subprocess.run([sys.executable, "-c", "import byte_identity; byte_identity.child()"],
+                       input=job, text=True, cwd=work, env=env, check=True)
+        with open(os.path.join(work, "records.json"), encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def differences(base: list[dict], change: list[dict]) -> list[tuple[list[str], list[str]]]:
+    """``(argv, what differs)`` of every argv whose records differ, in sweep order.
+
+    What differs is ``exit A -> B``, ``stdout``, ``stderr`` or ``file NAME``; an
+    argv that one side has no record of is ``missing on base`` or ``missing on change``.
+    """
+    found = []
+    records = {side: {json.dumps(r["argv"]): r for r in side_records}
+               for side, side_records in zip(SIDES, (base, change))}
+    order = list(records["base"]) + [k for k in records["change"] if k not in records["base"]]
+    for key in order:
+        b, c = records["base"].get(key), records["change"].get(key)
+        if b is None or c is None:
+            found.append((json.loads(key), [f"missing on {'base' if b is None else 'change'}"]))
+            continue
+        what = [] if b["exit"] == c["exit"] else [f"exit {b['exit']} -> {c['exit']}"]
+        what += [stream for stream in ("stdout", "stderr") if b[stream] != c[stream]]
+        what += [f"file {name}" for name in dict.fromkeys([*b["files"], *c["files"]])
+                 if b["files"].get(name) != c["files"].get(name)]
+        if what:
+            found.append((json.loads(key), what))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="base revision, exported with git archive")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, TOOLS)
+    from bench_pairs import export, git
+
+    base_rev = git("rev-parse", args.base)
+    inputs, argvs = sweep()
+    with tempfile.TemporaryDirectory(prefix="byte-identity-base-") as base_root:
+        export(base_rev, base_root)
+        base = run_tree(base_root, inputs, argvs)
+    change = run_tree(ROOT, inputs, argvs)
+    found = differences(base, change)
+    for argv, what in found:
+        print(f"{' '.join(argv)}: {', '.join(what)}")
+    files = sum(len(r["files"]) for r in change)
+    print(f"{len(found)} of {len(change)} argv differ between {base_rev[:12]} and the working tree "
+          f"({files} written files compared)")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
