@@ -17,8 +17,7 @@ sup_b = problem.b_eigen.eigenvalues.max()
 
 for n in (100, 1000, 10_000):
     samples = qnr_sample(problem.b, problem.projection, n, seed=0)
-    lo = min(s.lam for s in samples)
-    hi = max(s.mu for s in samples)
+    lo, hi = samples.lam.min(), samples.mu.max()
     print(f"n = {n:>6}: sampled range [{lo:+.4f}, {hi:+.4f}]   "
           f"spec(B) range [{inf_b:+.4f}, {sup_b:+.4f}]")
 

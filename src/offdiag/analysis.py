@@ -90,17 +90,25 @@ def delta_v_directional(
     return _half_angle_shift(norm_v, gap_inf), _half_angle_shift(norm_v, gap_sup)
 
 
-def two_by_two_extremes(a0: float, a1: float, v: complex) -> tuple[float, float]:
-    """Eigenvalues (lambda, mu) of [[a0, v], [conj(v), a1]], lambda <= mu.
+def two_by_two_extremes(a0, a1, v):
+    """Eigenvalues (lambda, mu) of [[a0, v], [conj(v), a1]], lambda <= mu, entry by entry.
 
     lambda = min{a0, a1} - s and mu = max{a0, a1} + s with the half-angle
     shift s = |v| tan(arctan(2|v| / |a1 - a0|) / 2); this is algebraically
-    the exact eigenvalue pair.
+    the exact eigenvalue pair.  Arrays of one length give arrays, scalars
+    floats; |v| and s use CPython's ``abs`` and ``math.hypot`` per entry,
+    as numpy's round otherwise in the last bit on some entries.
     """
-    s = _half_angle_shift(abs(v), abs(a1 - a0))
-    if not s < math.inf:  # a NaN fails it too; one comparison, as qnr_sample calls this per sample
-        _require_finite(a0=a0, a1=a1, v=abs(v))
-    return min(a0, a1) - s, max(a0, a1) + s
+    scalar = np.ndim(a0) == 0
+    a0, a1, v = np.atleast_1d(np.asarray(a0, float), np.asarray(a1, float), np.asarray(v, complex))
+    norm_v = list(map(abs, v.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
+        s = np.fromiter(map(_half_angle_shift, norm_v, np.abs(a1 - a0).tolist()), float, v.size)
+        lam, mu = np.where(a1 < a0, a1, a0) - s, np.where(a1 > a0, a1, a0) + s
+    if not (s < math.inf).all():  # a NaN fails it too
+        i = np.argmin(s < math.inf)
+        _require_finite(a0=a0[i].item(), a1=a1[i].item(), v=norm_v[i])
+    return (lam.item(), mu.item()) if scalar else (lam, mu)
 
 
 def _require_finite(**values: float) -> None:
@@ -369,18 +377,18 @@ def _verdict(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QnrSample:
-    """One compressed 2x2 sample of the quadratic numerical range."""
+    """Compressed 2x2 samples of the quadratic numerical range as columns; row i is sample i."""
 
-    a0: float
-    a1: float
-    v: complex
-    lam: float
-    mu: float
+    a0: np.ndarray
+    a1: np.ndarray
+    v: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
 
 
-# Samples are drawn and compressed this many at a time, so memory stays bounded for any n.
+# Rows are drawn, compressed and written in blocks this long, so memory past the columns is bounded.
 QNR_CHUNK = 256
 
 
@@ -401,8 +409,8 @@ def _forms(x: np.ndarray, block: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def qnr_sample(
     b, projection: OrthogonalProjection, n: int, seed: int = 0
-) -> list[QnrSample]:
-    """Seeded samples of the quadratic numerical range of ``b``.
+) -> QnrSample:
+    """``n`` seeded samples of the quadratic numerical range of ``b``, as columns.
 
     Draws f uniformly on the unit sphere of Ran P and g on the unit sphere
     of Ran P-perp, compresses ``b`` to the 2x2 matrix
@@ -432,18 +440,14 @@ def qnr_sample(
     b_qq = basis_q.conj().T @ b @ basis_q
     b_pq = basis_p.conj().T @ b @ basis_q
     rng = np.random.default_rng(seed)
-    samples = []
+    columns = []
     for first in range(0, n, QNR_CHUNK):
         draws = rng.standard_normal((min(QNR_CHUNK, n - first), 2 * (kp + kq)))
         u = _unit_rows(rng, draws[:, :kp] + 1j * draws[:, kp : 2 * kp])
         h = _unit_rows(rng, draws[:, 2 * kp : 2 * kp + kq] + 1j * draws[:, 2 * kp + kq :])
-        a0 = _forms(u, b_pp, u).real
-        a1 = _forms(h, b_qq, h).real
-        v = _forms(u, b_pq, h)
-        for x0, x1, xv in zip(a0.tolist(), a1.tolist(), v.tolist()):
-            lam, mu = two_by_two_extremes(x0, x1, xv)
-            samples.append(QnrSample(a0=x0, a1=x1, v=xv, lam=lam, mu=mu))
-    return samples
+        columns.append((_forms(u, b_pp, u).real, _forms(h, b_qq, h).real, _forms(u, b_pq, h)))
+    a0, a1, v = map(np.concatenate, zip(*columns))
+    return QnrSample(a0, a1, v, *two_by_two_extremes(a0, a1, v))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,14 @@ def exit_code_for(reports) -> int:
     return 1 if any(r.premise_satisfied and not r.holds for r in reports) else 0
 
 
+def _print_reports(reports, flags: bool = True) -> None:
+    """The report table, then (with ``flags``) each report's flags, one line each."""
+    print(format_report_table(reports))
+    for r in reports if flags else ():
+        for flag in r.flags:
+            print(f"  {r.theorem}: {flag}")
+
+
 def cmd_analyze(args) -> int:
     theorems = _theorems(args.theorem)
     tol = DEFAULT_TOL.scaled(args.tol_scale)
@@ -143,10 +151,7 @@ def cmd_analyze(args) -> int:
     print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
     print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")
     print()
-    print(format_report_table(reports))
-    for r in reports:
-        for flag in r.flags:
-            print(f"  {r.theorem}: {flag}")
+    _print_reports(reports)
     if args.out:
         write_json(analysis_payload(problem, reports), args.out)
         print(f"\nreport written to {args.out}")
@@ -180,10 +185,9 @@ def cmd_qnr(args) -> int:
             fh.write(qnr_svg(samples, [float(x) for x in problem.b_eigen.eigenvalues]))
     inf_b = float(problem.b_eigen.eigenvalues.min())
     sup_b = float(problem.b_eigen.eigenvalues.max())
-    lo = min(s.lam for s in samples)
-    hi = max(s.mu for s in samples)
+    lo, hi = min(samples.lam.tolist()), max(samples.mu.tolist())
     print(
-        f"{len(samples)} samples; min lambda = {lo:.6g} (inf B = {inf_b:.6g}), "
+        f"{args.samples} samples; min lambda = {lo:.6g} (inf B = {inf_b:.6g}), "
         f"max mu = {hi:.6g} (sup B = {sup_b:.6g})",
         file=sys.stderr,
     )
@@ -234,7 +238,7 @@ def cmd_verify(args) -> int:
         specs = random_problem_specs(case, *opts["dims"], opts["ratio"], opts["trials"],
                                      opts["seed"])
         reports = batch_verify(specs, theorems or default_battery(case), tol)
-    print(format_report_table(reports))
+    _print_reports(reports, flags=bool(args.path))  # a batch prints only the flag counts
     s = summarize(reports)
     print(
         f"\n{s.total} checks, {s.premise_satisfied} with premise satisfied, "

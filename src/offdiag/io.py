@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import AnalysisReport, PerturbationProblem, QnrSample, delta_v
+from .analysis import QNR_CHUNK, AnalysisReport, PerturbationProblem, QnrSample, delta_v
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import SpectralSet, _numeric
 
@@ -324,29 +324,30 @@ def format_report_table(reports: Iterable[AnalysisReport]) -> str:
 QNR_CSV_HEADER = "a0,a1,abs_v,lambda,mu"
 
 
-def write_qnr_csv(samples: Sequence[QnrSample], fh) -> None:
+def write_qnr_csv(samples: QnrSample, fh) -> None:
+    """The header, then a row of ``repr`` values per sample, ``QNR_CHUNK`` rows per write."""
     fh.write(QNR_CSV_HEADER + "\n")
-    for s in samples:
-        fh.write(f"{s.a0!r},{s.a1!r},{abs(s.v)!r},{s.lam!r},{s.mu!r}\n")
+    columns = (samples.a0, samples.a1, samples.v, samples.lam, samples.mu)
+    for first in range(0, len(samples.lam), QNR_CHUNK):
+        a0, a1, v, lam, mu = (c[first : first + QNR_CHUNK].tolist() for c in columns)
+        rows = zip(*(map(repr, c) for c in (a0, a1, map(abs, v), lam, mu)))
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def qnr_svg(samples: Sequence[QnrSample], spectrum: Sequence[float]) -> str:
+def qnr_svg(samples: QnrSample, spectrum: Sequence[float]) -> str:
     """Plain scatter of the sampled eigenvalue pairs with spectrum tick lines.
 
     x is the sample index, y the value; lambda and mu get separate markers,
     horizontal lines mark the eigenvalues of B.  Self-contained SVG.
     """
     width, height, pad = 640, 400, 40
-    values = [s.lam for s in samples] + [s.mu for s in samples] + list(spectrum)
+    values = samples.lam.tolist() + samples.mu.tolist() + list(spectrum)
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
     lo -= 0.05 * span
     hi += 0.05 * span
 
-    def sx(i: int) -> float:
-        return pad + (width - 2 * pad) * (i / max(len(samples) - 1, 1))
-
-    def sy(v: float) -> float:
+    def sy(v):
         return height - pad - (height - 2 * pad) * ((v - lo) / (hi - lo))
 
     parts = [
@@ -364,9 +365,10 @@ def qnr_svg(samples: Sequence[QnrSample], spectrum: Sequence[float]) -> str:
             f'<text x="{width - pad + 4}" y="{y + 4:.2f}" font-size="11" fill="#444">'
             f"{float(e):.4g}</text>"
         )
-    for i, s in enumerate(samples):
-        for value, color in ((s.lam, "#1f77b4"), (s.mu, "#d62728")):
-            parts.append(f'<circle cx="{sx(i):.2f}" cy="{sy(value):.2f}" r="2.2" fill="{color}"/>')
+    x = pad + (width - 2 * pad) * (np.arange(len(samples.lam)) / max(len(samples.lam) - 1, 1))
+    for cx, y_lam, y_mu in zip(x.tolist(), sy(samples.lam).tolist(), sy(samples.mu).tolist()):
+        parts.append(f'<circle cx="{cx:.2f}" cy="{y_lam:.2f}" r="2.2" fill="#1f77b4"/>')
+        parts.append(f'<circle cx="{cx:.2f}" cy="{y_mu:.2f}" r="2.2" fill="#d62728"/>')
     parts.append(
         f'<text x="{pad}" y="{pad - 12}" font-size="12" fill="#000">'
         "quadratic numerical range samples: lambda (blue), mu (red), spec(B) dashed</text>"

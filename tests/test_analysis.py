@@ -146,6 +146,62 @@ class TestTwoByTwoExtremes:
             two_by_two_extremes(*args)
         assert str(excinfo.value) == message
 
+    @staticmethod
+    def guard_rows():
+        """120,000 seeded rows: magnitudes 1e-8 to 1e3, v = 0, a0 == a1 and signed zeros."""
+        rng = np.random.default_rng(2026)
+        n = 120_000
+
+        def draw():
+            return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 3, n)
+
+        a0, a1, v = draw(), draw(), draw() + 1j * draw()
+        v[:10_000] = 0.0
+        a1[10_000:20_000] = a0[10_000:20_000]
+        zeros = [(0.0, -0.0, complex(0.0, 0.0)), (-0.0, 0.0, complex(-0.0, -0.0)),
+                 (-0.0, -0.0, complex(0.0, -0.0)), (0.0, 0.0, complex(-0.0, 0.0))]
+        for k, (x0, x1, xv) in enumerate(zeros * 250):
+            a0[20_000 + k], a1[20_000 + k], v[20_000 + k] = x0, x1, xv
+        return a0, a1, v
+
+    def test_arrays_equal_the_per_row_float_formula_bit_for_bit(self):
+        a0, a1, v = self.guard_rows()
+        want_lam, want_mu = [], []
+        for x0, x1, xv in zip(a0.tolist(), a1.tolist(), v.tolist()):
+            gap = abs(x1 - x0)
+            s = 0.5 * (math.hypot(gap, 2.0 * abs(xv)) - gap)
+            want_lam.append(min(x0, x1) - s)
+            want_mu.append(max(x0, x1) + s)
+        lam, mu = two_by_two_extremes(a0, a1, v)
+        assert lam.tobytes() == np.array(want_lam).tobytes()
+        assert mu.tobytes() == np.array(want_mu).tobytes()
+        # the guard has rows where numpy's hypot or complex abs would round otherwise
+        norm_v = np.array(list(map(abs, v.tolist())))
+        gap = np.abs(a1 - a0)
+        assert np.any(np.abs(v) != norm_v)
+        assert np.any(np.hypot(gap, 2.0 * norm_v) != list(map(math.hypot, gap, 2.0 * norm_v)))
+
+    def test_scalars_give_floats_and_arrays_give_arrays(self):
+        assert all(type(x) is float for x in two_by_two_extremes(1.0, 2.0, 0.5j))
+        lam, mu = two_by_two_extremes(np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([0.5j, 1]))
+        assert lam.shape == mu.shape == (2,)
+        assert (lam[1], mu[1]) == two_by_two_extremes(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("row, column, value, message", [
+        (0, "a0", math.nan, "a0 must be finite, got nan"),
+        (7, "a1", -math.inf, "a1 must be finite, got -inf"),
+        (119_999, "v", complex(math.inf, 0.0), "v must be finite, got inf"),
+        (20_001, "v", complex(0.0, math.nan), "v must be finite, got nan"),
+        (15_000, "a0", math.inf, "a0 must be finite, got inf"),
+    ])
+    def test_a_nonfinite_row_raises_the_scalar_message(self, row, column, value, message):
+        columns = dict(zip(("a0", "a1", "v"), self.guard_rows()))
+        columns[column][row] = value
+        columns["a1"][row + 1:] = math.nan  # only the first bad row is named
+        with pytest.raises(ValueError) as excinfo:
+            two_by_two_extremes(**columns)
+        assert str(excinfo.value) == message
+
     def test_against_eigensolver(self, rng):
         for _ in range(10_000):
             a0, a1 = rng.uniform(-5, 5, 2)
@@ -276,34 +332,40 @@ class TestProblemValidation:
         assert p.sigma_mask.sum() == p.projection.rank == 3
 
 
+QNR_FIELDS = ("a0", "a1", "v", "lam", "mu")
+
+
 class TestQnrSampling:
     def test_containment_in_spectral_interval(self, rng):
         p = builtin_example("CASE1", scale=0.7)
         inf_b = p.b_eigen.eigenvalues.min()
         sup_b = p.b_eigen.eigenvalues.max()
-        for s in qnr_sample(p.b, p.projection, 500, seed=3):
-            assert inf_b - 1e-9 <= s.lam <= s.mu <= sup_b + 1e-9
-            assert s.lam <= min(s.a0, s.a1) + 1e-12
-            assert s.mu >= max(s.a0, s.a1) - 1e-12
+        s = qnr_sample(p.b, p.projection, 500, seed=3)
+        assert all(getattr(s, name).shape == (500,) for name in QNR_FIELDS)
+        assert np.all(inf_b - 1e-9 <= s.lam) and np.all(s.lam <= s.mu)
+        assert np.all(s.mu <= sup_b + 1e-9)
+        assert np.all(s.lam <= np.minimum(s.a0, s.a1) + 1e-12)
+        assert np.all(s.mu >= np.maximum(s.a0, s.a1) - 1e-12)
 
     def test_block_diagonal_samples_hit_diagonal_values(self, rng):
         p = builtin_example("CASE1", scale=0.0)
-        for s in qnr_sample(p.b, p.projection, 200, seed=5):
-            assert abs(s.v) < 1e-12
-            assert abs(s.lam - min(s.a0, s.a1)) < 1e-12
-            assert abs(s.mu - max(s.a0, s.a1)) < 1e-12
+        s = qnr_sample(p.b, p.projection, 200, seed=5)
+        assert np.all(np.abs(s.v) < 1e-12)
+        assert np.all(np.abs(s.lam - np.minimum(s.a0, s.a1)) < 1e-12)
+        assert np.all(np.abs(s.mu - np.maximum(s.a0, s.a1)) < 1e-12)
 
     def test_case1_min_sample_approaches_inf_b(self):
         p = builtin_example("CASE1")
         samples = qnr_sample(p.b, p.projection, 10_000, seed=0)
-        assert min(s.lam for s in samples) == pytest.approx(-2.0, abs=0.05)
+        assert samples.lam.min() == pytest.approx(-2.0, abs=0.05)
 
     def test_deterministic_and_nested(self):
         p = builtin_example("CASE2")
         long = qnr_sample(p.b, p.projection, 300, seed=11)
         short = qnr_sample(p.b, p.projection, 100, seed=11)
-        assert long[:100] == short
-        assert min(s.lam for s in long) <= min(s.lam for s in short)
+        for name in QNR_FIELDS:
+            assert np.array_equal(getattr(long, name)[:100], getattr(short, name))
+        assert long.lam.min() <= short.lam.min()
 
     def test_matches_per_sample_compression(self):
         # rebuild f and g from the seeded stream one sample at a time
@@ -312,18 +374,63 @@ class TestQnrSampling:
         basis_q = p.projection.complement_basis
         kp, kq = basis_p.shape[1], basis_q.shape[1]
         rng = np.random.default_rng(4)
-        for s in qnr_sample(p.b, p.projection, 50, seed=4):
+        s = qnr_sample(p.b, p.projection, 50, seed=4)
+        for i in range(50):
             zf = rng.standard_normal(kp) + 1j * rng.standard_normal(kp)
             zg = rng.standard_normal(kq) + 1j * rng.standard_normal(kq)
             f = basis_p @ (zf / np.linalg.norm(zf))
             g = basis_q @ (zg / np.linalg.norm(zg))
-            assert abs(s.a0 - (f.conj() @ p.b @ f).real) < 1e-12
-            assert abs(s.a1 - (g.conj() @ p.b @ g).real) < 1e-12
-            assert abs(s.v - f.conj() @ p.b @ g) < 1e-12
+            assert abs(s.a0[i] - (f.conj() @ p.b @ f).real) < 1e-12
+            assert abs(s.a1[i] - (g.conj() @ p.b @ g).real) < 1e-12
+            assert abs(s.v[i] - f.conj() @ p.b @ g) < 1e-12
 
     def test_single_sample_is_the_first_of_many(self):
         p = builtin_example("CASE1", scale=0.6)
-        assert qnr_sample(p.b, p.projection, 1, seed=7) == qnr_sample(p.b, p.projection, 64, seed=7)[:1]
+        one = qnr_sample(p.b, p.projection, 1, seed=7)
+        many = qnr_sample(p.b, p.projection, 64, seed=7)
+        for name in QNR_FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(many, name)[:1])
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_every_column_is_a_prefix_across_block_boundaries(self, n):
+        assert analysis.QNR_CHUNK == 256
+        p = random_problem(random_problem_spec(Case.CASE_I, 3, 4, 0.6, seed=8))
+        part = qnr_sample(p.b, p.projection, n, seed=12)
+        whole = qnr_sample(p.b, p.projection, 1000, seed=12)
+        for name in QNR_FIELDS:
+            assert getattr(part, name).tobytes() == getattr(whole, name)[:n].tobytes()
+
+    def test_a_null_row_is_redrawn_from_the_stream(self, monkeypatch):
+        p = random_problem(random_problem_spec(Case.CASE_II, 3, 4, 0.8, seed=2))
+        kp = p.projection.rank
+        default_rng = np.random.default_rng
+
+        class NullRow:
+            """The seeded stream, except that the first block's row 3 draws f = 0."""
+
+            def __init__(self, seed):
+                self.rng, self.first = default_rng(seed), True
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                if self.first:
+                    out[3, : 2 * kp], self.first = 0.0, False
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", NullRow)
+        got = qnr_sample(p.b, p.projection, 10, seed=4)
+        monkeypatch.undo()
+        want = qnr_sample(p.b, p.projection, 10, seed=4)
+        stream = np.random.default_rng(4)
+        stream.standard_normal((10, 2 * p.dim))
+        z = stream.standard_normal(kp) + 1j * stream.standard_normal(kp)
+        f = p.projection.range_basis @ (z / np.linalg.norm(z))
+        others = np.arange(10) != 3
+        for name in QNR_FIELDS:
+            assert np.array_equal(getattr(got, name)[others], getattr(want, name)[others])
+        assert got.a1[3] == want.a1[3]
+        assert abs(got.a0[3] - (f.conj() @ p.b @ f).real) < 1e-12
+        assert np.isfinite(got.lam[3]) and got.lam[3] <= got.mu[3]
 
     def test_degenerate_projection_rejected(self):
         p = builtin_example("CASE1")

@@ -64,3 +64,13 @@ def test_a_file_written_on_one_side_only_is_a_difference():
     base = [record(["a", "--out", "r.json"])]
     change = [record(["a", "--out", "r.json"], files={"r.json": "ff"})]
     assert byte_identity.differences(base, change) == [(["a", "--out", "r.json"], ["file r.json"])]
+
+
+def test_sweep_runs_qnr_to_stdout_and_on_every_example_with_and_without_svg():
+    _, argvs = byte_identity.sweep()
+    qnr = [argv for argv in argvs if argv[0] == "qnr"]
+    assert sum("--out" not in argv for argv in qnr) == 1
+    examples = [argv for argv in qnr if argv[1] != "qnr_problem.json"]
+    assert len(examples) == 6 * 2 * 2
+    assert {(argv[3], "--svg" in argv) for argv in examples} == {
+        (n, svg) for n in ("1", "257") for svg in (False, True)}

@@ -601,7 +601,8 @@ class TestQnrOutput:
         assert lines[0] == "a0,a1,abs_v,lambda,mu"
         assert len(lines) == 26
         row = [float(x) for x in lines[1].split(",")]
-        assert row[3] == samples[0].lam
+        assert row == [samples.a0[0], samples.a1[0], abs(samples.v[0]), samples.lam[0],
+                       samples.mu[0]]
 
     def test_svg_is_selfcontained(self):
         p = builtin_example("CASE1")
@@ -1032,9 +1033,11 @@ class TestWrongCase:
         rows = self.rows(captured.out)
         assert [t for t, _ in rows] == want
         assert [t for t, premise in rows if t in wrong and premise == "no"] == wrong
-        if command.startswith("analyze"):
-            assert [line.split(":")[0].strip() for line in captured.out.splitlines()
-                    if ": wrong case: " in line] == wrong
+        assert [line.split(":")[0].strip() for line in captured.out.splitlines()
+                if ": wrong case: " in line] == wrong
+        problem = load_problem(case1_file)  # every flag, SHIFT_I's boundary flags too
+        flags = [f"  {t}: {flag}" for t in want for flag in run_theorem(problem, t).flags]
+        assert [line for line in captured.out.splitlines() if line.startswith("  ")] == flags
         if "--out" in command:
             assert [r["theorem"] for r in json.loads(out.read_text())["reports"]] == want
 

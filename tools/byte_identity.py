@@ -18,7 +18,10 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
   trial count, with its battery and with every theorem id, at dims 3,4 and
   8,8, seeds 0-2;
 - the ``search`` workload's argv with ``--out``, seeds 0-2;
-- ``qnr --out --svg`` on the ``qnr`` workload's seed-0 problem, seeds 0-2.
+- ``qnr --out --svg`` on the ``qnr`` workload's seed-0 problem, seeds 0-2,
+  and ``qnr`` of it to stdout, seed 0;
+- ``qnr --out`` on the six ``examples`` problems (V = 0 at scale 0) with
+  ``--samples`` 1 and 257, each with and without ``--svg``.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -95,6 +98,11 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     for seed in range(3):
         argvs.append(["qnr", "qnr_problem.json", "--samples", str(workloads.Qnr.samples),
                       "--seed", str(seed), "--out", f"qnr_{seed}.csv", "--svg", f"qnr_{seed}.svg"])
+    argvs.append(["qnr", "qnr_problem.json", "--samples", str(workloads.Qnr.samples), "--seed", "0"])
+    for name in examples:
+        for samples in ("1", "257"):
+            argv = ["qnr", f"{name}.json", "--samples", samples, "--out", f"{name}.qnr_{samples}.csv"]
+            argvs += [argv, [*argv, "--svg", f"{name}.qnr_{samples}.svg"]]
     return inputs, argvs
 
 
