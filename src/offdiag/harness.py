@@ -38,7 +38,7 @@ CASE1 = "CASE1"
 CASE2 = "CASE2"
 
 
-def builtin_example(which: str, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> PerturbationProblem:
+def builtin_example(which: str, scale: float = 1.0) -> PerturbationProblem:
     """The built-in sharpness problems, optionally with V scaled by ``scale``.
 
     CASE1: A = diag(-3/2, -1/2, 1/2, 3/2), sigma = {-3/2, 1/2}, coupling
@@ -61,7 +61,7 @@ def builtin_example(which: str, scale: float = 1.0, tol: Tolerances = DEFAULT_TO
         Sigma = SpectralSet.from_points([-1.0, 1.0])
     else:
         raise ValueError(f"unknown example {which!r}; expected CASE1 or CASE2")
-    return PerturbationProblem.build(a, scale * v, sigma, Sigma, tol)
+    return PerturbationProblem.build(a, scale * v, sigma, Sigma)
 
 
 _LAYOUT_MIN_GAP = 0.2  # least distance between neighbouring sites of a random_problem_spec layout
@@ -139,14 +139,14 @@ class ProblemSpec:
         return d
 
 
-def random_problem(spec: ProblemSpec, tol: Tolerances = DEFAULT_TOL) -> PerturbationProblem:
+def random_problem(spec: ProblemSpec) -> PerturbationProblem:
     """Deterministic problem from a spec: diagonal A, Gaussian off-diagonal V.
 
     V has independent standard complex Gaussian entries in the coupling
     block (diagonal blocks exactly zero) and is rescaled so that
     ||V|| = target_norm_ratio * d to machine precision.
     """
-    return _random_problems([spec], tol)[0]
+    return _random_problems([spec], DEFAULT_TOL)[0]
 
 
 def _random_problems(specs: list[ProblemSpec], tol: Tolerances) -> list[PerturbationProblem]:

@@ -141,17 +141,6 @@ class SpectralSet:
         return not len(self.lo)
 
     @property
-    def inf(self) -> float:
-        self._require_nonempty()
-        return float(self.lo[0])
-
-    @property
-    def sup(self) -> float:
-        self._require_nonempty()
-        # merged intervals are sorted and disjoint, so the last one ends highest
-        return float(self.hi[-1])
-
-    @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The interval endpoints as two float arrays ``(lo, hi)``."""
         return self.lo, self.hi

@@ -159,22 +159,6 @@ class OrthogonalProjection:
     def dim(self) -> int:
         return self.range_basis.shape[0]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """``U U*`` for the range basis U."""
-        u = self.range_basis
-        return u @ u.conj().T
-
-
-def compressed_norm(left: np.ndarray, right: np.ndarray, middle=None) -> float | np.ndarray:
-    """``||left* M right||`` (``M`` = identity when ``middle`` is None) through the SVD.
-
-    With orthonormal columns this is the norm of ``M`` compressed between
-    two subspaces: ``||P M Q||`` for the projections P, Q onto their spans,
-    computed on a small block instead of n x n products.  Stacks give one norm per block.
-    """
-    return spectral_norm(_compress(left, right, middle))
-
 
 def norm_exceeds(block: np.ndarray, bound) -> np.ndarray:
     """``spectral_norm(block) > bound`` per block of a stack, with the SVD only if it matters.

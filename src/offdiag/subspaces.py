@@ -35,7 +35,6 @@ from .operators import (
     _eigh,
     _mask_groups,
     _select,
-    compressed_norm,
     projection_from_eigenvectors,
     spectral_norm,
     validate_hermitian,
@@ -67,8 +66,8 @@ def projection_difference_norm(
     """
     if p.dim != q.dim:
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
-    pq_perp = compressed_norm(p.range_basis, q.complement_basis)
-    pperp_q = compressed_norm(p.complement_basis, q.range_basis)
+    pq_perp = spectral_norm(p.range_basis.conj().T @ q.complement_basis)
+    pperp_q = spectral_norm(p.complement_basis.conj().T @ q.range_basis)
     return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
 
 
@@ -147,18 +146,17 @@ def _block_norms(memos: list, a: EigenDecomposition, b: EigenDecomposition,
     return [memo[key] for memo, key in zip(memos, keys)]
 
 
-def _difference(stack: _Stack, mask_p, mask_q, rows=slice(None)) -> list[ProjectionDifference]:
+def _difference(stack: _Stack, mask_p, mask_q) -> list[ProjectionDifference]:
     """``||E_A(mask_p) - E_B(mask_q)||`` per mask row: the larger of two principal-angle blocks.
 
-    Mask row v belongs to row v mod R of the R stack rows in the slice ``rows``
-    (default all).  The blocks are (mask_p, ~mask_q), for ``||P Q_perp||``, and
-    (~mask_p, mask_q), for ``||P_perp Q||``; where the masks have equal rank both
-    norms are the sine of the largest principal angle, and the first block stands
-    for both.  Blocks are entries of their row's memo, so every check on a row
-    computes each block once, whichever asks first; blocks of one shape share an SVD.
+    Mask row v belongs to stack row v mod T.  The blocks are (mask_p, ~mask_q),
+    for ``||P Q_perp||``, and (~mask_p, mask_q), for ``||P_perp Q||``; where the
+    masks have equal rank both norms are the sine of the largest principal angle,
+    and the first block stands for both.  Blocks are entries of their row's memo,
+    so every check on a row computes each block once, whichever asks first;
+    blocks of one shape share an SVD.
     """
-    count, memos = len(mask_p), stack.block_norms[rows]
-    a, b = stack.a_eigen[rows], stack.b_eigen[rows]
+    count, memos, a, b = len(mask_p), stack.block_norms, stack.a_eigen, stack.b_eigen
     equal = (mask_p.sum(axis=-1) == mask_q.sum(axis=-1))[:, None]
     left, right = (np.concatenate([m, np.where(equal, m, ~m)]) for m in (mask_p, ~mask_q))
     norms = _block_norms(memos * (2 * count // len(memos)), a, b, left, right)
@@ -390,9 +388,10 @@ def tan_theta_bound(
     difference is at most sin(arctan(||V|| / dist(sigma-tilde, Sigma))),
     equivalently ||X|| <= ||V|| / dist(sigma-tilde, Sigma) for the graph
     operator X of the pair.  Without ``interval`` (as the theorem table
-    asks) the interval is the ``maximal_gap_interval``, and the selection
-    and its norms are computed for the problem's whole stack at once; a
-    given interval is checked against Sigma and computed for this row alone.
+    asks) the interval is the ``maximal_gap_interval``.  A given interval
+    must avoid the other component: Sigma, or sigma when the roles swap
+    because only Sigma's hull is separated.  Either way the stack's rows
+    are computed at once, a given interval on every row.
     """
     if why := _no_hull(problem):
         return _wrong_case(problem, "TAN_THETA", why)
@@ -407,23 +406,22 @@ def tan_theta_bound(
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
-    one = slice(row, row + 1)
-    return _tan_theta(problem._stack, sides, np.array([lo]), np.array([hi]), one)[0]
+    count = len(problem._stack.d)
+    return _tan_theta(problem._stack, sides, np.full(count, lo), np.full(count, hi))[row]
 
 
-def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray, hi: np.ndarray,
-               rows=slice(None)) -> list[AnalysisReport]:
-    """TAN_THETA's reports of the stack rows in the slice ``rows`` (default all), row v on the
-    open interval (lo[v], hi[v]); a row's graph operator is formed only under its premise."""
-    values = stack.b_eigen.eigenvalues[rows]
-    mask_q, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol[rows])
-    far = points_distance(values, sides.far[0][rows], sides.far[1][rows])
+def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray,
+               hi: np.ndarray) -> list[AnalysisReport]:
+    """TAN_THETA's reports of the stack's rows, row v on the open interval (lo[v], hi[v]);
+    a row's graph operator is formed only under its premise."""
+    values = stack.b_eigen.eigenvalues
+    mask_q, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol)
+    far = points_distance(values, *sides.far)
     dists = np.where(mask_q, far, np.inf).min(axis=-1).tolist()
     reports = []
-    for i, (d, norm_v, _, scale), diff, mask, row_flags, swap, dist in zip(
-        range(len(stack.d))[rows], stack.numbers()[rows],
-        _difference(stack, sides.mask[rows], mask_q, rows), mask_q, flags, sides.flags[rows], dists,
-    ):
+    for i, ((d, norm_v, _, scale), diff, mask, row_flags, swap, dist) in enumerate(zip(
+        stack.numbers(), _difference(stack, sides.mask, mask_q), mask_q, flags, sides.flags, dists,
+    )):
         witnesses = {
             "norm_v": norm_v,
             "d": d,

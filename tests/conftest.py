@@ -26,6 +26,12 @@ def select(values, region, tol):
     return mask[0], ambiguous[0], flags[0]
 
 
+def dense(p):
+    """``U U*`` for the range basis U of the projection ``p``: its n x n matrix."""
+    u = p.range_basis
+    return u @ u.conj().T
+
+
 def complement(p):
     """I - P: the projection ``p`` with its two bases swapped."""
     return OrthogonalProjection(p.complement_basis, p.range_basis)

@@ -43,13 +43,13 @@ from offdiag.operators import (
     EigenDecomposition,
     _blocks,
     _mask_groups,
-    compressed_norm,
     projection_from_eigenvectors,
     spectral_norm,
 )
 
 from conftest import (
     complement,
+    dense,
     mapped_problem,
     random_close_projection,
     random_hermitian,
@@ -78,11 +78,11 @@ def unitary_projection(rng, dim, rank):
 
 
 def assert_difference_matches(p, q):
-    eye = np.eye(p.dim)
+    eye, dense_p, dense_q = np.eye(p.dim), dense(p), dense(q)
     got = projection_difference_norm(p, q)
-    assert abs(got.norm - dense_norm(p.matrix - q.matrix)) <= TOL
-    assert abs(got.norm_pq_perp - dense_norm(p.matrix @ (eye - q.matrix))) <= TOL
-    assert abs(got.norm_pperp_q - dense_norm((eye - p.matrix) @ q.matrix)) <= TOL
+    assert abs(got.norm - dense_norm(dense_p - dense_q)) <= TOL
+    assert abs(got.norm_pq_perp - dense_norm(dense_p @ (eye - dense_q))) <= TOL
+    assert abs(got.norm_pperp_q - dense_norm((eye - dense_p) @ dense_q)) <= TOL
 
 
 class TestProjectionDifference:
@@ -103,7 +103,7 @@ class TestProjectionDifference:
         for _ in range(10):
             p, q = eigen_projection(rng, 8, 3), eigen_projection(rng, 8, 5)
             pc = complement(p)
-            np.testing.assert_allclose(pc.matrix, np.eye(8) - p.matrix, atol=TOL)
+            np.testing.assert_allclose(dense(pc), np.eye(8) - dense(p), atol=TOL)
             assert_difference_matches(pc, q)
             assert_difference_matches(pc, complement(q))
 
@@ -119,25 +119,27 @@ class TestCompressedNorms:
     def test_product_of_projections(self, rng):
         for _ in range(10):
             ea, eb = eigen_projection(rng, 9, 4), eigen_projection(rng, 9, rng.integers(0, 10))
-            got = compressed_norm(ea.range_basis, eb.range_basis)
-            assert abs(got - dense_norm(ea.matrix @ eb.matrix)) <= TOL
+            got = dense_norm(ea.range_basis.conj().T @ eb.range_basis)
+            assert abs(got - dense_norm(dense(ea) @ dense(eb))) <= TOL
 
     def test_diagonal_blocks_of_a_perturbation(self, rng):
         for _ in range(10):
             p = eigen_projection(rng, 10, rng.integers(0, 11))
             v = random_hermitian(rng, 10)
             u, u_perp = p.range_basis, p.complement_basis
-            p_perp = np.eye(10) - p.matrix
-            assert abs(compressed_norm(u, u, v) - dense_norm(p.matrix @ v @ p.matrix)) <= TOL
-            assert abs(compressed_norm(u_perp, u_perp, v) - dense_norm(p_perp @ v @ p_perp)) <= TOL
+            p_dense = dense(p)
+            p_perp = np.eye(10) - p_dense
+            assert abs(dense_norm(u.conj().T @ v @ u) - dense_norm(p_dense @ v @ p_dense)) <= TOL
+            assert abs(dense_norm(u_perp.conj().T @ v @ u_perp)
+                       - dense_norm(p_perp @ v @ p_perp)) <= TOL
 
     def test_commutator(self, rng):
         for _ in range(10):
             p = eigen_projection(rng, 10, rng.integers(0, 11))
             a = random_hermitian(rng, 10)
             u, u_perp = p.range_basis, p.complement_basis
-            blocks = max(compressed_norm(u_perp, u, a), compressed_norm(u, u_perp, a))
-            assert abs(blocks - dense_norm(a @ p.matrix - p.matrix @ a)) <= TOL
+            blocks = max(dense_norm(u_perp.conj().T @ a @ u), dense_norm(u.conj().T @ a @ u_perp))
+            assert abs(blocks - dense_norm(a @ dense(p) - dense(p) @ a)) <= TOL
 
 
 # MCE's numbers that read ||A - B||: the problem's ||V||, or the pair check's SVD of A - B
@@ -193,7 +195,7 @@ class TestPairInequalityEntryPoints:
         dec_a, dec_b = hermitian_eigendecompose(a), hermitian_eigendecompose(b)
         ea = projection_from_eigenvectors(dec_a, dec_a.eigenvalues <= 0.0)
         eb = projection_from_eigenvectors(dec_b, dec_b.eigenvalues >= 0.5)
-        assert abs(report.measured_value - 0.5 * dense_norm(ea.matrix @ eb.matrix)) <= TOL
+        assert abs(report.measured_value - 0.5 * dense_norm(dense(ea) @ dense(eb))) <= TOL
 
 
 def example(name, scale):

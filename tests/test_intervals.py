@@ -189,8 +189,8 @@ class TestNormalization:
     def test_empty(self):
         s = SpectralSet([])
         assert s.is_empty
-        with pytest.raises(ValueError):
-            _ = s.inf
+        with pytest.raises(ValueError, match="requires a nonempty set"):
+            s.distance(SpectralSet([0.0]))
 
     def test_inf_and_sup_are_the_extreme_raw_ends(self, rng):
         # integer ends make touching intervals common; wide ones nest others
@@ -209,8 +209,8 @@ class TestNormalization:
                     lo, hi = raw[-1][1], raw[-1][1] + 2.0  # touches the previous one
                 raw.append((lo, hi))
             s = SpectralSet(raw)
-            assert s.inf == min(lo for lo, _ in raw)
-            assert s.sup == max(hi for _, hi in raw)
+            assert s.lo[0] == min(lo for lo, _ in raw)
+            assert s.hi[-1] == max(hi for _, hi in raw)
 
 
 class TestDistance:
@@ -437,7 +437,7 @@ class TestClassify:
     def test_subordination_beats_case_ii(self):
         # hull separation also holds here; SUBORDINATED must win
         sigma, Sigma = points(0.0, 1.0), points(3.0)
-        assert not any(sigma.inf <= hi and lo <= sigma.sup for lo, hi in Sigma.intervals)
+        assert not any(sigma.lo[0] <= hi and lo <= sigma.hi[-1] for lo, hi in Sigma.intervals)
         assert classify_case(sigma, Sigma).case is Case.SUBORDINATED
 
     def test_symmetric_up_to_side(self, rng):

@@ -1,11 +1,18 @@
 """The public API is what the package, the demos or the README use.
 
 Every public function and class of ``src/offdiag/*.py``, and every public
-method or property of those classes, must be named outside its own body
-somewhere in ``src/offdiag`` or ``demos/`` (as a name or an attribute), or
-appear as a word in README.md.  Tests do not count: a name that only tests
-call is a second way to do a job the package does another way.  ``cli.cmd_*``
-are exempt, since ``main`` dispatches them by name.  Sources are parsed, not
+method or property of those classes, must be used outside its own body
+somewhere in ``src/offdiag`` or ``demos/``, or be named in a code span of
+README.md (an inline span or a fenced block).  A function or class counts
+as used where it is named or read as an attribute; a class member counts
+only where it is read as an attribute.  An attribute of ``np`` or ``math``
+is never a use, so ``np.inf`` does not use a property ``inf``, nor does a
+parameter or variable that shares a member's name.  In README, a function
+or class is documented by a code span that holds its name as a word, and a
+member only by a code span that names it as ``Class.member``; prose does
+not count.  Tests do not count either: a name that only tests call is a
+second way to do a job the package does another way.  ``cli.cmd_*`` are
+exempt, since ``main`` dispatches them by name.  Sources are parsed, not
 imported.
 """
 
@@ -17,29 +24,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "offdiag").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXTERNAL = {"np", "math"}  # modules whose attributes are never the package's API
 
 
 def referenced(tree):
-    """Every name and attribute that ``tree`` reads or writes."""
+    """``(names, attributes)`` that ``tree`` uses: every name, and every attribute it reads
+    of anything but ``np`` or ``math``."""
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
+            names[node.id] += 1
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and not (isinstance(node.value, ast.Name) and node.value.id in EXTERNAL)):
+            attributes[node.attr] += 1
+    return names, attributes
 
 
 def public_definitions(module, tree):
-    """``(qualified name, node)`` of each public function, class, method and property."""
+    """``(qualified name, node, class name or None)`` of each public function, class, method
+    and property."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         if module == "cli" and node.name.startswith("cmd_"):
             continue
-        yield f"{module}.{node.name}", node
+        yield f"{module}.{node.name}", node, None
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member
+                    yield f"{module}.{node.name}.{member.name}", member, node.name
+
+
+def code_spans(readme):
+    """The fenced blocks and inline code spans of a Markdown text."""
+    fence = re.compile(r"```.*?```", re.S)
+    return fence.findall(readme) + re.findall(r"`([^`]+)`", fence.sub("", readme))
 
 
 def unused(sources, readme):
@@ -48,17 +67,27 @@ def unused(sources, readme):
     Demos, keyed ``demos/NAME``, use names but define no API.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    uses = Counter()
+    names, attributes = Counter(), Counter()
     for tree in trees.values():
-        uses.update(referenced(tree))
-    words = set(re.findall(r"\w+", readme))
+        found_names, found_attributes = referenced(tree)
+        names.update(found_names)
+        attributes.update(found_attributes)
+    spans = code_spans(readme)
+    words = {word for span in spans for word in re.findall(r"\w+", span)}
+    members = {pair for span in spans for pair in re.findall(r"(\w+)\.(\w+)", span)}
     found = []
     for module, tree in trees.items():
         if module.startswith("demos/"):
             continue
-        for qualified, node in public_definitions(module, tree):
-            own = Counter(referenced(node))[node.name]
-            if uses[node.name] - own <= 0 and node.name not in words:
+        for qualified, node, owner in public_definitions(module, tree):
+            own_names, own_attributes = referenced(node)
+            uses = attributes[node.name] - own_attributes[node.name]
+            if owner is None:
+                uses += names[node.name] - own_names[node.name]
+                documented = node.name in words
+            else:
+                documented = (owner, node.name) in members
+            if uses <= 0 and not documented:
                 found.append(qualified)
     return found
 
@@ -85,4 +114,29 @@ def test_guard_catches_a_name_only_its_own_body_uses():
         "m.recursive", "m.cmd_run", "m.Box.opened",
     ]
     # the exemption holds for cli's commands only
-    assert unused({"cli": module}, "documented Box size") == ["cli.recursive", "cli.Box.opened"]
+    assert unused({"cli": module}, "`documented` and `Box.size`") == [
+        "cli.recursive", "cli.Box.opened",
+    ]
+
+
+def test_guard_catches_a_member_whose_name_is_used_otherwise():
+    module = (
+        "import math\nimport numpy as np\n\n"
+        "def fill(matrix, width):\n    return [matrix] * width, np.inf, math.inf\n\n"
+        "class Box:\n"
+        "    @property\n    def inf(self):\n        return 0.0\n\n"
+        "    @property\n    def matrix(self):\n        return 1\n\n"
+        "    @property\n    def width(self):\n        return 2\n\n"
+        "    @property\n    def size(self):\n        return 3\n\n"
+        "    def grow(self):\n        self.grow = None\n"
+    )
+    demo = "from offdiag.m import Box, fill\nprint(fill(Box(), 1))\n"
+    readme = "`fill` takes a matrix; the width of a Box grows.\n\n```\nBox.size\n```\n"
+    # np.inf and math.inf, a parameter, prose and an attribute written but never read are no use
+    assert unused({"m": module, "demos/d": demo}, readme) == [
+        "m.Box.inf", "m.Box.matrix", "m.Box.width", "m.Box.grow",
+    ]
+    # a code span that names the member documents it, and one that names the class alone does not
+    assert unused({"m": module}, "`fill`, `Box.inf`, `Box.matrix`, `Box.grow` and `Box`") == [
+        "m.Box.width", "m.Box.size",
+    ]

@@ -26,10 +26,10 @@ from offdiag import (
 from offdiag import Case, PerturbationProblem, harness, subspaces
 from offdiag.cli import main
 from offdiag.config import DEFAULT_TOL
-from offdiag.io import save_problem
+from offdiag.io import load_problem, save_problem
 
-from conftest import (complement, mapped_problem, random_close_projection, random_hermitian,
-                      random_projection, random_unitary, select)
+from conftest import (complement, dense, mapped_problem, random_close_projection,
+                      random_hermitian, random_projection, random_unitary, select)
 from test_intervals import distance_to_points
 
 SQRT2 = math.sqrt(2.0)
@@ -93,7 +93,7 @@ class TestGraphOperator:
                 continue
             g = graph_operator(p, q)
             rebuilt = g.rebuild_projection()
-            assert spectral_norm(rebuilt.matrix - q.matrix) < 1e-8
+            assert spectral_norm(dense(rebuilt) - dense(q)) < 1e-8
             assert abs(norm - g.norm / math.sqrt(1.0 + g.norm**2)) < 1e-8
             done += 1
 
@@ -415,28 +415,44 @@ class TestTanTheta:
                 checked += 1
         assert checked > 150
 
-    def test_other_interval_computes_only_its_row(self, monkeypatch):
+    def test_every_public_problem_is_the_only_row_of_its_stack(self, tmp_path):
+        # so a caller's interval, repeated on every row of the stack, runs on that row alone
+        spec = random_problem_spec(Case.CASE_II, 2, 3, 0.6, seed=4)
+        built = builtin_example("CASE2", scale=0.9)
+        save_problem(built, tmp_path / "p.json")
+        problems = [
+            PerturbationProblem.build(built.a, built.v, built.sigma, built.Sigma), built,
+            random_problem(spec), load_problem(tmp_path / "p.json"),
+            harness.search_worst_case(2, 2, trials=2, refine_sweeps=1).best_problem,
+        ]
+        assert [(len(q._stack.d), q._row) for q in problems] == [(1, 0)] * len(problems)
+
+    def test_a_given_interval_on_a_batch_row_reports_as_alone(self):
         specs = [random_problem_spec(Case.CASE_II, 3, 4, 0.6, seed=seed) for seed in range(6)]
-        problems = harness._random_problems(specs, DEFAULT_TOL)
-        p = problems[3]
+        p = harness._random_problems(specs, DEFAULT_TOL)[3]
         (g_lo, g_hi), sigma = maximal_gap_interval(p), p.sigma
-        interval = (0.5 * (g_lo + sigma.inf), 0.5 * (g_hi + sigma.sup))
-        handed = []
-        form = subspaces._blocks
-
-        def counted(eigen, group, *args, **kwargs):
-            handed.append((len(eigen.eigenvectors), len(group)))
-            return form(eigen, group, *args, **kwargs)
-
-        monkeypatch.setattr(subspaces, "_blocks", counted)
+        interval = (0.5 * (g_lo + sigma.lo[0]), 0.5 * (g_hi + sigma.hi[-1]))
         report = tan_theta_bound(p, interval)
-        # one row's bases, and its two principal-angle blocks at most
-        assert handed and all(bases == 1 for bases, _ in handed)
-        assert sum(rows for _, rows in handed) <= 2
         alone = PerturbationProblem.build(p.a, p.v, sigma, p.Sigma)
-        assert report == tan_theta_bound(alone, interval)
+        want = tan_theta_bound(alone, interval)
+        assert json.dumps(report.as_dict()) == json.dumps(want.as_dict())
         assert report.premise_satisfied
 
+    def test_a_given_interval_avoids_sigma_when_the_roles_swap(self):
+        # only Sigma's hull is separated, so the interval is about Sigma and must avoid sigma
+        v = np.zeros((4, 4))
+        v[0, 1] = v[1, 0] = v[2, 3] = v[3, 2] = 0.3
+        p = PerturbationProblem.build(np.diag([-2.0, 0.0, 0.5, 2.0]), v,
+                                      SpectralSet.from_points([-2.0, 2.0]),
+                                      SpectralSet.from_points([0.0, 0.5]))
+        assert p.classification.detail == "hull(Sigma) disjoint from sigma"
+        with pytest.raises(ValueError) as raised:
+            tan_theta_bound(p, (-3.0, 1.0))
+        assert str(raised.value) == ("interval (-3.0, 1.0) intersects the other component "
+                                     "at [-2.0, -2.0]")
+        report = tan_theta_bound(p, (-1.0, 1.0))
+        assert report.premise_satisfied and report.holds
+        assert "roles swapped: the separated hull is Sigma's" in report.flags
 
 def sharp_tan_theta_problem(w: float) -> PerturbationProblem:
     """A = diag(0, -1, 1), sigma = {0}, Sigma = {-1, 1}, V = w (e0 e1* + e0 e2* + h.c.).
