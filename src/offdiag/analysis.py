@@ -18,6 +18,7 @@ spectral gap inside the d/2- (or d-) neighborhood of sigma.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -53,6 +54,8 @@ from .operators import (
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 SQRT2 = math.sqrt(2.0)
+# per index into intervals._CLASSES: whether a component's convex hull is separated
+_HULL_KINDS = np.array([c.case in _HULL_SEPARATED for c in _CLASSES])
 
 
 def _half_angle_shift(norm_v: float, gap: float) -> float:
@@ -151,10 +154,6 @@ class _Stack:
     # the subspace checks fill it, so every check on a row computes each block once
     block_norms: list
     memo: dict = field(default_factory=dict)  # what the checks computed for the stack, by key
-
-    def numbers(self) -> list[tuple[float, float, float, float]]:
-        """``(d, ||V||, delta_V, scale)`` of each row, as floats."""
-        return list(zip(*(x.tolist() for x in (self.d, self.norm_v, self.delta, self.scale))))
 
 
 def _memo(problem: "PerturbationProblem", key, compute):
@@ -322,54 +321,89 @@ class AnalysisReport:
         return {**asdict(self), "flags": list(self.flags)}
 
 
+def _premise_met(margin, unit, tol: Tolerances):
+    """The decision of a norm premise, ``margin / unit > tol.report``, on floats or entrywise."""
+    return margin / unit > tol.report
+
+
 def _verdict(
-    theorem: str, scale: float, tol: Tolerances, *, measured: float, claimed: float,
-    witnesses: dict[str, float], dimensional: bool = False, margin: float = math.inf,
-    margin_dimensional: bool = True, premise: str = "", unmet: Sequence[str] = (),
-    exact: bool = True, bounds: Sequence[tuple[float, float]] = (),
-    flags: Sequence[str] = (), findings: Sequence[str] = (), premise_first: bool = False,
-) -> AnalysisReport:
-    """The one verdict rule: a check's raw numbers in, its report out.
+    theorem: str, scale: np.ndarray, tol: Tolerances, *, measured, claimed,
+    witnesses: dict, dimensional: bool = False, margin=math.inf,
+    margin_dimensional: bool = True, premise: Sequence[str] = (), unmet: Sequence = (),
+    exact=True, bounds: Sequence[tuple] = (), flags: Sequence = (), findings: Sequence = (),
+    premise_first: bool = False,
+) -> list[AnalysisReport]:
+    """The one verdict rule: a check's columns in, the report of each of its rows out.
+
+    ``scale`` has one entry per row, and so has every column: ``measured``,
+    ``claimed``, ``margin`` and ``exact`` (a scalar stands for every row),
+    the ``witnesses`` (name to column, in report order; a None entry of an
+    object column leaves its name out of that row), each side of the
+    ``bounds`` pairs, and the per-row lists ``premise`` (texts), ``unmet``,
+    ``flags`` and ``findings`` (empty for no row).
 
     The theorems are homogeneous, so no verdict may change when a problem is
     scaled, shifted or rotated.  Dimensional numbers (measured and claimed
     when ``dimensional``, the margin when ``margin_dimensional``) are first
-    divided by the problem's ``scale``.  Then, with ``slack = tol.report``,
-    the premise holds when nothing is ``unmet`` and, if the theorem has a
-    norm premise (a ``premise`` flag text), ``margin > slack``; a bound
-    ``x <= c`` holds when ``x <= c + slack * max(1, |c|)``.  The theorem
-    holds when its premise fails, or when measured <= claimed, every
+    divided by the row's ``scale``.  Then, with ``slack = tol.report``, a
+    row's premise holds when nothing is ``unmet`` and, if the theorem has a
+    norm premise (``premise`` texts), ``margin > slack`` (``_premise_met``);
+    a bound ``x <= c`` holds when ``x <= c + slack * max(1, |c|)``.  The
+    theorem holds when its premise fails, or when measured <= claimed, every
     scale-free pair of ``bounds`` and the side conditions ``exact`` hold.
+    The arithmetic is float64's, so each row's verdict is that of the same
+    rule on its floats.
 
     Unmet premises are flagged after the check's ``flags`` (before them with
     ``premise_first``); ``findings`` are flagged only under the premise.
     """
-    slack = tol.report
+    count, slack = len(scale), tol.report
     unit = scale if dimensional else 1.0
 
-    def fits(x: float, c: float) -> bool:
-        return x <= c + slack * max(1.0, abs(c))
+    def fits(x, c):
+        return x <= c + slack * np.maximum(1.0, np.abs(c))
 
-    failed = list(unmet)
-    if premise and not margin / (scale if margin_dimensional else 1.0) > slack:
-        failed.append(premise)
-    satisfied = not failed
-    holds = not satisfied or bool(
-        exact and fits(measured / unit, claimed / unit) and all(fits(x, c) for x, c in bounds)
-    )
-    flags = [*failed, *flags] if premise_first else [*flags, *failed]
-    if satisfied:
-        flags.extend(findings)
-    return AnalysisReport(
-        theorem=theorem,
-        premise_satisfied=satisfied,
-        premise_margin=margin,
-        claimed_bound=claimed,
-        measured_value=measured,
-        holds=holds,
-        witnesses=witnesses,
-        flags=tuple(flags),
-    )
+    margin, claimed, measured = (np.full(count, x) if np.ndim(x) == 0 else np.asarray(x, float)
+                                 for x in (margin, claimed, measured))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        met = _premise_met(margin, scale if margin_dimensional else 1.0, tol) | (not premise)
+        fit = np.asarray(exact, bool) & fits(measured / unit, claimed / unit)
+        for x, c in bounds:
+            fit = fit & fits(x, c)
+    names, columns = list(witnesses), [np.asarray(x) for x in witnesses.values()]
+    values = zip(*(x.tolist() if x.dtype == object else np.asarray(x, float).tolist()
+                   for x in columns)) if names else [()] * count
+    rows = zip(met.tolist(), fit.tolist(), margin.tolist(), claimed.tolist(), measured.tolist(),
+               values, premise or [""] * count, unmet or [()] * count, flags or [()] * count,
+               findings or [()] * count)
+    reports = []
+    for ok, fit_i, margin_i, claimed_i, measured_i, row, text, unmet_i, flags_i, found_i in rows:
+        failed = [*unmet_i] if ok else [*unmet_i, text]
+        shown = [*failed, *flags_i] if premise_first else [*flags_i, *failed]
+        reports.append(AnalysisReport(
+            theorem=theorem, premise_satisfied=not failed, premise_margin=margin_i,
+            claimed_bound=claimed_i, measured_value=measured_i, holds=bool(failed) or fit_i,
+            witnesses={k: x for k, x in zip(names, row) if x is not None},
+            flags=tuple(shown if failed else [*shown, *found_i]),
+        ))
+    return reports
+
+
+def _max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """``max`` entry by entry: the first of the greatest, as Python's ``max`` keeps it."""
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _entrywise(function, *columns: np.ndarray) -> np.ndarray:
+    """``function`` of each row's floats, called entry by entry, so it rounds as on floats."""
+    return np.fromiter(map(function, *(x.tolist() for x in columns)), float, len(columns[0]))
+
+
+def _joined(*columns: list) -> list[list]:
+    """Each row's lists of ``columns``, concatenated in order."""
+    return list(map(list, map(itertools.chain, *columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,34 +503,20 @@ def shift_bounds(problem: PerturbationProblem) -> AnalysisReport:
 def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
     wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
     # inf and sup of A on Ran P and on Ran P-perp, then of A and of B
-    ends = []
-    for part in (stack.sigma_mask, ~stack.sigma_mask):
-        ends += [np.where(part, wa, np.inf).min(axis=-1), np.where(part, wa, -np.inf).max(axis=-1)]
-    ends += [wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)]
-    reports = []
-    for (_, norm_v, _, scale), (a0_inf, a0_sup, a1_inf, a1_sup, inf_a, sup_a, inf_b, sup_b) in zip(
-        stack.numbers(), np.stack(ends, axis=-1).tolist()
-    ):
-        dl, dr = delta_v_directional(a0_inf, a0_sup, a1_inf, a1_sup, norm_v)
-        violation = max(
-            (inf_a - dl) - inf_b,
-            inf_b - inf_a,
-            sup_a - sup_b,
-            sup_b - (sup_a + dr),
-        )
-        reports.append(_verdict(
-            "SHIFT_BOUNDS", scale, stack.tol, measured=violation, claimed=0.0, dimensional=True,
-            witnesses={
-                "inf_a": inf_a,
-                "sup_a": sup_a,
-                "inf_b": inf_b,
-                "sup_b": sup_b,
-                "delta_left": dl,
-                "delta_right": dr,
-                "norm_v": norm_v,
-            },
-        ))
-    return reports
+    a0_inf, a0_sup, a1_inf, a1_sup = (
+        end for part in (stack.sigma_mask, ~stack.sigma_mask)
+        for end in (np.where(part, wa, np.inf).min(axis=-1),
+                    np.where(part, wa, -np.inf).max(axis=-1))
+    )
+    inf_a, sup_a, inf_b, sup_b = wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)
+    ends = (a0_inf, a0_sup, a1_inf, a1_sup, stack.norm_v)
+    dl, dr = np.array(list(map(delta_v_directional, *(x.tolist() for x in ends)))).T
+    violation = _max((inf_a - dl) - inf_b, inf_b - inf_a, sup_a - sup_b, sup_b - (sup_a + dr))
+    return _verdict(
+        "SHIFT_BOUNDS", stack.scale, stack.tol, measured=violation, claimed=0.0, dimensional=True,
+        witnesses={"inf_a": inf_a, "sup_a": sup_a, "inf_b": inf_b, "sup_b": sup_b,
+                   "delta_left": dl, "delta_right": dr, "norm_v": stack.norm_v},
+    )
 
 
 def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
@@ -514,19 +534,15 @@ def _enclosure(stack: _Stack) -> list[AnalysisReport]:
         points_distance(eigs, *ends) for ends in (stack.sigma_ends, stack.Sigma_ends)
     ))
     shift, tol = stack.delta[:, None], stack.eig_tol[:, None]
-    attained = (np.abs(excursions - shift) <= tol) & (shift > tol)
-    return [
-        _verdict(
-            "SHIFT_I", scale, stack.tol, measured=measured, claimed=delta, dimensional=True,
-            witnesses={"norm_v": norm_v, "d": d, "delta_v": delta},
-            flags=[
-                f"eigenvalue {float(x):.12g} attains the enclosure boundary exactly" for x in e[hit]
-            ],
-        )
-        for (d, norm_v, delta, scale), measured, e, hit in zip(
-            stack.numbers(), excursions.max(axis=-1).tolist(), eigs, attained
-        )
-    ]
+    flags = [[] for _ in eigs]
+    for row, i in zip(*np.nonzero((np.abs(excursions - shift) <= tol) & (shift > tol))):
+        flags[row].append(
+            f"eigenvalue {float(eigs[row, i]):.12g} attains the enclosure boundary exactly")
+    return _verdict(
+        "SHIFT_I", stack.scale, stack.tol, measured=excursions.max(axis=-1), claimed=stack.delta,
+        dimensional=True, witnesses={"norm_v": stack.norm_v, "d": stack.d, "delta_v": stack.delta},
+        flags=flags,
+    )
 
 
 def gap_persistence(problem: PerturbationProblem, variant: str | None = None) -> AnalysisReport:
@@ -550,44 +566,32 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
 
 
 def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
-    eigs, tol = stack.b_eigen.eigenvalues, stack.eig_tol
-    radius = stack.d if full else stack.d / 2.0
+    eigs, tol, d, norm_v = stack.b_eigen.eigenvalues, stack.eig_tol, stack.d, stack.norm_v
+    radius = d if full else d / 2.0
     mask_open, ambiguous, flags_open = _near(stack.sigma_ends, radius, True, eigs, tol)
     mask_closed, _, flags_closed = _near(stack.sigma_ends, stack.delta, False, eigs, tol)
     # the intersection equality is only decidable away from ambiguous points
-    equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1).tolist()
+    equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1)
     inside = np.where(mask_closed, points_distance(eigs, *stack.sigma_ends), -np.inf)
-    measured = np.where(mask_closed.any(axis=-1), inside.max(axis=-1), 0.0).tolist()
-    separated = [not full or _CLASSES[k].case in _HULL_SEPARATED for k in stack.kind.tolist()]
-    reports = []
-    for i, (d, norm_v, delta, scale) in enumerate(stack.numbers()):
-        theorem, cap = ("SHIFT_III", SQRT2 * d) if full else ("SHIFT_II", SQRT3_2 * d)
-        count_inside = int(mask_closed[i].sum())
-        rank_sigma = int(np.count_nonzero(stack.sigma_mask[i]))
-        findings = []
-        if count_inside != rank_sigma:
-            findings.append(
-                f"finding: {count_inside} eigenvalues of B persist near sigma but "
-                f"rank E_A(sigma) = {rank_sigma}"
-            )
-        reports.append(_verdict(
-            theorem, scale, stack.tol, measured=measured[i], claimed=delta, dimensional=True,
-            margin=cap - norm_v,
-            premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below {cap:.12g}",
-            unmet=[] if separated[i] else [
-                "premise not satisfied: hull of sigma is not separated from Sigma"],
-            exact=equality[i] and count_inside >= 1, premise_first=True,
-            witnesses={
-                "norm_v": norm_v,
-                "d": d,
-                "delta_v": delta,
-                "radius": float(radius[i]),
-                "inside_open_count": float(int(mask_open[i].sum())),
-                "inside_closed_count": float(count_inside),
-                "rank_sigma": float(rank_sigma),
-                "intersection_equality": float(equality[i]),
-            },
-            flags=flags_open[i] + flags_closed[i],
-            findings=findings,
-        ))
-    return reports
+    count_inside, rank_sigma = mask_closed.sum(axis=-1), stack.sigma_mask.sum(axis=-1)
+    findings = [[] for _ in eigs]
+    for i in np.flatnonzero(count_inside != rank_sigma).tolist():
+        findings[i].append(f"finding: {count_inside[i]} eigenvalues of B persist near sigma but "
+                           f"rank E_A(sigma) = {rank_sigma[i]}")
+    theorem, cap = ("SHIFT_III", SQRT2 * d) if full else ("SHIFT_II", SQRT3_2 * d)
+    separated = _HULL_KINDS[stack.kind] | (not full)
+    return _verdict(
+        theorem, stack.scale, stack.tol, dimensional=True, claimed=stack.delta,
+        measured=np.where(mask_closed.any(axis=-1), inside.max(axis=-1), 0.0),
+        margin=cap - norm_v,
+        premise=list(map("premise not satisfied: ||V|| = {:.12g} is not below {:.12g}".format,
+                         norm_v.tolist(), cap.tolist())),
+        unmet=[[] if s else ["premise not satisfied: hull of sigma is not separated from Sigma"]
+               for s in separated.tolist()],
+        exact=equality & (count_inside >= 1), premise_first=True,
+        witnesses={"norm_v": norm_v, "d": d, "delta_v": stack.delta, "radius": radius,
+                   "inside_open_count": mask_open.sum(axis=-1), "inside_closed_count": count_inside,
+                   "rank_sigma": rank_sigma, "intersection_equality": equality},
+        flags=_joined(flags_open, flags_closed),
+        findings=findings,
+    )

@@ -391,6 +391,8 @@ def search_worst_case(
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if refine_sweeps < 0:
+        raise ValueError(f"refine_sweeps must be nonnegative, got {refine_sweeps}")
     if neighborhood not in ("half_d", "full_d"):
         raise ValueError(f"neighborhood must be 'half_d' or 'full_d', got {neighborhood!r}")
     half = neighborhood == "half_d"

@@ -225,10 +225,16 @@ def parse_tolerances(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
     unknown = set(obj) - {f.name for f in dataclasses.fields(Tolerances)} - {"scale"}
     if unknown:
         raise ProblemFileError(f"unknown tolerance fields: {sorted(unknown)}")
+    numbers = {}
+    for key, value in obj.items():  # a number as a matrix entry is one, so no string
+        number = _numeric(value)
+        if number is None or number.ndim:
+            raise ProblemFileError(f"tolerances: {key} must be a number, got {value!r}")
+        numbers[key] = float(number)
     try:
-        tol = base.scaled(float(obj["scale"])) if "scale" in obj else base
-        return dataclasses.replace(tol, **{k: float(v) for k, v in obj.items() if k != "scale"})
-    except (TypeError, ValueError) as exc:
+        tol = base.scaled(numbers.pop("scale")) if "scale" in numbers else base
+        return dataclasses.replace(tol, **numbers)
+    except ValueError as exc:
         raise ProblemFileError(f"tolerances: {exc}") from exc
 
 

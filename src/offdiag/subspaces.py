@@ -11,23 +11,28 @@ identities with the spectral-shift results to bound
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (
+    _HULL_KINDS,
+    SQRT2,
     AnalysisReport,
     PerturbationProblem,
-    SQRT2,
+    _entrywise,
+    _joined,
+    _max,
     _memo,
     _near,
+    _premise_met,
     _Stack,
     _verdict,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import (_CLASSES, _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points,
-                        points_distance)
+from .intervals import _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points, points_distance
 from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
@@ -50,6 +55,8 @@ class GraphRepresentationError(ValueError):
 
 
 class ProjectionDifference(NamedTuple):
+    """||P - Q|| and its two cross-product norms; inside the checks, columns with a row per pair."""
+
     norm: float
     norm_pq_perp: float
     norm_pperp_q: float
@@ -103,7 +110,7 @@ def graph_operator(
     P; with top block U (onto Ran P) and bottom block W the graph operator
     is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1, and X is
     formed when ``1 - ||P - Q|| > tol.report``, TAN_THETA's premise by the
-    verdict rule (``analysis._verdict``); otherwise this raises
+    verdict rule (``analysis._premise_met``); otherwise this raises
     ``GraphRepresentationError``.  A caller that has already computed
     ``||P - Q||`` passes it as ``diff``, and it is not computed again.
     """
@@ -113,7 +120,7 @@ def graph_operator(
         raise ValueError(f"rank mismatch: rank P = {p.rank}, rank Q = {q.rank}")
     if diff is None:
         diff = projection_difference_norm(p, q).norm
-    if not 1.0 - diff > tol.report:
+    if not _premise_met(1.0 - diff, 1.0, tol):
         raise GraphRepresentationError(f"||P - Q|| = {diff:.12g} is not below 1 by more than "
                                        f"{tol.report:g}; Ran Q is not a graph over Ran P")
     basis_p = p.range_basis
@@ -146,7 +153,7 @@ def _block_norms(memos: list, a: EigenDecomposition, b: EigenDecomposition,
     return [memo[key] for memo, key in zip(memos, keys)]
 
 
-def _difference(stack: _Stack, mask_p, mask_q) -> list[ProjectionDifference]:
+def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
     """``||E_A(mask_p) - E_B(mask_q)||`` per mask row: the larger of two principal-angle blocks.
 
     Mask row v belongs to stack row v mod T.  The blocks are (mask_p, ~mask_q),
@@ -159,8 +166,9 @@ def _difference(stack: _Stack, mask_p, mask_q) -> list[ProjectionDifference]:
     count, memos, a, b = len(mask_p), stack.block_norms, stack.a_eigen, stack.b_eigen
     equal = (mask_p.sum(axis=-1) == mask_q.sum(axis=-1))[:, None]
     left, right = (np.concatenate([m, np.where(equal, m, ~m)]) for m in (mask_p, ~mask_q))
-    norms = _block_norms(memos * (2 * count // len(memos)), a, b, left, right)
-    return [ProjectionDifference(max(x, y), x, y) for x, y in zip(norms[:count], norms[count:])]
+    norms = np.array(_block_norms(memos * (2 * count // len(memos)), a, b, left, right))
+    pq_perp, pperp_q = norms[:count], norms[count:]
+    return ProjectionDifference(_max(pq_perp, pperp_q), pq_perp, pperp_q)
 
 
 class _Sides(NamedTuple):
@@ -175,8 +183,9 @@ class _Sides(NamedTuple):
 
 def _wrong_case(problem: PerturbationProblem, theorem: str, why: str) -> AnalysisReport:
     """``theorem``'s report on a problem outside its case, a premise unmet for ``why``."""
-    return _verdict(theorem, problem.scale, problem.tol, measured=math.nan, claimed=math.inf,
-                    margin=-math.inf, unmet=[f"wrong case: {why}"], witnesses={})
+    return _verdict(theorem, np.array([problem.scale]), problem.tol, measured=math.nan,
+                    claimed=math.inf, margin=-math.inf, unmet=[[f"wrong case: {why}"]],
+                    witnesses={})[0]
 
 
 def _no_hull(problem: PerturbationProblem) -> str:
@@ -240,34 +249,24 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
 
 
 def _case1(stack: _Stack) -> list[AnalysisReport]:
+    d, norm_v, delta = stack.d, stack.norm_v, stack.delta
     mask_q, _, flags = _near(
-        stack.sigma_ends, stack.d / 2.0, True, stack.b_eigen.eigenvalues, stack.eig_tol
+        stack.sigma_ends, d / 2.0, True, stack.b_eigen.eigenvalues, stack.eig_tol
     )
-    reports = []
-    for (d, norm_v, delta, scale), diff, mask_p, rank_q, row_flags in zip(
-        stack.numbers(), _difference(stack, stack.sigma_mask, mask_q), stack.sigma_mask,
-        mask_q.sum(axis=-1).tolist(), flags,
-    ):
-        claimed = (math.pi / 2.0) * norm_v / (d - delta) if delta < d else math.inf
-        reports.append(_verdict(
-            "MAIN", scale, stack.tol, measured=diff.norm, claimed=claimed,
-            margin=C_PI * d - norm_v,
-            premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below "
-            f"c_pi * d = {C_PI * d:.12g}",
-            exact=claimed < 1.0,
-            witnesses={
-                "norm_v": norm_v,
-                "d": d,
-                "delta_v": delta,
-                "c_pi": C_PI,
-                "norm_pq_perp": diff.norm_pq_perp,
-                "norm_pperp_q": diff.norm_pperp_q,
-                "rank_p": float(np.count_nonzero(mask_p)),
-                "rank_q": float(rank_q),
-            },
-            flags=row_flags,
-        ))
-    return reports
+    diff = _difference(stack, stack.sigma_mask, mask_q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        claimed = np.where(delta < d, (math.pi / 2.0) * norm_v / (d - delta), math.inf)
+    return _verdict(
+        "MAIN", stack.scale, stack.tol, measured=diff.norm, claimed=claimed,
+        margin=C_PI * d - norm_v,
+        premise=list(map("premise not satisfied: ||V|| = {:.12g} is not below "
+                         "c_pi * d = {:.12g}".format, norm_v.tolist(), (C_PI * d).tolist())),
+        exact=claimed < 1.0,
+        witnesses={"norm_v": norm_v, "d": d, "delta_v": delta, "c_pi": np.full(len(d), C_PI),
+                   "norm_pq_perp": diff.norm_pq_perp, "norm_pperp_q": diff.norm_pperp_q,
+                   "rank_p": stack.sigma_mask.sum(axis=-1), "rank_q": mask_q.sum(axis=-1)},
+        flags=flags,
+    )
 
 
 def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
@@ -287,50 +286,42 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
 
 def _case2(stack: _Stack, sides: _Sides) -> list[AnalysisReport]:
     # sigma is the separated side: Sigma when the roles swap
-    radius, (lo, hi) = stack.d, sides.near
+    d, norm_v, delta, (lo, hi) = stack.d, stack.norm_v, stack.delta, sides.near
     wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
-    mask_q, _, flags = _near(sides.near, radius, True, wb, stack.eig_tol)
-    flags = [near_flags + swap for near_flags, swap in zip(flags, sides.flags)]
-    masks_p, masks_q = [sides.mask], [mask_q]
+    mask_q, _, flags = _near(sides.near, d, True, wb, stack.eig_tol)
+    masks_p, masks_q, flags = [sides.mask], [mask_q], [flags, sides.flags]
 
     # corner projections for the spectrum beyond the flanks of sigma
-    inf = np.full_like(radius, math.inf)
-    for c_lo, c_hi in ((-inf, lo[:, 0] - radius), (hi[:, -1] + radius, inf)):
+    inf = np.full_like(d, math.inf)
+    for c_lo, c_hi in ((-inf, lo[:, 0] - d), (hi[:, -1] + d, inf)):
         corner = c_lo[:, None], c_hi[:, None]
         mask_a, _, flags_a = _select(wa, *corner, False, stack.tol.eig(wa))
         mask_b, _, flags_b = _select(wb, *corner, False, stack.eig_tol)
         masks_p.append(mask_a)
         masks_q.append(mask_b)
-        for row_flags, fa, fb in zip(flags, flags_a, flags_b):
-            row_flags.extend(fa + fb)
+        flags += [flags_a, flags_b]
     diffs = _difference(stack, np.concatenate(masks_p), np.concatenate(masks_q))
-    count = len(radius)
-    reports = []
-    for i, (d, norm_v, delta, scale) in enumerate(stack.numbers()):
-        left, right = diffs[count + i], diffs[2 * count + i]
-        diff, corners = diffs[i], {"corner_left": left.norm, "corner_right": right.norm}
-        pperp_bound = math.sqrt(left.norm**2 + right.norm**2)
-        claimed = math.sin(math.atan(norm_v / (d - delta))) if delta < d else math.inf
-        reports.append(_verdict(
-            "CASE2", scale, stack.tol, measured=diff.norm, claimed=claimed,
-            margin=SQRT2 * d - norm_v,
-            premise=f"premise not satisfied: ||V|| = {norm_v:.12g} is not below "
-            f"sqrt(2) * d = {SQRT2 * d:.12g}",
-            exact=claimed < 1.0,
-            bounds=[(c, SQRT2 / 2.0) for c in corners.values()]
-            + [(diff.norm_pperp_q, pperp_bound)],
-            witnesses={
-                "norm_v": norm_v,
-                "d": d,
-                "delta_v": delta,
-                "norm_pq_perp": diff.norm_pq_perp,
-                "norm_pperp_q": diff.norm_pperp_q,
-                "corner_aggregate": pperp_bound,
-                **corners,
-            },
-            flags=flags[i],
-        ))
-    return reports
+    count = len(d)
+    norm, left, right = diffs.norm.reshape(3, count)
+    pperp_q = diffs.norm_pperp_q[:count]
+    # CPython's x**2 is libm's pow, which differs from numpy's x * x in the last bit on some entries
+    square = functools.partial(pow, exp=2)
+    pperp_bound = np.sqrt(_entrywise(square, left) + _entrywise(square, right))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = norm_v / (d - delta)
+    claimed = np.where(delta < d, _entrywise(math.sin, _entrywise(math.atan, ratio)), math.inf)
+    return _verdict(
+        "CASE2", stack.scale, stack.tol, measured=norm, claimed=claimed,
+        margin=SQRT2 * d - norm_v,
+        premise=list(map("premise not satisfied: ||V|| = {:.12g} is not below "
+                         "sqrt(2) * d = {:.12g}".format, norm_v.tolist(), (SQRT2 * d).tolist())),
+        exact=claimed < 1.0,
+        bounds=[(left, SQRT2 / 2.0), (right, SQRT2 / 2.0), (pperp_q, pperp_bound)],
+        witnesses={"norm_v": norm_v, "d": d, "delta_v": delta,
+                   "norm_pq_perp": diffs.norm_pq_perp[:count], "norm_pperp_q": pperp_q,
+                   "corner_aggregate": pperp_bound, "corner_left": left, "corner_right": right},
+        flags=_joined(*flags),
+    )
 
 
 def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
@@ -356,26 +347,17 @@ def _subordinated(stack: _Stack) -> list[AnalysisReport]:
         _select(stack.b_eigen.eigenvalues, lo[:, None], hi[:, None], is_open, stack.eig_tol)
         for (lo, hi), is_open in ((half_line, False), (gap, True))
     )
-    reports = []
-    for i, ((d, norm_v, _, scale), diff, gap_lo, gap_hi) in enumerate(zip(
-        stack.numbers(), _difference(stack, stack.sigma_mask, mask_q), *(x.tolist() for x in gap)
-    )):
-        claimed = math.sin(0.5 * math.atan(2.0 * norm_v / d))
-        intruders = int(mask_gap[i].sum())
-        reports.append(_verdict(
-            "SUBORDINATED", scale, stack.tol, measured=diff.norm, claimed=claimed,
-            exact=intruders == 0 and claimed < SQRT2 / 2.0,
-            witnesses={
-                "norm_v": norm_v,
-                "d": d,
-                "gap_lo": gap_lo,
-                "gap_hi": gap_hi,
-                "eigenvalues_in_gap": float(intruders),
-                "rank_q": float(np.count_nonzero(mask_q[i])),
-            },
-            flags=flags[i] + gap_flags[i],
-        ))
-    return reports
+    d, norm_v = stack.d, stack.norm_v
+    claimed = _entrywise(math.sin, 0.5 * _entrywise(math.atan, 2.0 * norm_v / d))
+    intruders = mask_gap.sum(axis=-1)
+    return _verdict(
+        "SUBORDINATED", stack.scale, stack.tol,
+        measured=_difference(stack, stack.sigma_mask, mask_q).norm, claimed=claimed,
+        exact=(intruders == 0) & (claimed < SQRT2 / 2.0),
+        witnesses={"norm_v": norm_v, "d": d, "gap_lo": gap[0], "gap_hi": gap[1],
+                   "eigenvalues_in_gap": intruders, "rank_q": mask_q.sum(axis=-1)},
+        flags=_joined(flags, gap_flags),
+    )
 
 
 def tan_theta_bound(
@@ -413,40 +395,36 @@ def tan_theta_bound(
 def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray,
                hi: np.ndarray) -> list[AnalysisReport]:
     """TAN_THETA's reports of the stack's rows, row v on the open interval (lo[v], hi[v]);
-    a row's graph operator is formed only under its premise."""
-    values = stack.b_eigen.eigenvalues
+    a row's graph operator, and so its claims, exist only under its a-priori premise."""
+    values, norm_v = stack.b_eigen.eigenvalues, stack.norm_v
     mask_q, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol)
     far = points_distance(values, *sides.far)
-    dists = np.where(mask_q, far, np.inf).min(axis=-1).tolist()
-    reports = []
-    for i, ((d, norm_v, _, scale), diff, mask, row_flags, swap, dist) in enumerate(zip(
-        stack.numbers(), _difference(stack, sides.mask, mask_q), mask_q, flags, sides.flags, dists,
-    )):
-        witnesses = {
-            "norm_v": norm_v,
-            "d": d,
-            "rank_p": float(np.count_nonzero(sides.mask[i])),
-            "rank_q": float(np.count_nonzero(mask)),
-        }
-        # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
-        verdict = dict(
-            measured=diff.norm, margin=1.0 - diff.norm, margin_dimensional=False,
-            premise="a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1",
-            witnesses=witnesses, flags=row_flags + swap,
-        )
-        report = _verdict("TAN_THETA", scale, stack.tol, claimed=math.inf, **verdict)
-        # the graph operator, and so the claims, exist only under the a-priori premise
-        if report.premise_satisfied:
-            p = projection_from_eigenvectors(stack.a_eigen[i], sides.mask[i])
-            q = projection_from_eigenvectors(stack.b_eigen[i], mask)
-            x_norm = graph_operator(p, q, stack.tol, diff=diff.norm).norm
-            tan_claim = norm_v / dist if dist > 0 else math.inf
-            witnesses.update(dist_sigma_tilde=dist, x_norm=x_norm, tan_theta_bound=tan_claim)
-            claimed = math.sin(math.atan(tan_claim)) if dist > 0 else 1.0
-            report = _verdict("TAN_THETA", scale, stack.tol, claimed=claimed,
-                              bounds=[(x_norm, tan_claim)], **verdict)
-        reports.append(report)
-    return reports
+    dist = np.where(mask_q, far, np.inf).min(axis=-1)
+    diff = _difference(stack, sides.mask, mask_q)
+    # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
+    margin = 1.0 - diff.norm
+    met = _premise_met(margin, 1.0, stack.tol)
+    x_norm = np.full(len(dist), math.nan)
+    for i in np.flatnonzero(met).tolist():
+        p = projection_from_eigenvectors(stack.a_eigen[i], sides.mask[i])
+        q = projection_from_eigenvectors(stack.b_eigen[i], mask_q[i])
+        x_norm[i] = graph_operator(p, q, stack.tol, diff=diff.norm[i].item()).norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tan_claim = np.where(dist > 0, norm_v / dist, math.inf)
+    claimed = np.where(dist > 0, _entrywise(math.sin, _entrywise(math.atan, tan_claim)), 1.0)
+    # the a-posteriori witnesses, like the graph operator, exist only under the premise
+    posterior = {name: np.where(met, x, None) for name, x in (
+        ("dist_sigma_tilde", dist), ("x_norm", x_norm), ("tan_theta_bound", tan_claim))}
+    return _verdict(
+        "TAN_THETA", stack.scale, stack.tol, measured=diff.norm,
+        claimed=np.where(met, claimed, math.inf), margin=margin, margin_dimensional=False,
+        premise=["a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1"]
+        * len(dist),
+        bounds=[(x_norm, tan_claim)],
+        witnesses={"norm_v": norm_v, "d": stack.d, "rank_p": sides.mask.sum(axis=-1),
+                   "rank_q": mask_q.sum(axis=-1), **posterior},
+        flags=_joined(flags, sides.flags),
+    )
 
 
 def verify_pair_inequality(
@@ -468,9 +446,9 @@ def verify_pair_inequality(
     dec_a = _eigh(a[None])
     values = dec_a.eigenvalues
     mask_a = locate_points(values, *sigma.bounds, sigma.is_open, tol.eig(values))[0]
-    kind = int(_classify(sigma.bounds, delta_set.bounds))
+    kind = _classify(sigma.bounds, delta_set.bounds)[None]
     return _pair_inequality(dec_a, _eigh(b[None]), mask_a, (*delta_set.bounds, delta_set.is_open),
-                            [(dist, kind, spectral_norm(a - b), {})], tol)[0]
+                            np.array([dist]), kind, np.array([spectral_norm(a - b)]), [{}], tol)[0]
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
@@ -489,40 +467,32 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
     """
 
     def reports(stack: _Stack) -> list[AnalysisReport]:
-        pairs = zip(stack.d.tolist(), stack.kind.tolist(), stack.norm_v.tolist(), stack.block_norms)
         return _pair_inequality(stack.a_eigen, stack.b_eigen, stack.sigma_mask,
-                                (*stack.Sigma_ends, stack.is_open), list(pairs), stack.tol)
+                                (*stack.Sigma_ends, stack.is_open), stack.d, stack.kind,
+                                stack.norm_v, stack.block_norms, stack.tol)
 
     return _memo(problem, "MCE", reports)
 
 
-def _pair_inequality(dec_a, dec_b, mask_a, deltas, pairs: list, tol) -> list[AnalysisReport]:
+def _pair_inequality(dec_a, dec_b, mask_a, deltas, dist, kind, diff_norm, memos,
+                     tol) -> list[AnalysisReport]:
     """MCE's reports on the decompositions of stacks A, B (T, n, n), E_A(sigma)'s mask and
-    Delta's stacked bounds, with (dist(sigma, Delta), the ``_classify`` index of (sigma, Delta),
-    ||A - B||, block-norm memo) per row."""
-    dists, kinds, diff_norms, memos = zip(*pairs)
+    Delta's stacked bounds, with the columns dist(sigma, Delta), the ``_classify`` index of
+    (sigma, Delta) and ||A - B||, and a block-norm memo per row."""
     values = dec_b.eigenvalues
     # the selection's boundary events reach no report, so they are not formatted as flags
     mask_b = locate_points(values, *deltas, tol.eig(values))[0]
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    norms = _block_norms(list(memos), dec_a, dec_b, mask_a, mask_b)
-    norm_a = np.abs(dec_a.eigenvalues).max(axis=-1).tolist()
-    reports = []
-    for i, (dist, kind, diff_norm) in enumerate(zip(dists, kinds, diff_norms)):
-        hull_separated = _CLASSES[kind].case in _HULL_SEPARATED
-        claimed = diff_norm if hull_separated else (math.pi / 2.0) * diff_norm
-        scale = max(norm_a[i], diff_norm, dist)
-        reports.append(_verdict(
-            "MCE", scale, tol, measured=dist * norms[i], claimed=claimed, dimensional=True,
-            margin=dist,
-            witnesses={
-                "dist": dist,
-                "norm_a_minus_b": diff_norm,
-                "pi_half_bound": (math.pi / 2.0) * diff_norm,
-                "hull_separated": float(hull_separated),
-                "rank_ea": float(np.count_nonzero(mask_a[i])),
-                "rank_eb": float(np.count_nonzero(mask_b[i])),
-            },
-            flags=["convex hulls separated: constant-1 bound applies"] if hull_separated else [],
-        ))
-    return reports
+    norms = np.array(_block_norms(memos, dec_a, dec_b, mask_a, mask_b))
+    hull_separated = _HULL_KINDS[kind]
+    pi_half = (math.pi / 2.0) * diff_norm
+    return _verdict(
+        "MCE", _max(np.abs(dec_a.eigenvalues).max(axis=-1), diff_norm, dist), tol,
+        measured=dist * norms, claimed=np.where(hull_separated, diff_norm, pi_half),
+        dimensional=True, margin=dist,
+        witnesses={"dist": dist, "norm_a_minus_b": diff_norm, "pi_half_bound": pi_half,
+                   "hull_separated": hull_separated, "rank_ea": mask_a.sum(axis=-1),
+                   "rank_eb": mask_b.sum(axis=-1)},
+        flags=[["convex hulls separated: constant-1 bound applies"] if h else []
+               for h in hull_separated.tolist()],
+    )

@@ -42,6 +42,7 @@ from offdiag.io import save_problem
 from offdiag.operators import (
     EigenDecomposition,
     _blocks,
+    _eigh,
     _mask_groups,
     projection_from_eigenvectors,
     spectral_norm,
@@ -115,31 +116,60 @@ class TestProjectionDifference:
             assert_difference_matches(p, eigen_projection(rng, 7, 2))
 
 
+def block_bases(rng, dim):
+    """Decompositions of each kind ``_blocks`` reads: a shuffled diagonal matrix's, gathered
+    through its order and multiplied without it, and a random Hermitian matrix's."""
+    diagonal = _eigh(np.diag(rng.permutation(dim) - dim / 2.0).astype(complex)[None])
+    return {"gathered": diagonal, "multiplied": withheld(diagonal),
+            "rotated": _eigh(random_hermitian(rng, dim)[None])}
+
+
+def random_mask(rng, dim, rank):
+    mask = np.zeros(dim, dtype=bool)
+    mask[rng.permutation(dim)[:rank]] = True
+    return mask
+
+
+def projector(eigen, mask):
+    """The dense projection onto the eigenvector columns that ``mask`` picks."""
+    u = eigen.eigenvectors[0][:, mask]
+    return u @ u.conj().T
+
+
+def block_norm(eigen, left, right, middle=None, other=None):
+    """``||U[:, left]* M W[:, right]||`` of one ``_blocks`` row, as the checks form it."""
+    picks = (np.flatnonzero(mask)[None] for mask in (left, right))
+    return dense_norm(_blocks(eigen, np.array([0]), *picks,
+                              None if middle is None else middle[None], other)[0])
+
+
+@pytest.mark.parametrize("kind", ["gathered", "multiplied", "rotated"])
 class TestCompressedNorms:
-    def test_product_of_projections(self, rng):
-        for _ in range(10):
-            ea, eb = eigen_projection(rng, 9, 4), eigen_projection(rng, 9, rng.integers(0, 10))
-            got = dense_norm(ea.range_basis.conj().T @ eb.range_basis)
-            assert abs(got - dense_norm(dense(ea) @ dense(eb))) <= TOL
+    """The blocks ``_blocks`` forms, gathered or multiplied, against the dense n x n products."""
 
-    def test_diagonal_blocks_of_a_perturbation(self, rng):
+    def test_product_of_projections(self, rng, kind):
         for _ in range(10):
-            p = eigen_projection(rng, 10, rng.integers(0, 11))
-            v = random_hermitian(rng, 10)
-            u, u_perp = p.range_basis, p.complement_basis
-            p_dense = dense(p)
-            p_perp = np.eye(10) - p_dense
-            assert abs(dense_norm(u.conj().T @ v @ u) - dense_norm(p_dense @ v @ p_dense)) <= TOL
-            assert abs(dense_norm(u_perp.conj().T @ v @ u_perp)
-                       - dense_norm(p_perp @ v @ p_perp)) <= TOL
+            ea, eb = block_bases(rng, 9)[kind], _eigh(random_hermitian(rng, 9)[None])
+            assert (ea.order is not None) is (kind == "gathered")
+            mask_a, mask_b = random_mask(rng, 9, 4), random_mask(rng, 9, rng.integers(0, 10))
+            got = block_norm(ea, mask_a, mask_b, other=eb)
+            assert abs(got - dense_norm(projector(ea, mask_a) @ projector(eb, mask_b))) <= TOL
 
-    def test_commutator(self, rng):
+    def test_diagonal_blocks_of_a_perturbation(self, rng, kind):
         for _ in range(10):
-            p = eigen_projection(rng, 10, rng.integers(0, 11))
-            a = random_hermitian(rng, 10)
-            u, u_perp = p.range_basis, p.complement_basis
-            blocks = max(dense_norm(u_perp.conj().T @ a @ u), dense_norm(u.conj().T @ a @ u_perp))
-            assert abs(blocks - dense_norm(a @ dense(p) - dense(p) @ a)) <= TOL
+            dec, v = block_bases(rng, 10)[kind], random_hermitian(rng, 10)
+            mask = random_mask(rng, 10, rng.integers(0, 11))
+            for part in (mask, ~mask):
+                p = projector(dec, part)
+                assert abs(block_norm(dec, part, part, v) - dense_norm(p @ v @ p)) <= TOL
+
+    def test_commutator(self, rng, kind):
+        for _ in range(10):
+            dec, a = block_bases(rng, 10)[kind], random_hermitian(rng, 10)
+            mask = random_mask(rng, 10, rng.integers(0, 11))
+            blocks = max(block_norm(dec, ~mask, mask, a), block_norm(dec, mask, ~mask, a))
+            p = projector(dec, mask)
+            assert abs(blocks - dense_norm(a @ p - p @ a)) <= TOL
 
 
 # MCE's numbers that read ||A - B||: the problem's ||V||, or the pair check's SVD of A - B
@@ -460,7 +490,9 @@ class TestEqualRankRule:
             return subspaces._block_norms([{} for _ in x], a, b, x, y)
 
         pq_perp, pperp_q = fresh(mask_p, ~mask_q), fresh(~mask_p, mask_q)
-        for v, diff in enumerate(got):
+        # one ProjectionDifference of columns, a row per mask pair
+        assert all(x.shape == (count,) for x in got)
+        for v, diff in enumerate(zip(*(x.tolist() for x in got))):
             i = v % len(memos)
             p, q = (projection_from_eigenvectors(EigenDecomposition(e.eigenvalues[i],
                                                                     e.eigenvectors[i]), m[v])

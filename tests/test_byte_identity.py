@@ -1,7 +1,12 @@
 """tools/byte_identity.py: the files an argv writes and the comparison of two sweeps."""
 
+import contextlib
 import importlib.util
+import io
 import pathlib
+
+from offdiag import THEOREM_IDS, Case, PerturbationProblem, random_problem, random_problem_spec
+from offdiag.cli import main
 
 PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 spec = importlib.util.spec_from_file_location("byte_identity", PATH)
@@ -74,3 +79,59 @@ def test_sweep_runs_qnr_to_stdout_and_on_every_example_with_and_without_svg():
     assert len(examples) == 6 * 2 * 2
     assert {(argv[3], "--svg" in argv) for argv in examples} == {
         (n, svg) for n in ("1", "257") for svg in (False, True)}
+
+
+def without(argv, *flags):
+    """``argv`` without each of ``flags`` and its value."""
+    out, args = [], iter(argv)
+    for arg in args:
+        if arg in flags:
+            next(args)
+        else:
+            out.append(arg)
+    return out
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_sweep_runs_tol_scaled_argvs_whose_verdicts_differ_at_scale_1(tmp_path, monkeypatch):
+    _, argvs = byte_identity.sweep()
+    scaled = [argv for argv in argvs if "--tol-scale" in argv]
+    assert sorted({argv[0] for argv in scaled}) == ["analyze", "verify"]
+    analyze = [argv for argv in scaled if argv[0] == "analyze"]
+    verify = [argv for argv in scaled if argv[0] == "verify"]
+    assert sorted(argv[1] for argv in analyze) == sorted(
+        argv[argv.index("--out") + 1] for argv in argvs if argv[0] == "examples")
+    assert sorted(argv[2] for argv in verify) == ["case1", "case2", "subordinated"]
+    # each has its scale-1 twin in the sweep, and some verdict or flag differs between them
+    plain = [without(argv, "--out") for argv in argvs if "--tol-scale" not in argv]
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        if argv[0] == "examples":
+            stdout_of(argv)
+    for kind in (analyze, verify):
+        changed = []
+        for argv in kind:
+            twin = without(argv, "--out", "--tol-scale")
+            assert twin in plain
+            changed.append(stdout_of(twin) != stdout_of(without(argv, "--out")))
+        assert any(changed)
+
+
+def test_sweep_runs_a_roles_swapped_problem_through_every_theorem_id():
+    inputs, argvs = byte_identity.sweep()
+    swapped = [record for record in inputs if record[-1]]
+    assert len(swapped) == 1 and swapped[0][1] == "CASE_II"
+    path, case, n0, n1, ratio, seed, _ = swapped[0]
+    on_it = [argv for argv in argvs if argv[:2] == ["analyze", path]]
+    assert {argv[i + 1] for argv in on_it for i, arg in enumerate(argv) if arg == "--theorem"} == \
+        set(THEOREM_IDS)
+    # the problem the sweep writes: only its Sigma's hull is separated, so the roles swap
+    problem = random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed))
+    problem = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma)
+    assert problem.classification.detail.startswith("hull(Sigma)")

@@ -322,6 +322,12 @@ class TestSearch:
         with pytest.raises(ValueError, match="dim_Sigma must be at least 1"):
             search_worst_case(dim_Sigma=-1, c=0.5, trials=1)
 
+    def test_rejects_negative_refine_sweeps_and_allows_none(self):
+        # -1 sweeps once ran no refinement and counted -50 evaluations
+        with pytest.raises(ValueError, match="^refine_sweeps must be nonnegative, got -1$"):
+            search_worst_case(2, 2, 0.5, trials=2, refine_sweeps=-1)
+        assert search_worst_case(2, 2, 0.5, trials=2, refine_sweeps=0).evaluations == 2
+
     @pytest.mark.parametrize("trials", [1, 2])
     def test_rejects_a_negative_seed_whatever_the_trials(self, trials):
         # trial 0 starts from the built-in example and draws nothing, so one trial once passed

@@ -308,6 +308,19 @@ class TestToleranceValues:
         captured = capsys.readouterr()
         assert named in captured.err and "VIOLATED" not in captured.out
 
+    @pytest.mark.parametrize("field", ["report", "scale"])
+    @pytest.mark.parametrize("value", ["1e-9", "2", None, [1.0], {"value": 1.0}])
+    def test_a_value_that_is_no_number_exits_2_and_names_the_field(
+        self, case2_payload, tmp_path, capsys, field, value
+    ):
+        # a string is no number here, as in sets and matrices, even when float() would read it
+        path = tmp_path / "string_tolerance.json"
+        path.write_text(json.dumps({**case2_payload, "tolerances": {field: value}}))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tolerances: {field} must be a number, got {value!r}" in captured.err
+
     def test_zero_is_allowed(self, case2_payload):
         p = parse_problem({**case2_payload, "tolerances": {"report": 0.0, "herm_scale": 0}})
         assert p.tol.report == 0.0 and p.tol.herm_scale == 0.0

@@ -21,7 +21,14 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
 - ``qnr --out --svg`` on the ``qnr`` workload's seed-0 problem, seeds 0-2,
   and ``qnr`` of it to stdout, seed 0;
 - ``qnr --out`` on the six ``examples`` problems (V = 0 at scale 0) with
-  ``--samples`` 1 and 257, each with and without ``--svg``.
+  ``--samples`` 1 and 257, each with and without ``--svg``;
+- ``analyze --out`` with all theorem ids on the six ``examples`` problems,
+  and ``verify --random`` with every theorem id for each family at dims
+  3,4 and seed 0, each at ``--tol-scale`` ``TOL_SCALE``: large enough that
+  some verdicts and flags differ from the same argv at scale 1;
+- ``analyze --out`` with each theorem id alone and all ids together on a
+  generated CASE_II problem saved with sigma and Sigma exchanged, so that
+  the hull-separated checks swap roles.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -45,6 +52,7 @@ import tempfile
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TOOLS)
 OUTPUT_FLAGS = ("--out", "--report-out", "--svg")
+TOL_SCALE = "1e8"
 SIDES = ("base", "change")
 
 
@@ -56,8 +64,9 @@ def written(argv: list[str]) -> list[str]:
 def sweep() -> tuple[list[list], list[list[str]]]:
     """``(inputs, argvs)``: the problems each tree writes first, then the argv it runs.
 
-    An input is ``[path, case, dim_sigma, dim_Sigma, ratio, seed]``, the
-    problem of ``random_problem_spec`` with those arguments.
+    An input is ``[path, case, dim_sigma, dim_Sigma, ratio, seed, swapped]``,
+    the problem of ``random_problem_spec`` with those arguments, with sigma
+    and Sigma exchanged when ``swapped``.
     """
     sys.path[:0] = [p for p in (ROOT, os.path.join(ROOT, "src")) if p not in sys.path]
     from offdiag import THEOREM_IDS
@@ -66,8 +75,9 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
         pool = sorted(json.load(fh)["analyze"], key=int)
     inputs = [[f"pool_{seed}.json", "CASE_II", *workloads.ANALYZE_DIMS, workloads.ANALYZE_RATIO,
-               int(seed)] for seed in pool]
-    inputs.append(["qnr_problem.json", "CASE_I", 32, 32, 0.45, 0])
+               int(seed), False] for seed in pool]
+    inputs.append(["swapped.json", "CASE_II", 3, 4, 1.2, 0, True])
+    inputs.append(["qnr_problem.json", "CASE_I", 32, 32, 0.45, 0, False])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -84,7 +94,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
                 argv += ["--theorem", t]
             argvs.append(argv)
         argvs.append(["verify", f"{name}.json"])
-    for path, *_ in inputs[:-1]:
+    for path, *_ in inputs[:len(pool)]:
         argvs.append(workloads.analyze_argv(path, path.replace(".json", ".report.json")))
     for family, ratio, battery in workloads.VERIFY_FAMILIES:
         for theorems in (battery, THEOREM_IDS):
@@ -103,6 +113,17 @@ def sweep() -> tuple[list[list], list[list[str]]]:
         for samples in ("1", "257"):
             argv = ["qnr", f"{name}.json", "--samples", samples, "--out", f"{name}.qnr_{samples}.csv"]
             argvs += [argv, [*argv, "--svg", f"{name}.qnr_{samples}.svg"]]
+    every_id = [arg for t in THEOREM_IDS for arg in ("--theorem", t)]
+    for name in examples:
+        argvs.append(["analyze", f"{name}.json", "--out", f"{name}.tol.json", *every_id,
+                      "--tol-scale", TOL_SCALE])
+    for family, ratio, _ in workloads.VERIFY_FAMILIES:
+        argvs.append(["verify", "--random", family, "--theorem", ",".join(THEOREM_IDS), "--trials",
+                      str(workloads.VerifySmall.trials), "--ratio", str(ratio), "--dims", "3,4",
+                      "--seed", "0", "--tol-scale", TOL_SCALE])
+    for k, battery in enumerate([*([t] for t in THEOREM_IDS), list(THEOREM_IDS)]):
+        argvs.append(["analyze", "swapped.json", "--out", f"swapped.analyze_{k}.json",
+                      *(arg for t in battery for arg in ("--theorem", t))])
     return inputs, argvs
 
 
@@ -122,15 +143,19 @@ def child() -> None:
     """
     job = json.load(sys.stdin)
     import offdiag
-    from offdiag import Case, random_problem, random_problem_spec
+    from offdiag import Case, PerturbationProblem, random_problem, random_problem_spec
     from offdiag.cli import main
     from offdiag.io import save_problem
 
     if os.path.dirname(os.path.dirname(os.path.realpath(offdiag.__file__))) != job["src"]:
         raise SystemExit(f"offdiag imported from {offdiag.__file__}, not from {job['src']}")
     paths = []
-    for path, case, n0, n1, ratio, seed in job["inputs"]:
-        save_problem(random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed)), path)
+    for path, case, n0, n1, ratio, seed, swapped in job["inputs"]:
+        problem = random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed))
+        if swapped:
+            problem = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma,
+                                                problem.tol)
+        save_problem(problem, path)
         paths.append(path)
     records = [{"argv": ["inputs"], "exit": 0, "stdout": "", "stderr": "",
                 "files": {p: sha256(p) for p in paths}}]
