@@ -351,6 +351,8 @@ def _verdict(
     a bound ``x <= c`` holds when ``x <= c + slack * max(1, |c|)``.  The
     theorem holds when its premise fails, or when measured <= claimed, every
     scale-free pair of ``bounds`` and the side conditions ``exact`` hold.
+    ``exact`` holds conditions on the operator, never a re-test of the
+    claim's own value, which the premise decides.
     The arithmetic is float64's, so each row's verdict is that of the same
     rule on its floats.
 

@@ -25,7 +25,14 @@ from .analysis import (
     spectrum_enclosure,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import _HULL_SEPARATED, Case, SpectralSet, locate_points, neighborhood_bounds
+from .intervals import (
+    _HULL_SEPARATED,
+    Case,
+    SpectralSet,
+    _distances,
+    locate_points,
+    neighborhood_bounds,
+)
 from .subspaces import (
     bound_case1,
     bound_case2,
@@ -68,11 +75,6 @@ _LAYOUT_MIN_GAP = 0.2  # least distance between neighbouring sites of a random_p
 _MIN_COUPLING = 1e-14  # a coupling block W with ||W|| below this is no coupling: V = 0
 
 
-def _gap(sig: np.ndarray, Sig: np.ndarray) -> np.ndarray:
-    """d = min |s - t| over s in ``sig`` (..., n0) and t in ``Sig`` (..., n1), one per row."""
-    return np.abs(sig[..., :, None] - Sig[..., None, :]).min(axis=(-2, -1))
-
-
 def _scaled_coupling(sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, ratio) -> tuple:
     """(d, ||W||, V) of each row: V = [[0, f W], [f W*, 0]] with f making ||V|| = ratio * d.
 
@@ -82,7 +84,7 @@ def _scaled_coupling(sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, ratio) -> 
     -0.0 imaginary parts that conjugating a zero block leaves, so such a
     problem saves V as its diagonal alone.
     """
-    d = _gap(sig, Sig)
+    d = _distances(sig, sig, Sig, Sig)
     rows, n0, n1 = w.shape
     w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
     factor = np.divide(ratio * d, w_norm, out=np.zeros_like(d), where=w_norm >= _MIN_COUPLING)
@@ -132,8 +134,8 @@ class ProblemSpec:
             raise ValueError("both components need at least one value")
         if not math.isfinite(self.target_norm_ratio) or self.target_norm_ratio < 0:
             raise ValueError("target_norm_ratio must be finite and nonnegative")
-        with np.errstate(invalid="ignore"):  # values at one infinite end are at distance NaN
-            d = float(_gap(np.array(self.sigma_values), np.array(self.Sigma_values)))
+        sig, Sig = np.array(self.sigma_values), np.array(self.Sigma_values)
+        d = float(_distances(sig, sig, Sig, Sig))  # NaN for values at one infinite end
         if not d > 0:
             raise ValueError("sigma and Sigma values must be separated")
         return d

@@ -178,13 +178,6 @@ def norm_exceeds(block: np.ndarray, bound) -> np.ndarray:
     return exceeds
 
 
-def _compress(left: np.ndarray, right: np.ndarray, middle) -> np.ndarray:
-    lhs = left.conj().swapaxes(-1, -2)
-    if middle is not None:
-        lhs = lhs @ middle
-    return lhs @ right
-
-
 def _mask_groups(left_mask, right_mask, rows=None):
     """``(group, left, right)`` over the mask rows (V, n) of ``rows`` (default all), by widths.
 
@@ -214,11 +207,12 @@ def _blocks(eigen: EigenDecomposition, group, left, right, middle=None, other=No
     if eigen.order is not None:
         source, cols = (middle, eigen.order[i, right]) if other is None else (w, right)
         return source[i[:, :, None], eigen.order[i, left][:, :, None], cols[:, None, :]]
-    # a group of every matrix takes M itself, so a large problem is not copied
-    middle = middle if middle is None or len(group) == len(middle) else middle[i[:, 0]]
     every = np.arange(u.shape[-1])[:, None]
-    return _compress(u[i[:, :, None], every, left[:, None, :]],
-                     w[i[:, :, None], every, right[:, None, :]], middle)
+    lhs = u[i[:, :, None], every, left[:, None, :]].conj().swapaxes(-1, -2)
+    if middle is not None:
+        # a group of every matrix takes M itself, so a large problem is not copied
+        lhs = lhs @ (middle if len(group) == len(middle) else middle[i[:, 0]])
+    return lhs @ w[i[:, :, None], every, right[:, None, :]]
 
 
 def _select(values, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray, list]:

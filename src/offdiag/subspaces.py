@@ -261,7 +261,6 @@ def _case1(stack: _Stack) -> list[AnalysisReport]:
         margin=C_PI * d - norm_v,
         premise=list(map("premise not satisfied: ||V|| = {:.12g} is not below "
                          "c_pi * d = {:.12g}".format, norm_v.tolist(), (C_PI * d).tolist())),
-        exact=claimed < 1.0,
         witnesses={"norm_v": norm_v, "d": d, "delta_v": delta, "c_pi": np.full(len(d), C_PI),
                    "norm_pq_perp": diff.norm_pq_perp, "norm_pperp_q": diff.norm_pperp_q,
                    "rank_p": stack.sigma_mask.sum(axis=-1), "rank_q": mask_q.sum(axis=-1)},
@@ -315,7 +314,6 @@ def _case2(stack: _Stack, sides: _Sides) -> list[AnalysisReport]:
         margin=SQRT2 * d - norm_v,
         premise=list(map("premise not satisfied: ||V|| = {:.12g} is not below "
                          "sqrt(2) * d = {:.12g}".format, norm_v.tolist(), (SQRT2 * d).tolist())),
-        exact=claimed < 1.0,
         bounds=[(left, SQRT2 / 2.0), (right, SQRT2 / 2.0), (pperp_q, pperp_bound)],
         witnesses={"norm_v": norm_v, "d": d, "delta_v": delta,
                    "norm_pq_perp": diffs.norm_pq_perp[:count], "norm_pperp_q": pperp_q,
@@ -353,7 +351,7 @@ def _subordinated(stack: _Stack) -> list[AnalysisReport]:
     return _verdict(
         "SUBORDINATED", stack.scale, stack.tol,
         measured=_difference(stack, stack.sigma_mask, mask_q).norm, claimed=claimed,
-        exact=(intruders == 0) & (claimed < SQRT2 / 2.0),
+        exact=intruders == 0,
         witnesses={"norm_v": norm_v, "d": d, "gap_lo": gap[0], "gap_hi": gap[1],
                    "eigenvalues_in_gap": intruders, "rank_q": mask_q.sum(axis=-1)},
         flags=_joined(flags, gap_flags),

@@ -24,11 +24,11 @@ from offdiag import (
     THEOREM_IDS,
     PerturbationProblem,
     SpectralSet,
+    analysis,
     bound_pair_inequality,
     builtin_example,
     harness,
     hermitian_eigendecompose,
-    operators,
     projection_difference_norm,
     random_problem,
     random_problem_spec,
@@ -375,16 +375,22 @@ class TestGatheredBlocks:
                 assert np.array_equal(got, _blocks(withheld(a), rows, x, y, m))
 
     def test_only_a_non_diagonal_problem_forms_products(self, tmp_path, monkeypatch):
+        # a block is a product exactly when its decomposition keeps no diagonal sort order
         products = []
-        compress = operators._compress
-        monkeypatch.setattr(operators, "_compress", lambda *a: products.append(a) or compress(*a))
+
+        def recorded(eigen, *args, **kwargs):
+            products.append(eigen.order is None)
+            return _blocks(eigen, *args, **kwargs)
+
+        for module in (analysis, subspaces):
+            monkeypatch.setattr(module, "_blocks", recorded)
         for rotate in (False, True):
             path = tmp_path / f"{rotate}.json"
             save_problem(analyze_problem(rotate), path)
             products.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["analyze", str(path)]) == 0
-            assert bool(products) is rotate
+            assert products and any(products) is rotate
 
 
 EPS = np.finfo(float).eps

@@ -135,3 +135,12 @@ def test_sweep_runs_a_roles_swapped_problem_through_every_theorem_id():
     problem = random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed))
     problem = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma)
     assert problem.classification.detail.startswith("hull(Sigma)")
+
+
+def test_sweep_runs_the_case2_band_through_analyze_and_verify():
+    inputs, argvs = byte_identity.sweep()
+    assert ["case2_band.json", "CASE_II", 2, 2, 1.4142135482309595, 0, False] in inputs
+    assert ["analyze", "case2_band.json", "--out", "case2_band.analyze.json",
+            "--theorem", "CASE2"] in argvs
+    assert ["verify", "--random", "case2", "--dims", "2,2", "--ratio", "1.4142135482309595",
+            "--trials", "40", "--seed", "0"] in argvs

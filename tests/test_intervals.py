@@ -213,6 +213,25 @@ class TestNormalization:
             assert s.hi[-1] == max(hi for _, hi in raw)
 
 
+class TestValueSemantics:
+    def test_attributes_cannot_be_assigned(self):
+        s = SpectralSet([(0, 1)])
+        with pytest.raises(AttributeError, match="SpectralSet is immutable"):
+            s.is_open = True
+        assert not s.is_open
+
+    def test_a_set_equals_only_a_set(self):
+        s = SpectralSet([(0, 1)])
+        assert s.__eq__(3) is NotImplemented
+        assert s != 3 and s != ((0.0, 1.0),)
+        assert s != SpectralSet([(0, 1)], is_open=True)
+
+    def test_equal_sets_hash_alike(self):
+        merged, given = SpectralSet([(0, 1), (1, 2)]), SpectralSet([(0, 2)])
+        assert merged == given and hash(merged) == hash(given)
+        assert len({merged, given, SpectralSet([(0, 2)], is_open=True)}) == 2
+
+
 class TestDistance:
     def test_example_interleaved_points(self):
         # sigma, Sigma of the 4x4 sharpness example: gap exactly 1

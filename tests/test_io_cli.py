@@ -2,12 +2,16 @@ import base64
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import offdiag
 from offdiag import (
     Case,
     PerturbationProblem,
@@ -224,8 +228,17 @@ class TestInputErrors:
          "spectral projection does not commute with A"),
         ({"A": [[0, 0], [0, 1]], "V": [[0, 0], [0, 0]], "sigma": [math.nan], "Sigma": [1]},
          "set sigma: interval endpoints must not be NaN"),
+        ({"A": [[[1, 2, 3], [0, 0, 0]], [[0, 0, 0], [1, 2, 3]]], "V": [[0, 0], [0, 0]],
+          "sigma": [1], "Sigma": [0]},
+         "matrix A: invalid entry at (0,0): [1, 2, 3] (expected a number or [re, im])"),
+        ({"A": [[0, 0], [0, 1]], "V": [[0, 0], [0, 0]], "sigma": 3, "Sigma": [1]},
+         "set sigma must be a list of numbers or [lo, hi] pairs"),
+        ({"A": [[0, 0], [0, 1]], "V": [[0, 0], [0, 0]], "sigma": [0], "Sigma": [1],
+          "tolerances": 3},
+         "tolerances must be an object"),
+        ([[0, 0], [0, 1]], "problem file must be a JSON object"),
     ], ids=["shapes", "dimension-1", "empty-component", "claimed-by-both", "not-commuting",
-            "nan-endpoint"])
+            "nan-endpoint", "triples", "number-set", "number-tolerances", "list-file"])
     def test_analyze_problem_file(self, payload, message, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload))
@@ -410,6 +423,7 @@ class TestParseMatrixFastPath:
             ([[0.0, 1.0], [0.0, None]], r"\(1,1\)"),
             ([[[1, 2, 3], [0, 0]], [[0, 0], [0, 0]]], r"\(0,0\)"),
             ([[[0, 0], [0, 0]], [[0, 0], [1, 2, 3]]], r"\(1,1\)"),
+            ([[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 2, 3]]], r"\(0,0\)"),
             ([[[0, "1"], [0, 0]], [[0, 0], [0, 0]]], r"\(0,0\)"),
             ([[0.0, [1.0]], [0.0, 0.0]], r"\(0,1\)"),
             ([[0.0, {"re": 1}], [0.0, 0.0]], r"\(0,1\)"),
@@ -710,6 +724,27 @@ class TestCli:
 
     def test_analyze_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/problem.json"]) == 2
+
+    def test_analyze_failed_eigendecomposition_exits_2(self, case1_file, monkeypatch, capsys):
+        # LAPACK's failure to converge is a ConvergenceError, which must not exit 1
+        def eigh(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert main(["analyze", str(case1_file)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: eigendecomposition failed: Eigenvalues did not converge\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["examples", "case1"], 0), (["analyze", "/nonexistent/problem.json"], 2)])
+    def test_module_entry_point_exits_with_mains_code(self, argv, code, tmp_path):
+        src = os.path.dirname(os.path.dirname(offdiag.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "offdiag.cli", *argv], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == code
+        assert run.stderr.startswith("error: ") == (code == 2)
 
     def test_analyze_deeply_nested_file_exits_2(self, tmp_path, capsys):
         # json.load raises RecursionError, which must not exit 1 like a violated bound

@@ -29,6 +29,9 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
 - ``analyze --out`` with each theorem id alone and all ids together on a
   generated CASE_II problem saved with sigma and Sigma exchanged, so that
   the hull-separated checks swap roles.
+- ``analyze --out --theorem CASE2`` on a generated CASE_II 2+2 problem at
+  ``||V|| = sqrt(2) d (1 - 1e-8)``, ``CASE2_BAND``, where CASE2's claim
+  rounds to 1.0, and ``verify --random case2`` at that ratio.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -53,6 +56,7 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TOOLS)
 OUTPUT_FLAGS = ("--out", "--report-out", "--svg")
 TOL_SCALE = "1e8"
+CASE2_BAND = 1.4142135482309595  # sqrt(2) (1 - 1e-8)
 SIDES = ("base", "change")
 
 
@@ -78,6 +82,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
                int(seed), False] for seed in pool]
     inputs.append(["swapped.json", "CASE_II", 3, 4, 1.2, 0, True])
     inputs.append(["qnr_problem.json", "CASE_I", 32, 32, 0.45, 0, False])
+    inputs.append(["case2_band.json", "CASE_II", 2, 2, CASE2_BAND, 0, False])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -124,6 +129,10 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     for k, battery in enumerate([*([t] for t in THEOREM_IDS), list(THEOREM_IDS)]):
         argvs.append(["analyze", "swapped.json", "--out", f"swapped.analyze_{k}.json",
                       *(arg for t in battery for arg in ("--theorem", t))])
+    argvs.append(["analyze", "case2_band.json", "--out", "case2_band.analyze.json",
+                  "--theorem", "CASE2"])
+    argvs.append(["verify", "--random", "case2", "--dims", "2,2", "--ratio", repr(CASE2_BAND),
+                  "--trials", "40", "--seed", "0"])
     return inputs, argvs
 
 
