@@ -20,7 +20,6 @@ from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
-    hermitian_eigendecompose,
     spectral_norm,
 )
 from .analysis import (
@@ -96,7 +95,6 @@ __all__ = [
     "delta_v_directional",
     "gap_persistence",
     "graph_operator",
-    "hermitian_eigendecompose",
     "maximal_gap_interval",
     "projection_difference_norm",
     "qnr_sample",

@@ -45,11 +45,10 @@ from .operators import (
     _finite,
     _mask_groups,
     _select,
-    _validated,
-    hermitian_eigendecompose,
     norm_exceeds,
     projection_from_eigenvectors,
     spectral_norm,
+    validate_hermitian,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -224,7 +223,7 @@ class PerturbationProblem:
         a row may repeat its last interval.  Every step runs once on the whole
         stack, and the rows, of any cases, form one ``_Stack``.
         """
-        (a, exact_a), (v, exact_v) = _validated(a, tol), _validated(v, tol)
+        a, v = validate_hermitian(a, tol), validate_hermitian(v, tol)
         if a.shape != v.shape:
             raise ValidationError(f"A and V have different shapes: {a.shape[1:]} vs {v.shape[1:]}")
         dim = a.shape[-1]
@@ -286,11 +285,15 @@ class PerturbationProblem:
                    for x, y in ((i_out, i_in), (i_in, i_out))):
                 raise ValidationError("spectral projection does not commute with A")
 
-        # A + V of exactly Hermitian A and V is exactly Hermitian; only an overflow can spoil it
-        b = a + v
-        b_eigen = _eigh(_finite(b)) if exact_a and exact_v else hermitian_eigendecompose(b, tol)
+        # B = A + V deviates from B* by at most A's and V's deviations together, and eigh
+        # reads one triangle, so only an overflow of the sum needs a check
+        with np.errstate(over="ignore"):
+            b_eigen = _eigh(_finite(a + v))
+        # finite input near the end of the float range may still overflow d or ||V||
+        if not (d.max() < math.inf and norm_v.max() < math.inf):
+            raise ValidationError(f"gap d and ||V|| must be finite, got {d.max()}, {norm_v.max()}")
         scale = np.maximum(np.maximum(norm_a, norm_v), d)
-        delta = np.array([delta_v(x, y) for x, y in zip(norm_v.tolist(), d.tolist())])
+        delta = _entrywise(_half_angle_shift, norm_v, d)
         stack = _Stack(
             a=a, v=v, a_eigen=a_eigen, b_eigen=b_eigen, sigma_mask=mask_sigma, kind=kind,
             sigma_ends=sigma_ends, Sigma_ends=Sigma_ends, is_open=is_open, d=d, norm_v=norm_v,

@@ -56,17 +56,6 @@ def validate_hermitian(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-_EXACT = Tolerances(herm_scale=0.0)  # ``validate_hermitian`` reads only ``herm`` of a tolerance
-
-
-def _validated(matrix, tol: Tolerances) -> tuple[np.ndarray, bool]:
-    """``validate_hermitian(matrix, tol)``, and whether the exact check, made first, passed."""
-    try:
-        return validate_hermitian(matrix, _EXACT), True
-    except ValidationError:
-        return validate_hermitian(matrix, tol), False
-
-
 def _finite(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
@@ -95,10 +84,6 @@ class EigenDecomposition:
         """The decomposition of a stack's row, or of the rows that the index ``row`` picks."""
         order = None if self.order is None else self.order[row]
         return EigenDecomposition(self.eigenvalues[row], self.eigenvectors[row], order)
-
-
-def hermitian_eigendecompose(matrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
-    return _eigh(validate_hermitian(matrix, tol))
 
 
 def _eigh(m: np.ndarray) -> EigenDecomposition:
@@ -172,7 +157,8 @@ def norm_exceeds(block: np.ndarray, bound) -> np.ndarray:
     size = block.shape[-2] * block.shape[-1]
     bound = np.broadcast_to(bound, block.shape[:-2])
     screen = bound * (1.0 - size * np.finfo(float).eps)
-    exceeds = np.asarray(np.linalg.norm(block, axis=(-2, -1)) > screen)
+    with np.errstate(over="ignore"):  # an overflowing screen is inf, so the SVD decides
+        exceeds = np.asarray(np.linalg.norm(block, axis=(-2, -1)) > screen)
     if exceeds.any():
         exceeds[exceeds] = spectral_norm(block[exceeds]) > bound[exceeds]
     return exceeds

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from offdiag import OrthogonalProjection, PerturbationProblem, SpectralSet, hermitian_eigendecompose
-from offdiag.operators import _select
+from offdiag import OrthogonalProjection, PerturbationProblem, SpectralSet
+from offdiag.operators import _eigh, _select, validate_hermitian
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -10,9 +10,14 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * 0.5 * (g + g.conj().T)
 
 
+def eigendecompose(matrix):
+    """``matrix``'s eigendecomposition after the Hermitian check that the build makes of A."""
+    return _eigh(validate_hermitian(matrix))
+
+
 def random_projection(rng, dim, rank):
     """Projection onto the span of ``rank`` eigenvectors of a random Hermitian."""
-    dec = hermitian_eigendecompose(random_hermitian(rng, dim))
+    dec = eigendecompose(random_hermitian(rng, dim))
     order = rng.permutation(dim)
     u = dec.eigenvectors
     return OrthogonalProjection(u[:, order[:rank]], u[:, order[rank:]])

@@ -242,31 +242,30 @@ class TestProblemValidation:
 
     @staticmethod
     def validated(monkeypatch) -> list:
-        """The (matrix, tol) of every ``validate_hermitian`` call from now on."""
+        """The matrix of every ``validate_hermitian`` call that ``_build`` makes from now on."""
         calls = []
-        validate = operators.validate_hermitian
+        validate = analysis.validate_hermitian
 
         def counted(matrix, tol):
-            calls.append((np.array(matrix, dtype=complex), tol))
+            calls.append(np.array(matrix, dtype=complex).tobytes())
             return validate(matrix, tol)
 
-        monkeypatch.setattr(operators, "validate_hermitian", counted)
+        monkeypatch.setattr(analysis, "validate_hermitian", counted)
         return calls
 
-    def test_build_validates_exact_a_and_v_once_each(self, monkeypatch):
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "tolerated"])
+    def test_build_validates_a_and_v_once_each_and_never_their_sum(self, monkeypatch, exact):
         calls = self.validated(monkeypatch)
-        problem = builtin_example("CASE1")
-        # B = A + V of exactly Hermitian A and V is exactly Hermitian, so only its finiteness is checked
-        assert [matrix.tobytes() for matrix, _ in calls] == [problem.a.tobytes(), problem.v.tobytes()]
-
-    def test_build_validates_b_after_a_tolerated_input(self, monkeypatch):
-        calls = self.validated(monkeypatch)
-        a = np.array([[-1.0, 1e-12j], [1e-12j, 1.0]])  # Hermitian within tolerance only
-        v = np.array([[0.0, 0.3], [0.3, 0.0]])
-        PerturbationProblem.build(a, v, SpectralSet.from_points([-1.0]),
-                                  SpectralSet.from_points([1.0]))
-        checked = [matrix.tobytes() for matrix, tol in calls if tol is DEFAULT_TOL]
-        assert (a + v).astype(complex).tobytes() in checked
+        if exact:
+            problem = builtin_example("CASE1")
+        else:  # A and V Hermitian within tolerance only
+            a = np.array([[-1.0, 0.99e-10j], [0.99e-10j, 1.0]])
+            v = np.array([[0.0, 0.3 + 0.29e-10j], [0.3 + 0.29e-10j, 0.0]])
+            problem = PerturbationProblem.build(a, v, SpectralSet.from_points([-1.0]),
+                                                SpectralSet.from_points([1.0]))
+        # B = A + V deviates from B* by at most A's and V's deviations together
+        assert calls == [problem.a.tobytes(), problem.v.tobytes()]
+        assert problem.b.tobytes() not in calls
 
     def test_overflowing_sum_of_exact_inputs_is_rejected(self):
         # A's eigenvalues 1.0e308 and 1.2e308, V off-diagonal to them, both turned by 22.5 degrees
@@ -280,6 +279,20 @@ class TestProblemValidation:
             with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
                 PerturbationProblem.build(a, v, SpectralSet([(1.15e308, 1.25e308)]),
                                           SpectralSet([(0.95e308, 1.05e308)]))
+
+    @pytest.mark.parametrize("coupling, points, message", [
+        (1e308, (-1.0, 1.0), "gap d and ||V|| must be finite, got 2.0, inf"),
+        (0.0, (-1e308, 1e308), "gap d and ||V|| must be finite, got inf, 0.0"),
+    ], ids=["norm", "distance"])
+    def test_overflowing_norm_or_distance_of_finite_input_is_rejected(self, coupling, points,
+                                                                      message):
+        # ||V|| = 2e308 of 2 x 2 blocks of 1e308; d = 2e308 of points at -1e308 and 1e308
+        a = np.diag(np.repeat(points, 2))
+        v = np.zeros((4, 4))
+        v[:2, 2:] = v[2:, :2] = coupling
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as excinfo:
+            PerturbationProblem.build(a, v, *map(SpectralSet.from_points, ([x] for x in points)))
+        assert str(excinfo.value) == message
 
     @staticmethod
     def rotated_problem_arrays(rng, diagonal_part=0.0):

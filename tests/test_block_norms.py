@@ -28,7 +28,6 @@ from offdiag import (
     bound_pair_inequality,
     builtin_example,
     harness,
-    hermitian_eigendecompose,
     projection_difference_norm,
     random_problem,
     random_problem_spec,
@@ -51,6 +50,7 @@ from offdiag.operators import (
 from conftest import (
     complement,
     dense,
+    eigendecompose,
     mapped_problem,
     random_close_projection,
     random_hermitian,
@@ -67,7 +67,7 @@ def dense_norm(m):
 
 def eigen_projection(rng, dim, rank):
     """Projection onto ``rank`` eigenvectors of a random Hermitian, keeping its bases."""
-    dec = hermitian_eigendecompose(random_hermitian(rng, dim))
+    dec = eigendecompose(random_hermitian(rng, dim))
     mask = np.zeros(dim, dtype=bool)
     mask[rng.permutation(dim)[:rank]] = True
     return projection_from_eigenvectors(dec, mask)
@@ -222,7 +222,7 @@ class TestPairInequalityEntryPoints:
         sigma = SpectralSet([(-100.0, 0.0)])
         delta = SpectralSet([(0.5, 100.0)])
         report = verify_pair_inequality(a, b, sigma, delta)
-        dec_a, dec_b = hermitian_eigendecompose(a), hermitian_eigendecompose(b)
+        dec_a, dec_b = eigendecompose(a), eigendecompose(b)
         ea = projection_from_eigenvectors(dec_a, dec_a.eigenvalues <= 0.0)
         eb = projection_from_eigenvectors(dec_b, dec_b.eigenvalues >= 0.5)
         assert abs(report.measured_value - 0.5 * dense_norm(dense(ea) @ dense(eb))) <= TOL

@@ -3,10 +3,14 @@
 import contextlib
 import importlib.util
 import io
+import math
 import pathlib
+
+import numpy as np
 
 from offdiag import THEOREM_IDS, Case, PerturbationProblem, random_problem, random_problem_spec
 from offdiag.cli import main
+from offdiag.io import matrix_payload, parse_matrix
 
 PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 spec = importlib.util.spec_from_file_location("byte_identity", PATH)
@@ -125,7 +129,7 @@ def test_sweep_runs_tol_scaled_argvs_whose_verdicts_differ_at_scale_1(tmp_path, 
 
 def test_sweep_runs_a_roles_swapped_problem_through_every_theorem_id():
     inputs, argvs = byte_identity.sweep()
-    swapped = [record for record in inputs if record[-1]]
+    swapped = [record for record in inputs if record[-1] == "swap"]
     assert len(swapped) == 1 and swapped[0][1] == "CASE_II"
     path, case, n0, n1, ratio, seed, _ = swapped[0]
     on_it = [argv for argv in argvs if argv[:2] == ["analyze", path]]
@@ -139,8 +143,31 @@ def test_sweep_runs_a_roles_swapped_problem_through_every_theorem_id():
 
 def test_sweep_runs_the_case2_band_through_analyze_and_verify():
     inputs, argvs = byte_identity.sweep()
-    assert ["case2_band.json", "CASE_II", 2, 2, 1.4142135482309595, 0, False] in inputs
+    assert ["case2_band.json", "CASE_II", 2, 2, 1.4142135482309595, 0, None] in inputs
     assert ["analyze", "case2_band.json", "--out", "case2_band.analyze.json",
             "--theorem", "CASE2"] in argvs
     assert ["verify", "--random", "case2", "--dims", "2,2", "--ratio", "1.4142135482309595",
             "--trials", "40", "--seed", "0"] in argvs
+
+
+def test_sweep_runs_tolerated_turned_and_huge_inputs_through_every_id_and_verify():
+    inputs, argvs = byte_identity.sweep()
+    by_path = {record[0]: record[1:] for record in inputs}
+    assert by_path["tolerated.json"] == [byte_identity.TOLERATED]
+    assert by_path["haar.json"] == ["CASE_II", 3, 4, 1.2, 0, "haar"]
+    assert by_path["scale_1e200.json"] == [byte_identity.turned_problem(1e200)]
+    batteries = [[t] for t in THEOREM_IDS] + [list(THEOREM_IDS)]
+    for path in ("tolerated.json", "haar.json", "scale_1e200.json"):
+        on_it = [argv for argv in argvs if argv[1] == path]
+        assert ["verify", path] in on_it
+        assert sorted(argv[5::2] for argv in on_it if argv[0] == "analyze") == sorted(batteries)
+    # each input is Hermitian within tolerance only, or overflows a Frobenius norm
+    a = parse_matrix(byte_identity.TOLERATED["A"], "A")
+    assert not np.array_equal(a, a.conj().T)
+    big = np.array(byte_identity.turned_problem(1e200)["V"])
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(big) == math.inf
+    # the Haar-turned problem is written as nests, and its blocks are products
+    problem = byte_identity.generated(*by_path["haar.json"])
+    assert problem.a_eigen.order is None
+    assert set(matrix_payload(problem.a)) == set(matrix_payload(problem.v)) == {"re", "im"}

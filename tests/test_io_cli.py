@@ -292,6 +292,71 @@ class TestInputErrors:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def _turned_symmetric(m, angle=0.3):
+    """``m`` turned by ``angle`` radians and made exactly symmetric from its upper triangle."""
+    c, s = math.cos(angle), math.sin(angle)
+    r = np.array([[c, -s], [s, c]])
+    t = r @ np.asarray(m, dtype=float) @ r.T
+    return np.triu(t) + np.triu(t, 1).T
+
+
+def _turned_problem(scale):
+    """SUBORDINATED 1+1: A = diag(-scale, scale), V couples them by 0.3 scale; both turned."""
+    a, v = np.diag([-scale, scale]), np.array([[0.0, 0.3 * scale], [0.3 * scale, 0.0]])
+    return {"A": _turned_symmetric(a).tolist(), "V": _turned_symmetric(v).tolist(),
+            "sigma": [-scale], "Sigma": [scale]}
+
+
+class TestValidationScope:
+    """The build validates A and V and checks B = A + V only for an overflow; numpy stays quiet."""
+
+    # each Hermitian within tolerance only; B's (0,1) misses its mirror's conjugate by 2.56e-10
+    TOLERATED = {
+        "A": {"re": [[-1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.99e-10], [0.99e-10, 0.0]]},
+        "V": {"re": [[0.0, 0.3], [0.3, 0.0]], "im": [[0.0, 0.29e-10], [0.29e-10, 0.0]]},
+        "sigma": [-1.0], "Sigma": [1.0],
+    }
+
+    @pytest.fixture
+    def analyze(self, tmp_path, capsys):
+        """``(exit, stderr, reports by theorem, warnings)`` of ``analyze --out`` on a payload."""
+        def run(payload, name, *options):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+            path.write_text(json.dumps(payload))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["analyze", str(path), "--out", str(out), *options])
+            reports = json.loads(out.read_text())["reports"] if out.exists() else []
+            return code, capsys.readouterr().err, {r["theorem"]: r for r in reports}, caught
+        return run
+
+    def test_inputs_hermitian_within_tolerance_are_analyzed(self, analyze):
+        code, err, reports, caught = analyze(self.TOLERATED, "tolerated")
+        assert (code, err, caught) == (0, "", [])
+        report = reports["SUBORDINATED"]  # a tight 2 x 2 fiber: the bound is attained
+        assert report["premise_satisfied"] and report["holds"]
+        assert round(report["measured_value"], 6) == round(report["claimed_bound"], 6) == 0.145213
+
+    def test_a_problem_at_scale_1e200_runs_quietly_with_its_twins_verdicts(self, analyze):
+        every_id = [arg for t in THEOREM_IDS for arg in ("--theorem", t)]
+        runs = [analyze(_turned_problem(scale), name, *every_id)
+                for scale, name in ((1e200, "large"), (1.0, "unit"))]
+        for code, err, _, caught in runs:
+            assert (code, err, caught) == (0, "", [])
+        large, unit = ({t: (r["premise_satisfied"], r["holds"], len(r["flags"]))
+                        for t, r in reports.items()} for _, _, reports, _ in runs)
+        assert large == unit and len(large) == len(THEOREM_IDS)
+
+    def test_an_overflowing_sum_prints_only_its_error(self, analyze):
+        # A's eigenvalues 1.0e308 and 1.2e308, V off-diagonal to them, both turned by 22.5 degrees
+        a, v = np.diag([1.2e308, 1.0e308]), np.array([[0.0, 1.1e308], [1.1e308, 0.0]])
+        payload = {"A": _turned_symmetric(a, math.pi / 8).tolist(),
+                   "V": _turned_symmetric(v, math.pi / 8).tolist(),
+                   "sigma": [[1.15e308, 1.25e308]], "Sigma": [[0.95e308, 1.05e308]]}
+        code, err, _, caught = analyze(payload, "overflow")
+        assert (code, err, caught) == (2, "error: matrix entries must be finite\n", [])
+
+
 class TestToleranceValues:
     """A tolerance is finite and nonnegative; anything else is an input error (exit 2)."""
 

@@ -10,7 +10,6 @@ from offdiag import (
     SpectralSet,
     ValidationError,
     builtin_example,
-    hermitian_eigendecompose,
     random_problem,
     random_problem_spec,
     spectral_norm,
@@ -21,7 +20,7 @@ from offdiag.operators import (
     validate_hermitian,
 )
 
-from conftest import dense, random_hermitian, select
+from conftest import dense, eigendecompose, random_hermitian, select
 from test_intervals import open_neighborhood
 
 SQRT2 = math.sqrt(2.0)
@@ -30,7 +29,7 @@ SQRT3 = math.sqrt(3.0)
 
 def projection_onto(matrix, region):
     """E_M(region) through the library's one path: decompose, select, project."""
-    dec = hermitian_eigendecompose(matrix)
+    dec = eigendecompose(matrix)
     tol = DEFAULT_TOL.eig(dec.eigenvalues)
     mask = select(dec.eigenvalues, region, tol)[0]
     return projection_from_eigenvectors(dec, mask)
@@ -86,18 +85,18 @@ class TestValidateHermitian:
 
 class TestEigendecompose:
     def test_identity(self):
-        dec = hermitian_eigendecompose(np.eye(4))
+        dec = eigendecompose(np.eye(4))
         np.testing.assert_allclose(dec.eigenvalues, [1, 1, 1, 1])
 
     def test_case1_spectrum(self):
         # the 4x4 Jacobi-type sharpness matrix: eigenvalues -2, 0 (double), 2
         b = builtin_example("CASE1").b
-        dec = hermitian_eigendecompose(b)
+        dec = eigendecompose(b)
         np.testing.assert_allclose(dec.eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
 
     def test_case2_spectrum(self):
         b = builtin_example("CASE2").b
-        dec = hermitian_eigendecompose(b)
+        dec = eigendecompose(b)
         np.testing.assert_allclose(dec.eigenvalues, [-2.0, 1.0, 1.0], atol=1e-10)
 
     def test_case2_spectrum_against_charpoly_oracle(self):
@@ -105,7 +104,7 @@ class TestEigendecompose:
         b = builtin_example("CASE2").b
         coeffs = np.poly(np.asarray(b))
         roots = np.sort(np.roots(coeffs).real)
-        dec = hermitian_eigendecompose(b)
+        dec = eigendecompose(b)
         np.testing.assert_allclose(dec.eigenvalues, roots, atol=1e-8)
 
     def test_contract_on_random_corpus(self, rng):
@@ -113,7 +112,7 @@ class TestEigendecompose:
         for k in range(200):
             dim = int(rng.integers(2, 33))
             m = random_hermitian(rng, dim, scale=float(rng.uniform(0.1, 10)))
-            dec = hermitian_eigendecompose(m)
+            dec = eigendecompose(m)
             norm = spectral_norm(m)
             u = dec.eigenvectors
             residual = (u * dec.eigenvalues) @ u.conj().T - m
@@ -160,7 +159,7 @@ class TestDiagonalShortcut:
         w, u = np.linalg.eigh(p.a)
         wb, ub = np.linalg.eigh(p.a + p.v)
         calls = lapack_calls(monkeypatch)
-        dec = hermitian_eigendecompose(p.a)
+        dec = eigendecompose(p.a)
         assert not calls
         assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
         built = type(p).build(p.a, p.v, p.sigma, p.Sigma)
@@ -174,14 +173,14 @@ class TestDiagonalShortcut:
         m = np.diag([3.0, 1.0, 2.0]).astype(complex)
         m[0, 2], m[2, 0] = entry, np.conj(entry)
         calls = lapack_calls(monkeypatch)
-        hermitian_eigendecompose(m)
+        eigendecompose(m)
         assert len(calls) == 1
 
     def test_ties_give_an_exact_orthonormal_decomposition(self, monkeypatch):
         d = np.array([2.0, 1.0, 2.0, 1.0, 0.5, 2.0])
         m = np.diag(d).astype(complex)
         calls = lapack_calls(monkeypatch)
-        dec = hermitian_eigendecompose(m)
+        dec = eigendecompose(m)
         assert not calls
         u = dec.eigenvectors
         assert np.array_equal(dec.eigenvalues, np.sort(d))
@@ -192,7 +191,7 @@ class TestDiagonalShortcut:
         m = np.diag([1e-6 + 1e-11j, -2.0 - 3e-18j, 0.5 + 0j])
         w, u = np.linalg.eigh(m)
         calls = lapack_calls(monkeypatch)
-        dec = hermitian_eigendecompose(m)  # the Hermitian tolerance admits these parts
+        dec = eigendecompose(m)  # the Hermitian tolerance admits these parts
         assert not calls
         assert np.array_equal(dec.eigenvalues, [-2.0, 1e-6, 0.5])
         assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
@@ -216,7 +215,7 @@ class TestSpectralNorm:
         for _ in range(200):
             dim = int(rng.integers(2, 33))
             m = random_hermitian(rng, dim)
-            dec = hermitian_eigendecompose(m)
+            dec = eigendecompose(m)
             expected = float(np.abs(dec.eigenvalues).max())
             assert abs(spectral_norm(m) - expected) <= 1e-10 * dim * (1 + expected)
 
@@ -244,7 +243,7 @@ class TestSpectralProjection:
 
     def test_full_spectrum_gives_identity(self, rng):
         m = random_hermitian(rng, 5)
-        dec = hermitian_eigendecompose(m)
+        dec = eigendecompose(m)
         full = SpectralSet([(dec.eigenvalues.min(), dec.eigenvalues.max())])
         p = projection_onto(m, full)
         np.testing.assert_allclose(dense(p), np.eye(5), atol=1e-12)
@@ -254,7 +253,7 @@ class TestSpectralProjection:
         for _ in range(50):
             dim = int(rng.integers(2, 17))
             m = random_hermitian(rng, dim)
-            dec = hermitian_eigendecompose(m)
+            dec = eigendecompose(m)
             cut = float(np.median(dec.eigenvalues)) + 1e-3
             low = SpectralSet([(-np.inf, cut)])
             high = SpectralSet([(cut, np.inf)])

@@ -26,9 +26,15 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
   and ``verify --random`` with every theorem id for each family at dims
   3,4 and seed 0, each at ``--tol-scale`` ``TOL_SCALE``: large enough that
   some verdicts and flags differ from the same argv at scale 1;
-- ``analyze --out`` with each theorem id alone and all ids together on a
-  generated CASE_II problem saved with sigma and Sigma exchanged, so that
-  the hull-separated checks swap roles.
+- ``analyze --out`` with each theorem id alone and all ids together, and
+  ``verify FILE``, on four problems: a generated CASE_II problem saved with
+  sigma and Sigma exchanged, so that the hull-separated checks swap roles,
+  and three that exact Hermitian diagonal input never makes.  They are a
+  1+1 problem whose A and V are Hermitian only within tolerance
+  (``TOLERATED``), a generated CASE_II 3+4 problem turned by a seeded Haar
+  unitary, which ``save_problem`` writes as nests and whose blocks are
+  products, and a turned 1+1 problem at scale 1e200 (``turned_problem``),
+  whose Frobenius norms overflow;
 - ``analyze --out --theorem CASE2`` on a generated CASE_II 2+2 problem at
   ``||V|| = sqrt(2) d (1 - 1e-8)``, ``CASE2_BAND``, where CASE2's claim
   rounds to 1.0, and ``verify --random case2`` at that ratio.
@@ -47,6 +53,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +65,13 @@ OUTPUT_FLAGS = ("--out", "--report-out", "--svg")
 TOL_SCALE = "1e8"
 CASE2_BAND = 1.4142135482309595  # sqrt(2) (1 - 1e-8)
 SIDES = ("base", "change")
+# A and V each Hermitian within tolerance only, so B's entry (0,1) misses its mirror's conjugate
+# by 2.56e-10, more than B's own tolerance of 2e-10 * max|B|
+TOLERATED = {
+    "A": {"re": [[-1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.99e-10], [0.99e-10, 0.0]]},
+    "V": {"re": [[0.0, 0.3], [0.3, 0.0]], "im": [[0.0, 0.29e-10], [0.29e-10, 0.0]]},
+    "sigma": [-1.0], "Sigma": [1.0],
+}
 
 
 def written(argv: list[str]) -> list[str]:
@@ -65,12 +79,49 @@ def written(argv: list[str]) -> list[str]:
     return [value for flag, value in zip(argv, argv[1:]) if flag in OUTPUT_FLAGS]
 
 
+def turned_problem(scale: float) -> dict:
+    """The problem file of A = diag(-scale, scale) and V coupling them by 0.3 scale, each turned
+    by 0.3 rad and made exactly symmetric from its upper triangle; sigma = {-scale}."""
+    import numpy as np
+
+    c, s = math.cos(0.3), math.sin(0.3)
+    r = np.array([[c, -s], [s, c]])
+    a, v = np.diag([-scale, scale]), np.array([[0.0, 0.3 * scale], [0.3 * scale, 0.0]])
+    a, v = (np.triu(r @ m @ r.T) + np.triu(r @ m @ r.T, 1).T for m in (a, v))
+    return {"A": a.tolist(), "V": v.tolist(), "sigma": [-scale], "Sigma": [scale]}
+
+
+def haar_unitary(dim: int, seed: int):
+    """A Haar-distributed unitary: Q of a complex Gaussian's QR, its columns' phases fixed by R."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def generated(case: str, n0: int, n1: int, ratio: float, seed: int, turn: str | None):
+    """The problem of a generated input: ``random_problem_spec``'s, with sigma and Sigma
+    exchanged when ``turn`` is ``"swap"``, or A and V turned to U A U*, U V U* by
+    ``haar_unitary(n, seed)`` when it is ``"haar"``."""
+    from offdiag import Case, PerturbationProblem, random_problem, random_problem_spec
+
+    problem = random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed))
+    a, v, sigma, Sigma = problem.a, problem.v, problem.sigma, problem.Sigma
+    if turn == "swap":
+        sigma, Sigma = Sigma, sigma
+    elif turn == "haar":
+        u = haar_unitary(n0 + n1, seed)
+        a, v = (u @ m @ u.conj().T for m in (a, v))
+    return PerturbationProblem.build(a, v, sigma, Sigma, problem.tol) if turn else problem
+
+
 def sweep() -> tuple[list[list], list[list[str]]]:
     """``(inputs, argvs)``: the problems each tree writes first, then the argv it runs.
 
-    An input is ``[path, case, dim_sigma, dim_Sigma, ratio, seed, swapped]``,
-    the problem of ``random_problem_spec`` with those arguments, with sigma
-    and Sigma exchanged when ``swapped``.
+    An input is ``[path, payload]``, a problem file's JSON, or ``[path, case,
+    dim_sigma, dim_Sigma, ratio, seed, turn]``, the problem of ``generated``
+    with those arguments.
     """
     sys.path[:0] = [p for p in (ROOT, os.path.join(ROOT, "src")) if p not in sys.path]
     from offdiag import THEOREM_IDS
@@ -79,10 +130,13 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
         pool = sorted(json.load(fh)["analyze"], key=int)
     inputs = [[f"pool_{seed}.json", "CASE_II", *workloads.ANALYZE_DIMS, workloads.ANALYZE_RATIO,
-               int(seed), False] for seed in pool]
-    inputs.append(["swapped.json", "CASE_II", 3, 4, 1.2, 0, True])
-    inputs.append(["qnr_problem.json", "CASE_I", 32, 32, 0.45, 0, False])
-    inputs.append(["case2_band.json", "CASE_II", 2, 2, CASE2_BAND, 0, False])
+               int(seed), None] for seed in pool]
+    inputs.append(["swapped.json", "CASE_II", 3, 4, 1.2, 0, "swap"])
+    inputs.append(["qnr_problem.json", "CASE_I", 32, 32, 0.45, 0, None])
+    inputs.append(["case2_band.json", "CASE_II", 2, 2, CASE2_BAND, 0, None])
+    inputs.append(["tolerated.json", TOLERATED])
+    inputs.append(["haar.json", "CASE_II", 3, 4, 1.2, 0, "haar"])
+    inputs.append(["scale_1e200.json", turned_problem(1e200)])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -126,9 +180,11 @@ def sweep() -> tuple[list[list], list[list[str]]]:
         argvs.append(["verify", "--random", family, "--theorem", ",".join(THEOREM_IDS), "--trials",
                       str(workloads.VerifySmall.trials), "--ratio", str(ratio), "--dims", "3,4",
                       "--seed", "0", "--tol-scale", TOL_SCALE])
-    for k, battery in enumerate([*([t] for t in THEOREM_IDS), list(THEOREM_IDS)]):
-        argvs.append(["analyze", "swapped.json", "--out", f"swapped.analyze_{k}.json",
-                      *(arg for t in battery for arg in ("--theorem", t))])
+    for name in ("swapped", "tolerated", "haar", "scale_1e200"):
+        for k, battery in enumerate([*([t] for t in THEOREM_IDS), list(THEOREM_IDS)]):
+            argvs.append(["analyze", f"{name}.json", "--out", f"{name}.analyze_{k}.json",
+                          *(arg for t in battery for arg in ("--theorem", t))])
+        argvs.append(["verify", f"{name}.json"])
     argvs.append(["analyze", "case2_band.json", "--out", "case2_band.analyze.json",
                   "--theorem", "CASE2"])
     argvs.append(["verify", "--random", "case2", "--dims", "2,2", "--ratio", repr(CASE2_BAND),
@@ -152,19 +208,18 @@ def child() -> None:
     """
     job = json.load(sys.stdin)
     import offdiag
-    from offdiag import Case, PerturbationProblem, random_problem, random_problem_spec
     from offdiag.cli import main
     from offdiag.io import save_problem
 
     if os.path.dirname(os.path.dirname(os.path.realpath(offdiag.__file__))) != job["src"]:
         raise SystemExit(f"offdiag imported from {offdiag.__file__}, not from {job['src']}")
     paths = []
-    for path, case, n0, n1, ratio, seed, swapped in job["inputs"]:
-        problem = random_problem(random_problem_spec(Case(case), n0, n1, ratio, seed))
-        if swapped:
-            problem = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma,
-                                                problem.tol)
-        save_problem(problem, path)
+    for path, *source in job["inputs"]:
+        if len(source) == 1:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(source[0], fh)
+        else:
+            save_problem(generated(*source), path)
         paths.append(path)
     records = [{"argv": ["inputs"], "exit": 0, "stdout": "", "stderr": "",
                 "files": {p: sha256(p) for p in paths}}]
