@@ -164,8 +164,69 @@ def _memo(problem: "PerturbationProblem", key, compute):
 
 
 def _near(ends: tuple, radius: np.ndarray, is_open: bool, values: np.ndarray, tol) -> tuple:
-    """``_select`` of each row of ``values`` in the open or closed neighborhood of its ``ends``."""
+    """``_select`` of each row of ``values`` in the open or closed neighborhood of its ``ends``.
+
+    The checks on B's eigenvalues reach it through ``_region``, once per region and stack.
+    """
     return _select(values, *neighborhood_bounds(ends[0], radius, ends[1]), is_open, tol)
+
+
+def _region(stack: _Stack, name: str, ends: tuple, radius: str | None = None,
+            is_open: bool = False):
+    """B's eigenvalues against the set ``name`` of ``stack``, whose endpoints are ``ends``.
+
+    With a ``radius`` ("d", "d/2" or "delta_v") this is ``_near``'s ``(mask,
+    ambiguous, flags)`` in the open or closed neighborhood of that radius;
+    without one, the ``points_distance`` of each eigenvalue to the set.  The
+    stack's memo keeps each under its region ``(name, radius, is_open)``, so
+    the checks that look at one region share one selection: SHIFT_II and MAIN
+    the open d/2-neighborhood of sigma, SHIFT_III and CASE2 its open
+    d-neighborhood, and SHIFT_I, SHIFT_II/III and TAN_THETA the distances.
+    """
+    key = (name, radius, is_open)
+    if key not in stack.memo:
+        eigs = stack.b_eigen.eigenvalues
+        if radius is None:
+            stack.memo[key] = points_distance(eigs, *ends)
+        else:
+            width = {"d": stack.d, "d/2": stack.d / 2.0, "delta_v": stack.delta}[radius]
+            stack.memo[key] = _near(ends, width, is_open, eigs, stack.eig_tol)
+    return stack.memo[key]
+
+
+def _structure(a, v, a_eigen: EigenDecomposition, mask_sigma, norm_a, tol: Tolerances):
+    """``||V||`` of each row, once V is off-diagonal and P = E_A(sigma) commutes with A.
+
+    ``||P V P||``, ``||P-perp V P-perp||`` and ``||[A, P]|| = max(||P-perp A P||,
+    ||P A P-perp||)`` are norms of blocks in the eigenvector bases, which a diagonal
+    A's permutation bases gather.  Exact zeros decide two of the tests without a
+    norm, as ``norm_exceeds`` of a zero block is False for every bound >= 0: a
+    diagonal A (``a_eigen.order``) has zero off-diagonal blocks, so the commutator
+    test is skipped, and a row whose two diagonal blocks of V are exactly zero has
+    V = [[0, W], [W*, 0]] in that basis, so its off-diagonality test is skipped
+    and ||V|| = ||W||, a k x (n - k) SVD.  Every other row takes the n x n SVD of V.
+    """
+    norm_v = np.empty(len(a))
+    commutator_bound = tol.proj(a.shape[-1]) * norm_a
+    for rows, i_in, i_out in _mask_groups(mask_sigma, ~mask_sigma):
+        diagonal = [_blocks(a_eigen, rows, x, x, v) for x in (i_in, i_out)]
+        coupled = diagonal[0].any(axis=(1, 2)) | diagonal[1].any(axis=(1, 2))
+        if not coupled.all():
+            picks = rows[~coupled], i_in[~coupled], i_out[~coupled]
+            norm_v[picks[0]] = spectral_norm(_blocks(a_eigen, *picks, v))
+        if coupled.any():
+            norm_v[rows[coupled]] = spectral_norm(v[rows[coupled]])
+            off = tol.offdiag * norm_v[rows[coupled]]
+            if any(norm_exceeds(block[coupled], off).any() for block in diagonal):
+                raise ValidationError(
+                    "V is not off-diagonal with respect to the sigma/Sigma splitting"
+                )
+        if a_eigen.order is None and any(
+            norm_exceeds(_blocks(a_eigen, rows, x, y, a), commutator_bound[rows]).any()
+            for x, y in ((i_out, i_in), (i_in, i_out))
+        ):
+            raise ValidationError("spectral projection does not commute with A")
+    return norm_v
 
 
 def _row_of(read) -> property:
@@ -240,54 +301,32 @@ class PerturbationProblem:
         values = a_eigen.eigenvalues
         norm_a = np.abs(values).max(axis=-1)
         eig_tol = tol.eig(values)
-        (mask_sigma, _, near_sigma), (mask_Sigma, _, near_Sigma) = (
-            locate_points(values, *part, False, eig_tol) for part in ends
-        )
-        outside = ~(mask_sigma | mask_Sigma)
-        if outside.any():
-            x = float(values[outside][0])
-            raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
-        # an open set holds what its closure holds, except within eig_tol of an endpoint,
-        # where an eigenvalue of A would be silently dropped from both sets
-        on_end = near_sigma | near_Sigma
-        if is_open and on_end.any():
-            x = float(values[on_end][0])
-            raise ValidationError(
-                f"eigenvalue {x!r} of A is AMBIGUOUS: within the placement tolerance of an "
-                "open endpoint of sigma or Sigma"
-            )
-        if np.any(mask_sigma & mask_Sigma):
-            raise ValidationError("an eigenvalue of A is claimed by both components")
-        if not (mask_sigma.any(axis=-1) & mask_Sigma.any(axis=-1)).all():
-            raise ValidationError("both components must contain spectrum of A")
-
-        # ||P V P||, ||P-perp V P-perp|| and ||[A, P]|| = max(||P-perp A P||, ||P A P-perp||)
-        # on the blocks of the eigenvector bases, which a diagonal A's permutation bases gather;
-        # with V = 0 the blocks are exactly zero and never exceed a zero bound.  A row whose two
-        # diagonal blocks of V are exactly zero has V = [[0, W], [W*, 0]] in that basis, so
-        # ||V|| = ||W||, a k x (n - k) SVD; every other row takes the n x n SVD of V
-        norm_v = np.empty(len(a))
-        commutator_bound = tol.proj(dim) * norm_a
-        for rows, i_in, i_out in _mask_groups(mask_sigma, ~mask_sigma):
-            diagonal = [_blocks(a_eigen, rows, x, x, v) for x in (i_in, i_out)]
-            coupling_only = ~(diagonal[0].any(axis=(1, 2)) | diagonal[1].any(axis=(1, 2)))
-            if coupling_only.any():
-                picks = rows[coupling_only], i_in[coupling_only], i_out[coupling_only]
-                norm_v[picks[0]] = spectral_norm(_blocks(a_eigen, *picks, v))
-            if not coupling_only.all():
-                norm_v[rows[~coupling_only]] = spectral_norm(v[rows[~coupling_only]])
-            off = tol.offdiag * norm_v[rows]
-            if any(norm_exceeds(block, off).any() for block in diagonal):
-                raise ValidationError(
-                    "V is not off-diagonal with respect to the sigma/Sigma splitting"
-                )
-            if any(norm_exceeds(_blocks(a_eigen, rows, x, y, a), commutator_bound[rows]).any()
-                   for x, y in ((i_out, i_in), (i_in, i_out))):
-                raise ValidationError("spectral projection does not commute with A")
-
-        # B = A + V deviates from B* by at most A's and V's deviations together, and eigh
-        # reads one triangle, so only an overflow of the sum needs a check
+        # endpoints and sums near the end of the float range overflow to inf without a warning:
+        # an overflowing distance is a point outside, and d, ||V|| and A + V are checked below
         with np.errstate(over="ignore"):
+            (mask_sigma, _, near_sigma), (mask_Sigma, _, near_Sigma) = (
+                locate_points(values, *part, False, eig_tol) for part in ends
+            )
+            outside = ~(mask_sigma | mask_Sigma)
+            if outside.any():
+                x = float(values[outside][0])
+                raise ValidationError(f"eigenvalue {x!r} of A lies outside sigma union Sigma")
+            # an open set holds what its closure holds, except within eig_tol of an endpoint,
+            # where an eigenvalue of A would be silently dropped from both sets
+            on_end = near_sigma | near_Sigma
+            if is_open and on_end.any():
+                x = float(values[on_end][0])
+                raise ValidationError(
+                    f"eigenvalue {x!r} of A is AMBIGUOUS: within the placement tolerance of an "
+                    "open endpoint of sigma or Sigma"
+                )
+            if np.any(mask_sigma & mask_Sigma):
+                raise ValidationError("an eigenvalue of A is claimed by both components")
+            if not (mask_sigma.any(axis=-1) & mask_Sigma.any(axis=-1)).all():
+                raise ValidationError("both components must contain spectrum of A")
+            norm_v = _structure(a, v, a_eigen, mask_sigma, norm_a, tol)
+            # B = A + V deviates from B* by at most A's and V's deviations together, and eigh
+            # reads one triangle, so only an overflow of the sum needs a check
             b_eigen = _eigh(_finite(a + v))
         # finite input near the end of the float range may still overflow d or ||V||
         if not (d.max() < math.inf and norm_v.max() < math.inf):
@@ -363,23 +402,27 @@ def _verdict(
     ``premise_first``); ``findings`` are flagged only under the premise.
     """
     count, slack = len(scale), tol.report
-    unit = scale if dimensional else 1.0
 
     def fits(x, c):
         return x <= c + slack * np.maximum(1.0, np.abs(c))
 
-    margin, claimed, measured = (np.full(count, x) if np.ndim(x) == 0 else np.asarray(x, float)
-                                 for x in (margin, claimed, measured))
+    def per_row(x: np.ndarray) -> list:  # a column's entries, a scalar standing for every row
+        return x.tolist() if x.ndim else [x.item()] * count
+
+    margin, claimed, measured = (np.asarray(x, float) for x in (margin, claimed, measured))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        met = _premise_met(margin, scale if margin_dimensional else 1.0, tol) | (not premise)
-        fit = np.asarray(exact, bool) & fits(measured / unit, claimed / unit)
+        met = (_premise_met(margin, scale if margin_dimensional else 1.0, tol) if premise
+               else np.bool_(True))
+        # x / 1.0 is x, so a scale-free pair is compared as it is
+        fit = fits(measured / scale, claimed / scale) if dimensional else fits(measured, claimed)
+        fit = fit & exact
         for x, c in bounds:
             fit = fit & fits(x, c)
-    names, columns = list(witnesses), [np.asarray(x) for x in witnesses.values()]
+    names = list(witnesses)
     values = zip(*(x.tolist() if x.dtype == object else np.asarray(x, float).tolist()
-                   for x in columns)) if names else [()] * count
-    rows = zip(met.tolist(), fit.tolist(), margin.tolist(), claimed.tolist(), measured.tolist(),
-               values, premise or [""] * count, unmet or [()] * count, flags or [()] * count,
+                   for x in witnesses.values())) if names else [()] * count
+    rows = zip(per_row(met), per_row(fit), *map(per_row, (margin, claimed, measured)), values,
+               premise or [""] * count, unmet or [()] * count, flags or [()] * count,
                findings or [()] * count)
     reports = []
     for ok, fit_i, margin_i, claimed_i, measured_i, row, text, unmet_i, flags_i, found_i in rows:
@@ -535,9 +578,8 @@ def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
 
 def _enclosure(stack: _Stack) -> list[AnalysisReport]:
     eigs = stack.b_eigen.eigenvalues
-    excursions = np.minimum(*(
-        points_distance(eigs, *ends) for ends in (stack.sigma_ends, stack.Sigma_ends)
-    ))
+    excursions = np.minimum(_region(stack, "sigma", stack.sigma_ends),
+                            _region(stack, "Sigma", stack.Sigma_ends))
     shift, tol = stack.delta[:, None], stack.eig_tol[:, None]
     flags = [[] for _ in eigs]
     for row, i in zip(*np.nonzero((np.abs(excursions - shift) <= tol) & (shift > tol))):
@@ -571,15 +613,15 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
 
 
 def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
-    eigs, tol, d, norm_v = stack.b_eigen.eigenvalues, stack.eig_tol, stack.d, stack.norm_v
+    ends, d, norm_v = stack.sigma_ends, stack.d, stack.norm_v
     radius = d if full else d / 2.0
-    mask_open, ambiguous, flags_open = _near(stack.sigma_ends, radius, True, eigs, tol)
-    mask_closed, _, flags_closed = _near(stack.sigma_ends, stack.delta, False, eigs, tol)
+    mask_open, ambiguous, flags_open = _region(stack, "sigma", ends, "d" if full else "d/2", True)
+    mask_closed, _, flags_closed = _region(stack, "sigma", ends, "delta_v")
     # the intersection equality is only decidable away from ambiguous points
     equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1)
-    inside = np.where(mask_closed, points_distance(eigs, *stack.sigma_ends), -np.inf)
+    inside = np.where(mask_closed, _region(stack, "sigma", ends), -np.inf)
     count_inside, rank_sigma = mask_closed.sum(axis=-1), stack.sigma_mask.sum(axis=-1)
-    findings = [[] for _ in eigs]
+    findings = [[] for _ in d]
     for i in np.flatnonzero(count_inside != rank_sigma).tolist():
         findings[i].append(f"finding: {count_inside[i]} eigenvalues of B persist near sigma but "
                            f"rank E_A(sigma) = {rank_sigma[i]}")

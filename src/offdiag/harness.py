@@ -141,6 +141,11 @@ class ProblemSpec:
         return d
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, made without its argument dispatch."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def random_problem(spec: ProblemSpec) -> PerturbationProblem:
     """Deterministic problem from a spec: diagonal A, Gaussian off-diagonal V.
 
@@ -153,14 +158,12 @@ def random_problem(spec: ProblemSpec) -> PerturbationProblem:
 
 def _random_problems(specs: list[ProblemSpec], tol: Tolerances) -> list[PerturbationProblem]:
     """``random_problem`` of each of the ``specs``, all of one shape, as one stack."""
-    w = []
-    for spec in specs:
-        rng = np.random.default_rng(spec.seed)
-        shape = (spec.dim_sigma, spec.dim_Sigma)
-        w.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # W's real and imaginary parts, drawn in that order by one call per spec
+    parts = np.array([_generator(s.seed).standard_normal((2, s.dim_sigma, s.dim_Sigma))
+                      for s in specs])
     sig, Sig = np.array([s.sigma_values for s in specs]), np.array([s.Sigma_values for s in specs])
     ratio = np.array([s.target_norm_ratio for s in specs])
-    return _diagonal_problems(sig, Sig, np.stack(w), ratio, tol)
+    return _diagonal_problems(sig, Sig, parts[:, 0] + 1j * parts[:, 1], ratio, tol)
 
 
 def random_problem_spec(
@@ -179,7 +182,7 @@ def random_problem_spec(
     SUBORDINATED puts the sigma block wholly below Sigma.
     """
     case = Case(case) if not isinstance(case, Case) else case
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     total = dim_sigma + dim_Sigma
     gaps = rng.uniform(_LAYOUT_MIN_GAP, 1.0, total - 1)
     sites = np.concatenate([[0.0], np.cumsum(gaps)]) + rng.uniform(-2.0, -1.0)
@@ -204,8 +207,8 @@ def random_problem_spec(
         labels[paired:] = dim_sigma > dim_Sigma
 
     return ProblemSpec(
-        sigma_values=tuple(float(x) for x in sites[labels]),
-        Sigma_values=tuple(float(x) for x in sites[~labels]),
+        sigma_values=tuple(sites[labels].tolist()),
+        Sigma_values=tuple(sites[~labels].tolist()),
         target_norm_ratio=ratio,
         seed=int(rng.integers(0, 2**63 - 1)),
     )
@@ -216,7 +219,7 @@ def random_problem_specs(case: Case | str, dim_sigma: int, dim_Sigma: int, ratio
     """The ``trials`` specs of ``verify --random``, each seeded by one generator of ``seed``."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     return [random_problem_spec(case, dim_sigma, dim_Sigma, ratio, int(rng.integers(0, 2**63 - 1)))
             for _ in range(trials)]
 

@@ -183,22 +183,26 @@ def locate_points(x, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray
 
     Closed sets never return AMBIGUOUS: a point within ``tol`` of the set
     counts as inside.  Open sets return AMBIGUOUS within ``tol`` of an
-    endpoint.
+    endpoint.  ``tol`` must be nonnegative, as every ``Tolerances`` is.
     """
-    x = np.asarray(x, dtype=float)[..., :, None]
-    lo = np.asarray(lo, dtype=float)[..., None, :]
-    hi = np.asarray(hi, dtype=float)[..., None, :]
+    # the intervals run along the second last axis, so the reductions over them are vectorized
+    # along the points
+    x = np.asarray(x, dtype=float)[..., None, :]
+    lo = np.asarray(lo, dtype=float)[..., :, None]
+    hi = np.asarray(hi, dtype=float)[..., :, None]
     tol = np.asarray(tol, dtype=float)[..., None]
-    if lo.shape[-1] == 0:
-        outside = np.zeros(x.shape[:-1], dtype=bool)
+    if lo.shape[-2] == 0:
+        outside = np.zeros(x.shape[:-2] + x.shape[-1:], dtype=bool)
         return outside, outside.copy(), outside.copy()
-    below, above = lo - x, x - hi
-    # infinite endpoints are at infinite distance from every finite point
-    near = np.minimum(np.abs(below), np.abs(above)).min(axis=-1) <= tol
+    # how far each point lies past the nearer end of each interval, negative inside: as
+    # lo <= hi, its magnitude is the distance to the nearer end, infinite for an infinite end
+    past = np.maximum(lo - x, x - hi)
+    near = np.abs(past).min(axis=-2) <= tol
     if is_open:
-        inside = ~near & ((below < 0) & (above < 0)).any(axis=-1)
+        inside = ~near & (past < 0).any(axis=-2)
         return inside, near.copy(), near
-    inside = np.maximum(np.maximum(below, above), 0.0).min(axis=-1) <= tol
+    # with tol >= 0, clamping past at 0 would change no decision
+    inside = past.min(axis=-2) <= tol
     return inside, np.zeros_like(inside), near
 
 
@@ -210,7 +214,9 @@ def points_distance(x, lo, hi) -> np.ndarray:
 
 def _distances(lo1, hi1, lo2, hi2) -> np.ndarray:
     """Distances between the closures of unions, one per leading index: endpoints (..., m)."""
-    with np.errstate(invalid="ignore"):  # unions that reach one infinite end are NaN apart
+    # unions that reach one infinite end are NaN apart, and endpoints near the end of the
+    # float range overflow their difference to inf
+    with np.errstate(invalid="ignore", over="ignore"):
         gaps = np.maximum(lo2[..., None, :] - hi1[..., :, None],
                           lo1[..., :, None] - hi2[..., None, :])
     return np.maximum(gaps, 0.0).min(axis=(-2, -1))

@@ -26,13 +26,13 @@ from .analysis import (
     _joined,
     _max,
     _memo,
-    _near,
     _premise_met,
+    _region,
     _Stack,
     _verdict,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points, points_distance
+from .intervals import _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points
 from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
@@ -139,18 +139,23 @@ def graph_operator(
 
 def _block_norms(memos: list, a: EigenDecomposition, b: EigenDecomposition,
                  mask_a: np.ndarray, mask_b: np.ndarray) -> list[float]:
-    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of bases v mod T, once per memo.
+    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of bases and memo v mod T.
 
-    With ``a.order`` (A diagonal) a block is ``U_B[order[mask_a]][:, mask_b]``, not a product.
+    A memo keeps a block's norm under one key, the bytes of its row of both
+    masks, so a block is computed once per memo.  With ``a.order`` (A
+    diagonal) a block is ``U_B[order[mask_a]][:, mask_b]``, not a product.
     """
-    keys = [(x.tobytes(), y.tobytes()) for x, y in zip(mask_a, mask_b)]
-    todo = np.array(list({(id(memo), key): i for i, (memo, key) in enumerate(zip(memos, keys))
-                          if key not in memo}.values()), int)
-    for rows, left, right in _mask_groups(mask_a, mask_b, todo) if todo.size else ():
+    count, width = len(memos), 2 * mask_a.shape[-1]
+    pairs = np.concatenate((mask_a, mask_b), axis=-1).tobytes()
+    keys = [pairs[k : k + width] for k in range(0, len(pairs), width)]
+    slots = [(memos[v % count], key) for v, key in enumerate(keys)]
+    todo = {(v % count, key): v for v, (memo, key) in enumerate(slots) if key not in memo}
+    groups = _mask_groups(mask_a, mask_b, np.array(list(todo.values()))) if todo else ()
+    for rows, left, right in groups:
         norms = spectral_norm(_blocks(a, rows, left, right, other=b))
-        for i, norm in zip(rows.tolist(), norms.tolist()):
-            memos[i][keys[i]] = norm
-    return [memo[key] for memo, key in zip(memos, keys)]
+        for v, norm in zip(rows.tolist(), norms.tolist()):
+            memos[v % count][keys[v]] = norm
+    return [memo[key] for memo, key in slots]
 
 
 def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
@@ -163,10 +168,10 @@ def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
     so every check on a row computes each block once, whichever asks first;
     blocks of one shape share an SVD.
     """
-    count, memos, a, b = len(mask_p), stack.block_norms, stack.a_eigen, stack.b_eigen
+    count = len(mask_p)
     equal = (mask_p.sum(axis=-1) == mask_q.sum(axis=-1))[:, None]
     left, right = (np.concatenate([m, np.where(equal, m, ~m)]) for m in (mask_p, ~mask_q))
-    norms = np.array(_block_norms(memos * (2 * count // len(memos)), a, b, left, right))
+    norms = np.array(_block_norms(stack.block_norms, stack.a_eigen, stack.b_eigen, left, right))
     pq_perp, pperp_q = norms[:count], norms[count:]
     return ProjectionDifference(_max(pq_perp, pperp_q), pq_perp, pperp_q)
 
@@ -176,6 +181,7 @@ class _Sides(NamedTuple):
 
     near: tuple  # stacked (lo, hi) of that set ...
     far: tuple  # ... and of the other set
+    names: tuple  # the names of near and far in the stack's regions (analysis._region)
     mask: np.ndarray  # P's mask on A's eigenvalues
     flags: list  # per row: the flag of a swap, if the roles swap
     gap: tuple  # (lo, hi) of the largest open interval about near's hull that avoids far
@@ -200,25 +206,31 @@ def _sides(problem: PerturbationProblem) -> _Sides:
     """The ``_Sides`` of ``problem``'s stack, once per stack.
 
     The roles swap when only Sigma's hull is separated.  Every row is
-    computed, but only a hull-separated row reaches a report.
+    computed, but only a hull-separated row reaches a report.  When no row
+    swaps, the sides are sigma and Sigma themselves, so the checks share
+    their regions with those on sigma.
     """
     stack = problem._stack
     if "sides" not in stack.memo:
         # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
         pick = (stack.kind == 3)[:, None]
-        width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
-        # both sets at one width, the narrower repeating its last interval, so that rows can swap
-        (sig_lo, sig_hi), (Sig_lo, Sig_hi) = (
-            ends if ends[0].shape[-1] == width
-            else [np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge") for x in ends]
-            for ends in (stack.sigma_ends, stack.Sigma_ends)
-        )
-        near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
-        far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
+        if not pick.any():
+            near, far, names = stack.sigma_ends, stack.Sigma_ends, ("sigma", "Sigma")
+        else:
+            width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
+            # both sets at one width, the narrower repeating its last interval, so rows can swap
+            (sig_lo, sig_hi), (Sig_lo, Sig_hi) = (
+                ends if ends[0].shape[-1] == width
+                else [np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge") for x in ends]
+                for ends in (stack.sigma_ends, stack.Sigma_ends)
+            )
+            near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
+            far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
+            names = ("near", "far")
         flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in pick[:, 0]]
         gap = (np.where(far[1] < near[0][:, :1], far[1], -np.inf).max(axis=-1),
                np.where(far[0] > near[1][:, -1:], far[0], np.inf).min(axis=-1))
-        stack.memo["sides"] = _Sides(near, far, stack.sigma_mask ^ pick, flags, gap)
+        stack.memo["sides"] = _Sides(near, far, names, stack.sigma_mask ^ pick, flags, gap)
     return stack.memo["sides"]
 
 
@@ -250,9 +262,7 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
 
 def _case1(stack: _Stack) -> list[AnalysisReport]:
     d, norm_v, delta = stack.d, stack.norm_v, stack.delta
-    mask_q, _, flags = _near(
-        stack.sigma_ends, d / 2.0, True, stack.b_eigen.eigenvalues, stack.eig_tol
-    )
+    mask_q, _, flags = _region(stack, "sigma", stack.sigma_ends, "d/2", True)
     diff = _difference(stack, stack.sigma_mask, mask_q)
     with np.errstate(divide="ignore", invalid="ignore"):
         claimed = np.where(delta < d, (math.pi / 2.0) * norm_v / (d - delta), math.inf)
@@ -287,20 +297,23 @@ def _case2(stack: _Stack, sides: _Sides) -> list[AnalysisReport]:
     # sigma is the separated side: Sigma when the roles swap
     d, norm_v, delta, (lo, hi) = stack.d, stack.norm_v, stack.delta, sides.near
     wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
-    mask_q, _, flags = _near(sides.near, d, True, wb, stack.eig_tol)
-    masks_p, masks_q, flags = [sides.mask], [mask_q], [flags, sides.flags]
+    mask_q, _, flags = _region(stack, sides.names[0], sides.near, "d", True)
 
-    # corner projections for the spectrum beyond the flanks of sigma
-    inf = np.full_like(d, math.inf)
-    for c_lo, c_hi in ((-inf, lo[:, 0] - d), (hi[:, -1] + d, inf)):
-        corner = c_lo[:, None], c_hi[:, None]
-        mask_a, _, flags_a = _select(wa, *corner, False, stack.tol.eig(wa))
-        mask_b, _, flags_b = _select(wb, *corner, False, stack.eig_tol)
-        masks_p.append(mask_a)
-        masks_q.append(mask_b)
-        flags += [flags_a, flags_b]
-    diffs = _difference(stack, np.concatenate(masks_p), np.concatenate(masks_q))
-    count = len(d)
+    # corner projections for the spectrum beyond the flanks of sigma: A's eigenvalues and then
+    # B's in (-inf, inf sigma - d] and in [sup sigma + d, inf), as one stacked selection
+    count, inf = len(d), np.full_like(d, math.inf)
+    below, above = lo[:, 0] - d, hi[:, -1] + d
+    tol_a = stack.tol.eig(wa)
+    corners, _, corner_flags = _select(
+        np.concatenate([wa, wa, wb, wb]), np.concatenate([-inf, above, -inf, above])[:, None],
+        np.concatenate([below, inf, below, inf])[:, None], False,
+        np.concatenate([tol_a, tol_a, stack.eig_tol, stack.eig_tol]),
+    )
+    a_left, a_right, b_left, b_right = (corner_flags[k * count : (k + 1) * count]
+                                        for k in range(4))
+    flags = [flags, sides.flags, a_left, b_left, a_right, b_right]
+    diffs = _difference(stack, np.concatenate([sides.mask, corners[: 2 * count]]),
+                        np.concatenate([mask_q, corners[2 * count :]]))
     norm, left, right = diffs.norm.reshape(3, count)
     pperp_q = diffs.norm_pperp_q[:count]
     # CPython's x**2 is libm's pow, which differs from numpy's x * x in the last bit on some entries
@@ -396,7 +409,7 @@ def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray,
     a row's graph operator, and so its claims, exist only under its a-priori premise."""
     values, norm_v = stack.b_eigen.eigenvalues, stack.norm_v
     mask_q, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol)
-    far = points_distance(values, *sides.far)
+    far = _region(stack, sides.names[1], sides.far)
     dist = np.where(mask_q, far, np.inf).min(axis=-1)
     diff = _difference(stack, sides.mask, mask_q)
     # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it

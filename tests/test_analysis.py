@@ -284,13 +284,15 @@ class TestProblemValidation:
         (1e308, (-1.0, 1.0), "gap d and ||V|| must be finite, got 2.0, inf"),
         (0.0, (-1e308, 1e308), "gap d and ||V|| must be finite, got inf, 0.0"),
     ], ids=["norm", "distance"])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_norm_or_distance_of_finite_input_is_rejected(self, coupling, points,
                                                                       message):
-        # ||V|| = 2e308 of 2 x 2 blocks of 1e308; d = 2e308 of points at -1e308 and 1e308
+        # ||V|| = 2e308 of 2 x 2 blocks of 1e308; d = 2e308 of points at -1e308 and 1e308;
+        # neither overflow warns
         a = np.diag(np.repeat(points, 2))
         v = np.zeros((4, 4))
         v[:2, 2:] = v[2:, :2] = coupling
-        with np.errstate(over="ignore"), pytest.raises(ValidationError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             PerturbationProblem.build(a, v, *map(SpectralSet.from_points, ([x] for x in points)))
         assert str(excinfo.value) == message
 
@@ -330,6 +332,49 @@ class TestProblemValidation:
                 PerturbationProblem.build(a, v, *sets)
         else:
             PerturbationProblem.build(a, v, *sets)
+
+    @staticmethod
+    def recorded(monkeypatch, name) -> list:
+        """The positional arguments of every call that ``_build`` makes of ``analysis.name``."""
+        calls, function = [], getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *x: calls.append(x) or function(*x))
+        return calls
+
+    def test_exact_zero_rows_skip_a_test_that_a_coupled_row_still_fails(self, monkeypatch):
+        # three rows of one diagonal A: the middle row's sigma-block of V is 1e-6 ||V||, far
+        # above offdiag * ||V||, and the other two rows have exactly zero diagonal blocks
+        a = np.diag([0.0, 0.5, 2.0, 3.0]).astype(complex)
+        v = np.zeros((3, 4, 4), dtype=complex)
+        v[:, :2, 2:] = [[0.3, 0.1j], [-0.2, 0.4 - 0.1j]]
+        v[:, 2:, :2] = v[:, :2, 2:].conj().swapaxes(1, 2)
+        v[1, 0, 1] = v[1, 1, 0] = 1e-6
+        ends = [(np.stack([s.lo] * 3), np.stack([s.hi] * 3))
+                for s in (SpectralSet.from_points([0.0, 0.5]), SpectralSet.from_points([2.0, 3.0]))]
+        tested = self.recorded(monkeypatch, "norm_exceeds")
+        blocks = self.recorded(monkeypatch, "_blocks")
+        with pytest.raises(ValidationError, match="^V is not off-diagonal"):
+            PerturbationProblem._build(np.stack([a] * 3), v, *ends, False, DEFAULT_TOL)
+        # only the coupled row's sigma-block reaches the test, and every block formed is V's
+        assert [block.shape for block, _ in tested] == [(1, 2, 2)]
+        assert blocks and all(args[4] is v for args in blocks)
+
+    def test_a_diagonal_build_forms_no_block_of_a(self, monkeypatch):
+        blocks = self.recorded(monkeypatch, "_blocks")
+        tested = self.recorded(monkeypatch, "norm_exceeds")
+        for case in Case:
+            specs = [random_problem_spec(case, 3, 4, 0.8, seed) for seed in range(3)]
+            blocks.clear()
+            stack = harness._random_problems(specs, DEFAULT_TOL)[0]._stack
+            assert stack.a_eigen.order is not None
+            # V's two diagonal blocks, exactly zero on every row, and its coupling block
+            assert len(blocks) == 3 and all(args[4] is stack.v for args in blocks)
+        assert not tested
+
+    def test_a_rotated_build_forms_and_tests_both_commutator_blocks(self, rng, monkeypatch):
+        a, v = self.rotated_problem_arrays(rng)
+        blocks = self.recorded(monkeypatch, "_blocks")
+        PerturbationProblem.build(a, v, SpectralSet([(-2.0, -1.0)]), SpectralSet([(1.0, 2.0)]))
+        assert [np.array_equal(args[4], a[None]) for args in blocks] == [False] * 2 + [True] * 2
 
     def test_distance_is_recomputed(self):
         # d comes from the sets, not from any caller-supplied value

@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import json
 import math
 import pathlib
 
@@ -171,3 +172,16 @@ def test_sweep_runs_tolerated_turned_and_huge_inputs_through_every_id_and_verify
     problem = byte_identity.generated(*by_path["haar.json"])
     assert problem.a_eigen.order is None
     assert set(matrix_payload(problem.a)) == set(matrix_payload(problem.v)) == {"re", "im"}
+
+
+def test_sweep_runs_the_far_ends_problem_through_analyze_and_verify(tmp_path, capsys):
+    inputs, argvs = byte_identity.sweep()
+    assert ["far_ends.json", byte_identity.FAR_ENDS] in inputs
+    assert ["analyze", "far_ends.json", "--out", "far_ends.analyze.json"] in argvs
+    assert ["verify", "far_ends.json"] in argvs
+    # d overflows, so both argv exit 2 with that one error line
+    path = tmp_path / "far_ends.json"
+    path.write_text(json.dumps(byte_identity.FAR_ENDS))
+    for command in ("analyze", "verify"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: gap d and ||V|| must be finite, got inf, 0.0\n")

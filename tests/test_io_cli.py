@@ -356,6 +356,14 @@ class TestValidationScope:
         code, err, _, caught = analyze(payload, "overflow")
         assert (code, err, caught) == (2, "error: matrix entries must be finite\n", [])
 
+    def test_far_endpoints_print_only_the_overflow_error(self, analyze):
+        # d = 2e308 overflows to inf, as do the distances of A's eigenvalues to the far set
+        payload = {"A": [[-1e308, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
+                   "sigma": [-1e308], "Sigma": [1e308]}
+        code, err, _, caught = analyze(payload, "far")
+        assert (code, err, caught) == (
+            2, "error: gap d and ||V|| must be finite, got inf, 0.0\n", [])
+
 
 class TestToleranceValues:
     """A tolerance is finite and nonnegative; anything else is an input error (exit 2)."""

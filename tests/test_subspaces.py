@@ -23,9 +23,10 @@ from offdiag import (
     tan_theta_bound,
     verify_pair_inequality,
 )
-from offdiag import Case, PerturbationProblem, harness, subspaces
+from offdiag import Case, PerturbationProblem, analysis, harness, subspaces
 from offdiag.cli import main
 from offdiag.config import DEFAULT_TOL
+from offdiag.intervals import neighborhood_bounds
 from offdiag.io import load_problem, save_problem
 
 from conftest import (complement, dense, mapped_problem, random_close_projection,
@@ -589,3 +590,96 @@ class TestPairInequality:
             verify_pair_inequality(
                 a, a, SpectralSet.from_points([0.0]), SpectralSet.from_points([0.0])
             )
+
+
+CASE1_BATTERY = ("SHIFT_BOUNDS", "SHIFT_I", "SHIFT_II", "MAIN", "MCE")
+CASE2_BATTERY = ("SHIFT_BOUNDS", "SHIFT_I", "SHIFT_III", "CASE2", "TAN_THETA", "MCE")
+
+
+def stack_maker(case, dims, ratio, swapped=()):
+    """A maker of fresh stacks of the same four generated problems of ``case``, built by one
+    ``_build`` call, with sigma and Sigma exchanged on the rows in ``swapped``; a set narrower
+    than the widest of its rows repeats its last point."""
+    problems = [random_problem(random_problem_spec(case, *dims, ratio, seed)) for seed in range(4)]
+    sets = [(p.Sigma, p.sigma) if i in swapped else (p.sigma, p.Sigma)
+            for i, p in enumerate(problems)]
+
+    def ends(k):
+        width = max(len(pair[k].lo) for pair in sets)
+        return tuple(np.stack([np.pad(x, (0, width - len(x)), mode="edge")
+                               for x in (pair[k].lo if side == 0 else pair[k].hi for pair in sets)])
+                     for side in (0, 1))
+
+    a, v = np.stack([p.a for p in problems]), np.stack([p.v for p in problems])
+    return lambda: PerturbationProblem._build(a, v, ends(0), ends(1), False, DEFAULT_TOL)
+
+
+SHARING_STACKS = {
+    "case1-8+8": (("CASE_I", (8, 8), 0.45), CASE1_BATTERY),
+    "case1-3+4": (("CASE_I", (3, 4), 0.45), CASE1_BATTERY),
+    "case2-8+8": (("CASE_II", (8, 8), 1.2), CASE2_BATTERY),
+    "case2-3+4": (("CASE_II", (3, 4), 1.2), CASE2_BATTERY),
+    # intervals._CLASSES[3], as a CASE_II file with sigma and Sigma exchanged: the roles swap,
+    # and _sides pads the narrower set
+    "swapped-3+4": (("CASE_II", (3, 4), 1.2, range(4)), CASE2_BATTERY),
+    "half-swapped-3+4": (("CASE_II", (3, 4), 1.2, (1, 3)), CASE2_BATTERY),
+}
+
+
+def report_fields(report) -> str:
+    """Every field of ``report``, each float by its repr, so that equal means bit for bit."""
+    return json.dumps(report.as_dict())
+
+
+class TestRegionSharing:
+    """The checks on one stack share each region's selection of B's eigenvalues."""
+
+    @pytest.mark.parametrize("name", sorted(SHARING_STACKS))
+    def test_each_region_is_selected_once_per_stack(self, name, monkeypatch):
+        source, battery = SHARING_STACKS[name]
+        calls, select_rows = [], subspaces._select
+
+        def region(values, lo, hi, is_open):
+            """A selection's values and each row's distinct intervals: a repeated interval,
+            as a padded set has, does not make another region."""
+            rows = tuple(np.unique(np.stack([x, y]), axis=1).tobytes() for x, y in zip(lo, hi))
+            return values.tobytes(), rows, is_open
+
+        def recorded(values, lo, hi, is_open, tol):
+            calls.append(region(values, lo, hi, is_open))
+            return select_rows(values, lo, hi, is_open, tol)
+
+        for module in (analysis, subspaces):
+            monkeypatch.setattr(module, "_select", recorded)
+        problems = stack_maker(*source)()
+        for problem in problems:
+            for theorem in battery:
+                harness.run_theorem(problem, theorem)
+        assert calls and len(calls) == len(set(calls))
+        # SHIFT_II and MAIN share O_{d/2}(sigma); SHIFT_III and CASE2 share O_d(sigma) unless
+        # the roles swap
+        stack = problems[0]._stack
+        radius = stack.d / 2.0 if battery is CASE1_BATTERY else stack.d
+        ends = neighborhood_bounds(stack.sigma_ends[0], radius, stack.sigma_ends[1])
+        assert calls.count(region(stack.b_eigen.eigenvalues, *ends, True)) == 1
+
+    @pytest.mark.parametrize("name", sorted(SHARING_STACKS))
+    def test_reports_equal_those_of_each_check_alone(self, name):
+        source, battery = SHARING_STACKS[name]
+        make = stack_maker(*source)
+        alone = {t: [report_fields(harness.run_theorem(p, t)) for p in make()] for t in battery}
+        for order in (battery, battery[::-1]):
+            problems = make()
+            got = {t: [] for t in battery}
+            for problem in problems:
+                for theorem in order:
+                    got[theorem].append(report_fields(harness.run_theorem(problem, theorem)))
+            assert got == alone
+
+    def test_sides_are_the_stacks_own_sets_unless_a_row_swaps(self):
+        for swapped in ((), (2,)):
+            stack = stack_maker("CASE_II", (3, 4), 1.2, swapped)()[0]._stack
+            sides = subspaces._sides(PerturbationProblem(stack, 0))
+            own = sides.near is stack.sigma_ends and sides.far is stack.Sigma_ends
+            assert own == (not swapped)
+            assert sides.names == (("near", "far") if swapped else ("sigma", "Sigma"))

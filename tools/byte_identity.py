@@ -38,6 +38,8 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
 - ``analyze --out --theorem CASE2`` on a generated CASE_II 2+2 problem at
   ``||V|| = sqrt(2) d (1 - 1e-8)``, ``CASE2_BAND``, where CASE2's claim
   rounds to 1.0, and ``verify --random case2`` at that ratio.
+- ``analyze --out`` and ``verify FILE`` on ``FAR_ENDS``, a 1+1 problem
+  whose d overflows to inf, so that both exit 2 with the overflow error.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -65,6 +67,9 @@ OUTPUT_FLAGS = ("--out", "--report-out", "--svg")
 TOL_SCALE = "1e8"
 CASE2_BAND = 1.4142135482309595  # sqrt(2) (1 - 1e-8)
 SIDES = ("base", "change")
+# A's eigenvalues at the two ends of the float range, one per set: d = 2e308 overflows
+FAR_ENDS = {"A": [[-1e308, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
+            "sigma": [-1e308], "Sigma": [1e308]}
 # A and V each Hermitian within tolerance only, so B's entry (0,1) misses its mirror's conjugate
 # by 2.56e-10, more than B's own tolerance of 2e-10 * max|B|
 TOLERATED = {
@@ -137,6 +142,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     inputs.append(["tolerated.json", TOLERATED])
     inputs.append(["haar.json", "CASE_II", 3, 4, 1.2, 0, "haar"])
     inputs.append(["scale_1e200.json", turned_problem(1e200)])
+    inputs.append(["far_ends.json", FAR_ENDS])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -189,6 +195,8 @@ def sweep() -> tuple[list[list], list[list[str]]]:
                   "--theorem", "CASE2"])
     argvs.append(["verify", "--random", "case2", "--dims", "2,2", "--ratio", repr(CASE2_BAND),
                   "--trials", "40", "--seed", "0"])
+    argvs += [["analyze", "far_ends.json", "--out", "far_ends.analyze.json"],
+              ["verify", "far_ends.json"]]
     return inputs, argvs
 
 
