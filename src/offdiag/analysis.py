@@ -149,10 +149,10 @@ class _Stack:
     scale: np.ndarray  # the unit of each row's verdict slack
     tol: Tolerances
     eig_tol: np.ndarray  # placement tolerance of B's eigenvalues
-    # ||U_A[:, mask_a]* U_B[:, mask_b]|| per row, keyed by (mask_a.tobytes(), mask_b.tobytes());
-    # the subspace checks fill it, so every check on a row computes each block once
-    block_norms: list
-    memo: dict = field(default_factory=dict)  # what the checks computed for the stack, by key
+    # what the checks computed for the stack, each entry keyed by what it holds: a report list
+    # by theorem id, B's selections and distances by their sets' bytes (_region, _distance),
+    # and a block norm by its row and masks (subspaces._block_norms), so each is computed once
+    memo: dict = field(default_factory=dict)
 
 
 def _memo(problem: "PerturbationProblem", key, compute):
@@ -163,34 +163,32 @@ def _memo(problem: "PerturbationProblem", key, compute):
     return memo[key][problem._row]
 
 
-def _near(ends: tuple, radius: np.ndarray, is_open: bool, values: np.ndarray, tol) -> tuple:
-    """``_select`` of each row of ``values`` in the open or closed neighborhood of its ``ends``.
-
-    The checks on B's eigenvalues reach it through ``_region``, once per region and stack.
-    """
-    return _select(values, *neighborhood_bounds(ends[0], radius, ends[1]), is_open, tol)
-
-
-def _region(stack: _Stack, name: str, ends: tuple, radius: str | None = None,
+def _region(stack: _Stack, ends: tuple, radius: np.ndarray | None = None,
             is_open: bool = False):
-    """B's eigenvalues against the set ``name`` of ``stack``, whose endpoints are ``ends``.
+    """``_select`` of B's eigenvalues in the set of the stacked endpoints ``ends``, or near it.
 
-    With a ``radius`` ("d", "d/2" or "delta_v") this is ``_near``'s ``(mask,
-    ambiguous, flags)`` in the open or closed neighborhood of that radius;
-    without one, the ``points_distance`` of each eigenvalue to the set.  The
-    stack's memo keeps each under its region ``(name, radius, is_open)``, so
-    the checks that look at one region share one selection: SHIFT_II and MAIN
-    the open d/2-neighborhood of sigma, SHIFT_III and CASE2 its open
-    d-neighborhood, and SHIFT_I, SHIFT_II/III and TAN_THETA the distances.
+    With a ``radius`` column the region is the open or closed neighborhood
+    of that radius (``neighborhood_bounds``), else the open or closed set.
+    The stack's memo keeps each ``(mask, ambiguous, flags)`` under the bytes
+    of the ends and the radius and the openness, so the checks on one region
+    share one selection: SHIFT_II and MAIN the open d/2-neighborhood of sigma,
+    SHIFT_III and CASE2 its open d-neighborhood, TAN_THETA's calls on one
+    interval theirs.
     """
-    key = (name, radius, is_open)
+    key = (ends[0].tobytes(), ends[1].tobytes(), radius if radius is None else radius.tobytes(),
+           is_open)
     if key not in stack.memo:
-        eigs = stack.b_eigen.eigenvalues
-        if radius is None:
-            stack.memo[key] = points_distance(eigs, *ends)
-        else:
-            width = {"d": stack.d, "d/2": stack.d / 2.0, "delta_v": stack.delta}[radius]
-            stack.memo[key] = _near(ends, width, is_open, eigs, stack.eig_tol)
+        bounds = ends if radius is None else neighborhood_bounds(ends[0], radius, ends[1])
+        stack.memo[key] = _select(stack.b_eigen.eigenvalues, *bounds, is_open, stack.eig_tol)
+    return stack.memo[key]
+
+
+def _distance(stack: _Stack, ends: tuple) -> np.ndarray:
+    """``points_distance`` of B's eigenvalues to the set of ``ends``, kept under their bytes:
+    SHIFT_I, SHIFT_II/III and TAN_THETA share the distances to sigma and to Sigma."""
+    key = (ends[0].tobytes(), ends[1].tobytes())
+    if key not in stack.memo:
+        stack.memo[key] = points_distance(stack.b_eigen.eigenvalues, *ends)
     return stack.memo[key]
 
 
@@ -337,7 +335,6 @@ class PerturbationProblem:
             a=a, v=v, a_eigen=a_eigen, b_eigen=b_eigen, sigma_mask=mask_sigma, kind=kind,
             sigma_ends=sigma_ends, Sigma_ends=Sigma_ends, is_open=is_open, d=d, norm_v=norm_v,
             delta=delta, scale=scale, tol=tol, eig_tol=tol.eig(b_eigen.eigenvalues),
-            block_norms=[{} for _ in a],
         )
         return [cls(stack, row) for row in range(len(a))]
 
@@ -578,8 +575,8 @@ def spectrum_enclosure(problem: PerturbationProblem) -> AnalysisReport:
 
 def _enclosure(stack: _Stack) -> list[AnalysisReport]:
     eigs = stack.b_eigen.eigenvalues
-    excursions = np.minimum(_region(stack, "sigma", stack.sigma_ends),
-                            _region(stack, "Sigma", stack.Sigma_ends))
+    excursions = np.minimum(_distance(stack, stack.sigma_ends),
+                            _distance(stack, stack.Sigma_ends))
     shift, tol = stack.delta[:, None], stack.eig_tol[:, None]
     flags = [[] for _ in eigs]
     for row, i in zip(*np.nonzero((np.abs(excursions - shift) <= tol) & (shift > tol))):
@@ -609,23 +606,24 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
         variant = "full" if problem.case in _HULL_SEPARATED else "half"
     if variant not in ("half", "full"):
         raise ValueError(f"variant must be 'half' or 'full', got {variant!r}")
-    return _memo(problem, variant, lambda stack: _persistence(stack, variant == "full"))
+    theorem = "SHIFT_III" if variant == "full" else "SHIFT_II"
+    return _memo(problem, theorem, lambda stack: _persistence(stack, theorem))
 
 
-def _persistence(stack: _Stack, full: bool) -> list[AnalysisReport]:
-    ends, d, norm_v = stack.sigma_ends, stack.d, stack.norm_v
+def _persistence(stack: _Stack, theorem: str) -> list[AnalysisReport]:
+    ends, d, norm_v, full = stack.sigma_ends, stack.d, stack.norm_v, theorem == "SHIFT_III"
     radius = d if full else d / 2.0
-    mask_open, ambiguous, flags_open = _region(stack, "sigma", ends, "d" if full else "d/2", True)
-    mask_closed, _, flags_closed = _region(stack, "sigma", ends, "delta_v")
+    mask_open, ambiguous, flags_open = _region(stack, ends, radius, True)
+    mask_closed, _, flags_closed = _region(stack, ends, stack.delta)
     # the intersection equality is only decidable away from ambiguous points
     equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1)
-    inside = np.where(mask_closed, _region(stack, "sigma", ends), -np.inf)
+    inside = np.where(mask_closed, _distance(stack, ends), -np.inf)
     count_inside, rank_sigma = mask_closed.sum(axis=-1), stack.sigma_mask.sum(axis=-1)
     findings = [[] for _ in d]
     for i in np.flatnonzero(count_inside != rank_sigma).tolist():
         findings[i].append(f"finding: {count_inside[i]} eigenvalues of B persist near sigma but "
                            f"rank E_A(sigma) = {rank_sigma[i]}")
-    theorem, cap = ("SHIFT_III", SQRT2 * d) if full else ("SHIFT_II", SQRT3_2 * d)
+    cap = SQRT2 * d if full else SQRT3_2 * d
     separated = _HULL_KINDS[stack.kind] | (not full)
     return _verdict(
         theorem, stack.scale, stack.tol, dimensional=True, claimed=stack.delta,

@@ -22,6 +22,7 @@ from .analysis import (
     SQRT2,
     AnalysisReport,
     PerturbationProblem,
+    _distance,
     _entrywise,
     _joined,
     _max,
@@ -137,25 +138,24 @@ def graph_operator(
 # ---------------------------------------------------------------------------
 
 
-def _block_norms(memos: list, a: EigenDecomposition, b: EigenDecomposition,
+def _block_norms(memo: dict, a: EigenDecomposition, b: EigenDecomposition,
                  mask_a: np.ndarray, mask_b: np.ndarray) -> list[float]:
-    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of bases and memo v mod T.
+    """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of the bases of row v mod T.
 
-    A memo keeps a block's norm under one key, the bytes of its row of both
-    masks, so a block is computed once per memo.  With ``a.order`` (A
+    ``memo`` keeps a block's norm under v mod T and the bytes of its row of
+    both masks, so a block is computed once per memo.  With ``a.order`` (A
     diagonal) a block is ``U_B[order[mask_a]][:, mask_b]``, not a product.
     """
-    count, width = len(memos), 2 * mask_a.shape[-1]
+    count, width = len(a.eigenvectors), 2 * mask_a.shape[-1]
     pairs = np.concatenate((mask_a, mask_b), axis=-1).tobytes()
-    keys = [pairs[k : k + width] for k in range(0, len(pairs), width)]
-    slots = [(memos[v % count], key) for v, key in enumerate(keys)]
-    todo = {(v % count, key): v for v, (memo, key) in enumerate(slots) if key not in memo}
+    keys = [(v % count, pairs[k : k + width]) for v, k in enumerate(range(0, len(pairs), width))]
+    todo = {key: v for v, key in enumerate(keys) if key not in memo}
     groups = _mask_groups(mask_a, mask_b, np.array(list(todo.values()))) if todo else ()
     for rows, left, right in groups:
         norms = spectral_norm(_blocks(a, rows, left, right, other=b))
         for v, norm in zip(rows.tolist(), norms.tolist()):
-            memos[v % count][keys[v]] = norm
-    return [memo[key] for memo, key in slots]
+            memo[keys[v]] = norm
+    return [memo[key] for key in keys]
 
 
 def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
@@ -164,14 +164,14 @@ def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
     Mask row v belongs to stack row v mod T.  The blocks are (mask_p, ~mask_q),
     for ``||P Q_perp||``, and (~mask_p, mask_q), for ``||P_perp Q||``; where the
     masks have equal rank both norms are the sine of the largest principal angle,
-    and the first block stands for both.  Blocks are entries of their row's memo,
+    and the first block stands for both.  Blocks are entries of the stack's memo,
     so every check on a row computes each block once, whichever asks first;
     blocks of one shape share an SVD.
     """
     count = len(mask_p)
     equal = (mask_p.sum(axis=-1) == mask_q.sum(axis=-1))[:, None]
     left, right = (np.concatenate([m, np.where(equal, m, ~m)]) for m in (mask_p, ~mask_q))
-    norms = np.array(_block_norms(stack.block_norms, stack.a_eigen, stack.b_eigen, left, right))
+    norms = np.array(_block_norms(stack.memo, stack.a_eigen, stack.b_eigen, left, right))
     pq_perp, pperp_q = norms[:count], norms[count:]
     return ProjectionDifference(_max(pq_perp, pperp_q), pq_perp, pperp_q)
 
@@ -181,7 +181,6 @@ class _Sides(NamedTuple):
 
     near: tuple  # stacked (lo, hi) of that set ...
     far: tuple  # ... and of the other set
-    names: tuple  # the names of near and far in the stack's regions (analysis._region)
     mask: np.ndarray  # P's mask on A's eigenvalues
     flags: list  # per row: the flag of a swap, if the roles swap
     gap: tuple  # (lo, hi) of the largest open interval about near's hull that avoids far
@@ -202,20 +201,19 @@ def _no_hull(problem: PerturbationProblem) -> str:
             f"disjoint from the other ({problem.classification.detail})")
 
 
-def _sides(problem: PerturbationProblem) -> _Sides:
-    """The ``_Sides`` of ``problem``'s stack, once per stack.
+def _sides(stack: _Stack) -> _Sides:
+    """The ``_Sides`` of ``stack``, once per stack.
 
     The roles swap when only Sigma's hull is separated.  Every row is
     computed, but only a hull-separated row reaches a report.  When no row
     swaps, the sides are sigma and Sigma themselves, so the checks share
     their regions with those on sigma.
     """
-    stack = problem._stack
     if "sides" not in stack.memo:
         # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
         pick = (stack.kind == 3)[:, None]
         if not pick.any():
-            near, far, names = stack.sigma_ends, stack.Sigma_ends, ("sigma", "Sigma")
+            near, far = stack.sigma_ends, stack.Sigma_ends
         else:
             width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
             # both sets at one width, the narrower repeating its last interval, so rows can swap
@@ -226,11 +224,10 @@ def _sides(problem: PerturbationProblem) -> _Sides:
             )
             near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
             far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
-            names = ("near", "far")
         flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in pick[:, 0]]
         gap = (np.where(far[1] < near[0][:, :1], far[1], -np.inf).max(axis=-1),
                np.where(far[0] > near[1][:, -1:], far[0], np.inf).min(axis=-1))
-        stack.memo["sides"] = _Sides(near, far, names, stack.sigma_mask ^ pick, flags, gap)
+        stack.memo["sides"] = _Sides(near, far, stack.sigma_mask ^ pick, flags, gap)
     return stack.memo["sides"]
 
 
@@ -242,7 +239,7 @@ def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:
     """
     if why := _no_hull(problem):
         raise ValueError(why)
-    lo, hi = _sides(problem).gap
+    lo, hi = _sides(problem._stack).gap
     return float(lo[problem._row]), float(hi[problem._row])
 
 
@@ -262,7 +259,7 @@ def bound_case1(problem: PerturbationProblem) -> AnalysisReport:
 
 def _case1(stack: _Stack) -> list[AnalysisReport]:
     d, norm_v, delta = stack.d, stack.norm_v, stack.delta
-    mask_q, _, flags = _region(stack, "sigma", stack.sigma_ends, "d/2", True)
+    mask_q, _, flags = _region(stack, stack.sigma_ends, stack.d / 2.0, True)
     diff = _difference(stack, stack.sigma_mask, mask_q)
     with np.errstate(divide="ignore", invalid="ignore"):
         claimed = np.where(delta < d, (math.pi / 2.0) * norm_v / (d - delta), math.inf)
@@ -289,15 +286,15 @@ def bound_case2(problem: PerturbationProblem) -> AnalysisReport:
     """
     if why := _no_hull(problem):
         return _wrong_case(problem, "CASE2", why)
-    sides = _sides(problem)
-    return _memo(problem, "CASE2", lambda stack: _case2(stack, sides))
+    return _memo(problem, "CASE2", _case2)
 
 
-def _case2(stack: _Stack, sides: _Sides) -> list[AnalysisReport]:
+def _case2(stack: _Stack) -> list[AnalysisReport]:
     # sigma is the separated side: Sigma when the roles swap
+    sides = _sides(stack)
     d, norm_v, delta, (lo, hi) = stack.d, stack.norm_v, stack.delta, sides.near
     wa, wb = stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues
-    mask_q, _, flags = _region(stack, sides.names[0], sides.near, "d", True)
+    mask_q, _, flags = _region(stack, sides.near, d, True)
 
     # corner projections for the spectrum beyond the flanks of sigma: A's eigenvalues and then
     # B's in (-inf, inf sigma - d] and in [sup sigma + d, inf), as one stacked selection
@@ -351,11 +348,12 @@ def bound_subordinated(problem: PerturbationProblem) -> AnalysisReport:
 def _subordinated(stack: _Stack) -> list[AnalysisReport]:
     (sig_lo, sig_hi), (Sig_lo, Sig_hi) = stack.sigma_ends, stack.Sigma_ends
     inf_sig, sup_sig, inf_Sig, sup_Sig = sig_lo[:, 0], sig_hi[:, -1], Sig_lo[:, 0], Sig_hi[:, -1]
-    below = sup_sig < inf_Sig
+    # sup sigma < inf Sigma: rule 0 of intervals._classify, the first of the two subordinations
+    below = stack.kind == 0
     half_line = np.where(below, -np.inf, inf_sig), np.where(below, sup_sig, np.inf)
     gap = np.where(below, sup_sig, sup_Sig), np.where(below, inf_Sig, inf_sig)
     (mask_q, _, flags), (mask_gap, _, gap_flags) = (
-        _select(stack.b_eigen.eigenvalues, lo[:, None], hi[:, None], is_open, stack.eig_tol)
+        _region(stack, (lo[:, None], hi[:, None]), is_open=is_open)
         for (lo, hi), is_open in ((half_line, False), (gap, True))
     )
     d, norm_v = stack.d, stack.norm_v
@@ -388,29 +386,28 @@ def tan_theta_bound(
     """
     if why := _no_hull(problem):
         return _wrong_case(problem, "TAN_THETA", why)
-    sides, row = _sides(problem), problem._row
     if interval is None:
-        return _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, sides, *sides.gap))
+        return _memo(problem, "TAN_THETA", lambda stack: _tan_theta(stack, *_sides(stack).gap))
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
-    for s_lo, s_hi in zip(sides.far[0][row].tolist(), sides.far[1][row].tolist()):
+    far, row = _sides(problem._stack).far, problem._row
+    for s_lo, s_hi in zip(far[0][row].tolist(), far[1][row].tolist()):
         if s_lo < hi and s_hi > lo:
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
-    count = len(problem._stack.d)
-    return _tan_theta(problem._stack, sides, np.full(count, lo), np.full(count, hi))[row]
+    # kept under the interval's bytes, so -0.0 and 0.0, which format apart, are two entries
+    ends = np.full((2, len(problem._stack.d)), [[lo], [hi]])
+    return _memo(problem, ("TAN_THETA", ends.tobytes()), lambda stack: _tan_theta(stack, *ends))
 
 
-def _tan_theta(stack: _Stack, sides: _Sides, lo: np.ndarray,
-               hi: np.ndarray) -> list[AnalysisReport]:
+def _tan_theta(stack: _Stack, lo: np.ndarray, hi: np.ndarray) -> list[AnalysisReport]:
     """TAN_THETA's reports of the stack's rows, row v on the open interval (lo[v], hi[v]);
     a row's graph operator, and so its claims, exist only under its a-priori premise."""
-    values, norm_v = stack.b_eigen.eigenvalues, stack.norm_v
-    mask_q, _, flags = _select(values, lo[:, None], hi[:, None], True, stack.eig_tol)
-    far = _region(stack, sides.names[1], sides.far)
-    dist = np.where(mask_q, far, np.inf).min(axis=-1)
+    sides, norm_v = _sides(stack), stack.norm_v
+    mask_q, _, flags = _region(stack, (lo[:, None], hi[:, None]), is_open=True)
+    dist = np.where(mask_q, _distance(stack, sides.far), np.inf).min(axis=-1)
     diff = _difference(stack, sides.mask, mask_q)
     # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
     margin = 1.0 - diff.norm
@@ -459,7 +456,7 @@ def verify_pair_inequality(
     mask_a = locate_points(values, *sigma.bounds, sigma.is_open, tol.eig(values))[0]
     kind = _classify(sigma.bounds, delta_set.bounds)[None]
     return _pair_inequality(dec_a, _eigh(b[None]), mask_a, (*delta_set.bounds, delta_set.is_open),
-                            np.array([dist]), kind, np.array([spectral_norm(a - b)]), [{}], tol)[0]
+                            np.array([dist]), kind, np.array([spectral_norm(a - b)]), {}, tol)[0]
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
@@ -480,21 +477,21 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
     def reports(stack: _Stack) -> list[AnalysisReport]:
         return _pair_inequality(stack.a_eigen, stack.b_eigen, stack.sigma_mask,
                                 (*stack.Sigma_ends, stack.is_open), stack.d, stack.kind,
-                                stack.norm_v, stack.block_norms, stack.tol)
+                                stack.norm_v, stack.memo, stack.tol)
 
     return _memo(problem, "MCE", reports)
 
 
-def _pair_inequality(dec_a, dec_b, mask_a, deltas, dist, kind, diff_norm, memos,
+def _pair_inequality(dec_a, dec_b, mask_a, deltas, dist, kind, diff_norm, memo,
                      tol) -> list[AnalysisReport]:
     """MCE's reports on the decompositions of stacks A, B (T, n, n), E_A(sigma)'s mask and
     Delta's stacked bounds, with the columns dist(sigma, Delta), the ``_classify`` index of
-    (sigma, Delta) and ||A - B||, and a block-norm memo per row."""
+    (sigma, Delta) and ||A - B||, and the memo of their block norms."""
     values = dec_b.eigenvalues
     # the selection's boundary events reach no report, so they are not formatted as flags
     mask_b = locate_points(values, *deltas, tol.eig(values))[0]
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    norms = np.array(_block_norms(memos, dec_a, dec_b, mask_a, mask_b))
+    norms = np.array(_block_norms(memo, dec_a, dec_b, mask_a, mask_b))
     hull_separated = _HULL_KINDS[kind]
     pi_half = (math.pi / 2.0) * diff_norm
     return _verdict(

@@ -357,10 +357,8 @@ class TestGatheredBlocks:
         # each mask row at its own density, empty and full picks among them
         mask_a, mask_b = rng.random((2, count, dim)) < rng.random((2, count, 1))
         mask_a[0], mask_b[1] = False, True
-        gathered = subspaces._block_norms([{} for _ in range(count)], a, b, mask_a, mask_b)
-        multiplied = subspaces._block_norms(
-            [{} for _ in range(count)], withheld(a), b, mask_a, mask_b
-        )
+        gathered = subspaces._block_norms({}, a, b, mask_a, mask_b)
+        multiplied = subspaces._block_norms({}, withheld(a), b, mask_a, mask_b)
         assert np.array(gathered).tobytes() == np.array(multiplied).tobytes()
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_STACKS))
@@ -468,8 +466,8 @@ class TestEqualRankRule:
         stack = generated_stack("CASE_II", dims, 1.2)()
         if rotate:
             stack.a_eigen = withheld(stack.a_eigen)
-        a, b, memos = stack.a_eigen, stack.b_eigen, stack.block_norms
-        count, dim = 4 * len(memos), a.eigenvalues.shape[-1]
+        a, b, rows = stack.a_eigen, stack.b_eigen, len(stack.d)
+        count, dim = 4 * rows, a.eigenvalues.shape[-1]
         equal = np.arange(count) % 2 == 0
         mask_p, mask_q = rank_masks(np.random.default_rng(dim + rotate), count, dim, equal)
         formed, form = [], subspaces._blocks
@@ -484,22 +482,22 @@ class TestEqualRankRule:
         got = subspaces._difference(stack, mask_p, mask_q)
 
         def picks(v, x, y):
-            return v % len(memos), np.nonzero(x)[0].tobytes(), np.nonzero(y)[0].tobytes()
+            return v % rows, np.nonzero(x)[0].tobytes(), np.nonzero(y)[0].tobytes()
 
         want = {picks(v, p, ~q) for v, (p, q) in enumerate(zip(mask_p, mask_q))}
         want |= {picks(v, ~mask_p[v], mask_q[v]) for v in np.nonzero(~equal)[0]}
         assert len(formed) == len(set(formed)) and set(formed) == want
         # the memo holds the formed blocks alone: a skipped block is never entered
-        assert sum(len(memo) for memo in memos) == len(want)
+        assert len(stack.memo) == len(want)
 
         def fresh(x, y):
-            return subspaces._block_norms([{} for _ in x], a, b, x, y)
+            return subspaces._block_norms({}, a, b, x, y)
 
         pq_perp, pperp_q = fresh(mask_p, ~mask_q), fresh(~mask_p, mask_q)
         # one ProjectionDifference of columns, a row per mask pair
         assert all(x.shape == (count,) for x in got)
         for v, diff in enumerate(zip(*(x.tolist() for x in got))):
-            i = v % len(memos)
+            i = v % rows
             p, q = (projection_from_eigenvectors(EigenDecomposition(e.eigenvalues[i],
                                                                     e.eigenvectors[i]), m[v])
                     for e, m in ((a, mask_p), (b, mask_q)))

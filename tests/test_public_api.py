@@ -14,6 +14,11 @@ not count.  Tests do not count either: a name that only tests call is a
 second way to do a job the package does another way.  ``cli.cmd_*`` are
 exempt, since ``main`` dispatches them by name.  Sources are parsed, not
 imported.
+
+Private code must be used too: every module-level private function and
+class of ``src/offdiag`` is named or read as an attribute somewhere in
+``src/offdiag`` outside its own body, and every name that a module imports
+is read in it or listed in its ``__all__``.
 """
 
 import ast
@@ -140,3 +145,55 @@ def test_guard_catches_a_member_whose_name_is_used_otherwise():
     assert unused({"m": module}, "`fill`, `Box.inf`, `Box.matrix`, `Box.grow` and `Box`") == [
         "m.Box.width", "m.Box.size",
     ]
+
+
+def unused_private(sources):
+    """The module-level private functions and classes of ``sources`` (module -> text) that
+    no module uses outside their own body, and every name a module imports but never reads
+    nor lists in ``__all__``, as ``module.name``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        found_names, found_attributes = referenced(tree)
+        names.update(found_names)
+        attributes.update(found_attributes)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                own_names, own_attributes = referenced(node)
+                uses = (names[node.name] - own_names[node.name]
+                        + attributes[node.name] - own_attributes[node.name])
+                if uses <= 0:
+                    found.append(f"{module}.{node.name}")
+        read, _ = referenced(tree)
+        exported = {element.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for element in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if not read[bound] and bound not in exported:
+                        found.append(f"{module}.{bound}")
+    return found
+
+
+def test_every_private_name_and_import_is_used():
+    assert unused_private({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def test_guard_catches_a_leftover_helper_and_an_unused_import():
+    module = (
+        "from __future__ import annotations\n"
+        "import math\nimport numpy as np\nfrom .ops import _select, _blocks as gather\n\n"
+        "def _near(x):\n    return _near(x - 1) if x else _select(x)\n\n"
+        "def _region(x):\n    return np.sqrt(x)\n\n"
+        "class _Sides:\n    pass\n"
+    )
+    other = "from .m import _region, _Sides\n__all__ = ['_Sides']\n\n_region(1.0)\n"
+    # recursion is no use, a name exported in __all__ is one, and an alias is the name it binds
+    assert unused_private({"m": module, "n": other}) == ["m._near", "m._Sides", "m.math",
+                                                         "m.gather"]

@@ -43,7 +43,7 @@ def haar_unitary(rng, dim):
 def selection(problem):
     """TAN_THETA's mask_q: B's eigenvalues in the open maximal gap interval, as it selects them."""
     stack = problem._stack
-    lo, hi = (x[:, None] for x in subspaces._sides(problem).gap)
+    lo, hi = (x[:, None] for x in subspaces._sides(stack).gap)
     return _select(stack.b_eigen.eigenvalues, lo, hi, True, stack.eig_tol)[0][problem._row]
 
 
@@ -53,7 +53,7 @@ def riccati_errors(problem):
     report = tan_theta_bound(problem)
     if not report.premise_satisfied or report.witnesses["rank_q"] != report.witnesses["rank_p"]:
         return None
-    mask_q, p = selection(problem), subspaces._sides(problem).mask[problem._row]
+    mask_q, p = selection(problem), subspaces._sides(problem._stack).mask[problem._row]
     assert mask_q.sum() == report.witnesses["rank_q"]
     u_a, u_b = problem.a_eigen.eigenvectors, problem.b_eigen.eigenvectors
     y = u_a.conj().T @ u_b[:, mask_q]

@@ -342,7 +342,7 @@ class TestTanTheta:
         assert reports[0] == reports[1] and reports[0].premise_satisfied
         # P and Q have equal rank, so ||P_perp Q|| = ||P Q_perp||: that one block, formed once;
         # graph_operator is handed ||P - Q||
-        mask_p = subspaces._sides(p).mask[p._row]
+        mask_p = subspaces._sides(p._stack).mask[p._row]
         region = SpectralSet([(-1.0, 1.0)], is_open=True)
         mask_q = select(p.b_eigen.eigenvalues, region, p.tol.eig(p.b_eigen.eigenvalues))[0]
         # A is diagonal, so each block is the rows of U_B that A's eigenvectors pick
@@ -679,7 +679,58 @@ class TestRegionSharing:
     def test_sides_are_the_stacks_own_sets_unless_a_row_swaps(self):
         for swapped in ((), (2,)):
             stack = stack_maker("CASE_II", (3, 4), 1.2, swapped)()[0]._stack
-            sides = subspaces._sides(PerturbationProblem(stack, 0))
+            sides = subspaces._sides(stack)
             own = sides.near is stack.sigma_ends and sides.far is stack.Sigma_ends
             assert own == (not swapped)
-            assert sides.names == (("near", "far") if swapped else ("sigma", "Sigma"))
+
+    def test_a_given_maximal_interval_reuses_the_default_selection(self, monkeypatch):
+        calls, select_rows = [], analysis._select
+
+        def recorded(values, lo, hi, is_open, tol):
+            calls.append((lo.tobytes(), hi.tobytes(), is_open))
+            return select_rows(values, lo, hi, is_open, tol)
+
+        for module in (analysis, subspaces):
+            monkeypatch.setattr(module, "_select", recorded)
+        p = random_problem(random_problem_spec("CASE_II", 3, 4, 1.2, 0))
+        assert len(p._stack.d) == 1
+        default = tan_theta_bound(p)
+        interval = maximal_gap_interval(p)
+        given = tan_theta_bound(p, interval)
+        assert report_fields(given) == report_fields(default)
+        assert calls.count((np.array(interval[:1]).tobytes(), np.array(interval[1:]).tobytes(),
+                            True)) == 1
+
+    def test_a_given_interval_is_checked_once_per_problem(self, monkeypatch):
+        calls, operator = [], subspaces.graph_operator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return operator(*args, **kwargs)
+
+        monkeypatch.setattr(subspaces, "graph_operator", counted)
+        p = builtin_example("CASE2", scale=0.9)
+        first, second = (tan_theta_bound(p, (-1.0, 1.0)) for _ in range(2))
+        assert len(calls) == 1
+        assert first.premise_satisfied and first is second
+
+    def test_signed_zeros_and_openness_are_separate_entries(self, monkeypatch):
+        calls, check = [], subspaces._tan_theta
+
+        def counted(stack, lo, hi):
+            calls.append((lo.tobytes(), hi.tobytes()))
+            return check(stack, lo, hi)
+
+        monkeypatch.setattr(subspaces, "_tan_theta", counted)
+        p = builtin_example("CASE2", scale=0.9)
+        stack = p._stack
+        for lo in (-0.0, 0.0, -0.0, 0.0):
+            tan_theta_bound(p, (lo, 0.5))
+        assert len(calls) == len(set(calls)) == 2
+        entries = len(stack.memo)
+        regions = [(np.array([[lo]]), np.array([[0.5]])) for lo in (-0.0, 0.0)]
+        for ends in regions:
+            for is_open in (False, True):
+                analysis._region(stack, ends, is_open=is_open)
+        # the open entries on (+-0.0, 0.5) are TAN_THETA's; the closed ones are new
+        assert len(stack.memo) == entries + 2
