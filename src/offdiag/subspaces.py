@@ -397,9 +397,8 @@ def tan_theta_bound(
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
-    # kept under the interval's bytes, so -0.0 and 0.0, which format apart, are two entries
     ends = np.full((2, len(problem._stack.d)), [[lo], [hi]])
-    return _memo(problem, ("TAN_THETA", ends.tobytes()), lambda stack: _tan_theta(stack, *ends))
+    return _tan_theta(problem._stack, *ends)[row]
 
 
 def _tan_theta(stack: _Stack, lo: np.ndarray, hi: np.ndarray) -> list[AnalysisReport]:

@@ -701,36 +701,13 @@ class TestRegionSharing:
         assert calls.count((np.array(interval[:1]).tobytes(), np.array(interval[1:]).tobytes(),
                             True)) == 1
 
-    def test_a_given_interval_is_checked_once_per_problem(self, monkeypatch):
-        calls, operator = [], subspaces.graph_operator
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return operator(*args, **kwargs)
-
-        monkeypatch.setattr(subspaces, "graph_operator", counted)
-        p = builtin_example("CASE2", scale=0.9)
-        first, second = (tan_theta_bound(p, (-1.0, 1.0)) for _ in range(2))
-        assert len(calls) == 1
-        assert first.premise_satisfied and first is second
-
-    def test_signed_zeros_and_openness_are_separate_entries(self, monkeypatch):
-        calls, check = [], subspaces._tan_theta
-
-        def counted(stack, lo, hi):
-            calls.append((lo.tobytes(), hi.tobytes()))
-            return check(stack, lo, hi)
-
-        monkeypatch.setattr(subspaces, "_tan_theta", counted)
-        p = builtin_example("CASE2", scale=0.9)
-        stack = p._stack
-        for lo in (-0.0, 0.0, -0.0, 0.0):
-            tan_theta_bound(p, (lo, 0.5))
-        assert len(calls) == len(set(calls)) == 2
+    def test_signed_zeros_and_openness_are_separate_entries(self):
+        stack = builtin_example("CASE2", scale=0.9)._stack
         entries = len(stack.memo)
         regions = [(np.array([[lo]]), np.array([[0.5]])) for lo in (-0.0, 0.0)]
-        for ends in regions:
-            for is_open in (False, True):
-                analysis._region(stack, ends, is_open=is_open)
-        # the open entries on (+-0.0, 0.5) are TAN_THETA's; the closed ones are new
-        assert len(stack.memo) == entries + 2
+        for _ in range(2):
+            for ends in regions:
+                for is_open in (False, True):
+                    analysis._region(stack, ends, is_open=is_open)
+            # two signs of zero, each open and closed; asking again adds none
+            assert len(stack.memo) == entries + 4
