@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,8 +172,8 @@ def _region(stack: _Stack, ends: tuple, radius: np.ndarray | None = None,
     The stack's memo keeps each ``(mask, ambiguous, flags)`` under the bytes
     of the ends and the radius and the openness, so the checks on one region
     share one selection: SHIFT_II and MAIN the open d/2-neighborhood of sigma,
-    SHIFT_III and CASE2 its open d-neighborhood, TAN_THETA's calls on one
-    interval theirs.
+    SHIFT_III and CASE2 the open d-neighborhood of the separated side
+    (``_sides``), TAN_THETA's calls on one interval theirs.
     """
     key = (ends[0].tobytes(), ends[1].tobytes(), radius if radius is None else radius.tobytes(),
            is_open)
@@ -181,6 +181,45 @@ def _region(stack: _Stack, ends: tuple, radius: np.ndarray | None = None,
         bounds = ends if radius is None else neighborhood_bounds(ends[0], radius, ends[1])
         stack.memo[key] = _select(stack.b_eigen.eigenvalues, *bounds, is_open, stack.eig_tol)
     return stack.memo[key]
+
+
+class _Sides(NamedTuple):
+    """A stack's rows with sigma renamed to the set whose convex hull is separated."""
+
+    near: tuple  # stacked (lo, hi) of that set ...
+    far: tuple  # ... and of the other set
+    mask: np.ndarray  # P's mask on A's eigenvalues
+    flags: list  # per row: the flag of a swap, if the roles swap
+    gap: tuple  # (lo, hi) of the largest open interval about near's hull that avoids far
+
+
+def _sides(stack: _Stack) -> _Sides:
+    """The ``_Sides`` of ``stack``, once per stack: the one rule of which component is separated.
+
+    The roles swap when only Sigma's hull is separated.  Every row is
+    computed, but only a hull-separated row reaches a report.  When no row
+    swaps, the sides are sigma and Sigma themselves, so the checks share
+    their distances with those on sigma and Sigma.
+    """
+    if "sides" not in stack.memo:
+        # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
+        pick = (stack.kind == 3)[:, None]
+        if not pick.any():
+            near, far = stack.sigma_ends, stack.Sigma_ends
+        else:
+            width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
+            # both sets at one width, the narrower repeating its last interval, so rows can swap
+            (sig_lo, sig_hi), (Sig_lo, Sig_hi) = (
+                [np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge") for x in ends]
+                for ends in (stack.sigma_ends, stack.Sigma_ends)
+            )
+            near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
+            far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
+        flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in pick[:, 0]]
+        gap = (np.where(far[1] < near[0][:, :1], far[1], -np.inf).max(axis=-1),
+               np.where(far[0] > near[1][:, -1:], far[0], np.inf).min(axis=-1))
+        stack.memo["sides"] = _Sides(near, far, stack.sigma_mask ^ pick, flags, gap)
+    return stack.memo["sides"]
 
 
 def _distance(stack: _Stack, ends: tuple) -> np.ndarray:
@@ -554,8 +593,11 @@ def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
                     np.where(part, wa, -np.inf).max(axis=-1))
     )
     inf_a, sup_a, inf_b, sup_b = wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)
-    ends = (a0_inf, a0_sup, a1_inf, a1_sup, stack.norm_v)
-    dl, dr = np.array(list(map(delta_v_directional, *(x.tolist() for x in ends)))).T
+    with np.errstate(over="ignore"):  # a gap past the float range is inf, and its shift NaN
+        dl = _entrywise(_half_angle_shift, stack.norm_v, np.abs(a1_inf - a0_inf))
+        dr = _entrywise(_half_angle_shift, stack.norm_v, np.abs(a1_sup - a0_sup))
+    for i in np.flatnonzero(np.isnan(dl + dr))[:1].tolist():  # raise delta_v_directional's error
+        delta_v_directional(*(x[i].item() for x in (a0_inf, a0_sup, a1_inf, a1_sup, stack.norm_v)))
     violation = _max((inf_a - dl) - inf_b, inf_b - inf_a, sup_a - sup_b, sup_b - (sup_a + dr))
     return _verdict(
         "SHIFT_BOUNDS", stack.scale, stack.tol, measured=violation, claimed=0.0, dimensional=True,
@@ -592,13 +634,13 @@ def _enclosure(stack: _Stack) -> list[AnalysisReport]:
 def gap_persistence(problem: PerturbationProblem, variant: str | None = None) -> AnalysisReport:
     """The spectrum of B near sigma stays separated from the rest.
 
-    variant "half" checks the open d/2-neighborhood under ||V|| < sqrt(3)/2 d
-    (any case); variant "full" checks the open d-neighborhood under
-    ||V|| < sqrt(2) d and hull separation.  Default picks "full" when the
-    hull of sigma is separated from Sigma, else "half".
+    variant "half" checks the open d/2-neighborhood under ||V|| < sqrt(3)/2 d (any case);
+    variant "full" checks the open d-neighborhood of the component whose hull is separated,
+    sigma or (a swap it flags) Sigma, under ||V|| < sqrt(2) d.  Default picks "full" when a
+    component's hull is separated from the other, else "half".
 
     Asserts that spec(B) inside the open neighborhood equals spec(B) in the
-    closed delta_V-neighborhood of sigma and is nonempty.  The eigenvalue
+    closed delta_V-neighborhood of that component and is nonempty.  The eigenvalue
     count inside (vs rank of the sigma-projection of A) is recorded as a
     witness; a mismatch is flagged as a finding, not a failure.
     """
@@ -611,14 +653,17 @@ def gap_persistence(problem: PerturbationProblem, variant: str | None = None) ->
 
 
 def _persistence(stack: _Stack, theorem: str) -> list[AnalysisReport]:
-    ends, d, norm_v, full = stack.sigma_ends, stack.d, stack.norm_v, theorem == "SHIFT_III"
+    d, norm_v, full = stack.d, stack.norm_v, theorem == "SHIFT_III"
+    # SHIFT_III checks the side whose hull is separated, Sigma where the roles swap; SHIFT_II sigma
+    ends, mask_a, swapped = ((sides := _sides(stack)).near, sides.mask, sides.flags) if full else (
+        stack.sigma_ends, stack.sigma_mask, [[] for _ in d])
     radius = d if full else d / 2.0
     mask_open, ambiguous, flags_open = _region(stack, ends, radius, True)
     mask_closed, _, flags_closed = _region(stack, ends, stack.delta)
     # the intersection equality is only decidable away from ambiguous points
     equality = ((mask_open == mask_closed) | ambiguous).all(axis=-1)
     inside = np.where(mask_closed, _distance(stack, ends), -np.inf)
-    count_inside, rank_sigma = mask_closed.sum(axis=-1), stack.sigma_mask.sum(axis=-1)
+    count_inside, rank_sigma = mask_closed.sum(axis=-1), mask_a.sum(axis=-1)
     findings = [[] for _ in d]
     for i in np.flatnonzero(count_inside != rank_sigma).tolist():
         findings[i].append(f"finding: {count_inside[i]} eigenvalues of B persist near sigma but "
@@ -637,6 +682,6 @@ def _persistence(stack: _Stack, theorem: str) -> list[AnalysisReport]:
         witnesses={"norm_v": norm_v, "d": d, "delta_v": stack.delta, "radius": radius,
                    "inside_open_count": mask_open.sum(axis=-1), "inside_closed_count": count_inside,
                    "rank_sigma": rank_sigma, "intersection_equality": equality},
-        flags=_joined(flags_open, flags_closed),
+        flags=_joined(flags_open, flags_closed, swapped),
         findings=findings,
     )

@@ -29,6 +29,7 @@ from .analysis import (
     _memo,
     _premise_met,
     _region,
+    _sides,
     _Stack,
     _verdict,
 )
@@ -176,16 +177,6 @@ def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
     return ProjectionDifference(_max(pq_perp, pperp_q), pq_perp, pperp_q)
 
 
-class _Sides(NamedTuple):
-    """A stack's rows with sigma renamed to the set whose convex hull is separated."""
-
-    near: tuple  # stacked (lo, hi) of that set ...
-    far: tuple  # ... and of the other set
-    mask: np.ndarray  # P's mask on A's eigenvalues
-    flags: list  # per row: the flag of a swap, if the roles swap
-    gap: tuple  # (lo, hi) of the largest open interval about near's hull that avoids far
-
-
 def _wrong_case(problem: PerturbationProblem, theorem: str, why: str) -> AnalysisReport:
     """``theorem``'s report on a problem outside its case, a premise unmet for ``why``."""
     return _verdict(theorem, np.array([problem.scale]), problem.tol, measured=math.nan,
@@ -199,36 +190,6 @@ def _no_hull(problem: PerturbationProblem) -> str:
         return ""
     return ("hull separation required: neither component's convex hull is "
             f"disjoint from the other ({problem.classification.detail})")
-
-
-def _sides(stack: _Stack) -> _Sides:
-    """The ``_Sides`` of ``stack``, once per stack.
-
-    The roles swap when only Sigma's hull is separated.  Every row is
-    computed, but only a hull-separated row reaches a report.  When no row
-    swaps, the sides are sigma and Sigma themselves, so the checks share
-    their regions with those on sigma.
-    """
-    if "sides" not in stack.memo:
-        # the roles swap on the rows of intervals._CLASSES[3]: only Sigma's hull is separated
-        pick = (stack.kind == 3)[:, None]
-        if not pick.any():
-            near, far = stack.sigma_ends, stack.Sigma_ends
-        else:
-            width = max(x.shape[-1] for x, _ in (stack.sigma_ends, stack.Sigma_ends))
-            # both sets at one width, the narrower repeating its last interval, so rows can swap
-            (sig_lo, sig_hi), (Sig_lo, Sig_hi) = (
-                ends if ends[0].shape[-1] == width
-                else [np.pad(x, ((0, 0), (0, width - x.shape[-1])), mode="edge") for x in ends]
-                for ends in (stack.sigma_ends, stack.Sigma_ends)
-            )
-            near = np.where(pick, Sig_lo, sig_lo), np.where(pick, Sig_hi, sig_hi)
-            far = np.where(pick, sig_lo, Sig_lo), np.where(pick, sig_hi, Sig_hi)
-        flags = [["roles swapped: the separated hull is Sigma's"] if x else [] for x in pick[:, 0]]
-        gap = (np.where(far[1] < near[0][:, :1], far[1], -np.inf).max(axis=-1),
-               np.where(far[0] > near[1][:, -1:], far[0], np.inf).min(axis=-1))
-        stack.memo["sides"] = _Sides(near, far, stack.sigma_mask ^ pick, flags, gap)
-    return stack.memo["sides"]
 
 
 def maximal_gap_interval(problem: PerturbationProblem) -> tuple[float, float]:

@@ -530,6 +530,25 @@ class TestShiftBounds:
             r = shift_bounds(random_problem(spec))
             assert r.holds, (spec, r)
 
+    @pytest.mark.parametrize("case", list(Case))
+    def test_directional_shifts_are_delta_v_directional_of_each_row(self, case):
+        # the check computes its shifts as columns; each row's equal the function's bit for bit
+        for ratio in (0.0, 0.3, 1.2, 1e6):
+            specs = [random_problem_spec(case, 3, 4, ratio, seed) for seed in range(4)]
+            for p in harness._random_problems(specs, DEFAULT_TOL):
+                a0, a1 = (p.a_eigen.eigenvalues[m].tolist() for m in (p.sigma_mask, ~p.sigma_mask))
+                want = delta_v_directional(min(a0), max(a0), min(a1), max(a1), p.norm_v)
+                got = shift_bounds(p).witnesses
+                assert (got["delta_left"], got["delta_right"]) == want
+
+    def test_a_gap_past_the_float_range_raises_the_overflow(self):
+        # |inf Sigma - inf sigma| = 3.45e308 overflows, though d and ||V|| are finite
+        a = np.diag([-1.7e308, 1.7e308, 1.75e308])
+        p = PerturbationProblem.build(a, np.zeros((3, 3)), SpectralSet([-1.7e308, 1.7e308]),
+                                      SpectralSet([1.75e308]))
+        with pytest.raises(ValueError, match="^the shift overflows: {'a0_inf': -1.7e"):
+            shift_bounds(p)
+
 
 class TestSpectrumEnclosure:
     def test_case1_boundary_attained(self):

@@ -9,9 +9,16 @@ import pathlib
 
 import numpy as np
 
-from offdiag import THEOREM_IDS, Case, PerturbationProblem, random_problem, random_problem_spec
+from offdiag import (
+    THEOREM_IDS,
+    Case,
+    PerturbationProblem,
+    builtin_example,
+    random_problem,
+    random_problem_spec,
+)
 from offdiag.cli import main
-from offdiag.io import matrix_payload, parse_matrix
+from offdiag.io import load_problem, matrix_payload, parse_matrix
 
 PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 spec = importlib.util.spec_from_file_location("byte_identity", PATH)
@@ -185,3 +192,16 @@ def test_sweep_runs_the_far_ends_problem_through_analyze_and_verify(tmp_path, ca
     for command in ("analyze", "verify"):
         assert main([command, str(path)]) == 2
         assert capsys.readouterr() == ("", "error: gap d and ||V|| must be finite, got inf, 0.0\n")
+
+
+def test_sweep_runs_the_role_swapped_case2_example_through_analyze_and_verify(tmp_path):
+    inputs, argvs = byte_identity.sweep()
+    assert ["case2_swapped.json", byte_identity.CASE2_SWAPPED] in inputs
+    assert ["analyze", "case2_swapped.json", "--out", "case2_swapped.analyze.json"] in argvs
+    assert ["verify", "case2_swapped.json"] in argvs
+    # it is the CASE2 example at scale 0.5 with sigma and Sigma exchanged
+    path = tmp_path / "case2_swapped.json"
+    path.write_text(json.dumps(byte_identity.CASE2_SWAPPED))
+    problem, example = load_problem(path), builtin_example("CASE2", 0.5)
+    assert np.array_equal(problem.a, example.a) and np.array_equal(problem.v, example.v)
+    assert (problem.sigma, problem.Sigma) == (example.Sigma, example.sigma)

@@ -723,6 +723,26 @@ class TestExitCodes:
         assert exit_code_for([ok, vacuous]) == 0
         assert exit_code_for([ok, bad]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_the_role_swapped_case2_example_exits_0(self, command, tmp_path, capsys):
+        # the CASE2 example at scale 0.5 with sigma and Sigma exchanged: only Sigma's hull is
+        # separated, and SHIFT_III checks Sigma's d-neighbourhood, as CASE2 does; checking
+        # sigma's, it reported a violation and the command exited 1
+        path = tmp_path / "case2_swapped.json"
+        path.write_text(json.dumps({
+            "A": {"diag": [-1.0, 0.0, 1.0]},
+            "V": [[0.0, 0.7071067811865476, 0.0], [0.7071067811865476, 0.0, 0.0],
+                  [0.0, 0.0, 0.0]],
+            "sigma": [-1.0, 1.0], "Sigma": [0.0],
+        }))
+        assert main([command, str(path)]) == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1:5] for line in out.splitlines()
+                if line.split()[:1] in (["SHIFT_III"], ["CASE2"])}
+        assert rows["SHIFT_III"][0] == rows["CASE2"][0] == "yes"
+        assert rows["SHIFT_III"][3] == rows["CASE2"][3] == "ok"
+        assert "SHIFT_III: roles swapped: the separated hull is Sigma's" in out
+
 
 # whether numpy saw a negative seed once depended on --trials: one search trial draws nothing
 NEGATIVE_SEEDS = [

@@ -7,7 +7,8 @@ theorem that applies must keep its premise verdict, its verdict and its
 number of flags, and its measured value must move by round-off only, after
 dividing by s when the value carries the problem's unit.  Some theorems are
 also symmetric in the two components, so they must not notice sigma and
-Sigma trading places.
+Sigma trading places, and those that need a separated convex hull check the
+component whose hull it is, so they notice the trade only by a flag.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from offdiag import (
     random_problem_spec,
     run_theorem,
 )
+from offdiag.intervals import _CLASSES
 
 from conftest import mapped_problem, random_unitary
 
@@ -111,12 +113,56 @@ SWAP_SYMMETRIC = ("SHIFT_BOUNDS", "SHIFT_I", "SUBORDINATED")
 def test_symmetric_verdicts_survive_swapping_sigma_and_Sigma(problem):
     """SHIFT_BOUNDS, SHIFT_I and SUBORDINATED read sigma and Sigma symmetrically.
 
-    The other six are left out.  CASE2 and TAN_THETA add a "roles swapped"
-    flag on one of the two problems, so their flag counts differ by one.
-    SHIFT_II, SHIFT_III and MAIN look at B's spectrum in neighbourhoods of
-    sigma, which the swap moves to Sigma.
+    The other six are left out.  SHIFT_III, CASE2 and TAN_THETA add a
+    "roles swapped" flag on one of the two problems, so their flag counts
+    differ by one; the next test covers them.  SHIFT_II and MAIN look at B's
+    spectrum in neighbourhoods of sigma, which the swap moves to Sigma.
     """
     swapped = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma)
     assert_same_reports(
         applicable_reports(swapped, SWAP_SYMMETRIC), applicable_reports(problem, SWAP_SYMMETRIC)
     )
+
+
+HULL_SEPARATED = ("SHIFT_III", "CASE2", "TAN_THETA")
+SWAPPED = "roles swapped: the separated hull is Sigma's"
+
+
+@st.composite
+def case2_problems(draw):
+    """The built-in CASE2 example at a drawn scale, or a seeded CASE_II problem."""
+    if draw(st.booleans()):
+        return builtin_example("CASE2", draw(st.sampled_from((0.5, 0.99, 1.0, 1.2))))
+    spec = random_problem_spec(
+        Case.CASE_II,
+        draw(st.integers(1, 3)),
+        draw(st.integers(2, 5)),
+        draw(st.floats(0.05, 2.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return random_problem(spec)
+
+
+# the CASE2 example at 0.5 with sigma and Sigma exchanged reported SHIFT_III VIOLATED, as
+# SHIFT_III then checked sigma, whose hull is not the separated one
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(problem=case2_problems())
+@example(problem=builtin_example("CASE2", 0.5))
+def test_hull_separated_verdicts_survive_swapping_sigma_and_Sigma(problem):
+    """SHIFT_III, CASE2 and TAN_THETA check the component whose convex hull is separated.
+
+    On a CASE_II problem that is sigma (``intervals._CLASSES[2]``); with
+    sigma and Sigma exchanged it is Sigma (``_CLASSES[3]``), and the roles
+    swap.  So each keeps its premise, verdict and measured value bit for bit
+    and gains exactly one flag, that the roles swapped.
+    """
+    swapped = PerturbationProblem.build(problem.a, problem.v, problem.Sigma, problem.sigma)
+    assert (problem.classification, swapped.classification) == (_CLASSES[2], _CLASSES[3])
+    want, got = (applicable_reports(p, HULL_SEPARATED) for p in (problem, swapped))
+    assert list(got) == list(want) == list(HULL_SEPARATED)
+    for theorem, w in want.items():
+        g = got[theorem]
+        assert (g.premise_satisfied, g.holds, g.measured_value.hex()) == (
+            w.premise_satisfied, w.holds, w.measured_value.hex()), (theorem, g.flags, w.flags)
+        assert SWAPPED not in w.flags and g.flags.count(SWAPPED) == 1, theorem
+        assert [f for f in g.flags if f != SWAPPED] == list(w.flags), theorem

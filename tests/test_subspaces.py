@@ -656,12 +656,17 @@ class TestRegionSharing:
             for theorem in battery:
                 harness.run_theorem(problem, theorem)
         assert calls and len(calls) == len(set(calls))
-        # SHIFT_II and MAIN share O_{d/2}(sigma); SHIFT_III and CASE2 share O_d(sigma) unless
-        # the roles swap
+        # SHIFT_II and MAIN share O_{d/2}(sigma); SHIFT_III and CASE2 share O_d of the side whose
+        # hull is separated, Sigma on the rows where the roles swap, and select no other O_d
         stack = problems[0]._stack
-        radius = stack.d / 2.0 if battery is CASE1_BATTERY else stack.d
-        ends = neighborhood_bounds(stack.sigma_ends[0], radius, stack.sigma_ends[1])
-        assert calls.count(region(stack.b_eigen.eigenvalues, *ends, True)) == 1
+        if battery is CASE1_BATTERY:
+            side, radius = stack.sigma_ends, stack.d / 2.0
+        else:
+            side, radius = analysis._sides(stack).near, stack.d
+        shared, of_sigma = (region(stack.b_eigen.eigenvalues, *neighborhood_bounds(lo, radius, hi),
+                                   True) for lo, hi in (side, stack.sigma_ends))
+        assert calls.count(shared) == 1
+        assert calls.count(of_sigma) == (of_sigma == shared)
 
     @pytest.mark.parametrize("name", sorted(SHARING_STACKS))
     def test_reports_equal_those_of_each_check_alone(self, name):

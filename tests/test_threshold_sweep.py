@@ -10,9 +10,13 @@ between about 1.5e-9 and 1e-8.  So the sweep puts generated problems at
 relative offsets of 1e-3 to 1e-14 on both sides of each threshold, and runs
 the ratio-free checks from ||V|| = d to 1e8 d.  Each theorem, case and
 dims is one ``batch_verify`` stack, and no row whose premise holds may be
-reported violated.
+reported violated.  CASE_II problems also run with sigma and Sigma exchanged
+("swapped"), so that only Sigma's hull is separated and the hull-separated
+checks swap roles; SHIFT_III and CASE2 then also run at ratios from 0.02 up
+to their threshold.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,30 +33,44 @@ RATIOS = np.geomspace(1.0, 1e8, 9).tolist()
 DIMS = [(2, 2), (3, 5), (8, 8)]
 SEEDS = range(4)
 
+# (theorem, case, threshold, swap)
 THRESHOLDS = [
-    ("MAIN", Case.CASE_I, C_PI),
-    ("SHIFT_II", Case.CASE_I, SQRT3_2),
-    ("SHIFT_III", Case.CASE_II, SQRT2),
-    ("CASE2", Case.CASE_II, SQRT2),
-    ("CASE2", Case.SUBORDINATED, SQRT2),
+    ("MAIN", Case.CASE_I, C_PI, False),
+    ("SHIFT_II", Case.CASE_I, SQRT3_2, False),
+    ("SHIFT_III", Case.CASE_II, SQRT2, False),
+    ("CASE2", Case.CASE_II, SQRT2, False),
+    ("CASE2", Case.SUBORDINATED, SQRT2, False),
+    ("SHIFT_III", Case.CASE_II, SQRT2, True),
+    ("CASE2", Case.CASE_II, SQRT2, True),
 ]
-# B's placement tolerance reaches the gap d from ||V|| / d of about 3e9 at dims 3+5, where
-# SUBORDINATED flags AMBIGUOUS eigenvalues and still reports a violation; the sweep stops at 1e8
+# (theorem, case, swap): B's placement tolerance reaches the gap d from ||V|| / d of about 3e9
+# at dims 3+5, where SUBORDINATED flags AMBIGUOUS eigenvalues and still reports a violation; the
+# sweep stops at 1e8
 EXTREMES = [
-    *(("SHIFT_BOUNDS", case) for case in Case),
-    *(("SHIFT_I", case) for case in Case),
-    ("TAN_THETA", Case.CASE_II),
-    ("TAN_THETA", Case.SUBORDINATED),
-    ("SUBORDINATED", Case.SUBORDINATED),
+    *(("SHIFT_BOUNDS", case, False) for case in Case),
+    *(("SHIFT_I", case, False) for case in Case),
+    ("TAN_THETA", Case.CASE_II, False),
+    ("TAN_THETA", Case.SUBORDINATED, False),
+    ("SUBORDINATED", Case.SUBORDINATED, False),
+    *((theorem, Case.CASE_II, True) for theorem in ("SHIFT_BOUNDS", "SHIFT_I", "TAN_THETA")),
 ]
+ROLES_SWAPPED = "roles swapped: the separated hull is Sigma's"
 
 
-def swept(theorem, case, ratios):
-    """``(dims, ratio, seed, report)`` of ``theorem`` on each generated problem, a stack per dims."""
+def case_id(theorem, case, swap):
+    return f"{theorem}-{case.value}" + ("-swapped" if swap else "")
+
+
+def swept(theorem, case, ratios, swap=False):
+    """``(dims, ratio, seed, report)`` of ``theorem`` on each generated problem, a stack per dims;
+    with ``swap``, each problem's layout has sigma and Sigma exchanged."""
     rows = []
     for dims in DIMS:
         keys = [(ratio, seed) for ratio in ratios for seed in SEEDS]
         specs = [random_problem_spec(case, *dims, ratio, seed) for ratio, seed in keys]
+        if swap:
+            specs = [dataclasses.replace(s, sigma_values=s.Sigma_values,
+                                         Sigma_values=s.sigma_values) for s in specs]
         rows += [(dims, *key, report) for key, report in zip(keys, batch_verify(specs, [theorem]))]
     return rows
 
@@ -62,11 +80,12 @@ def violations(rows):
             for dims, ratio, seed, report in rows if report.premise_satisfied and not report.holds]
 
 
-@pytest.mark.parametrize("theorem, case, threshold", THRESHOLDS,
-                         ids=[f"{t}-{c.value}" for t, c, _ in THRESHOLDS])
-def test_no_premise_satisfied_violation_at_the_threshold(theorem, case, threshold):
-    rows = swept(theorem, case, [threshold * (1.0 + offset) for offset in OFFSETS])
+@pytest.mark.parametrize("theorem, case, threshold, swap", THRESHOLDS,
+                         ids=[case_id(t, c, swap) for t, c, _, swap in THRESHOLDS])
+def test_no_premise_satisfied_violation_at_the_threshold(theorem, case, threshold, swap):
+    rows = swept(theorem, case, [threshold * (1.0 + offset) for offset in OFFSETS], swap)
     assert len(rows) == len(DIMS) * len(OFFSETS) * len(SEEDS)
+    assert all((ROLES_SWAPPED in report.flags) == swap for *_, report in rows)
     assert violations(rows) == []
     # the premise holds a relative 1e-3 below the threshold and never above it
     assert all(report.premise_satisfied for _, ratio, _, report in rows
@@ -94,8 +113,17 @@ def test_the_command_line_exits_0_in_the_case2_band(tmp_path, capsys):
     assert (premise, claimed, holds) == ("yes", "1", "ok")
 
 
-@pytest.mark.parametrize("theorem, case", EXTREMES, ids=[f"{t}-{c.value}" for t, c in EXTREMES])
-def test_no_premise_satisfied_violation_up_to_ratio_1e8(theorem, case):
-    rows = swept(theorem, case, RATIOS)
+@pytest.mark.parametrize("theorem, case, swap", EXTREMES, ids=[case_id(*x) for x in EXTREMES])
+def test_no_premise_satisfied_violation_up_to_ratio_1e8(theorem, case, swap):
+    rows = swept(theorem, case, RATIOS, swap)
     assert violations(rows) == []
     assert any(report.premise_satisfied for *_, report in rows)
+
+
+# SHIFT_III once checked sigma here, whose hull is not the separated one: 47 of these 300 rows
+# were premise-satisfied violations
+@pytest.mark.parametrize("theorem", ["SHIFT_III", "CASE2"])
+def test_no_premise_satisfied_violation_below_the_threshold_with_the_roles_swapped(theorem):
+    rows = swept(theorem, Case.CASE_II, np.linspace(0.02, 1.4, 25).tolist(), swap=True)
+    assert all(report.premise_satisfied for *_, report in rows)
+    assert violations(rows) == []

@@ -40,6 +40,10 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
   rounds to 1.0, and ``verify --random case2`` at that ratio.
 - ``analyze --out`` and ``verify FILE`` on ``FAR_ENDS``, a 1+1 problem
   whose d overflows to inf, so that both exit 2 with the overflow error.
+- ``analyze --out`` with the default battery and ``verify FILE`` on
+  ``CASE2_SWAPPED``, the CASE2 example at scale 0.5 with sigma and Sigma
+  exchanged, where SHIFT_III, like CASE2, checks Sigma, the component whose
+  hull is separated.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -70,6 +74,11 @@ SIDES = ("base", "change")
 # A's eigenvalues at the two ends of the float range, one per set: d = 2e308 overflows
 FAR_ENDS = {"A": [[-1e308, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
             "sigma": [-1e308], "Sigma": [1e308]}
+# the CASE2 example at scale 0.5 with sigma and Sigma exchanged: only Sigma's hull is separated
+CASE2_SWAPPED = {"A": {"diag": [-1.0, 0.0, 1.0]},
+                 "V": [[0.0, 0.7071067811865476, 0.0], [0.7071067811865476, 0.0, 0.0],
+                       [0.0, 0.0, 0.0]],
+                 "sigma": [-1.0, 1.0], "Sigma": [0.0]}
 # A and V each Hermitian within tolerance only, so B's entry (0,1) misses its mirror's conjugate
 # by 2.56e-10, more than B's own tolerance of 2e-10 * max|B|
 TOLERATED = {
@@ -143,6 +152,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     inputs.append(["haar.json", "CASE_II", 3, 4, 1.2, 0, "haar"])
     inputs.append(["scale_1e200.json", turned_problem(1e200)])
     inputs.append(["far_ends.json", FAR_ENDS])
+    inputs.append(["case2_swapped.json", CASE2_SWAPPED])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -197,6 +207,8 @@ def sweep() -> tuple[list[list], list[list[str]]]:
                   "--trials", "40", "--seed", "0"])
     argvs += [["analyze", "far_ends.json", "--out", "far_ends.analyze.json"],
               ["verify", "far_ends.json"]]
+    argvs += [["analyze", "case2_swapped.json", "--out", "case2_swapped.analyze.json"],
+              ["verify", "case2_swapped.json"]]
     return inputs, argvs
 
 
