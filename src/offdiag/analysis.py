@@ -593,11 +593,8 @@ def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
                     np.where(part, wa, -np.inf).max(axis=-1))
     )
     inf_a, sup_a, inf_b, sup_b = wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)
-    with np.errstate(over="ignore"):  # a gap past the float range is inf, and its shift NaN
-        dl = _entrywise(_half_angle_shift, stack.norm_v, np.abs(a1_inf - a0_inf))
-        dr = _entrywise(_half_angle_shift, stack.norm_v, np.abs(a1_sup - a0_sup))
-    for i in np.flatnonzero(np.isnan(dl + dr))[:1].tolist():  # raise delta_v_directional's error
-        delta_v_directional(*(x[i].item() for x in (a0_inf, a0_sup, a1_inf, a1_sup, stack.norm_v)))
+    ends = (a0_inf, a0_sup, a1_inf, a1_sup, stack.norm_v)
+    dl, dr = np.array(list(map(delta_v_directional, *(x.tolist() for x in ends)))).T
     violation = _max((inf_a - dl) - inf_b, inf_b - inf_a, sup_a - sup_b, sup_b - (sup_a + dr))
     return _verdict(
         "SHIFT_BOUNDS", stack.scale, stack.tol, measured=violation, claimed=0.0, dimensional=True,
@@ -666,8 +663,9 @@ def _persistence(stack: _Stack, theorem: str) -> list[AnalysisReport]:
     count_inside, rank_sigma = mask_closed.sum(axis=-1), mask_a.sum(axis=-1)
     findings = [[] for _ in d]
     for i in np.flatnonzero(count_inside != rank_sigma).tolist():
-        findings[i].append(f"finding: {count_inside[i]} eigenvalues of B persist near sigma but "
-                           f"rank E_A(sigma) = {rank_sigma[i]}")
+        name = "Sigma" if swapped[i] else "sigma"
+        findings[i].append(f"finding: {count_inside[i]} eigenvalues of B persist near {name} but "
+                           f"rank E_A({name}) = {rank_sigma[i]}")
     cap = SQRT2 * d if full else SQRT3_2 * d
     separated = _HULL_KINDS[stack.kind] | (not full)
     return _verdict(

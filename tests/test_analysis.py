@@ -25,7 +25,7 @@ from offdiag import (
     two_by_two_extremes,
 )
 from offdiag import analysis, harness, operators, subspaces
-from offdiag.config import DEFAULT_TOL
+from offdiag.config import DEFAULT_TOL, Tolerances
 from offdiag.operators import _select, projection_from_eigenvectors
 
 from conftest import mapped_problem, random_hermitian, random_unitary, select
@@ -530,17 +530,6 @@ class TestShiftBounds:
             r = shift_bounds(random_problem(spec))
             assert r.holds, (spec, r)
 
-    @pytest.mark.parametrize("case", list(Case))
-    def test_directional_shifts_are_delta_v_directional_of_each_row(self, case):
-        # the check computes its shifts as columns; each row's equal the function's bit for bit
-        for ratio in (0.0, 0.3, 1.2, 1e6):
-            specs = [random_problem_spec(case, 3, 4, ratio, seed) for seed in range(4)]
-            for p in harness._random_problems(specs, DEFAULT_TOL):
-                a0, a1 = (p.a_eigen.eigenvalues[m].tolist() for m in (p.sigma_mask, ~p.sigma_mask))
-                want = delta_v_directional(min(a0), max(a0), min(a1), max(a1), p.norm_v)
-                got = shift_bounds(p).witnesses
-                assert (got["delta_left"], got["delta_right"]) == want
-
     def test_a_gap_past_the_float_range_raises_the_overflow(self):
         # |inf Sigma - inf sigma| = 3.45e308 overflows, though d and ||V|| are finite
         a = np.diag([-1.7e308, 1.7e308, 1.75e308])
@@ -607,6 +596,20 @@ class TestGapPersistence:
         r = gap_persistence(builtin_example("CASE1", scale=0.5), variant="full")
         assert not r.premise_satisfied
         assert any("hull" in f for f in r.flags)
+
+    @pytest.mark.parametrize("sigma, Sigma, name", [([0.0], [-1.0, 1.0], "sigma"),
+                                                    ([-1.0, 1.0], [0.0], "Sigma")])
+    def test_a_count_finding_names_the_separated_component(self, sigma, Sigma, name):
+        # the CASE2 example at scale 0.5, as given and with the roles swapped; a placement
+        # tolerance of 0.2 per eigenvalue counts B's eigenvalue 1 inside [-0.37, 0.37]
+        v = np.zeros((3, 3))
+        v[0, 1] = v[1, 0] = math.sqrt(0.5)
+        p = PerturbationProblem.build(np.diag([-1.0, 0.0, 1.0]), v, SpectralSet(sigma),
+                                      SpectralSet(Sigma), Tolerances(eig_scale=0.2))
+        r = gap_persistence(p, variant="full")
+        assert r.premise_satisfied
+        assert [f for f in r.flags if f.startswith("finding")] == [
+            f"finding: 2 eigenvalues of B persist near {name} but rank E_A({name}) = 1"]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant must be 'half' or 'full', got 'x'"):
