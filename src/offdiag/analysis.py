@@ -159,7 +159,8 @@ def _memo(problem: "PerturbationProblem", key, compute):
     """``problem``'s entry of ``compute(stack)``, computed for its whole stack once per ``key``."""
     memo = problem._stack.memo
     if key not in memo:
-        memo[key] = compute(problem._stack)
+        with np.errstate(over="ignore"):  # an endpoint +- a radius past the float range is +-inf
+            memo[key] = compute(problem._stack)
     return memo[key][problem._row]
 
 
@@ -365,9 +366,12 @@ class PerturbationProblem:
             # B = A + V deviates from B* by at most A's and V's deviations together, and eigh
             # reads one triangle, so only an overflow of the sum needs a check
             b_eigen = _eigh(_finite(a + v))
-        # finite input near the end of the float range may still overflow d or ||V||
+            spread = values[:, -1] - values[:, 0]
+        # finite input near the end of the float range may still overflow d, ||V|| or the spread
         if not (d.max() < math.inf and norm_v.max() < math.inf):
             raise ValidationError(f"gap d and ||V|| must be finite, got {d.max()}, {norm_v.max()}")
+        if not spread.max() < math.inf:
+            raise ValidationError(f"the spread of A's eigenvalues must be finite, got {spread.max()}")
         scale = np.maximum(np.maximum(norm_a, norm_v), d)
         delta = _entrywise(_half_angle_shift, norm_v, d)
         stack = _Stack(

@@ -236,7 +236,7 @@ class SearchResult:
     trials: int
     c: float
     neighborhood: str
-    evaluations: int
+    evaluations: int  # candidate moves, 1 + 2 sweeps P per trial: not the rows scored
 
 
 # Trials are scored in chunks of at most this many, so memory stays bounded for any trial count.
@@ -332,10 +332,10 @@ def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: b
     ``x`` is updated in place.  Each step moves one coordinate of every
     trial by + and then - its own step and keeps a move where it improves
     that trial; a trial's step halves after a sweep without improvement.
-    The last coordinate, s, stays in [0.01, 1].  Both moves are scored from
-    the same x in one stacked call; where the + move was kept, the - move is
-    redone from the new x and scored again, unless it lands back on the old
-    x, whose value the + move beat.
+    The last coordinate, s, stays in [0.01, 1].  Each step is one stacked
+    call: both moves from the same x, and the - move redone from the + move
+    where it lands off the old x's bits, taken where the + move is kept.  No
+    row's score depends on another's: the trajectory is one move at a time.
     """
     value = _score(x, dims, c, half, tol)
     step = np.full(len(value), 0.25)
@@ -343,23 +343,19 @@ def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: b
     for _ in range(sweeps):
         improved = np.zeros(len(value), dtype=bool)
         for k in range(x.shape[1]):
-            origin = x[:, k].copy()
             plus, minus = _moved(x, k, step, last), _moved(x, k, -step, last)
-            up, down = np.split(_score(np.concatenate([plus, minus]), dims, c, half, tol), 2)
+            back = _moved(plus, k, -step, last)
+            again = back[:, k].view(np.uint64) != x[:, k].view(np.uint64)
+            scores = _score(np.concatenate([plus, minus, back[again]]), dims, c, half, tol)
+            up, down, redone = np.split(scores, [len(x), 2 * len(x)])
             take = up > value + 1e-15
-            np.copyto(x, plus, where=take[:, None])
-            down[take] = value[take]
+            x[take], minus[take], down[take] = plus[take], back[take], value[take]
+            down[take & again] = redone[take[again]]
             value = np.where(take, up, value)
-            improved |= take
-            if take.any():
-                minus[take] = _moved(x[take], k, -step[take], last)
-                again = take & (minus[:, k].view(np.uint64) != origin.view(np.uint64))
-                if again.any():
-                    down[again] = _score(minus[again], dims, c, half, tol)
-            take = down > value + 1e-15
-            np.copyto(x, minus, where=take[:, None])
-            value = np.where(take, down, value)
-            improved |= take
+            kept = down > value + 1e-15
+            x[kept] = minus[kept]
+            value = np.where(kept, down, value)
+            improved |= take | kept
         step = np.where(improved, step, step * 0.5)
     return value
 
@@ -384,7 +380,7 @@ def search_worst_case(
 
     Trials are independent and all make the same number of evaluations, so
     they advance in lockstep, in chunks of ``SEARCH_CHUNK``: each step
-    scores both moves of every trial with stacked LAPACK calls.  Ties between
+    scores the moves of every trial in one stacked call.  Ties between
     trials go to the lowest trial index.
     """
     for name, dim in (("dim_sigma", dim_sigma), ("dim_Sigma", dim_Sigma)):

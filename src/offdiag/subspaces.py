@@ -358,8 +358,8 @@ def tan_theta_bound(
             raise ValueError(
                 f"interval ({lo}, {hi}) intersects the other component at [{s_lo}, {s_hi}]"
             )
-    ends = np.full((2, len(problem._stack.d)), [[lo], [hi]])
-    return _tan_theta(problem._stack, *ends)[row]
+    with np.errstate(over="ignore"):  # as in analysis._memo
+        return _tan_theta(problem._stack, *np.full((2, len(far[0])), [[lo], [hi]]))[row]
 
 
 def _tan_theta(stack: _Stack, lo: np.ndarray, hi: np.ndarray) -> list[AnalysisReport]:

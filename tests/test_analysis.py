@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -296,6 +297,28 @@ class TestProblemValidation:
             PerturbationProblem.build(a, v, *map(SpectralSet.from_points, ([x] for x in points)))
         assert str(excinfo.value) == message
 
+    # (premise_satisfied, holds, flag count) of each theorem id on A = diag(0, 1e308), V = 0,
+    # sigma = [-1.7e308, 0], Sigma = {1e308}, as before the checks ran without overflow warnings
+    FAR_RADIUS_VERDICTS = {
+        "SHIFT_BOUNDS": (True, True, 0), "SHIFT_I": (True, True, 0), "SHIFT_II": (True, True, 1),
+        "SHIFT_III": (True, True, 2), "MAIN": (True, True, 0), "CASE2": (True, True, 3),
+        "SUBORDINATED": (True, True, 3), "TAN_THETA": (True, True, 1), "MCE": (True, True, 1),
+    }
+
+    def test_a_radius_past_the_float_range_checks_quietly(self):
+        # sigma's lower end minus d = 1e308, and Sigma's end plus d, overflow to -inf and inf;
+        # a given TAN_THETA interval's end minus 1e308 overflows as well
+        verdicts = {}
+        for theorem in [*THEOREM_IDS, (-1.75e308, 1e308)]:
+            p = PerturbationProblem.build(np.diag([0.0, 1e308]), np.zeros((2, 2)),
+                                          SpectralSet([(-1.7e308, 0.0)]), SpectralSet([1e308]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = (run_theorem(p, theorem) if isinstance(theorem, str)
+                     else subspaces.tan_theta_bound(p, theorem))
+            verdicts[theorem] = (r.premise_satisfied, r.holds, len(r.flags))
+        assert verdicts == {**self.FAR_RADIUS_VERDICTS, (-1.75e308, 1e308): (True, True, 1)}
+
     @staticmethod
     def rotated_problem_arrays(rng, diagonal_part=0.0):
         """A, V of a 3+3 problem in a random basis; V has a sigma-block part of norm
@@ -530,13 +553,15 @@ class TestShiftBounds:
             r = shift_bounds(random_problem(spec))
             assert r.holds, (spec, r)
 
+    @pytest.mark.filterwarnings("error")
     def test_a_gap_past_the_float_range_raises_the_overflow(self):
-        # |inf Sigma - inf sigma| = 3.45e308 overflows, though d and ||V|| are finite
+        # |inf Sigma - inf sigma| = 3.45e308 overflows, though d and ||V|| are finite: the
+        # spread max - min of A's eigenvalues is rejected when the problem is built
         a = np.diag([-1.7e308, 1.7e308, 1.75e308])
-        p = PerturbationProblem.build(a, np.zeros((3, 3)), SpectralSet([-1.7e308, 1.7e308]),
+        with pytest.raises(ValidationError) as excinfo:
+            PerturbationProblem.build(a, np.zeros((3, 3)), SpectralSet([-1.7e308, 1.7e308]),
                                       SpectralSet([1.75e308]))
-        with pytest.raises(ValueError, match="^the shift overflows: {'a0_inf': -1.7e"):
-            shift_bounds(p)
+        assert str(excinfo.value) == "the spread of A's eigenvalues must be finite, got inf"
 
 
 class TestSpectrumEnclosure:

@@ -298,17 +298,38 @@ class TestSearch:
         lambda x: np.sin(3.0 * x).sum(axis=1) - (x * x).sum(axis=1),
         # s = 0.9 steps + to the clip at 1.0, and only the - step redone from there finds 0.75
         lambda x: np.select([x[:, -1] == 0.75, x[:, -1] == 1.0], [2.0, 1.0], 0.0),
-    ], ids=["smooth", "clipped"])
+        # the first coordinate 0.1 steps + to 0.35, and the - step redone from there lands on
+        # 0.35 - 0.25 = 0.09999999999999998, not on 0.1: that move is scored, and it is best
+        lambda x: np.select([x[:, 0] == 0.35 - 0.25, x[:, 0] == 0.35], [2.0, 1.0], 0.0),
+    ], ids=["smooth", "clipped", "off-the-old-bits"])
     @pytest.mark.parametrize("sweeps", [1, 2])
     def test_paired_steps_match_one_step_at_a_time(self, monkeypatch, objective, sweeps):
         start = np.array([[0.1, -0.3, 0.9], [1.7, 0.35, 0.9], [-0.6, 2.2, 0.05]])
         want_x = start.copy()
         want = stepwise_refine(want_x, sweeps, objective)
-        monkeypatch.setattr(harness, "_score", lambda x, *args: objective(x))
+        rows = []
+        monkeypatch.setattr(harness, "_score", lambda x, *args: rows.append(len(x)) or objective(x))
         got_x = start.copy()
         got = harness._refine(got_x, (1, 1), sweeps, 0.5, True, Tolerances())
         assert got.tobytes() == want.tobytes()
         assert got_x.tobytes() == want_x.tobytes()
+        # a redone - move that lands off the old x's bits is an extra row of its step's call
+        assert max(rows) > 2 * len(start)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dims=(2, 2), c=0.75, half=True, sweeps=2),
+        dict(dims=(1, 2), c=1.2, half=False, sweeps=2),
+        dict(dims=(2, 2), c=2.0, half=True, sweeps=1),
+    ])
+    def test_one_score_call_per_step(self, monkeypatch, kwargs):
+        # 1 + sweeps * P calls, each of at most 3 T rows: both moves and the redone - moves
+        dims, sweeps, trials = kwargs["dims"], kwargs["sweeps"], 8
+        x = harness._starts(range(trials), dims, kwargs["c"], kwargs["half"], 0)
+        rows, score = [], harness._score
+        monkeypatch.setattr(harness, "_score", lambda x, *args: rows.append(len(x)) or score(x, *args))
+        harness._refine(x, dims, sweeps, kwargs["c"], kwargs["half"], Tolerances())
+        assert len(rows) == 1 + sweeps * x.shape[1]
+        assert rows[0] == trials and 2 * trials <= min(rows[1:]) and max(rows) <= 3 * trials
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,29 @@ class TestValidationScope:
             2, "error: gap d and ||V|| must be finite, got inf, 0.0\n", [])
 
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_an_overflowing_spread_exits_2_with_its_error(self, command, tmp_path, capsys):
+        # d and ||V|| are finite, but inf Sigma - inf sigma = 3.45e308 is not
+        path = tmp_path / "spread.json"
+        path.write_text(json.dumps({"A": np.diag([-1.7e308, 1.7e308, 1.75e308]).tolist(),
+                                    "V": np.zeros((3, 3)).tolist(), "sigma": [-1.7e308, 1.7e308],
+                                    "Sigma": [1.75e308]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path)]) == 2
+        assert not caught
+        assert capsys.readouterr() == (
+            "", "error: the spread of A's eigenvalues must be finite, got inf\n")
+
+    def test_a_radius_past_the_float_range_prints_no_warning(self, analyze):
+        payload = {"A": [[0.0, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
+                   "sigma": [[-1.7e308, 0.0]], "Sigma": [1e308]}
+        code, err, reports, caught = analyze(payload, "far_radius", "--theorem",
+                                             "SHIFT_I,SHIFT_II,CASE2")
+        assert (code, err, caught) == (0, "", [])
+        assert all(r["premise_satisfied"] and r["holds"] for r in reports.values())
+        assert list(reports) == ["SHIFT_I", "SHIFT_II", "CASE2"]
+
 class TestToleranceValues:
     """A tolerance is finite and nonnegative; anything else is an input error (exit 2)."""
 

@@ -44,6 +44,12 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
   ``CASE2_SWAPPED``, the CASE2 example at scale 0.5 with sigma and Sigma
   exchanged, where SHIFT_III, like CASE2, checks Sigma, the component whose
   hull is separated.
+- ``search --out --trials 5``, seeds 0-2, at the ``SEARCHES`` dims, caps
+  and neighbourhoods: the full neighbourhood, wider blocks, and c = 2.0,
+  where degenerate candidates score -inf.
+- ``analyze --out`` and ``verify FILE`` on ``WIDE_SPREAD``, whose spread
+  max - min of A's eigenvalues overflows, and ``analyze --out`` with every
+  theorem id on ``FAR_RADIUS``, where sigma's and Sigma's ends +- d overflow.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -74,6 +80,15 @@ SIDES = ("base", "change")
 # A's eigenvalues at the two ends of the float range, one per set: d = 2e308 overflows
 FAR_ENDS = {"A": [[-1e308, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
             "sigma": [-1e308], "Sigma": [1e308]}
+# d and ||V|| finite, but inf Sigma - inf sigma = 3.45e308 overflows
+WIDE_SPREAD = {"A": {"diag": [-1.7e308, 1.7e308, 1.75e308]}, "V": {"diag": [0.0, 0.0, 0.0]},
+               "sigma": [-1.7e308, 1.7e308], "Sigma": [1.75e308]}
+# a valid problem whose neighbourhoods of radius d = 1e308 reach past the float range
+FAR_RADIUS = {"A": [[0.0, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
+              "sigma": [[-1.7e308, 0.0]], "Sigma": [1e308]}
+# (--dims, --c, --neighborhood) of the searches beyond the search workload's
+SEARCHES = [("1,2", "1.2", "full"), ("2,3", "0.6", "half"), ("3,3", "0.6", "half"),
+            ("2,2", "2.0", "half")]
 # the CASE2 example at scale 0.5 with sigma and Sigma exchanged: only Sigma's hull is separated
 CASE2_SWAPPED = {"A": {"diag": [-1.0, 0.0, 1.0]},
                  "V": [[0.0, 0.7071067811865476, 0.0], [0.7071067811865476, 0.0, 0.0],
@@ -153,6 +168,8 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     inputs.append(["scale_1e200.json", turned_problem(1e200)])
     inputs.append(["far_ends.json", FAR_ENDS])
     inputs.append(["case2_swapped.json", CASE2_SWAPPED])
+    inputs.append(["wide_spread.json", WIDE_SPREAD])
+    inputs.append(["far_radius.json", FAR_RADIUS])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -209,6 +226,13 @@ def sweep() -> tuple[list[list], list[list[str]]]:
               ["verify", "far_ends.json"]]
     argvs += [["analyze", "case2_swapped.json", "--out", "case2_swapped.analyze.json"],
               ["verify", "case2_swapped.json"]]
+    for k, (dims, c, neighborhood) in enumerate(SEARCHES):
+        for seed in range(3):
+            argvs.append(["search", "--c", c, "--dims", dims, "--neighborhood", neighborhood,
+                          "--trials", "5", "--seed", str(seed), "--out", f"search_{k}_{seed}.json"])
+    argvs += [["analyze", "wide_spread.json", "--out", "wide_spread.analyze.json"],
+              ["verify", "wide_spread.json"],
+              ["analyze", "far_radius.json", "--out", "far_radius.analyze.json", *every_id]]
     return inputs, argvs
 
 
