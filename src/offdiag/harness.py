@@ -347,7 +347,7 @@ def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: b
             back = _moved(plus, k, -step, last)
             again = back[:, k].view(np.uint64) != x[:, k].view(np.uint64)
             scores = _score(np.concatenate([plus, minus, back[again]]), dims, c, half, tol)
-            up, down, redone = np.split(scores, [len(x), 2 * len(x)])
+            up, down, redone = scores[: len(x)], scores[len(x) : 2 * len(x)], scores[2 * len(x) :]
             take = up > value + 1e-15
             x[take], minus[take], down[take] = plus[take], back[take], value[take]
             down[take & again] = redone[take[again]]
