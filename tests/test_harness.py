@@ -326,7 +326,8 @@ class TestSearch:
         dims, sweeps, trials = kwargs["dims"], kwargs["sweeps"], 8
         x = harness._starts(range(trials), dims, kwargs["c"], kwargs["half"], 0)
         rows, score = [], harness._score
-        monkeypatch.setattr(harness, "_score", lambda x, *args: rows.append(len(x)) or score(x, *args))
+        monkeypatch.setattr(harness, "_score",
+                            lambda x, *args: rows.append(len(x)) or score(x, *args))
         harness._refine(x, dims, sweeps, kwargs["c"], kwargs["half"], Tolerances())
         assert len(rows) == 1 + sweeps * x.shape[1]
         assert rows[0] == trials and 2 * trials <= min(rows[1:]) and max(rows) <= 3 * trials

@@ -364,7 +364,6 @@ class TestValidationScope:
         assert (code, err, caught) == (
             2, "error: gap d and ||V|| must be finite, got inf, 0.0\n", [])
 
-
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_an_overflowing_spread_exits_2_with_its_error(self, command, tmp_path, capsys):
         # d and ||V|| are finite, but inf Sigma - inf sigma = 3.45e308 is not
@@ -387,6 +386,7 @@ class TestValidationScope:
         assert (code, err, caught) == (0, "", [])
         assert all(r["premise_satisfied"] and r["holds"] for r in reports.values())
         assert list(reports) == ["SHIFT_I", "SHIFT_II", "CASE2"]
+
 
 class TestToleranceValues:
     """A tolerance is finite and nonnegative; anything else is an input error (exit 2)."""
