@@ -40,6 +40,7 @@ from .operators import (
     EigenDecomposition,
     OrthogonalProjection,
     ValidationError,
+    _basis,
     _blocks,
     _eigh,
     _finite,
@@ -138,6 +139,8 @@ class _Stack:
     v: np.ndarray
     a_eigen: EigenDecomposition  # eigenvalues (T, n), eigenvectors (T, n, n)
     b_eigen: EigenDecomposition
+    order: np.ndarray  # (T, n): the rows of A's eigenvectors in the blocks' basis (_basis) ...
+    b_vectors: np.ndarray  # ... and B's eigenvectors in it, of which every block is a gather
     sigma_mask: np.ndarray  # (T, n)
     kind: np.ndarray  # (T,): each row's index into intervals._CLASSES
     sigma_ends: tuple  # stacked (lo, hi) of sigma (T, m0) and of Sigma (T, m1): d's endpoints
@@ -232,26 +235,26 @@ def _distance(stack: _Stack, ends: tuple) -> np.ndarray:
     return stack.memo[key]
 
 
-def _structure(a, v, a_eigen: EigenDecomposition, mask_sigma, norm_a, tol: Tolerances):
+def _structure(v, turned_a, turned_v, order, mask_sigma, norm_a, tol: Tolerances):
     """``||V||`` of each row, once V is off-diagonal and P = E_A(sigma) commutes with A.
 
     ``||P V P||``, ``||P-perp V P-perp||`` and ``||[A, P]|| = max(||P-perp A P||,
-    ||P A P-perp||)`` are norms of blocks in the eigenvector bases, which a diagonal
-    A's permutation bases gather.  Exact zeros decide two of the tests without a
-    norm, as ``norm_exceeds`` of a zero block is False for every bound >= 0: a
-    diagonal A (``a_eigen.order``) has zero off-diagonal blocks, so the commutator
-    test is skipped, and a row whose two diagonal blocks of V are exactly zero has
-    V = [[0, W], [W*, 0]] in that basis, so its off-diagonality test is skipped
-    and ||V|| = ||W||, a k x (n - k) SVD.  Every other row takes the n x n SVD of V.
+    ||P A P-perp||)`` are norms of blocks gathered from A and V in ``_basis``'s basis.
+    Exact zeros decide two of the tests without a norm, as ``norm_exceeds`` of a zero
+    block is False for every bound >= 0: a diagonal A (``turned_a`` None) has zero
+    off-diagonal blocks, so the commutator test is skipped, and a row whose two
+    diagonal blocks of V are exactly zero has V = [[0, W], [W*, 0]] in that basis,
+    so its off-diagonality test is skipped and ||V|| = ||W||, a k x (n - k) SVD.
+    Every other row takes the n x n SVD of the given V.
     """
-    norm_v = np.empty(len(a))
-    commutator_bound = tol.proj(a.shape[-1]) * norm_a
+    norm_v = np.empty(len(v))
+    commutator_bound = tol.proj(v.shape[-1]) * norm_a
     for rows, i_in, i_out in _mask_groups(mask_sigma, ~mask_sigma):
-        diagonal = [_blocks(a_eigen, rows, x, x, v) for x in (i_in, i_out)]
+        diagonal = [_blocks(order, rows, x, x, turned_v) for x in (i_in, i_out)]
         coupled = diagonal[0].any(axis=(1, 2)) | diagonal[1].any(axis=(1, 2))
         if not coupled.all():
             picks = rows[~coupled], i_in[~coupled], i_out[~coupled]
-            norm_v[picks[0]] = spectral_norm(_blocks(a_eigen, *picks, v))
+            norm_v[picks[0]] = spectral_norm(_blocks(order, *picks, turned_v))
         if coupled.any():
             norm_v[rows[coupled]] = spectral_norm(v[rows[coupled]])
             off = tol.offdiag * norm_v[rows[coupled]]
@@ -259,8 +262,8 @@ def _structure(a, v, a_eigen: EigenDecomposition, mask_sigma, norm_a, tol: Toler
                 raise ValidationError(
                     "V is not off-diagonal with respect to the sigma/Sigma splitting"
                 )
-        if a_eigen.order is None and any(
-            norm_exceeds(_blocks(a_eigen, rows, x, y, a), commutator_bound[rows]).any()
+        if turned_a is not None and any(
+            norm_exceeds(_blocks(order, rows, x, y, turned_a), commutator_bound[rows]).any()
             for x, y in ((i_out, i_in), (i_in, i_out))
         ):
             raise ValidationError("spectral projection does not commute with A")
@@ -362,7 +365,10 @@ class PerturbationProblem:
                 raise ValidationError("an eigenvalue of A is claimed by both components")
             if not (mask_sigma.any(axis=-1) & mask_Sigma.any(axis=-1)).all():
                 raise ValidationError("both components must contain spectrum of A")
-            norm_v = _structure(a, v, a_eigen, mask_sigma, norm_a, tol)
+            order, turn = _basis(a_eigen)
+            u = a_eigen.eigenvectors
+            turned = (None, v) if turn is None else (turn @ a @ u, turn @ v @ u)
+            norm_v = _structure(v, *turned, order, mask_sigma, norm_a, tol)
             # B = A + V deviates from B* by at most A's and V's deviations together, and eigh
             # reads one triangle, so only an overflow of the sum needs a check
             b_eigen = _eigh(_finite(a + v))
@@ -372,12 +378,15 @@ class PerturbationProblem:
             raise ValidationError(f"gap d and ||V|| must be finite, got {d.max()}, {norm_v.max()}")
         if not spread.max() < math.inf:
             raise ValidationError(f"the spread of A's eigenvalues must be finite, got {spread.max()}")
+        if not np.isfinite(b_eigen.eigenvalues).all():
+            raise ValidationError("the eigenvalues of B = A + V must be finite")
         scale = np.maximum(np.maximum(norm_a, norm_v), d)
         delta = _entrywise(_half_angle_shift, norm_v, d)
         stack = _Stack(
-            a=a, v=v, a_eigen=a_eigen, b_eigen=b_eigen, sigma_mask=mask_sigma, kind=kind,
-            sigma_ends=sigma_ends, Sigma_ends=Sigma_ends, is_open=is_open, d=d, norm_v=norm_v,
-            delta=delta, scale=scale, tol=tol, eig_tol=tol.eig(b_eigen.eigenvalues),
+            a=a, v=v, a_eigen=a_eigen, b_eigen=b_eigen, order=order, sigma_mask=mask_sigma,
+            b_vectors=b_eigen.eigenvectors if turn is None else turn @ b_eigen.eigenvectors,
+            kind=kind, sigma_ends=sigma_ends, Sigma_ends=Sigma_ends, is_open=is_open, d=d,
+            norm_v=norm_v, delta=delta, scale=scale, tol=tol, eig_tol=tol.eig(b_eigen.eigenvalues),
         )
         return [cls(stack, row) for row in range(len(a))]
 

@@ -89,31 +89,33 @@ class EigenDecomposition:
 def _eigh(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a validated Hermitian matrix, or of each of a stack (T, n, n).
 
-    A diagonal matrix needs no LAPACK call: its eigenvalues are the real
-    parts of the diagonal, sorted stably, with the matching identity
-    columns.  That is what ``eigh`` returns bit for bit, except that it may
-    order tied eigenvalues differently.  The others go through one stacked
-    ``eigh``.  A stack of diagonal matrices keeps the sort as its ``order``.
+    A stack of diagonal matrices needs no LAPACK call: the eigenvalues are the
+    real parts of each diagonal, sorted stably, with the matching identity columns,
+    and the sort is the ``order``.  That is what ``eigh`` returns bit for bit, but
+    for the order of tied eigenvalues.  Any other stack takes one stacked ``eigh``.
     """
-    stack = m.reshape(-1, *m.shape[-2:])
-    diagonal = np.diagonal(stack, axis1=1, axis2=2)
-    plain = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(diagonal, axis=1)
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        order = np.argsort(diagonal.real, axis=-1, kind="stable")
+        u = (np.arange(m.shape[-1])[:, None] == order[..., None, :]).astype(m.dtype)
+        return EigenDecomposition(np.take_along_axis(diagonal.real, order, axis=-1), u, order)
     try:
-        # a stack with no diagonal matrix is LAPACK's output itself, without copies
-        lapack = None if plain.all() else np.linalg.eigh(stack[~plain] if plain.any() else stack)
+        return EigenDecomposition(*np.linalg.eigh(m))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    if plain.any():
-        w, u = np.empty(diagonal.shape), np.zeros(stack.shape, dtype=m.dtype)
-        order = np.argsort(diagonal[plain].real, axis=1, kind="stable")
-        w[plain] = np.take_along_axis(diagonal[plain].real, order, axis=1)
-        u[np.flatnonzero(plain)[:, None], order, np.arange(order.shape[1])] = 1.0
-        if lapack is not None:
-            w[~plain], u[~plain] = lapack
-    else:
-        w, u = lapack
-    return EigenDecomposition(eigenvalues=w.reshape(m.shape[:-1]), eigenvectors=u.reshape(m.shape),
-                              order=None if lapack is not None else order.reshape(m.shape[:-1]))
+
+
+def _basis(eigen: EigenDecomposition) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(order, turn)`` of a basis where A's eigenvector j is the unit vector ``order[j]``.
+
+    With ``eigen.order`` (every A diagonal) it is the given basis.  Otherwise it is
+    A's eigenbasis, ``order`` is the identity and ``turn = U_A*``: a matrix M turns to
+    ``turn @ M @ U_A``, and B's eigenvectors to ``turn @ U_B``.
+    """
+    if eigen.order is not None:
+        return eigen.order, None
+    u = eigen.eigenvectors
+    return np.broadcast_to(np.arange(u.shape[-1]), u.shape[:-1]), u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,25 +182,17 @@ def _mask_groups(left_mask, right_mask, rows=None):
                        for mask, count in zip((left_mask, right_mask), divmod(width, n + 1)))
 
 
-def _blocks(eigen: EigenDecomposition, group, left, right, middle=None, other=None) -> np.ndarray:
-    """``U[:, left[g]]* M W[:, right[g]]`` stacked over the mask rows v = group[g] of a group.
+def _blocks(order, group, left, right, source, vectors=False) -> np.ndarray:
+    """``U_A[:, left[g]]* M U_A[:, right[g]]`` stacked over the mask rows v = group[g].
 
-    Row v takes matrix i = v mod T of U, ``eigen``'s eigenvectors (T, n, n), of M,
-    ``middle`` or the identity, and of W, ``other``'s eigenvectors or U.  With
-    ``eigen.order`` the block is rows ``order[i][left[g]]`` of M W, gathered without
-    a product; it may differ from the product's only in the sign of exact zeros.
+    Row v takes matrix i = v mod T of ``source``, M in the basis of ``_basis``, and
+    gathers its rows ``order[i][left[g]]`` and columns ``order[i][right[g]]``.  With
+    ``vectors`` the source is B's eigenvectors there, and columns ``right[g]`` give
+    ``U_A[:, left[g]]* U_B[:, right[g]]``.
     """
-    u, i = eigen.eigenvectors, (group % len(eigen.eigenvectors))[:, None]
-    w = u if other is None else other.eigenvectors
-    if eigen.order is not None:
-        source, cols = (middle, eigen.order[i, right]) if other is None else (w, right)
-        return source[i[:, :, None], eigen.order[i, left][:, :, None], cols[:, None, :]]
-    every = np.arange(u.shape[-1])[:, None]
-    lhs = u[i[:, :, None], every, left[:, None, :]].conj().swapaxes(-1, -2)
-    if middle is not None:
-        # a group of every matrix takes M itself, so a large problem is not copied
-        lhs = lhs @ (middle if len(group) == len(middle) else middle[i[:, 0]])
-    return lhs @ w[i[:, :, None], every, right[:, None, :]]
+    i = (group % len(order))[:, None]
+    cols = right if vectors else order[i, right]
+    return source[i[:, :, None], order[i, left][:, :, None], cols[:, None, :]]
 
 
 def _select(values, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray, list]:

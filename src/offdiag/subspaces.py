@@ -36,8 +36,8 @@ from .analysis import (
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points
 from .operators import (
-    EigenDecomposition,
     OrthogonalProjection,
+    _basis,
     _blocks,
     _eigh,
     _mask_groups,
@@ -139,21 +139,21 @@ def graph_operator(
 # ---------------------------------------------------------------------------
 
 
-def _block_norms(memo: dict, a: EigenDecomposition, b: EigenDecomposition,
+def _block_norms(memo: dict, order: np.ndarray, b_vectors: np.ndarray,
                  mask_a: np.ndarray, mask_b: np.ndarray) -> list[float]:
     """``||U_A[:, mask_a]* U_B[:, mask_b]||`` per mask row v, of the bases of row v mod T.
 
-    ``memo`` keeps a block's norm under v mod T and the bytes of its row of
-    both masks, so a block is computed once per memo.  With ``a.order`` (A
-    diagonal) a block is ``U_B[order[mask_a]][:, mask_b]``, not a product.
+    ``memo`` keeps a block's norm under v mod T and the bytes of its row of both
+    masks, so a block is computed once per memo.  A block is gathered from B's
+    eigenvectors in ``_basis``'s basis: ``b_vectors[order[mask_a]][:, mask_b]``.
     """
-    count, width = len(a.eigenvectors), 2 * mask_a.shape[-1]
+    count, width = len(order), 2 * mask_a.shape[-1]
     pairs = np.concatenate((mask_a, mask_b), axis=-1).tobytes()
     keys = [(v % count, pairs[k : k + width]) for v, k in enumerate(range(0, len(pairs), width))]
     todo = {key: v for v, key in enumerate(keys) if key not in memo}
     groups = _mask_groups(mask_a, mask_b, np.array(list(todo.values()))) if todo else ()
     for rows, left, right in groups:
-        norms = spectral_norm(_blocks(a, rows, left, right, other=b))
+        norms = spectral_norm(_blocks(order, rows, left, right, b_vectors, vectors=True))
         for v, norm in zip(rows.tolist(), norms.tolist()):
             memo[keys[v]] = norm
     return [memo[key] for key in keys]
@@ -172,7 +172,7 @@ def _difference(stack: _Stack, mask_p, mask_q) -> ProjectionDifference:
     count = len(mask_p)
     equal = (mask_p.sum(axis=-1) == mask_q.sum(axis=-1))[:, None]
     left, right = (np.concatenate([m, np.where(equal, m, ~m)]) for m in (mask_p, ~mask_q))
-    norms = np.array(_block_norms(stack.memo, stack.a_eigen, stack.b_eigen, left, right))
+    norms = np.array(_block_norms(stack.memo, stack.order, stack.b_vectors, left, right))
     pq_perp, pperp_q = norms[:count], norms[count:]
     return ProjectionDifference(_max(pq_perp, pperp_q), pq_perp, pperp_q)
 
@@ -411,12 +411,15 @@ def verify_pair_inequality(
     dist = sigma.distance(delta_set)
     if not dist > 0:
         raise ValueError("sigma and Delta must be at positive distance")
-    dec_a = _eigh(a[None])
+    dec_a, dec_b = _eigh(a[None]), _eigh(b[None])
     values = dec_a.eigenvalues
     mask_a = locate_points(values, *sigma.bounds, sigma.is_open, tol.eig(values))[0]
     kind = _classify(sigma.bounds, delta_set.bounds)[None]
-    return _pair_inequality(dec_a, _eigh(b[None]), mask_a, (*delta_set.bounds, delta_set.is_open),
-                            np.array([dist]), kind, np.array([spectral_norm(a - b)]), {}, tol)[0]
+    order, turn = _basis(dec_a)
+    b_vectors = dec_b.eigenvectors if turn is None else turn @ dec_b.eigenvectors
+    return _pair_inequality(values, dec_b.eigenvalues, order, b_vectors, mask_a,
+                            (*delta_set.bounds, delta_set.is_open), np.array([dist]), kind,
+                            np.array([spectral_norm(a - b)]), {}, tol)[0]
 
 
 def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
@@ -435,27 +438,27 @@ def bound_pair_inequality(problem: PerturbationProblem) -> AnalysisReport:
     """
 
     def reports(stack: _Stack) -> list[AnalysisReport]:
-        return _pair_inequality(stack.a_eigen, stack.b_eigen, stack.sigma_mask,
+        return _pair_inequality(stack.a_eigen.eigenvalues, stack.b_eigen.eigenvalues,
+                                stack.order, stack.b_vectors, stack.sigma_mask,
                                 (*stack.Sigma_ends, stack.is_open), stack.d, stack.kind,
                                 stack.norm_v, stack.memo, stack.tol)
 
     return _memo(problem, "MCE", reports)
 
 
-def _pair_inequality(dec_a, dec_b, mask_a, deltas, dist, kind, diff_norm, memo,
-                     tol) -> list[AnalysisReport]:
-    """MCE's reports on the decompositions of stacks A, B (T, n, n), E_A(sigma)'s mask and
-    Delta's stacked bounds, with the columns dist(sigma, Delta), the ``_classify`` index of
-    (sigma, Delta) and ||A - B||, and the memo of their block norms."""
-    values = dec_b.eigenvalues
+def _pair_inequality(values_a, values_b, order, b_vectors, mask_a, deltas, dist, kind,
+                     diff_norm, memo, tol) -> list[AnalysisReport]:
+    """MCE's reports on the eigenvalues of stacks A, B (T, n, n), ``_basis``'s order and B's
+    eigenvectors there, E_A(sigma)'s mask and Delta's stacked bounds, with the columns
+    dist(sigma, Delta), the ``_classify`` index of (sigma, Delta) and ||A - B||, and the memo."""
     # the selection's boundary events reach no report, so they are not formatted as flags
-    mask_b = locate_points(values, *deltas, tol.eig(values))[0]
+    mask_b = locate_points(values_b, *deltas, tol.eig(values_b))[0]
     # ||E_A E_B|| = ||U_A* U_B|| on the selected eigenvector columns
-    norms = np.array(_block_norms(memo, dec_a, dec_b, mask_a, mask_b))
+    norms = np.array(_block_norms(memo, order, b_vectors, mask_a, mask_b))
     hull_separated = _HULL_KINDS[kind]
     pi_half = (math.pi / 2.0) * diff_norm
     return _verdict(
-        "MCE", _max(np.abs(dec_a.eigenvalues).max(axis=-1), diff_norm, dist), tol,
+        "MCE", _max(np.abs(values_a).max(axis=-1), diff_norm, dist), tol,
         measured=dist * norms, claimed=np.where(hull_separated, diff_norm, pi_half),
         dimensional=True, margin=dist,
         witnesses={"dist": dist, "norm_a_minus_b": diff_norm, "pi_half_bound": pi_half,

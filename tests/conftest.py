@@ -50,6 +50,12 @@ def random_unitary(rng, dim, spread=1.0):
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
+def haar_unitary(rng, dim):
+    """A Haar-distributed unitary: Q of a complex Gaussian's QR, its columns' phases fixed by R."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def rotated(rng, m, spread=1.0):
     """``U m U*`` for the random unitary U of ``random_unitary``."""
     unitary = random_unitary(rng, m.shape[0], spread)

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import warnings
 import weakref
@@ -29,7 +30,7 @@ from offdiag import analysis, harness, operators, subspaces
 from offdiag.config import DEFAULT_TOL, Tolerances
 from offdiag.operators import _select, projection_from_eigenvectors
 
-from conftest import mapped_problem, random_hermitian, random_unitary, select
+from conftest import haar_unitary, mapped_problem, random_hermitian, random_unitary, select
 
 SQRT2 = math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -396,8 +397,13 @@ class TestProblemValidation:
     def test_a_rotated_build_forms_and_tests_both_commutator_blocks(self, rng, monkeypatch):
         a, v = self.rotated_problem_arrays(rng)
         blocks = self.recorded(monkeypatch, "_blocks")
-        PerturbationProblem.build(a, v, SpectralSet([(-2.0, -1.0)]), SpectralSet([(1.0, 2.0)]))
-        assert [np.array_equal(args[4], a[None]) for args in blocks] == [False] * 2 + [True] * 2
+        p = PerturbationProblem.build(a, v, SpectralSet([(-2.0, -1.0)]), SpectralSet([(1.0, 2.0)]))
+        # V's two diagonal blocks, then A's two commutator blocks, gathered in A's eigenbasis
+        u = p.a_eigen.eigenvectors
+        turned = [u.conj().T @ m @ u for m in (a, v)]
+        assert [np.allclose(args[4][0], turned[0], rtol=0, atol=1e-12) for args in blocks] == \
+            [False] * 2 + [True] * 2
+        assert all(np.allclose(args[4][0], turned[1], rtol=0, atol=1e-12) for args in blocks[:2])
 
     def test_distance_is_recomputed(self):
         # d comes from the sets, not from any caller-supplied value
@@ -730,3 +736,28 @@ class TestStackLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestMixedStack:
+    def test_each_row_of_a_diagonal_and_turned_stack_reports_as_built_alone(self):
+        """A stack with a turned row is turned into A's eigenbasis whole: its diagonal rows
+        by their permutations.  Every row reports what it reports built alone, as JSON, since a
+        wrong case's measured value is NaN."""
+        rows = []
+        for seed, ratio in enumerate((0.3, 0.7, 1.2, 1.6, 3.0, 0.9)):
+            problem = random_problem(random_problem_spec("CASE_II", 3, 4, ratio, seed))
+            a, v = problem.a, problem.v
+            if seed % 2:
+                u = haar_unitary(np.random.default_rng(seed), problem.dim)
+                a, v = (u @ m @ u.conj().T for m in (a, v))
+            rows.append((a, v, problem.sigma, problem.Sigma))
+        a, v, sigmas, Sigmas = zip(*rows)
+        ends = [(np.stack([s.lo for s in sets]), np.stack([s.hi for s in sets]))
+                for sets in (sigmas, Sigmas)]
+        stack = PerturbationProblem._build(np.stack(a), np.stack(v), *ends, False, DEFAULT_TOL)
+        assert stack[0].a_eigen.order is None
+        for mixed, row in zip(stack, rows):
+            alone = PerturbationProblem.build(*row)
+            for theorem in THEOREM_IDS:
+                assert json.dumps(run_theorem(mixed, theorem).as_dict()) == \
+                    json.dumps(run_theorem(alone, theorem).as_dict())

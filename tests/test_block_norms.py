@@ -5,10 +5,11 @@ The library computes every subspace norm on blocks of eigenvector bases
 formula against the SVD of the full matrix it stands for, so the
 eigensolver and the SVD stay independent witnesses of each other.  The
 checks on one problem share its blocks through the problem's memo; the
-last tests pin that sharing and that it changes no report.  When A is
-diagonal, its eigenvectors are identity columns and each block is gathered
-from rows of the other basis instead; the gathered norms must keep every bit
-of the products'.
+last tests pin that sharing and that it changes no report.  Every block
+is gathered from rows and columns of a matrix in a basis where A's
+eigenvectors are unit vectors: the given basis when A is diagonal, else A's
+eigenbasis.  With a diagonal A the gathered norms must keep every bit of the
+products', which the tests form themselves.
 """
 
 import contextlib
@@ -40,6 +41,7 @@ from offdiag.config import DEFAULT_TOL
 from offdiag.io import save_problem
 from offdiag.operators import (
     EigenDecomposition,
+    _basis,
     _blocks,
     _eigh,
     _mask_groups,
@@ -117,10 +119,11 @@ class TestProjectionDifference:
 
 
 def block_bases(rng, dim):
-    """Decompositions of each kind ``_blocks`` reads: a shuffled diagonal matrix's, gathered
-    through its order and multiplied without it, and a random Hermitian matrix's."""
+    """Decompositions of each kind ``_basis`` reads: a shuffled diagonal matrix's, gathered
+    through its order, and turned by its permutation without it, and a random Hermitian
+    matrix's."""
     diagonal = _eigh(np.diag(rng.permutation(dim) - dim / 2.0).astype(complex)[None])
-    return {"gathered": diagonal, "multiplied": withheld(diagonal),
+    return {"gathered": diagonal, "unordered": withheld(diagonal),
             "rotated": _eigh(random_hermitian(rng, dim)[None])}
 
 
@@ -137,15 +140,19 @@ def projector(eigen, mask):
 
 
 def block_norm(eigen, left, right, middle=None, other=None):
-    """``||U[:, left]* M W[:, right]||`` of one ``_blocks`` row, as the checks form it."""
+    """``||U[:, left]* M U[:, right]||``, or ``||U[:, left]* W[:, right]||`` for ``other``'s
+    eigenvectors W, of one ``_blocks`` row, gathered in ``_basis``'s basis as the checks do."""
+    order, turn = _basis(eigen)
+    source = middle[None] if other is None else other.eigenvectors
+    if turn is not None:
+        source = turn @ source @ eigen.eigenvectors if other is None else turn @ source
     picks = (np.flatnonzero(mask)[None] for mask in (left, right))
-    return dense_norm(_blocks(eigen, np.array([0]), *picks,
-                              None if middle is None else middle[None], other)[0])
+    return dense_norm(_blocks(order, np.array([0]), *picks, source, other is not None)[0])
 
 
-@pytest.mark.parametrize("kind", ["gathered", "multiplied", "rotated"])
+@pytest.mark.parametrize("kind", ["gathered", "unordered", "rotated"])
 class TestCompressedNorms:
-    """The blocks ``_blocks`` forms, gathered or multiplied, against the dense n x n products."""
+    """The blocks ``_blocks`` gathers, in each kind of basis, against the dense n x n products."""
 
     def test_product_of_projections(self, rng, kind):
         for _ in range(10):
@@ -273,7 +280,7 @@ def analyze_problem(rotate: bool) -> PerturbationProblem:
 
 
 class TestSharedWork:
-    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "multiplied"])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "turned"])
     def test_analyze_computes_each_block_once(self, rotate, tmp_path, monkeypatch):
         path = tmp_path / "case2.json"
         save_problem(analyze_problem(rotate), path)
@@ -283,12 +290,14 @@ class TestSharedWork:
             np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k)
         )
 
-        def counted(eigen, group, left, right, **kwargs):
-            # a block is its bases' row and the indices it picks, formed on the problem's path
-            rows = group % len(eigen.eigenvectors)
-            blocks.extend((eigen.order is None, i, x.tobytes(), y.tobytes())
+        def counted(order, group, left, right, *args, **kwargs):
+            # a block is its bases' row and the indices it picks, gathered in the problem's basis:
+            # A's eigenbasis, whose order is the identity, exactly when A is turned
+            rows = group % len(order)
+            turned = (order == np.arange(order.shape[-1])).all()
+            blocks.extend((turned, i, x.tobytes(), y.tobytes())
                           for i, x, y in zip(rows.tolist(), left, right))
-            return form(eigen, group, left, right, **kwargs)
+            return form(order, group, left, right, *args, **kwargs)
 
         monkeypatch.setattr(subspaces, "_blocks", counted)
         argv = ["analyze", str(path)]
@@ -299,7 +308,7 @@ class TestSharedWork:
         # diagonal blocks of V are exactly zero, so ||V|| is its coupling block's: no n x n SVD
         assert shapes.count((1, 32, 32)) == (1 if rotate else 0)
         assert len(set(blocks)) == len(blocks) > 0
-        assert {multiplied for multiplied, *_ in blocks} == {rotate}
+        assert {turned for turned, *_ in blocks} == {rotate}
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_reports_do_not_depend_on_check_order(self, name):
@@ -321,8 +330,18 @@ class TestSharedWork:
 
 
 def withheld(dec: EigenDecomposition) -> EigenDecomposition:
-    """``dec`` without its order, so that its blocks are formed as products."""
+    """``dec`` without its order, so that ``_basis`` turns its stack into its eigenbasis."""
     return EigenDecomposition(dec.eigenvalues, dec.eigenvectors)
+
+
+def products(u, group, left, right, middle=None, w=None):
+    """``U[:, left[g]]* M W[:, right[g]]`` by matrix products, of the stack row i = v mod T of
+    each mask row v = group[g], with U and W (T, n, n), M the identity unless given, W = U
+    unless given: the blocks that ``_blocks`` gathers."""
+    i = (group % len(u)).tolist()
+    lhs = np.stack([u[k][:, x].conj().T for k, x in zip(i, left)])
+    lhs = lhs if middle is None else lhs @ middle[i]
+    return lhs @ np.stack([(u if w is None else w)[k][:, y] for k, y in zip(i, right)])
 
 
 def generated_stack(family, dims, ratio):
@@ -357,38 +376,43 @@ class TestGatheredBlocks:
         # each mask row at its own density, empty and full picks among them
         mask_a, mask_b = rng.random((2, count, dim)) < rng.random((2, count, 1))
         mask_a[0], mask_b[1] = False, True
-        gathered = subspaces._block_norms({}, a, b, mask_a, mask_b)
-        multiplied = subspaces._block_norms({}, withheld(a), b, mask_a, mask_b)
+        gathered = subspaces._block_norms({}, stack.order, stack.b_vectors, mask_a, mask_b)
+        u_a, u_b, rows = a.eigenvectors, b.eigenvectors, len(stack.d)
+        multiplied = [spectral_norm(u_a[v % rows][:, x].conj().T @ u_b[v % rows][:, y])
+                      for v, (x, y) in enumerate(zip(mask_a, mask_b))]
         assert np.array(gathered).tobytes() == np.array(multiplied).tobytes()
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_STACKS))
     def test_structural_blocks_equal_the_products(self, name):
         stack = DIAGONAL_STACKS[name]()
-        a = stack.a_eigen
+        u = stack.a_eigen.eigenvectors
         for rows, inside, outside in _mask_groups(stack.sigma_mask, ~stack.sigma_mask):
             for x, y, m in ((inside, inside, stack.v), (outside, outside, stack.v),
                             (outside, inside, stack.a), (inside, outside, stack.a)):
-                got = _blocks(a, rows, x, y, m)
+                got = _blocks(stack.order, rows, x, y, m)
                 # equal as numbers: the products' exact zeros may carry the other sign
-                assert np.array_equal(got, _blocks(withheld(a), rows, x, y, m))
+                assert np.array_equal(got, products(u, rows, x, y, m))
 
-    def test_only_a_non_diagonal_problem_forms_products(self, tmp_path, monkeypatch):
-        # a block is a product exactly when its decomposition keeps no diagonal sort order
-        products = []
+    def test_only_a_non_diagonal_problem_turns_its_stack(self, monkeypatch):
+        # every block is gathered from the given V, A and U_B exactly when A is diagonal
+        sources = []
 
-        def recorded(eigen, *args, **kwargs):
-            products.append(eigen.order is None)
-            return _blocks(eigen, *args, **kwargs)
+        def recorded(order, group, left, right, source, **kwargs):
+            sources.append(source)
+            return _blocks(order, group, left, right, source, **kwargs)
 
         for module in (analysis, subspaces):
             monkeypatch.setattr(module, "_blocks", recorded)
         for rotate in (False, True):
-            path = tmp_path / f"{rotate}.json"
-            save_problem(analyze_problem(rotate), path)
-            products.clear()
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["analyze", str(path)]) == 0
-            assert products and any(products) is rotate
+            given = analyze_problem(rotate)
+            sources.clear()
+            problem = PerturbationProblem.build(given.a, given.v, given.sigma, given.Sigma)
+            for theorem in THEOREM_IDS:
+                run_theorem(problem, theorem)
+            stack = problem._stack
+            turned = [all(s is not m for m in (stack.a, stack.v, stack.b_eigen.eigenvectors))
+                      for s in sources]
+            assert turned and set(turned) == {rotate}
 
 
 EPS = np.finfo(float).eps
@@ -431,7 +455,7 @@ class TestCouplingNorm:
         problem = analyze_problem(True)
         assert problem.norm_v == spectral_norm(problem.v)
 
-    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "multiplied"])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "turned"])
     def test_v_zero_has_norm_zero(self, rotate):
         problem = builtin_example("CASE1", 0.0)
         if rotate:
@@ -460,23 +484,26 @@ class TestEqualRankRule:
     unequal ranks forms both blocks.
     """
 
-    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "multiplied"])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["gathered", "turned"])
     @pytest.mark.parametrize("dims", [(4, 4), (20, 20), (128, 128)], ids=["n8", "n40", "n256"])
     def test_equal_rank_rows_form_one_block(self, dims, rotate, monkeypatch):
         stack = generated_stack("CASE_II", dims, 1.2)()
-        if rotate:
-            stack.a_eigen = withheld(stack.a_eigen)
         a, b, rows = stack.a_eigen, stack.b_eigen, len(stack.d)
+        if rotate:
+            # the stack turned into A's eigenbasis by A's permutation, as a stack with a
+            # non-diagonal row turns its diagonal rows
+            stack.order, turn = _basis(withheld(a))
+            stack.b_vectors = turn @ b.eigenvectors
         count, dim = 4 * rows, a.eigenvalues.shape[-1]
         equal = np.arange(count) % 2 == 0
         mask_p, mask_q = rank_masks(np.random.default_rng(dim + rotate), count, dim, equal)
         formed, form = [], subspaces._blocks
 
-        def counted(eigen, group, left, right, **kwargs):
-            rows = group % len(eigen.eigenvectors)
+        def counted(order, group, left, right, *args, **kwargs):
+            rows = group % len(order)
             formed.extend((i, x.tobytes(), y.tobytes())
                           for i, x, y in zip(rows.tolist(), left, right))
-            return form(eigen, group, left, right, **kwargs)
+            return form(order, group, left, right, *args, **kwargs)
 
         monkeypatch.setattr(subspaces, "_blocks", counted)
         got = subspaces._difference(stack, mask_p, mask_q)
@@ -491,7 +518,7 @@ class TestEqualRankRule:
         assert len(stack.memo) == len(want)
 
         def fresh(x, y):
-            return subspaces._block_norms({}, a, b, x, y)
+            return subspaces._block_norms({}, stack.order, stack.b_vectors, x, y)
 
         pq_perp, pperp_q = fresh(mask_p, ~mask_q), fresh(~mask_p, mask_q)
         # one ProjectionDifference of columns, a row per mask pair

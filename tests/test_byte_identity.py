@@ -164,8 +164,11 @@ def test_sweep_runs_tolerated_turned_and_huge_inputs_through_every_id_and_verify
     assert by_path["tolerated.json"] == [byte_identity.TOLERATED]
     assert by_path["haar.json"] == ["CASE_II", 3, 4, 1.2, 0, "haar"]
     assert by_path["scale_1e200.json"] == [byte_identity.turned_problem(1e200)]
+    assert by_path["haar_case1.json"] == ["CASE_I", 4, 4, 0.45, 0, "haar"]
+    assert by_path["haar_subordinated.json"] == ["SUBORDINATED", 3, 4, 4.0, 0, "haar"]
     batteries = [[t] for t in THEOREM_IDS] + [list(THEOREM_IDS)]
-    for path in ("tolerated.json", "haar.json", "scale_1e200.json"):
+    for path in ("tolerated.json", "haar.json", "scale_1e200.json", "haar_case1.json",
+                 "haar_subordinated.json"):
         on_it = [argv for argv in argvs if argv[1] == path]
         assert ["verify", path] in on_it
         assert sorted(argv[5::2] for argv in on_it if argv[0] == "analyze") == sorted(batteries)
@@ -175,10 +178,12 @@ def test_sweep_runs_tolerated_turned_and_huge_inputs_through_every_id_and_verify
     big = np.array(byte_identity.turned_problem(1e200)["V"])
     with np.errstate(over="ignore"):
         assert np.linalg.norm(big) == math.inf
-    # the Haar-turned problem is written as nests, and its blocks are products
-    problem = byte_identity.generated(*by_path["haar.json"])
-    assert problem.a_eigen.order is None
-    assert set(matrix_payload(problem.a)) == set(matrix_payload(problem.v)) == {"re", "im"}
+    # each Haar-turned problem is written as nests, and its build turns its stack into A's
+    # eigenbasis, as A is not diagonal
+    for path in ("haar.json", "haar_case1.json", "haar_subordinated.json"):
+        problem = byte_identity.generated(*by_path[path])
+        assert problem.a_eigen.order is None
+        assert set(matrix_payload(problem.a)) == set(matrix_payload(problem.v)) == {"re", "im"}
 
 
 def test_sweep_runs_the_far_ends_problem_through_analyze_and_verify(tmp_path, capsys):
@@ -205,3 +210,11 @@ def test_sweep_runs_the_role_swapped_case2_example_through_analyze_and_verify(tm
     problem, example = load_problem(path), builtin_example("CASE2", 0.5)
     assert np.array_equal(problem.a, example.a) and np.array_equal(problem.v, example.v)
     assert (problem.sigma, problem.Sigma) == (example.Sigma, example.sigma)
+
+
+def test_sweep_runs_the_overflowing_b_through_analyze_and_verify():
+    # both exit 2 (tests/test_io_cli.py, TestValidationScope)
+    inputs, argvs = byte_identity.sweep()
+    assert ["b_overflow.json", byte_identity.B_OVERFLOW] in inputs
+    assert ["analyze", "b_overflow.json", "--out", "b_overflow.analyze.json"] in argvs
+    assert ["verify", "b_overflow.json"] in argvs

@@ -378,6 +378,21 @@ class TestValidationScope:
         assert capsys.readouterr() == (
             "", "error: the spread of A's eigenvalues must be finite, got inf\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_an_overflowing_eigenvalue_of_b_exits_2_with_its_error(self, command, tmp_path,
+                                                                    capsys):
+        # the entries, d, ||V|| and the spread are finite, but B's top eigenvalue, about
+        # 2.2e308, is not
+        path = tmp_path / "b_overflow.json"
+        path.write_text(json.dumps({"A": [[1.2e308, 0.0], [0.0, 1.0e308]],
+                                    "V": [[0.0, 1.1e308], [1.1e308, 0.0]],
+                                    "sigma": [[1.15e308, 1.25e308]],
+                                    "Sigma": [[0.95e308, 1.05e308]]}))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the eigenvalues of B = A + V must be finite\n")
+
     def test_a_radius_past_the_float_range_prints_no_warning(self, analyze):
         payload = {"A": [[0.0, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
                    "sigma": [[-1.7e308, 0.0]], "Sigma": [1e308]}

@@ -32,9 +32,12 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
   and three that exact Hermitian diagonal input never makes.  They are a
   1+1 problem whose A and V are Hermitian only within tolerance
   (``TOLERATED``), a generated CASE_II 3+4 problem turned by a seeded Haar
-  unitary, which ``save_problem`` writes as nests and whose blocks are
-  products, and a turned 1+1 problem at scale 1e200 (``turned_problem``),
-  whose Frobenius norms overflow;
+  unitary, which ``save_problem`` writes as nests and whose stack the build
+  turns into A's eigenbasis, and a turned 1+1 problem at scale 1e200
+  (``turned_problem``), whose Frobenius norms overflow;
+- the same on generated CASE_I 4+4 and SUBORDINATED 3+4 problems turned
+  by seeded Haar unitaries, so that every difference on a non-diagonal A
+  is listed;
 - ``analyze --out --theorem CASE2`` on a generated CASE_II 2+2 problem at
   ``||V|| = sqrt(2) d (1 - 1e-8)``, ``CASE2_BAND``, where CASE2's claim
   rounds to 1.0, and ``verify --random case2`` at that ratio.
@@ -50,6 +53,9 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
 - ``analyze --out`` and ``verify FILE`` on ``WIDE_SPREAD``, whose spread
   max - min of A's eigenvalues overflows, and ``analyze --out`` with every
   theorem id on ``FAR_RADIUS``, where sigma's and Sigma's ends +- d overflow.
+- ``analyze --out`` and ``verify FILE`` on ``B_OVERFLOW``, whose entries,
+  d, ||V|| and spread are finite, but whose B has an eigenvalue past the
+  float range.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -86,6 +92,9 @@ WIDE_SPREAD = {"A": {"diag": [-1.7e308, 1.7e308, 1.75e308]}, "V": {"diag": [0.0,
 # a valid problem whose neighbourhoods of radius d = 1e308 reach past the float range
 FAR_RADIUS = {"A": [[0.0, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
               "sigma": [[-1.7e308, 0.0]], "Sigma": [1e308]}
+# A, V, d, ||V|| and the spread finite, but B's top eigenvalue about 2.2e308 overflows
+B_OVERFLOW = {"A": [[1.2e308, 0.0], [0.0, 1.0e308]], "V": [[0.0, 1.1e308], [1.1e308, 0.0]],
+              "sigma": [[1.15e308, 1.25e308]], "Sigma": [[0.95e308, 1.05e308]]}
 # (--dims, --c, --neighborhood) of the searches beyond the search workload's
 SEARCHES = [("1,2", "1.2", "full"), ("2,3", "0.6", "half"), ("3,3", "0.6", "half"),
             ("2,2", "2.0", "half")]
@@ -170,6 +179,9 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     inputs.append(["case2_swapped.json", CASE2_SWAPPED])
     inputs.append(["wide_spread.json", WIDE_SPREAD])
     inputs.append(["far_radius.json", FAR_RADIUS])
+    inputs.append(["haar_case1.json", "CASE_I", 4, 4, 0.45, 0, "haar"])
+    inputs.append(["haar_subordinated.json", "SUBORDINATED", 3, 4, 4.0, 0, "haar"])
+    inputs.append(["b_overflow.json", B_OVERFLOW])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -213,7 +225,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
         argvs.append(["verify", "--random", family, "--theorem", ",".join(THEOREM_IDS), "--trials",
                       str(workloads.VerifySmall.trials), "--ratio", str(ratio), "--dims", "3,4",
                       "--seed", "0", "--tol-scale", TOL_SCALE])
-    for name in ("swapped", "tolerated", "haar", "scale_1e200"):
+    for name in ("swapped", "tolerated", "haar", "scale_1e200", "haar_case1", "haar_subordinated"):
         for k, battery in enumerate([*([t] for t in THEOREM_IDS), list(THEOREM_IDS)]):
             argvs.append(["analyze", f"{name}.json", "--out", f"{name}.analyze_{k}.json",
                           *(arg for t in battery for arg in ("--theorem", t))])
@@ -232,7 +244,9 @@ def sweep() -> tuple[list[list], list[list[str]]]:
                           "--trials", "5", "--seed", str(seed), "--out", f"search_{k}_{seed}.json"])
     argvs += [["analyze", "wide_spread.json", "--out", "wide_spread.analyze.json"],
               ["verify", "wide_spread.json"],
-              ["analyze", "far_radius.json", "--out", "far_radius.analyze.json", *every_id]]
+              ["analyze", "far_radius.json", "--out", "far_radius.analyze.json", *every_id],
+              ["analyze", "b_overflow.json", "--out", "b_overflow.analyze.json"],
+              ["verify", "b_overflow.json"]]
     return inputs, argvs
 
 
