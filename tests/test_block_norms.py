@@ -334,14 +334,11 @@ def withheld(dec: EigenDecomposition) -> EigenDecomposition:
     return EigenDecomposition(dec.eigenvalues, dec.eigenvectors)
 
 
-def products(u, group, left, right, middle=None, w=None):
-    """``U[:, left[g]]* M W[:, right[g]]`` by matrix products, of the stack row i = v mod T of
-    each mask row v = group[g], with U and W (T, n, n), M the identity unless given, W = U
-    unless given: the blocks that ``_blocks`` gathers."""
-    i = (group % len(u)).tolist()
-    lhs = np.stack([u[k][:, x].conj().T for k, x in zip(i, left)])
-    lhs = lhs if middle is None else lhs @ middle[i]
-    return lhs @ np.stack([(u if w is None else w)[k][:, y] for k, y in zip(i, right)])
+def products(u, group, left, right, middle):
+    """``U[:, left[g]]* M U[:, right[g]]`` by matrix products, of the stack row i = v mod T of
+    each mask row v = group[g]: the blocks of M (T, n, n) that ``_blocks`` gathers."""
+    return np.stack([u[k][:, x].conj().T @ middle[k] @ u[k][:, y]
+                     for k, x, y in zip((group % len(u)).tolist(), left, right)])
 
 
 def generated_stack(family, dims, ratio):
