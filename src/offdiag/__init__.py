@@ -27,7 +27,6 @@ from .analysis import (
     PerturbationProblem,
     QnrSample,
     delta_v,
-    delta_v_directional,
     gap_persistence,
     qnr_sample,
     shift_bounds,
@@ -92,7 +91,6 @@ __all__ = [
     "builtin_example",
     "classify_case",
     "delta_v",
-    "delta_v_directional",
     "gap_persistence",
     "graph_operator",
     "maximal_gap_interval",

@@ -75,24 +75,6 @@ def delta_v(norm_v: float, d: float) -> float:
     return _half_angle_shift(norm_v, d)
 
 
-def delta_v_directional(
-    a0_inf: float, a0_sup: float, a1_inf: float, a1_sup: float, norm_v: float
-) -> tuple[float, float]:
-    """Directional shifts (delta_left, delta_right) for the two-block split.
-
-    The left shift uses |inf A1 - inf A0|, the right one |sup A1 - sup A0|.
-    Coincident infima (or suprema) fall under the arctan(+inf) = pi/2
-    convention and give exactly ``norm_v``; the closed form realizes that
-    branch without a cutoff.
-    """
-    if not 0 <= norm_v < math.inf:
-        raise ValueError(f"perturbation norm must be finite and nonnegative, got {norm_v}")
-    gap_inf, gap_sup = abs(a1_inf - a0_inf), abs(a1_sup - a0_sup)
-    if not (gap_inf < math.inf and gap_sup < math.inf):  # a NaN fails this too
-        _require_finite(a0_inf=a0_inf, a0_sup=a0_sup, a1_inf=a1_inf, a1_sup=a1_sup)
-    return _half_angle_shift(norm_v, gap_inf), _half_angle_shift(norm_v, gap_sup)
-
-
 def two_by_two_extremes(a0, a1, v):
     """Eigenvalues (lambda, mu) of [[a0, v], [conj(v), a1]], lambda <= mu, entry by entry.
 
@@ -606,8 +588,9 @@ def _shift_bounds(stack: _Stack) -> list[AnalysisReport]:
                     np.where(part, wa, -np.inf).max(axis=-1))
     )
     inf_a, sup_a, inf_b, sup_b = wa.min(axis=-1), wa.max(axis=-1), wb.min(axis=-1), wb.max(axis=-1)
-    ends = (a0_inf, a0_sup, a1_inf, a1_sup, stack.norm_v)
-    dl, dr = np.array(list(map(delta_v_directional, *(x.tolist() for x in ends)))).T
+    # the directional shifts: of the gap between the infima, and between the suprema
+    dl, dr = (_entrywise(_half_angle_shift, stack.norm_v, np.abs(x1 - x0))
+              for x0, x1 in ((a0_inf, a1_inf), (a0_sup, a1_sup)))
     violation = _max((inf_a - dl) - inf_b, inf_b - inf_a, sup_a - sup_b, sup_b - (sup_a + dr))
     return _verdict(
         "SHIFT_BOUNDS", stack.scale, stack.tol, measured=violation, claimed=0.0, dimensional=True,

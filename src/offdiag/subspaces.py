@@ -42,7 +42,6 @@ from .operators import (
     _eigh,
     _mask_groups,
     _select,
-    projection_from_eigenvectors,
     spectral_norm,
     validate_hermitian,
 )
@@ -100,11 +99,7 @@ class GraphOperator(NamedTuple):
 
 
 def graph_operator(
-    p: OrthogonalProjection,
-    q: OrthogonalProjection,
-    tol: Tolerances = DEFAULT_TOL,
-    *,
-    diff: float | None = None,
+    p: OrthogonalProjection, q: OrthogonalProjection, tol: Tolerances = DEFAULT_TOL
 ) -> GraphOperator:
     """Represent Ran Q as a graph over Ran P.
 
@@ -113,15 +108,14 @@ def graph_operator(
     is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1, and X is
     formed when ``1 - ||P - Q|| > tol.report``, TAN_THETA's premise by the
     verdict rule (``analysis._premise_met``); otherwise this raises
-    ``GraphRepresentationError``.  A caller that has already computed
-    ``||P - Q||`` passes it as ``diff``, and it is not computed again.
+    ``GraphRepresentationError``.  TAN_THETA forms the same X from blocks
+    gathered from the stack, and this is its standalone form.
     """
     if p.dim != q.dim:
         raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
     if p.rank != q.rank:
         raise ValueError(f"rank mismatch: rank P = {p.rank}, rank Q = {q.rank}")
-    if diff is None:
-        diff = projection_difference_norm(p, q).norm
+    diff = projection_difference_norm(p, q).norm
     if not _premise_met(1.0 - diff, 1.0, tol):
         raise GraphRepresentationError(f"||P - Q|| = {diff:.12g} is not below 1 by more than "
                                        f"{tol.report:g}; Ran Q is not a graph over Ran P")
@@ -369,14 +363,19 @@ def _tan_theta(stack: _Stack, lo: np.ndarray, hi: np.ndarray) -> list[AnalysisRe
     mask_q, _, flags = _region(stack, (lo[:, None], hi[:, None]), is_open=True)
     dist = np.where(mask_q, _distance(stack, sides.far), np.inf).min(axis=-1)
     diff = _difference(stack, sides.mask, mask_q)
-    # an empty selection gives ||P - Q|| = ||P|| = 1, so the margin premise covers it
+    rank_p, rank_q = sides.mask.sum(axis=-1), mask_q.sum(axis=-1)
     margin = 1.0 - diff.norm
-    met = _premise_met(margin, 1.0, stack.tol)
+    # unequal ranks give ||P - Q|| = 1 exactly, but its computed value may round below 1
+    below = _premise_met(margin, 1.0, stack.tol)
+    met, unequal = below & (rank_p == rank_q), below & (rank_p != rank_q)
     x_norm = np.full(len(dist), math.nan)
-    for i in np.flatnonzero(met).tolist():
-        p = projection_from_eigenvectors(stack.a_eigen[i], sides.mask[i])
-        q = projection_from_eigenvectors(stack.b_eigen[i], mask_q[i])
-        x_norm[i] = graph_operator(p, q, stack.tol, diff=diff.norm[i].item()).norm
+    for rows, _, cols in _mask_groups(sides.mask, mask_q, np.flatnonzero(met)):
+        # U = U_P* U_Q above W = U_P-perp* U_Q, gathered with P's rows first; X = W U^{-1}
+        first = np.argsort(~sides.mask[rows], axis=-1, kind="stable")
+        u_w = _blocks(stack.order, rows, first, cols, stack.b_vectors, vectors=True)
+        u, w = u_w[:, : cols.shape[-1]], u_w[:, cols.shape[-1] :]
+        x = np.linalg.solve(u.swapaxes(-1, -2), w.swapaxes(-1, -2)).swapaxes(-1, -2)
+        x_norm[rows] = spectral_norm(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         tan_claim = np.where(dist > 0, norm_v / dist, math.inf)
     claimed = np.where(dist > 0, _entrywise(math.sin, _entrywise(math.atan, tan_claim)), 1.0)
@@ -388,9 +387,12 @@ def _tan_theta(stack: _Stack, lo: np.ndarray, hi: np.ndarray) -> list[AnalysisRe
         claimed=np.where(met, claimed, math.inf), margin=margin, margin_dimensional=False,
         premise=["a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| is not below 1"]
         * len(dist),
+        unmet=[[f"a-priori premise not satisfied: rank E_B(interval) = {q} differs from "
+                 f"rank E_A(sigma) = {p}"] if x else []
+               for x, p, q in zip(unequal.tolist(), rank_p.tolist(), rank_q.tolist())],
         bounds=[(x_norm, tan_claim)],
-        witnesses={"norm_v": norm_v, "d": stack.d, "rank_p": sides.mask.sum(axis=-1),
-                   "rank_q": mask_q.sum(axis=-1), **posterior},
+        witnesses={"norm_v": norm_v, "d": stack.d, "rank_p": rank_p, "rank_q": rank_q,
+                   **posterior},
         flags=_joined(flags, sides.flags),
     )
 

@@ -16,7 +16,6 @@ from offdiag import (
     ValidationError,
     builtin_example,
     delta_v,
-    delta_v_directional,
     gap_persistence,
     qnr_sample,
     random_problem,
@@ -89,39 +88,33 @@ class TestDeltaV:
         assert str(excinfo.value) == message
 
 
-class TestDeltaVDirectional:
-    def test_coincident_infima_convention(self):
-        # arctan(+inf) = pi/2 branch: delta equals the perturbation norm
-        dl, _ = delta_v_directional(0.0, 1.0, 0.0, 2.0, 1.0)
-        assert dl == 1.0
+class TestDirectionalShifts:
+    """SHIFT_BOUNDS' ``delta_left`` and ``delta_right``: the half-angle shift of ||V|| over
+    |inf A1 - inf A0| and over |sup A1 - sup A0|, A0 and A1 the parts of A on sigma and Sigma."""
+
+    @staticmethod
+    def shifts(points, sigma, norm_v):
+        # V couples the first point to the second with weight norm_v, so ||V|| = norm_v
+        v = np.zeros((len(points), len(points)))
+        v[0, 1] = v[1, 0] = norm_v
+        Sigma = [x for x in points if x not in sigma]
+        w = shift_bounds(PerturbationProblem.build(np.diag(points), v,
+                                                   SpectralSet.from_points(sigma),
+                                                   SpectralSet.from_points(Sigma))).witnesses
+        return w["delta_left"], w["delta_right"]
 
     def test_zero_perturbation(self):
-        assert delta_v_directional(0.0, 1.0, 0.5, 2.0, 0.0) == (0.0, 0.0)
+        assert self.shifts([0.0, 0.5, 1.0, 2.0], [0.0, 1.0], 0.0) == (0.0, 0.0)
 
-    def test_nan_norm_rejected(self):
-        message = "perturbation norm must be finite and nonnegative, got nan"
-        with pytest.raises(ValueError, match=message):
-            delta_v_directional(0.0, 1.0, 2.0, 3.0, math.nan)
+    def test_unit_gaps_match_delta_v(self):
+        dl, dr = self.shifts([0.0, 1.0], [0.0], SQRT3_2)
+        assert abs(dl - 0.5) < 1e-12 and abs(dr - 0.5) < 1e-12
 
-    def test_infinite_norm_rejected(self):
-        with pytest.raises(ValueError) as excinfo:
-            delta_v_directional(0, 1, 2, 3, math.inf)
-        assert str(excinfo.value) == "perturbation norm must be finite and nonnegative, got inf"
-
-    def test_unit_gap_matches_delta_v(self):
-        dl, _ = delta_v_directional(0.0, 0.0, 1.0, 1.0, SQRT3_2)
-        assert abs(dl - 0.5) < 1e-12
-
-    @pytest.mark.parametrize("args, message", [
-        ((math.nan, 1, 2, 3, 1.0), "a0_inf must be finite, got nan"),
-        ((0, 1, 2, math.inf, 1.0), "a1_sup must be finite, got inf"),
-        ((0.0, -math.inf, 2.0, 3.0, 1.0), "a0_sup must be finite, got -inf"),
-        ((0.0, 1.0, math.nan, 3.0, 1.0), "a1_inf must be finite, got nan"),
-    ])
-    def test_nonfinite_endpoint_rejected(self, args, message):
-        with pytest.raises(ValueError) as excinfo:
-            delta_v_directional(*args)
-        assert str(excinfo.value) == message
+    def test_left_and_right_gaps_are_the_infima_and_the_suprema(self):
+        # inf A1 - inf A0 = 1 and sup A1 - sup A0 = 3
+        dl, dr = self.shifts([0.0, 1.0, 3.0], [0.0], SQRT3_2)
+        assert dl == delta_v(SQRT3_2, 1.0) and dr == delta_v(SQRT3_2, 3.0)
+        assert abs(dr - (2.0 * math.sqrt(3.0) - 3.0) / 2.0) < 1e-12
 
 
 class TestTwoByTwoExtremes:

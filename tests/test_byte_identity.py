@@ -17,6 +17,7 @@ from offdiag import (
     random_problem,
     random_problem_spec,
 )
+from offdiag import harness
 from offdiag.cli import main
 from offdiag.io import load_problem, matrix_payload, parse_matrix
 
@@ -113,7 +114,8 @@ def stdout_of(argv):
 
 def test_sweep_runs_tol_scaled_argvs_whose_verdicts_differ_at_scale_1(tmp_path, monkeypatch):
     _, argvs = byte_identity.sweep()
-    scaled = [argv for argv in argvs if "--tol-scale" in argv]
+    # the TOL_SCALE argv; TAN_THETA's rank repro runs at a scale of its own
+    scaled = [argv for argv in argvs if byte_identity.TOL_SCALE in argv]
     assert sorted({argv[0] for argv in scaled}) == ["analyze", "verify"]
     analyze = [argv for argv in scaled if argv[0] == "analyze"]
     verify = [argv for argv in scaled if argv[0] == "verify"]
@@ -218,3 +220,19 @@ def test_sweep_runs_the_overflowing_b_through_analyze_and_verify():
     assert ["b_overflow.json", byte_identity.B_OVERFLOW] in inputs
     assert ["analyze", "b_overflow.json", "--out", "b_overflow.analyze.json"] in argvs
     assert ["verify", "b_overflow.json"] in argvs
+
+
+def test_sweep_runs_tan_theta_where_the_ranks_differ_but_the_norm_rounds_below_1():
+    # the random run's 42nd problem and the report-0 file of it (tests/test_subspaces.py,
+    # TestTanThetaRanks): both exit 0
+    inputs, argvs = byte_identity.sweep()
+    assert ["report0.json", "CASE_II", 2, 2, 2.0, byte_identity.REPORT0_SEED, None,
+            {"report": 0}] in inputs
+    assert ["verify", "--random", "case2", "--dims", "2,2", "--ratio", "2", "--trials", "100",
+            "--seed", "0", "--theorem", "TAN_THETA", "--tol-scale", "1e-7"] in argvs
+    assert ["analyze", "report0.json", "--out", "report0.analyze.json",
+            *(arg for t in THEOREM_IDS for arg in ("--theorem", t))] in argvs
+    spec = harness.random_problem_specs(Case.CASE_II, 2, 2, 2.0, 42, 0)[41]
+    problem = byte_identity.generated("CASE_II", 2, 2, 2.0, byte_identity.REPORT0_SEED, None)
+    assert np.array_equal(problem.a, random_problem(spec).a)
+    assert np.array_equal(problem.v, random_problem(spec).v)

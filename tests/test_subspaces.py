@@ -27,9 +27,10 @@ from offdiag import Case, PerturbationProblem, analysis, harness, subspaces
 from offdiag.cli import main
 from offdiag.config import DEFAULT_TOL
 from offdiag.intervals import neighborhood_bounds
-from offdiag.io import load_problem, save_problem
+from offdiag.io import load_problem, problem_payload, save_problem
+from offdiag.operators import projection_from_eigenvectors
 
-from conftest import (complement, dense, mapped_problem, random_close_projection,
+from conftest import (complement, dense, haar_unitary, mapped_problem, random_close_projection,
                       random_hermitian, random_projection, random_unitary, select)
 from test_intervals import distance_to_points
 
@@ -108,14 +109,6 @@ class TestGraphOperator:
             assert rebuilt.rank == q.rank and rebuilt.dim == dim
             assert spectral_norm(z.conj().T @ z - np.eye(dim)) <= 1e-12
 
-    def test_given_difference_norm_gives_the_same_operator(self, rng):
-        p = random_projection(rng, 6, 2)
-        q = random_close_projection(rng, p, spread=0.2)
-        diff = projection_difference_norm(p, q).norm
-        assert np.array_equal(graph_operator(p, q, diff=diff).x, graph_operator(p, q).x)
-        with pytest.raises(GraphRepresentationError):
-            graph_operator(p, q, diff=1.0)
-
     def test_complement_pair_rejected(self):
         p = rotated_projection(0.0)
         with pytest.raises(GraphRepresentationError):
@@ -134,13 +127,12 @@ class TestGraphOperator:
         q = OrthogonalProjection(turned, np.hstack([back, e[:, 2:]]))
         diff = projection_difference_norm(p, q).norm
         assert abs(diff - s) <= 4 * np.finfo(float).eps
-        for given in (None, diff):
-            if built:
-                g = graph_operator(p, q, diff=given)
-                assert g.norm == pytest.approx(s / math.sqrt(1.0 - s * s), rel=1e-6)
-            else:
-                with pytest.raises(GraphRepresentationError, match="not below 1"):
-                    graph_operator(p, q, diff=given)
+        if built:
+            g = graph_operator(p, q)
+            assert g.norm == pytest.approx(s / math.sqrt(1.0 - s * s), rel=1e-6)
+        else:
+            with pytest.raises(GraphRepresentationError, match="not below 1"):
+                graph_operator(p, q)
 
     def test_rank_mismatch_rejected(self):
         e = np.eye(3, dtype=complex)
@@ -340,15 +332,17 @@ class TestTanTheta:
         p = builtin_example("CASE2", scale=0.9)
         reports = [tan_theta_bound(p, (-1.0, 1.0)) for _ in range(2)]
         assert reports[0] == reports[1] and reports[0].premise_satisfied
-        # P and Q have equal rank, so ||P_perp Q|| = ||P Q_perp||: that one block, formed once;
-        # graph_operator is handed ||P - Q||
+        # P and Q have equal rank, so ||P_perp Q|| = ||P Q_perp||: that one block, formed once
+        # and then read from the memo; and on each call the graph operator's blocks U = U_P* U_Q
+        # above W = U_P-perp* U_Q, as one gather
         mask_p = subspaces._sides(p._stack).mask[p._row]
         region = SpectralSet([(-1.0, 1.0)], is_open=True)
         mask_q = select(p.b_eigen.eigenvalues, region, p.tol.eig(p.b_eigen.eigenvalues))[0]
         # A is diagonal, so each block is the rows of U_B that A's eigenvectors pick
         u_b, rows = p.b_eigen.eigenvectors, p.a_eigen.order
         assert mask_p.sum() == mask_q.sum()
-        assert blocks == [u_b[rows[mask_p]][:, ~mask_q].tobytes()]
+        u_w = np.vstack([u_b[rows[mask_p]][:, mask_q], u_b[rows[~mask_p]][:, mask_q]])
+        assert blocks == [u_b[rows[mask_p]][:, ~mask_q].tobytes(), *[u_w.tobytes()] * 2]
 
     def test_maximal_interval_helper(self):
         p = builtin_example("CASE2", scale=0.9)
@@ -504,6 +498,140 @@ class TestTanThetaPremise:
 
 EPS = np.finfo(float).eps
 SHARP_WEIGHTS = [0.1, 0.7, 3.0, 100.0]
+# verify --random case2 --dims 2,2 --ratio 2 --seed 0 gives its 42nd problem this seed: E_B on the
+# gap interval has rank 1 against rank E_A(sigma) = 2, yet the computed ||P - Q|| is 1 - 2.2e-16
+UNEQUAL_RANKS_SEED = 2968721141169319798
+
+
+class TestTanThetaRanks:
+    """Unequal ranks give ||P - Q|| = 1 exactly, so the premise fails at every resolution."""
+
+    def test_the_random_run_exits_0(self, capsys):
+        argv = ["verify", "--random", "case2", "--dims", "2,2", "--ratio", "2", "--trials", "100",
+                "--seed", "0", "--theorem", "TAN_THETA", "--tol-scale", "1e-7"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and "0 violations" in out.out
+
+    def test_a_file_at_report_0_exits_0_with_the_premise_unmet(self, tmp_path, capsys):
+        problem = random_problem(random_problem_spec(Case.CASE_II, 2, 2, 2.0, UNEQUAL_RANKS_SEED))
+        path, out = tmp_path / "p.json", tmp_path / "r.json"
+        path.write_text(json.dumps({**problem_payload(problem), "tolerances": {"report": 0}}))
+        assert main(["analyze", str(path), "--theorem", "TAN_THETA", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        (report,) = json.loads(out.read_text())["reports"]
+        assert 0 < report["premise_margin"] < 1e-15
+        assert (report["premise_satisfied"], report["holds"]) == (False, True)
+        assert report["flags"] == ["a-priori premise not satisfied: rank E_B(interval) = 1 "
+                                   "differs from rank E_A(sigma) = 2"]
+        assert "x_norm" not in report["witnesses"]
+        # at the default resolution the margin itself fails, with the norm premise's text
+        default = tan_theta_bound(problem)
+        assert default.flags == ("a-priori premise not satisfied: ||E_A(sigma) - E_B(interval)|| "
+                                 "is not below 1",)
+
+
+def graph_norm(problem: PerturbationProblem, interval) -> float:
+    """``graph_operator(P, Q).norm`` of TAN_THETA's pair on ``problem`` and the open ``interval``:
+    P on A's eigenvectors of the separated side, Q on B's in the interval."""
+    mask_p = subspaces._sides(problem._stack).mask[problem._row]
+    values = problem.b_eigen.eigenvalues
+    mask_q = select(values, SpectralSet([interval], is_open=True), problem.tol.eig(values))[0]
+    p, q = (projection_from_eigenvectors(e, m)
+            for e, m in ((problem.a_eigen, mask_p), (problem.b_eigen, mask_q)))
+    return graph_operator(p, q, problem.tol).norm
+
+
+class TestStackedGraphOperator:
+    """TAN_THETA's ``x_norm``, from blocks gathered from the stack, against ``graph_operator``.
+
+    On a diagonal A both form U_P* U_Q and U_P-perp* U_Q exactly, so they agree bit for bit.
+    On a turned A the gathers read U_A* U_B, which rounds unlike the products of the bases;
+    the tolerance, fixed before the first run, is ``8 n eps (1 + x) sqrt(1 + x^2)``: X = W U^{-1}
+    with ``||U^{-1}|| = sqrt(1 + x^2)``, for blocks moved by n eps each.
+    """
+
+    @staticmethod
+    def turned_slack(problem, x):
+        return 8 * problem.dim * EPS * (1.0 + x) * math.sqrt(1.0 + x * x)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (8, 8), (32, 32)])
+    @pytest.mark.parametrize("case", [Case.CASE_II, Case.SUBORDINATED])
+    def test_every_premise_row_of_a_generated_stack_bit_for_bit(self, case, dims):
+        specs = [random_problem_spec(case, *dims, ratio, seed) for seed in range(4)
+                 for ratio in (0.3, 0.9, 1.2, 2.0, 4.0)]
+        checked = 0
+        for problem in harness._random_problems(specs, DEFAULT_TOL):
+            report = tan_theta_bound(problem)
+            if not report.premise_satisfied:
+                assert "x_norm" not in report.witnesses
+                continue
+            checked += 1
+            assert report.witnesses["x_norm"] == graph_norm(problem, maximal_gap_interval(problem))
+        assert checked >= 8
+
+    def test_the_built_ins_at_scale_0_9(self):
+        case2 = builtin_example("CASE2", scale=0.9)
+        report = tan_theta_bound(case2)
+        assert report.premise_satisfied
+        assert report.witnesses["x_norm"] == graph_norm(case2, (-1.0, 1.0))
+        # the interleaved example has no separated hull: no premise row
+        assert "x_norm" not in tan_theta_bound(builtin_example("CASE1", scale=0.9)).witnesses
+
+    def test_a_given_interval(self):
+        specs = [random_problem_spec(Case.CASE_II, 3, 4, 0.6, seed=seed) for seed in range(6)]
+        for problem in harness._random_problems(specs, DEFAULT_TOL):
+            (g_lo, g_hi), sigma = maximal_gap_interval(problem), problem.sigma
+            interval = (0.5 * (g_lo + sigma.lo[0]), 0.5 * (g_hi + sigma.hi[-1]))
+            report = tan_theta_bound(problem, interval)
+            assert report.premise_satisfied
+            assert report.witnesses["x_norm"] == graph_norm(problem, interval)
+
+    def test_a_mixed_stack_and_turned_rows(self):
+        # TestMixedStack's stack: odd rows turned by a Haar unitary, so the whole stack is turned
+        # into A's eigenbasis, its diagonal rows by their permutations, which is exact
+        rows, turned = [], []
+        for seed, ratio in enumerate((0.3, 0.7, 1.2, 1.6, 3.0, 0.9, 0.5, 1.1)):
+            problem = random_problem(random_problem_spec("CASE_II", 3, 4, ratio, seed))
+            a, v = problem.a, problem.v
+            if seed % 2:
+                u = haar_unitary(np.random.default_rng(seed), problem.dim)
+                a, v = (u @ m @ u.conj().T for m in (a, v))
+            rows.append((a, v, problem.sigma, problem.Sigma))
+            turned.append(seed % 2 == 1)
+        a, v, sigmas, Sigmas = zip(*rows)
+        ends = [(np.stack([s.lo for s in sets]), np.stack([s.hi for s in sets]))
+                for sets in (sigmas, Sigmas)]
+        stack = PerturbationProblem._build(np.stack(a), np.stack(v), *ends, False, DEFAULT_TOL)
+        assert stack[0].a_eigen.order is None
+        checked = 0
+        for problem, is_turned in zip(stack, turned):
+            report = tan_theta_bound(problem)
+            if not report.premise_satisfied:
+                continue
+            checked += 1
+            x, want = report.witnesses["x_norm"], graph_norm(problem, maximal_gap_interval(problem))
+            if is_turned:
+                assert abs(x - want) <= self.turned_slack(problem, x)
+            else:
+                assert x == want
+        assert checked >= 4
+
+    @pytest.mark.parametrize("dims", [(3, 4), (8, 8), (16, 16)])
+    def test_haar_turned_problems_alone(self, dims):
+        checked = 0
+        for seed in range(10):
+            problem = random_problem(random_problem_spec(Case.CASE_II, *dims, 1.2, seed))
+            u = haar_unitary(np.random.default_rng(seed), problem.dim)
+            turned = PerturbationProblem.build(*(u @ m @ u.conj().T for m in (problem.a, problem.v)),
+                                               problem.sigma, problem.Sigma)
+            report = tan_theta_bound(turned)
+            if report.premise_satisfied:
+                checked += 1
+                x = report.witnesses["x_norm"]
+                want = graph_norm(turned, maximal_gap_interval(turned))
+                assert abs(x - want) <= self.turned_slack(turned, x)
+        assert checked >= 5
 
 
 class TestTanThetaSharp:

@@ -56,6 +56,13 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
 - ``analyze --out`` and ``verify FILE`` on ``B_OVERFLOW``, whose entries,
   d, ||V|| and spread are finite, but whose B has an eigenvalue past the
   float range.
+- ``verify --random case2`` with TAN_THETA at dims 2,2, ratio 2 and
+  ``--tol-scale`` 1e-7, whose 42nd row selects fewer eigenvalues of B than
+  E_A(sigma) has, though the computed ``||P - Q||`` rounds below 1; and
+  ``analyze --out`` with every theorem id on ``report0.json``, a generated
+  CASE_II 2+2 problem (``REPORT0_SEED``, that row's seed) whose
+  file sets ``"tolerances": {"report": 0}``, where TAN_THETA's ranks differ
+  the same way.
 
 For each argv a tree records the exit code, stdout, stderr and the sha256
 of every file that the argv names after ``--out``, ``--report-out`` or
@@ -83,6 +90,8 @@ OUTPUT_FLAGS = ("--out", "--report-out", "--svg")
 TOL_SCALE = "1e8"
 CASE2_BAND = 1.4142135482309595  # sqrt(2) (1 - 1e-8)
 SIDES = ("base", "change")
+# the seed that verify --random case2 --dims 2,2 --ratio 2 --seed 0 gives its 42nd problem
+REPORT0_SEED = 2968721141169319798
 # A's eigenvalues at the two ends of the float range, one per set: d = 2e308 overflows
 FAR_ENDS = {"A": [[-1e308, 0.0], [0.0, 1e308]], "V": [[0.0, 0.0], [0.0, 0.0]],
             "sigma": [-1e308], "Sigma": [1e308]}
@@ -159,7 +168,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
 
     An input is ``[path, payload]``, a problem file's JSON, or ``[path, case,
     dim_sigma, dim_Sigma, ratio, seed, turn]``, the problem of ``generated``
-    with those arguments.
+    with those arguments, which may end with the file's ``tolerances`` object.
     """
     sys.path[:0] = [p for p in (ROOT, os.path.join(ROOT, "src")) if p not in sys.path]
     from offdiag import THEOREM_IDS
@@ -182,6 +191,7 @@ def sweep() -> tuple[list[list], list[list[str]]]:
     inputs.append(["haar_case1.json", "CASE_I", 4, 4, 0.45, 0, "haar"])
     inputs.append(["haar_subordinated.json", "SUBORDINATED", 3, 4, 4.0, 0, "haar"])
     inputs.append(["b_overflow.json", B_OVERFLOW])
+    inputs.append(["report0.json", "CASE_II", 2, 2, 2.0, REPORT0_SEED, None, {"report": 0}])
 
     argvs, examples = [], []
     for which in ("case1", "case2"):
@@ -246,7 +256,10 @@ def sweep() -> tuple[list[list], list[list[str]]]:
               ["verify", "wide_spread.json"],
               ["analyze", "far_radius.json", "--out", "far_radius.analyze.json", *every_id],
               ["analyze", "b_overflow.json", "--out", "b_overflow.analyze.json"],
-              ["verify", "b_overflow.json"]]
+              ["verify", "b_overflow.json"],
+              ["verify", "--random", "case2", "--dims", "2,2", "--ratio", "2", "--trials", "100",
+               "--seed", "0", "--theorem", "TAN_THETA", "--tol-scale", "1e-7"],
+              ["analyze", "report0.json", "--out", "report0.analyze.json", *every_id]]
     return inputs, argvs
 
 
@@ -267,7 +280,7 @@ def child() -> None:
     job = json.load(sys.stdin)
     import offdiag
     from offdiag.cli import main
-    from offdiag.io import save_problem
+    from offdiag.io import problem_payload, save_problem
 
     if os.path.dirname(os.path.dirname(os.path.realpath(offdiag.__file__))) != job["src"]:
         raise SystemExit(f"offdiag imported from {offdiag.__file__}, not from {job['src']}")
@@ -276,8 +289,11 @@ def child() -> None:
         if len(source) == 1:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(source[0], fh)
-        else:
+        elif len(source) == 6:
             save_problem(generated(*source), path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({**problem_payload(generated(*source[:6])), "tolerances": source[6]}, fh)
         paths.append(path)
     records = [{"argv": ["inputs"], "exit": 0, "stdout": "", "stderr": "",
                 "files": {p: sha256(p) for p in paths}}]
