@@ -195,6 +195,7 @@ def cmd_qnr(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _claim_outputs(None, args.out)
     result = search_worst_case(
         dim_sigma=args.dims[0],
         dim_Sigma=args.dims[1],

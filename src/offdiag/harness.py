@@ -10,8 +10,9 @@ between c_pi and sqrt(3)/2; its results are evidence, not proof.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,11 +233,16 @@ def random_problem_specs(case: Case | str, dim_sigma: int, dim_Sigma: int, ratio
 @dataclass(frozen=True)
 class SearchResult:
     best_value: float
-    best_problem: PerturbationProblem | None
     trials: int
     c: float
     neighborhood: str
     evaluations: int  # candidate moves, 1 + 2 sweeps P per trial: not the rows scored
+    _best: tuple | None = field(default=None, repr=False, compare=False)  # _rebuild's arguments
+
+    @functools.cached_property
+    def best_problem(self) -> PerturbationProblem | None:
+        """The best trial's problem, built on first read; None when every trial degenerated."""
+        return None if self._best is None else _rebuild(*self._best)
 
 
 # Trials are scored in chunks of at most this many, so memory stays bounded for any trial count.
@@ -267,23 +273,26 @@ def _score(x: np.ndarray, dims: tuple[int, int], c: float, half: bool,
     """||E_A(sigma) - E_B(open neighborhood)|| for a stack ``x`` (T, P) of packed trials.
 
     Each row is one problem; all of them go through one stacked SVD for ||w||,
-    one stacked ``eigh``, one selection and one stacked SVD for the norm.
-    A row whose layout degenerates (gap below the floor) scores -inf.  An
-    empty neighborhood gives the zero projection and the value ||P|| = 1:
-    that is the sharpness mechanism, scored rather than erred.
+    one stacked ``eigh``, one selection and one stacked SVD for the norm.  A
+    row whose selection Q has the rank n0 of P = E_A(sigma), the first n0
+    coordinates, scores ||P Q_perp||: the top singular value of the n0 x n1
+    block of B's eigenvectors, rows :n0 and the columns outside the mask, the
+    block ``subspaces._difference`` takes first at equal ranks.  Any other
+    rank scores ||P - Q|| = 1 exactly: an empty neighborhood is the
+    sharpness mechanism, scored rather than erred.  A row whose layout
+    degenerates (gap below the floor) scores -inf.
     """
     sig, Sig, w, s = _unpack(x, dims)
     n0, n1 = dims
-    dim = n0 + n1
     d, w_norm, b = _scaled_coupling(sig, Sig, w, s * c)
-    b.reshape(len(d), -1)[:, :: dim + 1] = np.concatenate([sig, Sig], axis=1)
+    b.reshape(len(d), -1)[:, :: n0 + n1 + 1] = np.concatenate([sig, Sig], axis=1)
     eigs, vecs = np.linalg.eigh(b)
     lo, hi = neighborhood_bounds(sig, d / 2.0 if half else d)
     mask, _, _ = locate_points(eigs, lo, hi, True, tol.eig(eigs))
-    q = (vecs * mask[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    p = np.zeros((dim, dim), dtype=complex)
-    p[np.arange(n0), np.arange(n0)] = 1.0
-    value = np.linalg.svd(p - q, compute_uv=False)[:, 0]
+    value, equal = np.ones(len(d)), mask.sum(axis=1) == n0
+    outside = np.nonzero(~mask[equal])[1].reshape(-1, 1, n1)
+    block = np.take_along_axis(vecs[equal, :n0], outside, axis=2)
+    value[equal] = np.linalg.svd(block, compute_uv=False)[:, 0]
     return np.where(d < 1e-3, -math.inf, np.where(w_norm >= _MIN_COUPLING, value, 0.0))
 
 
@@ -411,11 +420,11 @@ def search_worst_case(
 
     return SearchResult(
         best_value=best_value,
-        best_problem=None if best_x is None else _rebuild(best_x, dims, c, tol),
         trials=trials,
         c=c,
         neighborhood=neighborhood,
         evaluations=trials * (1 + 2 * refine_sweeps * x.shape[1]),
+        _best=None if best_x is None else (best_x, dims, c, tol),
     )
 
 

@@ -25,6 +25,12 @@ Ran Q whose P part is u: ``X = (I - P) Q (P Q P)^+``.
 
 A's eigenvalues lie in sigma union Sigma, whose distance d is positive, so
 E_A(sigma) takes the eigenvalues nearer to sigma than to Sigma.
+
+The worst-case search's objective is checked on packed trials the same way:
+``||E_A(sigma) - E_B(open neighborhood of sigma)||`` from n x n projectors,
+with B formed in the search's order of operations, so that both share its
+bits.  It must match within the same ``64 eps max(1, value)``, and be
+exactly 1 where the two projections differ in rank.
 """
 
 import math
@@ -32,7 +38,8 @@ import math
 import numpy as np
 import pytest
 
-from offdiag import PerturbationProblem, random_problem, random_problem_spec, run_theorem
+from offdiag import PerturbationProblem, harness, random_problem, random_problem_spec, run_theorem
+from offdiag.config import DEFAULT_TOL
 
 from conftest import haar_unitary
 
@@ -234,3 +241,45 @@ def test_measured_values_and_premises_match_the_dense_reference(family, dims):
                                       report.premise_satisfied))
     assert not wrong
     assert skipped <= checked // 10
+
+
+def search_reference(sig, Sig, w, s, c, half):
+    """``(||E_A(sigma) - E_B(open neighborhood)||, rank Q == rank P)`` of one search trial:
+    A = diag(sig, Sig), and B = A + V with V's coupling block W scaled to ||V|| = s c d."""
+    n0, points, others = len(sig), [(x, x) for x in sig], [(y, y) for y in Sig]
+    d = min(abs(x - y) for x in sig for y in Sig)
+    a = np.diag(np.concatenate([sig, Sig])).astype(complex)
+    block = w * (s * c * d / np.linalg.svd(w, compute_uv=False)[0])
+    b = a.copy()
+    b[:n0, n0:], b[n0:, :n0] = block, block.conj().T
+    p = projector(a, lambda x, tol: distance(x, points) < distance(x, others))
+    q = projector(b, in_neighborhood(points, d / 2 if half else d))
+    return float(np.linalg.norm(p - q, 2)), round(np.trace(q).real) == n0
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["half_d", "full_d"])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+def test_search_objective_matches_the_dense_reference(dims, half):
+    rng, rows = np.random.default_rng([*dims, half]), 64
+    counts, wrong = {"equal": 0, "unequal": 0, "skipped": 0}, []
+    for c in (0.4, 0.75, 1.2, 2.0):
+        sig, Sig = rng.uniform(-2.0, 2.0, (rows, dims[0])), rng.uniform(-2.0, 2.0, (rows, dims[1]))
+        w = rng.standard_normal((rows, *dims)) + 1j * rng.standard_normal((rows, *dims))
+        s = rng.uniform(0.01, 1.0, rows)
+        got = harness._score(harness._pack(sig, Sig, w, s), dims, c, half, DEFAULT_TOL).tolist()
+        for t in range(rows):
+            if min(abs(x - y) for x in sig[t] for y in Sig[t]) < 1e-3:
+                assert got[t] == -math.inf  # a degenerate layout: the search's floor
+                continue
+            try:
+                value, equal = search_reference(sig[t], Sig[t], w[t], s[t], c, half)
+            except Near:
+                counts["skipped"] += 1
+                continue
+            counts["equal" if equal else "unequal"] += 1
+            slack = 64 * EPS * max(1.0, value)
+            if abs(got[t] - value) > slack or not (equal or got[t] == 1.0):
+                wrong.append((c, t, got[t], value, equal))
+    assert not wrong
+    assert counts["equal"] >= 8 and counts["unequal"] >= 8
+    assert counts["skipped"] <= (counts["equal"] + counts["unequal"]) // 10

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import offdiag
-from offdiag import analysis, harness
+from offdiag import analysis, cli, harness
 from offdiag import (
     THEOREM_IDS,
     Case,
@@ -23,6 +24,11 @@ from offdiag import (
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
+# ``_bits`` of search_worst_case(2, 2, c=0.75, trials=8, seed=0).best_problem, as the search
+# built it before it was built on first read
+SEARCH_BEST_BITS = ("80461f7fc8c2184e4ac71ce269e076cc02705b0cd1e79be045f6b32e41695998",
+                    "7c5f6cc6d80c36fb13ef60b8276bad9958a817d94bb7a5c04a868765e224dc10")
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "reference.json")
 
 
 def _bits(p):
@@ -138,8 +144,7 @@ class TestRandomProblem:
          "147d4113212f57a8cf7d03a37e9021ef39fd6212444f04f987b959143b3e2f45",
          "f4e3c0664c6c490ca5e31275fe5169bb1b3b7487907221eea157823f60de8ed5"),
         (lambda: _bits(search_worst_case(2, 2, c=0.75, trials=8, seed=0).best_problem),
-         "80461f7fc8c2184e4ac71ce269e076cc02705b0cd1e79be045f6b32e41695998",
-         "7c5f6cc6d80c36fb13ef60b8276bad9958a817d94bb7a5c04a868765e224dc10"),
+         *SEARCH_BEST_BITS),
     ], ids=["case_i", "case_ii", "subordinated", "ratio_0", "analyze_large", "search_best"])
     def test_generated_bits_pinned(self, make, a_sha, v_sha):
         a_got, v_got = make()
@@ -240,22 +245,53 @@ class TestSearch:
         "kwargs, best_value, evaluations",
         [
             (dict(c=0.7, trials=6, seed=2), 0.6615068115637764, 318),
-            (dict(c=0.4, trials=6, seed=3), 0.4296050129520145, 318),
+            (dict(c=0.4, trials=6, seed=3), 0.42960501295201453, 318),
             (dict(dim_sigma=1, dim_Sigma=2, c=1.2, trials=5, seed=4, neighborhood="full_d"),
-             0.7628404144680961, 165),
-            (dict(dim_sigma=2, dim_Sigma=3, c=0.6, trials=4, seed=5), 0.5173347361605625, 292),
-            (dict(dim_sigma=3, dim_Sigma=3, c=0.6, trials=3, seed=6), 0.45392306085439815, 303),
+             0.7628404144680964, 165),
+            (dict(dim_sigma=2, dim_Sigma=3, c=0.6, trials=4, seed=5), 0.5173347361605622, 292),
+            (dict(dim_sigma=3, dim_Sigma=3, c=0.6, trials=3, seed=6), 0.4539230608543978, 303),
             # both runs score degenerate candidates (gap below the floor) on the way
             (dict(c=2.0, trials=10, seed=2, refine_sweeps=1), 1.0, 270),
-            (dict(c=2.0, trials=10, seed=4, refine_sweeps=1), 1.0000000000000002, 270),
+            (dict(c=2.0, trials=10, seed=4, refine_sweeps=1), 1.0, 270),
         ],
     )
     def test_trajectory_pinned(self, kwargs, best_value, evaluations):
-        # values recorded from the one-candidate-at-a-time search; the lockstep
-        # search must follow the same greedy trajectory to the last bit
+        # values recorded from ``stepwise_refine`` with ``harness._score``, one candidate
+        # at a time; the lockstep search must follow the same greedy trajectory to the last bit
         r = search_worst_case(**kwargs)
         assert r.best_value == best_value
         assert r.evaluations == evaluations
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """One entry per ``PerturbationProblem._build`` call made while the test runs."""
+        builds, build = [], offdiag.PerturbationProblem._build.__func__
+        monkeypatch.setattr(offdiag.PerturbationProblem, "_build",
+                            classmethod(lambda *args: builds.append(1) or build(*args)))
+        return builds
+
+    def test_best_problem_is_built_on_first_read_and_kept(self, builds):
+        r = search_worst_case(2, 2, c=0.75, trials=8, seed=0)
+        assert builds == []
+        first = r.best_problem
+        assert builds == [1] and r.best_problem is first
+        assert _bits(first) == SEARCH_BEST_BITS
+
+    def test_search_without_out_builds_no_problem(self, builds, tmp_path, capsys):
+        argv = ["search", "--c", "0.75", "--dims", "2,2", "--trials", "8", "--seed", "0"]
+        assert cli.main(argv) == 0
+        assert builds == []
+        assert cli.main(argv + ["--out", str(tmp_path / "s.json")]) == 0
+        assert builds == [1]
+
+    def test_benchmark_search_reference_replays(self):
+        # the first seeds of the benchmark's recorded search pool, run as its argv runs them
+        with open(REFERENCE, encoding="utf-8") as fh:
+            recorded = json.load(fh)["search"][:32]
+        for seed, (best_value, evaluations) in enumerate(recorded):
+            r = search_worst_case(2, 2, 0.75, 8, seed)
+            assert abs(r.best_value - best_value) <= 1e-12, seed
+            assert r.evaluations == evaluations, seed
 
     @pytest.mark.parametrize("kwargs", [
         dict(c=2.0, trials=8, seed=2, refine_sweeps=1),

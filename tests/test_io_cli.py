@@ -1123,6 +1123,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("out, why", [("{dir}", "Is a directory"),
+                                          ("{dir}/missing/s.json", "No such file or directory")])
+    def test_search_runs_no_search_when_the_out_path_fails(self, out, why, tmp_path, monkeypatch,
+                                                          capsys):
+        searched = []
+        monkeypatch.setattr(cli, "search_worst_case", lambda *a, **k: searched.append(1))
+        argv = ["search", "--c", "0.5", "--dims", "2,2", "--trials", "2",
+                "--out", out.format(dir=tmp_path)]
+        assert main(argv) == 2
+        assert searched == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and why in captured.err
+
     @pytest.mark.parametrize("second", ["{out}", "{dir}/./x.json", "{link}"])
     def test_examples_rejects_one_file_for_both_outputs(self, second, tmp_path, capsys):
         out, link = tmp_path / "x.json", tmp_path / "link.json"
