@@ -8,6 +8,7 @@ Exit codes: 0 = ran (including checks whose premise was not met),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -97,15 +98,17 @@ def _theorems(values) -> list[str]:
     return theorems
 
 
-def _claim_outputs(source, *paths) -> None:
-    """Open each given output path for appending and close it again, before anything is written.
+@contextlib.contextmanager
+def _claim_outputs(source, *paths):
+    """Open each given output path for appending and close it again, then run the block.
 
     An output that names the input ``source`` (None when the command reads no
     file), or two outputs that name one file, symbolic links resolved, raise
     ``ValueError`` first.  Appending creates a missing file and leaves an existing one as it is.
-    When a path cannot be opened, the files this call created are removed
-    and the error propagates, so a command that exits 2 on an unwritable
-    path has written none of its outputs.
+    When a path cannot be opened, or the block raises, the files this call
+    created are removed and the error propagates, so a command that exits 2
+    has created none of its outputs, and an unwritable path fails before the
+    command's work.
     """
     paths = [p for p in paths if p]
     real = [os.path.realpath(p) for p in paths]
@@ -122,7 +125,8 @@ def _claim_outputs(source, *paths) -> None:
                 pass
             if not existed:
                 created.append(path)
-    except OSError:
+        yield
+    except BaseException:
         for path in created:
             os.remove(path)
         raise
@@ -145,16 +149,16 @@ def cmd_analyze(args) -> int:
     theorems = _theorems(args.theorem)
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
-    reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
-    _claim_outputs(args.path, args.out)
-
-    print(f"dim = {problem.dim}   case = {problem.case.value} ({problem.classification.detail})")
-    print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")
-    print()
-    _print_reports(reports)
-    if args.out:
-        write_json(analysis_payload(problem, reports), args.out)
-        print(f"\nreport written to {args.out}")
+    with _claim_outputs(args.path, args.out):
+        reports = [run_theorem(problem, t) for t in theorems or default_battery(problem.case)]
+        print(f"dim = {problem.dim}   case = {problem.case.value} "
+              f"({problem.classification.detail})")
+        print(f"d = {problem.d:.6g}   ||V|| = {problem.norm_v:.6g}")
+        print()
+        _print_reports(reports)
+        if args.out:
+            write_json(analysis_payload(problem, reports), args.out)
+            print(f"\nreport written to {args.out}")
     return exit_code_for(reports)
 
 
@@ -163,9 +167,9 @@ def cmd_examples(args) -> int:
     out = args.out or f"{args.which.lower()}.json"
     report_out = args.report_out or f"{args.which.lower()}.report.json"
     reports = [run_theorem(problem, t) for t in default_battery(problem.case)]
-    _claim_outputs(None, out, report_out)
-    save_problem(problem, out)
-    write_json(analysis_payload(problem, reports), report_out)
+    with _claim_outputs(None, out, report_out):
+        save_problem(problem, out)
+        write_json(analysis_payload(problem, reports), report_out)
     print(f"problem written to {out}, expected report to {report_out}")
     return 0
 
@@ -173,16 +177,16 @@ def cmd_examples(args) -> int:
 def cmd_qnr(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
-    samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
-    _claim_outputs(args.path, args.out, args.svg)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_qnr_csv(samples, fh)
-    else:
-        write_qnr_csv(samples, sys.stdout)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(qnr_svg(samples, [float(x) for x in problem.b_eigen.eigenvalues]))
+    with _claim_outputs(args.path, args.out, args.svg):
+        samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_qnr_csv(samples, fh)
+        else:
+            write_qnr_csv(samples, sys.stdout)
+        if args.svg:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(qnr_svg(samples, [float(x) for x in problem.b_eigen.eigenvalues]))
     inf_b = float(problem.b_eigen.eigenvalues.min())
     sup_b = float(problem.b_eigen.eigenvalues.max())
     lo, hi = min(samples.lam.tolist()), max(samples.mu.tolist())
@@ -195,26 +199,27 @@ def cmd_qnr(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _claim_outputs(None, args.out)
-    result = search_worst_case(
-        dim_sigma=args.dims[0],
-        dim_Sigma=args.dims[1],
-        c=args.c,
-        trials=args.trials,
-        seed=args.seed,
-        neighborhood="half_d" if args.neighborhood == "half" else "full_d",
-    )
-    if args.out:
-        write_json({
-            "best_value": result.best_value,
-            "dims": list(args.dims),
-            "seed": args.seed,
-            "trials": result.trials,
-            "c": result.c,
-            "neighborhood": args.neighborhood,  # as --neighborhood takes it
-            "evaluations": result.evaluations,
-            "best_problem": problem_payload(result.best_problem) if result.best_problem else None,
-        }, args.out)
+    with _claim_outputs(None, args.out):
+        result = search_worst_case(
+            dim_sigma=args.dims[0],
+            dim_Sigma=args.dims[1],
+            c=args.c,
+            trials=args.trials,
+            seed=args.seed,
+            neighborhood="half_d" if args.neighborhood == "half" else "full_d",
+        )
+        if args.out:
+            best = result.best_problem
+            write_json({
+                "best_value": result.best_value,
+                "dims": list(args.dims),
+                "seed": args.seed,
+                "trials": result.trials,
+                "c": result.c,
+                "neighborhood": args.neighborhood,  # as --neighborhood takes it
+                "evaluations": result.evaluations,
+                "best_problem": problem_payload(best) if best else None,
+            }, args.out)
     print(
         f"best value {result.best_value:.12g} over {result.trials} trials "
         f"({result.evaluations} evaluations), cap c = {result.c:.6g}"

@@ -76,30 +76,32 @@ _LAYOUT_MIN_GAP = 0.2  # least distance between neighbouring sites of a random_p
 _MIN_COUPLING = 1e-14  # a coupling block W with ||W|| below this is no coupling: V = 0
 
 
-def _scaled_coupling(sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, ratio) -> tuple:
-    """(d, ||W||, V) of each row: V = [[0, f W], [f W*, 0]] with f making ||V|| = ratio * d.
+def _scaled_coupling(sig: np.ndarray, Sig: np.ndarray, w: np.ndarray, ratio, d=None,
+                     w_norm=None) -> np.ndarray:
+    """V of each row: V = [[0, f W], [f W*, 0]] with f making ||V|| = ratio * d.
 
     ``sig`` (T, n0), ``Sig`` (T, n1), ``w`` (T, n0, n1) and ``ratio`` (T,)
-    hold one layout per row.  A row with ||W|| below ``_MIN_COUPLING`` is
+    hold one layout per row; a caller that already has the rows' ``d`` and
+    ``w_norm`` passes them.  A row with ||W|| below ``_MIN_COUPLING`` is
     uncoupled: f = 0.  A row with f = 0 gets V = 0 in +0.0 zeros, without the
     -0.0 imaginary parts that conjugating a zero block leaves, so such a
     problem saves V as its diagonal alone.
     """
-    d = _distances(sig, sig, Sig, Sig)
+    if d is None:
+        d, w_norm = _distances(sig, sig, Sig, Sig), np.linalg.svd(w, compute_uv=False)[:, 0]
     rows, n0, n1 = w.shape
-    w_norm = np.linalg.svd(w, compute_uv=False)[:, 0]
     factor = np.divide(ratio * d, w_norm, out=np.zeros_like(d), where=w_norm >= _MIN_COUPLING)
     v = np.zeros((rows, n0 + n1, n0 + n1), dtype=complex)
     block = w * factor[:, None, None]
     v[:, :n0, n0:] = block
     v[:, n0:, :n0] = block.conj().swapaxes(1, 2)
     v[factor == 0] = 0.0
-    return d, w_norm, v
+    return v
 
 
 def _diagonal_problems(sig, Sig, w, ratio, tol: Tolerances) -> list[PerturbationProblem]:
     """A = diag(sig, Sig) and V of ``_scaled_coupling`` for each row, as one stack."""
-    _, _, v = _scaled_coupling(sig, Sig, w, ratio)
+    v = _scaled_coupling(sig, Sig, w, ratio)
     values = np.concatenate([sig, Sig], axis=-1)
     dim = values.shape[-1]
     a = np.zeros((len(values), dim, dim), dtype=complex)
@@ -268,31 +270,69 @@ def _unpack(x: np.ndarray, dims: tuple[int, int]):
     return x[..., :n0], x[..., n0 : n0 + n1], w, x[..., end]
 
 
-def _score(x: np.ndarray, dims: tuple[int, int], c: float, half: bool,
-           tol: Tolerances) -> np.ndarray:
+# The parts of ``_columns`` that moving one coordinate changes, as bit flags: the gap d with
+# sigma's neighbourhood, which sig and Sig move, and ||W||, which W moves; s moves neither.
+_GAP, _COUPLING = 1, 2
+
+
+def _parts(dims: tuple[int, int]) -> np.ndarray:
+    """The part of ``_columns`` that each coordinate of a trial moves, in ``_pack``'s layout."""
+    n0, n1 = dims
+    return _pack(np.full(n0, _GAP), np.full(n1, _GAP), np.full((n0, n1), _COUPLING * (1 + 1j)),
+                 0).astype(int)
+
+
+def _columns(x: np.ndarray, dims: tuple[int, int], half: bool, parts: int = _GAP | _COUPLING,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """What ``_score`` derives from each trial of ``x`` (T, P) before its ``eigh``: (T, 2 + 2 n0).
+
+    The columns are [d, ||W||, lo (n0), hi (n0)], with lo and hi the ends of
+    sigma's neighbourhood of radius d / 2 (``half``) or d.  Only the ``parts``
+    are computed, into ``out`` when it is given; the rest of ``out`` is kept.
+    """
+    sig, Sig, w, _ = _unpack(x, dims)
+    n0 = dims[0]
+    if out is None:
+        out = np.empty((len(x), 2 + 2 * n0))
+    if parts & _GAP:
+        d = _distances(sig, sig, Sig, Sig)
+        out[:, 0] = d
+        out[:, 2 : 2 + n0], out[:, 2 + n0 :] = neighborhood_bounds(sig, d / 2.0 if half else d)
+    if parts & _COUPLING:
+        out[:, 1] = np.linalg.svd(w, compute_uv=False)[:, 0]
+    return out
+
+
+def _score(x: np.ndarray, dims: tuple[int, int], c: float, half: bool, tol: Tolerances,
+           columns: np.ndarray | None = None) -> np.ndarray:
     """||E_A(sigma) - E_B(open neighborhood)|| for a stack ``x`` (T, P) of packed trials.
 
-    Each row is one problem; all of them go through one stacked SVD for ||w||,
-    one stacked ``eigh``, one selection and one stacked SVD for the norm.  A
-    row whose selection Q has the rank n0 of P = E_A(sigma), the first n0
-    coordinates, scores ||P Q_perp||: the top singular value of the n0 x n1
-    block of B's eigenvectors, rows :n0 and the columns outside the mask, the
-    block ``subspaces._difference`` takes first at equal ranks.  Any other
-    rank scores ||P - Q|| = 1 exactly: an empty neighborhood is the
-    sharpness mechanism, scored rather than erred.  A row whose layout
-    degenerates (gap below the floor) scores -inf.
+    Each row is one problem; all of them go through one stacked ``eigh``, one
+    selection and one stacked SVD for the norm, after the ``_columns`` of
+    ``x``, which a caller that carries them passes.  A row whose selection Q
+    has the rank n0 of P = E_A(sigma), the first n0 coordinates, scores
+    ||P Q_perp||: the top singular value of the n0 x n1 block of B's
+    eigenvectors, rows :n0 and the columns outside the mask, the block
+    ``subspaces._difference`` takes first at equal ranks.  Any other rank
+    scores ||P - Q|| = 1 exactly: an empty neighborhood is the sharpness
+    mechanism, scored rather than erred.  A row whose layout degenerates
+    (gap below the floor) scores -inf.
     """
     sig, Sig, w, s = _unpack(x, dims)
     n0, n1 = dims
-    d, w_norm, b = _scaled_coupling(sig, Sig, w, s * c)
+    if columns is None:
+        columns = _columns(x, dims, half)
+    d, w_norm = columns[:, 0], columns[:, 1]
+    b = _scaled_coupling(sig, Sig, w, s * c, d, w_norm)
     b.reshape(len(d), -1)[:, :: n0 + n1 + 1] = np.concatenate([sig, Sig], axis=1)
     eigs, vecs = np.linalg.eigh(b)
-    lo, hi = neighborhood_bounds(sig, d / 2.0 if half else d)
+    lo, hi = columns[:, 2 : 2 + n0], columns[:, 2 + n0 :]
     mask, _, _ = locate_points(eigs, lo, hi, True, tol.eig(eigs))
     value, equal = np.ones(len(d)), mask.sum(axis=1) == n0
-    outside = np.nonzero(~mask[equal])[1].reshape(-1, 1, n1)
-    block = np.take_along_axis(vecs[equal, :n0], outside, axis=2)
-    value[equal] = np.linalg.svd(block, compute_uv=False)[:, 0]
+    # the equal rows' eigenvectors outside the mask, in order, each cut to its first n0 entries
+    outside = vecs.swapaxes(1, 2)[~mask & equal[:, None], :n0]
+    value[equal] = np.linalg.svd(outside.reshape(-1, n1, n0).swapaxes(1, 2),
+                                 compute_uv=False)[:, 0]
     return np.where(d < 1e-3, -math.inf, np.where(w_norm >= _MIN_COUPLING, value, 0.0))
 
 
@@ -325,13 +365,10 @@ def _starts(chunk: range, dims: tuple[int, int], c: float, half: bool, seed: int
     return np.stack(rows)
 
 
-def _moved(x: np.ndarray, k: int, delta: np.ndarray, last: int) -> np.ndarray:
-    """Copy of trials ``x`` with coordinate ``k`` moved by ``delta``; s (``last``) in [0.01, 1]."""
-    moved = x.copy()
-    moved[:, k] += delta
-    if k == last:
-        moved[:, k] = np.clip(moved[:, k], 0.01, 1.0)
-    return moved
+def _moved(xk: np.ndarray, delta: np.ndarray, clip: bool) -> np.ndarray:
+    """Coordinate values ``xk`` moved by ``delta``; s (``clip``) stays in [0.01, 1]."""
+    moved = xk + delta
+    return np.clip(moved, 0.01, 1.0) if clip else moved
 
 
 def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: bool,
@@ -345,26 +382,36 @@ def _refine(x: np.ndarray, dims: tuple[int, int], sweeps: int, c: float, half: b
     call: both moves from the same x, and the - move redone from the + move
     where it lands off the old x's bits, taken where the + move is kept.  No
     row's score depends on another's: the trajectory is one move at a time.
+
+    Each trial carries its ``_columns``; a step's rows recompute only the
+    part that its coordinate moves, and the kept row of each trial, with its
+    columns, is gathered from the step's rows.
     """
-    value = _score(x, dims, c, half, tol)
-    step = np.full(len(value), 0.25)
-    last = x.shape[1] - 1
+    columns = _columns(x, dims, half)
+    value = _score(x, dims, c, half, tol, columns)
+    n, trials = len(x), np.arange(len(x))
+    step = np.full(n, 0.25)
+    parts, last = _parts(dims), x.shape[1] - 1
     for _ in range(sweeps):
-        improved = np.zeros(len(value), dtype=bool)
+        improved = np.zeros(n, dtype=bool)
         for k in range(x.shape[1]):
-            plus, minus = _moved(x, k, step, last), _moved(x, k, -step, last)
-            back = _moved(plus, k, -step, last)
-            again = back[:, k].view(np.uint64) != x[:, k].view(np.uint64)
-            scores = _score(np.concatenate([plus, minus, back[again]]), dims, c, half, tol)
-            up, down, redone = scores[: len(x)], scores[len(x) : 2 * len(x)], scores[2 * len(x) :]
-            take = up > value + 1e-15
-            x[take], minus[take], down[take] = plus[take], back[take], value[take]
-            down[take & again] = redone[take[again]]
-            value = np.where(take, up, value)
-            kept = down > value + 1e-15
-            x[kept] = minus[kept]
-            value = np.where(kept, down, value)
-            improved |= take | kept
+            plus, minus = _moved(x[:, k], step, k == last), _moved(x[:, k], -step, k == last)
+            back = _moved(plus, -step, k == last)
+            again = np.flatnonzero(back.view(np.uint64) != x[:, k].view(np.uint64))
+            # rows: each trial's x, then its + move, its - move and its redone - move, scored
+            source = np.concatenate([trials, trials, trials, again])
+            rows, carried = x[source], columns[source]
+            rows[n:, k] = np.concatenate([plus, minus, back[again]])
+            _columns(rows[n:], dims, half, parts[k], carried[n:])
+            values = np.concatenate([value, _score(rows[n:], dims, c, half, tol, carried[n:])])
+            pick = np.where(values[n : 2 * n] > value + 1e-15, trials + n, trials)
+            # the - move from x, or from the kept + move: redone, or x where it lands back on x
+            redone = trials.copy()
+            redone[again] = np.arange(3 * n, len(rows))
+            minus_row = np.where(pick == trials, trials + 2 * n, redone)
+            pick = np.where(values[minus_row] > values[pick] + 1e-15, minus_row, pick)
+            x[:], columns, value = rows[pick], carried[pick], values[pick]
+            improved |= pick != trials
         step = np.where(improved, step, step * 0.5)
     return value
 

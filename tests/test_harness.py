@@ -293,6 +293,20 @@ class TestSearch:
             assert abs(r.best_value - best_value) <= 1e-12, seed
             assert r.evaluations == evaluations, seed
 
+    def test_benchmark_search_seeds_that_random_trials_win_replay(self):
+        # trial 0's example start reaches the same value on almost every seed of the pool; on
+        # the others a random-start trial wins, so these cover the random trials' trajectories
+        with open(REFERENCE, encoding="utf-8") as fh:
+            recorded = json.load(fh)["search"]
+        example_value = recorded[0][0]
+        won = [seed for seed, (value, _) in enumerate(recorded) if value != example_value]
+        assert len(won) >= 20
+        for seed in won:
+            best_value, evaluations = recorded[seed]
+            r = search_worst_case(2, 2, 0.75, 8, seed)
+            assert abs(r.best_value - best_value) <= 1e-12, seed
+            assert r.evaluations == evaluations, seed
+
     @pytest.mark.parametrize("kwargs", [
         dict(c=2.0, trials=8, seed=2, refine_sweeps=1),
         dict(c=0.7, trials=7, seed=5),
@@ -345,12 +359,37 @@ class TestSearch:
         want = stepwise_refine(want_x, sweeps, objective)
         rows = []
         monkeypatch.setattr(harness, "_score", lambda x, *args: rows.append(len(x)) or objective(x))
+        # these trials are not in the packed layout, so they carry no columns either
+        monkeypatch.setattr(harness, "_columns", lambda x, *args: np.zeros((len(x), 1)))
         got_x = start.copy()
         got = harness._refine(got_x, (1, 1), sweeps, 0.5, True, Tolerances())
         assert got.tobytes() == want.tobytes()
         assert got_x.tobytes() == want_x.tobytes()
         # a redone - move that lands off the old x's bits is an extra row of its step's call
         assert max(rows) > 2 * len(start)
+
+    @pytest.mark.parametrize("half", [True, False], ids=["half_d", "full_d"])
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_lockstep_matches_one_move_at_a_time_with_the_real_objective(self, monkeypatch, dims,
+                                                                         half):
+        # the reference scores each move with its columns recomputed; the lockstep carries them
+        tol, score, calls = Tolerances(), harness._score, []
+
+        def carried(x, dims, c, half, tol, columns):
+            calls.append(1)
+            assert columns.tobytes() == harness._columns(x, dims, half).tobytes()
+            return score(x, dims, c, half, tol, columns)
+
+        monkeypatch.setattr(harness, "_score", carried)
+        for c in (0.4, 0.75, 2.0):
+            start = harness._starts(range(1, 7), dims, c, half, seed=11)  # random starts only
+            want_x = start.copy()
+            want = stepwise_refine(want_x, 2, lambda x: score(x, dims, c, half, tol))
+            got_x = start.copy()
+            got = harness._refine(got_x, dims, 2, c, half, tol)
+            assert got.tobytes() == want.tobytes(), c
+            assert got_x.tobytes() == want_x.tobytes(), c
+        assert len(calls) == 3 * (1 + 2 * start.shape[1])
 
     @pytest.mark.parametrize("kwargs", [
         dict(dims=(2, 2), c=0.75, half=True, sweeps=2),

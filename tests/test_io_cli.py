@@ -1136,6 +1136,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and why in captured.err
 
+    @pytest.mark.parametrize("command, work", [("analyze", "run_theorem"), ("qnr", "qnr_sample")])
+    def test_analyze_and_qnr_do_no_work_when_the_out_path_fails(self, command, work, case1_file,
+                                                                tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output was claimed")
+
+        monkeypatch.setattr(cli, work, fail)
+        assert main([command, str(case1_file), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["qnr", "{problem}", "--samples", "0", "--out", "{new}", "--svg", "{dir}/new.svg"],
+        ["search", "--c", "0.5", "--trials", "0", "--out", "{new}"],
+        ["analyze", "{problem}", "--out", "{new}"],
+    ], ids=["qnr-no-sample", "search-no-trial", "analyze-failed-check"])
+    def test_an_error_after_the_claim_leaves_no_output(self, argv, case1_file, tmp_path,
+                                                       monkeypatch, capsys):
+        def fail(*args):
+            raise ValueError("the check failed")
+
+        monkeypatch.setattr(cli, "run_theorem", fail)
+        new = tmp_path / "new.out"
+        paths = {"problem": case1_file, "new": new, "dir": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not new.exists() and not (tmp_path / "new.svg").exists()
+        new.write_text("kept\n")  # a file that was there is left as it was
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert new.read_text() == "kept\n"
+
     @pytest.mark.parametrize("second", ["{out}", "{dir}/./x.json", "{link}"])
     def test_examples_rejects_one_file_for_both_outputs(self, second, tmp_path, capsys):
         out, link = tmp_path / "x.json", tmp_path / "link.json"
