@@ -14,15 +14,17 @@ from offdiag.io import qnr_svg, write_qnr_csv
 problem = builtin_example("CASE1")
 inf_b = problem.b_eigen.eigenvalues.min()
 sup_b = problem.b_eigen.eigenvalues.max()
+u, mask = problem.a_eigen.eigenvectors, problem.sigma_mask
+bases = u[:, mask], u[:, ~mask]  # E_A(sigma)'s eigenvector columns and the rest
 
 for n in (100, 1000, 10_000):
-    samples = qnr_sample(problem.b, problem.projection, n, seed=0)
+    samples = qnr_sample(problem.b, bases, n, seed=0)
     lo, hi = samples.lam.min(), samples.mu.max()
     print(f"n = {n:>6}: sampled range [{lo:+.4f}, {hi:+.4f}]   "
           f"spec(B) range [{inf_b:+.4f}, {sup_b:+.4f}]")
 
 out_dir = pathlib.Path(__file__).parent
-samples = qnr_sample(problem.b, problem.projection, 1000, seed=0)
+samples = qnr_sample(problem.b, bases, 1000, seed=0)
 with open(out_dir / "qnr.csv", "w", encoding="utf-8") as fh:
     write_qnr_csv(samples, fh)
 with open(out_dir / "qnr.svg", "w", encoding="utf-8") as fh:

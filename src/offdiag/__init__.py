@@ -18,7 +18,6 @@ from .intervals import (
 from .operators import (
     ConvergenceError,
     EigenDecomposition,
-    OrthogonalProjection,
     ValidationError,
     spectral_norm,
 )
@@ -35,16 +34,12 @@ from .analysis import (
 )
 from .subspaces import (
     C_PI,
-    GraphOperator,
-    GraphRepresentationError,
     ProjectionDifference,
     bound_case1,
     bound_case2,
     bound_pair_inequality,
     bound_subordinated,
-    graph_operator,
     maximal_gap_interval,
-    projection_difference_norm,
     tan_theta_bound,
     verify_pair_inequality,
 )
@@ -71,9 +66,6 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_TOL",
     "EigenDecomposition",
-    "GraphOperator",
-    "GraphRepresentationError",
-    "OrthogonalProjection",
     "PerturbationProblem",
     "ProblemSpec",
     "ProjectionDifference",
@@ -92,9 +84,7 @@ __all__ = [
     "classify_case",
     "delta_v",
     "gap_persistence",
-    "graph_operator",
     "maximal_gap_interval",
-    "projection_difference_norm",
     "qnr_sample",
     "random_problem",
     "random_problem_spec",

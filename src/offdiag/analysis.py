@@ -38,7 +38,6 @@ from .intervals import (
 )
 from .operators import (
     EigenDecomposition,
-    OrthogonalProjection,
     ValidationError,
     _basis,
     _blocks,
@@ -47,7 +46,6 @@ from .operators import (
     _mask_groups,
     _select,
     norm_exceeds,
-    projection_from_eigenvectors,
     spectral_norm,
     validate_hermitian,
 )
@@ -282,11 +280,6 @@ class PerturbationProblem:
     dim = _row_of(lambda s, i: s.a.shape[-1])
     case = _row_of(lambda s, i: _CLASSES[s.kind[i]].case)
 
-    @property
-    def projection(self) -> OrthogonalProjection:
-        """E_A(sigma): A's eigenvector columns that ``sigma_mask`` picks, and the rest."""
-        return projection_from_eigenvectors(self.a_eigen, self.sigma_mask)
-
     @classmethod
     def build(
         cls, a, v, sigma: SpectralSet, Sigma: SpectralSet, tol: Tolerances = DEFAULT_TOL
@@ -520,11 +513,11 @@ def _forms(x: np.ndarray, block: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj()[:, None, :] @ block @ y[:, :, None])[:, 0, 0]
 
 
-def qnr_sample(
-    b, projection: OrthogonalProjection, n: int, seed: int = 0
-) -> QnrSample:
+def qnr_sample(b, bases: tuple[np.ndarray, np.ndarray], n: int, seed: int = 0) -> QnrSample:
     """``n`` seeded samples of the quadratic numerical range of ``b``, as columns.
 
+    ``bases`` holds orthonormal columns of Ran P and of Ran P-perp, such as
+    A's eigenvectors ``u[:, mask]`` and ``u[:, ~mask]`` of sigma's mask.
     Draws f uniformly on the unit sphere of Ran P and g on the unit sphere
     of Ran P-perp, compresses ``b`` to the 2x2 matrix
     [[(f,Bf), (f,Bg)], [(g,Bf), (g,Bg)]] and records its eigenvalue pair.
@@ -541,13 +534,11 @@ def qnr_sample(
         raise ValueError("need at least one sample")
     b = np.asarray(b, dtype=complex)
     dim = b.shape[0]
-    if not 0 < projection.rank < dim:
-        raise ValueError(
-            f"projection rank must be strictly between 0 and {dim}, got {projection.rank}"
-        )
-    basis_p = projection.range_basis
-    basis_q = projection.complement_basis
-    kp, kq = basis_p.shape[1], basis_q.shape[1]
+    basis_p, basis_q = bases
+    kp, kq = basis_p.shape[-1], basis_q.shape[-1]
+    if basis_p.shape != (dim, kp) or basis_q.shape != (dim, dim - kp) or not 0 < kp < dim:
+        raise ValueError(f"bases of shapes {basis_p.shape} and {basis_q.shape} do not split the "
+                         f"{dim}-dimensional space of b into two parts of rank at least 1")
     # with f = basis_p u and g = basis_q h, (f, B g) = u^* (basis_p^* B basis_q) h
     b_pp = basis_p.conj().T @ b @ basis_p
     b_qq = basis_q.conj().T @ b @ basis_q

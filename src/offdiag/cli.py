@@ -178,7 +178,8 @@ def cmd_qnr(args) -> int:
     tol = DEFAULT_TOL.scaled(args.tol_scale)
     problem = load_problem(args.path, tol)
     with _claim_outputs(args.path, args.out, args.svg):
-        samples = qnr_sample(problem.b, problem.projection, args.samples, args.seed)
+        u, mask = problem.a_eigen.eigenvectors, problem.sigma_mask
+        samples = qnr_sample(problem.b, (u[:, mask], u[:, ~mask]), args.samples, args.seed)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 write_qnr_csv(samples, fh)

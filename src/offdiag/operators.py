@@ -1,9 +1,12 @@
-"""Dense Hermitian primitives: validation, eigendecomposition, norms, projections.
+"""Dense Hermitian primitives: validation, eigendecomposition, norms, selection, blocks.
 
-Everything downstream consumes these.  The eigensolver is LAPACK's
-Hermitian driver via ``numpy.linalg.eigh`` (a diagonal matrix needs no
-solver); the spectral norm goes through the SVD, a different routine, so
-norm-vs-eigenvalue cross checks exercise two independent code paths.
+Everything downstream consumes these.  A spectral projection is never
+formed: it is a mask over eigenvector columns, and ``_blocks`` gathers the
+principal-angle blocks of two such masks from the stack.  The eigensolver
+is LAPACK's Hermitian driver via ``numpy.linalg.eigh`` (a diagonal matrix
+needs no solver); the spectral norm goes through the SVD, a different
+routine, so norm-vs-eigenvalue cross checks exercise two independent code
+paths.
 """
 
 from __future__ import annotations
@@ -118,35 +121,6 @@ def _basis(eigen: EigenDecomposition) -> tuple[np.ndarray, np.ndarray | None]:
     return np.broadcast_to(np.arange(u.shape[-1]), u.shape[:-1]), u.conj().swapaxes(-1, -2)
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalProjection:
-    """Orthogonal projection held as orthonormal bases of its range and of the range's complement.
-
-    Both bases have orthonormal columns; the constructor checks only that
-    their shapes split one space.  ``projection_from_eigenvectors`` builds
-    one from the eigenvector columns it selects and those it leaves.
-    """
-
-    range_basis: np.ndarray
-    complement_basis: np.ndarray
-
-    def __post_init__(self):
-        rows, cols = self.range_basis.shape
-        if self.complement_basis.shape != (rows, rows - cols):
-            raise ValueError(
-                f"bases of shapes {self.range_basis.shape} and {self.complement_basis.shape} "
-                "do not split one space"
-            )
-
-    @property
-    def rank(self) -> int:
-        return self.range_basis.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.range_basis.shape[0]
-
-
 def norm_exceeds(block: np.ndarray, bound) -> np.ndarray:
     """``spectral_norm(block) > bound`` per block of a stack, with the SVD only if it matters.
 
@@ -215,12 +189,3 @@ def _select(values, lo, hi, is_open: bool, tol) -> tuple[np.ndarray, np.ndarray,
             else f"eigenvalue {x:.12g} attains the closed boundary of {where}; counted inside"
         )
     return mask, ambiguous, flags
-
-
-def projection_from_eigenvectors(
-    decomposition: EigenDecomposition, mask: np.ndarray
-) -> OrthogonalProjection:
-    """Projection onto the selected eigenvectors; it keeps both column sets as its bases."""
-    mask = np.asarray(mask, dtype=bool)
-    u = decomposition.eigenvectors
-    return OrthogonalProjection(u[:, mask], u[:, ~mask])

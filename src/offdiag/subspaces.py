@@ -36,7 +36,6 @@ from .analysis import (
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import _HULL_SEPARATED, Case, SpectralSet, _classify, locate_points
 from .operators import (
-    OrthogonalProjection,
     _basis,
     _blocks,
     _eigh,
@@ -51,81 +50,12 @@ from .operators import (
 C_PI = (3.0 * math.pi - math.sqrt(math.pi**2 + 32.0)) / (math.pi**2 - 4.0)
 
 
-class GraphRepresentationError(ValueError):
-    """Ran Q is not a graph over Ran P (requires ||P - Q|| < 1)."""
-
-
 class ProjectionDifference(NamedTuple):
-    """||P - Q|| and its two cross-product norms; inside the checks, columns with a row per pair."""
+    """||P - Q|| and its two cross-product norms, as columns with a row per mask pair."""
 
-    norm: float
-    norm_pq_perp: float
-    norm_pperp_q: float
-
-
-def projection_difference_norm(
-    p: OrthogonalProjection, q: OrthogonalProjection
-) -> ProjectionDifference:
-    """||P - Q|| together with the two cross-product norms whose max it equals.
-
-    The cross products are principal-angle blocks of the bases:
-    ||P Q_perp|| = ||U_P* U_Q_perp|| and ||P_perp Q|| = ||U_P_perp* U_Q||, of
-    sizes rank P x (n - rank Q) and (n - rank P) x rank Q.
-    """
-    if p.dim != q.dim:
-        raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
-    pq_perp = spectral_norm(p.range_basis.conj().T @ q.complement_basis)
-    pperp_q = spectral_norm(p.complement_basis.conj().T @ q.range_basis)
-    return ProjectionDifference(max(pq_perp, pperp_q), pq_perp, pperp_q)
-
-
-class GraphOperator(NamedTuple):
-    """Matrix of X: Ran P -> Ran P-perp with Ran Q = {u + X u}, plus the bases used."""
-
-    x: np.ndarray
-    basis_range: np.ndarray       # orthonormal columns spanning Ran P
-    basis_complement: np.ndarray  # orthonormal columns spanning Ran P-perp
-
-    @property
-    def norm(self) -> float:
-        return spectral_norm(self.x)
-
-    def rebuild_projection(self) -> OrthogonalProjection:
-        """Projection onto the graph subspace {u + X u}."""
-        graph_cols = self.basis_range + self.basis_complement @ self.x
-        z, _ = np.linalg.qr(graph_cols, mode="complete")
-        rank = graph_cols.shape[1]
-        return OrthogonalProjection(z[:, :rank], z[:, rank:])
-
-
-def graph_operator(
-    p: OrthogonalProjection, q: OrthogonalProjection, tol: Tolerances = DEFAULT_TOL
-) -> GraphOperator:
-    """Represent Ran Q as a graph over Ran P.
-
-    Writes an orthonormal column basis of Ran Q in the block coordinates of
-    P; with top block U (onto Ran P) and bottom block W the graph operator
-    is X = W U^{-1}.  U is invertible exactly when ||P - Q|| < 1, and X is
-    formed when ``1 - ||P - Q|| > tol.report``, TAN_THETA's premise by the
-    verdict rule (``analysis._premise_met``); otherwise this raises
-    ``GraphRepresentationError``.  TAN_THETA forms the same X from blocks
-    gathered from the stack, and this is its standalone form.
-    """
-    if p.dim != q.dim:
-        raise ValueError(f"projections live in different dimensions: {p.dim} vs {q.dim}")
-    if p.rank != q.rank:
-        raise ValueError(f"rank mismatch: rank P = {p.rank}, rank Q = {q.rank}")
-    diff = projection_difference_norm(p, q).norm
-    if not _premise_met(1.0 - diff, 1.0, tol):
-        raise GraphRepresentationError(f"||P - Q|| = {diff:.12g} is not below 1 by more than "
-                                       f"{tol.report:g}; Ran Q is not a graph over Ran P")
-    basis_p = p.range_basis
-    basis_perp = p.complement_basis
-    basis_q = q.range_basis
-    u = basis_p.conj().T @ basis_q
-    w = basis_perp.conj().T @ basis_q
-    x = np.linalg.solve(u.T, w.T).T
-    return GraphOperator(x=x, basis_range=basis_p, basis_complement=basis_perp)
+    norm: np.ndarray
+    norm_pq_perp: np.ndarray
+    norm_pperp_q: np.ndarray
 
 
 # ---------------------------------------------------------------------------

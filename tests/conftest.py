@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offdiag import OrthogonalProjection, PerturbationProblem, SpectralSet
+from offdiag import PerturbationProblem, SpectralSet, spectral_norm
 from offdiag.operators import _eigh, _select, validate_hermitian
 
 
@@ -16,11 +16,12 @@ def eigendecompose(matrix):
 
 
 def random_projection(rng, dim, rank):
-    """Projection onto the span of ``rank`` eigenvectors of a random Hermitian."""
+    """Bases ``(U_P, U_P-perp)`` of the span of ``rank`` eigenvectors of a random Hermitian and
+    of its complement: a projection P as the pair of bases that split its space."""
     dec = eigendecompose(random_hermitian(rng, dim))
     order = rng.permutation(dim)
     u = dec.eigenvectors
-    return OrthogonalProjection(u[:, order[:rank]], u[:, order[rank:]])
+    return u[:, order[:rank]], u[:, order[rank:]]
 
 
 def select(values, region, tol):
@@ -32,14 +33,43 @@ def select(values, region, tol):
 
 
 def dense(p):
-    """``U U*`` for the range basis U of the projection ``p``: its n x n matrix."""
-    u = p.range_basis
+    """``U U*`` for the range basis U of the bases pair ``p``: its projection's n x n matrix."""
+    u = p[0]
     return u @ u.conj().T
 
 
 def complement(p):
-    """I - P: the projection ``p`` with its two bases swapped."""
-    return OrthogonalProjection(p.complement_basis, p.range_basis)
+    """I - P: the bases pair ``p`` swapped."""
+    return p[1], p[0]
+
+
+def sigma_bases(problem):
+    """The bases pair of E_A(sigma): A's eigenvector columns in ``sigma_mask`` and the rest."""
+    u, mask = problem.a_eigen.eigenvectors, problem.sigma_mask
+    return u[:, mask], u[:, ~mask]
+
+
+def difference(p, q):
+    """``(||P - Q||, ||P Q_perp||, ||P_perp Q||)`` of two bases pairs, from the principal-angle
+    blocks ``U_P* U_Q_perp`` and ``U_P_perp* U_Q``, whose larger norm is ``||P - Q||``."""
+    pq_perp = spectral_norm(p[0].conj().T @ q[1])
+    pperp_q = spectral_norm(p[1].conj().T @ q[0])
+    return max(pq_perp, pperp_q), pq_perp, pperp_q
+
+
+def graph(p, q):
+    """X: Ran P -> Ran P-perp with Ran Q = {u + X u}, for bases pairs with ``||P - Q|| < 1``:
+    ``X = W U^{-1}`` for U = U_P* U_Q above W = U_P-perp* U_Q."""
+    u = p[0].conj().T @ q[0]
+    w = p[1].conj().T @ q[0]
+    return np.linalg.solve(u.T, w.T).T
+
+
+def graph_bases(p, x):
+    """The bases pair of the graph {u + X u} over ``p``, from a complete QR of its columns."""
+    columns = p[0] + p[1] @ x
+    z, _ = np.linalg.qr(columns, mode="complete")
+    return z[:, : columns.shape[1]], z[:, columns.shape[1] :]
 
 
 def random_unitary(rng, dim, spread=1.0):
@@ -75,12 +105,12 @@ def mapped_problem(problem, s, t=0.0, unitary=None):
 
 
 def random_close_projection(rng, p, spread=0.3):
-    """``U P U*`` for the random unitary U of ``random_unitary``: ``p``'s bases rotated by U.
+    """``U P U*`` for the random unitary U of ``random_unitary``: the bases pair ``p`` rotated by U.
 
     The result has the rank of ``p`` and moves away from it as ``spread`` grows.
     """
-    unitary = random_unitary(rng, p.dim, spread)
-    return OrthogonalProjection(unitary @ p.range_basis, unitary @ p.complement_basis)
+    unitary = random_unitary(rng, p[0].shape[0], spread)
+    return unitary @ p[0], unitary @ p[1]
 
 
 @pytest.fixture

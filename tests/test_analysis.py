@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import warnings
 import weakref
 
@@ -10,7 +11,6 @@ import pytest
 from offdiag import (
     THEOREM_IDS,
     Case,
-    OrthogonalProjection,
     PerturbationProblem,
     SpectralSet,
     ValidationError,
@@ -27,9 +27,10 @@ from offdiag import (
 )
 from offdiag import analysis, harness, operators, subspaces
 from offdiag.config import DEFAULT_TOL, Tolerances
-from offdiag.operators import _select, projection_from_eigenvectors
+from offdiag.operators import _select
 
-from conftest import haar_unitary, mapped_problem, random_hermitian, random_unitary, select
+from conftest import (haar_unitary, mapped_problem, random_hermitian, random_unitary, select,
+                      sigma_bases)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -409,7 +410,7 @@ class TestProblemValidation:
         tol = p.tol.eig(p.a_eigen.eigenvalues)
         mask, _, _ = select(p.a_eigen.eigenvalues, p.sigma, tol)
         assert np.array_equal(p.sigma_mask, mask)
-        assert p.sigma_mask.sum() == p.projection.rank == 3
+        assert p.sigma_mask.sum() == 3
 
 
 QNR_FIELDS = ("a0", "a1", "v", "lam", "mu")
@@ -420,7 +421,7 @@ class TestQnrSampling:
         p = builtin_example("CASE1", scale=0.7)
         inf_b = p.b_eigen.eigenvalues.min()
         sup_b = p.b_eigen.eigenvalues.max()
-        s = qnr_sample(p.b, p.projection, 500, seed=3)
+        s = qnr_sample(p.b, sigma_bases(p), 500, seed=3)
         assert all(getattr(s, name).shape == (500,) for name in QNR_FIELDS)
         assert np.all(inf_b - 1e-9 <= s.lam) and np.all(s.lam <= s.mu)
         assert np.all(s.mu <= sup_b + 1e-9)
@@ -429,20 +430,20 @@ class TestQnrSampling:
 
     def test_block_diagonal_samples_hit_diagonal_values(self, rng):
         p = builtin_example("CASE1", scale=0.0)
-        s = qnr_sample(p.b, p.projection, 200, seed=5)
+        s = qnr_sample(p.b, sigma_bases(p), 200, seed=5)
         assert np.all(np.abs(s.v) < 1e-12)
         assert np.all(np.abs(s.lam - np.minimum(s.a0, s.a1)) < 1e-12)
         assert np.all(np.abs(s.mu - np.maximum(s.a0, s.a1)) < 1e-12)
 
     def test_case1_min_sample_approaches_inf_b(self):
         p = builtin_example("CASE1")
-        samples = qnr_sample(p.b, p.projection, 10_000, seed=0)
+        samples = qnr_sample(p.b, sigma_bases(p), 10_000, seed=0)
         assert samples.lam.min() == pytest.approx(-2.0, abs=0.05)
 
     def test_deterministic_and_nested(self):
         p = builtin_example("CASE2")
-        long = qnr_sample(p.b, p.projection, 300, seed=11)
-        short = qnr_sample(p.b, p.projection, 100, seed=11)
+        long = qnr_sample(p.b, sigma_bases(p), 300, seed=11)
+        short = qnr_sample(p.b, sigma_bases(p), 100, seed=11)
         for name in QNR_FIELDS:
             assert np.array_equal(getattr(long, name)[:100], getattr(short, name))
         assert long.lam.min() <= short.lam.min()
@@ -450,11 +451,10 @@ class TestQnrSampling:
     def test_matches_per_sample_compression(self):
         # rebuild f and g from the seeded stream one sample at a time
         p = random_problem(random_problem_spec(Case.CASE_II, 3, 4, 0.8, seed=2))
-        basis_p = p.projection.range_basis
-        basis_q = p.projection.complement_basis
+        basis_p, basis_q = sigma_bases(p)
         kp, kq = basis_p.shape[1], basis_q.shape[1]
         rng = np.random.default_rng(4)
-        s = qnr_sample(p.b, p.projection, 50, seed=4)
+        s = qnr_sample(p.b, sigma_bases(p), 50, seed=4)
         for i in range(50):
             zf = rng.standard_normal(kp) + 1j * rng.standard_normal(kp)
             zg = rng.standard_normal(kq) + 1j * rng.standard_normal(kq)
@@ -466,8 +466,8 @@ class TestQnrSampling:
 
     def test_single_sample_is_the_first_of_many(self):
         p = builtin_example("CASE1", scale=0.6)
-        one = qnr_sample(p.b, p.projection, 1, seed=7)
-        many = qnr_sample(p.b, p.projection, 64, seed=7)
+        one = qnr_sample(p.b, sigma_bases(p), 1, seed=7)
+        many = qnr_sample(p.b, sigma_bases(p), 64, seed=7)
         for name in QNR_FIELDS:
             assert np.array_equal(getattr(one, name), getattr(many, name)[:1])
 
@@ -475,14 +475,14 @@ class TestQnrSampling:
     def test_every_column_is_a_prefix_across_block_boundaries(self, n):
         assert analysis.QNR_CHUNK == 256
         p = random_problem(random_problem_spec(Case.CASE_I, 3, 4, 0.6, seed=8))
-        part = qnr_sample(p.b, p.projection, n, seed=12)
-        whole = qnr_sample(p.b, p.projection, 1000, seed=12)
+        part = qnr_sample(p.b, sigma_bases(p), n, seed=12)
+        whole = qnr_sample(p.b, sigma_bases(p), 1000, seed=12)
         for name in QNR_FIELDS:
             assert getattr(part, name).tobytes() == getattr(whole, name)[:n].tobytes()
 
     def test_a_null_row_is_redrawn_from_the_stream(self, monkeypatch):
         p = random_problem(random_problem_spec(Case.CASE_II, 3, 4, 0.8, seed=2))
-        kp = p.projection.rank
+        kp = p.sigma_mask.sum()
         default_rng = np.random.default_rng
 
         class NullRow:
@@ -498,13 +498,13 @@ class TestQnrSampling:
                 return out
 
         monkeypatch.setattr(np.random, "default_rng", NullRow)
-        got = qnr_sample(p.b, p.projection, 10, seed=4)
+        got = qnr_sample(p.b, sigma_bases(p), 10, seed=4)
         monkeypatch.undo()
-        want = qnr_sample(p.b, p.projection, 10, seed=4)
+        want = qnr_sample(p.b, sigma_bases(p), 10, seed=4)
         stream = np.random.default_rng(4)
         stream.standard_normal((10, 2 * p.dim))
         z = stream.standard_normal(kp) + 1j * stream.standard_normal(kp)
-        f = p.projection.range_basis @ (z / np.linalg.norm(z))
+        f = sigma_bases(p)[0] @ (z / np.linalg.norm(z))
         others = np.arange(10) != 3
         for name in QNR_FIELDS:
             assert np.array_equal(getattr(got, name)[others], getattr(want, name)[others])
@@ -514,17 +514,30 @@ class TestQnrSampling:
 
     def test_degenerate_projection_rejected(self):
         p = builtin_example("CASE1")
+        u = p.a_eigen.eigenvectors
         for mask in (np.zeros(4, dtype=bool), np.ones(4, dtype=bool)):
-            projection = projection_from_eigenvectors(p.a_eigen, mask)
-            with pytest.raises(ValueError, match="rank"):
-                qnr_sample(p.b, projection, 10, seed=0)
+            bases = u[:, mask], u[:, ~mask]
+            with pytest.raises(ValueError, match=shapes_message(*bases)):
+                qnr_sample(p.b, bases, 10, seed=0)
 
     def test_full_rank_projection_raises_at_once(self):
         # a complement of width 0 leaves no unit vector g to draw
-        p = OrthogonalProjection(np.eye(3, dtype=complex), np.zeros((3, 0), dtype=complex))
-        assert p.rank == 3
-        with pytest.raises(ValueError, match="rank"):
-            qnr_sample(np.eye(3), p, 3)
+        bases = np.eye(3, dtype=complex), np.zeros((3, 0), dtype=complex)
+        with pytest.raises(ValueError, match=shapes_message(*bases)):
+            qnr_sample(np.eye(3), bases, 3)
+
+    @pytest.mark.parametrize(
+        "range_shape, complement_shape", [((3, 3), (3, 1)), ((3, 1), (3, 1)), ((3, 1), (2, 2))]
+    )
+    def test_rejects_bases_that_do_not_split_the_space(self, range_shape, complement_shape):
+        bases = np.zeros(range_shape), np.zeros(complement_shape)
+        with pytest.raises(ValueError, match=shapes_message(*bases)):
+            qnr_sample(np.eye(3), bases, 3)
+
+
+def shapes_message(basis_p, basis_q):
+    """The start of ``qnr_sample``'s message on bases that do not split b's space, as a regex."""
+    return re.escape(f"bases of shapes {basis_p.shape} and {basis_q.shape} do not split")
 
 
 class TestShiftBounds:
@@ -661,7 +674,7 @@ class TestScaleRelativeTolerances:
 
     def test_problem_at_tiny_scale_builds(self):
         p = scaled_case1(1e-12)
-        assert p.projection.rank == 2
+        assert p.sigma_mask.sum() == 2
         assert p.sigma_mask.tolist() == builtin_example("CASE1", scale=0.99).sigma_mask.tolist()
 
     @pytest.mark.parametrize("factor", [1e-8, 1e-12, 1e8])

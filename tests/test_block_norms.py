@@ -29,7 +29,6 @@ from offdiag import (
     bound_pair_inequality,
     builtin_example,
     harness,
-    projection_difference_norm,
     random_problem,
     random_problem_spec,
     run_theorem,
@@ -45,16 +44,14 @@ from offdiag.operators import (
     _blocks,
     _eigh,
     _mask_groups,
-    projection_from_eigenvectors,
     spectral_norm,
 )
 
 from conftest import (
-    complement,
     dense,
+    difference,
     eigendecompose,
     mapped_problem,
-    random_close_projection,
     random_hermitian,
     random_unitary,
     rotated,
@@ -67,55 +64,61 @@ def dense_norm(m):
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
-def eigen_projection(rng, dim, rank):
-    """Projection onto ``rank`` eigenvectors of a random Hermitian, keeping its bases."""
-    dec = eigendecompose(random_hermitian(rng, dim))
-    mask = np.zeros(dim, dtype=bool)
-    mask[rng.permutation(dim)[:rank]] = True
-    return projection_from_eigenvectors(dec, mask)
+def pair_problem(rng, dim, turn):
+    """A generated SUBORDINATED problem of dimension ``dim``, with a diagonal A, or turned by a
+    random unitary, so that its blocks are gathered in A's eigenbasis."""
+    spec = random_problem_spec("SUBORDINATED", dim // 2, dim - dim // 2, 1.2,
+                               int(rng.integers(2**32)))
+    problem = random_problem(spec)
+    return mapped_problem(problem, 1.0, unitary=random_unitary(rng, dim)) if turn else problem
 
 
-def unitary_projection(rng, dim, rank):
-    """The same kind of projection with both bases rotated by a random unitary."""
-    return random_close_projection(rng, eigen_projection(rng, dim, rank), spread=1.0)
-
-
-def assert_difference_matches(p, q):
-    eye, dense_p, dense_q = np.eye(p.dim), dense(p), dense(q)
-    got = projection_difference_norm(p, q)
-    assert abs(got.norm - dense_norm(dense_p - dense_q)) <= TOL
-    assert abs(got.norm_pq_perp - dense_norm(dense_p @ (eye - dense_q))) <= TOL
-    assert abs(got.norm_pperp_q - dense_norm((eye - dense_p) @ dense_q)) <= TOL
+def assert_difference_matches(problem, mask_p, mask_q):
+    """``_difference`` of E_A(mask_p) and E_B(mask_q) against SVDs of the dense n x n matrices."""
+    assert len(problem._stack.d) == 1
+    eye = np.eye(problem.dim)
+    dense_p, dense_q = (dense((e.eigenvectors[:, m], e.eigenvectors[:, ~m]))
+                        for e, m in ((problem.a_eigen, mask_p), (problem.b_eigen, mask_q)))
+    got = [float(x[0]) for x in subspaces._difference(problem._stack, mask_p[None], mask_q[None])]
+    assert abs(got[0] - dense_norm(dense_p - dense_q)) <= TOL
+    assert abs(got[1] - dense_norm(dense_p @ (eye - dense_q))) <= TOL
+    assert abs(got[2] - dense_norm((eye - dense_p) @ dense_q)) <= TOL
 
 
 class TestProjectionDifference:
+    """``_difference`` on masks of every rank, a diagonal A's and a turned one's."""
+
     @pytest.mark.parametrize("dim", [2, 5, 12])
     def test_random_pairs_with_unequal_ranks(self, rng, dim):
-        for _ in range(10):
-            rp, rq = rng.integers(0, dim + 1, size=2)
-            p, q = eigen_projection(rng, dim, rp), eigen_projection(rng, dim, rq)
-            assert_difference_matches(p, q)
+        for turn in (False, True):
+            problem = pair_problem(rng, dim, turn)
+            for _ in range(10):
+                rp, rq = rng.integers(0, dim + 1, size=2)
+                assert_difference_matches(problem, random_mask(rng, dim, rp),
+                                          random_mask(rng, dim, rq))
 
     @pytest.mark.parametrize("rank_p, rank_q", [(0, 0), (0, 3), (6, 6), (6, 0), (6, 2), (0, 6)])
     def test_rank_zero_and_full_rank(self, rng, rank_p, rank_q):
-        p, q = eigen_projection(rng, 6, rank_p), eigen_projection(rng, 6, rank_q)
-        assert_difference_matches(p, q)
-        assert_difference_matches(complement(p), q)
+        for turn in (False, True):
+            problem = pair_problem(rng, 6, turn)
+            mask_p, mask_q = random_mask(rng, 6, rank_p), random_mask(rng, 6, rank_q)
+            assert_difference_matches(problem, mask_p, mask_q)
+            assert_difference_matches(problem, ~mask_p, mask_q)
 
     def test_complement(self, rng):
         for _ in range(10):
-            p, q = eigen_projection(rng, 8, 3), eigen_projection(rng, 8, 5)
-            pc = complement(p)
-            np.testing.assert_allclose(dense(pc), np.eye(8) - dense(p), atol=TOL)
-            assert_difference_matches(pc, q)
-            assert_difference_matches(pc, complement(q))
+            problem = pair_problem(rng, 8, False)
+            mask_p, mask_q = random_mask(rng, 8, 3), random_mask(rng, 8, 5)
+            assert_difference_matches(problem, ~mask_p, mask_q)
+            assert_difference_matches(problem, ~mask_p, ~mask_q)
 
     def test_rotated_projections(self, rng):
         for _ in range(10):
-            p, q = unitary_projection(rng, 7, 3), unitary_projection(rng, 7, 4)
-            assert_difference_matches(p, q)
-            assert_difference_matches(complement(p), q)
-            assert_difference_matches(p, eigen_projection(rng, 7, 2))
+            problem = pair_problem(rng, 7, True)
+            mask_p, mask_q = random_mask(rng, 7, 3), random_mask(rng, 7, 4)
+            assert_difference_matches(problem, mask_p, mask_q)
+            assert_difference_matches(problem, ~mask_p, mask_q)
+            assert_difference_matches(problem, mask_p, random_mask(rng, 7, 2))
 
 
 def block_bases(rng, dim):
@@ -230,8 +233,8 @@ class TestPairInequalityEntryPoints:
         delta = SpectralSet([(0.5, 100.0)])
         report = verify_pair_inequality(a, b, sigma, delta)
         dec_a, dec_b = eigendecompose(a), eigendecompose(b)
-        ea = projection_from_eigenvectors(dec_a, dec_a.eigenvalues <= 0.0)
-        eb = projection_from_eigenvectors(dec_b, dec_b.eigenvalues >= 0.5)
+        ea, eb = ((dec.eigenvectors[:, m], dec.eigenvectors[:, ~m]) for dec, m in
+                  ((dec_a, dec_a.eigenvalues <= 0.0), (dec_b, dec_b.eigenvalues >= 0.5)))
         assert abs(report.measured_value - 0.5 * dense_norm(dense(ea) @ dense(eb))) <= TOL
 
 
@@ -522,10 +525,9 @@ class TestEqualRankRule:
         assert all(x.shape == (count,) for x in got)
         for v, diff in enumerate(zip(*(x.tolist() for x in got))):
             i = v % rows
-            p, q = (projection_from_eigenvectors(EigenDecomposition(e.eigenvalues[i],
-                                                                    e.eigenvectors[i]), m[v])
+            p, q = ((e.eigenvectors[i][:, m[v]], e.eigenvectors[i][:, ~m[v]])
                     for e, m in ((a, mask_p), (b, mask_q)))
-            reference = projection_difference_norm(p, q)
+            reference = difference(p, q)
             if equal[v]:
                 assert diff == (pq_perp[v],) * 3
             else:

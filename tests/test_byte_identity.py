@@ -88,10 +88,21 @@ def test_sweep_runs_qnr_to_stdout_and_on_every_example_with_and_without_svg():
     _, argvs = byte_identity.sweep()
     qnr = [argv for argv in argvs if argv[0] == "qnr"]
     assert sum("--out" not in argv for argv in qnr) == 1
-    examples = [argv for argv in qnr if argv[1] != "qnr_problem.json"]
+    examples = [argv for argv in qnr if argv[1].startswith(("case1_", "case2_"))]
     assert len(examples) == 6 * 2 * 2
     assert {(argv[3], "--svg" in argv) for argv in examples} == {
         (n, svg) for n in ("1", "257") for svg in (False, True)}
+
+
+def test_sweep_runs_qnr_on_the_haar_turned_inputs():
+    # bases sliced from LAPACK eigenvectors, where the examples' are identity columns
+    inputs, argvs = byte_identity.sweep()
+    # a generated input is [path, case, dim_sigma, dim_Sigma, ratio, seed, turn, ...]
+    turned = {path for path, *rest in inputs if rest[5:6] == ["haar"]}
+    assert turned == {"haar.json", "haar_case1.json", "haar_subordinated.json"}
+    qnr = [argv for argv in argvs if argv[0] == "qnr" and argv[1] in turned]
+    assert sorted(argv[1] for argv in qnr) == sorted(turned)
+    assert all(argv[2:4] == ["--samples", "257"] and "--out" in argv for argv in qnr)
 
 
 def without(argv, *flags):

@@ -62,14 +62,14 @@ class TestBuiltinExamples:
         assert p.case is Case.CASE_I
         assert p.d == 1.0
         assert abs(p.norm_v - SQRT3_2) < 1e-12
-        assert p.projection.rank == 2
+        assert p.sigma_mask.sum() == 2
 
     def test_case2_validates(self):
         p = builtin_example("CASE2")
         assert p.case is Case.CASE_II
         assert p.d == 1.0
         assert abs(p.norm_v - math.sqrt(2.0)) < 1e-12
-        assert p.projection.rank == 1
+        assert p.sigma_mask.sum() == 1
 
     def test_scale(self):
         p = builtin_example("CASE1", scale=0.5)

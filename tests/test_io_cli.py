@@ -41,6 +41,8 @@ from offdiag.io import (
     write_qnr_csv,
 )
 
+from conftest import sigma_bases
+
 
 @pytest.fixture
 def case1_file(tmp_path):
@@ -731,7 +733,7 @@ class TestTwoNestLayout:
 class TestQnrOutput:
     def test_csv_rows_and_header(self, tmp_path):
         p = builtin_example("CASE1")
-        samples = qnr_sample(p.b, p.projection, 25, seed=4)
+        samples = qnr_sample(p.b, sigma_bases(p), 25, seed=4)
         path = tmp_path / "q.csv"
         with open(path, "w") as fh:
             write_qnr_csv(samples, fh)
@@ -744,7 +746,7 @@ class TestQnrOutput:
 
     def test_svg_is_selfcontained(self):
         p = builtin_example("CASE1")
-        samples = qnr_sample(p.b, p.projection, 10, seed=4)
+        samples = qnr_sample(p.b, sigma_bases(p), 10, seed=4)
         svg = qnr_svg(samples, [-2.0, 0.0, 2.0])
         assert svg.startswith("<svg")
         assert svg.count("<circle") == 20

@@ -6,17 +6,13 @@ import pytest
 
 from offdiag import (
     C_PI,
-    GraphRepresentationError,
-    OrthogonalProjection,
     SpectralSet,
     bound_case1,
     bound_case2,
     bound_subordinated,
     builtin_example,
     delta_v,
-    graph_operator,
     maximal_gap_interval,
-    projection_difference_norm,
     random_problem,
     random_problem_spec,
     spectral_norm,
@@ -28,125 +24,11 @@ from offdiag.cli import main
 from offdiag.config import DEFAULT_TOL
 from offdiag.intervals import neighborhood_bounds
 from offdiag.io import load_problem, problem_payload, save_problem
-from offdiag.operators import projection_from_eigenvectors
 
-from conftest import (complement, dense, haar_unitary, mapped_problem, random_close_projection,
-                      random_hermitian, random_projection, random_unitary, select)
+from conftest import graph, haar_unitary, mapped_problem, random_hermitian, random_unitary, select
 from test_intervals import distance_to_points
 
 SQRT2 = math.sqrt(2.0)
-
-
-def rotated_projection(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, -s], [s, c]], dtype=complex)
-    return OrthogonalProjection(r[:, :1], r[:, 1:])
-
-
-class TestProjectionDifferenceNorm:
-    def test_identical(self):
-        p = rotated_projection(0.3)
-        d = projection_difference_norm(p, p)
-        assert d == (0.0, 0.0, 0.0) or max(d) < 1e-15
-
-    def test_rotation_gives_sine(self):
-        p = rotated_projection(0.0)
-        q = rotated_projection(math.pi / 6)
-        d = projection_difference_norm(p, q)
-        assert abs(d.norm - 0.5) < 1e-12
-
-    def test_complement_pair(self):
-        p = rotated_projection(0.2)
-        d = projection_difference_norm(p, complement(p))
-        assert abs(d.norm - 1.0) < 1e-12
-
-    def test_max_identity_on_corpus(self, rng):
-        # ||P - Q|| = max{||P Q_perp||, ||P_perp Q||} on 1000 seeded pairs
-        for _ in range(1000):
-            dim = int(rng.integers(2, 13))
-            p = random_projection(rng, dim, int(rng.integers(1, dim)))
-            q = random_projection(rng, dim, int(rng.integers(1, dim)))
-            d = projection_difference_norm(p, q)
-            assert abs(d.norm - max(d.norm_pq_perp, d.norm_pperp_q)) < 1e-10
-
-
-class TestGraphOperator:
-    def test_zero_angle(self):
-        p = rotated_projection(0.5)
-        g = graph_operator(p, p)
-        assert g.norm < 1e-12
-
-    def test_rotation_gives_tangent(self):
-        theta = 0.4
-        p = rotated_projection(0.0)
-        q = rotated_projection(theta)
-        g = graph_operator(p, q)
-        assert abs(g.norm - math.tan(theta)) < 1e-12
-        assert abs(projection_difference_norm(p, q).norm - math.sin(theta)) < 1e-12
-
-    def test_roundtrip_and_sine_identity(self, rng):
-        done = 0
-        while done < 500:
-            dim = int(rng.integers(2, 17))
-            p = random_projection(rng, dim, int(rng.integers(1, dim)))
-            q = random_close_projection(rng, p, spread=float(rng.uniform(0.05, 0.5)))
-            norm = projection_difference_norm(p, q).norm
-            if norm >= 0.999:
-                continue
-            g = graph_operator(p, q)
-            rebuilt = g.rebuild_projection()
-            assert spectral_norm(dense(rebuilt) - dense(q)) < 1e-8
-            assert abs(norm - g.norm / math.sqrt(1.0 + g.norm**2)) < 1e-8
-            done += 1
-
-    def test_rebuilt_bases_are_orthonormal_and_complementary(self, rng):
-        for _ in range(20):
-            dim = int(rng.integers(2, 17))
-            p = random_projection(rng, dim, int(rng.integers(1, dim)))
-            q = random_close_projection(rng, p, spread=0.1)
-            rebuilt = graph_operator(p, q).rebuild_projection()
-            z = np.hstack([rebuilt.range_basis, rebuilt.complement_basis])
-            assert rebuilt.rank == q.rank and rebuilt.dim == dim
-            assert spectral_norm(z.conj().T @ z - np.eye(dim)) <= 1e-12
-
-    def test_complement_pair_rejected(self):
-        p = rotated_projection(0.0)
-        with pytest.raises(GraphRepresentationError):
-            graph_operator(p, complement(p))
-
-    @pytest.mark.parametrize("dim", [3, 40])
-    @pytest.mark.parametrize("gap, built", [(2e-9, True), (5e-10, False)])
-    def test_premise_is_the_verdict_rule(self, dim, gap, built):
-        # Ran Q turns Ran P = span(e0) towards e1 until ||P - Q|| = 1 - gap; the graph exists
-        # exactly when 1 - ||P - Q|| exceeds tol.report = 1e-9, whatever the dimension
-        s = 1.0 - gap
-        e = np.eye(dim, dtype=complex)
-        turned = math.sqrt(1.0 - s * s) * e[:, :1] + s * e[:, 1:2]
-        back = -s * e[:, :1] + math.sqrt(1.0 - s * s) * e[:, 1:2]
-        p = OrthogonalProjection(e[:, :1], e[:, 1:])
-        q = OrthogonalProjection(turned, np.hstack([back, e[:, 2:]]))
-        diff = projection_difference_norm(p, q).norm
-        assert abs(diff - s) <= 4 * np.finfo(float).eps
-        if built:
-            g = graph_operator(p, q)
-            assert g.norm == pytest.approx(s / math.sqrt(1.0 - s * s), rel=1e-6)
-        else:
-            with pytest.raises(GraphRepresentationError, match="not below 1"):
-                graph_operator(p, q)
-
-    def test_rank_mismatch_rejected(self):
-        e = np.eye(3, dtype=complex)
-        p = OrthogonalProjection(e[:, :1], e[:, 1:])
-        q = OrthogonalProjection(e[:, :2], e[:, 2:])
-        with pytest.raises(ValueError, match="rank"):
-            graph_operator(p, q)
-
-    def test_dimension_mismatch_rejected(self):
-        p, q = (OrthogonalProjection(e[:, :1], e[:, 1:]) for e in (np.eye(2), np.eye(3)))
-        for function in (projection_difference_norm, graph_operator):
-            with pytest.raises(ValueError) as excinfo:
-                function(p, q)
-            assert str(excinfo.value) == "projections live in different dimensions: 2 vs 3"
 
 
 class TestCPi:
@@ -532,18 +414,18 @@ class TestTanThetaRanks:
 
 
 def graph_norm(problem: PerturbationProblem, interval) -> float:
-    """``graph_operator(P, Q).norm`` of TAN_THETA's pair on ``problem`` and the open ``interval``:
-    P on A's eigenvectors of the separated side, Q on B's in the interval."""
+    """||X|| for X = W U^{-1} of TAN_THETA's pair on ``problem`` and the open ``interval``, from
+    products of the bases: P on A's eigenvectors of the separated side, Q on B's in the interval."""
     mask_p = subspaces._sides(problem._stack).mask[problem._row]
     values = problem.b_eigen.eigenvalues
     mask_q = select(values, SpectralSet([interval], is_open=True), problem.tol.eig(values))[0]
-    p, q = (projection_from_eigenvectors(e, m)
+    p, q = ((e.eigenvectors[:, m], e.eigenvectors[:, ~m])
             for e, m in ((problem.a_eigen, mask_p), (problem.b_eigen, mask_q)))
-    return graph_operator(p, q, problem.tol).norm
+    return spectral_norm(graph(p, q))
 
 
 class TestStackedGraphOperator:
-    """TAN_THETA's ``x_norm``, from blocks gathered from the stack, against ``graph_operator``.
+    """TAN_THETA's ``x_norm``, from blocks gathered from the stack, against ``graph_norm``.
 
     On a diagonal A both form U_P* U_Q and U_P-perp* U_Q exactly, so they agree bit for bit.
     On a turned A the gathers read U_A* U_B, which rounds unlike the products of the bases;

@@ -22,6 +22,9 @@ library, then runs the argv in order.  ``sweep`` gives the argv:
   and ``qnr`` of it to stdout, seed 0;
 - ``qnr --out`` on the six ``examples`` problems (V = 0 at scale 0) with
   ``--samples`` 1 and 257, each with and without ``--svg``;
+- ``qnr --out --samples 257`` on the three Haar-turned problems below
+  (``haar``, ``haar_case1`` and ``haar_subordinated``), whose bases are
+  columns of A's eigenvectors from LAPACK, not identity columns;
 - ``analyze --out`` with all theorem ids on the six ``examples`` problems,
   and ``verify --random`` with every theorem id for each family at dims
   3,4 and seed 0, each at ``--tol-scale`` ``TOL_SCALE``: large enough that
@@ -227,6 +230,8 @@ def sweep() -> tuple[list[list], list[list[str]]]:
         for samples in ("1", "257"):
             argv = ["qnr", f"{name}.json", "--samples", samples, "--out", f"{name}.qnr_{samples}.csv"]
             argvs += [argv, [*argv, "--svg", f"{name}.qnr_{samples}.svg"]]
+    for name in ("haar", "haar_case1", "haar_subordinated"):
+        argvs.append(["qnr", f"{name}.json", "--samples", "257", "--out", f"{name}.qnr_257.csv"])
     every_id = [arg for t in THEOREM_IDS for arg in ("--theorem", t)]
     for name in examples:
         argvs.append(["analyze", f"{name}.json", "--out", f"{name}.tol.json", *every_id,
