@@ -25,10 +25,184 @@ from offdiag.config import DEFAULT_TOL
 from offdiag.intervals import neighborhood_bounds
 from offdiag.io import load_problem, problem_payload, save_problem
 
-from conftest import graph, haar_unitary, mapped_problem, random_hermitian, random_unitary, select
+from conftest import (dense, graph, graph_bases, haar_unitary, mapped_problem, random_hermitian,
+                      random_unitary, select)
 from test_intervals import distance_to_points
 
 SQRT2 = math.sqrt(2.0)
+
+
+def two_level_problem(theta):
+    """A = diag(-1, 1), sigma = {-1}, Sigma = {1}, V = w (e0 e1* + e1 e0*) with w = tan(2 theta).
+
+    B's eigenvalue -1 / cos(2 theta) has the eigenvector (cos theta, -sin theta): Ran E_A(sigma)
+    = span(e0) turned by theta.  With theta = 0 (V = 0) turned by a random unitary, A is not
+    diagonal.
+    """
+    v = np.zeros((2, 2))
+    v[0, 1] = v[1, 0] = math.tan(2.0 * theta)
+    problem = PerturbationProblem.build(np.diag([-1.0, 1.0]), v, SpectralSet.from_points([-1.0]),
+                                        SpectralSet.from_points([1.0]))
+    if theta:
+        return problem
+    return mapped_problem(problem, 1.0, unitary=random_unitary(np.random.default_rng(3), 2))
+
+
+def tan_theta_pair(problem: PerturbationProblem, interval):
+    """The bases pairs of TAN_THETA's P and Q on ``problem`` and the open ``interval``: P on A's
+    eigenvectors of the separated side, Q on B's in the interval."""
+    mask_p = subspaces._sides(problem._stack).mask[problem._row]
+    values = problem.b_eigen.eigenvalues
+    mask_q = select(values, SpectralSet([interval], is_open=True), problem.tol.eig(values))[0]
+    p, q = ((e.eigenvectors[:, m], e.eigenvectors[:, ~m])
+            for e, m in ((problem.a_eigen, mask_p), (problem.b_eigen, mask_q)))
+    return p, q
+
+
+def stack_difference(problem, mask_p, mask_q):
+    """``subspaces._difference`` of one problem, as floats per mask row, the masks stacked."""
+    diff = subspaces._difference(problem._stack, np.atleast_2d(mask_p), np.atleast_2d(mask_q))
+    return type(diff)(*(x.tolist() for x in diff))
+
+
+def premise_rows(count, seed):
+    """``count`` generated CASE_II and SUBORDINATED problems whose TAN_THETA premise holds on the
+    maximal gap interval, with dims from 1 (CASE_II's Sigma: 2) to 8, turned by a random
+    unitary."""
+    rng, found = np.random.default_rng(seed), []
+    while len(found) < count:
+        case = ("CASE_II", "SUBORDINATED")[len(found) % 2]
+        dims = (int(rng.integers(1, 9)), int(rng.integers(2 if case == "CASE_II" else 1, 9)))
+        spec = random_problem_spec(case, *dims, float(rng.uniform(0.2, 1.5)),
+                                   int(rng.integers(2**32)))
+        problem = mapped_problem(random_problem(spec), 1.0,
+                                 unitary=random_unitary(rng, sum(dims)))
+        report = tan_theta_bound(problem)
+        if report.premise_satisfied:
+            found.append((problem, report))
+    return found
+
+
+class TestProjectionDifferenceNorm:
+    """||E_A(sigma) - E_B(.)|| from ``_difference``'s principal-angle blocks."""
+
+    def test_identical(self):
+        p = two_level_problem(0.0)
+        d = stack_difference(p, p.sigma_mask, p.sigma_mask)
+        assert d == ([0.0], [0.0], [0.0]) or max(x[0] for x in d) < 1e-15
+
+    def test_rotation_gives_sine(self):
+        p = two_level_problem(math.pi / 6)
+        d = stack_difference(p, p.sigma_mask, p.b_eigen.eigenvalues < 0)
+        assert abs(d.norm[0] - 0.5) < 1e-12
+
+    def test_complement_pair(self):
+        p = two_level_problem(0.0)
+        d = stack_difference(p, p.sigma_mask, ~p.sigma_mask)
+        assert abs(d.norm[0] - 1.0) < 1e-12
+
+    def test_max_identity_on_corpus(self, rng):
+        # ||P - Q|| = max{||P Q_perp||, ||P_perp Q||}, the SVD of the dense P - Q against the
+        # larger block, on 1000 seeded pairs: 10 turned problems of 100 mask pairs each
+        for _ in range(10):
+            dim = int(rng.integers(2, 13))
+            spec = random_problem_spec("CASE_II", dim // 2, dim - dim // 2, 1.0,
+                                       int(rng.integers(2**32)))
+            problem = mapped_problem(random_problem(spec), 1.0, unitary=haar_unitary(rng, dim))
+            masks = [[rng.permutation(dim) < rng.integers(1, dim) for _ in range(100)]
+                     for _ in range(2)]
+            d = stack_difference(problem, *map(np.array, masks))
+            for v, (mask_p, mask_q) in enumerate(zip(*masks)):
+                up, uq = problem.a_eigen.eigenvectors[:, mask_p], problem.b_eigen.eigenvectors[:, mask_q]
+                norm = spectral_norm(up @ up.conj().T - uq @ uq.conj().T)
+                assert d.norm[v] == max(d.norm_pq_perp[v], d.norm_pperp_q[v])
+                assert abs(norm - d.norm[v]) < 1e-10
+
+
+class TestGraphOperator:
+    """TAN_THETA's graph operator X = W U^{-1} on a problem: its ``x_norm`` witness, the premise
+    that it exists, and the identities it meets with ||P - Q||."""
+
+    def test_zero_angle(self):
+        report = tan_theta_bound(two_level_problem(0.0), (-2.0, 0.0))
+        assert report.premise_satisfied and report.witnesses["x_norm"] < 1e-12
+
+    def test_rotation_gives_tangent(self):
+        theta = 0.4
+        report = tan_theta_bound(two_level_problem(theta), (-10.0, 0.0))
+        assert abs(report.witnesses["x_norm"] - math.tan(theta)) < 1e-12
+        assert abs(report.measured_value - math.sin(theta)) < 1e-12
+
+    def test_roundtrip_and_sine_identity(self):
+        done = 0
+        for problem, report in premise_rows(200, 11):
+            if report.measured_value >= 0.999:
+                continue
+            p, q = tan_theta_pair(problem, maximal_gap_interval(problem))
+            x, x_norm = graph(p, q), report.witnesses["x_norm"]
+            rebuilt = graph_bases(p, x)
+            assert spectral_norm(dense(rebuilt) - dense(q)) < 1e-8
+            assert abs(report.measured_value - x_norm / math.sqrt(1.0 + x_norm**2)) < 1e-8
+            assert abs(spectral_norm(x) - x_norm) < 1e-8 * max(1.0, x_norm)
+            done += 1
+        assert done >= 150
+
+    def test_rebuilt_bases_are_orthonormal_and_complementary(self):
+        for problem, report in premise_rows(20, 12):
+            p, q = tan_theta_pair(problem, maximal_gap_interval(problem))
+            rebuilt = graph_bases(p, graph(p, q))
+            z = np.hstack(rebuilt)
+            assert rebuilt[0].shape[1] == report.witnesses["rank_q"] and z.shape[0] == problem.dim
+            assert spectral_norm(z.conj().T @ z - np.eye(problem.dim)) <= 1e-12
+
+    def test_complement_pair_rejected(self):
+        # Q = P-perp at equal ranks: the blocks give ||P - Q|| = 1, so no graph operator, and
+        # TAN_THETA's premise rule refuses the margin
+        p = two_level_problem(0.0)
+        d = stack_difference(p, p.sigma_mask, ~p.sigma_mask)
+        assert abs(d.norm[0] - 1.0) < 1e-12
+        assert not analysis._premise_met(1.0 - d.norm[0], 1.0, p.tol)
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    @pytest.mark.parametrize("gap, built", [(2e-9, True), (5e-10, False)])
+    def test_premise_is_the_verdict_rule(self, dim, gap, built):
+        # the sharp problem's coupling on A = diag(0, -1, 1, 3, ..., dim - 1), sigma = {0}: B's
+        # eigenvector of 0 turns e0 until ||P - Q|| = 1 - gap; the graph exists exactly when
+        # 1 - ||P - Q|| exceeds tol.report = 1e-9, whatever the dimension
+        s = 1.0 - gap
+        points = [0.0, -1.0, 1.0] + [float(k) for k in range(3, dim)]
+        v = np.zeros((dim, dim))
+        v[0, 1:3] = v[1:3, 0] = s / math.sqrt(2.0 * (1.0 - s * s))
+        problem = PerturbationProblem.build(np.diag(points), v, SpectralSet.from_points([0.0]),
+                                           SpectralSet.from_points(points[1:]))
+        report = tan_theta_bound(problem, (-1.0, 1.0))
+        assert abs(report.measured_value - s) <= 4 * EPS
+        assert report.premise_satisfied is built
+        if built:
+            assert report.witnesses["x_norm"] == pytest.approx(s / math.sqrt(1.0 - s * s), rel=1e-6)
+        else:
+            assert "x_norm" not in report.witnesses
+            assert report.flags == ("a-priori premise not satisfied: ||E_A(sigma) - "
+                                    "E_B(interval)|| is not below 1",)
+
+    def test_rank_mismatch_rejected(self):
+        # A = diag(-2, -1, 1), sigma = {-2, -1}, V couples both to e2 weakly: B keeps one
+        # eigenvalue below -2 and one in (-1.5, -1), so E_B(-1.5, 1) has rank 1 against 2
+        v = np.zeros((3, 3))
+        v[:2, 2] = v[2, :2] = 0.3
+        problem = PerturbationProblem.build(np.diag([-2.0, -1.0, 1.0]), v,
+                                            SpectralSet.from_points([-2.0, -1.0]),
+                                            SpectralSet.from_points([1.0]))
+        report = tan_theta_bound(problem, (-1.5, 1.0))
+        assert (report.witnesses["rank_p"], report.witnesses["rank_q"]) == (2, 1)
+        assert abs(report.measured_value - 1.0) <= 4 * EPS and not report.premise_satisfied
+        assert "x_norm" not in report.witnesses
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            PerturbationProblem.build(np.eye(2), np.zeros((3, 3)), SpectralSet.from_points([1.0]),
+                                      SpectralSet.from_points([3.0]))
+        assert str(excinfo.value) == "A and V have different shapes: (2, 2) vs (3, 3)"
 
 
 class TestCPi:
@@ -416,11 +590,7 @@ class TestTanThetaRanks:
 def graph_norm(problem: PerturbationProblem, interval) -> float:
     """||X|| for X = W U^{-1} of TAN_THETA's pair on ``problem`` and the open ``interval``, from
     products of the bases: P on A's eigenvectors of the separated side, Q on B's in the interval."""
-    mask_p = subspaces._sides(problem._stack).mask[problem._row]
-    values = problem.b_eigen.eigenvalues
-    mask_q = select(values, SpectralSet([interval], is_open=True), problem.tol.eig(values))[0]
-    p, q = ((e.eigenvectors[:, m], e.eigenvectors[:, ~m])
-            for e, m in ((problem.a_eigen, mask_p), (problem.b_eigen, mask_q)))
+    p, q = tan_theta_pair(problem, interval)
     return spectral_norm(graph(p, q))
 
 
